@@ -2,8 +2,10 @@
 //! `figures` (Figures 3–6 + the mesh study), `ablations` (design-knob
 //! sweeps), `substrates` (partitioner / MOL / engine / mesher
 //! microbenchmarks), `fastpath` (per-message and per-poll costs vs the
-//! retired transport designs), and `ring` (the SPSC ring mesh, including the
-//! zero-allocation steady-state check). Run with `cargo bench`.
+//! retired transport designs), `ring` (the SPSC ring mesh, including the
+//! zero-allocation steady-state check), and `mol_ready` (the ready-work
+//! index across queue depths, including the flat-in-depth check). Run with
+//! `cargo bench`.
 //!
 //! This lib exposes [`CountingAlloc`], a pass-through global allocator that
 //! counts allocations so `benches/ring.rs` can *assert* — not just eyeball —

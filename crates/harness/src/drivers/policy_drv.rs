@@ -377,7 +377,8 @@ impl PolicyProc {
         let local = self.local();
 
         // Mechanism feedback: sample the weight history and report the
-        // forecast, exactly as `Scheduler::lb_evaluate` does each poll.
+        // forecast, as `Scheduler::lb_evaluate` does each poll (it skips the
+        // fit when no one consumes it; here the trace event always does).
         self.history.record(self.tick, local.weight);
         let fc = self.history.forecast(FORECAST_HORIZON);
         self.policy.note_forecast(self.tick, &local, &fc);

@@ -99,10 +99,19 @@ pub trait LbPolicy: Send {
     }
 
     /// Mechanism feedback hook: the scheduler samples its local load into a
-    /// weight-history ring every evaluation tick and reports the resulting
+    /// weight-history ring every evaluation tick and, for a policy whose
+    /// [`LbPolicy::uses_forecast`] says so, reports the resulting
     /// [`Forecast`] here before asking for flows or begging decisions.
     /// Anticipatory policies cache it; the default ignores it.
     fn note_forecast(&mut self, _tick: u64, _local: &LoadSnapshot, _forecast: &Forecast) {}
+
+    /// Whether this policy consumes the [`Forecast`]. When `false` (the
+    /// default) the scheduler skips the trend fit and never calls
+    /// [`LbPolicy::note_forecast`] — it evaluates twice per work unit, and
+    /// the fit is the costliest thing in an evaluation that moves nothing.
+    fn uses_forecast(&self) -> bool {
+        false
+    }
 
     /// Whether this policy consumes the [`CommSummary`]. When `false` (the
     /// default) the scheduler skips building the interaction summary and
@@ -666,6 +675,10 @@ impl LbPolicy for Anticipatory {
     fn note_forecast(&mut self, tick: u64, local: &LoadSnapshot, forecast: &Forecast) {
         self.latest = *forecast;
         self.inner.note_forecast(tick, local, forecast);
+    }
+
+    fn uses_forecast(&self) -> bool {
+        true
     }
 
     fn uses_comm(&self) -> bool {

@@ -168,12 +168,19 @@ pub struct Scheduler<O: Migratable> {
     history: WeightHistory,
     /// Ticks (polls) ahead the forecast extrapolates.
     forecast_horizon: u64,
+    /// `policy.neighborhood(rank, nprocs)`, fixed for the run: the ranks
+    /// every status change is published to.
+    neighborhood: Vec<Rank>,
+    /// The send buffer of the last finished unit, emptied, for the next
+    /// [`Scheduler::begin`] to hand its [`HandlerCtx`].
+    spare_outgoing: Vec<Outgoing>,
     tracer: Tracer,
 }
 
 impl<O: Migratable> Scheduler<O> {
     /// Build a scheduler over a MOL node with the given policy.
     pub fn new(node: MolNode<O>, policy: Box<dyn LbPolicy>) -> Self {
+        let neighborhood = policy.neighborhood(node.rank(), node.nprocs());
         Scheduler {
             node,
             handlers: FxHashMap::default(),
@@ -193,6 +200,8 @@ impl<O: Migratable> Scheduler<O> {
             governor: Governor::new(StabilityConfig::default()),
             history: WeightHistory::new(32, 0.25),
             forecast_horizon: 32,
+            neighborhood,
+            spare_outgoing: Vec::new(),
             tracer: Tracer::off(),
         }
     }
@@ -217,7 +226,8 @@ impl<O: Migratable> Scheduler<O> {
 
     /// The current local load forecast: EWMA + linear trend over the recent
     /// weight history, extrapolated `forecast_horizon` polls ahead. This is
-    /// the same forecast the policy sees via `note_forecast`.
+    /// the same forecast a policy that [uses one](LbPolicy::uses_forecast)
+    /// sees via `note_forecast`; it is fitted on demand.
     pub fn forecast(&self) -> Forecast {
         self.history.forecast(self.forecast_horizon)
     }
@@ -394,7 +404,7 @@ impl<O: Migratable> Scheduler<O> {
                 ctx: HandlerCtx {
                     rank: self.rank(),
                     nprocs: self.nprocs(),
-                    outgoing: Vec::new(),
+                    outgoing: std::mem::take(&mut self.spare_outgoing),
                 },
             });
         }
@@ -404,7 +414,9 @@ impl<O: Migratable> Scheduler<O> {
     /// object, apply the handler's buffered sends, update counters, and
     /// evaluate the load balancer.
     pub fn finish(&mut self, exec: Execution<O>) {
-        let Execution { item, obj, ctx, .. } = exec;
+        let Execution {
+            item, obj, mut ctx, ..
+        } = exec;
         let obj = obj.expect("execution finished twice");
         assert_eq!(
             self.executing,
@@ -419,7 +431,8 @@ impl<O: Migratable> Scheduler<O> {
             home: item.ptr.home,
             index: item.ptr.index,
         });
-        self.apply_outgoing(ctx.outgoing);
+        self.apply_outgoing(&mut ctx.outgoing);
+        self.spare_outgoing = ctx.outgoing;
         // Handler-boundary flush (DESIGN.md §11): the burst of sends this
         // handler buffered coalesces per destination and ships now, rather
         // than waiting for the next poll. System traffic was never staged.
@@ -468,8 +481,10 @@ impl<O: Migratable> Scheduler<O> {
         }
     }
 
-    fn apply_outgoing(&mut self, outgoing: Vec<Outgoing>) {
-        for out in outgoing {
+    /// Send what a handler buffered, leaving the buffer empty (and its
+    /// allocation reusable).
+    fn apply_outgoing(&mut self, outgoing: &mut Vec<Outgoing>) {
+        for out in outgoing.drain(..) {
             match out {
                 Outgoing::Object {
                     ptr,
@@ -543,7 +558,7 @@ impl<O: Migratable> Scheduler<O> {
                             outgoing: Vec::new(),
                         };
                         h(&mut ctx, src, payload);
-                        self.apply_outgoing(ctx.outgoing);
+                        self.apply_outgoing(&mut ctx.outgoing);
                     } else {
                         // An unregistered handler id is one bad remote
                         // message; dropping it beats aborting the rank.
@@ -714,25 +729,33 @@ impl<O: Migratable> Scheduler<O> {
         let me = self.rank();
         let n = self.nprocs();
 
-        // Sample the weight history and report the forecast to the policy
+        // Sample the weight history; a policy that uses the forecast gets it
         // before any decision this evaluation makes (anticipatory policies
         // cache it). Sampled at the poll tick; a re-evaluation within the
-        // same poll (unit finish) overwrites the tick's sample.
+        // same poll (unit finish) overwrites the tick's sample. The trend
+        // fit is two passes over the ring, so it runs only for a consumer:
+        // such a policy, or the sampled trace event when tracing records.
         self.history.record(self.polls, local.weight);
-        let fc = self.history.forecast(self.forecast_horizon);
-        self.policy.note_forecast(self.polls, &local, &fc);
+        if self.policy.uses_forecast() {
+            let fc = self.history.forecast(self.forecast_horizon);
+            self.policy.note_forecast(self.polls, &local, &fc);
+        }
         if self.polls.is_multiple_of(64) {
-            self.tracer.emit(|| TraceEvent::LbForecast {
-                weight_milli: (local.weight * 1000.0) as u64,
-                predicted_milli: (fc.predicted.max(0.0) * 1000.0) as u64,
-                rising: fc.rising(1e-9),
+            let (history, horizon) = (&self.history, self.forecast_horizon);
+            self.tracer.emit(|| {
+                let fc = history.forecast(horizon);
+                TraceEvent::LbForecast {
+                    weight_milli: (local.weight * 1000.0) as u64,
+                    predicted_milli: (fc.predicted.max(0.0) * 1000.0) as u64,
+                    rising: fc.rising(1e-9),
+                }
             });
         }
 
         // Publish status to the neighborhood when it changed.
         if self.last_published != Some(local) {
             let status = Self::encode_snapshot(&local);
-            for nb in self.policy.neighborhood(me, n) {
+            for &nb in &self.neighborhood {
                 self.node
                     .node_message(nb, LB_STATUS, Tag::System, status.clone());
                 self.stats.status_sent += 1;
@@ -866,5 +889,83 @@ impl<O: Migratable> Execution<O> {
     pub fn run(&mut self) {
         let obj = self.obj.as_mut().expect("run() after finish");
         (self.handler)(&mut self.ctx, obj, &self.item);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::WorkStealing;
+    use prema_dcs::{Communicator, LocalFabric};
+
+    struct Unit;
+
+    impl Migratable for Unit {
+        fn pack(&self, _buf: &mut Vec<u8>) {}
+        fn unpack(_b: &[u8]) -> Self {
+            Unit
+        }
+    }
+
+    /// The peer of a draining rank must be able to read every load report on
+    /// the way down, and the last one must say "empty" exactly: a report
+    /// whose weight went a hair negative is dropped undecoded, and the peer
+    /// would go on believing the last positive one.
+    #[test]
+    fn every_status_of_a_long_jittered_drain_decodes_and_the_last_is_zero() {
+        const UNITS: usize = 100_000;
+        let mut scheds: Vec<Scheduler<Unit>> = LocalFabric::new(2)
+            .into_iter()
+            .map(|ep| {
+                let node = MolNode::new(Communicator::new(Box::new(ep)));
+                let mut s = Scheduler::new(node, Box::new(WorkStealing::new(1.0, 1)));
+                s.on_message(1, |_ctx, _obj: &mut Unit, _item| {});
+                s
+            })
+            .collect();
+        let mut peer = scheds.pop().expect("two ranks");
+        let mut s = scheds.pop().expect("two ranks");
+        // The peer only listens: it records statuses but never begs, so the
+        // whole queue drains where it was posted.
+        peer.set_lb_enabled(false);
+
+        let ptrs: Vec<MobilePtr> = (0..64).map(|_| s.node_mut().register(Unit)).collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..UNITS {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Hints with full mantissas around 1.0, no two alike.
+            let hint = 0.9 + 0.2 * (x >> 11) as f64 / (1u64 << 53) as f64;
+            s.node_mut()
+                .message_with_hint(ptrs[i % ptrs.len()], 1, hint, Bytes::new());
+        }
+        assert_eq!(s.local_load().units, UNITS);
+
+        loop {
+            s.poll();
+            let ran = s.step();
+            peer.poll();
+            if let Some(seen) = peer.known.get(&0) {
+                assert!(seen.weight >= 0.0 && seen.weight.is_finite());
+            }
+            if !ran {
+                break;
+            }
+        }
+        peer.poll();
+        assert_eq!(s.stats().executed, UNITS as u64);
+        assert!(s.stats().status_sent > UNITS as u64, "a status per change");
+        assert_eq!(peer.stats().dropped_node_msgs, 0, "a status did not decode");
+        let last = peer.known[&0];
+        assert_eq!(last.units, 0);
+        assert_eq!(last.weight.to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            s.local_load(),
+            LoadSnapshot {
+                units: 0,
+                weight: 0.0
+            }
+        );
     }
 }

@@ -21,7 +21,9 @@
 //!   the bounded sender-side location cache, and the shard authority table
 //!   (DESIGN.md §16).
 //! * [`node`] — the per-rank runtime: routing, ordering, migration,
-//!   application vs. system polling.
+//!   application vs. system polling. Its ready-work index (the arrival-
+//!   order queue, per-object lanes, O(1) load totals; DESIGN.md §17) is the
+//!   crate-private `ready` module.
 
 #![warn(missing_docs)]
 
@@ -32,6 +34,7 @@ pub mod node;
 pub(crate) mod oracle;
 pub mod proto;
 pub mod ptr;
+pub(crate) mod ready;
 
 pub use directory::{shard_of, LocCache, ShardAuthority, HARD_CHAIN_LIMIT, MAX_CHAIN};
 pub use migrate::{pack_to_vec, Migratable};

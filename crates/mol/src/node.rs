@@ -37,10 +37,11 @@ use crate::proto::{
     H_NODE_MSG,
 };
 use crate::ptr::{MobilePtr, PtrAllocator};
+use crate::ready::{ReadyIndex, NO_LANE};
 use bytes::Bytes;
 use prema_dcs::{env, pool, Communicator, Envelope, FxHashMap, Rank, Tag};
 use prema_trace::{TraceEvent, Tracer};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Location-resolution strategy knobs.
 ///
@@ -242,6 +243,22 @@ struct Entry<O> {
     expected: FxHashMap<Rank, u64>,
     /// Out-of-order buffer per original sender.
     ooo: FxHashMap<Rank, BTreeMap<u64, MolEnvelope>>,
+    /// The [`ReadyIndex`] lane that last accounted for this object's queued
+    /// messages ([`NO_LANE`] before the first), remembered here so a push
+    /// finds it without a lookup.
+    lane: u32,
+}
+
+impl<O> Entry<O> {
+    fn new(obj: O, epoch: u64, expected: FxHashMap<Rank, u64>) -> Self {
+        Entry {
+            obj: Some(obj),
+            epoch,
+            expected,
+            ooo: FxHashMap::default(),
+            lane: NO_LANE,
+        }
+    }
 }
 
 /// Everything this rank knows about one mobile pointer, unified so the
@@ -346,8 +363,9 @@ pub struct MolNode<O: Migratable> {
     /// [`MolNode::local_count`] — called per scheduling decision — does not
     /// scan the directory).
     resident: usize,
-    /// In-order messages awaiting execution.
-    ready: VecDeque<MolEnvelope>,
+    /// In-order messages awaiting execution, in arrival order, with their
+    /// count and weight — overall and per object — kept up to date.
+    ready: ReadyIndex,
     stats: MolStats,
     tracer: Tracer,
     /// Shadow state asserting ordering/conservation invariants (see
@@ -376,7 +394,7 @@ impl<O: Migratable> MolNode<O> {
             cache: LocCache::new(cfg.loc_cache),
             authority: ShardAuthority::default(),
             resident: 0,
-            ready: VecDeque::new(),
+            ready: ReadyIndex::default(),
             stats: MolStats::default(),
             tracer: Tracer::off(),
             #[cfg(feature = "check-invariants")]
@@ -418,12 +436,7 @@ impl<O: Migratable> MolNode<O> {
     pub fn register(&mut self, obj: O) -> MobilePtr {
         let ptr = self.alloc.alloc();
         let d = self.directory.entry(ptr).or_default();
-        d.entry = Some(Entry {
-            obj: Some(obj),
-            epoch: 0,
-            expected: FxHashMap::default(),
-            ooo: FxHashMap::default(),
-        });
+        d.entry = Some(Entry::new(obj, 0, FxHashMap::default()));
         self.resident += 1;
         ptr
     }
@@ -821,7 +834,7 @@ impl<O: Migratable> MolNode<O> {
                 *exp += 1;
                 let sender = env.sender;
                 self.stats.note_chain(env.hops);
-                self.ready.push_back(env);
+                self.ready.push(&mut entry.lane, env);
                 #[cfg(feature = "check-invariants")]
                 self.oracle.on_accept();
                 // Drain any now-in-order buffered messages from this sender.
@@ -829,7 +842,7 @@ impl<O: Migratable> MolNode<O> {
                     while let Some(next) = buf.remove(exp) {
                         *exp += 1;
                         self.stats.note_chain(next.hops);
-                        self.ready.push_back(next);
+                        self.ready.push(&mut entry.lane, next);
                         #[cfg(feature = "check-invariants")]
                         self.oracle.on_accept();
                     }
@@ -883,21 +896,9 @@ impl<O: Migratable> MolNode<O> {
             .take()
             .expect("presence checked just above with no intervening mutation");
         self.resident -= 1;
-        // Pull this object's accepted-but-unexecuted messages out of the
-        // ready queue, preserving their order: rotate the queue once in
-        // place, moving (not cloning) matching envelopes out.
-        let mut pending = Vec::new();
-        for _ in 0..self.ready.len() {
-            let e = self
-                .ready
-                .pop_front()
-                .expect("queue length fixed before the rotation");
-            if e.target == ptr {
-                pending.push(e);
-            } else {
-                self.ready.push_back(e);
-            }
-        }
+        // The object's accepted-but-unexecuted messages leave with it, in
+        // order, taken from the ready queue by position.
+        let pending = self.ready.take_all(entry.lane, ptr);
         let buffered: Vec<MolEnvelope> = entry
             .ooo
             .into_values()
@@ -1038,24 +1039,21 @@ impl<O: Migratable> MolNode<O> {
         // must die: it is local again — and any cached location for it too.
         d.forward = None;
         self.cache.remove(ptr);
-        if d.entry
-            .replace(Entry {
-                obj: Some(obj),
-                epoch: packet.epoch,
-                expected: packet.expected.into_iter().collect(),
-                ooo: FxHashMap::default(),
-            })
-            .is_none()
-        {
-            self.resident += 1;
+        let mut entry = Entry::new(obj, packet.epoch, packet.expected.into_iter().collect());
+        match d.entry.take() {
+            // (Past the replay guard nothing should be resident; if something
+            // were, its queued work stays queued under the same lane.)
+            Some(replaced) => entry.lane = replaced.lane,
+            None => self.resident += 1,
+        }
+        let entry = d.entry.insert(entry);
+        for env in packet.pending {
+            self.ready.push(&mut entry.lane, env);
         }
         // Any messages parked here (we may be the home) can be routed once
         // installation finishes below.
         let parked = std::mem::take(&mut d.limbo);
         self.stats.migrations_in += 1;
-        for env in packet.pending {
-            self.ready.push_back(env);
-        }
         // (Conservation: these re-queued messages were counted by the
         // oracle's on_install as `installed`, not `accepted`.)
         for env in packet.buffered {
@@ -1337,11 +1335,17 @@ impl<O: Migratable> MolNode<O> {
         }
     }
 
+    /// Dequeue the oldest queued message.
+    fn pop_ready(&mut self) -> Option<MolEnvelope> {
+        let env = self.ready.pop()?;
+        self.stats.delivered += 1;
+        #[cfg(feature = "check-invariants")]
+        self.oracle.on_deliver(env.sender, env.target, env.seq);
+        Some(env)
+    }
+
     fn drain_ready(&mut self, events: &mut Vec<MolEvent>) {
-        while let Some(env) = self.ready.pop_front() {
-            self.stats.delivered += 1;
-            #[cfg(feature = "check-invariants")]
-            self.oracle.on_deliver(env.sender, env.target, env.seq);
+        while let Some(env) = self.pop_ready() {
             events.push(MolEvent::Object {
                 ptr: env.target,
                 sender: env.sender,
@@ -1358,18 +1362,28 @@ impl<O: Migratable> MolNode<O> {
 
     /// Assert the work-conservation invariant: every message accepted on (or
     /// installed into) this node has either been delivered, shipped out with
-    /// a migration, or is still in the ready queue. Called internally after
-    /// every poll/pump/migrate; public so schedulers and tests can check at
-    /// their own boundaries too. Panics on violation.
+    /// a migration, or is still in the ready queue — and, at a cost amortised
+    /// to O(1) per call, that the incrementally maintained queue length,
+    /// weights and per-object lanes equal a from-scratch recount.
+    /// Called internally after every poll/pump/migrate; public so schedulers
+    /// and tests can check at their own boundaries too. Panics on violation.
     #[cfg(feature = "check-invariants")]
     pub fn verify_conservation(&self) {
         self.oracle.verify(self.ready.len());
+        if self
+            .oracle
+            .recount_due(self.directory.len() + self.ready.slots())
+        {
+            crate::oracle::verify_ready(&self.ready, |ptr| self.is_local(ptr));
+        }
     }
 
     /// Sum of the weight hints of all queued work (the load estimate PREMA's
-    /// balancer compares against its water-mark).
+    /// balancer compares against its water-mark). Maintained incrementally
+    /// and exactly: `0.0` whenever nothing is queued, never negative or NaN
+    /// (hints that are count as zero).
     pub fn ready_load(&self) -> f64 {
-        self.ready.iter().map(|e| e.hint).sum()
+        self.ready.weight().get()
     }
 
     /// Process incoming wire traffic *without* draining the work queue:
@@ -1391,10 +1405,7 @@ impl<O: Migratable> MolNode<O> {
     /// Pop the oldest queued work unit (an in-order application message for a
     /// local object), if any.
     pub fn pop_work(&mut self) -> Option<WorkItem> {
-        let env = self.ready.pop_front()?;
-        self.stats.delivered += 1;
-        #[cfg(feature = "check-invariants")]
-        self.oracle.on_deliver(env.sender, env.target, env.seq);
+        let env = self.pop_ready()?;
         Some(WorkItem {
             ptr: env.target,
             sender: env.sender,
@@ -1408,14 +1419,11 @@ impl<O: Migratable> MolNode<O> {
     /// weight hints)`, heaviest first. The load balancer uses this to decide
     /// which mobile objects to hand over when granting a work request.
     pub fn ready_summary(&self) -> Vec<(MobilePtr, usize, f64)> {
-        let mut acc: FxHashMap<MobilePtr, (usize, f64)> = FxHashMap::default();
-        for e in &self.ready {
-            let slot = acc.entry(e.target).or_insert((0, 0.0));
-            slot.0 += 1;
-            slot.1 += e.hint;
-        }
-        let mut out: Vec<(MobilePtr, usize, f64)> =
-            acc.into_iter().map(|(p, (n, w))| (p, n, w)).collect();
+        let mut out: Vec<(MobilePtr, usize, f64)> = self
+            .ready
+            .lanes()
+            .map(|l| (l.ptr, l.count, l.weight.get()))
+            .collect();
         out.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
         out
     }
@@ -1471,4 +1479,53 @@ pub struct WorkItem {
     pub hint: f64,
     /// Payload.
     pub payload: Bytes,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prema_dcs::LocalFabric;
+
+    struct Unit;
+
+    impl Migratable for Unit {
+        fn pack(&self, _buf: &mut Vec<u8>) {}
+        fn unpack(_b: &[u8]) -> Self {
+            Unit
+        }
+    }
+
+    /// An object that keeps leaving and returning while nothing is popped
+    /// leaves a fresh set of holes each round trip; compaction keeps the
+    /// queue within twice its live messages (plus slack) regardless.
+    #[test]
+    fn holes_stay_bounded_while_an_object_ping_pongs() {
+        let mut nodes: Vec<MolNode<Unit>> = LocalFabric::new(2)
+            .into_iter()
+            .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), MolConfig::default()))
+            .collect();
+        let mover = nodes[0].register(Unit);
+        let stayer = nodes[0].register(Unit);
+        for _ in 0..100 {
+            nodes[0].message(mover, 1, Bytes::new());
+        }
+        for _ in 0..10 {
+            nodes[0].message(stayer, 1, Bytes::new());
+        }
+        for _ in 0..50 {
+            for (src, dst) in [(0, 1), (1, 0)] {
+                assert!(nodes[src].migrate(mover, dst));
+                let ready = &nodes[src].ready;
+                assert!(ready.slots() <= 2 * ready.len() + 64);
+                nodes[dst].pump();
+                assert!(nodes[dst].is_local(mover));
+            }
+        }
+        assert_eq!(nodes[0].ready_len(), 110);
+        // The stayer's messages are still ahead of the returned mover's.
+        for _ in 0..10 {
+            assert_eq!(nodes[0].pop_work().map(|w| w.ptr), Some(stayer));
+        }
+        assert_eq!(nodes[0].pop_work().map(|w| w.ptr), Some(mover));
+    }
 }

@@ -9,7 +9,7 @@
 //! hash-map entry per active (sender, object) pair; release builds that
 //! want the last few percent can disable default features.
 //!
-//! Three properties are checked (§4 of the paper):
+//! Four properties are checked (the first three from §4 of the paper):
 //!
 //! 1. **Delivery-order monotonicity** — for every (sender, object) pair,
 //!    messages are delivered in exactly send order: seq 0, 1, 2, … with no
@@ -26,6 +26,14 @@
 //! 3. **Work conservation** — queued work is neither lost nor duplicated:
 //!    `accepted + installed − delivered − shipped == ready.len()`, checked
 //!    after every poll/pump/migrate.
+//! 4. **Ready-index consistency** — the incrementally maintained queue
+//!    length, total and per-object weights and per-object queue positions
+//!    equal a from-scratch recount over the queue ([`verify_ready`]), work
+//!    is queued only for resident objects, and the holes migrations leave
+//!    are counted nowhere. The recount is O(directory + queue), so it runs
+//!    only once an eighth that many checks have passed since the last one:
+//!    amortised O(1) per check, and on the small states of most tests every
+//!    check.
 //!
 //! [`MolNode::drain_ready`]: crate::MolNode::poll
 //! [`MolNode::pop_work`]: crate::MolNode::pop_work
@@ -33,8 +41,10 @@
 use crate::directory::HARD_CHAIN_LIMIT;
 use crate::proto::MolEnvelope;
 use crate::ptr::MobilePtr;
+use crate::ready::{ReadyIndex, Weight};
 use prema_dcs::Rank;
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 
 /// Per-node shadow state verifying the MOL's ordering and conservation
 /// guarantees. Owned by [`crate::MolNode`]; all methods panic on violation.
@@ -50,6 +60,9 @@ pub(crate) struct NodeOracle {
     shipped: u64,
     /// Accepted-but-undelivered messages received with a migration.
     installed: u64,
+    /// Conservation checks since the last ready-index recount (a `Cell`:
+    /// verification takes `&self`).
+    since_recount: Cell<usize>,
 }
 
 impl NodeOracle {
@@ -159,6 +172,81 @@ impl NodeOracle {
             self.accepted, self.installed, self.delivered, self.shipped, expect, ready_len
         );
     }
+
+    /// Whether this check should also recount the ready index, whose
+    /// recount costs `size` steps: yes once an eighth of `size` checks have
+    /// gone by without one.
+    pub fn recount_due(&self, size: usize) -> bool {
+        let n = self.since_recount.get() + 1;
+        let due = n > size / 8;
+        self.since_recount.set(if due { 0 } else { n });
+        due
+    }
+}
+
+/// Recount the ready index from its queue and compare with what it
+/// maintains incrementally; `resident` says whether an object lives here.
+pub(crate) fn verify_ready(index: &ReadyIndex, resident: impl Fn(MobilePtr) -> bool) {
+    let queued: HashMap<u64, &MolEnvelope> = index.queued().collect();
+    let mut weight = Weight::default();
+    for env in queued.values() {
+        weight.add(Weight::of(env.hint));
+    }
+    assert_eq!(
+        queued.len(),
+        index.len(),
+        "ready oracle: queue length drifted"
+    );
+    assert_eq!(weight, index.weight(), "ready oracle: total weight drifted");
+
+    let mut claimed = 0;
+    let mut owners = HashSet::new();
+    for lane in index.lanes() {
+        let ptr = lane.ptr;
+        assert!(
+            lane.count > 0,
+            "ready oracle: {ptr:?} holds a lane but has nothing queued"
+        );
+        assert!(owners.insert(ptr), "ready oracle: {ptr:?} holds two lanes");
+        assert!(
+            resident(ptr),
+            "ready oracle: work is queued for {ptr:?}, which is not resident"
+        );
+        let mut w = Weight::default();
+        let mut prev = None;
+        for at in index.chain(lane) {
+            // A hole (a message that left with a migration) is at no
+            // position any chain may visit.
+            let env = at.and_then(|at| queued.get(&at)).unwrap_or_else(|| {
+                panic!("ready oracle: {ptr:?} chains through {at:?}, which holds no message")
+            });
+            assert!(
+                prev < at,
+                "ready oracle: {ptr:?} chains its messages out of queue order"
+            );
+            prev = at;
+            assert_eq!(
+                env.target, ptr,
+                "ready oracle: {ptr:?} claims a message for {:?}",
+                env.target
+            );
+            w.add(Weight::of(env.hint));
+        }
+        assert_eq!(
+            w, lane.weight,
+            "ready oracle: {ptr:?} lane weight drifted from its {} messages",
+            lane.count
+        );
+        claimed += lane.count;
+    }
+    // Claims are distinct (ascending within a lane, one lane per object, one
+    // target per message), so equal counts make them a bijection onto the
+    // queue.
+    assert_eq!(
+        claimed,
+        queued.len(),
+        "ready oracle: queued messages no lane accounts for"
+    );
 }
 
 #[cfg(test)]

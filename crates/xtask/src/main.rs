@@ -476,7 +476,14 @@ fn analyze_json(
 const BENCH_BASELINES: &[(&str, &[&str])] = &[
     (
         "BENCH_substrate.json",
-        &["substrates", "fastpath", "mol_directory", "ring", "udp"],
+        &[
+            "substrates",
+            "fastpath",
+            "mol_directory",
+            "mol_ready",
+            "ring",
+            "udp",
+        ],
     ),
     ("BENCH_figures.json", &["figures"]),
 ];
