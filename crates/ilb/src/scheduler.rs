@@ -28,6 +28,36 @@ const LB_NACK: u32 = 0xFFFF_F003;
 /// handlers must stay below this.
 pub const NODE_HANDLER_LIMIT: u32 = 0xFFFF_F000;
 
+/// How far a rank's weight may drift from what a neighbour was last told
+/// before that neighbour is told again, as a fraction of the told weight (see
+/// [`status_due`]).
+const STATUS_DRIFT: f64 = 0.125;
+
+/// Whether an `LB_STATUS` is due to one neighbour (DESIGN.md §18): `told` is
+/// what it was last told (`None`: nothing yet, or nothing since an object
+/// last moved between the two — due whatever the load), `local` the load now,
+/// `theirs` its own last report. A neighbour holding work acts on this rank's load only at the lines tested
+/// here — empty or not, under the water-mark or not, and the weight to within
+/// [`STATUS_DRIFT`] — so it is told when one is crossed. A hungry neighbour
+/// (under its water-mark, or of unknown load) is told of every change: it is
+/// the one about to beg, and a status showing work is the only thing that
+/// re-opens a begging round that ran into its attempt cap.
+fn status_due(
+    policy: &dyn LbPolicy,
+    told: Option<&LoadSnapshot>,
+    local: &LoadSnapshot,
+    theirs: Option<&LoadSnapshot>,
+) -> bool {
+    let Some(told) = told else {
+        return true;
+    };
+    told != local
+        && ((told.units == 0) != (local.units == 0)
+            || policy.is_underloaded(told) != policy.is_underloaded(local)
+            || (local.weight - told.weight).abs() > told.weight * STATUS_DRIFT
+            || theirs.is_none_or(|t| policy.is_underloaded(t)))
+}
+
 /// A work-unit handler: runs with the (detached) object, a context for
 /// sending messages, and the triggering work item.
 pub type WorkHandler<O> = Arc<dyn Fn(&mut HandlerCtx, &mut O, &WorkItem) + Send + Sync>;
@@ -154,9 +184,6 @@ pub struct Scheduler<O: Migratable> {
     /// Weight hint of the executing unit; published statuses must account
     /// for in-flight work or diffusive policies see an under-report.
     executing_weight: f64,
-    /// Last load snapshot published to the neighborhood (statuses are only
-    /// re-sent when the load changes).
-    last_published: Option<LoadSnapshot>,
     stats: SchedStats,
     lb_enabled: bool,
     /// Monotone poll counter: the governor's and forecaster's clock (never
@@ -168,9 +195,11 @@ pub struct Scheduler<O: Migratable> {
     history: WeightHistory,
     /// Ticks (polls) ahead the forecast extrapolates.
     forecast_horizon: u64,
-    /// `policy.neighborhood(rank, nprocs)`, fixed for the run: the ranks
-    /// every status change is published to.
-    neighborhood: Vec<Rank>,
+    /// `policy.neighborhood(rank, nprocs)`, fixed for the run, each rank with
+    /// the load snapshot last published to it: `None` until the first, and
+    /// again when an object arrived from it or a flow shipped one to it. A
+    /// status goes to a neighbour when [`status_due`] says so.
+    neighborhood: Vec<(Rank, Option<LoadSnapshot>)>,
     /// The send buffer of the last finished unit, emptied, for the next
     /// [`Scheduler::begin`] to hand its [`HandlerCtx`].
     spare_outgoing: Vec<Outgoing>,
@@ -180,7 +209,11 @@ pub struct Scheduler<O: Migratable> {
 impl<O: Migratable> Scheduler<O> {
     /// Build a scheduler over a MOL node with the given policy.
     pub fn new(node: MolNode<O>, policy: Box<dyn LbPolicy>) -> Self {
-        let neighborhood = policy.neighborhood(node.rank(), node.nprocs());
+        let neighborhood = policy
+            .neighborhood(node.rank(), node.nprocs())
+            .into_iter()
+            .map(|nb| (nb, None))
+            .collect();
         Scheduler {
             node,
             handlers: FxHashMap::default(),
@@ -193,7 +226,6 @@ impl<O: Migratable> Scheduler<O> {
             attempt: 0,
             executing: None,
             executing_weight: 0.0,
-            last_published: None,
             stats: SchedStats::default(),
             lb_enabled: true,
             polls: 0,
@@ -267,6 +299,12 @@ impl<O: Migratable> Scheduler<O> {
     /// Scheduler counters.
     pub fn stats(&self) -> SchedStats {
         self.stats
+    }
+
+    /// The latest load report held for each rank that sent one: a neighbour's
+    /// `LB_STATUS`, or the snapshot its last work request carried.
+    pub fn known(&self) -> &LoadMap {
+        &self.known
     }
 
     /// The underlying MOL node.
@@ -529,6 +567,14 @@ impl<O: Migratable> Scheduler<O> {
                         return;
                     };
                     self.tracer.emit(|| TraceEvent::LbRequestRecv { src });
+                    // The requester's own load rides on the request: with
+                    // statuses sent on demand it is the freshest evidence
+                    // that `src` is hungry, and `status_due` reads it. Only
+                    // for a neighbour — work stealing begs anyone, and a
+                    // diffusive policy pushes flows at every rank in `known`.
+                    if self.told_mut(src).is_some() {
+                        self.known.insert(src, requester);
+                    }
                     self.handle_request(src, requester);
                 }
                 LB_NACK => {
@@ -566,13 +612,20 @@ impl<O: Migratable> Scheduler<O> {
                     }
                 }
             },
-            MolEvent::Installed { ptr, .. } => {
+            MolEvent::Installed { ptr, from } => {
                 // Work arrived: the begging round (if any) succeeded. The
                 // governor starts the object's minimum-residency hold so it
                 // cannot be granted straight back out (migration ping-pong).
                 self.governor.note_install(ptr, self.polls);
                 self.outstanding = None;
                 self.attempt = 0;
+                // The rank that shipped it is owed a report, however little
+                // the object weighs: it goes by an estimate of this rank's
+                // load since (see the flow loop in `lb_evaluate`), and keeps
+                // pushing at it until told the truth.
+                if let Some(told) = self.told_mut(from) {
+                    *told = None;
+                }
             }
             MolEvent::Object { .. } => {
                 unreachable!("pump()/poll_system() never emit Object events")
@@ -580,10 +633,20 @@ impl<O: Migratable> Scheduler<O> {
         }
     }
 
+    /// What neighbour `nb` was last told of this rank's load; `None` when `nb`
+    /// is not in the neighbourhood.
+    fn told_mut(&mut self, nb: Rank) -> Option<&mut Option<LoadSnapshot>> {
+        self.neighborhood
+            .iter_mut()
+            .find(|(r, _)| *r == nb)
+            .map(|(_, told)| told)
+    }
+
     /// Encode a load snapshot for the `LB_STATUS`/`LB_REQUEST` node
-    /// messages; the wire twin of [`Self::decode_snapshot`].
+    /// messages; the wire twin of [`Self::decode_snapshot`]. The buffer is
+    /// the pool's; `node_message` copies it into its frame and hands it back.
     fn encode_snapshot(load: &LoadSnapshot) -> Bytes {
-        WireWriter::new()
+        WireWriter::pooled(16)
             .u64(load.units as u64)
             .f64(load.weight)
             .finish()
@@ -752,15 +815,14 @@ impl<O: Migratable> Scheduler<O> {
             });
         }
 
-        // Publish status to the neighborhood when it changed.
-        if self.last_published != Some(local) {
-            let status = Self::encode_snapshot(&local);
-            for &nb in &self.neighborhood {
-                self.node
-                    .node_message(nb, LB_STATUS, Tag::System, status.clone());
+        // Publish status to the neighbours it is due to.
+        for (nb, told) in &mut self.neighborhood {
+            if status_due(&*self.policy, told.as_ref(), &local, self.known.get(nb)) {
+                let status = Self::encode_snapshot(&local);
+                self.node.node_message(*nb, LB_STATUS, Tag::System, status);
                 self.stats.status_sent += 1;
+                *told = Some(local);
             }
-            self.last_published = Some(local);
         }
 
         // Sender-initiated flows (diffusive policies). Ship only objects
@@ -782,7 +844,7 @@ impl<O: Migratable> Scheduler<O> {
             }
             let mut remaining = weight;
             let summary = self.grant_candidates(dst);
-            for (ptr, _units, w) in summary {
+            for (ptr, units, w) in summary {
                 if Some(ptr) == self.executing || w > remaining {
                     continue;
                 }
@@ -797,6 +859,18 @@ impl<O: Migratable> Scheduler<O> {
                     self.governor.note_migration();
                     remaining -= w.max(1e-9);
                     self.stats.granted += 1;
+                    // Book the shipment against `dst`: its own report of it
+                    // is a round trip away, and until then every evaluation
+                    // would push the same flow again at a load that is
+                    // already history. And owe `dst` a report in turn: a flow
+                    // is sized on both loads, whatever the weight it moved.
+                    if let Some(theirs) = self.known.get_mut(&dst) {
+                        theirs.units += units;
+                        theirs.weight += w;
+                    }
+                    if let Some(told) = self.told_mut(dst) {
+                        *told = None;
+                    }
                 }
             }
         }
@@ -832,11 +906,15 @@ impl<O: Migratable> Scheduler<O> {
             && self.attempt < self.attempt_cap()
         {
             if let Some(victim) = self.policy.choose_victim(me, n, &self.known, self.attempt) {
-                let req = Self::encode_snapshot(&local);
                 let attempt = self.attempt;
                 self.tracer
                     .emit(|| TraceEvent::LbRequest { victim, attempt });
+                let req = Self::encode_snapshot(&local);
                 self.node.node_message(victim, LB_REQUEST, Tag::System, req);
+                // The request told the victim this rank's load, like a status.
+                if let Some(told) = self.told_mut(victim) {
+                    *told = Some(local);
+                }
                 self.outstanding = Some(victim);
                 self.outstanding_polls = 0;
                 self.stats.requests_sent += 1;
@@ -907,6 +985,88 @@ mod tests {
         }
     }
 
+    fn snap(units: usize, weight: f64) -> LoadSnapshot {
+        LoadSnapshot { units, weight }
+    }
+
+    #[test]
+    fn a_status_is_due_at_each_line_a_neighbour_acts_on() {
+        let p = WorkStealing::new(2.0, 1);
+        let due = |told, local, theirs: Option<LoadSnapshot>| {
+            status_due(&p, Some(&told), &local, theirs.as_ref())
+        };
+        let loaded = Some(snap(9, 9.0));
+        // Never told anything: due, whatever the load.
+        assert!(status_due(&p, None, &snap(0, 0.0), loaded.as_ref()));
+        // Nothing changed: never due, not even to a hungry neighbour.
+        assert!(!due(snap(8, 8.0), snap(8, 8.0), None));
+        // A loaded neighbour is left alone within an eighth of the report...
+        assert!(!due(snap(80, 80.0), snap(70, 70.0), loaded));
+        assert!(!due(snap(80, 80.0), snap(90, 90.0), loaded));
+        // ...and told past it (c), in either direction,
+        assert!(due(snap(80, 80.0), snap(69, 69.0), loaded));
+        assert!(due(snap(80, 80.0), snap(91, 91.0), loaded));
+        // at the water-mark, however small the step (b),
+        assert!(due(snap(2, 2.1), snap(2, 2.0), loaded));
+        assert!(due(snap(2, 2.0), snap(2, 2.1), loaded));
+        // and at empty, which weightless units would hide from (b) and (c).
+        assert!(due(snap(1, 0.0), snap(0, 0.0), loaded));
+        assert!(due(snap(0, 0.0), snap(1, 0.0), loaded));
+        assert!(!due(snap(2, 0.0), snap(1, 0.0), loaded));
+        // A hungry neighbour, or one never heard from, hears every change (d).
+        assert!(due(snap(80, 80.0), snap(79, 79.0), Some(snap(2, 2.0))));
+        assert!(due(snap(80, 80.0), snap(79, 79.0), None));
+    }
+
+    /// The staleness bound is one on `told`, so it holds for what the
+    /// neighbour *holds* only if a request, whose snapshot the neighbour also
+    /// stores, counts as having told it.
+    #[test]
+    fn a_neighbour_holds_exactly_what_it_was_last_told() {
+        let mut scheds: Vec<Scheduler<Unit>> = LocalFabric::new(2)
+            .into_iter()
+            .map(|ep| {
+                let node = MolNode::new(Communicator::new(Box::new(ep)));
+                let mut s = Scheduler::new(node, Box::new(WorkStealing::new(16.0, 1)));
+                s.on_message(1, |_ctx, _obj: &mut Unit, _item| {});
+                s
+            })
+            .collect();
+        let mut victim = scheds.pop().expect("two ranks");
+        let mut s = scheds.pop().expect("two ranks");
+        // The victim is loaded and refuses everything: `s`, under its
+        // water-mark throughout, begs it round after round while its own
+        // load shrinks in steps too small for a status. (The victim has to
+        // work too: a refusal burns its report, and until its load changes
+        // and it sends another, `s` owes a rank it knows nothing of every
+        // change.)
+        victim.set_stability(StabilityConfig {
+            hysteresis_band: f64::INFINITY,
+            ..StabilityConfig::off()
+        });
+        for (sched, units) in [(&mut s, 12), (&mut victim, 64)] {
+            for _ in 0..units {
+                let ptr = sched.node_mut().register(Unit);
+                sched.node_mut().message(ptr, 1, Bytes::new());
+            }
+        }
+        let mut by_request = 0;
+        while !s.is_idle() {
+            let before = (s.neighborhood[0].1, s.stats().status_sent);
+            s.poll();
+            s.step();
+            victim.poll();
+            victim.step();
+            let told = s.neighborhood[0].1;
+            assert_eq!(victim.known.get(&0), told.as_ref());
+            assert_eq!(told.map(|t| t.units == 0), Some(s.is_idle()));
+            if told != before.0 && s.stats().status_sent == before.1 {
+                by_request += 1;
+            }
+        }
+        assert!(by_request > 0, "no request carried news: {:?}", s.stats());
+    }
+
     /// The peer of a draining rank must be able to read every load report on
     /// the way down, and the last one must say "empty" exactly: a report
     /// whose weight went a hair negative is dropped undecoded, and the peer
@@ -955,6 +1115,7 @@ mod tests {
         }
         peer.poll();
         assert_eq!(s.stats().executed, UNITS as u64);
+        // The peer never said a word, so it is owed every change.
         assert!(s.stats().status_sent > UNITS as u64, "a status per change");
         assert_eq!(peer.stats().dropped_node_msgs, 0, "a status did not decode");
         let last = peer.known[&0];

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use prema_dcs::{
     ChaosConfig, ChaosHandle, ChaosTransport, Communicator, LocalFabric, Tag, WireWriter,
 };
-use prema_ilb::{LbPolicy, Scheduler, WorkStealing};
+use prema_ilb::{LbPolicy, LoadSnapshot, Scheduler, StabilityConfig, WorkStealing};
 use prema_mol::{Migratable, MolNode};
 
 /// Runtime-internal LB wire ids (see `crates/ilb/src/scheduler.rs`), used to
@@ -235,4 +235,81 @@ fn partitioned_victim_falls_back_to_next_most_loaded() {
     );
     scheds[0].verify_invariants();
     scheds[2].verify_invariants();
+}
+
+#[test]
+fn lost_empty_status_is_repaired_by_the_snapshot_a_request_carries() {
+    // Statuses go out on demand (DESIGN.md §18), so one that is lost is not
+    // overwritten by the next unit's. Here the partition eats the peer's
+    // "I am empty": the donor goes on believing the peer is loaded and owes
+    // it a report only per eighth of its own weight. The peer's next work
+    // request carries its load, and that is what puts the donor right.
+    let (mut scheds, handle) = chaos_machine(2, |r| Box::new(WorkStealing::new(1.0, r as u64)));
+    let mut peer = scheds.pop().unwrap();
+    let mut donor = scheds.pop().unwrap();
+    // The donor refuses every request, so the peer's load changes only by
+    // its own execution and every report in this test is the donor's.
+    donor.set_stability(StabilityConfig {
+        hysteresis_band: f64::INFINITY,
+        ..StabilityConfig::off()
+    });
+    peer.set_request_timeout_polls(4);
+    for (s, units) in [(&mut donor, 64i64), (&mut peer, 4)] {
+        for i in 0..units {
+            let ptr = s.node_mut().register(Counter { value: 0 });
+            s.node_mut()
+                .message(ptr, H_ADD, Bytes::copy_from_slice(&i.to_le_bytes()));
+        }
+    }
+    peer.poll();
+    donor.poll();
+    let loaded = LoadSnapshot {
+        units: 4,
+        weight: 4.0,
+    };
+    assert_eq!(donor.known().get(&1), Some(&loaded));
+
+    // The peer runs dry behind a partition: its statuses and its first
+    // request are lost (the chaos layer drops at the receiving end).
+    handle.partition(0, 1);
+    while peer.step() {
+        peer.poll();
+    }
+    assert!(peer.stats().requests_sent >= 1);
+    donor.poll();
+    assert!(handle.stats().partitioned >= 5, "{:?}", handle.stats());
+    handle.heal(0, 1);
+
+    // The donor, none the wiser, keeps four units' worth of changes to
+    // itself: 64 -> 60 is within an eighth of what the peer was told.
+    let sent = donor.stats().status_sent;
+    for _ in 0..4 {
+        donor.poll();
+        assert!(donor.step());
+    }
+    assert_eq!(donor.known().get(&1), Some(&loaded));
+    assert_eq!(donor.stats().status_sent, sent);
+
+    // The peer's watchdog gives the lost request up and begs again.
+    for _ in 0..8 {
+        peer.poll();
+    }
+    assert!(peer.stats().request_timeouts >= 1);
+    donor.poll();
+    assert_eq!(
+        donor.known().get(&1),
+        Some(&LoadSnapshot::default()),
+        "the request's snapshot did not reach the load map"
+    );
+    assert!(donor.stats().hysteresis_refusals >= 1);
+
+    // A hungry neighbour is owed every change again.
+    let sent = donor.stats().status_sent;
+    for _ in 0..4 {
+        assert!(donor.step());
+        donor.poll();
+    }
+    assert!(donor.stats().status_sent >= sent + 4, "{:?}", donor.stats());
+    donor.verify_invariants();
+    peer.verify_invariants();
 }

@@ -3,7 +3,9 @@
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric, Tag, WireWriter};
-use prema_ilb::{Diffusion, LbPolicy, Scheduler, WorkStealing};
+use prema_ilb::{
+    Anticipatory, CommAwareDiffusion, Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing,
+};
 use prema_mol::{Migratable, MolNode};
 
 /// Runtime-internal LB wire ids (see `crates/ilb/src/scheduler.rs`). The
@@ -352,4 +354,235 @@ fn fresh_status_reenables_begging_after_attempt_cap() {
         9,
         "a fresh LB_STATUS from an overloaded neighbor did not re-enable begging"
     );
+}
+
+const H_HOP: u32 = 3;
+
+/// A token that re-posts itself to its own object until its hop count runs
+/// out, with a hint that differs from hop to hop: the queue stays as long as
+/// it was and the rank's weight changes with every unit.
+fn on_hop(s: &mut Scheduler<Counter>) {
+    s.on_message(H_HOP, |ctx, c: &mut Counter, item| {
+        c.value += 1;
+        let left = u64::from_le_bytes(item.payload[..8].try_into().unwrap());
+        if left > 0 {
+            ctx.message_with_hint(item.ptr, H_HOP, hop_hint(left - 1), hop_payload(left - 1));
+        }
+    });
+}
+
+fn hop_hint(left: u64) -> f64 {
+    1.0 + 0.01 * (left % 7) as f64
+}
+
+fn hop_payload(left: u64) -> Bytes {
+    Bytes::copy_from_slice(&left.to_le_bytes())
+}
+
+#[test]
+fn two_loaded_ranks_do_not_report_every_unit_to_each_other() {
+    // Both ranks hold 64 tokens throughout, so neither is near its
+    // water-mark and neither acts on the other's load: a status per unit
+    // (the old rule: one whenever the load changed) is traffic nobody
+    // reads. Only the drain at the end, one report per eighth of the
+    // weight, is news.
+    const TOKENS: u64 = 64;
+    const HOPS: u64 = 32;
+    let mut scheds = machine(2, |r| Box::new(WorkStealing::new(1.0, r as u64)));
+    for s in scheds.iter_mut() {
+        on_hop(s);
+        for _ in 0..TOKENS {
+            let ptr = s.node_mut().register(Counter { value: 0 });
+            s.node_mut()
+                .message_with_hint(ptr, H_HOP, hop_hint(HOPS - 1), hop_payload(HOPS - 1));
+        }
+    }
+    let executed = drain(&mut scheds);
+    assert_eq!(executed.iter().sum::<u64>(), 2 * TOKENS * HOPS);
+    for s in &scheds {
+        let stats = s.stats();
+        assert!(stats.executed >= TOKENS * HOPS / 2, "{stats:?}");
+        assert!(
+            stats.status_sent <= stats.executed / 8,
+            "rank {} reported {} times for {} units",
+            s.rank(),
+            stats.status_sent,
+            stats.executed
+        );
+    }
+}
+
+#[test]
+fn a_starved_neighbour_hears_every_change_and_its_round_reopens() {
+    // The `fig3_coarse` liveness path. The peer is empty, the donor's
+    // migration budget is one object per 16 polls: after the first grant
+    // every request is refused until the window rolls, the peer's round runs
+    // into its attempt cap (8 on two ranks), and only a status showing work
+    // re-opens it. The peer is hungry, so the donor owes it one per change.
+    const UNITS: u64 = 64;
+    let mut scheds = machine(2, |r| Box::new(WorkStealing::new(1.0, r as u64)));
+    let mut peer = scheds.pop().unwrap();
+    let mut donor = scheds.pop().unwrap();
+    donor.set_stability(StabilityConfig {
+        migration_cap: 1,
+        cap_window_polls: 16,
+        ..StabilityConfig::off()
+    });
+    for i in 0..UNITS as i64 {
+        let ptr = donor.node_mut().register(Counter { value: 0 });
+        donor
+            .node_mut()
+            .message(ptr, H_ADD, Bytes::copy_from_slice(&i.to_le_bytes()));
+    }
+    let round = |donor: &mut Scheduler<Counter>, peer: &mut Scheduler<Counter>| {
+        donor.poll();
+        donor.step();
+        peer.poll();
+        peer.step();
+    };
+
+    // Inside the donor's first window: one object moved, everything since
+    // was refused.
+    for _ in 0..14 {
+        round(&mut donor, &mut peer);
+    }
+    assert_eq!(peer.node().stats().migrations_in, 1);
+    assert!(donor.stats().rate_cap_vetoes >= 8, "{:?}", donor.stats());
+    assert!(
+        donor.stats().status_sent >= donor.stats().executed,
+        "the donor kept changes from a hungry neighbour: {:?}",
+        donor.stats()
+    );
+    // More requests than one round's cap between two installs: a status
+    // re-opened the round.
+    assert!(
+        peer.stats().requests_sent > 1 + 8,
+        "the peer stayed at its attempt cap: {:?}",
+        peer.stats()
+    );
+
+    // And it goes on to drain the donor, one object per window.
+    while !(donor.is_idle() && peer.is_idle()) {
+        round(&mut donor, &mut peer);
+    }
+    assert_eq!(donor.stats().executed + peer.stats().executed, UNITS);
+    assert!(peer.stats().executed >= 3, "{:?}", peer.stats());
+    assert!(
+        donor.stats().status_sent >= donor.stats().executed,
+        "{:?}",
+        donor.stats()
+    );
+}
+
+/// Two ranks under a sender-initiated policy, rank `r` holding `units[r]`
+/// one-message objects of unit weight.
+fn unequal_pair(
+    mk_policy: &dyn Fn() -> Box<dyn LbPolicy>,
+    units: [usize; 2],
+    stability: StabilityConfig,
+) -> Vec<Scheduler<Counter>> {
+    let mut scheds = machine(2, |_| mk_policy());
+    for (s, units) in scheds.iter_mut().zip(units) {
+        s.set_stability(stability);
+        for _ in 0..units {
+            let ptr = s.node_mut().register(Counter { value: 0 });
+            s.node_mut()
+                .message(ptr, H_ADD, Bytes::copy_from_slice(&1i64.to_le_bytes()));
+        }
+    }
+    scheds
+}
+
+#[test]
+fn a_diffusive_flow_stops_at_the_balance_point() {
+    // A flow is sized on the neighbour's load, and a neighbour holding work
+    // does not report a gain of under an eighth. What stops the flow at the
+    // balance point is the sender booking what it ships and both ends
+    // reporting once an object has moved: without that the sender pushes the
+    // same flow again on every poll, past the balance point, and with the
+    // governor off the two ranks trade the surplus back and forth.
+    let policies: [&dyn Fn() -> Box<dyn LbPolicy>; 2] =
+        [&|| Box::new(Diffusion::new(0.5)), &|| {
+            Box::new(CommAwareDiffusion::new(0.5, 0.5))
+        }];
+    for mk in policies {
+        for units in [[1000, 900], [120, 100], [200, 100], [64, 0]] {
+            let half_gap = (units[0] - units[1]) as u64 / 2;
+            let even = (units[0] + units[1]) / 2;
+            let name = mk().name();
+
+            // Nobody executes: exactly half the gap moves, none of it back.
+            let mut scheds = unequal_pair(mk, units, StabilityConfig::off());
+            for _ in 0..256 {
+                for s in scheds.iter_mut() {
+                    s.poll();
+                }
+            }
+            let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+            assert_eq!(moved, [half_gap, 0], "{name} {units:?}");
+            assert_eq!(scheds[0].node().ready_len(), even, "{name} {units:?}");
+            assert_eq!(scheds[1].node().ready_len(), even, "{name} {units:?}");
+
+            // The sender polls eight times to the receiver's once, as a rank
+            // between two units does to one inside a long handler: the
+            // receiver's report is late, the booked shipment is not.
+            let mut scheds = unequal_pair(mk, units, StabilityConfig::off());
+            for _ in 0..64 {
+                for _ in 0..8 {
+                    scheds[0].poll();
+                }
+                scheds[1].poll();
+            }
+            let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+            assert_eq!(moved, [half_gap, 0], "{name} {units:?}, receiver slow");
+
+            // Both execute in lockstep, so the balance holds all the way
+            // down: nothing more moves, and the ranks finish together.
+            let mut scheds = unequal_pair(mk, units, StabilityConfig::off());
+            let executed = drain(&mut scheds);
+            let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+            assert!(
+                moved[0] <= half_gap && moved[1] == 0,
+                "{name} {units:?}: moved {moved:?}"
+            );
+            assert!(
+                executed[0].abs_diff(executed[1]) <= 2,
+                "{name} {units:?}: executed {executed:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_anticipatory_flow_settles_as_it_did_with_a_status_per_change() {
+    // `Anticipatory(Diffusion)` reads a trend into every arrival and pushes
+    // some of it back; when nobody executes, the echo is paced by the
+    // governor's rate cap alone and dies only when both ranks happen to land
+    // level at a window's start. That makes it the policy most sensitive to
+    // what each rank knows of the other. Told at both ends of every shipment
+    // it moves what it moved when every change was reported (the counts
+    // below are the parent commit's); told less, it cycles at the cap.
+    let mk: &dyn Fn() -> Box<dyn LbPolicy> =
+        &|| Box::new(Anticipatory::new(Box::new(Diffusion::new(0.5))));
+    for (units, parent_moves) in [
+        ([1000, 900], [143, 93]),
+        ([120, 100], [95, 85]),
+        ([200, 100], [143, 93]),
+        ([64, 0], [111, 79]),
+    ] {
+        let mut scheds = unequal_pair(mk, units, StabilityConfig::default());
+        for _ in 0..4096 {
+            for s in scheds.iter_mut() {
+                s.poll();
+            }
+        }
+        let even = (units[0] + units[1]) / 2;
+        assert_eq!(scheds[0].node().ready_len(), even, "{units:?}");
+        assert_eq!(scheds[1].node().ready_len(), even, "{units:?}");
+        let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+        assert!(
+            moved[0] <= parent_moves[0] && moved[1] <= parent_moves[1],
+            "{units:?}: moved {moved:?}, a status per change moved {parent_moves:?}"
+        );
+    }
 }

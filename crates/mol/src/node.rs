@@ -646,7 +646,10 @@ impl<O: Migratable> MolNode<O> {
     /// Send a rank-targeted message (bypasses object routing). System-tagged
     /// messages are visible to [`MolNode::poll_system`].
     pub fn node_message(&mut self, dst: Rank, handler: u32, tag: Tag, payload: Bytes) {
-        let body = NodeMsg { handler, payload }.encode();
+        let msg = NodeMsg { handler, payload };
+        let body = msg.encode();
+        // The frame holds a copy: a pooled payload goes back for the next.
+        pool::recycle(msg.payload);
         self.comm.am_send(dst, H_NODE_MSG, tag, body);
     }
 
