@@ -165,6 +165,14 @@ pub fn diffusion_neighborhood(me: Rank, nprocs: usize) -> Vec<Rank> {
     }
 }
 
+/// Units that would even out two queues: half the gap between them, none
+/// when the requester's is the longer. A grant sized on the donor's queue
+/// alone (`local.units / 2`) overshoots whenever the requester holds work:
+/// 40 against 16 moved 20 and left 20 / 36.
+fn half_gap(local: &LoadSnapshot, requester: &LoadSnapshot) -> usize {
+    local.units.saturating_sub(requester.units) / 2
+}
+
 /// **Work Stealing** (the paper's §4 running example): a processor whose load
 /// falls below an application-defined water-mark asks its partner for work;
 /// on a refusal it retries with random victims.
@@ -257,8 +265,8 @@ impl LbPolicy for WorkStealing {
         if requester.weight >= local.weight {
             return 0; // no poorer than us: granting would only ping-pong
         }
-        // Surrender half the queue beyond a single unit.
-        (local.units / 2).max(1)
+        // Poorer in weight, whatever the unit counts say: at least one unit.
+        half_gap(local, requester).max(1)
     }
 }
 
@@ -309,7 +317,7 @@ impl LbPolicy for Diffusion {
         if local.units <= 1 || requester.weight >= local.weight - self.threshold {
             0
         } else {
-            local.units / 2
+            half_gap(local, requester).max(1)
         }
     }
 
@@ -399,7 +407,7 @@ impl LbPolicy for Multilist {
             return 0;
         }
         // Even out the two lists.
-        ((local.units - requester.units) / 2).min(local.units - 1)
+        half_gap(local, requester)
     }
 }
 
@@ -496,7 +504,7 @@ impl LbPolicy for Gradient {
         if requester.weight >= local.weight {
             return 0;
         }
-        (local.units / 2).max(1)
+        half_gap(local, requester).max(1)
     }
 }
 
@@ -564,7 +572,7 @@ impl LbPolicy for CommAwareDiffusion {
         if local.units <= 1 || requester.weight >= local.weight - self.threshold {
             0
         } else {
-            local.units / 2
+            half_gap(local, requester).max(1)
         }
     }
 
@@ -861,10 +869,38 @@ mod tests {
     }
 
     #[test]
+    fn a_grant_is_half_the_gap_not_half_the_donor() {
+        let policies: [Box<dyn LbPolicy>; 5] = [
+            Box::new(WorkStealing::new(16.0, 1)),
+            Box::new(Gradient::new(16.0, 16.0)),
+            Box::new(Diffusion::new(0.5)),
+            Box::new(CommAwareDiffusion::new(0.5, 0.5)),
+            Box::new(Multilist::new(16, 1)),
+        ];
+        for p in policies {
+            let name = p.name();
+            // Half the donor's queue (20) would leave 20 / 36.
+            for (donor, requester, want) in [(40, 16, 12), (375, 1, 187), (375, 0, 187)] {
+                let (local, req) = (snap(donor, donor as f64), snap(requester, requester as f64));
+                assert_eq!(
+                    p.grant_units(&local, &req),
+                    want,
+                    "{name} {donor}/{requester}"
+                );
+            }
+        }
+        // A request is wire input: a unit count above the donor's own is a
+        // refusal under the one policy that judges in units, not an underflow.
+        let ml = Multilist::new(1, 1);
+        assert_eq!(ml.grant_units(&snap(4, 4.0), &snap(usize::MAX, 0.0)), 0);
+    }
+
+    #[test]
     fn diffusion_grants_compare_weight_not_units() {
         let d = Diffusion::new(0.5);
-        // Requester holds *more units* but far less weight: must be granted.
-        assert_eq!(d.grant_units(&snap(4, 40.0), &snap(6, 1.0)), 2);
+        // Requester holds *more units* but far less weight: must be granted
+        // (one unit: the unit counts show no gap to halve).
+        assert_eq!(d.grant_units(&snap(4, 40.0), &snap(6, 1.0)), 1);
         // Requester holds fewer units but more weight: refuse — granting on
         // unit counts let a few heavy units out-grant many light ones.
         assert_eq!(d.grant_units(&snap(6, 1.0), &snap(4, 40.0)), 0);

@@ -279,8 +279,12 @@ impl<O: Migratable> Scheduler<O> {
 
     /// How many polls a begging request may stay unanswered before the round
     /// declares it lost, forgets the victim's stale load snapshot, and
-    /// re-issues to the next candidate. On a reliable wire the default never
-    /// fires; under chaos it is the liveness backstop for a lost GRANT.
+    /// re-issues to the next candidate. The clock is the *requester's own*
+    /// polls, and an idle rank polls about once a microsecond: the default
+    /// 256 is ~240 µs, against a donor that answers from its polling thread
+    /// every `poll_interval` (1 ms) while it sits in a handler. So it fires
+    /// on wires that lose nothing (DESIGN.md §19), and is also, under chaos,
+    /// the liveness backstop for a lost GRANT.
     pub fn set_request_timeout_polls(&mut self, polls: u64) {
         assert!(polls > 0, "request timeout must be at least one poll");
         self.request_timeout_polls = polls;
@@ -378,9 +382,15 @@ impl<O: Migratable> Scheduler<O> {
     /// The *preemptive* poll: processes only system-generated traffic
     /// (migrations, location updates, load-balancer messages), never
     /// application messages. In implicit mode the `prema` facade calls this
-    /// from the polling thread while a work unit executes (§4.2).
+    /// from the polling thread while a work unit executes (§4.2). Each pass
+    /// also starts a new migration-rate window ([`StabilityConfig`]), so call
+    /// it at the polling thread's cadence, not in a loop.
     pub fn poll_system(&mut self) -> usize {
         self.polls += 1;
+        // The polling thread's wake-up is the governor's one wall-clock edge:
+        // the rate window ends here, before this pass answers anything
+        // (DESIGN.md §19).
+        self.governor.roll_window(self.polls);
         let events = self.node.poll_system();
         let n = events.len();
         self.tracer
@@ -881,8 +891,14 @@ impl<O: Migratable> Scheduler<O> {
         // After `request_timeout_polls` unanswered polls, declare the request
         // lost: forget the victim's (evidently stale) load snapshot so the
         // next round falls back to the next-most-loaded candidate, and burn
-        // an attempt. A spuriously-timed-out round is harmless — a late NACK
-        // is ignored as stale, and a late grant just delivers extra work.
+        // an attempt. The polls are this rank's own, so an idle rank times
+        // out in ~240 µs and re-sends to a victim that has not looked yet
+        // (see `set_request_timeout_polls`). What keeps that duplicate from
+        // taking a second helping is the victim's rate cap, not this code:
+        // the duplicate is answered in the same poller pass as its original
+        // and draws on the one window budget, which the original has spent
+        // (DESIGN.md §19; a late NACK is ignored as stale). A design that
+        // exempts an idle requester from the cap grants once per duplicate.
         if let Some(victim) = self.outstanding {
             self.outstanding_polls += 1;
             if self.outstanding_polls >= self.request_timeout_polls {

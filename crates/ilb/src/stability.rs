@@ -10,14 +10,18 @@
 //!    unit or age [`StabilityConfig::min_residency_polls`] polls before it is
 //!    grantable again.
 //! 2. **Migration-rate cap** — at most [`StabilityConfig::migration_cap`]
-//!    objects leave a rank per [`StabilityConfig::cap_window_polls`]-poll
-//!    window.
+//!    objects leave a rank per window; a window ends after
+//!    [`StabilityConfig::cap_window_polls`] polls or at the polling thread's
+//!    next pass, whichever comes first (DESIGN.md §19).
 //! 3. **Grant hysteresis** — a work request is refused outright unless the
 //!    donor's weight exceeds the requester's by more than
 //!    [`StabilityConfig::hysteresis_band`].
 //!
-//! Ticks are scheduler poll counts (never wall clocks — the governor must be
-//! deterministic under test and in the simulator).
+//! Ticks are scheduler poll counts: the governor reads no clock, so it is
+//! deterministic under test and in the simulator. The one wall-clock edge it
+//! sees is handed to it — [`Governor::roll_window`], called once per
+//! `Scheduler::poll_system` pass, which only the runtime's polling thread
+//! (every `poll_interval`) and tests that mean it ever make.
 
 use prema_dcs::FxHashMap;
 use prema_mol::MobilePtr;
@@ -30,7 +34,12 @@ pub struct StabilityConfig {
     pub min_residency_polls: u64,
     /// Maximum objects migrated out per window. `0` disables the cap.
     pub migration_cap: u32,
-    /// Window length, in polls, over which `migration_cap` applies.
+    /// Longest window, in polls, over which `migration_cap` applies. A
+    /// `Scheduler::poll_system` pass (the polling thread's wake-up) ends the
+    /// window early: a poll is not a time, and 64 of them last ~42 ms on a
+    /// rank inside millisecond handlers against ~0.2 ms on sub-microsecond
+    /// units (DESIGN.md §19). A scheduler nobody ticks that way — explicit
+    /// mode, the DES drivers — has this window alone.
     pub cap_window_polls: u64,
     /// Refuse work requests unless `local.weight - requester.weight` exceeds
     /// this. Negative values disable the hysteresis check.
@@ -171,10 +180,17 @@ impl Governor {
             return true;
         }
         if now.saturating_sub(self.window_start) >= self.cfg.cap_window_polls {
-            self.window_start = now;
-            self.window_count = 0;
+            self.roll_window(now);
         }
         self.window_count < self.cfg.migration_cap
+    }
+
+    /// The polling thread woke at poll `now`: start a new window whatever
+    /// the old one's age. One pass still exports at most `migration_cap`
+    /// objects, so requests answered together share one budget.
+    pub fn roll_window(&mut self, now: u64) {
+        self.window_start = now;
+        self.window_count = 0;
     }
 
     /// Consume one unit of this window's migration budget (call after a

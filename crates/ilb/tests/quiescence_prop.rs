@@ -18,6 +18,7 @@ use prema_ilb::{
 };
 use prema_mol::{Migratable, MolNode};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[derive(Debug, PartialEq)]
 struct Counter {
@@ -79,6 +80,21 @@ fn two_ranks(
     scheds
 }
 
+/// One round of polling without executing, as the runtime delivers it: each
+/// rank's `poll()`, then 0-3 `poll_system()` passes drawn from `rng` — the
+/// polling thread waking in between, each pass ending the governor's rate
+/// window (DESIGN.md §19). Returns the protocol events handled.
+fn poll_round(scheds: &mut [Scheduler<Counter>], rng: &mut StdRng) -> usize {
+    let mut events = 0;
+    for s in scheds.iter_mut() {
+        events += s.poll();
+        for _ in 0..rng.gen_range(0..4) {
+            events += s.poll_system();
+        }
+    }
+    events
+}
+
 /// Poll both ranks, without executing, until the wire is empty: a round in
 /// which no poll handled an event and no scheduler sent anything. `false` if
 /// they never get there, which only a forecasting policy may do: with nobody
@@ -86,10 +102,10 @@ fn two_ranks(
 /// it back, and the echo can go on for good at the governor's rate cap. (It
 /// did with a status per change, move for move: 26 and 45 jittered units,
 /// 5008+5008 migrations in 20 000 polls on the parent commit and on this.)
-fn settle(scheds: &mut [Scheduler<Counter>], policy: &dyn LbPolicy) -> bool {
+fn settle(scheds: &mut [Scheduler<Counter>], policy: &dyn LbPolicy, rng: &mut StdRng) -> bool {
     for _ in 0..4096 {
         let before: Vec<SchedStats> = scheds.iter().map(|s| s.stats()).collect();
-        let events: usize = scheds.iter_mut().map(|s| s.poll()).sum();
+        let events = poll_round(scheds, rng);
         if events == 0 && scheds.iter().map(|s| s.stats()).eq(before) {
             return true;
         }
@@ -152,13 +168,12 @@ proptest! {
             };
             let name = mk(0).name();
             let mut scheds = two_ranks(&mk, [units; 2], weight, 0.0);
+            let mut rng = StdRng::seed_from_u64(seed);
 
             // Phase 1: pure polling — statuses exchange, beggars beg, every
             // grant path must refuse because the weight gap is zero.
             for _ in 0..24 {
-                for s in scheds.iter_mut() {
-                    s.poll();
-                }
+                poll_round(&mut scheds, &mut rng);
             }
             // Phase 2: lockstep drain — loads stay equal after every round,
             // so quiescence must hold all the way down to empty.
@@ -175,9 +190,7 @@ proptest! {
                 }
             }
             for _ in 0..8 {
-                for s in scheds.iter_mut() {
-                    s.poll();
-                }
+                poll_round(&mut scheds, &mut rng);
             }
 
             for s in scheds.iter() {
@@ -215,13 +228,14 @@ proptest! {
             };
             let policy = mk(0);
             let mut scheds = two_ranks(&mk, [units0, units1], weight, 0.5);
+            let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..rounds {
                 for s in scheds.iter_mut() {
                     s.poll();
                     s.step();
                 }
             }
-            if settle(&mut scheds, &*policy) {
+            if settle(&mut scheds, &*policy, &mut rng) {
                 check_staleness(&scheds, &*policy)?;
             }
 
@@ -231,7 +245,7 @@ proptest! {
                     s.step();
                 }
             }
-            prop_assert!(settle(&mut scheds, &*policy), "idle ranks kept talking");
+            prop_assert!(settle(&mut scheds, &*policy, &mut rng), "idle ranks kept talking");
             check_staleness(&scheds, &*policy)?;
         }
     }

@@ -7,6 +7,7 @@ use prema_ilb::{
     Anticipatory, CommAwareDiffusion, Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing,
 };
 use prema_mol::{Migratable, MolNode};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Runtime-internal LB wire ids (see `crates/ilb/src/scheduler.rs`). The
 /// protocol regression tests below inject raw LB traffic to set up exact
@@ -474,8 +475,28 @@ fn a_starved_neighbour_hears_every_change_and_its_round_reopens() {
     );
 }
 
-/// Two ranks under a sender-initiated policy, rank `r` holding `units[r]`
-/// one-message objects of unit weight.
+/// A poll as the runtime delivers it: `poll()`, then, when seeded, 0-3
+/// `poll_system()` passes — the polling thread waking between two polls of
+/// the application thread, each pass ending the governor's rate window.
+struct Poller(Option<StdRng>);
+
+impl Poller {
+    fn seeded() -> Self {
+        Poller(Some(StdRng::seed_from_u64(16)))
+    }
+
+    fn poll(&mut self, s: &mut Scheduler<Counter>) {
+        s.poll();
+        if let Some(rng) = &mut self.0 {
+            for _ in 0..rng.gen_range(0..4) {
+                s.poll_system();
+            }
+        }
+    }
+}
+
+/// Two ranks, rank `r` holding `units[r]` one-message objects of unit
+/// weight.
 fn unequal_pair(
     mk_policy: &dyn Fn() -> Box<dyn LbPolicy>,
     units: [usize; 2],
@@ -505,36 +526,53 @@ fn a_diffusive_flow_stops_at_the_balance_point() {
         [&|| Box::new(Diffusion::new(0.5)), &|| {
             Box::new(CommAwareDiffusion::new(0.5, 0.5))
         }];
+    // Poll-only as before, then with the polling thread's passes in between,
+    // governor off and on: an evaluation more or a window less must not move
+    // an object more.
+    let modes = [
+        (false, StabilityConfig::off()),
+        (true, StabilityConfig::off()),
+        (true, StabilityConfig::default()),
+    ];
     for mk in policies {
         for units in [[1000, 900], [120, 100], [200, 100], [64, 0]] {
             let half_gap = (units[0] - units[1]) as u64 / 2;
             let even = (units[0] + units[1]) / 2;
             let name = mk().name();
 
-            // Nobody executes: exactly half the gap moves, none of it back.
-            let mut scheds = unequal_pair(mk, units, StabilityConfig::off());
-            for _ in 0..256 {
-                for s in scheds.iter_mut() {
-                    s.poll();
+            for (ticked, stability) in modes {
+                let mode = format!("{name} {units:?}, ticked {ticked}, {stability:?}");
+                // Nobody executes: exactly half the gap moves, none of it
+                // back.
+                let mut poller = if ticked {
+                    Poller::seeded()
+                } else {
+                    Poller(None)
+                };
+                let mut scheds = unequal_pair(mk, units, stability);
+                for _ in 0..256 {
+                    for s in scheds.iter_mut() {
+                        poller.poll(s);
+                    }
                 }
-            }
-            let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
-            assert_eq!(moved, [half_gap, 0], "{name} {units:?}");
-            assert_eq!(scheds[0].node().ready_len(), even, "{name} {units:?}");
-            assert_eq!(scheds[1].node().ready_len(), even, "{name} {units:?}");
+                let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+                assert_eq!(moved, [half_gap, 0], "{mode}");
+                assert_eq!(scheds[0].node().ready_len(), even, "{mode}");
+                assert_eq!(scheds[1].node().ready_len(), even, "{mode}");
 
-            // The sender polls eight times to the receiver's once, as a rank
-            // between two units does to one inside a long handler: the
-            // receiver's report is late, the booked shipment is not.
-            let mut scheds = unequal_pair(mk, units, StabilityConfig::off());
-            for _ in 0..64 {
-                for _ in 0..8 {
-                    scheds[0].poll();
+                // The sender polls eight times to the receiver's once, as a
+                // rank between two units does to one inside a long handler:
+                // the receiver's report is late, the booked shipment is not.
+                let mut scheds = unequal_pair(mk, units, stability);
+                for _ in 0..64 {
+                    for _ in 0..8 {
+                        poller.poll(&mut scheds[0]);
+                    }
+                    poller.poll(&mut scheds[1]);
                 }
-                scheds[1].poll();
+                let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+                assert_eq!(moved, [half_gap, 0], "{mode}, receiver slow");
             }
-            let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
-            assert_eq!(moved, [half_gap, 0], "{name} {units:?}, receiver slow");
 
             // Both execute in lockstep, so the balance holds all the way
             // down: nothing more moves, and the ranks finish together.
@@ -585,4 +623,119 @@ fn an_anticipatory_flow_settles_as_it_did_with_a_status_per_change() {
             "{units:?}: moved {moved:?}, a status per change moved {parent_moves:?}"
         );
     }
+}
+
+#[test]
+fn a_ticked_anticipatory_flow_still_ends_level() {
+    // The same echo with the polling thread waking in between. It is paced
+    // by the rate window alone, every pass of the poller ends a window, so a
+    // ticked run buys more of it: 1000 / 900 moves 304 + 254 objects before
+    // it dies against the 143 + 93 above (DESIGN.md §19 has the table). What
+    // must not change is where it dies: on level loads.
+    let mk: &dyn Fn() -> Box<dyn LbPolicy> =
+        &|| Box::new(Anticipatory::new(Box::new(Diffusion::new(0.5))));
+    for units in [[1000, 900], [120, 100], [200, 100], [64, 0]] {
+        let mut poller = Poller::seeded();
+        let mut scheds = unequal_pair(mk, units, StabilityConfig::default());
+        for _ in 0..4096 {
+            for s in scheds.iter_mut() {
+                poller.poll(s);
+            }
+        }
+        let even = (units[0] + units[1]) / 2;
+        let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+        assert_eq!(scheds[0].node().ready_len(), even, "{units:?} {moved:?}");
+        assert_eq!(scheds[1].node().ready_len(), even, "{units:?} {moved:?}");
+    }
+}
+
+#[test]
+fn a_grant_closes_half_the_gap_between_two_loaded_ranks() {
+    // Rank 1 begs while it still holds work. Half of the *donor's* queue
+    // would overshoot: 40 / 16 moved 20 and ended 20 / 36, the imbalance
+    // inverted (the default rate cap clips that to 24 / 32 and hides it).
+    for (watermark, units, want) in [(16.0, [40, 16], 12), (1.0, [375, 1], 187)] {
+        let mk: &dyn Fn() -> Box<dyn LbPolicy> = &|| Box::new(WorkStealing::new(watermark, 7));
+        let mut scheds = unequal_pair(mk, units, StabilityConfig::off());
+        for _ in 0..8 {
+            for s in scheds.iter_mut().rev() {
+                s.poll();
+            }
+        }
+        assert_eq!(scheds[0].stats().granted, want, "{units:?}");
+        assert_eq!(scheds[1].stats().granted, 0, "{units:?}");
+        let ends = [scheds[0].node().ready_len(), scheds[1].node().ready_len()];
+        assert_eq!(ends, [units[0] - want as usize, units[1] + want as usize]);
+    }
+}
+
+/// A donor holding `units` one-unit objects and an empty peer, both work
+/// stealing at the presets' water-mark under the default governor.
+fn donor_and_thief(units: usize) -> (Scheduler<Counter>, Scheduler<Counter>) {
+    let mk: &dyn Fn() -> Box<dyn LbPolicy> = &|| Box::new(WorkStealing::new(1.0, 7));
+    let mut scheds = unequal_pair(mk, [units, 0], StabilityConfig::default());
+    let peer = scheds.pop().unwrap();
+    (scheds.pop().unwrap(), peer)
+}
+
+#[test]
+fn a_donor_inside_long_handlers_keeps_its_thief_fed() {
+    // The `fig3_coarse` stealing phase as the runtime drives it: the donor's
+    // application thread polls once per unit, and while the unit runs (1.9
+    // ms) the polling thread wakes twice. Three donor polls per unit made
+    // the 64-poll rate window last 21 units: the thief ate its 16 objects in
+    // 16 rounds and sat idle for the other five, begging. The window now
+    // ends at each pass of the polling thread.
+    const UNITS: usize = 256;
+    let (mut donor, mut peer) = donor_and_thief(UNITS);
+    let (mut idle_rounds, mut longest_idle) = (0, 0);
+    while !(donor.is_idle() && peer.is_idle()) {
+        donor.poll();
+        let exec = donor.begin();
+        donor.poll_system();
+        donor.poll_system();
+        if let Some(mut exec) = exec {
+            exec.run();
+            donor.finish(exec);
+        }
+        peer.poll();
+        // Idle rounds count against the donor only while it has work to
+        // give: more than the unit it keeps and the one it is running.
+        if peer.step() || donor.local_load().units <= 2 {
+            idle_rounds = 0;
+        } else {
+            idle_rounds += 1;
+            longest_idle = longest_idle.max(idle_rounds);
+        }
+    }
+    let (d, p) = (donor.stats(), peer.stats());
+    assert_eq!(d.executed + p.executed, UNITS as u64);
+    assert!(
+        longest_idle <= 2,
+        "the thief sat idle {longest_idle} rounds"
+    );
+    assert!(d.executed.abs_diff(p.executed) <= 16, "{d:?} {p:?}");
+    assert!(d.granted.abs_diff(UNITS as u64 / 2) <= 16, "{d:?}");
+    assert!(p.requests_sent <= d.granted / 4, "{p:?} for {d:?}");
+}
+
+#[test]
+fn duplicate_requests_answered_in_one_pass_share_one_budget() {
+    // An idle thief's request watchdog runs on its own polls (~240 µs), the
+    // donor answers once per `poll_interval`: up to four copies of one
+    // request wait for the same pass of the polling thread. Each reports an
+    // empty requester, so each would take half of what is left — the window
+    // they all meet is what makes the copies harmless.
+    let (mut donor, mut peer) = donor_and_thief(256);
+    let cap = u64::from(donor.stability().migration_cap);
+    for _ in 0..4 {
+        let idle = WireWriter::new().u64(0).f64(0.0).finish();
+        peer.node_mut()
+            .node_message(0, LB_REQUEST, Tag::System, idle);
+    }
+    donor.poll_system();
+    assert_eq!(donor.stats().granted, cap);
+    assert!(donor.stats().rate_cap_vetoes >= 3, "{:?}", donor.stats());
+    peer.poll_system();
+    assert_eq!(peer.node().stats().migrations_in, cap);
 }
