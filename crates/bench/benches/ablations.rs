@@ -10,8 +10,6 @@
 //! * `ablate_alpha` — ParMETIS's Relative Cost Factor in |Ecut| + α|Vmove|.
 //! * `ablate_sync_points` — Charm++'s load-balancing frequency I − 1.
 //! * `ablate_grant` — mobile objects surrendered per steal (footnote 2).
-//! * `ablate_forwarding` — MOL location-update strategy: lazy (the paper's)
-//!   vs fully lazy vs eager broadcast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prema_harness::drivers::{charm_drv, parmetis_drv, prema_drv};
@@ -132,90 +130,12 @@ fn ablate_grant(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablate_forwarding(c: &mut Criterion) {
-    use bytes::Bytes;
-    use prema_dcs::{Communicator, LocalFabric};
-    use prema_mol::{Migratable, MolConfig, MolNode};
-
-    struct Blob(u64);
-    impl Migratable for Blob {
-        fn pack(&self, buf: &mut Vec<u8>) {
-            buf.extend_from_slice(&self.0.to_le_bytes());
-        }
-        fn unpack(b: &[u8]) -> Self {
-            Blob(u64::from_le_bytes(b[..8].try_into().unwrap()))
-        }
-    }
-
-    // A migration-heavy churn: the object hops around an 8-rank machine
-    // while a fixed sender streams messages at it. Lazy updates trade
-    // forwarding hops for fewer update messages; eager broadcast trades the
-    // other way. The printed counters record the tradeoff; the bench times
-    // the whole churn.
-    let run = |cfg: MolConfig| -> (u64, u64) {
-        let mut nodes: Vec<MolNode<Blob>> = LocalFabric::new(8)
-            .into_iter()
-            .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), cfg))
-            .collect();
-        let ptr = nodes[0].register(Blob(0));
-        for round in 0..50usize {
-            let dst = (round * 3 + 1) % 8;
-            if let Some(src) = nodes.iter().position(|n| n.is_local(ptr)) {
-                if src != dst {
-                    let _ = nodes[src].migrate(ptr, dst);
-                }
-            }
-            nodes[7].message(ptr, 1, Bytes::from_static(b"m"));
-            for _ in 0..3 {
-                for n in nodes.iter_mut() {
-                    let _ = n.poll();
-                }
-            }
-        }
-        let fwd: u64 = nodes.iter().map(|n| n.stats().forwarded).sum();
-        let upd: u64 = nodes.iter().map(|n| n.stats().locupd_sent).sum();
-        (fwd, upd)
-    };
-
-    println!("\n== ablate_forwarding (50 migrations, 8 ranks) ==");
-    let mut group = c.benchmark_group("ablate_forwarding");
-    group.sample_size(10);
-    for (name, cfg) in [
-        ("lazy_default", MolConfig::default()),
-        (
-            "fully_lazy",
-            MolConfig {
-                update_home_on_install: false,
-                update_sender_on_forward: false,
-                broadcast_on_install: false,
-                // Keep the ablation about the legacy teaching paths: the
-                // sharded directory would mask what this axis measures.
-                sharded_directory: false,
-                ..MolConfig::default()
-            },
-        ),
-        (
-            "eager_broadcast",
-            MolConfig {
-                broadcast_on_install: true,
-                ..MolConfig::default()
-            },
-        ),
-    ] {
-        let (fwd, upd) = run(cfg);
-        println!("{name:>16}: {fwd:>4} forwards, {upd:>4} location updates");
-        group.bench_function(name, |b| b.iter(|| black_box(run(black_box(cfg)))));
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     ablate_poll_interval,
     ablate_watermark,
     ablate_alpha,
     ablate_sync_points,
-    ablate_grant,
-    ablate_forwarding
+    ablate_grant
 );
 criterion_main!(benches);

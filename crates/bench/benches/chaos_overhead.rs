@@ -2,7 +2,7 @@
 //!
 //! With `PREMA_CHAOS_SEED` unset the runtime wires bare endpoints, so the
 //! shipping fast path is *by construction* untouched: the `plain_*` benches
-//! here are the same operations as `fastpath.rs` and must stay within noise
+//! here are the same operations as `ring.rs` and must stay within noise
 //! of `BENCH_substrate.json`. The `quiet_*` variants measure the decorator
 //! tax paid only when chaos is explicitly enabled: a [`ChaosTransport`] with
 //! all rates zero, and the full [`ReliableTransport`] ack/retry stack above

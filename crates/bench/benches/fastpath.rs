@@ -1,28 +1,13 @@
-//! The substrate fast path: the costs PREMA pays *per message and per poll*,
-//! measured against the transport design they replaced.
-//!
-//! The paper's implicit mode wakes a polling thread every few hundred
-//! microseconds; almost every wake-up finds nothing (§4.2), so the cost of an
-//! *empty* poll is pure overhead multiplied by machine size × run length.
-//! Two retired transport designs are rebuilt here as faithful copies so
-//! `BENCH_substrate.json` always carries the full lineage: [`ScanEndpoint`]
-//! (one channel per ordered (src → dst) pair, O(n) scan per `try_recv`) and
-//! [`InboxEndpoint`] (one shared MPSC inbox per rank, O(1) probe — the
-//! design the `*_shared_*` ids have always measured). The current transport
-//! — the SPSC ring mesh in `prema_dcs::transport` — is benched on the same
-//! shapes under the `*_ring_*` ids in `benches/ring.rs`.
-//!
-//! The non-transport benches below (fan-out, pool, forwarding, migration)
-//! run on the current `LocalFabric`, whatever it is — they measure layers
-//! above the wire.
+//! The substrate fast path: the costs PREMA pays *per message* in the layers
+//! above the wire — batching, fan-out staging, the buffer pool, migration —
+//! on the current `LocalFabric`. The wire itself (empty poll, unbatched
+//! point-to-point) is benched under the `substrate-ring/*` ids in
+//! `benches/ring.rs`.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
-use crossbeam::channel::{unbounded, Receiver, Select, Sender};
-use prema_dcs::{
-    pool, BatchConfig, Communicator, Envelope, HandlerId, LocalFabric, Rank, Tag, Transport,
-};
-use prema_mol::{Migratable, MolConfig, MolEvent, MolNode};
+use prema_dcs::{pool, BatchConfig, Communicator, HandlerId, LocalFabric, Tag};
+use prema_mol::{Migratable, MolNode};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -36,210 +21,18 @@ impl Migratable for Blob {
     }
 }
 
-// ---- the inbox-scan baseline (previous transport design) -----------------
-
-/// One endpoint of a [`scan_fabric`]: n inboxes, O(n) receive scan.
-struct ScanEndpoint {
-    rank: Rank,
-    peers: Vec<Sender<Envelope>>,
-    inboxes: Vec<Receiver<Envelope>>,
-    cursor: std::cell::Cell<usize>,
-}
-
-impl Transport for ScanEndpoint {
-    fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    fn nprocs(&self) -> usize {
-        self.peers.len()
-    }
-
-    fn send(&self, env: Envelope) {
-        let _ = self.peers[env.dst].send(env);
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        let n = self.inboxes.len();
-        let start = self.cursor.get();
-        for i in 0..n {
-            let idx = (start + i) % n;
-            if let Ok(env) = self.inboxes[idx].try_recv() {
-                self.cursor.set((idx + 1) % n);
-                return Some(env);
-            }
-        }
-        None
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        if let Some(env) = self.try_recv() {
-            return Some(env);
-        }
-        let mut sel = Select::new();
-        for rx in &self.inboxes {
-            sel.recv(rx);
-        }
-        match sel.select_timeout(timeout) {
-            Ok(op) => {
-                let idx = op.index();
-                op.recv(&self.inboxes[idx]).ok()
-            }
-            Err(_) => None,
-        }
-    }
-}
-
-/// Build the previous n×n channel-mesh fabric: one endpoint per rank, one
-/// channel per ordered (src → dst) pair.
-fn scan_fabric(n: usize) -> Vec<ScanEndpoint> {
-    let mut txs: Vec<Vec<Sender<Envelope>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-    let mut rxs: Vec<Vec<Receiver<Envelope>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-    for src_txs in &mut txs {
-        for dst_rxs in &mut rxs {
-            let (tx, rx) = unbounded();
-            src_txs.push(tx);
-            dst_rxs.push(rx);
-        }
-    }
-    txs.into_iter()
-        .zip(rxs)
-        .enumerate()
-        .map(|(rank, (peers, inboxes))| ScanEndpoint {
-            rank,
-            peers,
-            inboxes,
-            cursor: std::cell::Cell::new(0),
-        })
-        .collect()
-}
-
-// ---- the shared-inbox baseline (previous transport design) ---------------
-
-/// One endpoint of an [`inbox_fabric`]: every peer sends into this rank's
-/// single MPSC inbox, so receive is one channel probe regardless of machine
-/// size. A faithful copy of the transport the ring mesh replaced.
-struct InboxEndpoint {
-    rank: Rank,
-    peers: Vec<Sender<Envelope>>,
-    inbox: Receiver<Envelope>,
-}
-
-impl Transport for InboxEndpoint {
-    fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    fn nprocs(&self) -> usize {
-        self.peers.len()
-    }
-
-    fn send(&self, env: Envelope) {
-        let _ = self.peers[env.dst].send(env);
-    }
-
-    fn try_recv(&self) -> Option<Envelope> {
-        self.inbox.try_recv().ok()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        self.inbox.recv_timeout(timeout).ok()
-    }
-}
-
-/// Build the previous shared-inbox fabric: one MPSC channel per rank, every
-/// endpoint holding a clone of every sender.
-fn inbox_fabric(n: usize) -> Vec<InboxEndpoint> {
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-    rxs.into_iter()
-        .enumerate()
-        .map(|(rank, inbox)| InboxEndpoint {
-            rank,
-            peers: txs.clone(),
-            inbox,
-        })
-        .collect()
-}
-
-// ---- benches -------------------------------------------------------------
-
-const EMPTY_POLLS: usize = 10_000;
 const P2P_MSGS: usize = 50_000;
 
-/// Cost of `try_recv` on an empty machine — the polling thread's steady-state
-/// operation — for both transports across machine sizes. One iteration =
-/// [`EMPTY_POLLS`] polls, so per-poll cost is `time / 10_000`.
-fn bench_empty_poll(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate-fastpath");
-    for n in [8usize, 32, 128] {
-        let scan = scan_fabric(n);
-        group.bench_function(format!("empty_poll_scan_ranks{n}_x10k"), |b| {
-            b.iter(|| {
-                for _ in 0..EMPTY_POLLS {
-                    black_box(scan[0].try_recv());
-                }
-            })
-        });
-        let shared = inbox_fabric(n);
-        group.bench_function(format!("empty_poll_shared_ranks{n}_x10k"), |b| {
-            b.iter(|| {
-                for _ in 0..EMPTY_POLLS {
-                    black_box(shared[0].try_recv());
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Point-to-point throughput under real concurrency: a sender thread pushes
-/// [`P2P_MSGS`] envelopes while the bench thread receives them all.
+/// [`P2P_MSGS`] messages while the bench thread receives them all.
 fn bench_p2p_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate-fastpath");
     group.sample_size(10);
 
-    fn run_p2p<T: Transport + 'static>(tx_ep: T, rx_ep: &T) {
-        let sender = std::thread::spawn(move || {
-            for i in 0..P2P_MSGS {
-                tx_ep.send(Envelope {
-                    src: tx_ep.rank(),
-                    dst: 1,
-                    handler: HandlerId(i as u32),
-                    tag: Tag::App,
-                    payload: Bytes::new(),
-                });
-            }
-        });
-        let mut got = 0;
-        while got < P2P_MSGS {
-            if rx_ep.recv_timeout(Duration::from_secs(5)).is_some() {
-                got += 1;
-            }
-        }
-        sender.join().expect("sender thread panicked");
-    }
-
-    group.bench_function(format!("p2p_scan_2ranks_{P2P_MSGS}msgs"), |b| {
-        b.iter(|| {
-            let mut eps = scan_fabric(2);
-            let rx = eps.pop().expect("fabric returns one endpoint per rank");
-            let tx = eps.pop().expect("fabric returns one endpoint per rank");
-            run_p2p(tx, &rx);
-        })
-    });
-    group.bench_function(format!("p2p_shared_2ranks_{P2P_MSGS}msgs"), |b| {
-        b.iter(|| {
-            let mut eps = inbox_fabric(2);
-            let rx = eps.pop().expect("fabric returns one endpoint per rank");
-            let tx = eps.pop().expect("fabric returns one endpoint per rank");
-            run_p2p(tx, &rx);
-        })
-    });
-    // Same logical traffic, but through a pair of Communicators with
-    // coalescing on (over the current transport): the sender stages and
+    // A pair of Communicators with coalescing on: the sender stages and
     // flushes frames, the receiver's burst drain pulls a whole frame per
-    // wire op. The acceptance bar for the batching layer is this bench
-    // beating the unbatched p2p ids by ≥ 1.5×.
+    // wire op. Compare with the same traffic unbatched,
+    // `substrate-ring/p2p_ring_2ranks_*`.
     group.bench_function(format!("p2p_batched_2ranks_{P2P_MSGS}msgs"), |b| {
         b.iter(|| {
             let mut eps = LocalFabric::new(2);
@@ -344,54 +137,6 @@ fn bench_pool_hit_rate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Messages chasing a twice-migrated object down its forwarding chain
-/// (0 → home 1 → 2 → 3): the MOL routing fast path with two forward hops per
-/// message. Location updates are disabled so the chain never collapses and
-/// every message exercises the full chase.
-fn bench_forwarding_chain(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate-fastpath");
-    // Legacy home-forwarding with every teaching path off: the chain stays
-    // 3 hops long on every chase instead of collapsing after the first.
-    let no_updates = MolConfig {
-        update_home_on_install: false,
-        update_sender_on_forward: false,
-        broadcast_on_install: false,
-        sharded_directory: false,
-        ..MolConfig::default()
-    };
-    let mut nodes: Vec<MolNode<Blob>> = LocalFabric::new(4)
-        .into_iter()
-        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), no_updates))
-        .collect();
-    // Home the object on rank 1, then walk it to rank 3.
-    let ptr = nodes[1].register(Blob(vec![0; 64]));
-    assert!(nodes[1].migrate(ptr, 2));
-    let _ = nodes[2].poll();
-    assert!(nodes[2].migrate(ptr, 3));
-    let _ = nodes[3].poll();
-
-    const CHASES: usize = 1_000;
-    group.bench_function(format!("forward_chain_3hop_x{CHASES}"), |b| {
-        b.iter(|| {
-            for i in 0..CHASES {
-                nodes[0].message(ptr, i as u32, Bytes::new());
-            }
-            let mut delivered = 0;
-            while delivered < CHASES {
-                for node in nodes.iter_mut() {
-                    delivered += node
-                        .poll()
-                        .iter()
-                        .filter(|e| matches!(e, MolEvent::Object { .. }))
-                        .count();
-                }
-            }
-            black_box(delivered)
-        })
-    });
-    group.finish();
-}
-
 /// Full migration round trip (pack, ship, install, location update) between
 /// ranks 0 and 1 of machines of increasing size: the cost must stay flat in
 /// machine size.
@@ -421,11 +166,9 @@ fn bench_migrate_cost(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_empty_poll,
     bench_p2p_throughput,
     bench_fanout,
     bench_pool_hit_rate,
-    bench_forwarding_chain,
     bench_migrate_cost
 );
 criterion_main!(benches);

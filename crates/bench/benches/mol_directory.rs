@@ -2,18 +2,13 @@
 //! each of its paths (DESIGN.md §16).
 //!
 //! * `resolve_hit` — the O(1) promise of the sender caches: resolving a
-//!   warm pointer is a local lookup, no wire traffic. The acceptance bar
-//!   for this PR is ≥ 5× faster per resolve than the per-message cost of
-//!   `chase_4hop` below (in practice it is orders of magnitude).
+//!   warm pointer is a local lookup, no wire traffic.
 //! * `resolve_miss` — the bounded fallback: a cold resolve mails the home
 //!   shard one `DirLookup` and the answer lands in the cache on a later
 //!   poll. Measured over a working set larger than the cache so every
 //!   resolve is a genuine capacity miss plus its shard round trip.
-//! * `chase_4hop` — the cost the directory removes: legacy home-forwarding
-//!   with every teaching path disabled walks the full forward-pointer
-//!   trail (home + 4 hops) on *every* send.
-//! * `send_cached_direct` — end-to-end control for `chase_4hop`: the same
-//!   sends with a warm sender cache take one transport leg each.
+//! * `send_cached_direct` — the steady state: sends with a warm sender
+//!   cache take one transport leg each.
 //! * `migrate_publish` — what keeping the shard authority fresh adds to a
 //!   migration round trip (a `DirPublish` per move).
 //! * `chain_collapse` at 8/32/128 ranks — the recovery path: after a
@@ -119,10 +114,7 @@ fn bench_resolve_miss(c: &mut Criterion) {
     // A cache far smaller than the working set: scanning all pointers in
     // order guarantees every resolve is a capacity miss, so each iteration
     // measures OBJS full miss round trips (DirLookup out, DirAnswer back).
-    let tiny_cache = MolConfig {
-        loc_cache: 64,
-        ..MolConfig::default()
-    };
+    let tiny_cache = MolConfig { loc_cache: 64 };
     let mut nodes: Vec<MolNode<Blob>> = LocalFabric::new(4)
         .into_iter()
         .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), tiny_cache))
@@ -137,38 +129,6 @@ fn bench_resolve_miss(c: &mut Criterion) {
                 black_box(nodes[0].resolve(ptr));
             }
             settle(&mut nodes);
-        })
-    });
-    group.finish();
-}
-
-fn bench_chase_4hop(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mol-directory");
-    // Legacy home-forwarding with teaching off: the trail never collapses,
-    // so every send walks home plus four forward pointers.
-    let legacy_mute = MolConfig {
-        update_home_on_install: false,
-        update_sender_on_forward: false,
-        broadcast_on_install: false,
-        sharded_directory: false,
-        ..MolConfig::default()
-    };
-    let mut nodes: Vec<MolNode<Blob>> = LocalFabric::new(6)
-        .into_iter()
-        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), legacy_mute))
-        .collect();
-    let ptr = nodes[1].register(Blob(vec![0; 64]));
-    for (src, dst) in [(1usize, 2usize), (2, 3), (3, 4), (4, 5)] {
-        assert!(nodes[src].migrate(ptr, dst));
-        let _ = nodes[dst].poll();
-    }
-
-    group.bench_function(format!("chase_4hop_x{SENDS}"), |b| {
-        b.iter(|| {
-            for i in 0..SENDS {
-                nodes[0].message(ptr, i as u32, Bytes::new());
-            }
-            black_box(deliver(&mut nodes, SENDS))
         })
     });
     group.finish();
@@ -250,7 +210,6 @@ criterion_group!(
     benches,
     bench_resolve_hit,
     bench_resolve_miss,
-    bench_chase_4hop,
     bench_send_cached_direct,
     bench_migrate_publish,
     bench_chain_collapse

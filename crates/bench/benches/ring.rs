@@ -1,7 +1,5 @@
-//! The SPSC ring mesh transport (`prema_dcs::RingFabric`), measured on the
-//! same shapes as `fastpath.rs` so its ids compare directly against the
-//! `*_scan_*` (n×n channel mesh) and `*_shared_*` (shared MPSC inbox)
-//! baselines kept there.
+//! The SPSC ring mesh transport (`prema_dcs::RingFabric`): empty polls
+//! across machine sizes and two-rank point-to-point throughput.
 //!
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
 //! allocator and **asserts** the transport's core invariant instead of just
@@ -44,8 +42,8 @@ fn bench_empty_poll_ring(c: &mut Criterion) {
 }
 
 /// Point-to-point throughput under real concurrency: a sender thread pushes
-/// [`P2P_MSGS`] envelopes while the bench thread receives them all —
-/// directly comparable to `p2p_scan` / `p2p_shared` in `fastpath.rs`.
+/// [`P2P_MSGS`] envelopes while the bench thread receives them all — the
+/// unbatched baseline for `p2p_batched` in `fastpath.rs`.
 fn bench_p2p_ring(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate-ring");
     group.sample_size(10);

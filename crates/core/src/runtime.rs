@@ -174,13 +174,19 @@ impl<O: Migratable> Runtime<O> {
     }
 }
 
-/// Whether rank threads should be pinned: the `PREMA_PIN_CORES` environment
-/// variable, when set, wins over [`PremaConfig::pin_cores`] in either
-/// direction (`1`/`true`/`on`/`yes` enables, `0`/`false`/`off`/`no` — or,
-/// with a warning, anything else — disables). Parsed via
-/// [`prema_dcs::env`].
-fn pinning_enabled(cfg: &PremaConfig) -> bool {
-    prema_dcs::env::flag_var("PREMA_PIN_CORES").unwrap_or(cfg.pin_cores)
+/// The core `rank`'s threads are pinned to, if pinning is on: the
+/// `PREMA_PIN_CORES` environment variable, when set, wins over
+/// [`PremaConfig::pin_cores`] in either direction (`1`/`true`/`on`/`yes`
+/// enables, `0`/`false`/`off`/`no` — or, with a warning, anything else —
+/// disables). Parsed via [`prema_dcs::env`]. Each rank's threads go to core
+/// `rank % ncores` (see `crate::affinity`); the app thread and its poller
+/// share a core so a pair's ring lines stay between two caches.
+fn pin_core(cfg: &PremaConfig, rank: usize) -> Option<usize> {
+    let pin = prema_dcs::env::flag_var("PREMA_PIN_CORES").unwrap_or(cfg.pin_cores);
+    let ncores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    pin.then_some(rank % ncores)
 }
 
 /// Launch a PREMA machine: `cfg.nprocs` ranks, each running `main(runtime)`
@@ -258,8 +264,8 @@ where
 
 /// [`launch_with_trace`] over caller-provided transports — one boxed
 /// [`Transport`] per rank, in rank order. This is the entry point for wiring
-/// custom transport stacks (chaos soak tests with partition control, delay
-/// decorators, future real interconnects) under the full runtime.
+/// custom transport stacks (chaos soak tests with partition control, future
+/// real interconnects) under the full runtime.
 pub fn launch_with_transports<O, R, F>(
     cfg: PremaConfig,
     transports: Vec<Box<dyn Transport>>,
@@ -279,59 +285,20 @@ where
     let stop = Arc::new(StopFlag::new());
     let main = Arc::new(main);
 
-    // Optional core pinning (see `crate::affinity`): each rank's threads go
-    // to core `rank % ncores`; the app thread and its poller share a core so
-    // a pair's ring lines stay between two caches.
-    let pin = pinning_enabled(&cfg);
-    let ncores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    // Message coalescing: the environment knobs (when set) win over the
-    // config field, so any binary can be batched without a rebuild.
-    let env_batch = prema_dcs::BatchConfig::from_env();
-    let batch = if env_batch.is_on() {
-        env_batch
-    } else {
-        cfg.batch
-    };
-
-    // Migration stability governor: `PREMA_MIN_RESIDENCY` /
-    // `PREMA_MIGRATION_CAP` (when set) win over the config field, so any run
-    // can be tuned without a rebuild.
-    let stability = cfg.stability.from_env();
-
     let mut app_threads = Vec::with_capacity(cfg.nprocs);
     let mut poll_threads = Vec::new();
 
     for (rank, transport) in transports.into_iter().enumerate() {
-        let tracer = trace
-            .as_ref()
-            .map(|s| s.tracer(rank))
-            .unwrap_or_else(prema_trace::Tracer::off);
-        let sched = build_rank_scheduler(&cfg, rank, transport, batch, stability, tracer.clone());
-
-        if let LbMode::Implicit { poll_interval } = cfg.mode {
-            poll_threads.push(spawn_poller(
-                sched.clone(),
-                stop.clone(),
-                poll_interval,
-                tracer,
-                pin.then_some(rank % ncores),
-            ));
-        }
+        let (runtime, poller) = start_rank(&cfg, rank, transport, trace.as_ref(), &stop);
+        poll_threads.extend(poller);
 
         let main = main.clone();
-        let nprocs = cfg.nprocs;
+        let core = pin_core(&cfg, rank);
         app_threads.push(std::thread::spawn(move || {
-            if pin {
-                crate::affinity::pin_current_thread(rank % ncores);
+            if let Some(core) = core {
+                crate::affinity::pin_current_thread(core);
             }
-            main(Runtime {
-                sched,
-                rank,
-                nprocs,
-            })
+            main(runtime)
         }));
     }
 
@@ -381,41 +348,11 @@ where
         "transport bound to a different rank"
     );
     let stop = Arc::new(StopFlag::new());
-    let pin = pinning_enabled(&cfg);
-    let ncores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let env_batch = prema_dcs::BatchConfig::from_env();
-    let batch = if env_batch.is_on() {
-        env_batch
-    } else {
-        cfg.batch
-    };
-    let stability = cfg.stability.from_env();
-    let tracer = trace
-        .as_ref()
-        .map(|s| s.tracer(rank))
-        .unwrap_or_else(prema_trace::Tracer::off);
-    let sched = build_rank_scheduler(&cfg, rank, transport, batch, stability, tracer.clone());
-
-    let poller = match cfg.mode {
-        LbMode::Implicit { poll_interval } => Some(spawn_poller(
-            sched.clone(),
-            stop.clone(),
-            poll_interval,
-            tracer,
-            pin.then_some(rank % ncores),
-        )),
-        _ => None,
-    };
-    if pin {
-        crate::affinity::pin_current_thread(rank % ncores);
+    let (runtime, poller) = start_rank(&cfg, rank, transport, trace.as_ref(), &stop);
+    if let Some(core) = pin_core(&cfg, rank) {
+        crate::affinity::pin_current_thread(core);
     }
-    let result = main(Runtime {
-        sched,
-        rank,
-        nprocs: cfg.nprocs,
-    });
+    let result = main(runtime);
     stop.request_stop();
     if let Some(t) = poller {
         t.join().expect("polling thread panicked");
@@ -423,28 +360,61 @@ where
     result
 }
 
-/// Assemble one rank's scheduler stack (communicator → MOL node → ILB
-/// scheduler, with batching, stability governor, policy, and tracer
-/// applied) — the construction shared by every launch path.
-fn build_rank_scheduler<O: Migratable>(
+/// Bring one rank up — the preamble every launch path shares: resolve the
+/// environment-over-config knobs, assemble the scheduler stack (communicator
+/// → MOL node → ILB scheduler, with batching, stability governor, policy and
+/// tracer applied) and, in [`LbMode::Implicit`] mode, spawn its polling
+/// thread, which the caller reaps after `stop.request_stop()`.
+fn start_rank<O: Migratable>(
     cfg: &PremaConfig,
     rank: usize,
     transport: Box<dyn Transport>,
-    batch: prema_dcs::BatchConfig,
-    stability: prema_ilb::StabilityConfig,
-    tracer: prema_trace::Tracer,
-) -> Arc<Mutex<ilb::Scheduler<O>>> {
+    trace: Option<&std::sync::Arc<prema_trace::TraceSink>>,
+    stop: &Arc<StopFlag>,
+) -> (Runtime<O>, Option<std::thread::JoinHandle<()>>) {
+    // Message coalescing: the environment knobs (when set) win over the
+    // config field, so any binary can be batched without a rebuild.
+    let env_batch = prema_dcs::BatchConfig::from_env();
+    let batch = if env_batch.is_on() {
+        env_batch
+    } else {
+        cfg.batch
+    };
+    let tracer = trace
+        .map(|s| s.tracer(rank))
+        .unwrap_or_else(prema_trace::Tracer::off);
+
     let mut comm = Communicator::new(transport);
     comm.set_batch_config(batch);
     let node: MolNode<O> = MolNode::new(comm);
     let policy = cfg.policy.build(cfg.seed.wrapping_add(rank as u64));
     let mut sched = ilb::Scheduler::new(node, policy);
-    sched.set_stability(stability);
+    // Migration stability governor: `PREMA_MIN_RESIDENCY` /
+    // `PREMA_MIGRATION_CAP` (when set) win over the config field, so any run
+    // can be tuned without a rebuild.
+    sched.set_stability(cfg.stability.from_env());
     if cfg.mode == LbMode::Disabled {
         sched.set_lb_enabled(false);
     }
-    sched.set_tracer(tracer);
-    Arc::new(Mutex::new(sched))
+    sched.set_tracer(tracer.clone());
+    let sched = Arc::new(Mutex::new(sched));
+
+    let poller = match cfg.mode {
+        LbMode::Implicit { poll_interval } => Some(spawn_poller(
+            sched.clone(),
+            stop.clone(),
+            poll_interval,
+            tracer,
+            pin_core(cfg, rank),
+        )),
+        _ => None,
+    };
+    let runtime = Runtime {
+        sched,
+        rank,
+        nprocs: cfg.nprocs,
+    };
+    (runtime, poller)
 }
 
 /// Spawn one rank's preemptive polling thread ([`LbMode::Implicit`]):

@@ -33,8 +33,6 @@
 //!   own asynchronous load balancing.
 //! * [`wire`] — tiny fixed-layout payload codec for runtime-internal protocol
 //!   messages.
-//! * [`delay`] — a latency-injecting transport decorator for tests that need
-//!   wide-area message races.
 //! * [`chaos`] — a seeded fault-injecting transport decorator: deterministic
 //!   drop / duplicate / reorder / delay plus runtime rank-pair partitions.
 //! * [`reliable`] — an opt-in ack/retry/backoff reliable-delivery decorator
@@ -54,7 +52,6 @@ pub mod batch;
 pub mod chaos;
 pub mod collective;
 pub mod comm;
-pub mod delay;
 pub mod env;
 pub mod envelope;
 pub mod fxmap;
@@ -70,7 +67,6 @@ pub use batch::{BatchConfig, H_DCS_BATCH};
 pub use chaos::{ChaosConfig, ChaosHandle, ChaosStats, ChaosTransport};
 pub use collective::Collectives;
 pub use comm::{CommStats, Communicator};
-pub use delay::DelayTransport;
 pub use envelope::{Envelope, HandlerId, Rank, Tag};
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use handler::{Handler, HandlerTable};

@@ -176,13 +176,10 @@ impl LocCache {
 }
 
 /// Shard-side location authority: the freshest published `(owner, epoch)`
-/// per pointer this rank is the home shard for, plus — in eager mode
-/// (`PREMA_LOC_EPOCH_LAZY=0`) — the ranks whose lookups this shard has
-/// answered, so a newer publish can be pushed to them proactively.
+/// per pointer this rank is the home shard for.
 #[derive(Debug, Default)]
 pub struct ShardAuthority {
     published: FxHashMap<MobilePtr, (Rank, u64)>,
-    inquirers: FxHashMap<MobilePtr, Vec<Rank>>,
 }
 
 impl ShardAuthority {
@@ -208,19 +205,6 @@ impl ShardAuthority {
     /// object (if it exists) is implicitly at `ptr.home`.
     pub fn lookup(&self, ptr: MobilePtr) -> Option<(Rank, u64)> {
         self.published.get(&ptr).copied()
-    }
-
-    /// Record a rank that asked about `ptr` (eager mode only).
-    pub fn note_inquirer(&mut self, ptr: MobilePtr, rank: Rank) {
-        let list = self.inquirers.entry(ptr).or_default();
-        if !list.contains(&rank) {
-            list.push(rank);
-        }
-    }
-
-    /// Drain the recorded inquirers for `ptr` (consumed by an eager push).
-    pub fn take_inquirers(&mut self, ptr: MobilePtr) -> Vec<Rank> {
-        self.inquirers.remove(&ptr).unwrap_or_default()
     }
 
     /// Number of pointers with a published location.
@@ -339,15 +323,5 @@ mod tests {
         assert!(a.publish(ptr(0, 1), 7, 3), "out-of-order newer epoch wins");
         assert_eq!(a.lookup(ptr(0, 1)), Some((7, 3)));
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn authority_inquirers_dedup_and_drain() {
-        let mut a = ShardAuthority::default();
-        a.note_inquirer(ptr(0, 1), 3);
-        a.note_inquirer(ptr(0, 1), 5);
-        a.note_inquirer(ptr(0, 1), 3);
-        assert_eq!(a.take_inquirers(ptr(0, 1)), vec![3, 5]);
-        assert!(a.take_inquirers(ptr(0, 1)).is_empty());
     }
 }

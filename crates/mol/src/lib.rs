@@ -15,8 +15,8 @@
 //!
 //! * [`ptr`] — mobile pointers and per-rank allocation.
 //! * [`migrate`] — the [`Migratable`] pack/unpack trait.
-//! * [`proto`] — the wire protocol (messages, migration packets, location
-//!   updates, directory publishes/lookups/answers).
+//! * [`proto`] — the wire protocol (messages, migration packets, directory
+//!   publishes/lookups/answers).
 //! * [`directory`] — the sharded location directory: the pointer→shard map,
 //!   the bounded sender-side location cache, and the shard authority table
 //!   (DESIGN.md §16).

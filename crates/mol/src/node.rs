@@ -32,9 +32,8 @@ use crate::directory::{
 };
 use crate::migrate::Migratable;
 use crate::proto::{
-    DirAnswer, DirLookup, DirPublish, LocUpdate, MigratePacket, MolEnvelope, NodeMsg,
-    H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_LOCUPD, H_MOL_MIGRATE, H_MOL_MSG,
-    H_NODE_MSG,
+    DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope, NodeMsg, H_MOL_DIR_ANSWER,
+    H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG, H_NODE_MSG,
 };
 use crate::ptr::{MobilePtr, PtrAllocator};
 use crate::ready::{ReadyIndex, NO_LANE};
@@ -43,69 +42,36 @@ use prema_dcs::{env, pool, Communicator, Envelope, FxHashMap, Rank, Tag};
 use prema_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
 
-/// Location-resolution strategy knobs.
-///
-/// The MOL always forwards along migration trails, so any setting is
-/// *correct*; these knobs trade update traffic against forwarding-chain
-/// length. The default is the sharded directory of DESIGN.md §16 (constant
-/// chain bound); turning `sharded_directory` off restores the paper's
-/// home-forwarding scheme, kept as the comparison baseline.
+/// MOL sizing. Location resolution itself has no knobs: every node runs the
+/// sharded directory of DESIGN.md §16 (constant chain bound, lazy teaching
+/// through piggybacked answers), with forward pointers as the loss-recovery
+/// trail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MolConfig {
-    /// Keep the directory authority fresh: in sharded mode every migration
-    /// publishes `(ptr, new_rank, epoch)` to the pointer's home shard; in
-    /// legacy mode every installation notifies the object's *home* rank.
-    pub update_home_on_install: bool,
-    /// When forwarding a message, lazily teach the original sender where the
-    /// object went, collapsing its chain for subsequent sends. In sharded
-    /// mode the home shard's piggybacked answer is authoritative.
-    pub update_sender_on_forward: bool,
-    /// Eagerly broadcast every installation to all ranks. Shortest chains,
-    /// highest update traffic — O(P) messages per migration.
-    pub broadcast_on_install: bool,
-    /// Shard location authority across ranks by pointer hash
-    /// ([`crate::directory::shard_of`]); cold senders consult the shard
-    /// instead of the object's birth rank, and stale sends are redirected
-    /// through it, bounding forwarding chains by a constant
-    /// ([`crate::directory::MAX_CHAIN`]) instead of migration history.
-    pub sharded_directory: bool,
     /// Capacity (entries) of the bounded sender-side location cache.
     /// Overridden by `PREMA_LOC_CACHE` in [`MolNode::new`].
     pub loc_cache: usize,
-    /// Lazy epoch propagation (the default): senders learn fresh locations
-    /// only from piggybacked answers and NACK-style corrections. When off
-    /// (`PREMA_LOC_EPOCH_LAZY=0`), the home shard eagerly pushes each newer
-    /// publish to every rank whose lookup it has answered.
-    pub lazy_epochs: bool,
 }
 
 impl Default for MolConfig {
     fn default() -> Self {
         MolConfig {
-            update_home_on_install: true,
-            update_sender_on_forward: true,
-            broadcast_on_install: false,
-            sharded_directory: true,
             loc_cache: LOC_CACHE_DEFAULT,
-            lazy_epochs: true,
         }
     }
 }
 
 impl MolConfig {
-    /// Apply the environment knobs (`PREMA_LOC_CACHE`,
-    /// `PREMA_LOC_EPOCH_LAZY`) on top of this config, through `dcs::env`'s
-    /// validated warn-once parsers. Called by [`MolNode::new`];
-    /// [`MolNode::with_config`] deliberately does not, so tests and benches
-    /// that pass an explicit config stay environment-independent.
+    /// Apply the environment knob (`PREMA_LOC_CACHE`) on top of this config,
+    /// through `dcs::env`'s validated warn-once parser. Called by
+    /// [`MolNode::new`]; [`MolNode::with_config`] deliberately does not, so
+    /// tests and benches that pass an explicit config stay
+    /// environment-independent.
     pub fn from_env(mut self) -> Self {
         if let Some(cap) = env::usize_var("PREMA_LOC_CACHE") {
             // Floor of 2: the two-generation cache needs one entry per
             // generation to function at all.
             self.loc_cache = cap.max(2);
-        }
-        if let Some(lazy) = env::flag_var("PREMA_LOC_EPOCH_LAZY") {
-            self.lazy_epochs = lazy;
         }
         self
     }
@@ -138,8 +104,8 @@ pub struct MolStats {
     /// Sends/resolves answered by local knowledge (location cache or a
     /// forward pointer) — the message went out directly.
     pub loc_cache_hits: u64,
-    /// Sends/resolves with no local knowledge — routed through the home
-    /// shard (or the object's home rank in legacy mode).
+    /// Sends/resolves with no local knowledge — routed to the birth rank
+    /// (sends) or asked of the home shard (resolves).
     pub loc_cache_misses: u64,
     /// Times this rank's cached guess proved stale (a forwarder or the home
     /// shard sent back a newer-epoch correction).
@@ -350,7 +316,6 @@ fn fresher(a: Option<(Rank, u64)>, b: Option<(Rank, u64)>) -> Option<(Rank, u64)
 /// ```
 pub struct MolNode<O: Migratable> {
     comm: Communicator,
-    cfg: MolConfig,
     alloc: PtrAllocator,
     /// The unified per-pointer directory (see [`DirEntry`]).
     directory: FxHashMap<MobilePtr, DirEntry<O>>,
@@ -375,20 +340,18 @@ pub struct MolNode<O: Migratable> {
 }
 
 impl<O: Migratable> MolNode<O> {
-    /// Build a node over a communicator endpoint with the default (sharded
-    /// directory, lazy updates) strategy, with the `PREMA_LOC_CACHE` /
-    /// `PREMA_LOC_EPOCH_LAZY` environment knobs applied.
+    /// Build a node over a communicator endpoint with the default cache
+    /// size, with the `PREMA_LOC_CACHE` environment knob applied.
     pub fn new(comm: Communicator) -> Self {
         Self::with_config(comm, MolConfig::default().from_env())
     }
 
-    /// Build a node with an explicit location-resolution strategy (no
-    /// environment overrides — what you pass is what runs).
+    /// Build a node with an explicit config (no environment overrides — what
+    /// you pass is what runs).
     pub fn with_config(comm: Communicator, cfg: MolConfig) -> Self {
         let rank = comm.rank();
         MolNode {
             comm,
-            cfg,
             alloc: PtrAllocator::new(rank),
             directory: FxHashMap::default(),
             cache: LocCache::new(cfg.loc_cache),
@@ -590,10 +553,9 @@ impl<O: Migratable> MolNode<O> {
 
     /// Resolve a mobile pointer to this rank's best idea of its current
     /// owner. Resident objects and cache/trail hits answer immediately; a
-    /// miss under the sharded directory sends a [`DirLookup`] to the
-    /// pointer's home shard and returns `None` — the answer lands in the
-    /// cache during a later poll, after which `resolve` hits. (Legacy mode
-    /// answers `ptr.home`, the only fallback it has.)
+    /// miss sends a [`DirLookup`] to the pointer's home shard and returns
+    /// `None` — the answer lands in the cache during a later poll, after
+    /// which `resolve` hits.
     pub fn resolve(&mut self, ptr: MobilePtr) -> Option<Rank> {
         assert!(!ptr.is_null(), "resolve of NULL mobile pointer");
         let me = self.comm.rank();
@@ -615,9 +577,6 @@ impl<O: Migratable> MolNode<O> {
             // flight toward us — fall through to the miss path.
         }
         self.stats.loc_cache_misses += 1;
-        if !self.cfg.sharded_directory {
-            return Some(ptr.home).filter(|&h| h != me);
-        }
         let shard = shard_of(ptr, self.comm.nprocs());
         self.tracer.emit(|| TraceEvent::LocCacheMiss {
             home: ptr.home,
@@ -687,7 +646,7 @@ impl<O: Migratable> MolNode<O> {
     /// rank is sending fresh / re-routing parked traffic (as opposed to
     /// forwarding a message received off the wire).
     ///
-    /// Sharded-mode shape (DESIGN.md §16):
+    /// The shape (DESIGN.md §16):
     /// * at the home shard, the authority answers — and the message becomes
     ///   *anchored*, stamped with the answer's epoch;
     /// * an anchored message that still misses follows this rank's own
@@ -720,26 +679,6 @@ impl<O: Migratable> MolNode<O> {
     ) -> Option<Route> {
         let me = self.comm.rank();
         let know = fresher(fwd, self.cache.get(ptr));
-        if !self.cfg.sharded_directory {
-            // Legacy home-forwarding: best local knowledge, else the birth
-            // rank, else limbo (we are the birth rank).
-            return match know {
-                Some((r, e)) if r != me => Some(Route {
-                    dst: r,
-                    know,
-                    anchored: false,
-                    epoch: e,
-                }),
-                Some(_) => None,
-                None => Some(Route {
-                    dst: ptr.home,
-                    know: None,
-                    anchored: false,
-                    epoch: 0,
-                })
-                .filter(|r| r.dst != me),
-            };
-        }
         let shard = shard_of(ptr, self.comm.nprocs());
         if me == shard {
             let best = fresher(know, self.authority.lookup(ptr));
@@ -936,21 +875,18 @@ impl<O: Migratable> MolNode<O> {
             .am_send(dst, H_MOL_MIGRATE, Tag::System, packet.encode());
         // Publish the move to the pointer's home shard so cold senders and
         // stale-send redirects resolve in one bounded hop (DESIGN.md §16).
-        if self.cfg.sharded_directory && self.cfg.update_home_on_install {
-            let me = self.comm.rank();
-            let shard = shard_of(ptr, self.comm.nprocs());
-            if shard == me {
-                self.publish_local(ptr, dst, epoch);
-            } else {
-                self.stats.dir_publishes += 1;
-                let pu = DirPublish {
-                    ptr,
-                    owner: dst,
-                    epoch,
-                };
-                self.comm
-                    .am_send(shard, H_MOL_DIR_PUBLISH, Tag::System, pu.encode());
-            }
+        let shard = shard_of(ptr, self.comm.nprocs());
+        if shard == self.comm.rank() {
+            self.publish_local(ptr, dst, epoch);
+        } else {
+            self.stats.dir_publishes += 1;
+            let pu = DirPublish {
+                ptr,
+                owner: dst,
+                epoch,
+            };
+            self.comm
+                .am_send(shard, H_MOL_DIR_PUBLISH, Tag::System, pu.encode());
         }
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
@@ -958,27 +894,10 @@ impl<O: Migratable> MolNode<O> {
     }
 
     /// Merge a publish into this rank's shard authority; a freshly advanced
-    /// location releases limbo traffic and — in eager mode — pushes the
-    /// answer to every recorded inquirer.
+    /// location releases limbo traffic.
     fn publish_local(&mut self, ptr: MobilePtr, owner: Rank, epoch: u64) {
         if !self.authority.publish(ptr, owner, epoch) {
             return;
-        }
-        if !self.cfg.lazy_epochs {
-            let me = self.comm.rank();
-            for rank in self.authority.take_inquirers(ptr) {
-                if rank != me && rank != owner {
-                    self.stats.locupd_sent += 1;
-                    let ans = DirAnswer {
-                        ptr,
-                        owner,
-                        epoch,
-                        stale: false,
-                    };
-                    self.comm
-                        .am_send(rank, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
-                }
-            }
         }
         if let Some(d) = self.directory.get_mut(&ptr) {
             let parked = std::mem::take(&mut d.limbo);
@@ -1062,30 +981,10 @@ impl<O: Migratable> MolNode<O> {
         for env in packet.buffered {
             self.accept_local(env);
         }
-        // Location dissemination per the configured strategy. In sharded
-        // mode the migration *source* already published the move; the shard
+        // The migration *source* already published the move; the shard
         // itself just folds the installation into its own authority.
-        let upd = LocUpdate {
-            ptr,
-            owner: self.rank(),
-            epoch: packet.epoch,
-        };
-        if self.cfg.broadcast_on_install {
-            for dst in 0..self.nprocs() {
-                if dst != self.rank() {
-                    self.stats.locupd_sent += 1;
-                    self.comm
-                        .am_send(dst, H_MOL_LOCUPD, Tag::System, upd.encode());
-                }
-            }
-        } else if self.cfg.sharded_directory {
-            if shard_of(ptr, self.nprocs()) == self.rank() {
-                self.publish_local(ptr, self.rank(), packet.epoch);
-            }
-        } else if self.cfg.update_home_on_install && ptr.home != self.rank() {
-            self.stats.locupd_sent += 1;
-            self.comm
-                .am_send(ptr.home, H_MOL_LOCUPD, Tag::System, upd.encode());
+        if shard_of(ptr, self.nprocs()) == self.rank() {
+            self.publish_local(ptr, self.rank(), packet.epoch);
         }
         for env in parked {
             self.route(env);
@@ -1170,10 +1069,6 @@ impl<O: Migratable> MolNode<O> {
                     events.push(ev);
                 }
             }
-            h if h == H_MOL_LOCUPD => {
-                let upd = LocUpdate::decode(env.payload);
-                self.learn_location(upd.ptr, upd.owner, upd.epoch);
-            }
             h if h == H_MOL_DIR_PUBLISH => {
                 let pu = DirPublish::decode(env.payload);
                 self.publish_local(pu.ptr, pu.owner, pu.epoch);
@@ -1233,29 +1128,23 @@ impl<O: Migratable> MolNode<O> {
                 // its next message takes the short path. At the home shard
                 // this piggybacked answer is authoritative.
                 if let Some((owner, epoch)) = route.know {
-                    if self.cfg.update_sender_on_forward && sender != me && sender != owner {
+                    if sender != me && sender != owner {
                         self.stats.locupd_sent += 1;
-                        if self.cfg.sharded_directory {
-                            // Epoch 0 is a cold fill ("never migrated,
-                            // lives at home"), not a stale correction.
-                            let ans = DirAnswer {
-                                ptr,
-                                owner,
-                                epoch,
-                                stale: epoch > 0,
-                            };
-                            self.comm
-                                .am_send(sender, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
-                        } else {
-                            let upd = LocUpdate { ptr, owner, epoch };
-                            self.comm
-                                .am_send(sender, H_MOL_LOCUPD, Tag::System, upd.encode());
-                        }
+                        // Epoch 0 is a cold fill ("never migrated, lives at
+                        // home"), not a stale correction.
+                        let ans = DirAnswer {
+                            ptr,
+                            owner,
+                            epoch,
+                            stale: epoch > 0,
+                        };
+                        self.comm
+                            .am_send(sender, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
                     }
                     // A chase this deep means the shard missed a publish
                     // (lost under chaos): repair it with our knowledge.
                     let shard = shard_of(ptr, self.comm.nprocs());
-                    if self.cfg.sharded_directory && menv.hops >= REPAIR_HOPS && shard != me {
+                    if menv.hops >= REPAIR_HOPS && shard != me {
                         self.stats.dir_publishes += 1;
                         let pu = DirPublish { ptr, owner, epoch };
                         self.comm
@@ -1296,9 +1185,6 @@ impl<O: Migratable> MolNode<O> {
             ),
         );
         let (owner, epoch) = best.unwrap_or((ptr.home, 0));
-        if !self.cfg.lazy_epochs {
-            self.authority.note_inquirer(ptr, src);
-        }
         self.stats.locupd_sent += 1;
         let ans = DirAnswer {
             ptr,
@@ -1310,8 +1196,8 @@ impl<O: Migratable> MolNode<O> {
             .am_send(src, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
     }
 
-    /// Merge a location fact learned from the wire (a legacy `LocUpdate` or
-    /// a sharded `DirAnswer`) and release anything it unblocks.
+    /// Merge a location fact learned from the wire (a `DirAnswer`) and
+    /// release anything it unblocks.
     fn learn_location(&mut self, ptr: MobilePtr, owner: Rank, epoch: u64) {
         let d = self.directory.entry(ptr).or_default();
         if d.entry.is_some() {
@@ -1323,7 +1209,7 @@ impl<O: Migratable> MolNode<O> {
             }
         }
         self.cache.insert_max(ptr, owner, epoch);
-        if self.cfg.sharded_directory && shard_of(ptr, self.comm.nprocs()) == self.comm.rank() {
+        if shard_of(ptr, self.comm.nprocs()) == self.comm.rank() {
             self.authority.publish(ptr, owner, epoch);
         }
         let parked = std::mem::take(

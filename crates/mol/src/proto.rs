@@ -1,6 +1,6 @@
 //! The Mobile Object Layer wire protocol.
 //!
-//! Seven message kinds ride on DCS:
+//! Six message kinds ride on DCS:
 //!
 //! * `MOL_MSG` — an application message targeted at a mobile object,
 //!   carrying a per-(sender, object) sequence number so delivery order is
@@ -8,9 +8,6 @@
 //! * `MOL_MIGRATE` — a packed object moving to a new owner, together with its
 //!   ordering state (per-sender expected sequence numbers), any accepted but
 //!   not-yet-executed messages, and any out-of-order buffered messages;
-//! * `MOL_LOCUPD` — a location update ("object X now lives at rank R, as of
-//!   migration epoch E"), used by the legacy home-forwarding mode and by
-//!   `broadcast_on_install`;
 //! * `NODE_MSG` — a plain rank-targeted message (used by the load-balancing
 //!   framework for status/request traffic; not object-routed);
 //! * `MOL_DIR_PUBLISH` — a migration publishing `(ptr, new_rank, epoch)` to
@@ -28,8 +25,6 @@ use prema_dcs::{HandlerId, Rank, WireReader, WireWriter};
 pub const H_MOL_MSG: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 16);
 /// DCS handler id for object migrations.
 pub const H_MOL_MIGRATE: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 17);
-/// DCS handler id for location updates.
-pub const H_MOL_LOCUPD: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 18);
 /// DCS handler id for rank-targeted (non-object) messages.
 pub const H_NODE_MSG: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 19);
 /// DCS handler id for directory publishes (migration → home shard).
@@ -187,42 +182,6 @@ impl MigratePacket {
             expected,
             pending,
             buffered,
-        }
-    }
-}
-
-/// A location update.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LocUpdate {
-    /// Which object moved.
-    pub ptr: MobilePtr,
-    /// Where it lives (as of `epoch`).
-    pub owner: Rank,
-    /// Migration epoch of this information; receivers keep the max.
-    pub epoch: u64,
-}
-
-impl LocUpdate {
-    /// Encode for the wire.
-    pub fn encode(&self) -> Bytes {
-        WireWriter::pooled(32)
-            .u64(self.ptr.home as u64)
-            .u64(self.ptr.index)
-            .u64(self.owner as u64)
-            .u64(self.epoch)
-            .finish()
-    }
-
-    /// Decode from the wire.
-    pub fn decode(payload: Bytes) -> Self {
-        let mut r = WireReader::new(payload);
-        LocUpdate {
-            ptr: MobilePtr {
-                home: r.u64() as usize,
-                index: r.u64(),
-            },
-            owner: r.u64() as usize,
-            epoch: r.u64(),
         }
     }
 }
@@ -443,13 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn locupdate_and_nodemsg_roundtrip() {
-        let l = LocUpdate {
-            ptr: MobilePtr { home: 2, index: 3 },
-            owner: 7,
-            epoch: 11,
-        };
-        assert_eq!(LocUpdate::decode(l.encode()), l);
+    fn nodemsg_roundtrip() {
         let n = NodeMsg {
             handler: 6,
             payload: Bytes::from_static(b"lb"),

@@ -1,49 +1,25 @@
 //! MOL under an unreliable wire: duplicated migration packets must install
 //! exactly once, duplicated messages must execute exactly once, and a lost
-//! location update must degrade to forwarding — never to lost delivery.
+//! publish or answer must degrade to forwarding — never to lost delivery.
+
+mod common;
 
 use bytes::Bytes;
+use common::{register_with_shard_not_in, Counter};
 use prema_dcs::{ChaosConfig, ChaosHandle, ChaosTransport, Communicator, LocalFabric};
-use prema_mol::{shard_of, MobilePtr, MolConfig, MolEvent, MolNode, MAX_CHAIN};
-
-#[derive(Debug, PartialEq)]
-struct Counter {
-    id: u64,
-    value: i64,
-}
-
-impl prema_mol::Migratable for Counter {
-    fn pack(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.id.to_le_bytes());
-        buf.extend_from_slice(&self.value.to_le_bytes());
-    }
-    fn unpack(buf: &[u8]) -> Self {
-        Counter {
-            id: u64::from_le_bytes(buf[..8].try_into().unwrap()),
-            value: i64::from_le_bytes(buf[8..16].try_into().unwrap()),
-        }
-    }
-}
+use prema_mol::{MobilePtr, MolConfig, MolEvent, MolNode, MAX_CHAIN};
 
 const H_ADD: u32 = 1;
 
 /// An N-rank machine whose wire is wrapped in [`ChaosTransport`]s sharing
 /// one [`ChaosHandle`].
 fn chaos_machine(n: usize, cfg: ChaosConfig) -> (Vec<MolNode<Counter>>, ChaosHandle) {
-    chaos_machine_with(n, cfg, MolConfig::default())
-}
-
-fn chaos_machine_with(
-    n: usize,
-    cfg: ChaosConfig,
-    mol: MolConfig,
-) -> (Vec<MolNode<Counter>>, ChaosHandle) {
     let handle = ChaosHandle::new();
     let nodes = LocalFabric::new(n)
         .into_iter()
         .map(|ep| {
             let chaos = ChaosTransport::new(ep, cfg, handle.clone());
-            MolNode::with_config(Communicator::new(Box::new(chaos)), mol)
+            MolNode::with_config(Communicator::new(Box::new(chaos)), MolConfig::default())
         })
         .collect();
     (nodes, handle)
@@ -130,89 +106,15 @@ fn duplicated_wire_is_idempotent() {
 }
 
 #[test]
-fn lost_location_update_degrades_to_forwarding() {
-    // The lazy location update taught to a sender after a forward hop is an
-    // optimization, not a correctness dependency: when the wire eats it, the
-    // sender keeps routing via the home rank's forwarding pointer and every
-    // message still arrives, in order. Pinned to the legacy home-forwarding
-    // directory — the sharded equivalent is covered below.
-    let (mut nodes, handle) = chaos_machine_with(
-        3,
-        ChaosConfig::quiet(13),
-        MolConfig {
-            sharded_directory: false,
-            ..MolConfig::default()
-        },
-    );
-    let ptr = nodes[0].register(Counter { id: 1, value: 0 });
-    assert!(nodes[0].migrate(ptr, 2));
-    let _ = pump(&mut nodes); // install on 2, home learns the new location
-
-    // Rank 1 (which knows nothing) sends via home; rank 0 forwards to 2 and
-    // mails rank 1 a location update — which we then eat with a partition
-    // before rank 1 drains it.
-    nodes[1].message(ptr, H_ADD, Bytes::copy_from_slice(&4i64.to_le_bytes()));
-    let _ = nodes[0].poll(); // forward hop + LocUpdate now in rank 1's inbox
-    handle.partition(0, 1);
-    let _ = nodes[1].poll(); // admission drops the in-flight LocUpdate
-    assert_eq!(
-        handle.stats().partitioned,
-        1,
-        "expected exactly the LocUpdate to be eaten"
-    );
-    handle.heal_all();
-
-    // The first message was already past the partition: it arrives.
-    let evs = pump(&mut nodes);
-    assert_eq!(evs.len(), 1);
-    assert_eq!(evs[0].0, 2, "delivered at the object's actual rank");
-    apply_add(&mut nodes[2], ptr, &evs[0].3);
-
-    // Rank 1 never learned the location, so the next message takes the
-    // forwarding chain again — and must still arrive.
-    nodes[1].message(ptr, H_ADD, Bytes::copy_from_slice(&2i64.to_le_bytes()));
-    let evs = pump(&mut nodes);
-    assert_eq!(evs.len(), 1);
-    assert_eq!(evs[0].0, 2);
-    apply_add(&mut nodes[2], ptr, &evs[0].3);
-    assert_eq!(nodes[2].get(ptr).unwrap().value, 6);
-    assert_eq!(
-        nodes[0].stats().forwarded,
-        2,
-        "second send should have ridden the forwarding chain"
-    );
-    for n in &nodes {
-        n.verify_conservation();
-    }
-}
-
-/// Register counters on rank 0 until one's home shard is a rank other than
-/// any in `avoid` — lets a test place the shard where the scenario needs it.
-fn register_with_shard_not_in(
-    nodes: &mut [MolNode<Counter>],
-    avoid: &[usize],
-) -> (MobilePtr, usize) {
-    let n = nodes.len();
-    for id in 0..64 {
-        let ptr = nodes[0].register(Counter { id, value: 0 });
-        let shard = shard_of(ptr, n);
-        if !avoid.contains(&shard) {
-            return (ptr, shard);
-        }
-    }
-    panic!("no pointer hashed to an acceptable shard in 64 tries");
-}
-
-#[test]
 fn lost_publish_degrades_to_home_forwarding() {
     // A migration's DirPublish to the home shard is an optimization: when a
     // partition eats it, a cold sender's shard miss falls back to the
     // pointer's home rank, whose never-evicted forward pointer still reaches
     // the object. Chains stay within MAX_CHAIN, and nothing wedges.
-    let (mut nodes, handle) = chaos_machine(4, ChaosConfig::quiet(17));
-    // Shard must be remote from rank 0 (else the publish is a local fold
-    // that chaos can't eat) and distinct from the migration target.
-    let (ptr, shard) = register_with_shard_not_in(&mut nodes, &[0, 1]);
+    let (mut nodes, handle) = chaos_machine(6, ChaosConfig::quiet(17));
+    // Shard must be remote from every rank the object will visit (else a
+    // publish is a local fold that chaos can't eat).
+    let (ptr, shard) = register_with_shard_not_in(&mut nodes, &[0, 1, 2, 3]);
     let dst = 1;
 
     handle.partition(0, shard);
@@ -228,7 +130,7 @@ fn lost_publish_degrades_to_home_forwarding() {
     // A cold sender (neither home, shard, nor owner) misses its cache, asks
     // the shard; the shard knows nothing and anchors the message to the
     // pointer's home, which forwards down its trail to the owner.
-    let sender = (0..4).find(|r| ![0, dst, shard].contains(r)).unwrap();
+    let sender = (4..6).find(|&r| r != shard).unwrap();
     nodes[sender].message(ptr, H_ADD, Bytes::copy_from_slice(&4i64.to_le_bytes()));
     let evs = pump(&mut nodes);
     assert_eq!(evs.len(), 1, "message lost after eaten publish");
@@ -239,6 +141,39 @@ fn lost_publish_degrades_to_home_forwarding() {
     assert!(
         max_chain <= MAX_CHAIN,
         "degraded chain {max_chain} exceeded MAX_CHAIN {MAX_CHAIN}"
+    );
+
+    // Two more moves, both publishes eaten: everything the sender and the
+    // shard know now names a rank the object has left, and only the forward
+    // pointers 1 → 2 → 3 reach it. Four messages sent back to back must all
+    // walk that trail and execute at the final owner in send order.
+    let eaten = handle.stats().partitioned;
+    for (src, next) in [(1, 2), (2, 3)] {
+        handle.partition(src, shard);
+        assert!(nodes[src].migrate(ptr, next));
+        let _ = pump(&mut nodes);
+        handle.heal_all();
+    }
+    assert!(nodes[3].is_local(ptr));
+    assert!(
+        handle.stats().partitioned >= eaten + 2,
+        "expected both DirPublishes to be eaten"
+    );
+    let forwards =
+        |nodes: &[MolNode<Counter>]| -> u64 { nodes.iter().map(|n| n.stats().forwarded).sum() };
+    let before = forwards(&nodes);
+    for i in 0..4i64 {
+        nodes[sender].message(ptr, H_ADD, Bytes::copy_from_slice(&i.to_le_bytes()));
+    }
+    let evs = pump(&mut nodes);
+    let seen: Vec<(usize, i64)> = evs
+        .iter()
+        .map(|(rank, _, _, p)| (*rank, i64::from_le_bytes(p[..8].try_into().unwrap())))
+        .collect();
+    assert_eq!(seen, vec![(3, 0), (3, 1), (3, 2), (3, 3)]);
+    assert!(
+        forwards(&nodes) - before >= 2 * 4,
+        "each message should have ridden both trail hops"
     );
     for n in &nodes {
         n.verify_conservation();

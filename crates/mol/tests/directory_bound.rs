@@ -2,17 +2,19 @@
 //!
 //! Runs an interact-shaped workload (Fig. 3 of the paper: every rank
 //! repeatedly messages a fixed partner set while a few hot objects migrate
-//! aggressively) twice on identical schedules — once with the sharded
-//! directory, once with the legacy home-forwarding baseline — and asserts
-//! the three properties the directory exists to provide:
+//! aggressively) on a fixed single-threaded schedule and asserts the three
+//! properties the directory exists to provide:
 //!
 //! 1. forwarding chains stay at or below [`MAX_CHAIN`] at the 99th
 //!    percentile (and at the max, since the schedule settles each
 //!    migration before the next),
 //! 2. the sender location caches stay hot: ≥ 90% aggregate hit rate,
-//! 3. the sharded run spends strictly fewer wire messages than the legacy
-//!    baseline — trail walks grow with migration count, shard redirects
-//!    don't.
+//! 3. wire traffic stays inside a budget computed from the schedule:
+//!    the application's sends, two messages per migration (packet and
+//!    publish), and at most [`MAX_CHAIN`] redirect/answer messages per
+//!    (rank, hot object) per round — trail walks would grow with migration
+//!    count, shard redirects don't. The schedule is deterministic, so the
+//!    count is exact run to run.
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric};
@@ -22,9 +24,9 @@ const NPROCS: usize = 8;
 const OBJS_PER_RANK: usize = 4;
 const NOBJS: usize = NPROCS * OBJS_PER_RANK;
 const ROUNDS: usize = 20;
-/// Hot objects migrate this many times per round — more than one, so the
-/// legacy baseline must walk a multi-hop trail while the sharded run pays
-/// one bounded shard redirect.
+/// Hot objects migrate this many times per round — more than one, so a
+/// trail walk would be multi-hop where the directory pays one bounded shard
+/// redirect.
 const MIGRATIONS_PER_ROUND: usize = 5;
 const H_ADD: u32 = 1;
 
@@ -44,10 +46,10 @@ impl prema_mol::Migratable for Counter {
     }
 }
 
-fn machine(cfg: MolConfig) -> Vec<MolNode<Counter>> {
+fn machine() -> Vec<MolNode<Counter>> {
     LocalFabric::new(NPROCS)
         .into_iter()
-        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), cfg))
+        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), MolConfig::default()))
         .collect()
 }
 
@@ -86,14 +88,15 @@ fn drain(nodes: &mut [MolNode<Counter>]) {
 
 struct RunResult {
     wire_msgs: u64,
+    /// Upper bound on `wire_msgs` read off the schedule (module docs, 3).
+    wire_budget: u64,
     hit_rate: f64,
     p99_chain: u32,
     max_chain: u32,
     dir_publishes: u64,
-    expected: Vec<i64>,
 }
 
-/// The interact schedule, fully deterministic: identical for both configs.
+/// The interact schedule, fully deterministic.
 fn run_interact(mut nodes: Vec<MolNode<Counter>>) -> RunResult {
     let mut ptrs: Vec<MobilePtr> = Vec::with_capacity(NOBJS);
     for node in nodes.iter_mut() {
@@ -108,8 +111,8 @@ fn run_interact(mut nodes: Vec<MolNode<Counter>>) -> RunResult {
 
     for _round in 0..ROUNDS {
         // Hot objects take a short migration burst, each move settled
-        // before the next so the legacy trail is real (and so at most one
-        // migration overlaps any message's flight).
+        // before the next so the forward-pointer trail is real (and so at
+        // most one migration overlaps any message's flight).
         for &obj in hot.iter() {
             for _ in 0..MIGRATIONS_PER_ROUND {
                 let src = nodes
@@ -117,9 +120,9 @@ fn run_interact(mut nodes: Vec<MolNode<Counter>>) -> RunResult {
                     .position(|nd| nd.is_local(ptrs[obj]))
                     .expect("hot object lost");
                 // +3 is coprime with NPROCS: a burst never revisits a rank,
-                // so the legacy trail is a genuine MIGRATIONS_PER_ROUND-hop
-                // walk (revisits would overwrite forward pointers with
-                // fresher epochs and compress it).
+                // so the trail is a genuine MIGRATIONS_PER_ROUND-hop walk
+                // (revisits would overwrite forward pointers with fresher
+                // epochs and compress it).
                 let dst = (src + 3) % NPROCS;
                 assert!(nodes[src].migrate(ptrs[obj], dst));
                 drain(&mut nodes);
@@ -157,6 +160,9 @@ fn run_interact(mut nodes: Vec<MolNode<Counter>>) -> RunResult {
     }
 
     let wire_msgs: u64 = nodes.iter().map(|n| n.comm().stats().msgs_sent).sum();
+    let sends: u64 = expected.iter().map(|&n| n as u64).sum();
+    let migrations: u64 = nodes.iter().map(|n| n.stats().migrations_out).sum();
+    let chases = (NPROCS * hot.len() * ROUNDS) as u64;
     let (hits, misses): (u64, u64) = nodes.iter().fold((0, 0), |(h, m), n| {
         (h + n.stats().loc_cache_hits, m + n.stats().loc_cache_misses)
     });
@@ -167,6 +173,7 @@ fn run_interact(mut nodes: Vec<MolNode<Counter>>) -> RunResult {
     };
     RunResult {
         wire_msgs,
+        wire_budget: sends + 2 * migrations + u64::from(MAX_CHAIN) * chases,
         hit_rate,
         p99_chain: nodes
             .iter()
@@ -175,20 +182,13 @@ fn run_interact(mut nodes: Vec<MolNode<Counter>>) -> RunResult {
             .unwrap(),
         max_chain: nodes.iter().map(|n| n.stats().max_chain).max().unwrap(),
         dir_publishes: nodes.iter().map(|n| n.stats().dir_publishes).sum(),
-        expected,
     }
 }
 
 #[test]
 fn interact_chain_bound_and_cache_rate() {
-    let sharded = run_interact(machine(MolConfig::default()));
-    let legacy = run_interact(machine(MolConfig {
-        sharded_directory: false,
-        ..MolConfig::default()
-    }));
+    let sharded = run_interact(machine());
 
-    // Both runs executed the identical schedule.
-    assert_eq!(sharded.expected, legacy.expected);
     // The directory protocol was actually exercised.
     assert!(
         sharded.dir_publishes > 0,
@@ -216,11 +216,15 @@ fn interact_chain_bound_and_cache_rate() {
         sharded.hit_rate
     );
 
-    // (3) fewer wire messages than home-forwarding on the same schedule.
+    // (3) wire traffic within the schedule's budget.
+    println!(
+        "wire messages: {} actual, {} budget",
+        sharded.wire_msgs, sharded.wire_budget
+    );
     assert!(
-        sharded.wire_msgs < legacy.wire_msgs,
-        "sharded directory sent {} wire messages, legacy baseline {}",
+        sharded.wire_msgs <= sharded.wire_budget,
+        "sharded directory sent {} wire messages, budget {}",
         sharded.wire_msgs,
-        legacy.wire_msgs
+        sharded.wire_budget
     );
 }

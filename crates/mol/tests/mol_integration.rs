@@ -1,29 +1,12 @@
 //! Integration tests for the Mobile Object Layer: naming, routing,
 //! migration, forwarding chains, and delivery-order preservation.
 
+mod common;
+
 use bytes::Bytes;
+use common::{register_with_shard_not_in, Counter};
 use prema_dcs::{Communicator, LocalFabric, Tag};
 use prema_mol::{MobilePtr, MolEvent, MolNode};
-
-/// A trivial mobile object: a counter with an id.
-#[derive(Debug, PartialEq)]
-struct Counter {
-    id: u64,
-    value: i64,
-}
-
-impl prema_mol::Migratable for Counter {
-    fn pack(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.id.to_le_bytes());
-        buf.extend_from_slice(&self.value.to_le_bytes());
-    }
-    fn unpack(buf: &[u8]) -> Self {
-        Counter {
-            id: u64::from_le_bytes(buf[..8].try_into().unwrap()),
-            value: i64::from_le_bytes(buf[8..16].try_into().unwrap()),
-        }
-    }
-}
 
 /// Build an N-rank machine with all nodes owned by the test thread, so the
 /// test can interleave polls deterministically.
@@ -31,20 +14,6 @@ fn machine(n: usize) -> Vec<MolNode<Counter>> {
     LocalFabric::new(n)
         .into_iter()
         .map(|ep| MolNode::new(Communicator::new(Box::new(ep))))
-        .collect()
-}
-
-/// Like [`machine`] but with the legacy home-forwarding directory, for tests
-/// that exercise forward-pointer chains and LocUpdate teaching specifically.
-fn legacy_machine(n: usize) -> Vec<MolNode<Counter>> {
-    use prema_mol::MolConfig;
-    let cfg = MolConfig {
-        sharded_directory: false,
-        ..MolConfig::default()
-    };
-    LocalFabric::new(n)
-        .into_iter()
-        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), cfg))
         .collect()
 }
 
@@ -127,11 +96,10 @@ fn migration_moves_state_and_name_follows() {
 
 #[test]
 fn forwarding_chain_and_lazy_location_update() {
-    // Legacy directory: the sharded one can collapse the chain to zero
-    // forwards (e.g. when the sender happens to be the home shard), which is
-    // exactly what this test must not depend on.
-    let mut nodes = legacy_machine(4);
-    let ptr = nodes[0].register(Counter { id: 2, value: 0 });
+    // A sender that is the pointer's home shard routes on the authority
+    // and never goes stale, so pick a pointer sharded elsewhere.
+    let mut nodes = machine(4);
+    let (ptr, _) = register_with_shard_not_in(&mut nodes, &[1]);
     // Hop 0 → 1 → 2 → 3 without letting rank 0's knowledge catch up fully.
     assert!(nodes[0].migrate(ptr, 1));
     let _ = pump(&mut nodes);
@@ -141,8 +109,8 @@ fn forwarding_chain_and_lazy_location_update() {
     let _ = pump(&mut nodes);
     assert!(nodes[3].is_local(ptr));
 
-    // A message from rank 1 (stale: thinks the object is at 2) must chase the
-    // forward pointers to rank 3.
+    // A message from rank 1 (stale: thinks the object is at 2) must be
+    // redirected to rank 3.
     nodes[1].message(ptr, H_ADD, Bytes::copy_from_slice(&7i64.to_le_bytes()));
     let evs = pump(&mut nodes);
     assert_eq!(evs.len(), 1);
@@ -151,8 +119,8 @@ fn forwarding_chain_and_lazy_location_update() {
     let total_forwards: u64 = nodes.iter().map(|n| n.stats().forwarded).sum();
     assert!(total_forwards >= 1);
 
-    // After the lazy location update, the next send goes direct: no new
-    // forwards should be needed.
+    // The forwarder's piggybacked answer re-warmed rank 1: the next send
+    // goes direct, no new forwards.
     nodes[1].message(ptr, H_ADD, Bytes::copy_from_slice(&1i64.to_le_bytes()));
     let before: u64 = nodes.iter().map(|n| n.stats().forwarded).sum();
     let evs = pump(&mut nodes);
@@ -161,7 +129,7 @@ fn forwarding_chain_and_lazy_location_update() {
     let after: u64 = nodes.iter().map(|n| n.stats().forwarded).sum();
     assert_eq!(
         before, after,
-        "location update should have collapsed the chain"
+        "the piggybacked answer should have collapsed the chain"
     );
 }
 
@@ -390,83 +358,28 @@ fn threaded_stress_ordering() {
     t1.join().unwrap();
 }
 
+/// The surface `benchmark/` builds against: an explicit config with the one
+/// field callers set, and the environment override with its floor.
 #[test]
-fn eager_broadcast_strategy_eliminates_forwarding() {
+fn config_surface_is_loc_cache_only() {
     use prema_mol::MolConfig;
-    // Two machines, same migration churn: lazy (default) vs eager broadcast.
-    let run = |cfg: MolConfig| {
-        let mut nodes: Vec<MolNode<Counter>> = LocalFabric::new(4)
-            .into_iter()
-            .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), cfg))
-            .collect();
-        let ptr = nodes[0].register(Counter { id: 1, value: 0 });
-        // Walk the object around the machine; after each hop let everyone
-        // learn whatever the strategy disseminates, then send from rank 3.
-        for hop in [1usize, 2, 3, 1, 2] {
-            if let Some(src) = nodes.iter().position(|nd| nd.is_local(ptr)) {
-                if src != hop {
-                    assert!(nodes[src].migrate(ptr, hop));
-                }
-            }
-            // Propagate installs/updates.
-            for _ in 0..3 {
-                for n in nodes.iter_mut() {
-                    let _ = n.poll();
-                }
-            }
-            nodes[3].message(ptr, H_ADD, Bytes::copy_from_slice(&1i64.to_le_bytes()));
-            let _ = pump(&mut nodes);
-        }
-        let forwards: u64 = nodes.iter().map(|n| n.stats().forwarded).sum();
-        let updates: u64 = nodes.iter().map(|n| n.stats().locupd_sent).sum();
-        (forwards, updates)
-    };
-    let (lazy_fwd, lazy_upd) = run(MolConfig::default());
-    let (eager_fwd, eager_upd) = run(MolConfig {
-        broadcast_on_install: true,
-        ..MolConfig::default()
-    });
-    // Eager dissemination: senders always know the location → no forwarding,
-    // at the price of more update traffic.
-    assert_eq!(eager_fwd, 0, "eager broadcast still forwarded");
-    assert!(eager_upd > lazy_upd, "eager should send more updates");
-    // Lazy must still deliver (correctness was asserted by pump), possibly
-    // with some forwarding.
-    let _ = lazy_fwd;
-}
+    let mut eps = LocalFabric::new(2).into_iter();
+    let _default: MolNode<Counter> = MolNode::with_config(
+        Communicator::new(Box::new(eps.next().unwrap())),
+        MolConfig::default(),
+    );
+    let small = MolConfig { loc_cache: 64 };
+    let _small: MolNode<Counter> =
+        MolNode::with_config(Communicator::new(Box::new(eps.next().unwrap())), small);
 
-#[test]
-fn fully_lazy_strategy_still_delivers_via_chains() {
-    use prema_mol::MolConfig;
-    // Every dissemination knob off: the only routing knowledge is forward
-    // pointers. Delivery must still work, with longer chains.
-    let cfg = MolConfig {
-        update_home_on_install: false,
-        update_sender_on_forward: false,
-        broadcast_on_install: false,
-        sharded_directory: false,
-        ..MolConfig::default()
-    };
-    let mut nodes: Vec<MolNode<Counter>> = LocalFabric::new(4)
-        .into_iter()
-        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), cfg))
-        .collect();
-    let ptr = nodes[0].register(Counter { id: 9, value: 0 });
-    assert!(nodes[0].migrate(ptr, 1));
-    let _ = pump(&mut nodes);
-    assert!(nodes[1].migrate(ptr, 2));
-    let _ = pump(&mut nodes);
-    assert!(nodes[2].migrate(ptr, 3));
-    let _ = pump(&mut nodes);
-    for i in 0..4i64 {
-        nodes[0].message(ptr, H_ADD, Bytes::copy_from_slice(&i.to_le_bytes()));
-    }
-    let evs = pump(&mut nodes);
-    assert_eq!(evs.len(), 4);
-    assert!(evs.iter().all(|(rank, ..)| *rank == 3));
-    // Chains were actually exercised.
-    let forwards: u64 = nodes.iter().map(|n| n.stats().forwarded).sum();
-    assert!(forwards >= 4, "expected chain forwarding, got {forwards}");
+    // The only writer of the variable in this binary; the other tests read
+    // it through `MolNode::new` and are correct at any cache size.
+    std::env::set_var("PREMA_LOC_CACHE", "1");
+    assert_eq!(MolConfig::default().from_env().loc_cache, 2, "floor of 2");
+    std::env::set_var("PREMA_LOC_CACHE", "128");
+    assert_eq!(small.from_env().loc_cache, 128);
+    std::env::remove_var("PREMA_LOC_CACHE");
+    assert_eq!(small.from_env(), small);
 }
 
 /// Wide-area race: with injected latency, migrations and the messages
@@ -474,16 +387,26 @@ fn fully_lazy_strategy_still_delivers_via_chains() {
 /// must survive.
 #[test]
 fn threaded_ordering_survives_injected_latency() {
-    use prema_dcs::DelayTransport;
+    use prema_dcs::{ChaosConfig, ChaosHandle, ChaosTransport};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
     const MSGS: i64 = 60;
-    let mut eps = prema_dcs::LocalFabric::new(3).into_iter();
-    let ep0 = DelayTransport::new(eps.next().unwrap(), Duration::from_millis(2));
-    let ep1 = DelayTransport::new(eps.next().unwrap(), Duration::from_millis(2));
-    let ep2 = DelayTransport::new(eps.next().unwrap(), Duration::from_millis(2));
+    // Every envelope is deferred the same number of receive polls: nothing
+    // dropped or duplicated, per-pair FIFO intact, so no reliable shim.
+    let cfg = ChaosConfig {
+        delay_p: 1.0,
+        delay_ticks: 16,
+        ..ChaosConfig::quiet(23)
+    };
+    let handle = ChaosHandle::new();
+    let mut eps = LocalFabric::new(3)
+        .into_iter()
+        .map(|ep| ChaosTransport::new(ep, cfg, handle.clone()));
+    let ep0 = eps.next().unwrap();
+    let ep1 = eps.next().unwrap();
+    let ep2 = eps.next().unwrap();
 
     // Global exactly-once counter: every delivery increments it, wherever
     // the object happens to live at that moment.
@@ -588,4 +511,5 @@ fn threaded_ordering_survives_injected_latency() {
         delivered.load(std::sync::atomic::Ordering::SeqCst),
         MSGS as u64
     );
+    assert!(handle.stats().delayed > 0, "no latency was injected");
 }

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use prema_dcs::{BatchConfig, Communicator, LocalFabric};
-use prema_mol::proto::{DirAnswer, DirLookup, DirPublish, LocUpdate, MigratePacket, MolEnvelope};
+use prema_mol::proto::{DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope};
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
 use proptest::prelude::*;
 
@@ -86,12 +86,6 @@ proptest! {
         };
         let d = MigratePacket::decode(p.encode());
         prop_assert_eq!(d, p);
-    }
-
-    #[test]
-    fn locupdate_wire_roundtrip(home in 0usize..64, index in any::<u64>(), owner in 0usize..64, epoch in any::<u64>()) {
-        let l = LocUpdate { ptr: MobilePtr { home, index }, owner, epoch };
-        prop_assert_eq!(LocUpdate::decode(l.encode()), l);
     }
 
     #[test]

@@ -789,7 +789,7 @@ mod tests {
     #[test]
     fn sleep_in_cfg_test_block_passes() {
         let f = file(
-            "crates/dcs/src/delay.rs",
+            "crates/dcs/src/chaos.rs",
             "fn prod() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::sleep(d); }\n}\n",
         );
         let mut used = BTreeSet::new();
@@ -844,15 +844,15 @@ mod tests {
     fn allowlisted_wall_clock_passes_and_is_marked_used() {
         let allow = Allowlist::parse(
             "allow.txt",
-            "crates/dcs/src/delay.rs: latency simulation needs a real deadline clock\n",
+            "crates/dcs/src/chaos.rs: recv_timeout needs a real deadline clock\n",
         );
         let f = file(
-            "crates/dcs/src/delay.rs",
-            "fn f() { let d = Instant::now() + self.latency; }\n",
+            "crates/dcs/src/chaos.rs",
+            "fn f() { let d = Instant::now() + timeout; }\n",
         );
         let mut used = BTreeSet::new();
         assert!(lint_trace_hygiene(&f, &allow, &mut used).is_empty());
-        assert!(used.contains("crates/dcs/src/delay.rs"));
+        assert!(used.contains("crates/dcs/src/chaos.rs"));
     }
 
     // ---- batch hygiene ----
