@@ -1,21 +1,29 @@
 //! Ablation benches for the design choices DESIGN.md calls out. Each group
 //! sweeps one knob over the Figure-3 workload (32 processors) and prints the
 //! resulting makespans, so `cargo bench` records how the knob moves the
-//! result.
+//! result. The PREMA groups sweep fields of the runtime's own `PremaConfig`
+//! on the real stack (`prema_harness::simrank`).
 //!
-//! * `ablate_poll_interval` — the implicit polling thread's period (§4.2):
-//!   too long ≈ explicit mode; too short wastes cycles.
-//! * `ablate_watermark` — the explicit-mode water-mark (§4.1): 0 reproduces
-//!   the run-dry failure mode; higher values overlap steal round-trips.
+//! * `ablate_poll_interval` — the implicit polling thread's period (§4.2),
+//!   `LbMode::Implicit { poll_interval }`: a steal request is answered within
+//!   one period, so once the period outgrows the longest unit (1.5 s) no
+//!   wake-up falls inside one and the run *is* the explicit run with the same
+//!   water-mark; shortening it below ~100 ms buys nothing more and bills
+//!   more wake-ups.
+//! * `ablate_watermark` — the explicit-mode water-mark (§4.1),
+//!   `WorkStealing { watermark }`: 0 reproduces the run-dry failure mode; one
+//!   unit's hint or more begs a unit early, which saves a round trip and no
+//!   more — the victim still answers only between its units.
 //! * `ablate_alpha` — ParMETIS's Relative Cost Factor in |Ecut| + α|Vmove|.
 //! * `ablate_sync_points` — Charm++'s load-balancing frequency I − 1.
-//! * `ablate_grant` — mobile objects surrendered per steal (footnote 2).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use prema::{LbMode, PolicyKind, PremaConfig};
 use prema_harness::drivers::{charm_drv, parmetis_drv, prema_drv};
 use prema_harness::BenchSpec;
-use prema_sim::{MachineConfig, SimTime};
+use prema_sim::MachineConfig;
 use std::hint::black_box;
+use std::time::Duration;
 
 fn spec() -> BenchSpec {
     BenchSpec::figure3(MachineConfig::small(32), 40)
@@ -27,10 +35,11 @@ fn ablate_poll_interval(c: &mut Criterion) {
     group.sample_size(10);
     println!("\n== ablate_poll_interval (fig3 workload, 32 procs) ==");
     for ms in [10u64, 50, 100, 500, 2000] {
-        let cfg = prema_drv::PremaCfg {
-            implicit: true,
-            poll_interval: SimTime::from_millis(ms),
-            ..prema_drv::PremaCfg::default()
+        let cfg = PremaConfig {
+            mode: LbMode::Implicit {
+                poll_interval: Duration::from_millis(ms),
+            },
+            ..prema_drv::implicit_cfg(&spec)
         };
         let r = prema_drv::run(&spec, cfg);
         println!(
@@ -50,10 +59,9 @@ fn ablate_watermark(c: &mut Criterion) {
     group.sample_size(10);
     println!("\n== ablate_watermark (explicit mode, fig3 workload) ==");
     for wm in [0.0f64, 200.0, 400.0, 800.0, 1600.0] {
-        let cfg = prema_drv::PremaCfg {
-            implicit: false,
-            watermark_mflop: wm,
-            ..prema_drv::PremaCfg::default()
+        let cfg = PremaConfig {
+            policy: PolicyKind::WorkStealing { watermark: wm },
+            ..prema_drv::explicit_cfg(&spec)
         };
         let r = prema_drv::run(&spec, cfg);
         println!(
@@ -108,34 +116,11 @@ fn ablate_sync_points(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablate_grant(c: &mut Criterion) {
-    let spec = spec();
-    let mut group = c.benchmark_group("ablate_grant");
-    group.sample_size(10);
-    println!("\n== ablate_grant (mobile objects per steal, §4 footnote 2) ==");
-    for grant in [1usize, 2, 4, 16] {
-        let cfg = prema_drv::PremaCfg {
-            max_grant: grant,
-            ..prema_drv::PremaCfg::default()
-        };
-        let r = prema_drv::run(&spec, cfg);
-        println!(
-            "max_grant {grant:>3} → makespan {:.2}s",
-            r.makespan.as_secs_f64()
-        );
-        group.bench_function(format!("{grant}"), |b| {
-            b.iter(|| black_box(prema_drv::run(black_box(&spec), cfg).makespan))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     ablate_poll_interval,
     ablate_watermark,
     ablate_alpha,
-    ablate_sync_points,
-    ablate_grant
+    ablate_sync_points
 );
 criterion_main!(benches);

@@ -59,7 +59,9 @@ pub mod termination;
 
 pub use config::{LbMode, PolicyKind, PremaConfig};
 pub use phases::PhaseBarrier;
-pub use runtime::{launch, launch_single_rank, launch_with_trace, launch_with_transports, Runtime};
+pub use runtime::{
+    build_scheduler, launch, launch_single_rank, launch_with_trace, launch_with_transports, Runtime,
+};
 pub use termination::Completion;
 
 // Re-export the component layers under their paper names.

@@ -360,11 +360,38 @@ where
     result
 }
 
+/// Assemble one rank's scheduler stack from `cfg`: communicator → batch
+/// config → MOL node → policy (seeded `cfg.seed + rank`) → stability governor
+/// → [`LbMode::Disabled`] → tracer. Applies no environment knob to `cfg` —
+/// what it says is what runs — so a caller with its own clock (the harness's
+/// discrete-event `SimRank`) builds exactly what [`launch`] runs, as a
+/// function of its inputs. (The one variable still read on the way is the
+/// MOL's own `PREMA_LOC_CACHE`, in [`MolNode::new`].)
+pub fn build_scheduler<O: Migratable>(
+    cfg: &PremaConfig,
+    rank: usize,
+    transport: Box<dyn Transport>,
+    tracer: prema_trace::Tracer,
+) -> ilb::Scheduler<O> {
+    let mut comm = Communicator::new(transport);
+    comm.set_batch_config(cfg.batch);
+    let node: MolNode<O> = MolNode::new(comm);
+    let policy = cfg.policy.build(cfg.seed.wrapping_add(rank as u64));
+    let mut sched = ilb::Scheduler::new(node, policy);
+    sched.set_stability(cfg.stability);
+    if cfg.mode == LbMode::Disabled {
+        sched.set_lb_enabled(false);
+    }
+    sched.set_tracer(tracer);
+    sched
+}
+
 /// Bring one rank up — the preamble every launch path shares: resolve the
-/// environment-over-config knobs, assemble the scheduler stack (communicator
-/// → MOL node → ILB scheduler, with batching, stability governor, policy and
-/// tracer applied) and, in [`LbMode::Implicit`] mode, spawn its polling
-/// thread, which the caller reaps after `stop.request_stop()`.
+/// environment-over-config knobs (`PREMA_BATCH_*`, `PREMA_MIN_RESIDENCY`,
+/// `PREMA_MIGRATION_CAP`, when set, win over the config fields, so any
+/// binary can be tuned without a rebuild), [`build_scheduler`] the stack
+/// and, in [`LbMode::Implicit`] mode, spawn its polling thread, which the
+/// caller reaps after `stop.request_stop()`.
 fn start_rank<O: Migratable>(
     cfg: &PremaConfig,
     rank: usize,
@@ -372,31 +399,20 @@ fn start_rank<O: Migratable>(
     trace: Option<&std::sync::Arc<prema_trace::TraceSink>>,
     stop: &Arc<StopFlag>,
 ) -> (Runtime<O>, Option<std::thread::JoinHandle<()>>) {
-    // Message coalescing: the environment knobs (when set) win over the
-    // config field, so any binary can be batched without a rebuild.
     let env_batch = prema_dcs::BatchConfig::from_env();
-    let batch = if env_batch.is_on() {
-        env_batch
-    } else {
-        cfg.batch
+    let cfg = PremaConfig {
+        batch: if env_batch.is_on() {
+            env_batch
+        } else {
+            cfg.batch
+        },
+        stability: cfg.stability.from_env(),
+        ..*cfg
     };
     let tracer = trace
         .map(|s| s.tracer(rank))
         .unwrap_or_else(prema_trace::Tracer::off);
-
-    let mut comm = Communicator::new(transport);
-    comm.set_batch_config(batch);
-    let node: MolNode<O> = MolNode::new(comm);
-    let policy = cfg.policy.build(cfg.seed.wrapping_add(rank as u64));
-    let mut sched = ilb::Scheduler::new(node, policy);
-    // Migration stability governor: `PREMA_MIN_RESIDENCY` /
-    // `PREMA_MIGRATION_CAP` (when set) win over the config field, so any run
-    // can be tuned without a rebuild.
-    sched.set_stability(cfg.stability.from_env());
-    if cfg.mode == LbMode::Disabled {
-        sched.set_lb_enabled(false);
-    }
-    sched.set_tracer(tracer.clone());
+    let sched = build_scheduler(&cfg, rank, transport, tracer.clone());
     let sched = Arc::new(Mutex::new(sched));
 
     let poller = match cfg.mode {
@@ -405,7 +421,7 @@ fn start_rank<O: Migratable>(
             stop.clone(),
             poll_interval,
             tracer,
-            pin_core(cfg, rank),
+            pin_core(&cfg, rank),
         )),
         _ => None,
     };

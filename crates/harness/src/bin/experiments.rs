@@ -1,5 +1,6 @@
 //! Regenerate every §5 experiment and check the paper's shape claims.
-//! This is the program behind EXPERIMENTS.md.
+//! This is the program behind EXPERIMENTS.md. Exits non-zero if a criterion
+//! prints FAIL.
 //!
 //! Usage: `cargo run -p prema-harness --release --bin experiments [--small]`
 
@@ -41,4 +42,8 @@ fn main() {
     };
     let mesh = run_mesh_eval(&mesh_spec);
     println!("{}", mesh.render());
+    if pass < total {
+        eprintln!("{} shape criteria FAIL", total - pass);
+        std::process::exit(1);
+    }
 }

@@ -8,7 +8,11 @@
 //! stacked bars exactly as the paper draws them.
 //!
 //! Set `PREMA_TRACE_OUT=<path>` to additionally record the PREMA-implicit
-//! panel's run as a JSONL event trace, ready for `cargo xtask trace-report`.
+//! panel's run as a JSONL event trace, ready for `cargo xtask trace-report`:
+//! the engine's spans and messages, and — built with
+//! `--features prema-ilb/trace` — the runtime stack's own events
+//! (`lb_request`, `lb_grant`, `lb_veto`, `migrate`, `install`, ...) at
+//! simulated-time stamps.
 //!
 //! Two policy scenarios (DESIGN.md §14) ride along: `figure -- interact`
 //! compares weight-only against communication-aware diffusion on interacting
@@ -26,8 +30,9 @@ use prema_ilb::{Anticipatory, CommAwareDiffusion, Diffusion};
 use prema_sim::TraceSink;
 
 /// Ring capacity per simulated processor when tracing a full-scale figure.
-/// A 128-proc paper run emits a few thousand spans per processor; 2^18 slots
-/// leaves generous headroom so `dropped()` stays 0.
+/// A 128-proc paper run emits ~30 thousand records per processor (a span per
+/// poll-interval segment of each unit), about twice that with the stack's
+/// tracer compiled in; 2^18 slots leaves headroom so `dropped()` stays 0.
 const TRACE_RING_CAPACITY: usize = 1 << 18;
 
 /// The `interact` scenario: weight-only vs communication-aware diffusion.
@@ -130,7 +135,7 @@ fn main() {
     let trace_out = std::env::var_os("PREMA_TRACE_OUT");
     let sink = trace_out
         .as_ref()
-        .map(|_| TraceSink::with_capacity(spec.machine.procs, TRACE_RING_CAPACITY));
+        .map(|_| TraceSink::manual(spec.machine.procs, TRACE_RING_CAPACITY));
     let report = run_figure_with_trace(
         fig,
         &spec,

@@ -1,11 +1,13 @@
 //! Per-configuration drivers for the synthetic benchmark on the simulated
 //! 128-processor machine.
 //!
-//! Each driver is a [`prema_sim::Process`] state machine implementing one
-//! runtime model's behaviour for the §5 benchmark: how work units are
-//! scheduled, when messages are noticed, and how load balancing proceeds.
-//! They share the cost model below so that differences between panels come
-//! from the *models*, not from tuning.
+//! Each baseline driver is a [`prema_sim::Process`] state machine
+//! implementing one runtime model's behaviour for the §5 benchmark: how work
+//! units are scheduled, when messages are noticed, and how load balancing
+//! proceeds. The PREMA panels are not a model: [`prema_drv`] hands the
+//! benchmark to the real runtime stack running on the simulator's clock
+//! ([`crate::simrank`]). All share the cost model below so that differences
+//! between panels come from the runtimes, not from tuning.
 
 pub mod charm_drv;
 pub mod nolb;
@@ -14,6 +16,11 @@ pub mod policy_drv;
 pub mod prema_drv;
 
 use prema_sim::SimTime;
+use std::time::Duration;
+
+/// The implicit-mode polling thread's period in every PREMA run of the
+/// evaluation (the `ablate_poll_interval` bench sweeps it).
+pub const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// CPU cost of selecting the next work unit from the local queue.
 pub fn sched_cpu() -> SimTime {

@@ -1,375 +1,120 @@
-//! Configurations (b) and (c): PREMA with explicit / implicit load
-//! balancing, running the Work Stealing policy of §4.
+//! Configurations (b) and (c): the benchmark as a PREMA application, on the
+//! real runtime stack ([`crate::simrank`]) with the Work Stealing policy of
+//! §4.
 //!
-//! Both modes run the same stealing protocol — underloaded processors beg a
-//! partner, victims uninstall and migrate mobile objects (work units), and
-//! refusals trigger retries against other processors. The *only* difference
-//! is when load-balancing messages are noticed:
+//! Every work unit is a mobile object holding one message; underloaded
+//! processors beg, victims uninstall and migrate objects, refusals trigger
+//! retries — all of it `prema_ilb::Scheduler`'s doing, none of it modelled
+//! here. The two panels differ in the runtime configuration alone:
 //!
-//! * **explicit** — only at unit boundaries, when the application posts its
-//!   polling operation. A processor buried in a 1.5 s work unit leaves a
-//!   steal request unanswered for up to that long.
-//! * **implicit** — additionally at fixed polling-thread wake-ups *inside*
-//!   work units: the executing unit is simulated in segments of the poll
-//!   interval, and system messages are handled at every segment boundary.
-//!   Requests are answered within one interval regardless of unit size.
-//!
-//! The begging trigger also differs per §4.1/§4.2: explicit mode fires on an
-//! application-chosen water-mark over (inaccurate) hint weights; implicit
-//! mode fires when the processor begins its **last** queued unit, making the
-//! water-mark's value unimportant.
+//! * **explicit** ([`explicit_cfg`]) — the balancer runs only in the polling
+//!   operation at unit boundaries, so a processor buried in a 1.5 s unit
+//!   leaves a steal request unanswered for up to that long; it begs when it
+//!   has run dry (§4.1: the water-mark mis-set under inaccurate hints).
+//! * **implicit** ([`implicit_cfg`]) — the polling thread additionally
+//!   handles system messages every [`POLL_INTERVAL`] *inside* units, and the
+//!   processor begs as it begins its **last** queued unit (§4.2).
 
-use super::{callback_cpu, poll_wake_cpu, sched_cpu, CTRL_BYTES, UNIT_BYTES};
+use super::{POLL_INTERVAL, UNIT_BYTES};
+use crate::simrank::{self, mflop_payload, StackRun};
 use crate::spec::{BenchSpec, WorkUnit};
-use prema_sim::{Category, Ctx, Engine, Process, SimReport, SimTime, TraceEvent, TraceSink};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::rc::Rc;
+use prema::{LbMode, PolicyKind, PremaConfig};
+use prema_mol::Migratable;
+use prema_sim::{MachineConfig, SimReport, TraceSink};
+use std::sync::Arc;
 
-/// Message kinds.
-const K_REQUEST: u32 = 1;
-const K_GRANT: u32 = 2;
-const K_NACK: u32 = 3;
+/// The benchmark's mobile object: a work unit has no state of its own, only
+/// a size on the wire when it migrates.
+struct Unit;
 
-/// Timer tokens.
-const T_NEXT: u64 = 1;
-const T_WAIT: u64 = 2;
-const T_RETRY: u64 = 3;
-
-/// PREMA driver configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PremaCfg {
-    /// Preemptive polling thread on?
-    pub implicit: bool,
-    /// Polling-thread wake-up period (implicit mode).
-    pub poll_interval: SimTime,
-    /// Water-mark, in hint-Mflop, for the explicit-mode begging trigger.
-    pub watermark_mflop: f64,
-    /// Pause between begging rounds after a full sweep of refusals.
-    pub retry_backoff: SimTime,
-    /// Refusals per round before backing off.
-    pub max_attempts: u32,
-    /// Most work units surrendered per request. The benchmark's units are
-    /// coarse mobile objects; the paper migrates one or a few per steal
-    /// (§4, footnote 2).
-    pub max_grant: usize,
-}
-
-impl Default for PremaCfg {
-    fn default() -> Self {
-        PremaCfg {
-            implicit: true,
-            poll_interval: SimTime::from_millis(100),
-            // §4.1: with inaccurate hints the water-mark is mis-set; the
-            // representative failure mode is running dry before begging
-            // (watermark 0 = beg only when the queue is empty). The
-            // `ablate_watermark` bench sweeps this knob.
-            watermark_mflop: 0.0,
-            retry_backoff: SimTime::from_millis(250),
-            max_attempts: 8,
-            max_grant: 1,
-        }
+impl Migratable for Unit {
+    fn pack(&self, buf: &mut Vec<u8>) {
+        buf.resize(buf.len() + UNIT_BYTES, 0);
+    }
+    fn unpack(_bytes: &[u8]) -> Self {
+        Unit
     }
 }
 
-struct Request {
-    free_mflop: f64,
-}
-struct Grant {
-    units: Vec<WorkUnit>,
-}
-struct Nack;
+/// The one work handler. It does nothing: a unit's computation is the
+/// simulated time its message's Mflop cost.
+const H_UNIT: u32 = 1;
 
-/// Per-processor PREMA driver.
-pub struct PremaProc {
-    cfg: PremaCfg,
-    queue: VecDeque<WorkUnit>,
-    outstanding: bool,
-    attempt: u32,
-    rng: StdRng,
-    executed: u64,
-    /// Shared count of unexecuted units machine-wide: the zero-cost stand-in
-    /// for the application's own completion detection (the paper's benchmark
-    /// simply knows its total unit count). Keeps idle processors retrying
-    /// while work exists anywhere, and lets them stop when it is gone.
-    units_left: Rc<Cell<u64>>,
-    retry_armed: bool,
-    /// Last victim that actually granted work (sticky victim heuristic).
-    last_victim: Option<usize>,
-}
-
-impl PremaProc {
-    fn new(cfg: PremaCfg, queue: VecDeque<WorkUnit>, seed: u64, units_left: Rc<Cell<u64>>) -> Self {
-        PremaProc {
-            cfg,
-            queue,
-            outstanding: false,
-            attempt: 0,
-            rng: StdRng::seed_from_u64(seed),
-            executed: 0,
-            units_left,
-            retry_armed: false,
-            last_victim: None,
-        }
-    }
-
-    /// The paired partner (§4: "processors are paired with a single
-    /// neighbor"): the top-dimension hypercube neighbor, i.e. the matching
-    /// processor in the opposite half of the machine.
-    fn partner(me: usize, n: usize) -> usize {
-        let half = n.next_power_of_two() / 2;
-        let p = me ^ half;
-        if p < n {
-            p
-        } else {
-            (me + 1) % n
-        }
-    }
-
-    fn queue_hint_mflop(&self) -> f64 {
-        self.queue.iter().map(|u| u.hint_mflop).sum()
-    }
-
-    fn lb_evaluate(&mut self, ctx: &mut Ctx) {
-        if self.outstanding || self.attempt >= self.cfg.max_attempts || self.units_left.get() == 0 {
-            return;
-        }
-        let underloaded = if self.cfg.implicit {
-            // §4.2: begin begging when starting the last local unit — the
-            // implicit mode's trigger needs no tuned water-mark.
-            self.queue.len() <= 1
-        } else {
-            self.queue_hint_mflop() <= self.cfg.watermark_mflop
-        };
-        if !underloaded {
-            return;
-        }
-        let me = ctx.pid();
-        let n = ctx.num_procs();
-        if n <= 1 {
-            return;
-        }
-        let victim = match (self.attempt, self.last_victim) {
-            // A victim that granted recently probably still has work.
-            (0, Some(v)) if v != me => v,
-            (0, None) => Self::partner(me, n),
-            (1, _) => Self::partner(me, n),
-            _ => {
-                let mut v = self.rng.gen_range(0..n - 1);
-                if v >= me {
-                    v += 1;
-                }
-                v
-            }
-        };
-        ctx.send(
-            victim,
-            K_REQUEST,
-            CTRL_BYTES,
-            Box::new(Request {
-                free_mflop: self.queue_hint_mflop(),
-            }),
-        );
-        ctx.trace(TraceEvent::LbRequest {
-            victim,
-            attempt: self.attempt,
-        });
-        self.outstanding = true;
+/// Panel (b): explicit invocation, begging only when out of work —
+/// water-mark 0, §4.1's representative failure under uninformative hints
+/// (the `ablate_watermark` bench sweeps it). Everything else is the
+/// runtime's shipped default.
+pub fn explicit_cfg(spec: &BenchSpec) -> PremaConfig {
+    PremaConfig {
+        policy: PolicyKind::WorkStealing { watermark: 0.0 },
+        seed: spec.seed,
+        ..PremaConfig::explicit(spec.machine.procs)
     }
 }
 
-impl Process for PremaProc {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.schedule(SimTime::ZERO, T_NEXT);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        if token == T_RETRY {
-            self.retry_armed = false;
-        }
-        // Application polling operation: receive messages, evaluate load.
-        self.process_all(ctx);
-        self.lb_evaluate(ctx);
-
-        match self.queue.pop_front() {
-            Some(unit) => {
-                ctx.consume(Category::Scheduling, sched_cpu());
-                ctx.consume(Category::Callback, callback_cpu());
-                if self.cfg.implicit {
-                    // §4.2: starting the last unit itself triggers begging,
-                    // overlapping the steal round-trip with its execution.
-                    // Explicit mode has no such hook — the water-mark check
-                    // at the polling operation is all there is.
-                    self.lb_evaluate(ctx);
-                }
-                let total = ctx.work_time(unit.mflop);
-                if self.cfg.implicit {
-                    // Execute in poll-interval segments; the polling thread
-                    // wakes at each boundary and handles system messages.
-                    let mut remaining = total;
-                    while remaining > SimTime::ZERO {
-                        let seg = remaining.min_st(self.cfg.poll_interval);
-                        ctx.consume(Category::Computation, seg);
-                        remaining = remaining.saturating_sub(seg);
-                        if remaining > SimTime::ZERO {
-                            ctx.consume(Category::PollingThread, poll_wake_cpu());
-                            self.process_all(ctx);
-                            self.lb_evaluate(ctx);
-                        }
-                    }
-                } else {
-                    // Atomic execution: nothing is noticed until the end.
-                    ctx.consume(Category::Computation, total);
-                }
-                self.executed += 1;
-                self.units_left.set(self.units_left.get() - 1);
-                ctx.schedule(SimTime::ZERO, T_NEXT);
-            }
-            None => {
-                if self.units_left.get() == 0 {
-                    // All work everywhere is done (application-level
-                    // completion): stop.
-                    ctx.finish();
-                } else if self.outstanding {
-                    // Wait for the grant/refusal.
-                    ctx.wait_msg(T_WAIT);
-                } else if self.attempt >= self.cfg.max_attempts {
-                    // A whole round of refusals: idle out the backoff, then
-                    // sweep again — work still exists somewhere.
-                    self.attempt = 0;
-                    if !self.retry_armed {
-                        self.retry_armed = true;
-                        ctx.consume(Category::Idle, self.cfg.retry_backoff);
-                        ctx.schedule(SimTime::ZERO, T_RETRY);
-                    }
-                } else {
-                    // Underloaded with no outstanding request: lb_evaluate
-                    // declined only because the queue was non-empty a moment
-                    // ago; re-evaluate immediately.
-                    self.lb_evaluate(ctx);
-                    if self.outstanding {
-                        ctx.wait_msg(T_WAIT);
-                    } else if !self.retry_armed {
-                        self.retry_armed = true;
-                        ctx.consume(Category::Idle, self.cfg.retry_backoff);
-                        ctx.schedule(SimTime::ZERO, T_RETRY);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl PremaProc {
-    /// Receive and act on every pending message.
-    fn process_all(&mut self, ctx: &mut Ctx) {
-        for msg in ctx.poll() {
-            let src = msg.src;
-            match msg.kind {
-                K_REQUEST => {
-                    let req = msg.take::<Request>();
-                    ctx.trace(TraceEvent::LbRequestRecv { src });
-                    // Grant half the queue if we have a comfortable surplus
-                    // and the requester is genuinely poorer than us.
-                    let grant = if self.queue.len() >= 2 && req.free_mflop < self.queue_hint_mflop()
-                    {
-                        (self.queue.len() / 2).min(self.cfg.max_grant)
-                    } else {
-                        0
-                    };
-                    if grant > 0 {
-                        let units: Vec<WorkUnit> =
-                            (0..grant).map(|_| self.queue.pop_back().unwrap()).collect();
-                        let size = CTRL_BYTES + UNIT_BYTES * units.len();
-                        ctx.send(src, K_GRANT, size, Box::new(Grant { units }));
-                        ctx.trace(TraceEvent::LbGrant {
-                            dst: src,
-                            units: grant as u32,
-                        });
-                    } else {
-                        ctx.send(src, K_NACK, CTRL_BYTES, Box::new(Nack));
-                        ctx.trace(TraceEvent::LbNackSent { dst: src });
-                    }
-                }
-                K_GRANT => {
-                    let grant = msg.take::<Grant>();
-                    ctx.trace(TraceEvent::LbGrantRecv {
-                        src,
-                        units: grant.units.len() as u32,
-                    });
-                    self.queue.extend(grant.units);
-                    self.outstanding = false;
-                    self.attempt = 0;
-                    self.last_victim = Some(src);
-                }
-                K_NACK => {
-                    let _ = msg.take::<Nack>();
-                    ctx.trace(TraceEvent::LbNackRecv { src, stale: false });
-                    self.outstanding = false;
-                    self.attempt += 1;
-                    if self.last_victim == Some(src) {
-                        self.last_victim = None;
-                    }
-                }
-                other => panic!("PREMA driver got unknown message kind {other}"),
-            }
-        }
-    }
-}
-
-/// Extension trait: min for SimTime (not in the core type to keep it lean).
-trait MinSt {
-    fn min_st(self, other: SimTime) -> SimTime;
-}
-impl MinSt for SimTime {
-    fn min_st(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
+/// Panel (c): the polling thread every [`POLL_INTERVAL`], begging from the
+/// start of the last queued unit — the water-mark is one unit's hint, every
+/// unit's being the same uninformative mean.
+pub fn implicit_cfg(spec: &BenchSpec) -> PremaConfig {
+    PremaConfig {
+        mode: LbMode::Implicit {
+            poll_interval: POLL_INTERVAL,
+        },
+        policy: PolicyKind::WorkStealing {
+            watermark: spec.mean_mflop(),
+        },
+        seed: spec.seed,
+        ..PremaConfig::implicit(spec.machine.procs)
     }
 }
 
 /// Run the benchmark under PREMA work stealing.
-pub fn run(spec: &BenchSpec, cfg: PremaCfg) -> SimReport {
+pub fn run(spec: &BenchSpec, cfg: PremaConfig) -> SimReport {
     run_traced(spec, cfg, None)
 }
 
-/// [`run`] with an optional trace sink recording every span, message, and
-/// LB protocol round at simulated-time stamps.
-pub fn run_traced(
-    spec: &BenchSpec,
-    cfg: PremaCfg,
-    trace: Option<std::sync::Arc<TraceSink>>,
-) -> SimReport {
-    let seed = spec.seed;
-    let units_left = Rc::new(Cell::new(spec.total_units() as u64));
-    Engine::build(spec.machine, |p| {
-        Box::new(PremaProc::new(
-            cfg,
-            spec.units_of_proc(p).into(),
-            seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(p as u64),
-            units_left.clone(),
-        ))
+/// [`run`] with an optional trace sink recording every span and message at
+/// simulated-time stamps (and, into a manually clocked sink of a build with
+/// the tracer compiled in, the stack's own events).
+pub fn run_traced(spec: &BenchSpec, cfg: PremaConfig, trace: Option<Arc<TraceSink>>) -> SimReport {
+    let units: Vec<Vec<WorkUnit>> = spec
+        .units()
+        .chunks(spec.units_per_proc)
+        .map(<[WorkUnit]>::to_vec)
+        .collect();
+    run_units(spec.machine, &units, cfg, trace).report
+}
+
+/// Run an arbitrary initial placement: `units[p]` start on processor `p`.
+pub fn run_units(
+    machine: MachineConfig,
+    units: &[Vec<WorkUnit>],
+    cfg: PremaConfig,
+    trace: Option<Arc<TraceSink>>,
+) -> StackRun {
+    let total = units.iter().map(Vec::len).sum::<usize>() as u64;
+    simrank::run::<Unit>(machine, &cfg, total, trace, |sched| {
+        sched.on_message(H_UNIT, |_ctx, _unit, _item| {});
+        for u in &units[sched.rank()] {
+            let ptr = sched.node_mut().register(Unit);
+            sched
+                .node_mut()
+                .message_with_hint(ptr, H_UNIT, u.hint_mflop, mflop_payload(u.mflop));
+        }
     })
-    .with_trace(trace)
-    .run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::drivers::nolb;
+    use prema_sim::{Category, SimTime};
 
     #[test]
     fn implicit_beats_no_lb_substantially() {
         let spec = BenchSpec::test_scale(3);
         let base = nolb::run(&spec);
-        let lb = run(&spec, PremaCfg::default());
+        let lb = run(&spec, implicit_cfg(&spec));
         let save = 1.0 - lb.makespan.as_secs_f64() / base.makespan.as_secs_f64();
         assert!(save > 0.15, "implicit saved only {:.1}%", save * 100.0);
     }
@@ -377,14 +122,8 @@ mod tests {
     #[test]
     fn implicit_beats_explicit_on_coarse_units() {
         let spec = BenchSpec::test_scale(3);
-        let imp = run(&spec, PremaCfg::default());
-        let exp = run(
-            &spec,
-            PremaCfg {
-                implicit: false,
-                ..PremaCfg::default()
-            },
-        );
+        let imp = run(&spec, implicit_cfg(&spec));
+        let exp = run(&spec, explicit_cfg(&spec));
         assert!(
             imp.makespan <= exp.makespan,
             "implicit {} worse than explicit {}",
@@ -399,7 +138,7 @@ mod tests {
         // work, never creates or destroys it.
         let spec = BenchSpec::test_scale(4);
         let base = nolb::run(&spec);
-        let lb = run(&spec, PremaCfg::default());
+        let lb = run(&spec, implicit_cfg(&spec));
         let t0 = base.total_of(Category::Computation).as_secs_f64();
         let t1 = lb.total_of(Category::Computation).as_secs_f64();
         assert!((t0 - t1).abs() < 1e-6, "compute changed: {t0} vs {t1}");
@@ -408,7 +147,7 @@ mod tests {
     #[test]
     fn stealing_traffic_exists_and_is_modest() {
         let spec = BenchSpec::test_scale(3);
-        let lb = run(&spec, PremaCfg::default());
+        let lb = run(&spec, implicit_cfg(&spec));
         let msgs: u64 = lb.msgs_sent.iter().sum();
         assert!(msgs > 0, "no stealing traffic at all");
         // An 8-proc, 96-unit benchmark shouldn't need thousands of messages.
@@ -418,14 +157,8 @@ mod tests {
     #[test]
     fn polling_thread_time_appears_only_in_implicit_mode() {
         let spec = BenchSpec::test_scale(3);
-        let imp = run(&spec, PremaCfg::default());
-        let exp = run(
-            &spec,
-            PremaCfg {
-                implicit: false,
-                ..PremaCfg::default()
-            },
-        );
+        let imp = run(&spec, implicit_cfg(&spec));
+        let exp = run(&spec, explicit_cfg(&spec));
         assert!(imp.total_of(Category::PollingThread) > SimTime::ZERO);
         assert_eq!(exp.total_of(Category::PollingThread), SimTime::ZERO);
     }
@@ -433,7 +166,7 @@ mod tests {
     #[test]
     fn implicit_overhead_is_well_under_one_percent() {
         let spec = BenchSpec::test_scale(3);
-        let imp = run(&spec, PremaCfg::default());
+        let imp = run(&spec, implicit_cfg(&spec));
         let frac = imp.overhead_fraction();
         assert!(frac < 0.01, "overhead {:.4}%", frac * 100.0);
     }

@@ -6,9 +6,11 @@
 //! and the 3-D advancing-front mesh generation study.
 //!
 //! * [`spec`] — the benchmark's parameters and work-unit generation;
-//! * [`drivers`] — one state machine per configuration: no-LB, PREMA
-//!   explicit, PREMA implicit, ParMETIS stop-and-repartition, Charm++ with
-//!   0 and 4 sync points;
+//! * [`drivers`] — one per configuration: no-LB, PREMA explicit, PREMA
+//!   implicit, ParMETIS stop-and-repartition, Charm++ with 0 and 4 sync
+//!   points;
+//! * [`simrank`] — the real PREMA stack (`ilb::Scheduler` over `MolNode`)
+//!   on the simulator's clock, which the PREMA drivers hand their workload;
 //! * [`runner`] — runs a whole figure and checks the paper's shape claims;
 //! * [`report`] — uniform per-processor breakdown tables;
 //! * [`mesh_eval`] — the mesh-generator study (PREMA-implicit vs
@@ -23,6 +25,7 @@ pub mod drivers;
 pub mod mesh_eval;
 pub mod report;
 pub mod runner;
+pub mod simrank;
 pub mod spec;
 
 pub use report::{Config, FigureReport};

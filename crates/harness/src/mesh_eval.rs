@@ -15,11 +15,15 @@
 //!   repartitioning on the *previous* round's measured costs (history-based
 //!   — precisely what a moving crack invalidates);
 //! * **PREMA implicit** — asynchronous work stealing with preemptive message
-//!   processing, reacting to the real load as the round unfolds.
+//!   processing, reacting to the real load as the round unfolds. Not a
+//!   model: the runtime stack itself, on the simulator's clock.
 
-use crate::drivers::{callback_cpu, poll_wake_cpu, sched_cpu, CTRL_BYTES};
+use crate::drivers::{callback_cpu, sched_cpu, CTRL_BYTES, POLL_INTERVAL};
+use crate::simrank::{self, mflop_payload};
+use prema::{LbMode, PremaConfig};
 use prema_mesh::{decompose_unit_cube, CrackFront, Subdomain};
 use prema_metis::{adaptive_repart, Graph, PartitionConfig};
+use prema_mol::Migratable;
 use prema_sim::{Category, Ctx, Engine, MachineConfig, Process, SimReport, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -229,200 +233,82 @@ pub fn run_nolb(spec: &MeshEvalSpec, matrix: &Rc<CostMatrix>) -> SimReport {
 // PREMA implicit work stealing
 // ---------------------------------------------------------------------------
 
-const K_REQUEST: u32 = 1;
-const K_GRANT: u32 = 2;
-const K_NACK: u32 = 3;
+/// Packed size of a subdomain mid-refinement: what one migration puts on the
+/// wire.
+const SUBDOMAIN_BYTES: usize = 4096;
 
-struct Grant {
-    tasks: Vec<Task>,
-}
-struct Empty;
+/// The handler that re-meshes a subdomain for one refinement round.
+const H_REFINE: u32 = 1;
 
-struct PremaMesh {
-    matrix: Rc<CostMatrix>,
-    queue: VecDeque<Task>,
-    poll_interval: SimTime,
-    outstanding: bool,
-    attempt: u32,
-    max_attempts: u32,
-    rng: StdRng,
-    units_left: Rc<Cell<u64>>,
-    retry_armed: bool,
-    last_victim: Option<usize>,
+/// A subdomain as a PREMA mobile object. Its row of the cost matrix travels
+/// with it, standing in for the geometry that decides what each round's
+/// re-meshing costs.
+struct SubdomainObj {
+    /// Rounds finished so far.
+    round: usize,
+    /// `costs[r]` = Mflop of re-meshing this subdomain in round `r`.
+    costs: Vec<f64>,
 }
 
-impl PremaMesh {
-    fn process_all(&mut self, ctx: &mut Ctx) {
-        for msg in ctx.poll() {
-            let src = msg.src;
-            match msg.kind {
-                K_REQUEST => {
-                    let _ = msg.take::<Empty>();
-                    if self.queue.len() >= 2 {
-                        let n = self.queue.len() / 2;
-                        let tasks: Vec<Task> =
-                            (0..n).map(|_| self.queue.pop_back().unwrap()).collect();
-                        // A subdomain mid-refinement is a real object: charge
-                        // its serialized size on the wire.
-                        let size = CTRL_BYTES + 4096 * tasks.len();
-                        ctx.send(src, K_GRANT, size, Box::new(Grant { tasks }));
-                    } else {
-                        ctx.send(src, K_NACK, CTRL_BYTES, Box::new(Empty));
-                    }
-                }
-                K_GRANT => {
-                    let g = msg.take::<Grant>();
-                    self.queue.extend(g.tasks);
-                    self.outstanding = false;
-                    self.attempt = 0;
-                    self.last_victim = Some(src);
-                }
-                K_NACK => {
-                    let _ = msg.take::<Empty>();
-                    self.outstanding = false;
-                    self.attempt += 1;
-                    if self.last_victim == Some(src) {
-                        self.last_victim = None;
-                    }
-                }
-                other => panic!("mesh PREMA driver: unknown kind {other}"),
-            }
+impl Migratable for SubdomainObj {
+    fn pack(&self, buf: &mut Vec<u8>) {
+        let end = buf.len() + SUBDOMAIN_BYTES;
+        buf.extend((self.round as u64).to_le_bytes());
+        buf.extend((self.costs.len() as u64).to_le_bytes());
+        for c in &self.costs {
+            buf.extend(c.to_le_bytes());
         }
+        assert!(buf.len() <= end, "cost row outgrew the packed subdomain");
+        buf.resize(end, 0);
     }
 
-    fn lb_evaluate(&mut self, ctx: &mut Ctx) {
-        if self.outstanding
-            || self.attempt >= self.max_attempts
-            || self.queue.len() > 1
-            || self.units_left.get() == 0
-        {
-            return;
-        }
-        let n = ctx.num_procs();
-        let me = ctx.pid();
-        if n <= 1 {
-            return;
-        }
-        let partner = {
-            let half = n.next_power_of_two() / 2;
-            let p = me ^ half;
-            if p < n {
-                p
-            } else {
-                (me + 1) % n
-            }
+    fn unpack(bytes: &[u8]) -> Self {
+        let word = |i: usize| -> [u8; 8] {
+            bytes[8 * i..8 * i + 8]
+                .try_into()
+                .expect("an 8-byte slice is an [u8; 8]")
         };
-        let victim = match (self.attempt, self.last_victim) {
-            (0, Some(v)) if v != me => v,
-            (0, None) => partner,
-            (1, _) => partner,
-            _ => {
-                let mut v = self.rng.gen_range(0..n - 1);
-                if v >= me {
-                    v += 1;
-                }
-                v
-            }
-        };
-        ctx.send(victim, K_REQUEST, CTRL_BYTES, Box::new(Empty));
-        self.outstanding = true;
-    }
-}
-
-impl Process for PremaMesh {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.schedule(SimTime::ZERO, T_NEXT);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
-        self.retry_armed = false;
-        self.process_all(ctx);
-        self.lb_evaluate(ctx);
-        match self.queue.pop_front() {
-            Some(t) => {
-                ctx.consume(Category::Scheduling, sched_cpu());
-                ctx.consume(Category::Callback, callback_cpu());
-                self.lb_evaluate(ctx);
-                let mflop = self.matrix.costs[t.sub as usize][t.round as usize];
-                let mut remaining = ctx.work_time(mflop);
-                while remaining > SimTime::ZERO {
-                    let seg = if remaining <= self.poll_interval {
-                        remaining
-                    } else {
-                        self.poll_interval
-                    };
-                    ctx.consume(Category::Computation, seg);
-                    remaining = remaining.saturating_sub(seg);
-                    if remaining > SimTime::ZERO {
-                        ctx.consume(Category::PollingThread, poll_wake_cpu());
-                        self.process_all(ctx);
-                        self.lb_evaluate(ctx);
-                    }
-                }
-                self.units_left.set(self.units_left.get() - 1);
-                if (t.round as usize) + 1 < self.matrix.rounds() {
-                    self.queue.push_back(Task {
-                        sub: t.sub,
-                        round: t.round + 1,
-                    });
-                    self.units_left.set(self.units_left.get() + 1);
-                }
-                ctx.schedule(SimTime::ZERO, T_NEXT);
-            }
-            None => {
-                if self.units_left.get() == 0 {
-                    ctx.finish();
-                } else if self.outstanding {
-                    ctx.wait_msg(T_WAIT);
-                } else if self.attempt >= self.max_attempts {
-                    self.attempt = 0;
-                    if !self.retry_armed {
-                        self.retry_armed = true;
-                        ctx.consume(Category::Idle, SimTime::from_millis(150));
-                        ctx.schedule(SimTime::ZERO, T_NEXT);
-                    }
-                } else {
-                    self.lb_evaluate(ctx);
-                    if self.outstanding {
-                        ctx.wait_msg(T_WAIT);
-                    } else if !self.retry_armed {
-                        self.retry_armed = true;
-                        ctx.consume(Category::Idle, SimTime::from_millis(150));
-                        ctx.schedule(SimTime::ZERO, T_NEXT);
-                    }
-                }
-            }
+        let n = u64::from_le_bytes(word(1)) as usize;
+        SubdomainObj {
+            round: u64::from_le_bytes(word(0)) as usize,
+            costs: (0..n).map(|i| f64::from_le_bytes(word(2 + i))).collect(),
         }
     }
 }
 
-/// Run the mesh workload under PREMA implicit work stealing.
+/// Run the mesh workload under PREMA implicit work stealing: the real
+/// runtime stack ([`crate::simrank`]) in its shipped implicit configuration,
+/// each subdomain a mobile object that re-posts itself once per refinement
+/// round. Hints are the runtime's default (1 per message: a processor knows
+/// how many subdomains it holds, not what the moving crack will make them
+/// cost), so it begs as it begins its last queued one.
 pub fn run_prema(spec: &MeshEvalSpec, matrix: &Rc<CostMatrix>) -> SimReport {
     let nsubs = matrix.subdomains();
-    // The counter tracks *currently known* tasks; executing round r spawns
-    // round r+1, so seed with round-0 tasks only and adjust as rounds chain.
-    let units_left = Rc::new(Cell::new(nsubs as u64));
-    Engine::build(spec.machine, |p| {
-        let queue: VecDeque<Task> = (0..nsubs)
-            .filter(|&s| block_owner(s, nsubs, spec.machine.procs) == p)
-            .map(|s| Task {
-                sub: s as u32,
-                round: 0,
-            })
-            .collect();
-        Box::new(PremaMesh {
-            matrix: matrix.clone(),
-            queue,
-            poll_interval: SimTime::from_millis(100),
-            outstanding: false,
-            attempt: 0,
-            max_attempts: 10,
-            rng: StdRng::seed_from_u64(spec.seed.wrapping_add(p as u64)),
-            units_left: units_left.clone(),
-            retry_armed: false,
-            last_victim: None,
-        })
+    let nprocs = spec.machine.procs;
+    let cfg = PremaConfig {
+        mode: LbMode::Implicit {
+            poll_interval: POLL_INTERVAL,
+        },
+        seed: spec.seed,
+        ..PremaConfig::implicit(nprocs)
+    };
+    let units = (nsubs * matrix.rounds()) as u64;
+    simrank::run::<SubdomainObj>(spec.machine, &cfg, units, None, |sched| {
+        sched.on_message(H_REFINE, |ctx, sub: &mut SubdomainObj, item| {
+            sub.round += 1;
+            if let Some(&next) = sub.costs.get(sub.round) {
+                ctx.message(item.ptr, H_REFINE, mflop_payload(next));
+            }
+        });
+        let rank = sched.rank();
+        for s in (0..nsubs).filter(|&s| block_owner(s, nsubs, nprocs) == rank) {
+            let costs = matrix.costs[s].clone();
+            let first = mflop_payload(costs[0]);
+            let ptr = sched.node_mut().register(SubdomainObj { round: 0, costs });
+            sched.node_mut().message(ptr, H_REFINE, first);
+        }
     })
-    .run()
+    .report
 }
 
 // ---------------------------------------------------------------------------

@@ -26,14 +26,8 @@ pub fn run_figure_with_trace(
             .filter(|(tc, _)| *tc == c)
             .map(|(_, s)| Arc::clone(s))
     };
-    let implicit = prema_drv::PremaCfg {
-        implicit: true,
-        ..prema_drv::PremaCfg::default()
-    };
-    let explicit = prema_drv::PremaCfg {
-        implicit: false,
-        ..prema_drv::PremaCfg::default()
-    };
+    let implicit = prema_drv::implicit_cfg(spec);
+    let explicit = prema_drv::explicit_cfg(spec);
     let panels = vec![
         (Config::NoLb, nolb::run_traced(spec, sink_for(Config::NoLb))),
         (

@@ -50,13 +50,18 @@ impl BenchSpec {
         self.machine.procs * self.units_per_proc
     }
 
+    /// The mean unit weight, Mflop: the hint every unit carries.
+    pub fn mean_mflop(&self) -> f64 {
+        self.imbalance * self.heavy_mflop + (1.0 - self.imbalance) * self.light_mflop
+    }
+
     /// Generate all work units in global-index order. The first
     /// `imbalance × total` units are heavy; hints are uninformative (every
     /// unit reports the global mean weight).
     pub fn units(&self) -> Vec<WorkUnit> {
         let total = self.total_units();
         let heavy_cutoff = (self.imbalance * total as f64).round() as usize;
-        let mean = self.imbalance * self.heavy_mflop + (1.0 - self.imbalance) * self.light_mflop;
+        let mean = self.mean_mflop();
         (0..total)
             .map(|i| WorkUnit {
                 id: i as u32,

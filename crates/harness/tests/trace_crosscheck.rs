@@ -7,7 +7,7 @@
 //! engine-reported Computation / Messaging / LB / Idle split on every
 //! processor (in practice the match is exact).
 
-use prema_harness::drivers::prema_drv::{self, PremaCfg};
+use prema_harness::drivers::prema_drv;
 use prema_harness::report::breakdown_from_trace;
 use prema_harness::spec::BenchSpec;
 use prema_sim::{Category, TraceSink};
@@ -17,14 +17,8 @@ fn trace_replay_matches_engine_breakdown_within_one_percent() {
     let spec = BenchSpec::test_scale(4);
     let nprocs = spec.machine.procs;
     let sink = TraceSink::with_capacity(nprocs, 1 << 16);
-    let engine_report = prema_drv::run_traced(
-        &spec,
-        PremaCfg {
-            implicit: true,
-            ..PremaCfg::default()
-        },
-        Some(sink.clone()),
-    );
+    let engine_report =
+        prema_drv::run_traced(&spec, prema_drv::implicit_cfg(&spec), Some(sink.clone()));
     assert_eq!(sink.dropped(), 0, "ring overflowed; enlarge capacity");
 
     let records = sink.drain();
@@ -63,4 +57,32 @@ fn untraced_panels_leave_the_sink_empty() {
     let report = run_figure_with_trace(3, &spec, Some((Config::CharmNoSync, sink.clone())));
     assert_eq!(report.panels.len(), 6);
     assert!(sink.drain().is_empty());
+}
+
+/// Built with the stack's tracer compiled in (`--features prema-ilb/trace`),
+/// a manually clocked sink also receives the scheduler's and the MOL's own
+/// events, and `SimRank` keeps its clock on the engine's: every stamp is a
+/// simulated time within the run.
+#[test]
+fn the_stacks_own_events_are_stamped_in_simulated_time() {
+    if std::mem::size_of::<prema::trace::Tracer>() == 0 {
+        return; // tracer compiled out: the stack records nothing
+    }
+    let spec = BenchSpec::test_scale(4);
+    let sink = TraceSink::manual(spec.machine.procs, 1 << 16);
+    let report = prema_drv::run_traced(&spec, prema_drv::implicit_cfg(&spec), Some(sink.clone()));
+    assert_eq!(sink.dropped(), 0, "ring overflowed; enlarge capacity");
+    let records = sink.drain();
+    for name in ["lb_request", "lb_grant", "install", "poll_system"] {
+        assert!(
+            records.iter().any(|r| r.ev.name() == name),
+            "no `{name}` record from the stack"
+        );
+    }
+    let latest = records.iter().map(|r| r.t).max().expect("records");
+    assert!(
+        latest <= report.makespan.as_nanos(),
+        "a stamp at {latest} ns, past the makespan {}",
+        report.makespan
+    );
 }

@@ -576,6 +576,9 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 pub struct TraceSink {
     rings: Vec<RankRing>,
     epoch: Instant,
+    /// The time a manually clocked sink ([`TraceSink::manual`]) reports, in
+    /// nanoseconds; `None` on a wall-clocked one.
+    manual_now: Option<AtomicU64>,
 }
 
 impl TraceSink {
@@ -587,10 +590,37 @@ impl TraceSink {
     /// A sink for `nprocs` ranks with `capacity` slots per rank. Events past
     /// a rank's capacity are dropped (and counted), never reallocated.
     pub fn with_capacity(nprocs: usize, capacity: usize) -> Arc<Self> {
+        Self::build(nprocs, capacity, None)
+    }
+
+    fn build(nprocs: usize, capacity: usize, manual_now: Option<AtomicU64>) -> Arc<Self> {
         Arc::new(TraceSink {
             rings: (0..nprocs).map(|_| RankRing::new(capacity)).collect(),
             epoch: Instant::now(),
+            manual_now,
         })
+    }
+
+    /// A sink whose clock is whatever [`TraceSink::set_now`] last said (0
+    /// until then) rather than wall time: for a run on simulated time, where
+    /// the driver sets the clock before each call into traced code so live
+    /// [`Tracer`] stamps share the simulator's own time line.
+    pub fn manual(nprocs: usize, capacity: usize) -> Arc<Self> {
+        Self::build(nprocs, capacity, Some(AtomicU64::new(0)))
+    }
+
+    /// Whether this sink was built by [`TraceSink::manual`].
+    pub fn is_manual(&self) -> bool {
+        self.manual_now.is_some()
+    }
+
+    /// Set a manually clocked sink's time, in nanoseconds. Panics on a
+    /// wall-clocked sink: that clock is not the caller's to set.
+    pub fn set_now(&self, t: u64) {
+        self.manual_now
+            .as_ref()
+            .expect("set_now on a wall-clocked TraceSink")
+            .store(t, Ordering::SeqCst);
     }
 
     /// Number of ranks this sink records.
@@ -608,10 +638,14 @@ impl TraceSink {
         }
     }
 
-    /// Nanoseconds of wall time since this sink was created. Live tracers
-    /// stamp events with this clock.
+    /// The clock live tracers stamp events with: nanoseconds of wall time
+    /// since this sink was created, or, on a manually clocked sink, the time
+    /// last given to [`TraceSink::set_now`].
     pub fn elapsed_nanos(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        match &self.manual_now {
+            Some(t) => t.load(Ordering::SeqCst),
+            None => self.epoch.elapsed().as_nanos() as u64,
+        }
     }
 
     /// Total events lost to full rings across all ranks.
@@ -978,6 +1012,18 @@ mod tests {
         let mut seqs: Vec<u64> = recs.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
         assert!(seqs.iter().enumerate().all(|(i, s)| *s == i as u64));
+    }
+
+    #[test]
+    fn a_manual_sink_reports_the_time_it_was_last_given() {
+        let sink = TraceSink::manual(1, 4);
+        assert!(sink.is_manual() && !TraceSink::new(1).is_manual());
+        assert_eq!(sink.elapsed_nanos(), 0);
+        sink.set_now(1_500_000_000);
+        assert_eq!(sink.elapsed_nanos(), 1_500_000_000);
+        // A live tracer, where one is compiled in, stamps with that time.
+        sink.tracer(0).emit(|| TraceEvent::PollWake { events: 0 });
+        assert!(sink.drain().iter().all(|r| r.t == 1_500_000_000));
     }
 
     #[cfg(feature = "enabled")]
