@@ -411,9 +411,10 @@ impl PolicyProc {
     }
 
     /// Surrender up to `want` weight of objects to `dst`. Candidate order is
-    /// the policy's preference: communication-aware policies get the objects
-    /// most affine to `dst` first (the scheduler's `grant_candidates`
-    /// ordering); weight-only policies get a stable arbitrary order.
+    /// the model's own: communication-aware policies get the objects that
+    /// heard most from `dst` first, weight-only policies a stable arbitrary
+    /// order. (The real scheduler's order is the same for every policy:
+    /// `grant_candidates`, DESIGN.md §21.)
     fn push_toward(&mut self, ctx: &mut Ctx, dst: usize, want: f64) {
         let mut staged: Vec<Obj> = Vec::new();
         let mut sent = 0.0;
@@ -475,6 +476,8 @@ impl PolicyProc {
         ctx.trace(TraceEvent::LbGrant {
             dst,
             units: staged.len() as u32,
+            // The model orders by absolute count; it classes nothing.
+            affine: 0,
         });
         let size = CTRL_BYTES + UNIT_BYTES * staged.len();
         ctx.send(dst, K_PUSH, size, Box::new(Push { objs: staged }));

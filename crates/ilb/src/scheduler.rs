@@ -137,6 +137,9 @@ pub struct SchedStats {
     pub nacks_recv: u64,
     /// Objects granted away in response to requests or flows.
     pub granted: u64,
+    /// Of `granted`, the objects that left in the net-affine class: they had
+    /// heard more from their destination than from this rank (DESIGN.md §21).
+    pub granted_affine: u64,
     /// Status updates sent.
     pub status_sent: u64,
     /// Work items dropped because no handler was registered for their id
@@ -707,34 +710,52 @@ impl<O: Migratable> Scheduler<O> {
                 .node_message(src, LB_NACK, Tag::System, Bytes::new());
             return;
         }
+        let affine_before = self.stats.granted_affine;
         let granted = self.grant_objects(src, want, requester.units == 0);
         if granted == 0 {
             self.tracer.emit(|| TraceEvent::LbNackSent { dst: src });
             self.node
                 .node_message(src, LB_NACK, Tag::System, Bytes::new());
         } else {
+            let affine = self.stats.granted_affine - affine_before;
             self.tracer.emit(|| TraceEvent::LbGrant {
                 dst: src,
                 units: granted as u32,
+                affine: affine as u32,
             });
         }
     }
 
-    /// Per-object grant candidates for a migration toward `dst`: the ready
-    /// summary (heaviest first), re-sorted by communication affinity with
-    /// `dst` when the policy is communication-aware — objects that receive
-    /// most of their messages from `dst` move first.
-    fn grant_candidates(&self, dst: Rank) -> Vec<(MobilePtr, usize, f64)> {
-        let mut summary = self.node.ready_summary();
-        if self.policy.uses_comm() {
-            summary.sort_by(|a, b| {
-                self.node
-                    .interactions_from(b.0, dst)
-                    .cmp(&self.node.interactions_from(a.0, dst))
-                    .then(b.2.total_cmp(&a.2))
-            });
+    /// Per-object candidates for a migration toward `dst`, grant or flow,
+    /// whatever the policy: `(object, queued messages, summed weight,
+    /// net-affine)`. The *net-affine* objects come first — those that over
+    /// their lifetime have consumed more messages sent from `dst` than from
+    /// this rank, which is what an object displaced from `dst` looks like
+    /// while its partners stay behind — and everything else after; inside each
+    /// class the order is the ready summary's, heaviest first. Where no object
+    /// has heard from `dst` that is the ready summary itself (DESIGN.md §21).
+    fn grant_candidates(&self, dst: Rank) -> Vec<(MobilePtr, usize, f64, bool)> {
+        let me = self.rank();
+        // Nothing resident has ever heard from `dst` (a hotspot's donor facing
+        // its first thief): no lookup below could say otherwise.
+        let heard = self.node.interactions_with(dst) > 0;
+        let mut candidates: Vec<_> = self
+            .node
+            .ready_summary()
+            .into_iter()
+            .map(|(ptr, units, weight)| {
+                let affine = heard && {
+                    let [theirs, mine] = self.node.interactions_from(ptr, [dst, me]);
+                    theirs > mine
+                };
+                (ptr, units, weight, affine)
+            })
+            .collect();
+        if heard {
+            // Stable, and the key was read once per candidate above.
+            candidates.sort_by_key(|&(.., affine)| !affine);
         }
-        summary
+        candidates
     }
 
     /// Governor check common to grants and flows: `true` if `ptr` may leave
@@ -761,13 +782,25 @@ impl<O: Migratable> Scheduler<O> {
         true
     }
 
+    /// Migrate `ptr` to `dst` if the governor allows it and the object is
+    /// free to go, and book the move.
+    fn ship(&mut self, ptr: MobilePtr, dst: Rank, affine: bool, rate_exhausted: &mut bool) -> bool {
+        if !self.may_migrate(ptr, dst, rate_exhausted) || !self.node.migrate(ptr, dst) {
+            return false;
+        }
+        self.governor.note_departed(ptr);
+        self.governor.note_migration();
+        self.stats.granted += 1;
+        self.stats.granted_affine += u64::from(affine);
+        true
+    }
+
     /// Migrate objects covering roughly `want_units` queued messages to
     /// `dst`. Returns the number of units actually covered.
     fn grant_objects(&mut self, dst: Rank, want_units: usize, requester_idle: bool) -> usize {
-        let summary = self.grant_candidates(dst);
         let mut covered = 0usize;
         let mut rate_exhausted = false;
-        for (ptr, units, _weight) in summary {
+        for (ptr, units, _weight, affine) in self.grant_candidates(dst) {
             if covered >= want_units || rate_exhausted {
                 break;
             }
@@ -781,14 +814,8 @@ impl<O: Migratable> Scheduler<O> {
             if self.node.ready_len() <= units && !requester_idle {
                 break;
             }
-            if !self.may_migrate(ptr, dst, &mut rate_exhausted) {
-                continue;
-            }
-            if self.node.migrate(ptr, dst) {
-                self.governor.note_departed(ptr);
-                self.governor.note_migration();
+            if self.ship(ptr, dst, affine, &mut rate_exhausted) {
                 covered += units;
-                self.stats.granted += 1;
             }
         }
         covered
@@ -839,8 +866,8 @@ impl<O: Migratable> Scheduler<O> {
         // that fit wholly within the prescribed flow: overshooting ships the
         // last object back and forth between near-balanced neighbors.
         // Communication-aware policies additionally see the local
-        // object-interaction summary, and their flows prefer the objects
-        // most affine with each destination.
+        // object-interaction summary when sizing a flow; which objects a
+        // flow takes is `grant_candidates`' order under every policy.
         let flows = if self.policy.uses_comm() {
             let comm = self.comm_summary();
             self.policy.flows_comm(me, &local, &self.known, &comm)
@@ -853,22 +880,15 @@ impl<O: Migratable> Scheduler<O> {
                 break;
             }
             let mut remaining = weight;
-            let summary = self.grant_candidates(dst);
-            for (ptr, units, w) in summary {
+            for (ptr, units, w, affine) in self.grant_candidates(dst) {
+                if rate_exhausted {
+                    break;
+                }
                 if Some(ptr) == self.executing || w > remaining {
                     continue;
                 }
-                if !self.may_migrate(ptr, dst, &mut rate_exhausted) {
-                    if rate_exhausted {
-                        break;
-                    }
-                    continue;
-                }
-                if self.node.migrate(ptr, dst) {
-                    self.governor.note_departed(ptr);
-                    self.governor.note_migration();
+                if self.ship(ptr, dst, affine, &mut rate_exhausted) {
                     remaining -= w.max(1e-9);
-                    self.stats.granted += 1;
                     // Book the shipment against `dst`: its own report of it
                     // is a round trip away, and until then every evaluation
                     // would push the same flow again at a load that is

@@ -6,7 +6,8 @@ use prema_dcs::{Communicator, LocalFabric, Tag, WireWriter};
 use prema_ilb::{
     Anticipatory, CommAwareDiffusion, Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing,
 };
-use prema_mol::{Migratable, MolNode};
+use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
+use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Runtime-internal LB wire ids (see `crates/ilb/src/scheduler.rs`). The
@@ -738,4 +739,186 @@ fn duplicate_requests_answered_in_one_pass_share_one_budget() {
     assert!(donor.stats().rate_cap_vetoes >= 3, "{:?}", donor.stats());
     peer.poll_system();
     assert_eq!(peer.node().stats().migrations_in, cap);
+}
+
+/// `n` unit-weight messages for `ptr`, sent from `s`'s rank.
+fn post(s: &mut Scheduler<Counter>, ptr: MobilePtr, n: usize) {
+    for _ in 0..n {
+        s.node_mut()
+            .message(ptr, H_ADD, Bytes::copy_from_slice(&1i64.to_le_bytes()));
+    }
+}
+
+/// The objects that have arrived at `s` since it last looked, in arrival
+/// order: the order its donor shipped them in. Read off the node, behind the
+/// scheduler's back, so only for a rank the test is otherwise done with.
+fn arrivals(s: &mut Scheduler<Counter>) -> Vec<MobilePtr> {
+    s.node_mut()
+        .pump()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            MolEvent::Installed { ptr, .. } => Some(ptr),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_displaced_object_goes_home_before_any_native_is_touched() {
+    let mut scheds = machine(2, |r| Box::new(WorkStealing::new(1.0, r as u64)));
+    for s in scheds.iter_mut() {
+        s.set_stability(StabilityConfig::off());
+    }
+    let mut home = scheds.pop().unwrap();
+    let mut thief = scheds.pop().unwrap();
+    // Eight objects born on rank 1 that hear from rank 1 alone, 1 to 8 times.
+    let born_on_1: Vec<MobilePtr> = (1..=8)
+        .map(|n| {
+            let ptr = home.node_mut().register(Counter { value: 0 });
+            post(&mut home, ptr, n);
+            ptr
+        })
+        .collect();
+    let natives: Vec<MobilePtr> = (0..4)
+        .map(|_| thief.node_mut().register(Counter { value: 0 }))
+        .collect();
+    // Rank 0 is idle and begs; half of rank 1's 36 units go, heaviest first.
+    thief.poll();
+    home.poll();
+    thief.poll();
+    let displaced = [born_on_1[7], born_on_1[6], born_on_1[5]];
+    assert_eq!(thief.node().stats().migrations_in, 3);
+    assert!(displaced.iter().all(|&p| thief.node().is_local(p)));
+    assert_eq!(
+        home.stats().granted_affine,
+        0,
+        "nothing had heard from rank 0"
+    );
+
+    // Rank 0 goes on talking to its own objects, each of which now outweighs
+    // every displaced one, and has one word with the heaviest guest: 8
+    // messages from rank 1 against 1 from here is still rank 1's object.
+    for &ptr in &natives {
+        post(&mut thief, ptr, 10);
+    }
+    post(&mut thief, displaced[0], 1);
+    // Rank 1 runs dry and begs as it starts its last unit: half the gap is
+    // 30 units, which is the 22 of the three guests and one native's 10.
+    while home.step() {}
+    assert_eq!(home.stats().requests_sent, 1);
+    thief.poll();
+    let back = arrivals(&mut home);
+    assert_eq!(back[..3], displaced, "guests first, heaviest first");
+    assert_eq!(back[3..], natives[..1], "then the natives, as ever");
+    let stats = thief.stats();
+    assert_eq!((stats.granted, stats.granted_affine), (4, 3));
+}
+
+#[test]
+fn a_flow_takes_the_same_objects_whatever_policy_sized_it() {
+    // What `CommAwareDiffusion` alone used to do, by another key: it moved
+    // first whatever had heard most from the destination in absolute terms.
+    let policies: [&dyn Fn() -> Box<dyn LbPolicy>; 2] =
+        [&|| Box::new(Diffusion::new(0.5)), &|| {
+            Box::new(CommAwareDiffusion::new(0.5, 0.5))
+        }];
+    for mk in policies {
+        let mut scheds = machine(2, |_| mk());
+        for s in scheds.iter_mut() {
+            s.set_stability(StabilityConfig::off());
+            s.set_lb_enabled(false);
+        }
+        // Three objects of rank 1's that heard 3, 2 and 1 messages there and
+        // were then moved to rank 0.
+        let displaced: Vec<MobilePtr> = [3, 2, 1]
+            .into_iter()
+            .map(|n| {
+                let ptr = scheds[1].node_mut().register(Counter { value: 0 });
+                post(&mut scheds[1], ptr, n);
+                assert!(scheds[1].node_mut().migrate(ptr, 0));
+                ptr
+            })
+            .collect();
+        // Six natives of rank 0 with 5 messages of its own each. The first
+        // has also heard 4 from rank 1, more than any guest — but fewer than
+        // from here, so it is no guest.
+        let natives: Vec<MobilePtr> = (0..6)
+            .map(|_| {
+                let ptr = scheds[0].node_mut().register(Counter { value: 0 });
+                post(&mut scheds[0], ptr, 5);
+                ptr
+            })
+            .collect();
+        post(&mut scheds[1], natives[0], 4);
+        scheds[1].poll();
+        scheds[0].poll();
+        assert_eq!(scheds[0].local_load().units, 6 + 30 + 4);
+
+        // 40 units against none: the flow is 20. The guests fit (6), then
+        // the second class by weight: the native of 9, and one of 5.
+        for s in scheds.iter_mut() {
+            s.set_lb_enabled(true);
+        }
+        scheds[1].poll();
+        scheds[0].poll();
+        let shipped = arrivals(&mut scheds[1]);
+        let name = mk().name();
+        assert_eq!(shipped[..3], displaced[..], "{name}");
+        assert_eq!(shipped[3..], natives[..2], "{name}");
+        let stats = scheds[0].stats();
+        assert_eq!((stats.granted, stats.granted_affine), (5, 3), "{name}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Where no candidate has heard from the requester, affinity has nothing
+    /// to say and a grant is what it always was: the ready summary from the
+    /// top. (`hotspot_migrate`, `arrivals_open` and `fig3_coarse` are this
+    /// case until a donor begs back from its own thief.)
+    #[test]
+    fn silent_affinity_leaves_the_grant_order_alone(
+        lanes in proptest::collection::vec((1usize..4, 1u32..40, any::<bool>()), 2..24),
+    ) {
+        let mut scheds = machine(3, |r| Box::new(WorkStealing::new(1.0, r as u64)));
+        for s in scheds.iter_mut() {
+            s.set_stability(StabilityConfig::off());
+        }
+        let mut bystander = scheds.pop().unwrap();
+        let mut requester = scheds.pop().unwrap();
+        let mut donor = scheds.pop().unwrap();
+        // The bystander only talks: some of the donor's objects hear more
+        // from rank 2 than from rank 0, none hears from rank 1.
+        bystander.set_lb_enabled(false);
+        for &(count, tenths, chatty) in &lanes {
+            let ptr = donor.node_mut().register(Counter { value: 0 });
+            let payload = Bytes::copy_from_slice(&1i64.to_le_bytes());
+            for _ in 0..count {
+                let hint = f64::from(tenths) / 10.0;
+                donor.node_mut().message_with_hint(ptr, H_ADD, hint, payload.clone());
+            }
+            if chatty {
+                post(&mut bystander, ptr, count + 1);
+            }
+        }
+        bystander.poll();
+        donor.poll();
+
+        // An idle rank 1 asks again and again until the donor refuses.
+        loop {
+            let summary = donor.node().ready_summary();
+            let idle = WireWriter::new().u64(0).f64(0.0).finish();
+            requester.node_mut().node_message(0, LB_REQUEST, Tag::System, idle);
+            donor.poll();
+            let got = arrivals(&mut requester);
+            if got.is_empty() {
+                break;
+            }
+            let top: Vec<MobilePtr> = summary.iter().map(|&(ptr, ..)| ptr).collect();
+            prop_assert_eq!(&got[..], &top[..got.len()]);
+        }
+        prop_assert!(donor.stats().granted > 0);
+        prop_assert_eq!(donor.stats().granted_affine, 0);
+    }
 }

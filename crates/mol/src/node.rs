@@ -287,6 +287,18 @@ fn fresher(a: Option<(Rank, u64)>, b: Option<(Rank, u64)>) -> Option<(Rank, u64)
     }
 }
 
+/// Fold one object's per-sender consumed counts into (`wrapping_add`: it was
+/// installed) or out of (`wrapping_sub`: it was packed out) the rank's
+/// per-peer totals. Wrapping, because an installed packet's counts come off
+/// the wire: what went in comes out again exactly, whatever it was.
+fn note_consumed(totals: &mut [u64], expected: &FxHashMap<Rank, u64>, fold: fn(u64, u64) -> u64) {
+    for (&src, &n) in expected {
+        if let Some(total) = totals.get_mut(src) {
+            *total = fold(*total, n);
+        }
+    }
+}
+
 /// The per-rank MOL runtime. Generic over the application's mobile object
 /// type `O`; applications with several kinds of objects use an enum.
 ///
@@ -331,6 +343,13 @@ pub struct MolNode<O: Migratable> {
     /// In-order messages awaiting execution, in arrival order, with their
     /// count and weight — overall and per object — kept up to date.
     ready: ReadyIndex,
+    /// Messages the resident objects have consumed from each rank of the
+    /// machine: the sum of their `expected` maps, kept as they change (a
+    /// message accepted, an object packed out or installed) so
+    /// [`MolNode::interaction_summary`] never walks the directory. A sender
+    /// outside the machine — only a corrupt frame names one — is no peer and
+    /// is left out.
+    consumed: Vec<u64>,
     stats: MolStats,
     tracer: Tracer,
     /// Shadow state asserting ordering/conservation invariants (see
@@ -350,6 +369,7 @@ impl<O: Migratable> MolNode<O> {
     /// you pass is what runs).
     pub fn with_config(comm: Communicator, cfg: MolConfig) -> Self {
         let rank = comm.rank();
+        let consumed = vec![0; comm.nprocs()];
         MolNode {
             comm,
             alloc: PtrAllocator::new(rank),
@@ -358,6 +378,7 @@ impl<O: Migratable> MolNode<O> {
             authority: ShardAuthority::default(),
             resident: 0,
             ready: ReadyIndex::default(),
+            consumed,
             stats: MolStats::default(),
             tracer: Tracer::off(),
             #[cfg(feature = "check-invariants")]
@@ -773,6 +794,7 @@ impl<O: Migratable> MolNode<O> {
         use std::cmp::Ordering::*;
         match env.seq.cmp(exp) {
             Equal => {
+                let before = *exp;
                 *exp += 1;
                 let sender = env.sender;
                 self.stats.note_chain(env.hops);
@@ -791,6 +813,9 @@ impl<O: Migratable> MolNode<O> {
                     if buf.is_empty() {
                         entry.ooo.remove(&sender);
                     }
+                }
+                if let Some(total) = self.consumed.get_mut(sender) {
+                    *total = total.wrapping_add(*exp - before);
                 }
             }
             Greater => {
@@ -838,6 +863,7 @@ impl<O: Migratable> MolNode<O> {
             .take()
             .expect("presence checked just above with no intervening mutation");
         self.resident -= 1;
+        note_consumed(&mut self.consumed, &entry.expected, u64::wrapping_sub);
         // The object's accepted-but-unexecuted messages leave with it, in
         // order, taken from the ready queue by position.
         let pending = self.ready.take_all(entry.lane, ptr);
@@ -962,10 +988,14 @@ impl<O: Migratable> MolNode<O> {
         d.forward = None;
         self.cache.remove(ptr);
         let mut entry = Entry::new(obj, packet.epoch, packet.expected.into_iter().collect());
+        note_consumed(&mut self.consumed, &entry.expected, u64::wrapping_add);
         match d.entry.take() {
             // (Past the replay guard nothing should be resident; if something
             // were, its queued work stays queued under the same lane.)
-            Some(replaced) => entry.lane = replaced.lane,
+            Some(replaced) => {
+                entry.lane = replaced.lane;
+                note_consumed(&mut self.consumed, &replaced.expected, u64::wrapping_sub);
+            }
             None => self.resident += 1,
         }
         let entry = d.entry.insert(entry);
@@ -1253,7 +1283,8 @@ impl<O: Migratable> MolNode<O> {
     /// installed into) this node has either been delivered, shipped out with
     /// a migration, or is still in the ready queue — and, at a cost amortised
     /// to O(1) per call, that the incrementally maintained queue length,
-    /// weights and per-object lanes equal a from-scratch recount.
+    /// weights, per-object lanes and per-peer consumed totals equal a
+    /// from-scratch recount.
     /// Called internally after every poll/pump/migrate; public so schedulers
     /// and tests can check at their own boundaries too. Panics on violation.
     #[cfg(feature = "check-invariants")]
@@ -1264,6 +1295,14 @@ impl<O: Migratable> MolNode<O> {
             .recount_due(self.directory.len() + self.ready.slots())
         {
             crate::oracle::verify_ready(&self.ready, |ptr| self.is_local(ptr));
+            let mut recount = vec![0; self.consumed.len()];
+            for entry in self.directory.values().filter_map(|d| d.entry.as_ref()) {
+                note_consumed(&mut recount, &entry.expected, u64::wrapping_add);
+            }
+            assert_eq!(
+                self.consumed, recount,
+                "interaction oracle: per-peer consumed totals drifted"
+            );
         }
     }
 
@@ -1317,40 +1356,41 @@ impl<O: Migratable> MolNode<O> {
         out
     }
 
-    /// Messages the resident object `ptr` has consumed from rank `src` over
-    /// its lifetime — the object-interaction counter behind
-    /// communication-aware load balancing (DESIGN.md §14). Read straight off
-    /// the per-sender sequence state that already travels with the object on
-    /// migration, so it costs no extra bookkeeping or wire bytes. Zero for
-    /// non-resident objects.
-    pub fn interactions_from(&self, ptr: MobilePtr, src: Rank) -> u64 {
-        self.directory
+    /// Messages the resident object `ptr` has consumed from each rank of
+    /// `srcs` over its lifetime — the object-interaction counters behind the
+    /// load balancer's choice of what to move (DESIGN.md §21). Read straight
+    /// off the per-sender sequence state that already travels with the object
+    /// on migration, so it costs no extra bookkeeping or wire bytes, and
+    /// however many ranks are asked about, one directory lookup. Zeros for a
+    /// non-resident object.
+    pub fn interactions_from<const N: usize>(&self, ptr: MobilePtr, srcs: [Rank; N]) -> [u64; N] {
+        let expected = self
+            .directory
             .get(&ptr)
             .and_then(|d| d.entry.as_ref())
-            .and_then(|e| e.expected.get(&src))
-            .copied()
-            .unwrap_or(0)
+            .map(|e| &e.expected);
+        srcs.map(|src| expected.and_then(|e| e.get(&src)).copied().unwrap_or(0))
+    }
+
+    /// Messages all resident objects together have consumed from rank `src`:
+    /// one row of [`MolNode::interaction_summary`], without building it.
+    pub fn interactions_with(&self, src: Rank) -> u64 {
+        self.consumed.get(src).copied().unwrap_or(0)
     }
 
     /// Per-peer interaction totals across all resident objects: how many
     /// messages this rank's objects have consumed from each sender rank
-    /// (including this rank itself — callers filter as needed). The load
-    /// balancer folds this into its communication-affinity summary.
+    /// (including this rank itself — callers filter as needed), in rank
+    /// order, ranks that sent nothing left out. The load balancer folds this
+    /// into its communication-affinity summary. O(ranks): the totals are
+    /// kept, not recounted.
     pub fn interaction_summary(&self) -> Vec<(Rank, u64)> {
-        let mut acc: FxHashMap<Rank, u64> = FxHashMap::default();
-        for d in self.directory.values() {
-            let Some(entry) = d.entry.as_ref() else {
-                continue;
-            };
-            for (&src, &consumed) in &entry.expected {
-                if consumed > 0 {
-                    *acc.entry(src).or_insert(0) += consumed;
-                }
-            }
-        }
-        let mut out: Vec<(Rank, u64)> = acc.into_iter().collect();
-        out.sort_unstable();
-        out
+        self.consumed
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 }
 

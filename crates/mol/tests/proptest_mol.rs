@@ -398,6 +398,74 @@ proptest! {
         }
     }
 
+    /// `interaction_summary()` is read off totals kept as messages are
+    /// accepted and objects come and go, not recounted: after every step of a
+    /// random schedule of local and remote sends, migrations out, installs
+    /// and withheld polls, each rank's totals must equal the walk over its
+    /// resident objects' per-sender counts that they replaced.
+    #[test]
+    fn interaction_totals_equal_the_recounted_walk(
+        script in proptest::collection::vec((0u8..5, 0usize..4, 0usize..3), 20..120),
+    ) {
+        let n = 4;
+        let mut nodes: Vec<MolNode<MultiLog>> = LocalFabric::new(n)
+            .into_iter()
+            .map(|ep| MolNode::new(Communicator::new(Box::new(ep))))
+            .collect();
+        let ptrs = [
+            nodes[0].register(MultiLog::default()),
+            nodes[1].register(MultiLog::default()),
+            nodes[1].register(MultiLog::default()),
+        ];
+        let mut sent = 0;
+        for (op, a, b) in script {
+            let (rank, obj) = (a % n, b % ptrs.len());
+            match op {
+                0 | 1 => {
+                    nodes[rank].message(ptrs[obj], 1, Bytes::from(vec![0; 8]));
+                    sent += 1;
+                }
+                2 => {
+                    if let Some(src) = nodes.iter().position(|nd| nd.is_local(ptrs[obj])) {
+                        if src != rank {
+                            let _ = nodes[src].migrate(ptrs[obj], rank);
+                        }
+                    }
+                }
+                3 => {
+                    let events = nodes[rank].poll();
+                    apply_events(&mut nodes[rank], events);
+                }
+                _ => {
+                    nodes[rank].poll_system();
+                }
+            }
+            for node in nodes.iter() {
+                let walk: Vec<(usize, u64)> = (0..n)
+                    .map(|src| {
+                        let from_src = node
+                            .local_ptrs()
+                            .into_iter()
+                            .map(|ptr| node.interactions_from(ptr, [src])[0])
+                            .sum();
+                        (src, from_src)
+                    })
+                    .filter(|&(_, total)| total > 0)
+                    .collect();
+                prop_assert_eq!(node.interaction_summary(), walk);
+            }
+        }
+        // Once everything has landed, every message sent has been consumed
+        // by an object that is resident somewhere.
+        drain(&mut nodes);
+        let consumed: u64 = nodes
+            .iter()
+            .flat_map(|node| node.interaction_summary())
+            .map(|(_, total)| total)
+            .sum();
+        prop_assert_eq!(consumed, sent);
+    }
+
     /// The sharded directory's headline bound: under random interleavings of
     /// sends, migrations (publishes racing messages), explicit `resolve()`
     /// lookups, and withheld polls, every message is delivered exactly once

@@ -182,6 +182,9 @@ pub enum TraceEvent {
         dst: usize,
         /// Number of objects granted.
         units: u32,
+        /// How many of them left in the net-affine class: they had heard
+        /// more from `dst` than from the granting rank (DESIGN.md §21).
+        affine: u32,
     },
     /// A grant from `src` started arriving at this rank.
     LbGrantRecv {
@@ -398,8 +401,8 @@ impl TraceEvent {
             TraceEvent::LbRequestRecv { src } => {
                 let _ = write!(out, ",\"src\":{src}");
             }
-            TraceEvent::LbGrant { dst, units } => {
-                let _ = write!(out, ",\"dst\":{dst},\"units\":{units}");
+            TraceEvent::LbGrant { dst, units, affine } => {
+                let _ = write!(out, ",\"dst\":{dst},\"units\":{units},\"affine\":{affine}");
             }
             TraceEvent::LbGrantRecv { src, units } => {
                 let _ = write!(out, ",\"src\":{src},\"units\":{units}");

@@ -595,6 +595,8 @@ const VETO_LABELS: [&str; 3] = ["hysteresis", "residency", "rate-cap"];
 ///
 /// * `migrate` — per-object move counts, presented as a histogram (how many
 ///   objects moved exactly k times) so thrash shows up as a long tail;
+/// * `lb_grant` — how many granted objects were net-affine: chosen first
+///   because they had heard more from the requester than from their donor;
 /// * `lb_veto` — migrations the governor refused, by kind; kind 1 is a
 ///   residency violation averted (the object had not yet served its
 ///   minimum residency when a policy tried to move it again);
@@ -628,6 +630,15 @@ fn render_migration_churn(recs: &[Rec]) -> String {
             s,
             "{moves} moves across {} objects, busiest {home}:{index} with {worst}",
             per_obj.len()
+        );
+        let affine: u64 = recs
+            .iter()
+            .filter(|r| r.ev == "lb_grant")
+            .filter_map(|r| r.u64("affine"))
+            .sum();
+        let _ = writeln!(
+            s,
+            "{affine} granted as net-affine (had heard more from the requester than from the donor)"
         );
     }
     let nprocs = recs.iter().map(|r| r.rank + 1).max().unwrap_or(0);
@@ -737,7 +748,7 @@ mod tests {
 {"rank":1,"seq":14,"t":96,"ev":"poll_system","events":1}
 {"rank":1,"seq":15,"t":97,"ev":"poll_wake","events":1}
 {"rank":0,"seq":5,"t":98,"ev":"lb_request_recv","src":1}
-{"rank":0,"seq":6,"t":99,"ev":"lb_grant","dst":1,"units":2}
+{"rank":0,"seq":6,"t":99,"ev":"lb_grant","dst":1,"units":2,"affine":1}
 {"rank":0,"seq":7,"t":100,"ev":"lb_nack_sent","dst":1}
 {"rank":0,"seq":8,"t":101,"ev":"dcs_batch_flush","reason":"size","msgs":5,"bytes":320}
 {"rank":0,"seq":9,"t":102,"ev":"dcs_dropped","peer":1,"handler":7}
@@ -904,6 +915,7 @@ mod tests {
             out.contains("1 moves across 1 objects, busiest 0:7 with 1"),
             "{out}"
         );
+        assert!(out.contains("1 granted as net-affine"), "{out}");
         // Rank 0 vetoes: 1 hysteresis, 2 residency, 1 rate-cap.
         assert!(out.contains("residency"), "{out}");
         assert!(
