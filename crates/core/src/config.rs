@@ -2,8 +2,7 @@
 
 use prema_dcs::BatchConfig;
 use prema_ilb::{
-    Anticipatory, CommAwareDiffusion, Diffusion, Gradient, LbPolicy, Multilist, StabilityConfig,
-    WorkStealing,
+    Anticipatory, Diffusion, Gradient, LbPolicy, Multilist, StabilityConfig, WorkStealing,
 };
 use std::time::Duration;
 
@@ -50,14 +49,6 @@ pub enum PolicyKind {
         /// Overload threshold for granting.
         high_weight: f64,
     },
-    /// Diffusion weighted by object-interaction affinity: flows grow toward
-    /// neighbors the local objects already talk to (DESIGN.md §14).
-    CommDiffusion {
-        /// Ignore load differences below this weight.
-        threshold: f64,
-        /// Affinity strength in `[0, 1]`; `0` degenerates to plain diffusion.
-        alpha: f64,
-    },
     /// Diffusion driven by forecast load (EWMA + trend) instead of the
     /// instantaneous weight, so ramping ranks shed work before the imbalance
     /// materializes (DESIGN.md §14).
@@ -78,9 +69,6 @@ impl PolicyKind {
                 low_weight,
                 high_weight,
             } => Box::new(Gradient::new(low_weight, high_weight)),
-            PolicyKind::CommDiffusion { threshold, alpha } => {
-                Box::new(CommAwareDiffusion::new(threshold, alpha))
-            }
             PolicyKind::AnticipatoryDiffusion { threshold } => {
                 Box::new(Anticipatory::new(Box::new(Diffusion::new(threshold))))
             }
@@ -241,15 +229,6 @@ mod tests {
             .build(1)
             .name(),
             "gradient"
-        );
-        assert_eq!(
-            PolicyKind::CommDiffusion {
-                threshold: 0.5,
-                alpha: 0.5
-            }
-            .build(1)
-            .name(),
-            "comm-diffusion"
         );
         assert_eq!(
             PolicyKind::AnticipatoryDiffusion { threshold: 0.5 }

@@ -14,19 +14,19 @@
 //! (`lb_request`, `lb_grant`, `lb_veto`, `migrate`, `install`, ...) at
 //! simulated-time stamps.
 //!
-//! Two policy scenarios (DESIGN.md §14) ride along: `figure -- interact`
-//! compares weight-only against communication-aware diffusion on interacting
-//! mobile objects (metric: remote application messages), and `figure -- wave`
-//! compares reactive against anticipatory diffusion on a hotspot receiving
-//! escalating arrival waves (metric: makespan).
+//! Two policy scenarios (DESIGN.md §14) ride along, each one row per shipped
+//! policy on the real stack: `figure -- interact` (interacting mobile objects
+//! born on one rank; metric: remote application messages) and
+//! `figure -- wave` (a hotspot receiving escalating arrival waves; metric:
+//! makespan).
 
-use prema_harness::drivers::policy_drv::{
-    run_interact, run_interact_routed, run_wave, InteractCfg, RouteMode, WaveCfg, MODELED_MAX_CHAIN,
-};
+use prema::PolicyKind;
 use prema_harness::report::Config;
 use prema_harness::runner::run_figure_with_trace;
+use prema_harness::scenarios::{
+    run_interact, run_wave, shipped_policies, InteractCfg, PolicyRun, WaveCfg,
+};
 use prema_harness::spec::BenchSpec;
-use prema_ilb::{Anticipatory, CommAwareDiffusion, Diffusion};
 use prema_sim::TraceSink;
 
 /// Ring capacity per simulated processor when tracing a full-scale figure.
@@ -35,76 +35,37 @@ use prema_sim::TraceSink;
 /// tracer compiled in; 2^18 slots leaves headroom so `dropped()` stays 0.
 const TRACE_RING_CAPACITY: usize = 1 << 18;
 
-/// The `interact` scenario: weight-only vs communication-aware diffusion.
-fn scenario_interact() {
-    let cfg = InteractCfg::default();
-    let plain = run_interact(&cfg, &|_| Box::new(Diffusion::new(20.0)));
-    let comm = run_interact(&cfg, &|_| Box::new(CommAwareDiffusion::new(20.0, 1.0)));
-    println!("interact: {cfg:?}");
-    println!("policy          remote-app-msgs  total-app-msgs  migrations  makespan");
-    for (name, out) in [("diffusion", &plain), ("comm-diffusion", &comm)] {
+/// One scenario's table: a row per policy.
+fn scenario(policies: [PolicyKind; 5], run: impl Fn(PolicyKind) -> PolicyRun) {
+    println!("policy         remote-notes  migrations  makespan");
+    for policy in policies {
+        let out = run(policy);
         println!(
-            "{name:<15} {:>16} {:>15} {:>11} {:>9}",
-            out.remote_app_msgs, out.total_app_msgs, out.migrations, out.report.makespan
+            "{:<14} {:>12} {:>11} {:>9}",
+            policy.build(0).name(),
+            out.remote_notes,
+            out.migrations(),
+            out.stack.report.makespan
         );
     }
-    let save = 1.0 - comm.remote_app_msgs as f64 / plain.remote_app_msgs.max(1) as f64;
-    println!(
-        "comm-aware diffusion sends {:.1}% fewer remote application messages",
-        save * 100.0
-    );
-
-    // Directory comparison (DESIGN.md §16): the same comm-aware run with
-    // realistic location resolution — classic home-forwarding vs the
-    // sharded directory with sender caches.
-    let hf = run_interact_routed(&cfg, RouteMode::HomeForward, &|_| {
-        Box::new(CommAwareDiffusion::new(20.0, 1.0))
-    });
-    let sh = run_interact_routed(&cfg, RouteMode::Sharded, &|_| {
-        Box::new(CommAwareDiffusion::new(20.0, 1.0))
-    });
-    println!();
-    println!("directory       remote-app-msgs  dir-msgs  remote-total  chain-p99  chain-max");
-    for (name, out) in [("home-forward", &hf), ("sharded-cache", &sh)] {
-        println!(
-            "{name:<15} {:>16} {:>9} {:>13} {:>10} {:>10}",
-            out.remote_app_msgs,
-            out.dir_msgs,
-            out.remote_total(),
-            out.chain_percentile(0.99),
-            out.max_chain(),
-        );
-    }
-    let save = 1.0 - sh.remote_total() as f64 / hf.remote_total().max(1) as f64;
-    println!(
-        "sharded directory sends {:.1}% fewer remote messages (cache hit rate {:.1}%, \
-         p99 chain {} ≤ bound {})",
-        save * 100.0,
-        sh.cache_hit_rate() * 100.0,
-        sh.chain_percentile(0.99),
-        MODELED_MAX_CHAIN
-    );
 }
 
-/// The `wave` scenario: reactive vs anticipatory diffusion.
+/// The `interact` scenario; the diffusive threshold is one task.
+fn scenario_interact() {
+    let cfg = InteractCfg::default();
+    println!("interact: {cfg:?}, {} notes", cfg.notes());
+    scenario(shipped_policies(cfg.task_mflop, cfg.task_mflop), |p| {
+        run_interact(&cfg, p)
+    });
+}
+
+/// The `wave` scenario; the diffusive threshold is twelve tasks.
 fn scenario_wave() {
     let cfg = WaveCfg::default();
-    let reactive = run_wave(&cfg, &|_| Box::new(Diffusion::new(300.0)));
-    let ant = run_wave(&cfg, &|_| {
-        Box::new(Anticipatory::new(Box::new(Diffusion::new(300.0))))
-    });
     println!("wave: {cfg:?}");
-    println!("policy          makespan  migrations");
-    for (name, out) in [("diffusion", &reactive), ("anticipatory", &ant)] {
-        println!(
-            "{name:<15} {:>8} {:>11}",
-            out.report.makespan, out.migrations
-        );
-    }
-    let save = 1.0 - ant.report.makespan.as_secs_f64() / reactive.report.makespan.as_secs_f64();
-    println!(
-        "anticipatory diffusion finishes {:.1}% sooner",
-        save * 100.0
+    scenario(
+        shipped_policies(cfg.task_mflop, 12.0 * cfg.task_mflop),
+        |p| run_wave(&cfg, p),
     );
 }
 

@@ -12,7 +12,6 @@
 pub mod charm_drv;
 pub mod nolb;
 pub mod parmetis_drv;
-pub mod policy_drv;
 pub mod prema_drv;
 
 use prema_sim::SimTime;

@@ -93,7 +93,7 @@ pub fn run_units(
     trace: Option<Arc<TraceSink>>,
 ) -> StackRun {
     let total = units.iter().map(Vec::len).sum::<usize>() as u64;
-    simrank::run::<Unit>(machine, &cfg, total, trace, |sched| {
+    simrank::run::<Unit>(machine, &cfg, total, trace, Vec::new(), |sched| {
         sched.on_message(H_UNIT, |_ctx, _unit, _item| {});
         for u in &units[sched.rank()] {
             let ptr = sched.node_mut().register(Unit);

@@ -11,12 +11,14 @@
 //!   points;
 //! * [`simrank`] — the real PREMA stack (`ilb::Scheduler` over `MolNode`)
 //!   on the simulator's clock, which the PREMA drivers hand their workload;
+//! * [`scenarios`] — the two policy scenarios (`interact`, `wave`) as PREMA
+//!   applications on that stack, one run per shipped policy;
 //! * [`runner`] — runs a whole figure and checks the paper's shape claims;
 //! * [`report`] — uniform per-processor breakdown tables;
 //! * [`mesh_eval`] — the mesh-generator study (PREMA-implicit vs
 //!   stop-and-repartition vs no LB on a moving crack front).
 //!
-//! Binaries: `figure <3|4|5|6>`, `quality`, `overhead`, `mesh_eval`,
+//! Binaries: `figure <3|4|5|6|interact|wave>`, `quality`, `overhead`, `mesh_eval`,
 //! `experiments` (regenerates the data behind EXPERIMENTS.md).
 
 #![warn(missing_docs)]
@@ -25,6 +27,7 @@ pub mod drivers;
 pub mod mesh_eval;
 pub mod report;
 pub mod runner;
+pub mod scenarios;
 pub mod simrank;
 pub mod spec;
 

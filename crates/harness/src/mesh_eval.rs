@@ -293,7 +293,7 @@ pub fn run_prema(spec: &MeshEvalSpec, matrix: &Rc<CostMatrix>) -> SimReport {
         ..PremaConfig::implicit(nprocs)
     };
     let units = (nsubs * matrix.rounds()) as u64;
-    simrank::run::<SubdomainObj>(spec.machine, &cfg, units, None, |sched| {
+    simrank::run::<SubdomainObj>(spec.machine, &cfg, units, None, Vec::new(), |sched| {
         sched.on_message(H_REFINE, |ctx, sub: &mut SubdomainObj, item| {
             sub.round += 1;
             if let Some(&next) = sub.costs.get(sub.round) {

@@ -26,6 +26,12 @@
 //! model: a work message's payload begins with the unit's true cost in Mflop
 //! ([`mflop_payload`]), which the handler is free to ignore and `SimRank`
 //! charges as computation. The load balancer sees only the hint.
+//!
+//! Work that is not there at the start is an [`Arrival`]: application code
+//! run on one rank's scheduler at a simulated time, as a generator thread
+//! posting into a running rank would (the ledger's `arrivals_open`). A rank
+//! inside a unit finds it queued at its next boundary; an idle one is woken
+//! by it and starts on it at that instant.
 
 use crate::drivers::{callback_cpu, poll_wake_cpu, sched_cpu};
 use bytes::Bytes;
@@ -46,6 +52,23 @@ use std::time::Duration;
 const T_UNIT: u64 = 1;
 /// Timer token: the end of one compute segment of the executing unit.
 const T_SEG: u64 = 2;
+/// Timer token: this rank's next [`Arrival`] is due.
+const T_ARRIVAL: u64 = 3;
+
+/// Work posted on `rank` at simulated time `at`: `post` registers objects
+/// and sends them messages, like [`run`]'s `populate` at start-up. The units
+/// it creates count toward `run`'s `units`.
+pub struct Arrival<O: Migratable> {
+    /// When the work appears.
+    pub at: SimTime,
+    /// The rank it appears on.
+    pub rank: Rank,
+    /// What creates it.
+    pub post: Post<O>,
+}
+
+/// An [`Arrival`]'s application code.
+pub type Post<O> = Box<dyn FnOnce(&mut Scheduler<O>)>;
 
 /// The payload of a work message costing `mflop` to execute.
 pub fn mflop_payload(mflop: f64) -> Bytes {
@@ -111,6 +134,9 @@ struct SimRank<O: Migratable> {
     units_left: Rc<Cell<u64>>,
     /// The manually clocked sink the stack's tracer stamps from, if any.
     clock: Option<Arc<TraceSink>>,
+    /// This rank's arrivals not yet due, earliest first; each has a
+    /// `T_ARRIVAL` timer set at start-up.
+    arrivals: VecDeque<Arrival<O>>,
 }
 
 impl<O: Migratable> SimRank<O> {
@@ -187,16 +213,32 @@ impl<O: Migratable> SimRank<O> {
             self.unit_boundary(ctx);
         }
     }
+
+    /// The next arrival is due. An executing unit is left alone: what was
+    /// posted waits in the queue for its boundary (and for the polling
+    /// thread's next pass to weigh). Otherwise the rank was parked, the timer
+    /// has ended that wait, and this is a boundary.
+    fn arrival(&mut self, ctx: &mut Ctx) {
+        let due = self.arrivals.pop_front().expect("a timer per arrival");
+        self.call(ctx, |s| (due.post)(s));
+        if self.current.is_none() {
+            self.unit_boundary(ctx);
+        }
+    }
 }
 
 impl<O: Migratable> Process for SimRank<O> {
     fn on_start(&mut self, ctx: &mut Ctx) {
+        for a in &self.arrivals {
+            ctx.schedule(a.at, T_ARRIVAL);
+        }
         self.unit_boundary(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         match token {
             T_SEG => self.segment_end(ctx),
+            T_ARRIVAL => self.arrival(ctx),
             _ => self.unit_boundary(ctx),
         }
     }
@@ -216,7 +258,7 @@ pub struct StackRun {
 /// Run `units` work units on `machine` under the runtime `cfg` describes.
 /// `populate` is each rank's start-up code: it registers the handlers and
 /// that rank's (`Scheduler::rank`) mobile objects and posts their first
-/// messages.
+/// messages. `arrivals` is the work that appears later.
 ///
 /// The engine records its spans and messages into `trace`; the stack's own
 /// tracer (when compiled in) is attached too if the sink is manually clocked
@@ -227,9 +269,17 @@ pub fn run<O: Migratable>(
     cfg: &PremaConfig,
     units: u64,
     trace: Option<Arc<TraceSink>>,
+    mut arrivals: Vec<Arrival<O>>,
     populate: impl Fn(&mut Scheduler<O>),
 ) -> StackRun {
     assert_eq!(cfg.nprocs, machine.procs, "one rank per processor");
+    // Stable: arrivals due together are posted in the order given.
+    arrivals.sort_by_key(|a| a.at);
+    let mut due: Vec<VecDeque<Arrival<O>>> = (0..machine.procs).map(|_| VecDeque::new()).collect();
+    for a in arrivals {
+        assert!(a.rank < machine.procs, "an arrival on rank {}", a.rank);
+        due[a.rank].push_back(a);
+    }
     let poll_interval = match cfg.mode {
         LbMode::Implicit { poll_interval } => Some(SimTime(
             u64::try_from(poll_interval.as_nanos()).expect("poll interval fits in u64 ns"),
@@ -260,6 +310,7 @@ pub fn run<O: Migratable>(
             current: None,
             units_left: units_left.clone(),
             clock: clock.clone(),
+            arrivals: std::mem::take(&mut due[rank]),
         })
     })
     .with_trace(trace)

@@ -83,6 +83,7 @@ fn stealing_leaves_the_chat_mostly_local() {
         &PremaConfig::implicit(RANKS),
         units,
         None,
+        Vec::new(),
         |sched| {
             let rank = sched.rank();
             let (all, remote) = (ptrs.clone(), remote.clone());

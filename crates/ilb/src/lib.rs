@@ -35,8 +35,8 @@ pub mod stability;
 
 pub use forecast::{Forecast, WeightHistory};
 pub use policy::{
-    diffusion_neighborhood, pair_partner, Anticipatory, CommAwareDiffusion, CommSummary, Diffusion,
-    Gradient, LbPolicy, LoadMap, LoadSnapshot, Multilist, WorkStealing,
+    diffusion_neighborhood, pair_partner, Anticipatory, Diffusion, Gradient, LbPolicy, LoadMap,
+    LoadSnapshot, Multilist, WorkStealing,
 };
 pub use scheduler::{
     Execution, HandlerCtx, SchedStats, Scheduler, WorkHandler, NODE_HANDLER_LIMIT,

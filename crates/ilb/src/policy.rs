@@ -32,38 +32,6 @@ pub struct LoadSnapshot {
 /// map on every poll.
 pub type LoadMap = FxHashMap<Rank, LoadSnapshot>;
 
-/// Object-interaction summary for communication-aware policies (DESIGN.md
-/// §14): how many messages this rank's resident objects have consumed from
-/// each peer rank. Fed from the MOL's per-sender sequence counters, so it
-/// piggybacks on existing traffic — no extra wire bytes.
-#[derive(Clone, Debug, Default)]
-pub struct CommSummary {
-    /// Messages consumed from each peer, summed over resident objects.
-    pub per_peer: FxHashMap<Rank, u64>,
-    /// Total across all peers.
-    pub total: u64,
-}
-
-impl CommSummary {
-    /// Accumulate `n` messages consumed from `peer`.
-    pub fn note(&mut self, peer: Rank, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.per_peer.entry(peer).or_insert(0) += n;
-        self.total += n;
-    }
-
-    /// Fraction of all observed traffic that came from `peer`, in `[0, 1]`.
-    /// Zero when nothing has been observed.
-    pub fn affinity(&self, peer: Rank) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.per_peer.get(&peer).copied().unwrap_or(0) as f64 / self.total as f64
-    }
-}
-
 /// A load-balancing policy: decides when this processor is underloaded, whom
 /// to ask for work, and how much work to surrender to a requester.
 pub trait LbPolicy: Send {
@@ -111,26 +79,6 @@ pub trait LbPolicy: Send {
     /// the fit is the costliest thing in an evaluation that moves nothing.
     fn uses_forecast(&self) -> bool {
         false
-    }
-
-    /// Whether this policy consumes the [`CommSummary`]. When `false` (the
-    /// default) the scheduler skips building the interaction summary and
-    /// calls [`LbPolicy::flows`] directly.
-    fn uses_comm(&self) -> bool {
-        false
-    }
-
-    /// Communication-aware variant of [`LbPolicy::flows`]: additionally sees
-    /// the local object-interaction summary. The default ignores it and
-    /// delegates to `flows`.
-    fn flows_comm(
-        &self,
-        me: Rank,
-        local: &LoadSnapshot,
-        known: &LoadMap,
-        _comm: &CommSummary,
-    ) -> Vec<(Rank, f64)> {
-        self.flows(me, local, known)
     }
 }
 
@@ -508,105 +456,6 @@ impl LbPolicy for Gradient {
     }
 }
 
-/// **Communication-aware diffusion** (Taylor et al., PAPERS.md): Cybenko
-/// flows modulated by the object-interaction summary. A neighbor that sends
-/// this rank's objects most of their messages is a cheaper place for those
-/// objects to live, so affinity lowers the hysteresis gate toward it and
-/// boosts the flow — bounded by `diff/2` so a pair can never overshoot past
-/// balance. With `alpha = 0` (or no observed traffic) it degenerates to
-/// plain [`Diffusion`].
-pub struct CommAwareDiffusion {
-    /// Ignore weight differences below this (hysteresis), scaled down by
-    /// affinity.
-    pub threshold: f64,
-    /// How strongly communication affinity bends the flows, in `[0, 1]`.
-    pub alpha: f64,
-}
-
-impl CommAwareDiffusion {
-    /// Comm-aware diffusion with the given hysteresis threshold and affinity
-    /// weighting.
-    pub fn new(threshold: f64, alpha: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha must lie in [0, 1]");
-        CommAwareDiffusion { threshold, alpha }
-    }
-
-    fn flow_to(&self, local: &LoadSnapshot, their: f64, deg: usize, affinity: f64) -> Option<f64> {
-        let diff = local.weight - their;
-        if diff <= 0.0 {
-            return None; // never push uphill, however affine
-        }
-        let gate = self.threshold * (1.0 - self.alpha * affinity);
-        if diff <= gate {
-            return None;
-        }
-        let base = diff / (deg as f64 + 1.0);
-        Some((base * (1.0 + self.alpha * affinity)).min(diff / 2.0))
-    }
-}
-
-impl LbPolicy for CommAwareDiffusion {
-    fn name(&self) -> &'static str {
-        "comm-diffusion"
-    }
-
-    fn neighborhood(&self, me: Rank, nprocs: usize) -> Vec<Rank> {
-        diffusion_neighborhood(me, nprocs)
-    }
-
-    fn is_underloaded(&self, local: &LoadSnapshot) -> bool {
-        local.units == 0
-    }
-
-    fn choose_victim(
-        &mut self,
-        _me: Rank,
-        _nprocs: usize,
-        _known: &LoadMap,
-        _attempt: u32,
-    ) -> Option<Rank> {
-        None
-    }
-
-    fn grant_units(&self, local: &LoadSnapshot, requester: &LoadSnapshot) -> usize {
-        if local.units <= 1 || requester.weight >= local.weight - self.threshold {
-            0
-        } else {
-            half_gap(local, requester).max(1)
-        }
-    }
-
-    fn flows(&self, me: Rank, local: &LoadSnapshot, known: &LoadMap) -> Vec<(Rank, f64)> {
-        // Without a summary, behave as plain diffusion (affinity 0).
-        self.flows_comm(me, local, known, &CommSummary::default())
-    }
-
-    fn uses_comm(&self) -> bool {
-        true
-    }
-
-    fn flows_comm(
-        &self,
-        me: Rank,
-        local: &LoadSnapshot,
-        known: &LoadMap,
-        comm: &CommSummary,
-    ) -> Vec<(Rank, f64)> {
-        let nbrs: Vec<Rank> = known.keys().copied().filter(|&r| r != me).collect();
-        let deg = nbrs.len();
-        if deg == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for r in nbrs {
-            if let Some(flow) = self.flow_to(local, known[&r].weight, deg, comm.affinity(r)) {
-                out.push((r, flow));
-            }
-        }
-        out
-    }
-}
-
 /// **Anticipatory balancing** (Boulmier et al., PAPERS.md): a wrapper that
 /// feeds any inner policy a *forecast-adjusted* view of the local load. When
 /// the scheduler's weight-history trend predicts the queue growing, the
@@ -687,21 +536,6 @@ impl LbPolicy for Anticipatory {
 
     fn uses_forecast(&self) -> bool {
         true
-    }
-
-    fn uses_comm(&self) -> bool {
-        self.inner.uses_comm()
-    }
-
-    fn flows_comm(
-        &self,
-        me: Rank,
-        local: &LoadSnapshot,
-        known: &LoadMap,
-        comm: &CommSummary,
-    ) -> Vec<(Rank, f64)> {
-        self.inner
-            .flows_comm(me, &self.adjusted(local), known, comm)
     }
 }
 
@@ -870,11 +704,10 @@ mod tests {
 
     #[test]
     fn a_grant_is_half_the_gap_not_half_the_donor() {
-        let policies: [Box<dyn LbPolicy>; 5] = [
+        let policies: [Box<dyn LbPolicy>; 4] = [
             Box::new(WorkStealing::new(16.0, 1)),
             Box::new(Gradient::new(16.0, 16.0)),
             Box::new(Diffusion::new(0.5)),
-            Box::new(CommAwareDiffusion::new(0.5, 0.5)),
             Box::new(Multilist::new(16, 1)),
         ];
         for p in policies {
@@ -907,81 +740,6 @@ mod tests {
         // Equal weight refuses (no gap to close), as does a bare queue.
         assert_eq!(d.grant_units(&snap(4, 4.0), &snap(2, 4.0)), 0);
         assert_eq!(d.grant_units(&snap(1, 9.0), &snap(0, 0.0)), 0);
-    }
-
-    #[test]
-    fn comm_summary_tracks_affinity_fractions() {
-        let mut c = CommSummary::default();
-        assert_eq!(c.affinity(1), 0.0, "no traffic, no affinity");
-        c.note(1, 30);
-        c.note(2, 10);
-        c.note(1, 0); // zero counts are ignored entirely
-        assert_eq!(c.total, 40);
-        assert!((c.affinity(1) - 0.75).abs() < 1e-12);
-        assert!((c.affinity(2) - 0.25).abs() < 1e-12);
-        assert_eq!(c.affinity(7), 0.0);
-    }
-
-    #[test]
-    fn comm_aware_without_traffic_degenerates_to_diffusion() {
-        let plain = Diffusion::new(0.5);
-        let comm = CommAwareDiffusion::new(0.5, 0.8);
-        let mut known = LoadMap::default();
-        known.insert(1, snap(2, 2.0));
-        known.insert(2, snap(20, 20.0));
-        let local = snap(10, 10.0);
-        let a = plain.flows(0, &local, &known);
-        let b = comm.flows_comm(0, &local, &known, &CommSummary::default());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn comm_aware_boosts_flow_toward_affine_neighbors() {
-        let p = CommAwareDiffusion::new(0.5, 1.0);
-        let mut known = LoadMap::default();
-        known.insert(1, snap(2, 2.0));
-        known.insert(2, snap(2, 2.0));
-        let local = snap(10, 10.0);
-        let mut comm = CommSummary::default();
-        comm.note(1, 100); // all observed traffic comes from rank 1
-        let flows = p.flows_comm(0, &local, &known, &comm);
-        let to = |r: Rank| flows.iter().find(|f| f.0 == r).map(|f| f.1);
-        let (f1, f2) = (to(1).unwrap(), to(2).unwrap());
-        assert!(
-            f1 > f2,
-            "equal imbalance but all affinity at rank 1: {f1} <= {f2}"
-        );
-        // The boost is capped at half the gap so a pair cannot overshoot.
-        assert!(f1 <= (10.0 - 2.0) / 2.0 + 1e-12);
-    }
-
-    #[test]
-    fn comm_aware_never_pushes_uphill() {
-        let p = CommAwareDiffusion::new(0.5, 1.0);
-        let mut known = LoadMap::default();
-        known.insert(1, snap(50, 50.0));
-        let mut comm = CommSummary::default();
-        comm.note(1, 1000);
-        assert!(
-            p.flows_comm(0, &snap(2, 2.0), &known, &comm).is_empty(),
-            "affinity must never push load at a heavier rank"
-        );
-    }
-
-    #[test]
-    fn comm_aware_affinity_lowers_the_hysteresis_gate() {
-        let p = CommAwareDiffusion::new(2.0, 1.0);
-        let mut known = LoadMap::default();
-        known.insert(1, snap(2, 2.0));
-        let local = snap(3, 3.5); // diff 1.5: below the plain threshold
-        assert!(p.flows(0, &local, &known).is_empty());
-        let mut comm = CommSummary::default();
-        comm.note(1, 10);
-        assert_eq!(
-            p.flows_comm(0, &local, &known, &comm).len(),
-            1,
-            "full affinity scales the gate to zero, releasing the flow"
-        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! facade composes it with OS threads and, in implicit mode, a preemptive
 //! polling thread that calls [`Scheduler::poll_system`] concurrently.
 
-use crate::forecast::{Forecast, WeightHistory};
-use crate::policy::{CommSummary, LbPolicy, LoadMap, LoadSnapshot};
+use crate::forecast::WeightHistory;
+use crate::policy::{LbPolicy, LoadMap, LoadSnapshot};
 use crate::stability::{Governor, StabilityConfig, VetoKind};
 use bytes::Bytes;
 use prema_dcs::{FxHashMap, Rank, Tag, WireReader, WireWriter};
@@ -32,6 +32,11 @@ pub const NODE_HANDLER_LIMIT: u32 = 0xFFFF_F000;
 /// before that neighbour is told again, as a fraction of the told weight (see
 /// [`status_due`]).
 const STATUS_DRIFT: f64 = 0.125;
+
+/// How many polls ahead the local load forecast extrapolates: the horizon of
+/// the [`Forecast`](crate::forecast::Forecast) handed to
+/// [`LbPolicy::note_forecast`].
+const FORECAST_HORIZON: u64 = 32;
 
 /// Whether an `LB_STATUS` is due to one neighbour (DESIGN.md §18): `told` is
 /// what it was last told (`None`: nothing yet, or nothing since an object
@@ -196,8 +201,6 @@ pub struct Scheduler<O: Migratable> {
     governor: Governor,
     /// Local weight-history ring feeding `LbPolicy::note_forecast`.
     history: WeightHistory,
-    /// Ticks (polls) ahead the forecast extrapolates.
-    forecast_horizon: u64,
     /// `policy.neighborhood(rank, nprocs)`, fixed for the run, each rank with
     /// the load snapshot last published to it: `None` until the first, and
     /// again when an object arrived from it or a flow shipped one to it. A
@@ -234,7 +237,6 @@ impl<O: Migratable> Scheduler<O> {
             polls: 0,
             governor: Governor::new(StabilityConfig::default()),
             history: WeightHistory::new(32, 0.25),
-            forecast_horizon: 32,
             neighborhood,
             spare_outgoing: Vec::new(),
             tracer: Tracer::off(),
@@ -250,21 +252,6 @@ impl<O: Migratable> Scheduler<O> {
     /// The stability limits currently enforced.
     pub fn stability(&self) -> StabilityConfig {
         self.governor.config()
-    }
-
-    /// How many polls ahead the local load forecast extrapolates (the
-    /// horizon handed to `LbPolicy::note_forecast`).
-    pub fn set_forecast_horizon(&mut self, polls: u64) {
-        assert!(polls > 0, "forecast horizon must be at least one poll");
-        self.forecast_horizon = polls;
-    }
-
-    /// The current local load forecast: EWMA + linear trend over the recent
-    /// weight history, extrapolated `forecast_horizon` polls ahead. This is
-    /// the same forecast a policy that [uses one](LbPolicy::uses_forecast)
-    /// sees via `note_forecast`; it is fitted on demand.
-    pub fn forecast(&self) -> Forecast {
-        self.history.forecast(self.forecast_horizon)
     }
 
     /// Attach a trace recorder. Propagates down through the MOL node to the
@@ -630,7 +617,12 @@ impl<O: Migratable> Scheduler<O> {
                 // governor starts the object's minimum-residency hold so it
                 // cannot be granted straight back out (migration ping-pong).
                 self.governor.note_install(ptr, self.polls);
-                self.outstanding = None;
+                if self.outstanding.take().is_some() {
+                    self.tracer.emit(|| TraceEvent::LbGrantRecv {
+                        src: from,
+                        units: 1,
+                    });
+                }
                 self.attempt = 0;
                 // The rank that shipped it is owed a report, however little
                 // the object weighs: it goes by an estimate of this rank's
@@ -837,13 +829,13 @@ impl<O: Migratable> Scheduler<O> {
         // such a policy, or the sampled trace event when tracing records.
         self.history.record(self.polls, local.weight);
         if self.policy.uses_forecast() {
-            let fc = self.history.forecast(self.forecast_horizon);
+            let fc = self.history.forecast(FORECAST_HORIZON);
             self.policy.note_forecast(self.polls, &local, &fc);
         }
         if self.polls.is_multiple_of(64) {
-            let (history, horizon) = (&self.history, self.forecast_horizon);
+            let history = &self.history;
             self.tracer.emit(|| {
-                let fc = history.forecast(horizon);
+                let fc = history.forecast(FORECAST_HORIZON);
                 TraceEvent::LbForecast {
                     weight_milli: (local.weight * 1000.0) as u64,
                     predicted_milli: (fc.predicted.max(0.0) * 1000.0) as u64,
@@ -865,15 +857,9 @@ impl<O: Migratable> Scheduler<O> {
         // Sender-initiated flows (diffusive policies). Ship only objects
         // that fit wholly within the prescribed flow: overshooting ships the
         // last object back and forth between near-balanced neighbors.
-        // Communication-aware policies additionally see the local
-        // object-interaction summary when sizing a flow; which objects a
-        // flow takes is `grant_candidates`' order under every policy.
-        let flows = if self.policy.uses_comm() {
-            let comm = self.comm_summary();
-            self.policy.flows_comm(me, &local, &self.known, &comm)
-        } else {
-            self.policy.flows(me, &local, &self.known)
-        };
+        // The policy sizes a flow; which objects it takes is
+        // `grant_candidates`' order under every policy.
+        let flows = self.policy.flows(me, &local, &self.known);
         let mut rate_exhausted = false;
         for (dst, weight) in flows {
             if rate_exhausted {
@@ -958,32 +944,10 @@ impl<O: Migratable> Scheduler<O> {
         }
     }
 
-    /// The local object-interaction summary for communication-aware
-    /// policies: messages consumed per peer rank, summed over resident
-    /// objects (self-traffic excluded — it says nothing about remote
-    /// affinity). Derived from the MOL's per-sender sequence counters, so it
-    /// costs no extra wire traffic.
-    fn comm_summary(&self) -> CommSummary {
-        let me = self.rank();
-        let mut cs = CommSummary::default();
-        for (peer, n) in self.node.interaction_summary() {
-            if peer != me {
-                cs.note(peer, n);
-            }
-        }
-        cs
-    }
-
     /// Maximum consecutive refusals before a begging round gives up (until
     /// fresh status shows an overloaded neighbor or new work arrives).
     fn attempt_cap(&self) -> u32 {
         (self.nprocs() as u32).max(4) * 2
-    }
-
-    /// Reset the begging round (e.g. when new local work is created by the
-    /// application itself).
-    pub fn reset_backoff(&mut self) {
-        self.attempt = 0;
     }
 }
 

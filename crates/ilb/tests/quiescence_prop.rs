@@ -13,8 +13,7 @@
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric};
 use prema_ilb::{
-    Anticipatory, CommAwareDiffusion, Diffusion, Gradient, LbPolicy, Multilist, SchedStats,
-    Scheduler, WorkStealing,
+    Anticipatory, Diffusion, Gradient, LbPolicy, Multilist, SchedStats, Scheduler, WorkStealing,
 };
 use prema_mol::{Migratable, MolNode};
 use proptest::prelude::*;
@@ -46,7 +45,6 @@ fn shipped_policies(seed: u64) -> Vec<Box<dyn LbPolicy>> {
         Box::new(Diffusion::new(0.5)),
         Box::new(Multilist::new(1, seed)),
         Box::new(Gradient::new(1.0, 2.0)),
-        Box::new(CommAwareDiffusion::new(0.5, 0.5)),
         Box::new(Anticipatory::new(Box::new(Diffusion::new(0.5)))),
     ]
 }

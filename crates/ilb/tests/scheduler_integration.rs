@@ -3,9 +3,7 @@
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric, Tag, WireWriter};
-use prema_ilb::{
-    Anticipatory, CommAwareDiffusion, Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing,
-};
+use prema_ilb::{Anticipatory, Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing};
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -523,10 +521,9 @@ fn a_diffusive_flow_stops_at_the_balance_point() {
     // reporting once an object has moved: without that the sender pushes the
     // same flow again on every poll, past the balance point, and with the
     // governor off the two ranks trade the surplus back and forth.
-    let policies: [&dyn Fn() -> Box<dyn LbPolicy>; 2] =
-        [&|| Box::new(Diffusion::new(0.5)), &|| {
-            Box::new(CommAwareDiffusion::new(0.5, 0.5))
-        }];
+    // (`Anticipatory(Diffusion)` sizes its flows on a trend and echoes: the
+    // two tests below are its own.)
+    let mk: &dyn Fn() -> Box<dyn LbPolicy> = &|| Box::new(Diffusion::new(0.5));
     // Poll-only as before, then with the polling thread's passes in between,
     // governor off and on: an evaluation more or a window less must not move
     // an object more.
@@ -535,60 +532,58 @@ fn a_diffusive_flow_stops_at_the_balance_point() {
         (true, StabilityConfig::off()),
         (true, StabilityConfig::default()),
     ];
-    for mk in policies {
-        for units in [[1000, 900], [120, 100], [200, 100], [64, 0]] {
-            let half_gap = (units[0] - units[1]) as u64 / 2;
-            let even = (units[0] + units[1]) / 2;
-            let name = mk().name();
+    for units in [[1000, 900], [120, 100], [200, 100], [64, 0]] {
+        let half_gap = (units[0] - units[1]) as u64 / 2;
+        let even = (units[0] + units[1]) / 2;
+        let name = mk().name();
 
-            for (ticked, stability) in modes {
-                let mode = format!("{name} {units:?}, ticked {ticked}, {stability:?}");
-                // Nobody executes: exactly half the gap moves, none of it
-                // back.
-                let mut poller = if ticked {
-                    Poller::seeded()
-                } else {
-                    Poller(None)
-                };
-                let mut scheds = unequal_pair(mk, units, stability);
-                for _ in 0..256 {
-                    for s in scheds.iter_mut() {
-                        poller.poll(s);
-                    }
+        for (ticked, stability) in modes {
+            let mode = format!("{name} {units:?}, ticked {ticked}, {stability:?}");
+            // Nobody executes: exactly half the gap moves, none of it
+            // back.
+            let mut poller = if ticked {
+                Poller::seeded()
+            } else {
+                Poller(None)
+            };
+            let mut scheds = unequal_pair(mk, units, stability);
+            for _ in 0..256 {
+                for s in scheds.iter_mut() {
+                    poller.poll(s);
                 }
-                let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
-                assert_eq!(moved, [half_gap, 0], "{mode}");
-                assert_eq!(scheds[0].node().ready_len(), even, "{mode}");
-                assert_eq!(scheds[1].node().ready_len(), even, "{mode}");
-
-                // The sender polls eight times to the receiver's once, as a
-                // rank between two units does to one inside a long handler:
-                // the receiver's report is late, the booked shipment is not.
-                let mut scheds = unequal_pair(mk, units, stability);
-                for _ in 0..64 {
-                    for _ in 0..8 {
-                        poller.poll(&mut scheds[0]);
-                    }
-                    poller.poll(&mut scheds[1]);
-                }
-                let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
-                assert_eq!(moved, [half_gap, 0], "{mode}, receiver slow");
             }
-
-            // Both execute in lockstep, so the balance holds all the way
-            // down: nothing more moves, and the ranks finish together.
-            let mut scheds = unequal_pair(mk, units, StabilityConfig::off());
-            let executed = drain(&mut scheds);
             let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
-            assert!(
-                moved[0] <= half_gap && moved[1] == 0,
-                "{name} {units:?}: moved {moved:?}"
-            );
-            assert!(
-                executed[0].abs_diff(executed[1]) <= 2,
-                "{name} {units:?}: executed {executed:?}"
-            );
+            assert_eq!(moved, [half_gap, 0], "{mode}");
+            assert_eq!(scheds[0].node().ready_len(), even, "{mode}");
+            assert_eq!(scheds[1].node().ready_len(), even, "{mode}");
+
+            // The sender polls eight times to the receiver's once, as a
+            // rank between two units does to one inside a long handler:
+            // the receiver's report is late, the booked shipment is not.
+            let mut scheds = unequal_pair(mk, units, stability);
+            for _ in 0..64 {
+                for _ in 0..8 {
+                    poller.poll(&mut scheds[0]);
+                }
+                poller.poll(&mut scheds[1]);
+            }
+            let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+            assert_eq!(moved, [half_gap, 0], "{mode}, receiver slow");
         }
+
+        // Both execute in lockstep, so the balance holds all the way
+        // down: nothing more moves, and the ranks finish together.
+        let mut scheds = unequal_pair(mk, units, StabilityConfig::off());
+        let executed = drain(&mut scheds);
+        let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
+        assert!(
+            moved[0] <= half_gap && moved[1] == 0,
+            "{name} {units:?}: moved {moved:?}"
+        );
+        assert!(
+            executed[0].abs_diff(executed[1]) <= 2,
+            "{name} {units:?}: executed {executed:?}"
+        );
     }
 }
 
@@ -816,11 +811,10 @@ fn a_displaced_object_goes_home_before_any_native_is_touched() {
 
 #[test]
 fn a_flow_takes_the_same_objects_whatever_policy_sized_it() {
-    // What `CommAwareDiffusion` alone used to do, by another key: it moved
-    // first whatever had heard most from the destination in absolute terms.
+    // The candidate order does not depend on who sized the flow.
     let policies: [&dyn Fn() -> Box<dyn LbPolicy>; 2] =
         [&|| Box::new(Diffusion::new(0.5)), &|| {
-            Box::new(CommAwareDiffusion::new(0.5, 0.5))
+            Box::new(Anticipatory::new(Box::new(Diffusion::new(0.5))))
         }];
     for mk in policies {
         let mut scheds = machine(2, |_| mk());

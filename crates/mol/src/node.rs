@@ -346,7 +346,7 @@ pub struct MolNode<O: Migratable> {
     /// Messages the resident objects have consumed from each rank of the
     /// machine: the sum of their `expected` maps, kept as they change (a
     /// message accepted, an object packed out or installed) so
-    /// [`MolNode::interaction_summary`] never walks the directory. A sender
+    /// [`MolNode::interactions_with`] never walks the directory. A sender
     /// outside the machine — only a corrupt frame names one — is no peer and
     /// is left out.
     consumed: Vec<u64>,
@@ -1372,25 +1372,10 @@ impl<O: Migratable> MolNode<O> {
         srcs.map(|src| expected.and_then(|e| e.get(&src)).copied().unwrap_or(0))
     }
 
-    /// Messages all resident objects together have consumed from rank `src`:
-    /// one row of [`MolNode::interaction_summary`], without building it.
+    /// Messages all resident objects together have consumed from rank `src`
+    /// (which may be this rank). O(1): the totals are kept, not recounted.
     pub fn interactions_with(&self, src: Rank) -> u64 {
         self.consumed.get(src).copied().unwrap_or(0)
-    }
-
-    /// Per-peer interaction totals across all resident objects: how many
-    /// messages this rank's objects have consumed from each sender rank
-    /// (including this rank itself — callers filter as needed), in rank
-    /// order, ranks that sent nothing left out. The load balancer folds this
-    /// into its communication-affinity summary. O(ranks): the totals are
-    /// kept, not recounted.
-    pub fn interaction_summary(&self) -> Vec<(Rank, u64)> {
-        self.consumed
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, n)| n > 0)
-            .collect()
     }
 }
 

@@ -398,11 +398,11 @@ proptest! {
         }
     }
 
-    /// `interaction_summary()` is read off totals kept as messages are
+    /// `interactions_with()` is read off totals kept as messages are
     /// accepted and objects come and go, not recounted: after every step of a
     /// random schedule of local and remote sends, migrations out, installs
-    /// and withheld polls, each rank's totals must equal the walk over its
-    /// resident objects' per-sender counts that they replaced.
+    /// and withheld polls, each rank's total for every sender must equal the
+    /// walk over its resident objects' per-sender counts that it replaced.
     #[test]
     fn interaction_totals_equal_the_recounted_walk(
         script in proptest::collection::vec((0u8..5, 0usize..4, 0usize..3), 20..120),
@@ -441,18 +441,14 @@ proptest! {
                 }
             }
             for node in nodes.iter() {
-                let walk: Vec<(usize, u64)> = (0..n)
-                    .map(|src| {
-                        let from_src = node
-                            .local_ptrs()
-                            .into_iter()
-                            .map(|ptr| node.interactions_from(ptr, [src])[0])
-                            .sum();
-                        (src, from_src)
-                    })
-                    .filter(|&(_, total)| total > 0)
-                    .collect();
-                prop_assert_eq!(node.interaction_summary(), walk);
+                for src in 0..n {
+                    let walk: u64 = node
+                        .local_ptrs()
+                        .into_iter()
+                        .map(|ptr| node.interactions_from(ptr, [src])[0])
+                        .sum();
+                    prop_assert_eq!(node.interactions_with(src), walk);
+                }
             }
         }
         // Once everything has landed, every message sent has been consumed
@@ -460,8 +456,7 @@ proptest! {
         drain(&mut nodes);
         let consumed: u64 = nodes
             .iter()
-            .flat_map(|node| node.interaction_summary())
-            .map(|(_, total)| total)
+            .flat_map(|node| (0..n).map(|src| node.interactions_with(src)))
             .sum();
         prop_assert_eq!(consumed, sent);
     }

@@ -19,8 +19,9 @@
 //!   up in the inbox *without* interrupting the processor (this is what makes
 //!   explicit polling vs. preemptive polling an observable difference);
 //! * **idle-waiting** — the callback called [`Ctx::wait_msg`] with an empty
-//!   inbox; the next message arrival wakes the processor and the gap is
-//!   attributed to [`Category::Idle`].
+//!   inbox; the next message arrival, or a timer the processor had set
+//!   beforehand, wakes the processor and the gap is attributed to
+//!   [`Category::Idle`].
 //!
 //! Messages are delivered **only when the process polls** ([`Ctx::poll`] /
 //! [`Ctx::poll_where`]); the engine never pushes a message into a callback.
@@ -168,6 +169,30 @@ impl Core {
         if let Some(sink) = &self.sink {
             sink.record(pid, t.0, ev);
         }
+    }
+
+    /// End `pid`'s idle wait at `at`, if it is in one: the gap is attributed
+    /// to the category the wait named, and the wait's token is returned.
+    fn end_wait(&mut self, pid: ProcId, at: SimTime) -> Option<u64> {
+        let meta = &mut self.metas[pid];
+        let token = meta.waiting.take()?;
+        let idle = at.saturating_sub(meta.idle_since);
+        let idle_since = meta.idle_since;
+        let cat = meta.wait_cat;
+        meta.acct.add(cat, idle);
+        meta.wait_cat = Category::Idle;
+        meta.clock = meta.clock.max(at);
+        if idle.0 > 0 {
+            self.trace(
+                pid,
+                idle_since,
+                TraceEvent::Span {
+                    cat: cat as u8,
+                    dur: idle.0,
+                },
+            );
+        }
+        Some(token)
     }
 
     fn push(&mut self, time: SimTime, proc: ProcId, kind: EvKind) {
@@ -357,7 +382,9 @@ impl<'a> Ctx<'a> {
 
     /// Go idle until a message arrives; `on_timer(token)` then fires at the
     /// arrival time and the gap is attributed to [`Category::Idle`]. If the
-    /// inbox is already non-empty the wake-up fires immediately.
+    /// inbox is already non-empty the wake-up fires immediately. A timer
+    /// scheduled earlier and due first ends the wait instead, with its own
+    /// token.
     pub fn wait_msg(&mut self, token: u64) {
         self.wait_msg_as(token, Category::Idle);
     }
@@ -475,28 +502,15 @@ impl Engine {
                     self.dispatch(pid, ev.time, None);
                 }
                 EvKind::Timer { token } => {
+                    // A timer the processor set before it went idle ends
+                    // the wait as an arrival would; the wait's own token is
+                    // dropped, the timer's is the one delivered.
+                    self.core.end_wait(pid, ev.time);
                     self.dispatch(pid, ev.time, Some(token));
                 }
                 EvKind::Arrive { msg } => {
-                    let meta = &mut self.core.metas[pid];
-                    meta.inbox.push_back(msg);
-                    if let Some(token) = meta.waiting.take() {
-                        let idle = ev.time.saturating_sub(meta.idle_since);
-                        let idle_since = meta.idle_since;
-                        let cat = meta.wait_cat;
-                        meta.acct.add(cat, idle);
-                        meta.wait_cat = Category::Idle;
-                        meta.clock = meta.clock.max(ev.time);
-                        if idle.0 > 0 {
-                            self.core.trace(
-                                pid,
-                                idle_since,
-                                TraceEvent::Span {
-                                    cat: cat as u8,
-                                    dur: idle.0,
-                                },
-                            );
-                        }
+                    self.core.metas[pid].inbox.push_back(msg);
+                    if let Some(token) = self.core.end_wait(pid, ev.time) {
                         self.dispatch(pid, ev.time, Some(token));
                     }
                 }
@@ -680,6 +694,41 @@ mod tests {
         .run();
         // Proc 1 never idled: it was busy the whole time before the poll.
         assert_eq!(report.breakdowns[1][Category::Idle], SimTime::ZERO);
+    }
+
+    /// Parks with a timer set for 1 s, parks again when it fires, and is woken
+    /// for good by the message proc 1 sends at 2 s.
+    struct TimedWaiter;
+
+    impl Process for TimedWaiter {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            if ctx.pid() == 0 {
+                ctx.schedule(SimTime::from_secs(1), 1);
+                ctx.wait_msg(0);
+            } else {
+                ctx.consume(Category::Computation, SimTime::from_secs(2));
+                ctx.send(0, 1, 0, Box::new(()));
+                ctx.finish();
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            if token == 1 {
+                assert_eq!(ctx.now(), SimTime::from_secs(1));
+                ctx.wait_msg(0);
+            } else {
+                assert_eq!(ctx.poll().len(), 1);
+                ctx.finish();
+            }
+        }
+    }
+
+    #[test]
+    fn a_timer_ends_a_wait_and_the_processor_may_wait_again() {
+        let report = Engine::build(MachineConfig::small(2), |_| Box::new(TimedWaiter)).run();
+        assert!(report.finish[0] > SimTime::from_secs(2));
+        // Both waits are idle time, and nothing else happened but one receive.
+        let idle = report.breakdowns[0][Category::Idle];
+        assert_eq!(idle + MachineConfig::small(2).recv_cpu, report.finish[0]);
     }
 
     /// Per-pair FIFO: a large message sent before a small one still arrives first.

@@ -186,11 +186,11 @@ pub enum TraceEvent {
         /// more from `dst` than from the granting rank (DESIGN.md §21).
         affine: u32,
     },
-    /// A grant from `src` started arriving at this rank.
+    /// A grant from `src` started arriving, ending this rank's begging round.
     LbGrantRecv {
         /// Granting rank.
         src: usize,
-        /// Number of objects granted.
+        /// Objects arrived so far (the stack reports the first: 1).
         units: u32,
     },
     /// This rank refused an `LB_REQUEST`: it sent an `LB_NACK` to `dst`.
