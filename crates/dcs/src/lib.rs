@@ -35,9 +35,12 @@
 //!   messages.
 //! * [`chaos`] — a seeded fault-injecting transport decorator: deterministic
 //!   drop / duplicate / reorder / delay plus runtime rank-pair partitions.
+//! * [`clock`] — the time a layer with timers is handed at construction:
+//!   monotonic on threads, hand-stepped in lock-step tests and the simulator.
 //! * [`reliable`] — an opt-in ack/retry/backoff reliable-delivery decorator
-//!   (sequence-deduped, per-pair FIFO) that restores the MPI-grade wire
-//!   contract above an adversarial transport.
+//!   (sequence-deduped, per-pair FIFO, cumulative ACKs riding on reverse
+//!   data frames) that restores the MPI-grade wire contract above an
+//!   adversarial transport.
 //! * [`udp`] — the out-of-process wire: one UDP socket per rank with batched
 //!   `sendmmsg`/`recvmmsg` I/O, a versioned header, and a join handshake, so
 //!   ranks run as separate OS processes (see `prema-launch`).
@@ -50,6 +53,7 @@
 
 pub mod batch;
 pub mod chaos;
+pub mod clock;
 pub mod collective;
 pub mod comm;
 pub mod env;
@@ -65,6 +69,7 @@ pub mod wire;
 
 pub use batch::{BatchConfig, H_DCS_BATCH};
 pub use chaos::{ChaosConfig, ChaosHandle, ChaosStats, ChaosTransport};
+pub use clock::Clock;
 pub use collective::Collectives;
 pub use comm::{CommStats, Communicator};
 pub use envelope::{Envelope, HandlerId, Rank, Tag};

@@ -12,29 +12,61 @@
 //!   out-of-order arrivals and **deduplicating** by sequence number, so
 //!   duplicated frames (including retransmissions that crossed an ACK) are
 //!   idempotent;
-//! * receivers answer every data frame with a **cumulative ACK** (the next
-//!   sequence number they expect), and senders retransmit unacknowledged
-//!   frames on a tick-counted timeout with exponential backoff.
+//! * acknowledgements are **cumulative** (the next sequence number expected)
+//!   and senders retransmit everything unacknowledged, oldest first, when a
+//!   timer runs out, backing off exponentially until an ACK makes progress.
 //!
-//! Time is counted in *receive polls* (ticks), not wall time: the runtime's
-//! polling loops call `try_recv`/`recv_timeout` continuously, so ticks
-//! advance whenever the rank is making progress, and the retransmit schedule
-//! is independent of wall-clock jitter.
+//! # Time is passed in
 //!
-//! Tick time has one failure mode a real lossy socket exposes: a rank
-//! blocked in one long `recv_timeout` would advance **no** ticks until
-//! unrelated traffic arrived, so a lost frame would never be retransmitted
-//! under silence — precisely when retransmission is the only way forward.
-//! `recv_timeout` therefore never sleeps longer than [`RETRY_SLICE`] while
-//! any frame is unacknowledged: each expired slice advances the tick count
-//! explicitly, converting silent wall-clock time into ticks at a bounded
-//! rate (`RETRY_SLICE` per tick) so backoff fires even when the wire is
-//! one-way dead. Once everything is acknowledged the sleep reverts to the
-//! full remaining timeout (event-driven, no polling tax).
+//! Both timers — the retransmit timer and the ACK delay below — are
+//! durations on the [`Clock`] handed to the constructor; the layer reads no
+//! clock of its own, so a lock-step test or the simulator decides what time
+//! it is ([`Clock::manual`]) and threads and worker processes run on
+//! [`Clock::monotonic`]. A **look** — one receive pass over the inner
+//! transport — reads the clock once: it drains what has arrived, then
+//! retransmits what has waited [`RetryConfig::retry_after`] (doubling per
+//! silent round) and sends the ACKs that have waited [`ACK_DELAY`]. A frame's
+//! timer starts at the first look after it was sent, never before, so a
+//! rank that sends at the end of a long handler does not find the timer
+//! already spent. `recv_timeout` blocks in the inner transport until its
+//! deadline or the earliest timer, whichever is first, so retransmission
+//! fires under total silence — when it is the only way forward — and a quiet,
+//! fully acknowledged wire sleeps the whole timeout.
 //!
-//! ACK frames are sent raw (not themselves sequence-numbered): a lost ACK
-//! merely causes a retransmission, which the dedup layer absorbs.
+//! # Who acknowledges, and when
+//!
+//! Every data frame carries, besides its own sequence number, the sender's
+//! cumulative ACK for the reverse direction, so two ranks that talk to each
+//! other acknowledge for free. An in-order delivery only marks the source
+//! *owed*; a standalone [`H_REL_ACK`] is sent when
+//!
+//! * an owed ACK has waited [`ACK_DELAY`], or [`ACK_EVERY`] frames have been
+//!   delivered, without a data frame to ride on; or
+//! * a frame arrives that is a duplicate or leaves a gap — at once, because
+//!   either means the sender's picture is wrong and its timer is running.
+//!
+//! Liveness when both sides fall silent: whoever received the last in-order
+//! frame is owed, sends nothing to ride on, and so sends a standalone ACK at
+//! its first look after the delay (or when `recv_timeout`'s sleep, which is
+//! bounded by that timer, ends). If that ACK is lost the sender's timer runs
+//! out, the retransmission arrives as a duplicate and is acknowledged at
+//! once; the pair settles as long as both keep looking at the wire.
+//! Standalone ACKs are sent raw (not themselves sequence-numbered): a lost
+//! one costs a retransmission, which the dedup absorbs. A retransmitted
+//! frame carries the ACK it was encoded with; cumulative ACKs only grow, so
+//! a stale one is ignored.
+//!
+//! # One look per receive pass
+//!
+//! `try_recv` hands up everything its last look delivered before looking
+//! again, and the `None` that ends such a burst is answered without touching
+//! the inner transport: a pump that receives K envelopes costs one look, not
+//! K + 1. The exception keeps the contract callers rely on — *after a `None`,
+//! everything sent before it has reached the inner transport's receive path,
+//! where staging transports flush*: if anything was sent during the burst the
+//! burst ends with a real look.
 
+use crate::clock::Clock;
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
 use crate::pool;
 use crate::transport::Transport;
@@ -45,21 +77,39 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Reliable-layer data frame: wraps one application/system envelope with a
-/// per-destination sequence number.
+/// per-destination sequence number and the reverse direction's ACK.
 pub const H_REL_DATA: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 48);
-/// Reliable-layer cumulative acknowledgement.
+/// Reliable-layer standalone cumulative acknowledgement.
 pub const H_REL_ACK: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 49);
+
+/// How long an owed ACK waits for a reverse data frame to ride on before it
+/// is sent by itself.
+///
+/// This and [`ACK_EVERY`] are constants, not configuration: on `chat_udp`
+/// (benchmark/README.md) ACK delays of 50 µs … 1 ms crossed with
+/// `retry_after` 2 … 20 ms all read 440–520 k units/s against 375 k for the
+/// same build acknowledging every frame. The delay only has to be short
+/// against `retry_after` (the sender must hear before its timer runs out)
+/// and long against a poll (so a conversation's reverse frame usually gets
+/// there first).
+pub const ACK_DELAY: Duration = Duration::from_micros(250);
+/// How many in-order frames may be delivered to one source before it is sent
+/// an ACK regardless of the delay, so a one-way stream's unacknowledged tail
+/// stays short however fast it runs.
+pub const ACK_EVERY: u32 = 32;
 
 // Wire schema of the two reliable-layer frames, kept as named encode/decode
 // pairs so `cargo xtask analyze` can check the sequences against each other.
 
-/// Encode a data frame: seq, inner handler, inner tag, inner payload.
+/// Encode a data frame: seq, the ACK riding on it, inner handler, inner tag,
+/// inner payload.
 ///
 /// Pooled: frame buffers cycle constantly under load (wrapped at send,
 /// dropped at ACK), the exact pattern the freelist serves.
-fn encode_data(seq: u64, env: &Envelope) -> bytes::Bytes {
-    WireWriter::pooled(20 + env.payload.len())
+fn encode_data(seq: u64, ack: u64, env: &Envelope) -> bytes::Bytes {
+    WireWriter::pooled(28 + env.payload.len())
         .u64(seq)
+        .u64(ack)
         .u32(env.handler.0)
         .u32(match env.tag {
             Tag::App => 0,
@@ -69,17 +119,18 @@ fn encode_data(seq: u64, env: &Envelope) -> bytes::Bytes {
         .finish()
 }
 
-/// Decode a data frame back to (seq, handler, tag, payload).
-fn decode_data(payload: bytes::Bytes) -> Option<(u64, HandlerId, Tag, bytes::Bytes)> {
+/// Decode a data frame back to (seq, ack, handler, tag, payload).
+fn decode_data(payload: bytes::Bytes) -> Option<(u64, u64, HandlerId, Tag, bytes::Bytes)> {
     let mut r = WireReader::new(payload);
     let seq = r.try_u64()?;
+    let ack = r.try_u64()?;
     let handler = HandlerId(r.try_u32()?);
     let tag = match r.try_u32()? {
         0 => Tag::App,
         _ => Tag::System,
     };
     let inner = r.try_bytes()?;
-    Some((seq, handler, tag, inner))
+    Some((seq, ack, handler, tag, inner))
 }
 
 /// Encode a cumulative ACK: the next expected sequence number.
@@ -92,30 +143,35 @@ fn decode_ack(payload: bytes::Bytes) -> Option<u64> {
     WireReader::new(payload).try_u64()
 }
 
-/// Upper bound on one `recv_timeout` sleep while any frame is
-/// unacknowledged: each expired slice advances one tick, so under total
-/// silence the retry clock runs at one tick per `RETRY_SLICE` of wall time
-/// (e.g. the default [`RetryConfig`]'s 64-tick first retransmit fires after
-/// ~32 ms of silence). Irrelevant once all-acked — the sleep then spans the
-/// whole remaining timeout.
-pub const RETRY_SLICE: Duration = Duration::from_micros(500);
-
-/// Retransmission schedule, in receive-poll ticks.
+/// Retransmission schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryConfig {
-    /// Ticks to wait for an ACK before the first retransmission.
-    pub retry_ticks: u64,
-    /// Backoff cap: the interval doubles per retry up to
-    /// `retry_ticks << max_backoff_shift`.
+    /// How long the oldest unacknowledged frame waits for an ACK before the
+    /// first retransmission.
+    pub retry_after: Duration,
+    /// Backoff cap: the wait doubles per silent round up to
+    /// `retry_after << max_backoff_shift`.
     pub max_backoff_shift: u32,
 }
 
 impl Default for RetryConfig {
+    /// 10 ms, backing off to 640 ms. On loopback a reply takes tens of
+    /// microseconds, so the wait is there for a peer that lost the CPU: at
+    /// 2 ms a descheduled `chat_udp` peer drew 1.6–51 k go-back-N
+    /// retransmissions per 8 s run (0.2–5% of frames), at 10–20 ms 4–1.7 k
+    /// (≤ 0.25%).
     fn default() -> Self {
         RetryConfig {
-            retry_ticks: 64,
+            retry_after: Duration::from_millis(10),
             max_backoff_shift: 6,
         }
+    }
+}
+
+impl RetryConfig {
+    /// The wait before retransmission round `round` (0 = the first).
+    pub fn wait(&self, round: u32) -> Duration {
+        self.retry_after * (1u32 << round.min(self.max_backoff_shift))
     }
 }
 
@@ -131,15 +187,12 @@ pub struct ReliableStats {
     pub delivered: u64,
     /// Out-of-order frames parked until the gap filled.
     pub buffered: u64,
-    /// ACK frames sent.
+    /// Standalone ACK frames sent (ACKs riding on data frames are free and
+    /// not counted).
     pub acks_sent: u64,
-    /// Frames with undecodable payloads dropped defensively.
+    /// Frames with undecodable payloads dropped defensively, and ACKs for
+    /// sequence numbers never sent.
     pub malformed: u64,
-    /// Retransmissions that reused the stored pre-encoded frame instead of
-    /// re-encoding the envelope. Frames are wrapped exactly once (into a
-    /// pooled buffer) at `send` and kept until acknowledged, so this equals
-    /// `retries` — the counter pins that invariant observably.
-    pub retx_reencode_avoided: u64,
 }
 
 /// Per-destination sender book-keeping.
@@ -147,13 +200,15 @@ pub struct ReliableStats {
 struct SendState {
     /// Next sequence number to assign.
     next_seq: u64,
-    /// Unacknowledged frames, by sequence number (stored pre-wrapped so a
-    /// retransmit is a plain `send`).
-    unacked: BTreeMap<u64, Envelope>,
+    /// Unacknowledged frames, oldest first (stored pre-wrapped so a
+    /// retransmit is a plain `send`). Sequence numbers are contiguous: the
+    /// front is `next_seq - unacked.len()`.
+    unacked: VecDeque<Envelope>,
     /// Consecutive retransmission rounds without ACK progress.
-    attempts: u32,
-    /// Tick at which the next retransmission fires.
-    next_retry: u64,
+    rounds: u32,
+    /// When the next retransmission fires; `None` until the first look after
+    /// `unacked` stopped being empty.
+    retry_at: Option<Duration>,
 }
 
 /// Per-source receiver book-keeping.
@@ -163,42 +218,55 @@ struct RecvState {
     expected: u64,
     /// Frames that arrived ahead of the gap, by sequence number.
     ooo: BTreeMap<u64, Envelope>,
+    /// In-order frames delivered since `expected` was last told to the
+    /// source, on a data frame or by itself.
+    owed: u32,
+    /// When `owed` left zero.
+    owed_since: Duration,
 }
 
 struct ReliableState {
-    tick: u64,
     send: Vec<SendState>,
     recv: Vec<RecvState>,
     /// In-order envelopes ready for delivery up the stack.
     ready: VecDeque<Envelope>,
+    /// The last look delivered something and no `None` has ended it yet.
+    in_burst: bool,
+    /// Something was sent since the inner transport's receive path last ran.
+    unflushed: bool,
     stats: ReliableStats,
 }
 
 /// The reliable-delivery decorator. See the module docs for the protocol.
 pub struct ReliableTransport<T: Transport> {
-    inner: T,
+    pub(crate) inner: T,
     retry: RetryConfig,
+    clock: Clock,
     state: RefCell<ReliableState>,
     tracer: Tracer,
 }
 
 impl<T: Transport> ReliableTransport<T> {
-    /// Wrap `inner` with the default retransmission schedule.
+    /// Wrap `inner` with the default retransmission schedule on the
+    /// monotonic clock.
     pub fn new(inner: T) -> Self {
-        Self::with_retry(inner, RetryConfig::default())
+        Self::with_retry(inner, RetryConfig::default(), Clock::monotonic())
     }
 
-    /// Wrap `inner` with an explicit retransmission schedule.
-    pub fn with_retry(inner: T, retry: RetryConfig) -> Self {
+    /// Wrap `inner` with an explicit retransmission schedule, timed by
+    /// `clock`.
+    pub fn with_retry(inner: T, retry: RetryConfig, clock: Clock) -> Self {
         let n = inner.nprocs();
         ReliableTransport {
             inner,
             retry,
+            clock,
             state: RefCell::new(ReliableState {
-                tick: 0,
                 send: (0..n).map(|_| SendState::default()).collect(),
                 recv: (0..n).map(|_| RecvState::default()).collect(),
                 ready: VecDeque::new(),
+                in_burst: false,
+                unflushed: false,
                 stats: ReliableStats::default(),
             }),
             tracer: Tracer::off(),
@@ -225,54 +293,55 @@ impl<T: Transport> ReliableTransport<T> {
             .all(|s| s.unacked.is_empty())
     }
 
-    fn wrap(&self, env: &Envelope, seq: u64) -> Envelope {
-        let payload = encode_data(seq, env);
-        Envelope {
-            src: self.inner.rank(),
-            dst: env.dst,
-            handler: H_REL_DATA,
-            // The frame shares the inner tag so chaos layers that filter by
-            // tag see representative traffic; the receiver restores the
-            // decoded tag anyway.
-            tag: env.tag,
-            payload,
-        }
-    }
-
+    /// Tell `dst` by itself what is expected from it next.
     fn send_ack(&self, state: &mut ReliableState, dst: Rank) {
-        let expected = state.recv[dst].expected;
+        let r = &mut state.recv[dst];
+        r.owed = 0;
         state.stats.acks_sent += 1;
+        state.unflushed = true;
         self.inner.send(Envelope {
             src: self.inner.rank(),
             dst,
             handler: H_REL_ACK,
             tag: Tag::System,
-            payload: encode_ack(expected),
+            payload: encode_ack(r.expected),
         });
     }
 
+    /// `src` expects `ack` next: everything below it is done for good.
+    fn on_ack(&self, state: &mut ReliableState, src: Rank, ack: u64, now: Duration) {
+        let s = &mut state.send[src];
+        if ack > s.next_seq {
+            // Acknowledges a frame never sent: corrupt, not late.
+            state.stats.malformed += 1;
+            return;
+        }
+        let oldest = s.next_seq - s.unacked.len() as u64;
+        if ack <= oldest {
+            return; // stale: cumulative ACKs only grow
+        }
+        // Progress: the backoff starts over.
+        s.rounds = 0;
+        s.retry_at = Some(now + self.retry.wait(0));
+        // Hand the buffers back to the pool (best-effort: one still shared
+        // with an in-flight retransmit clone just drops normally).
+        for frame in s.unacked.drain(..(ack - oldest) as usize) {
+            pool::recycle(frame.payload);
+        }
+    }
+
     /// Process one raw envelope from the inner transport.
-    fn handle_incoming(&self, state: &mut ReliableState, env: Envelope) {
+    fn handle_incoming(&self, state: &mut ReliableState, env: Envelope, now: Duration) {
         let src = env.src;
+        if src >= state.send.len() {
+            // No such rank: only a corrupt frame names one.
+            state.stats.malformed += 1;
+            return;
+        }
         if env.handler == H_REL_ACK {
-            let Some(ack) = decode_ack(env.payload) else {
-                state.stats.malformed += 1;
-                return;
-            };
-            let tick = state.tick;
-            let s = &mut state.send[src];
-            let keep = s.unacked.split_off(&ack);
-            let acked = std::mem::replace(&mut s.unacked, keep);
-            if !acked.is_empty() {
-                // Progress: reset the backoff clock.
-                s.attempts = 0;
-                s.next_retry = tick + self.retry.retry_ticks;
-            }
-            // Acknowledged frames are done for good — hand their buffers
-            // back to the pool (best-effort: a buffer still shared with an
-            // in-flight retransmit clone just drops normally).
-            for (_, frame) in acked {
-                pool::recycle(frame.payload);
+            match decode_ack(env.payload) {
+                Some(ack) => self.on_ack(state, src, ack, now),
+                None => state.stats.malformed += 1,
             }
             return;
         }
@@ -282,96 +351,143 @@ impl<T: Transport> ReliableTransport<T> {
             state.ready.push_back(env);
             return;
         }
-        let dst = env.dst;
-        let decoded = decode_data(env.payload).map(|(seq, handler, tag, payload)| {
-            (
-                seq,
-                Envelope {
-                    src,
-                    dst,
-                    handler,
-                    tag,
-                    payload,
-                },
-            )
-        });
-        let Some((seq, inner_env)) = decoded else {
+        let Some((seq, ack, handler, tag, payload)) = decode_data(env.payload) else {
             state.stats.malformed += 1;
             let handler = env.handler.0;
             self.tracer
                 .emit(|| TraceEvent::DcsDropped { peer: src, handler });
             return;
         };
-        let expected = state.recv[src].expected;
-        if seq < expected || state.recv[src].ooo.contains_key(&seq) {
+        self.on_ack(state, src, ack, now);
+        let inner_env = Envelope {
+            src,
+            dst: env.dst,
+            handler,
+            tag,
+            payload,
+        };
+        let r = &mut state.recv[src];
+        if seq < r.expected || r.ooo.contains_key(&seq) {
             // Duplicate (a retransmission that crossed our ACK, or injected
             // by the wire): suppress and re-ACK so the sender settles.
             state.stats.duplicates += 1;
-            let handler = inner_env.handler.0;
-            self.tracer
-                .emit(|| TraceEvent::DcsDuplicate { peer: src, handler });
+            self.tracer.emit(|| TraceEvent::DcsDuplicate {
+                peer: src,
+                handler: handler.0,
+            });
             self.send_ack(state, src);
             return;
         }
-        if seq > expected {
+        if seq > r.expected {
             // A gap: park until the missing frames arrive. The repeated
             // cumulative ACK tells the sender where the gap starts.
-            state.recv[src].ooo.insert(seq, inner_env);
+            r.ooo.insert(seq, inner_env);
             state.stats.buffered += 1;
             self.send_ack(state, src);
             return;
         }
         // In order: deliver, then drain any now-contiguous parked frames.
-        state.recv[src].expected += 1;
-        state.ready.push_back(inner_env);
-        state.stats.delivered += 1;
-        loop {
-            let want = state.recv[src].expected;
-            let Some(next) = state.recv[src].ooo.remove(&want) else {
-                break;
-            };
-            state.recv[src].expected += 1;
-            state.ready.push_back(next);
-            state.stats.delivered += 1;
+        // The source is owed an ACK; it rides on the next frame sent there
+        // unless the delay or the count runs out first.
+        if r.owed == 0 {
+            r.owed_since = now;
         }
-        self.send_ack(state, src);
+        let mut next = Some(inner_env);
+        while let Some(env) = next {
+            r.expected += 1;
+            r.owed += 1;
+            state.ready.push_back(env);
+            state.stats.delivered += 1;
+            next = r.ooo.remove(&r.expected);
+        }
+        if r.owed >= ACK_EVERY {
+            self.send_ack(state, src);
+        }
     }
 
-    /// Advance the tick and fire any due retransmissions.
-    fn tick(&self, state: &mut ReliableState) {
-        state.tick += 1;
-        let tick = state.tick;
-        for dst in 0..state.send.len() {
-            let retry = {
-                let s = &mut state.send[dst];
-                if s.unacked.is_empty() || tick < s.next_retry {
-                    continue;
+    /// Hand everything the inner transport has to `handle_incoming`. Its
+    /// receive path is also where a staging transport flushes, so when this
+    /// returns everything sent so far is on the wire.
+    fn drain(&self, state: &mut ReliableState, now: Duration) {
+        while let Some(env) = self.inner.try_recv() {
+            self.handle_incoming(state, env, now);
+        }
+        state.unflushed = false;
+    }
+
+    /// Retransmit what has waited out its timer and send the ACKs that have
+    /// waited out theirs; start the timer of frames first seen unacknowledged
+    /// by this look.
+    fn fire_timers(&self, state: &mut ReliableState, now: Duration) {
+        let ReliableState {
+            send,
+            stats,
+            unflushed,
+            ..
+        } = state;
+        for (dst, s) in send.iter_mut().enumerate() {
+            if s.unacked.is_empty() {
+                continue;
+            }
+            match s.retry_at {
+                None => s.retry_at = Some(now + self.retry.wait(0)),
+                Some(due) if now >= due => {
+                    s.rounds += 1;
+                    s.retry_at = Some(now + self.retry.wait(s.rounds));
+                    // Go-back-N: resend every unacked frame, oldest first.
+                    // Each was encoded once at `send`; a resend clones that
+                    // buffer (and so carries the ACK of its first sending).
+                    let oldest = s.next_seq - s.unacked.len() as u64;
+                    for (seq, frame) in (oldest..).zip(&s.unacked) {
+                        stats.retries += 1;
+                        self.tracer.emit(|| TraceEvent::DcsRetry {
+                            peer: dst,
+                            seq,
+                            attempt: s.rounds,
+                        });
+                        self.inner.send(frame.clone());
+                    }
+                    *unflushed = true;
                 }
-                s.attempts += 1;
-                let shift = (s.attempts).min(self.retry.max_backoff_shift);
-                s.next_retry = tick + (self.retry.retry_ticks << shift);
-                s.attempts
-            };
-            // Resend every unacked frame in sequence order. Clone out to end
-            // the state borrow before touching the wire.
-            let frames: Vec<(u64, Envelope)> = state.send[dst]
-                .unacked
-                .iter()
-                .map(|(s, e)| (*s, e.clone()))
-                .collect();
-            for (seq, frame) in frames {
-                state.stats.retries += 1;
-                // The frame was encoded once at `send` and stored wrapped;
-                // this resend is a clone of that buffer, not a re-encode.
-                state.stats.retx_reencode_avoided += 1;
-                self.tracer.emit(|| TraceEvent::DcsRetry {
-                    peer: dst,
-                    seq,
-                    attempt: retry,
-                });
-                self.inner.send(frame);
+                Some(_) => {}
             }
         }
+        for src in 0..state.recv.len() {
+            let r = &state.recv[src];
+            if r.owed > 0 && now >= r.owed_since + ACK_DELAY {
+                self.send_ack(state, src);
+            }
+        }
+    }
+
+    /// One receive pass: a single clock reading, arrivals first (an ACK that
+    /// is already here must stop the timer it answers), then timers — and if
+    /// those sent anything, once more through the inner receive path so it
+    /// leaves now. Returns the reading.
+    fn look(&self, state: &mut ReliableState) -> Duration {
+        let now = self.clock.now();
+        self.drain(state, now);
+        self.fire_timers(state, now);
+        if state.unflushed {
+            self.drain(state, now);
+        }
+        state.in_burst = !state.ready.is_empty();
+        now
+    }
+
+    /// The earliest moment a timer can fire, if any is running.
+    fn next_timer(&self, state: &ReliableState) -> Option<Duration> {
+        let retries = state
+            .send
+            .iter()
+            .filter(|s| !s.unacked.is_empty())
+            .filter_map(|s| s.retry_at);
+        let acks = state
+            .recv
+            .iter()
+            .filter(|r| r.owed > 0)
+            .map(|r| r.owed_since + ACK_DELAY);
+        retries.chain(acks).min()
     }
 }
 
@@ -386,24 +502,41 @@ impl<T: Transport> Transport for ReliableTransport<T> {
 
     fn send(&self, env: Envelope) {
         let mut state = self.state.borrow_mut();
-        let tick = state.tick;
-        let s = &mut state.send[env.dst];
-        let seq = s.next_seq;
+        let state = &mut *state;
+        let dst = env.dst;
+        let s = &mut state.send[dst];
+        let r = &mut state.recv[dst];
+        let payload = encode_data(s.next_seq, r.expected, &env);
+        // The frame tells `dst` everything a standalone ACK would.
+        r.owed = 0;
         s.next_seq += 1;
-        let frame = self.wrap(&env, seq);
         if s.unacked.is_empty() {
-            // First outstanding frame to this peer: arm the retry clock.
-            s.next_retry = tick + self.retry.retry_ticks;
+            // First outstanding frame to this peer: the next look starts
+            // the retry timer.
+            s.retry_at = None;
         }
-        s.unacked.insert(seq, frame.clone());
+        let frame = Envelope {
+            src: self.inner.rank(),
+            dst,
+            handler: H_REL_DATA,
+            // The frame shares the inner tag so chaos layers that filter by
+            // tag see representative traffic; the receiver restores the
+            // decoded tag anyway.
+            tag: env.tag,
+            payload,
+        };
+        s.unacked.push_back(frame.clone());
+        state.unflushed = true;
         self.inner.send(frame);
     }
 
     fn try_recv(&self) -> Option<Envelope> {
         let mut state = self.state.borrow_mut();
-        self.tick(&mut state);
-        while let Some(env) = self.inner.try_recv() {
-            self.handle_incoming(&mut state, env);
+        if state.ready.is_empty() {
+            if std::mem::take(&mut state.in_burst) && !state.unflushed {
+                return None;
+            }
+            self.look(&mut state);
         }
         state.ready.pop_front()
     }
@@ -411,51 +544,34 @@ impl<T: Transport> Transport for ReliableTransport<T> {
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
         let deadline = crate::transport::saturating_deadline(timeout);
         loop {
-            if let Some(env) = self.try_recv() {
-                return Some(env);
-            }
-            let now = Instant::now();
-            if now >= deadline {
+            let (now, timer) = {
+                let mut state = self.state.borrow_mut();
+                if let Some(env) = state.ready.pop_front() {
+                    return Some(env);
+                }
+                let now = self.look(&mut state);
+                if let Some(env) = state.ready.pop_front() {
+                    return Some(env);
+                }
+                (now, self.next_timer(&state))
+            };
+            let wall = Instant::now();
+            if wall >= deadline {
                 return None;
             }
-            // Wait in bounded slices while frames are unacknowledged, so
-            // ticks keep advancing and due retransmissions fire even under
-            // total silence (see the module docs: a partitioned peer sends
-            // no ACKs and no data, so *only* the slice expiry can drive the
-            // retry clock). Arrivals (data or ACK) cut the slice short via
-            // the inner condvar; once all-acked, sleep the full remainder.
-            let outstanding = !self.all_acked_locked();
-            let wait = if outstanding {
-                (deadline - now).min(RETRY_SLICE)
-            } else {
-                deadline - now
-            };
-            match self.inner.recv_timeout(wait) {
-                Some(env) => {
-                    let mut state = self.state.borrow_mut();
-                    self.handle_incoming(&mut state, env);
-                }
-                // Slice expired with nothing on the wire: advance the tick
-                // explicitly (and fire any due retransmissions) right here,
-                // so the retry clock never depends on the next `try_recv`
-                // happening — the guarantee the module docs promise.
-                None if outstanding => {
-                    let mut state = self.state.borrow_mut();
-                    self.tick(&mut state);
-                }
-                None => {}
+            // Sleep in the inner transport until the deadline or the
+            // earliest timer: a partitioned peer sends nothing, so only the
+            // timer's expiry can retransmit into the silence. Arrivals cut
+            // the wait short; with every frame acknowledged and no ACK owed
+            // it spans the whole remainder.
+            let wait = timer.map_or(deadline - wall, |due| {
+                (deadline - wall).min(due.saturating_sub(now))
+            });
+            if let Some(env) = self.inner.recv_timeout(wait) {
+                let mut state = self.state.borrow_mut();
+                self.handle_incoming(&mut state, env, self.clock.now());
             }
         }
-    }
-}
-
-impl<T: Transport> ReliableTransport<T> {
-    fn all_acked_locked(&self) -> bool {
-        self.state
-            .borrow()
-            .send
-            .iter()
-            .all(|s| s.unacked.is_empty())
     }
 }
 
@@ -463,8 +579,18 @@ impl<T: Transport> ReliableTransport<T> {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosConfig, ChaosHandle, ChaosTransport};
-    use crate::transport::LocalFabric;
+    use crate::transport::{LocalEndpoint, LocalFabric};
     use bytes::Bytes;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    /// One step of the lock-step tests' clock: shorter than [`ACK_DELAY`],
+    /// an eighth of the test `retry_after`.
+    const TICK: Duration = Duration::from_micros(100);
+    const RETRY: RetryConfig = RetryConfig {
+        retry_after: Duration::from_micros(800),
+        max_backoff_shift: 3,
+    };
 
     fn env(src: Rank, dst: Rank, n: u32) -> Envelope {
         Envelope {
@@ -476,53 +602,259 @@ mod tests {
         }
     }
 
-    /// Two ranks, both reliable over chaos, sharing one handle.
-    fn reliable_pair(
-        cfg: ChaosConfig,
-    ) -> (
-        ReliableTransport<ChaosTransport<crate::transport::LocalEndpoint>>,
-        ReliableTransport<ChaosTransport<crate::transport::LocalEndpoint>>,
-        ChaosHandle,
-    ) {
+    /// Ranks 0 and 1 of a two-rank fabric, each endpoint dressed by `under`
+    /// and wrapped in the layer, on one hand-stepped clock.
+    fn pair_over<T: Transport>(
+        mut under: impl FnMut(LocalEndpoint) -> T,
+    ) -> (ReliableTransport<T>, ReliableTransport<T>, Clock) {
         let mut eps = LocalFabric::new(2);
+        let clock = Clock::manual();
+        let mut stack =
+            || ReliableTransport::with_retry(under(eps.pop().unwrap()), RETRY, clock.clone());
+        let b = stack();
+        let a = stack();
+        (a, b, clock)
+    }
+
+    type Stack = ReliableTransport<ChaosTransport<LocalEndpoint>>;
+
+    /// Both reliable over chaos, sharing one handle.
+    fn reliable_pair(cfg: ChaosConfig) -> (Stack, Stack, ChaosHandle, Clock) {
         let handle = ChaosHandle::new();
-        let retry = RetryConfig {
-            retry_ticks: 8,
-            max_backoff_shift: 3,
-        };
-        let b = ReliableTransport::with_retry(
-            ChaosTransport::new(eps.pop().unwrap(), cfg, handle.clone()),
-            retry,
-        );
-        let a = ReliableTransport::with_retry(
-            ChaosTransport::new(eps.pop().unwrap(), cfg, handle.clone()),
-            retry,
-        );
-        (a, b, handle)
+        let (a, b, clock) = pair_over(|ep| ChaosTransport::new(ep, cfg, handle.clone()));
+        (a, b, handle, clock)
+    }
+
+    /// Without the chaos layer (which, a test instrument, trusts the rank a
+    /// frame claims to come from).
+    fn plain_pair() -> (
+        ReliableTransport<LocalEndpoint>,
+        ReliableTransport<LocalEndpoint>,
+        Clock,
+    ) {
+        pair_over(|ep| ep)
+    }
+
+    /// Everything one look hands up.
+    fn pump(t: &impl Transport) -> Vec<u32> {
+        std::iter::from_fn(|| t.try_recv())
+            .map(|e| e.handler.0)
+            .collect()
     }
 
     #[test]
     fn lossless_wire_delivers_in_order() {
-        let (a, b, _) = reliable_pair(ChaosConfig::quiet(1));
+        let (a, b, _, clock) = reliable_pair(ChaosConfig::quiet(1));
         for i in 0..50 {
             a.send(env(0, 1, i));
         }
         let mut got = Vec::new();
-        for _ in 0..200 {
-            if let Some(e) = b.try_recv() {
-                got.push(e.handler.0);
-            }
-            let _ = a.try_recv(); // drain ACKs, advance ticks
+        for _ in 0..20 {
+            clock.advance(TICK);
+            got.extend(pump(&b));
+            pump(&a); // ACKs
         }
         assert_eq!(got, (0..50).collect::<Vec<_>>());
         assert_eq!(b.stats().duplicates, 0);
+        assert_eq!(a.stats().retries, 0);
         assert!(a.all_acked());
+    }
+
+    /// (a) The bug this layer used to have: the retry timer counted the
+    /// sender's own polls, so a rank polling fast retransmitted into a wire
+    /// that had lost nothing. Ten thousand polls inside one `retry_after`
+    /// are no time at all.
+    #[test]
+    fn polling_fast_is_not_the_passage_of_time() {
+        let (a, b, _, clock) = reliable_pair(ChaosConfig::quiet(21));
+        for i in 0..50 {
+            a.send(env(0, 1, i));
+        }
+        let step = RETRY.retry_after / 10_001;
+        let mut got = Vec::new();
+        for _ in 0..10_000 {
+            clock.advance(step);
+            got.extend(pump(&b));
+            pump(&a);
+        }
+        assert!(clock.now() < RETRY.retry_after);
+        assert_eq!(got, (0..50).collect::<Vec<_>>());
+        assert_eq!((a.stats().retries, b.stats().duplicates), (0, 0));
+        assert!(a.all_acked(), "the delayed ACK arrived inside the window");
+    }
+
+    /// (b) The schedule, to the nanosecond: the timer starts at the first
+    /// look after the send, fires after `retry_after`, then after twice
+    /// that, capped at `<< max_backoff_shift`; progress starts it over.
+    #[test]
+    fn retransmission_follows_the_backoff_schedule_and_progress_resets_it() {
+        let (a, b, _, clock) = reliable_pair(ChaosConfig::quiet(22));
+        let ns = Duration::from_nanos(1);
+        let mut fired = 0;
+        for round in [0, 1] {
+            // `b` is not looking, so nothing acknowledges this frame.
+            a.send(env(0, 1, round));
+            clock.advance(TICK);
+            assert!(a.try_recv().is_none()); // starts the timer
+            for k in 0..RETRY.max_backoff_shift + 2 {
+                let wait = RETRY.retry_after * (1 << k.min(RETRY.max_backoff_shift));
+                assert_eq!(wait, RETRY.wait(k));
+                clock.advance(wait - ns);
+                assert!(a.try_recv().is_none());
+                assert_eq!(a.stats().retries, fired, "round {k}: a nanosecond early");
+                clock.advance(ns);
+                assert!(a.try_recv().is_none());
+                fired += 1;
+                assert_eq!(a.stats().retries, fired, "round {k}: due");
+            }
+            // `b` looks: one delivery, the rest duplicates, each ACKed at
+            // once; `a` hears it and its next frame starts from round 0.
+            assert_eq!(pump(&b), vec![round]);
+            pump(&a);
+            assert!(a.all_acked());
+        }
+    }
+
+    /// (c) Two ranks that talk to each other acknowledge for free; the one
+    /// standalone ACK each sends is for the last frame it received, after
+    /// both fell silent.
+    #[test]
+    fn a_two_way_stream_acknowledges_on_its_own_data_frames() {
+        let (a, b, _, clock) = reliable_pair(ChaosConfig::quiet(23));
+        for i in 0..200 {
+            a.send(env(0, 1, i));
+            b.send(env(1, 0, i));
+            clock.advance(TICK);
+            assert_eq!(pump(&a), vec![i]);
+            assert_eq!(pump(&b), vec![i]);
+        }
+        assert_eq!((a.stats().acks_sent, b.stats().acks_sent), (0, 0));
+        assert!(!a.all_acked() && !b.all_acked(), "the last frames are open");
+        clock.advance(ACK_DELAY);
+        for _ in 0..2 {
+            assert!(pump(&a).is_empty() && pump(&b).is_empty());
+        }
+        assert_eq!((a.stats().acks_sent, b.stats().acks_sent), (1, 1));
+        assert!(a.all_acked() && b.all_acked());
+        assert_eq!((a.stats().retries, b.stats().retries), (0, 0));
+    }
+
+    /// (d) With nothing to ride on, a stream is acknowledged once per
+    /// [`ACK_EVERY`] frames, and its tail once [`ACK_DELAY`] has passed.
+    #[test]
+    fn a_one_way_stream_is_acknowledged_every_so_many_frames_and_after_the_delay() {
+        const N: u32 = 100;
+        let (a, b, _, clock) = reliable_pair(ChaosConfig::quiet(24));
+        let mut got = Vec::new();
+        for i in 0..N {
+            a.send(env(0, 1, i));
+            if i % 7 == 0 {
+                got.extend(pump(&b));
+                pump(&a);
+            }
+        }
+        got.extend(pump(&b));
+        assert_eq!(got, (0..N).collect::<Vec<_>>());
+        let counted = (N / ACK_EVERY) as u64;
+        assert_eq!(b.stats().acks_sent, counted);
+        clock.advance(ACK_DELAY - Duration::from_nanos(1));
+        pump(&b);
+        pump(&a);
+        assert_eq!(b.stats().acks_sent, counted);
+        assert!(!a.all_acked());
+        clock.advance(Duration::from_nanos(1));
+        pump(&b);
+        pump(&a);
+        assert_eq!(b.stats().acks_sent, counted + 1);
+        assert!(b.stats().acks_sent <= N.div_ceil(ACK_EVERY) as u64 + 1);
+        assert!(a.all_acked());
+    }
+
+    /// A raw frame from rank 0 as `b` would see it off the wire.
+    fn raw_data(seq: u64, ack: u64, n: u32) -> Envelope {
+        Envelope {
+            handler: H_REL_DATA,
+            payload: encode_data(seq, ack, &env(0, 1, n)),
+            ..env(0, 1, n)
+        }
+    }
+
+    /// (e) A gap and a duplicate both mean the sender's picture is wrong:
+    /// each is ACKed by the pass that sees it, not after the delay.
+    #[test]
+    fn a_gap_and_a_duplicate_are_acknowledged_in_the_same_pass() {
+        let (a, b, _, _clock) = reliable_pair(ChaosConfig::quiet(25));
+        let ack_seen = || {
+            let raw = a.inner.try_recv().expect("an ACK on the wire");
+            assert_eq!(raw.handler, H_REL_ACK);
+            decode_ack(raw.payload)
+        };
+        a.inner.send(raw_data(1, 0, 1));
+        assert!(pump(&b).is_empty(), "parked behind the gap");
+        assert_eq!(b.stats().acks_sent, 1);
+        assert_eq!(ack_seen(), Some(0));
+        a.inner.send(raw_data(0, 0, 0));
+        assert_eq!(pump(&b), vec![0, 1]);
+        assert_eq!(b.stats().acks_sent, 1, "in order: owed, not sent");
+        a.inner.send(raw_data(0, 0, 0));
+        assert!(pump(&b).is_empty());
+        assert_eq!((b.stats().duplicates, b.stats().acks_sent), (1, 2));
+        assert_eq!(ack_seen(), Some(2));
+    }
+
+    /// Counts how often the layer above looks at this one.
+    struct Counted<T>(T, Cell<u32>);
+
+    impl<T: Transport> Transport for Counted<T> {
+        fn rank(&self) -> Rank {
+            self.0.rank()
+        }
+        fn nprocs(&self) -> usize {
+            self.0.nprocs()
+        }
+        fn send(&self, env: Envelope) {
+            self.0.send(env)
+        }
+        fn try_recv(&self) -> Option<Envelope> {
+            self.1.set(self.1.get() + 1);
+            self.0.try_recv()
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
+            self.0.recv_timeout(timeout)
+        }
+    }
+
+    /// (f) A burst of K frames is handed up from one look: the inner
+    /// transport is asked K + 1 times (K frames and the `None` that ends its
+    /// drain), where every `try_recv` used to drain it afresh; and the
+    /// `None` that ends the burst asks it nothing.
+    #[test]
+    fn a_burst_is_handed_up_from_one_look() {
+        const K: u32 = 10;
+        let (a, b, _clock) = pair_over(|ep| Counted(ep, Cell::new(0)));
+        for i in 0..K {
+            a.send(env(0, 1, i));
+        }
+        assert_eq!(pump(&b), (0..K).collect::<Vec<_>>());
+        assert_eq!(b.inner.1.get(), K + 1);
+        // The next pass is a look again: one question, answered "nothing".
+        assert!(b.try_recv().is_none());
+        assert_eq!(b.inner.1.get(), K + 2);
+        // A send during the burst must not wait for the next pass: the
+        // burst then ends with a look, the inner receive path being where
+        // a staging transport flushes.
+        a.send(env(0, 1, K));
+        assert_eq!(b.try_recv().map(|e| e.handler.0), Some(K));
+        b.send(env(1, 0, 0));
+        let before = b.inner.1.get();
+        assert!(b.try_recv().is_none());
+        assert_eq!(b.inner.1.get(), before + 1);
     }
 
     #[test]
     fn heavy_chaos_still_delivers_exactly_once_in_order() {
         // 20% loss + dup + reorder: brutal wire, perfect stream above.
-        let (a, b, _) = reliable_pair(ChaosConfig::adversarial(0xBAD5EED, 0.20));
+        let (a, b, _, clock) = reliable_pair(ChaosConfig::adversarial(0xBAD5EED, 0.20));
         for i in 0..100 {
             a.send(env(0, 1, i));
         }
@@ -530,6 +862,7 @@ mod tests {
         let mut polls = 0;
         while got.len() < 100 && polls < 200_000 {
             polls += 1;
+            clock.advance(TICK);
             if let Some(e) = b.try_recv() {
                 assert_eq!(e.src, 0);
                 got.push(e.handler.0);
@@ -542,8 +875,12 @@ mod tests {
             stats.retries > 0,
             "loss must have forced retries: {stats:?}"
         );
-        // Every retransmission reused the stored pre-encoded buffer.
-        assert_eq!(stats.retx_reencode_avoided, stats.retries, "{stats:?}");
+        while !a.all_acked() && polls < 400_000 {
+            polls += 1;
+            clock.advance(TICK);
+            let _ = b.try_recv();
+            let _ = a.try_recv();
+        }
         assert!(a.all_acked(), "all frames eventually acknowledged");
     }
 
@@ -554,10 +891,9 @@ mod tests {
     #[test]
     fn dropped_batch_frame_retransmits_as_a_unit() {
         use crate::batch;
-        use std::collections::VecDeque;
         let mut cfg = ChaosConfig::quiet(11);
         cfg.drop_p = 0.5;
-        let (a, b, _) = reliable_pair(cfg);
+        let (a, b, _, clock) = reliable_pair(cfg);
         let msgs: Vec<Envelope> = (0..8).map(|i| env(0, 1, i)).collect();
         a.send_batch(1, msgs);
         // One wrapped frame on the wire for the whole batch.
@@ -568,6 +904,7 @@ mod tests {
         // survive the 50%-loss wire (via duplicate-triggered re-ACKs).
         while (out.len() < 8 || !a.all_acked()) && polls < 400_000 {
             polls += 1;
+            clock.advance(TICK);
             a.try_recv_batch(&mut VecDeque::new());
             b.try_recv_batch(&mut out);
         }
@@ -576,8 +913,6 @@ mod tests {
         let ids: Vec<u32> = out.iter().map(|e| e.handler.0).collect();
         assert_eq!(ids, (0..8).collect::<Vec<_>>(), "after {polls} polls");
         assert!(out.iter().all(|e| !batch::is_frame(e)));
-        let stats = a.stats();
-        assert_eq!(stats.retx_reencode_avoided, stats.retries);
         assert!(a.all_acked());
     }
 
@@ -585,12 +920,13 @@ mod tests {
     fn duplicates_are_suppressed_not_delivered() {
         let mut cfg = ChaosConfig::quiet(7);
         cfg.dup_p = 1.0; // every frame duplicated by the wire
-        let (a, b, _) = reliable_pair(cfg);
+        let (a, b, _, clock) = reliable_pair(cfg);
         for i in 0..20 {
             a.send(env(0, 1, i));
         }
         let mut got = Vec::new();
         for _ in 0..400 {
+            clock.advance(TICK);
             if let Some(e) = b.try_recv() {
                 got.push(e.handler.0);
             }
@@ -602,7 +938,7 @@ mod tests {
 
     #[test]
     fn payload_and_metadata_survive_the_wrap() {
-        let (a, b, _) = reliable_pair(ChaosConfig::quiet(3));
+        let (a, b, _, _clock) = reliable_pair(ChaosConfig::quiet(3));
         a.send(Envelope {
             src: 0,
             dst: 1,
@@ -610,14 +946,7 @@ mod tests {
             tag: Tag::System,
             payload: Bytes::from_static(b"payload bytes"),
         });
-        let mut got = None;
-        for _ in 0..50 {
-            if let Some(e) = b.try_recv() {
-                got = Some(e);
-                break;
-            }
-        }
-        let e = got.expect("frame must be delivered");
+        let e = b.try_recv().expect("frame must be delivered");
         assert_eq!(e.src, 0);
         assert_eq!(e.dst, 1);
         assert_eq!(e.handler, HandlerId(0xFEED));
@@ -627,20 +956,23 @@ mod tests {
 
     #[test]
     fn partition_then_heal_recovers_via_retransmit() {
-        let (a, b, handle) = reliable_pair(ChaosConfig::quiet(9));
+        let (a, b, handle, clock) = reliable_pair(ChaosConfig::quiet(9));
         handle.partition(0, 1);
         for i in 0..5 {
             a.send(env(0, 1, i));
         }
         // While severed: nothing arrives, frames stay unacked.
         for _ in 0..100 {
+            clock.advance(TICK);
             assert!(b.try_recv().is_none());
             let _ = a.try_recv();
         }
         assert!(!a.all_acked());
+        assert!(a.stats().retries >= 5, "{:?}", a.stats());
         handle.heal(0, 1);
         let mut got = Vec::new();
         for _ in 0..20_000 {
+            clock.advance(TICK);
             if let Some(e) = b.try_recv() {
                 got.push(e.handler.0);
             }
@@ -654,14 +986,22 @@ mod tests {
     }
 
     /// Regression: retransmission must fire *inside* a single long
-    /// `recv_timeout` with a silent (partitioned) peer. Tick time used to
-    /// advance only on receive polls, so a rank parked in one blocking
-    /// receive never retried — over a real socket, a lost frame stayed lost
-    /// until unrelated traffic happened to arrive. The bounded
-    /// [`RETRY_SLICE`] sleep now converts silence into ticks.
+    /// `recv_timeout` with a silent (partitioned) peer — over a real socket,
+    /// a lost frame would otherwise stay lost until unrelated traffic
+    /// happened to arrive. The sleep is bounded by the earliest timer. On
+    /// the monotonic clock, because what is tested is that wall time spent
+    /// asleep counts.
     #[test]
     fn retransmit_fires_during_one_long_recv_timeout() {
-        let (a, _b, handle) = reliable_pair(ChaosConfig::quiet(13));
+        let mut eps = LocalFabric::new(2);
+        let handle = ChaosHandle::new();
+        let _b = eps.pop();
+        let chaos = ChaosTransport::new(eps.pop().unwrap(), ChaosConfig::quiet(13), handle.clone());
+        let retry = RetryConfig {
+            retry_after: Duration::from_millis(4),
+            max_backoff_shift: 3,
+        };
+        let a = ReliableTransport::with_retry(chaos, retry, Clock::monotonic());
         handle.partition(0, 1);
         for i in 0..5 {
             a.send(env(0, 1, i));
@@ -669,41 +1009,57 @@ mod tests {
         assert_eq!(a.stats().retries, 0);
         // One blocking call, no other polls: the peer is severed, so no
         // data and no ACKs can cut the wait short. 200 ms ≫ the first
-        // retry point (8 ticks × 500 µs slices = 4 ms with the test
-        // RetryConfig), so backoff must have fired several times.
+        // retry point (4 ms), so backoff must have fired several times.
         assert!(a.recv_timeout(Duration::from_millis(200)).is_none());
         let stats = a.stats();
         assert!(
-            stats.retries >= 5,
+            stats.retries >= 10,
             "a silent peer must not stall the retry clock: {stats:?}"
         );
         assert!(!a.all_acked(), "partitioned frames stay unacked");
+    }
+
+    /// A manual clock nobody steps stands still however long the layer
+    /// sleeps: `recv_timeout` still returns at its (wall) deadline and no
+    /// timer fires.
+    #[test]
+    fn recv_timeout_on_a_standing_clock_ends_at_its_deadline() {
+        let (a, _b, handle, _clock) = reliable_pair(ChaosConfig::quiet(15));
+        handle.partition(0, 1);
+        a.send(env(0, 1, 0));
+        assert!(a.recv_timeout(Duration::from_millis(20)).is_none());
+        assert_eq!(a.stats().retries, 0);
     }
 
     #[test]
     fn recv_timeout_duration_max_returns_on_arrival() {
         // Saturating-deadline regression (`Instant::now() + Duration::MAX`
         // panicked): the reliable layer must accept "block forever".
-        let (a, b, _) = reliable_pair(ChaosConfig::quiet(14));
+        let (a, b, _, clock) = reliable_pair(ChaosConfig::quiet(14));
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
             a.send(env(0, 1, 3));
             // Drain ACKs until the frame is acknowledged.
-            for _ in 0..20_000 {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !a.all_acked() && Instant::now() < deadline {
+                clock.advance(TICK);
                 let _ = a.try_recv();
-                if a.all_acked() {
-                    break;
-                }
             }
+            a.all_acked()
         });
         let got = b.recv_timeout(Duration::MAX).expect("must deliver");
         assert_eq!(got.handler, HandlerId(3));
-        h.join().expect("sender thread");
+        // The ACK is owed, not sent: keep looking until the delay, on the
+        // clock the sender steps, has passed.
+        while !h.is_finished() {
+            let _ = b.try_recv();
+        }
+        assert!(h.join().expect("sender thread"));
     }
 
     #[test]
     fn malformed_frame_is_dropped_not_fatal() {
-        let (_a, b, _) = reliable_pair(ChaosConfig::quiet(2));
+        let (_a, b, _, _clock) = reliable_pair(ChaosConfig::quiet(2));
         // Hand-craft a truncated data frame straight onto the wire.
         b.inner.send(Envelope {
             src: 1,
@@ -718,20 +1074,54 @@ mod tests {
         assert_eq!(b.stats().malformed, 1);
     }
 
+    /// An ACK, riding or standalone, for a frame never sent is counted and
+    /// ignored; one below the oldest unacknowledged frame is just late. A
+    /// frame from a rank that does not exist is dropped.
+    #[test]
+    fn impossible_and_stale_acks_are_ignored() {
+        let (a, b, _clock) = plain_pair();
+        for i in 0..3 {
+            b.send(env(1, 0, i));
+        }
+        // Rides on a frame that is itself fine: delivered, ACK ignored.
+        a.inner.send(raw_data(0, u64::MAX, 7));
+        assert_eq!(pump(&b), vec![7]);
+        assert_eq!(b.stats().malformed, 1);
+        a.inner.send(Envelope {
+            handler: H_REL_ACK,
+            payload: encode_ack(4),
+            ..env(0, 1, 0)
+        });
+        pump(&b);
+        assert_eq!(b.stats().malformed, 2);
+        assert!(!b.all_acked());
+        a.inner.send(raw_data(1, 2, 8));
+        assert_eq!(pump(&b), vec![8]);
+        a.inner.send(raw_data(2, 1, 9)); // stale: 2 was already heard
+        assert_eq!(pump(&b), vec![9]);
+        assert_eq!(b.stats().malformed, 2);
+        assert_eq!(b.state.borrow().send[0].unacked.len(), 1);
+        b.inner.send(Envelope {
+            src: 5,
+            ..raw_data(3, 3, 1)
+        });
+        assert!(pump(&b).is_empty());
+        assert_eq!(b.stats().malformed, 3);
+    }
+
     #[test]
     fn recv_timeout_rides_out_loss() {
-        let (a, b, _) = reliable_pair(ChaosConfig::adversarial(0x5EED, 0.30));
+        let (a, b, _, clock) = reliable_pair(ChaosConfig::adversarial(0x5EED, 0.30));
         let h = std::thread::spawn(move || {
             for i in 0..10 {
                 a.send(env(0, 1, i));
             }
-            // Keep the sender's ticks advancing so retransmits fire until
-            // everything is acknowledged.
-            for _ in 0..200_000 {
+            // Keep the sender looking, and time passing, so retransmits
+            // fire until everything is acknowledged.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !a.all_acked() && Instant::now() < deadline {
+                clock.advance(TICK);
                 let _ = a.try_recv();
-                if a.all_acked() {
-                    break;
-                }
                 std::hint::spin_loop();
             }
             a.all_acked()
@@ -744,6 +1134,63 @@ mod tests {
             }
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>());
+        // Whatever is still owed goes out once its delay has passed.
+        while !h.is_finished() {
+            let _ = b.try_recv();
+        }
         assert!(h.join().expect("sender thread must not panic"));
+    }
+
+    proptest! {
+        /// Arbitrary bytes decode to `Some` or `None`: no panic, and a
+        /// payload no longer than what came in (it is a slice of it).
+        #[test]
+        fn decoders_survive_arbitrary_bytes(raw in proptest::collection::vec(any::<u8>(), 0..96)) {
+            let len = raw.len();
+            let bytes = Bytes::from(raw);
+            if let Some((.., payload)) = decode_data(bytes.clone()) {
+                prop_assert!(payload.len() + 28 <= len);
+            }
+            prop_assert_eq!(decode_ack(bytes).is_some(), len >= 8);
+        }
+
+        #[test]
+        fn data_frames_round_trip(
+            seq in any::<u64>(),
+            ack in prop_oneof![Just(0), Just(u64::MAX), any::<u64>()],
+            handler in any::<u32>(),
+            system in any::<bool>(),
+            payload in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let tag = if system { Tag::System } else { Tag::App };
+            let env = Envelope { src: 0, dst: 1, handler: HandlerId(handler), tag, payload: Bytes::from(payload) };
+            let back = decode_data(encode_data(seq, ack, &env));
+            prop_assert_eq!(back, Some((seq, ack, env.handler, tag, env.payload)));
+        }
+
+        /// Whatever arrives under the layer's two handler ids, from
+        /// whichever rank it claims, the layer neither panics nor delivers
+        /// more than it was sent.
+        #[test]
+        fn the_layer_survives_arbitrary_frames(
+            frames in proptest::collection::vec(
+                (any::<bool>(), 0..4usize, proptest::collection::vec(any::<u8>(), 0..48)),
+                1..24,
+            ),
+        ) {
+            let (a, b, clock) = plain_pair();
+            b.send(env(1, 0, 0));
+            let n = frames.len();
+            for (data, src, raw) in frames {
+                a.inner.send(Envelope {
+                    src,
+                    handler: if data { H_REL_DATA } else { H_REL_ACK },
+                    payload: Bytes::from(raw),
+                    ..env(0, 1, 0)
+                });
+                clock.advance(TICK);
+                prop_assert!(pump(&b).len() <= n);
+            }
+        }
     }
 }

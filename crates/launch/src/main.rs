@@ -18,7 +18,9 @@
 //! an oracle failure or a failed child; `2` on usage errors.
 
 use bytes::Bytes;
-use prema::dcs::{ChaosConfig, ChaosHandle, ChaosTransport, ReliableTransport, Transport};
+use prema::dcs::{
+    ChaosConfig, ChaosHandle, ChaosTransport, ReliableTransport, RetryConfig, Transport,
+};
 use prema::{launch_single_rank, Completion, Migratable, PremaConfig};
 use prema_dcs::UdpTransport;
 use prema_harness::BenchSpec;
@@ -35,10 +37,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a worker keeps polling after global completion so that peers'
-/// final retransmits get their acks before this process exits. Sized in
-/// wall time, not ticks: several reliable-layer retransmit generations at
-/// the drain loop's poll rate.
-const DRAIN_WINDOW: Duration = Duration::from_millis(500);
+/// final retransmits get their acks before this process exits: the first
+/// four rounds of the reliable layer's own retransmission schedule, rounded
+/// up to a tenth of a second, so it covers that schedule by construction
+/// (10 + 20 + 40 + 80 ms -> 200 ms with the default `RetryConfig`).
+fn drain_window() -> Duration {
+    let retry = RetryConfig::default();
+    let rounds: Duration = (0..4).map(|round| retry.wait(round)).sum();
+    Duration::from_millis(rounds.as_millis().next_multiple_of(100) as u64)
+}
 
 /// Default join-handshake patience (overridable via
 /// `PREMA_UDP_HANDSHAKE_MS` for constrained CI machines).
@@ -361,7 +368,7 @@ fn worker_inner() -> Result<(), String> {
             // Keep answering the wire briefly: a peer that has not yet seen
             // its last ack (or the completion broadcast) retransmits, and an
             // exited process would strand it at the handshake-timeout level.
-            let drain_until = Instant::now() + DRAIN_WINDOW;
+            let drain_until = Instant::now() + drain_window();
             while Instant::now() < drain_until {
                 rt.poll();
                 std::thread::sleep(Duration::from_micros(200));

@@ -1350,6 +1350,26 @@ fn decode_ping(payload: &[u8]) -> Option<(u64, Bytes)> {
         assert!(v.is_empty(), "{v:?}");
     }
 
+    /// The wire fns `wire_pairing` discovers in one real source file of the
+    /// workspace, which must pair up drift-free.
+    fn paired_wire_fns(rel: &str) -> Vec<WireFn> {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(rel);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let (fns, v) = wire_pairing(&[sf(rel, &text)]);
+        assert!(v.is_empty(), "{rel} wire schema drifted: {v:?}");
+        fns
+    }
+
+    fn ops_of<'a>(fns: &'a [WireFn], name: &str) -> &'a [String] {
+        &fns.iter()
+            .find(|f| f.name == name && f.ctx.is_empty())
+            .unwrap_or_else(|| panic!("`{name}` not discovered as a wire fn"))
+            .ops
+    }
+
     /// The UDP wire schema (crates/dcs/src/udp.rs) must stay under this
     /// analysis: both the fixed header pair and the DATA-fields pair are
     /// discovered from the real source and checked drift-free. Guards
@@ -1357,31 +1377,34 @@ fn decode_ping(payload: &[u8]) -> Option<(u64, Bytes)> {
     /// convention and silently losing coverage.
     #[test]
     fn udp_wire_schema_is_discovered_and_paired() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let path = root.join("crates/dcs/src/udp.rs");
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let files = [sf("crates/dcs/src/udp.rs", &text)];
-        let (fns, v) = wire_pairing(&files);
-        assert!(v.is_empty(), "udp.rs wire schema drifted: {v:?}");
-        let ops_of = |name: &str| -> &[String] {
-            &fns.iter()
-                .find(|f| f.name == name && f.ctx.is_empty())
-                .unwrap_or_else(|| panic!("`{name}` not discovered as a wire fn"))
-                .ops
-        };
+        let fns = paired_wire_fns("crates/dcs/src/udp.rs");
         assert_eq!(
-            ops_of("encode_header"),
+            ops_of(&fns, "encode_header"),
             ["u32", "u32", "u32", "u32", "u64"],
             "header layout changed — bump PROTO_VERSION and update this test"
         );
-        assert_eq!(ops_of("encode_header"), ops_of("decode_header"));
+        assert_eq!(ops_of(&fns, "encode_header"), ops_of(&fns, "decode_header"));
         assert_eq!(
-            ops_of("encode_dgram"),
+            ops_of(&fns, "encode_dgram"),
             ["u32", "u32", "u32", "bytes"],
             "DATA layout changed — bump PROTO_VERSION and update this test"
         );
-        assert_eq!(ops_of("encode_dgram"), ops_of("decode_dgram"));
+        assert_eq!(ops_of(&fns, "encode_dgram"), ops_of(&fns, "decode_dgram"));
+    }
+
+    /// The same for the reliable layer's frames (crates/dcs/src/reliable.rs):
+    /// the data frame's riding ACK is a field both ends must agree on.
+    #[test]
+    fn reliable_wire_schema_is_discovered_and_paired() {
+        let fns = paired_wire_fns("crates/dcs/src/reliable.rs");
+        assert_eq!(
+            ops_of(&fns, "encode_data"),
+            ["u64", "u64", "u32", "u32", "bytes"],
+            "data frame layout changed — bump udp::PROTO_VERSION and update this test"
+        );
+        assert_eq!(ops_of(&fns, "encode_data"), ops_of(&fns, "decode_data"));
+        assert_eq!(ops_of(&fns, "encode_ack"), ["u64"]);
+        assert_eq!(ops_of(&fns, "encode_ack"), ops_of(&fns, "decode_ack"));
     }
 
     #[test]
