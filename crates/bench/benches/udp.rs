@@ -1,8 +1,9 @@
 //! The UDP loopback transport (`prema_dcs::UdpTransport`), measured on
-//! shapes comparable with the in-process substrates: a single-frame
-//! round trip (syscall-path latency), a batched burst (amortization by
-//! `sendmmsg`/`recvmmsg`), and the full reliable stack pushing a stream
-//! end to end.
+//! shapes comparable with the in-process substrates: a single-frame round
+//! trip both as application traffic (which waits for the wire slice) and
+//! as system traffic (the syscall path), a burst (amortization by packing
+//! and `sendmmsg`/`recvmmsg`), and the full reliable stack pushing a
+//! stream end to end.
 //!
 //! UDP loopback drops datagrams under receive-buffer pressure, so the
 //! plain-socket benches keep a bounded number of frames in flight (ping
@@ -56,9 +57,16 @@ fn env(src: usize, dst: usize, n: u32) -> Envelope {
     }
 }
 
-/// Pump `rx` until a message arrives, polling `tx` too: sends stage until
-/// the *sender's* next poll (the flush-on-poll contract), so a one-frame
-/// exchange needs both endpoints pumped.
+fn sys(src: usize, dst: usize, n: u32) -> Envelope {
+    Envelope {
+        tag: Tag::System,
+        ..env(src, dst, n)
+    }
+}
+
+/// Pump `rx` until a message arrives, polling `tx` too: an App record
+/// leaves at its *sender's* first receive call a wire slice after the
+/// last, so a one-frame exchange needs both endpoints pumped.
 fn pump_recv(rx: &UdpTransport, tx: &UdpTransport) -> Envelope {
     loop {
         let _ = tx.try_recv();
@@ -69,8 +77,12 @@ fn pump_recv(rx: &UdpTransport, tx: &UdpTransport) -> Envelope {
     }
 }
 
-/// One frame in flight, both endpoints on the bench thread: the latency of
-/// the full encode → sendmmsg → recvmmsg → decode path, twice per round.
+/// One App frame in flight, both endpoints spinning on `try_recv` on the
+/// bench thread, twice per round. An App record leaves at its sender's
+/// first receive call at least `prema_dcs::udp::WIRE_SLICE` (50 µs) after
+/// that endpoint's last service, and the receiver reads its socket at most
+/// once per slice, so each direction pays up to a slice: this measures
+/// the slice, not the syscall path (`udp_pingpong_system` does).
 fn bench_pingpong(c: &mut Criterion) {
     let mut group = c.benchmark_group("udp-loopback");
     group.sample_size(10);
@@ -88,10 +100,33 @@ fn bench_pingpong(c: &mut Criterion) {
     group.finish();
 }
 
-/// A burst of [`BURST`] frames per round: the staged sends leave in
-/// `sendmmsg` batches and the drain side gulps with `recvmmsg`, so the
-/// per-datagram syscall cost is amortized. In flight stays a few KiB —
-/// far below loopback's receive buffer.
+/// One System frame in flight, both endpoints on the bench thread, each
+/// received with a blocking `recv_timeout`: the path load-balancing
+/// traffic takes. A System record leaves inside `send` and a waiting
+/// receiver reads its socket at once, so this is the full encode →
+/// sendmmsg → recvmmsg → decode path, twice per round, with no slice in it.
+fn bench_pingpong_system(c: &mut Criterion) {
+    let mut group = c.benchmark_group("udp-loopback");
+    group.sample_size(10);
+    let (t0, t1) = pair(4);
+    let wait = Duration::from_secs(5);
+    group.bench_function(format!("udp_pingpong_system_x{PINGPONGS}"), |b| {
+        b.iter(|| {
+            for i in 0..PINGPONGS {
+                t0.send(sys(0, 1, i as u32));
+                black_box(t1.recv_timeout(wait).expect("ping"));
+                t1.send(sys(1, 0, i as u32));
+                black_box(t0.recv_timeout(wait).expect("pong"));
+            }
+        })
+    });
+    group.finish();
+}
+
+/// A burst of [`BURST`] frames per round: they pack into one datagram
+/// that leaves at the end of the sender's slice and the drain side gulps
+/// it with one `recvmmsg`, so the per-frame syscall cost is amortized. In
+/// flight stays a few KiB — far below loopback's receive buffer.
 fn bench_burst(c: &mut Criterion) {
     let mut group = c.benchmark_group("udp-loopback");
     group.sample_size(10);
@@ -104,8 +139,8 @@ fn bench_burst(c: &mut Criterion) {
                 }
                 let mut got = 0;
                 while got < BURST {
-                    // Bursts can outrun the kernel momentarily; the
-                    // flush-on-poll entry also pushes t0's remainder.
+                    // The sender's receive calls are where its open
+                    // datagram leaves when the slice ends.
                     let _ = t0.try_recv();
                     if t1.try_recv().is_some() {
                         got += 1;
@@ -147,10 +182,10 @@ fn bench_reliable_stream(c: &mut Criterion) {
                     got += 1;
                 }
             }
-            // Linger: the receiver's last acks may still be staged
-            // (flush-on-poll), and lost data frames are still being
-            // retransmitted — keep polling until the sender has seen
-            // every ack, or it would spin on a dead peer forever.
+            // Linger: the receiver's last ack may still be owed, and lost
+            // data frames are still being retransmitted — keep polling
+            // until the sender has seen every ack, or it would spin on a
+            // dead peer forever.
             while !sender.is_finished() {
                 let _ = t1.try_recv();
             }
@@ -160,5 +195,11 @@ fn bench_reliable_stream(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pingpong, bench_burst, bench_reliable_stream);
+criterion_group!(
+    benches,
+    bench_pingpong,
+    bench_pingpong_system,
+    bench_burst,
+    bench_reliable_stream
+);
 criterion_main!(benches);

@@ -41,9 +41,11 @@
 //!   (sequence-deduped, per-pair FIFO, cumulative ACKs riding on reverse
 //!   data frames) that restores the MPI-grade wire contract above an
 //!   adversarial transport.
-//! * [`udp`] — the out-of-process wire: one UDP socket per rank with batched
-//!   `sendmmsg`/`recvmmsg` I/O, a versioned header, and a join handshake, so
-//!   ranks run as separate OS processes (see `prema-launch`).
+//! * [`udp`] — the out-of-process wire: one UDP socket per rank, serviced
+//!   once per wire slice with application records packed one datagram per
+//!   peer (system traffic leaves at once), batched `sendmmsg`/`recvmmsg`
+//!   I/O, a versioned header, and a join handshake, so ranks run as
+//!   separate OS processes (see `prema-launch`).
 //! * [`env`] — validated `PREMA_*` environment-knob parsing (warn-once on
 //!   malformed values, range-checked probabilities), shared by every layer.
 //! * [`fxmap`] — Fx-hashed map aliases for runtime-internal keys (fast,

@@ -62,9 +62,17 @@
 //! again, and the `None` that ends such a burst is answered without touching
 //! the inner transport: a pump that receives K envelopes costs one look, not
 //! K + 1. The exception keeps the contract callers rely on — *after a `None`,
-//! everything sent before it has reached the inner transport's receive path,
-//! where staging transports flush*: if anything was sent during the burst the
-//! burst ends with a real look.
+//! everything sent before it has been offered to the inner transport's
+//! receive path*: if anything was sent during the burst the burst ends with
+//! a real look, and a look that fired timers looks once more. What the
+//! inner transport does with that offer is its own rule. Over an in-process
+//! fabric (`Chaos(LocalFabric)` in the lock-step tests) the second look is
+//! what finds a reply that is already receivable and what advances the
+//! chaos layer's logical tick. Over [`crate::udp`], which services its
+//! socket once per wire slice, a System frame — every ACK and every
+//! load-balancing message — has already left inside `send`, and an App frame
+//! leaves at the first receive call a slice after the last service, so the
+//! look costs a clock reading, not a syscall.
 
 use crate::clock::Clock;
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
@@ -406,8 +414,8 @@ impl<T: Transport> ReliableTransport<T> {
     }
 
     /// Hand everything the inner transport has to `handle_incoming`. Its
-    /// receive path is also where a staging transport flushes, so when this
-    /// returns everything sent so far is on the wire.
+    /// receive path is also where a staging transport sends what it holds,
+    /// by its own rule (module docs: "One look per receive pass").
     fn drain(&self, state: &mut ReliableState, now: Duration) {
         while let Some(env) = self.inner.try_recv() {
             self.handle_incoming(state, env, now);
@@ -462,8 +470,8 @@ impl<T: Transport> ReliableTransport<T> {
 
     /// One receive pass: a single clock reading, arrivals first (an ACK that
     /// is already here must stop the timer it answers), then timers — and if
-    /// those sent anything, once more through the inner receive path so it
-    /// leaves now. Returns the reading.
+    /// those sent anything, once more through the inner receive path, which
+    /// sends it by the inner transport's rule. Returns the reading.
     fn look(&self, state: &mut ReliableState) -> Duration {
         let now = self.clock.now();
         self.drain(state, now);
@@ -842,7 +850,7 @@ mod tests {
         assert_eq!(b.inner.1.get(), K + 2);
         // A send during the burst must not wait for the next pass: the
         // burst then ends with a look, the inner receive path being where
-        // a staging transport flushes.
+        // a staging transport sends what it holds.
         a.send(env(0, 1, K));
         assert_eq!(b.try_recv().map(|e| e.handler.0), Some(K));
         b.send(env(1, 0, 0));

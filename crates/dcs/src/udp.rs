@@ -12,7 +12,7 @@
 //! ```
 //!
 //! * [`crate::batch`] frames remain the send unit — a coalesced frame is one
-//!   envelope, hence one datagram;
+//!   envelope, hence one record;
 //! * [`crate::reliable`] supplies ack/retry over the genuinely lossy socket
 //!   (UDP drops under load even on loopback);
 //! * [`crate::chaos`] wraps the socket to make test runs deterministic at a
@@ -23,11 +23,13 @@
 //! Every datagram starts with a fixed 24-byte little-endian header
 //! (`encode_header`/`decode_header`, checked for drift by `cargo xtask
 //! analyze`): magic `"PRMA"`, protocol version, frame kind (HELLO /
-//! WELCOME / DATA), source rank, epoch. DATA frames append the destination
-//! rank, handler id, tag, and a length-prefixed payload. The epoch ties a
-//! datagram to one launch (the launcher stamps its PID), so a straggler
-//! process from a previous run cannot corrupt a new one — its frames fail
-//! the epoch check and are counted, traced, and dropped.
+//! WELCOME / DATA), source rank, epoch. A DATA datagram then names its
+//! destination rank once (`encode_dst`/`decode_dst`) and packs one or more
+//! records, each a handler id, a tag and a length-prefixed payload
+//! (`encode_record`/`decode_record`). The epoch ties a datagram to one
+//! launch (the launcher stamps its PID), so a straggler process from a
+//! previous run cannot corrupt a new one — its frames fail the epoch check
+//! and are counted, traced, and dropped.
 //!
 //! # Join handshake
 //!
@@ -41,17 +43,41 @@
 //! answered (the last rank to finish still needs WELCOMEs) and bad headers
 //! are dropped with per-cause counters plus a `DcsDropped` trace event.
 //!
-//! # Batched I/O
+//! # The wire slice
 //!
-//! On x86-64 Linux, sends and receives go through raw `sendmmsg` /
-//! `recvmmsg` syscalls (no libc, the `prema::affinity` idiom): sends stage
-//! per-datagram buffers drawn from [`crate::pool`] and flush as one syscall
-//! per batch; receives drain up to a batch of datagrams per syscall into
-//! persistent scratch buffers. Elsewhere a portable `send_to`/`recv_from`
-//! fallback keeps the module compiling. [`MTU_PAYLOAD`] is the recommended
-//! `PREMA_BATCH_BYTES` ceiling so coalesced frames stay within one ethernet
-//! MTU; datagrams up to [`MAX_DGRAM`] work on loopback.
+//! The socket is touched in slices of [`WIRE_SLICE`] on the [`Clock`] the
+//! transport is handed, read once per receive call that looks past what is
+//! already ready:
+//!
+//! * **Sends pack.** Each destination has at most one *open* datagram — a
+//!   pooled buffer of one MTU, the header and destination written once — and
+//!   an application record is appended to it. A datagram closes when the
+//!   next record would take its records past [`MTU_PAYLOAD`]; a record
+//!   bigger than that travels alone (up to [`MAX_DGRAM`], which loopback
+//!   carries whole).
+//! * **System traffic never waits.** A `Tag::System` record closes its
+//!   destination's datagram and leaves inside `send`, behind the application
+//!   records staged before it to that peer, so per-pair FIFO holds across
+//!   tags. Other peers' open datagrams stay open.
+//! * **The socket is serviced once per slice.** `try_recv` closes every open
+//!   datagram, sends everything closed in one `sendmmsg`, and drains the
+//!   socket at the first call at least one slice after the last service;
+//!   in between it answers from what the last drain made ready and makes no
+//!   syscall. `recv_timeout` services at once before it blocks, so a caller
+//!   that waits never waits longer than it would without the slice.
+//!
+//! An application record therefore waits at most one slice while its rank
+//! keeps receiving. A rank inside a long handler services its socket when
+//! its next receive call comes — under `PremaConfig::implicit`, which every
+//! UDP deployment runs, the polling thread's next wake.
+//!
+//! On x86-64 Linux the syscalls are raw `sendmmsg` / `recvmmsg` (no libc,
+//! the `prema::affinity` idiom) over persistent scatter/gather scaffolding,
+//! `IO_BATCH` datagrams per call; datagram buffers come from
+//! [`crate::pool`]. Elsewhere a portable `send_to`/`recv_from` fallback
+//! keeps the module compiling.
 
+use crate::clock::Clock;
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
 use crate::pool;
 use crate::transport::{saturating_deadline, Transport};
@@ -69,8 +95,9 @@ use std::time::{Duration, Instant};
 const MAGIC: u32 = 0x414D_5250;
 /// Wire protocol version; bumped on any header or DATA layout change, and
 /// when the reliable layer's frames (every DATA payload `prema-launch`
-/// sends) change theirs: 2 = data frames carry the reverse direction's ACK.
-pub const PROTO_VERSION: u32 = 2;
+/// sends) change theirs: 2 = data frames carry the reverse direction's ACK;
+/// 3 = a DATA datagram packs records behind one destination.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Frame kinds carried in the header.
 const KIND_HELLO: u32 = 0;
@@ -79,17 +106,35 @@ const KIND_DATA: u32 = 2;
 
 /// Fixed header length: magic + version + kind + src (u32 each) + epoch.
 const HEADER_LEN: usize = 24;
-/// DATA overhead beyond the header: dst + handler + tag + payload length
-/// prefix, u32 each.
-const DATA_OVERHEAD: usize = 16;
+/// A DATA datagram's destination rank, written once after the header.
+const DST_LEN: usize = 4;
+/// Per-record overhead: handler + tag + payload length prefix, u32 each.
+const RECORD_OVERHEAD: usize = 12;
 
 /// Largest UDP payload that fits a single IPv4 datagram (65535 − 20 IP −
 /// 8 UDP). Loopback carries these whole.
 pub const MAX_DGRAM: usize = 65_507;
-/// Recommended `max_bytes` for [`crate::BatchConfig`] above this transport:
-/// one coalesced frame stays inside a 1500-byte ethernet MTU after the UDP,
-/// IP, and PREMA headers.
+/// Record bytes (overhead included) one datagram packs before it closes.
+/// With the header and destination it stays inside a 1500-byte ethernet MTU
+/// after the UDP and IP headers; a record bigger than this travels alone.
 pub const MTU_PAYLOAD: usize = 1408;
+/// An open datagram's buffer: it is taken from the pool at this size and
+/// never regrows.
+const DGRAM_CAP: usize = HEADER_LEN + DST_LEN + MTU_PAYLOAD;
+
+/// How often the socket is serviced while a rank keeps receiving: open
+/// datagrams leave, and the socket is drained, at the first `try_recv` at
+/// least this long after the last service (module docs).
+///
+/// A constant, not configuration. Swept on `chat_udp` (benchmark/README.md;
+/// 8 s runs, seed 1, two rounds, 2-vCPU Xeon VM) against servicing the
+/// socket on every receive call (723–876 k units/s): 10 µs read
+/// 1.01–1.05 M, 20 µs 1.13–1.14 M, 50 µs 1.29–1.37 M, 100 µs 1.26–1.30 M,
+/// and 250 µs 1.02–1.10 M with `on_time_share` slipping to 0.99997. The
+/// slice only has to be long against a unit (so a datagram collects a
+/// slice's records) and short against `reliable::ACK_DELAY` and the 1 ms
+/// polling interval (so nothing above notices it).
+pub const WIRE_SLICE: Duration = Duration::from_micros(50);
 
 /// Datagrams per `sendmmsg`/`recvmmsg` syscall.
 const IO_BATCH: usize = 16;
@@ -97,8 +142,8 @@ const IO_BATCH: usize = 16;
 const HELLO_INTERVAL: Duration = Duration::from_millis(2);
 /// Longest single blocking wait inside `recv_timeout`; the loop re-checks
 /// its deadline (and the cached socket timeout stays coarse enough to be
-/// reused) every slice.
-const BLOCK_SLICE: Duration = Duration::from_millis(100);
+/// reused) after each.
+const MAX_BLOCK: Duration = Duration::from_millis(100);
 
 /// The parsed fixed header of any datagram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,27 +197,36 @@ fn control_dgram(kind: u32, version: u32, src: u32, epoch: u64) -> Bytes {
     .finish()
 }
 
-/// Build a complete DATA datagram: header, then the DATA fields.
-///
-/// Pooled: one buffer per datagram, recycled after the send syscall.
-fn data_dgram(env: &Envelope, epoch: u64) -> Bytes {
+/// Start a DATA datagram from `src` to `dst` in a pooled buffer of `cap`
+/// bytes: the header and the destination, written once; records follow.
+/// A composer, like [`control_dgram`].
+fn open_dgram(src: Rank, dst: Rank, epoch: u64, cap: usize) -> WireWriter {
     let w = encode_header(
-        WireWriter::pooled(HEADER_LEN + DATA_OVERHEAD + env.payload.len()),
+        WireWriter::pooled(cap),
         &Header {
             magic: MAGIC,
             version: PROTO_VERSION,
             kind: KIND_DATA,
-            src: env.src as u32,
+            src: src as u32,
             epoch,
         },
     );
-    encode_dgram(w, env).finish()
+    encode_dst(w, dst)
 }
 
-/// Append the DATA fields following the header: dst, handler, tag, payload.
-fn encode_dgram(w: WireWriter, env: &Envelope) -> WireWriter {
-    w.u32(env.dst as u32)
-        .u32(env.handler.0)
+/// Append a DATA datagram's destination rank, which follows the header.
+fn encode_dst(w: WireWriter, dst: Rank) -> WireWriter {
+    w.u32(dst as u32)
+}
+
+/// Read a DATA datagram's destination rank.
+fn decode_dst(r: &mut WireReader) -> Option<Rank> {
+    Some(r.try_u32()? as Rank)
+}
+
+/// Append one record: handler, tag, length-prefixed payload.
+fn encode_record(w: WireWriter, env: &Envelope) -> WireWriter {
+    w.u32(env.handler.0)
         .u32(match env.tag {
             Tag::App => 0,
             Tag::System => 1,
@@ -180,9 +234,8 @@ fn encode_dgram(w: WireWriter, env: &Envelope) -> WireWriter {
         .bytes(&env.payload)
 }
 
-/// Decode the DATA fields following an already-read header.
-fn decode_dgram(r: &mut WireReader, h: &Header) -> Option<Envelope> {
-    let dst = r.try_u32()?;
+/// Read one record of a datagram from `src` to `dst`.
+fn decode_record(r: &mut WireReader, src: Rank, dst: Rank) -> Option<Envelope> {
     let handler = HandlerId(r.try_u32()?);
     let tag = match r.try_u32()? {
         0 => Tag::App,
@@ -190,12 +243,36 @@ fn decode_dgram(r: &mut WireReader, h: &Header) -> Option<Envelope> {
     };
     let payload = r.try_bytes()?;
     Some(Envelope {
-        src: h.src as Rank,
-        dst: dst as Rank,
+        src,
+        dst,
         handler,
         tag,
         payload,
     })
+}
+
+/// Append every record left in `r` to `out`, in order. `false` when the body
+/// holds no record or ends in a partial one; the whole records before it
+/// are delivered either way. Payloads are slices of the datagram, so
+/// nothing here allocates in proportion to what the bytes claim.
+fn unpack_records(r: &mut WireReader, src: Rank, dst: Rank, out: &mut VecDeque<Envelope>) -> bool {
+    if r.remaining() == 0 {
+        return false;
+    }
+    while r.remaining() > 0 {
+        match decode_record(r, src, dst) {
+            Some(env) => out.push_back(env),
+            None => return false,
+        }
+    }
+    true
+}
+
+/// Copy one received datagram out of a scratch buffer into a pooled one.
+fn frame_of(buf: &[u8]) -> Bytes {
+    let mut b = pool::take(buf.len().max(1));
+    b.put_slice(buf);
+    b.freeze()
 }
 
 /// Why a [`UdpBuilder`] or [`UdpTransport`] operation failed.
@@ -263,8 +340,13 @@ impl From<io::Error> for UdpError {
 pub struct UdpStats {
     /// DATA datagrams handed to the kernel.
     pub sent: u64,
-    /// DATA datagrams delivered up the stack.
+    /// Records packed into DATA datagrams at `send`: `records_sent / sent`
+    /// is the packing ratio.
+    pub records_sent: u64,
+    /// DATA datagrams addressed to this rank and unpacked.
     pub received: u64,
+    /// Records delivered up the stack out of those datagrams.
+    pub records_received: u64,
     /// `sendmmsg` (or fallback send) syscalls issued.
     pub send_calls: u64,
     /// `recvmmsg` (or fallback recv) syscalls that returned datagrams.
@@ -280,11 +362,14 @@ pub struct UdpStats {
     pub bad_version: u64,
     /// Epoch mismatches seen in steady state (straggler processes).
     pub bad_epoch: u64,
-    /// DATA frames whose header fields parse but body does not.
+    /// DATA datagrams whose header parses but whose body does not: no
+    /// destination, no record, or a partial last record (the whole records
+    /// before it are delivered).
     pub malformed: u64,
-    /// DATA frames addressed to a different rank.
+    /// DATA datagrams addressed to a different rank.
     pub misrouted: u64,
-    /// Sends refused because the encoded datagram exceeds [`MAX_DGRAM`].
+    /// Sends refused because the record cannot fit a datagram of
+    /// [`MAX_DGRAM`].
     pub oversize: u64,
     /// Datagrams abandoned after a send-side socket error.
     pub send_errors: u64,
@@ -435,9 +520,13 @@ mod sys {
     unsafe impl Send for Scratch {}
 }
 
-/// Send-side state: datagrams staged (destination rank + encoded bytes)
-/// until the next flush.
+/// Send-side state: the datagram each destination's records are packed
+/// into, and the closed datagrams waiting for the next flush.
 struct TxState {
+    /// `open[d]`: the datagram to rank `d` still taking records, if any.
+    open: Vec<Option<WireWriter>>,
+    /// Closed datagrams (destination rank + bytes), in the order they
+    /// closed, so per-destination order is send order.
     staged: Vec<(Rank, Bytes)>,
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     sys: sys::Scratch,
@@ -471,10 +560,11 @@ impl UdpBuilder {
         self.local
     }
 
-    /// Run the join handshake and produce the transport. `peers[r]` is rank
-    /// `r`'s bound address (including our own at `peers[rank]`); `epoch`
-    /// identifies this launch (the launcher stamps its PID) and must agree
-    /// across ranks. Fails fast on a version or epoch mismatch, and with
+    /// Run the join handshake and produce the transport, timing its wire
+    /// slice on the monotonic clock. `peers[r]` is rank `r`'s bound address
+    /// (including our own at `peers[rank]`); `epoch` identifies this launch
+    /// (the launcher stamps its PID) and must agree across ranks. Fails fast
+    /// on a version or epoch mismatch, and with
     /// [`UdpError::HandshakeTimeout`] if any peer stays silent past
     /// `timeout`.
     pub fn connect(
@@ -484,15 +574,29 @@ impl UdpBuilder {
         epoch: u64,
         timeout: Duration,
     ) -> Result<UdpTransport, UdpError> {
-        let t = UdpTransport::from_parts(self.socket, rank, peers, epoch)?;
+        self.connect_with_clock(rank, peers, epoch, timeout, Clock::monotonic())
+    }
+
+    /// [`connect`](Self::connect), with the wire slice timed by `clock`
+    /// (a [`Clock::manual`] one in lock-step tests). The handshake's own
+    /// deadline is wall time either way.
+    pub fn connect_with_clock(
+        self,
+        rank: Rank,
+        peers: Vec<SocketAddr>,
+        epoch: u64,
+        timeout: Duration,
+        clock: Clock,
+    ) -> Result<UdpTransport, UdpError> {
+        let t = UdpTransport::from_parts(self.socket, rank, peers, epoch, clock)?;
         t.handshake(PROTO_VERSION, timeout)?;
         Ok(t)
     }
 }
 
 /// A socket-backed [`Transport`]: one UDP socket per rank, versioned
-/// datagrams, batched syscalls. See the module docs for the layering and
-/// wire format.
+/// datagrams packing records, the socket serviced once per wire slice. See
+/// the module docs for the layering, wire format and slice rule.
 pub struct UdpTransport {
     socket: UdpSocket,
     rank: Rank,
@@ -501,9 +605,10 @@ pub struct UdpTransport {
     tx: RefCell<TxState>,
     rx: RefCell<RxState>,
     stats: RefCell<UdpStats>,
-    /// Staged datagrams that trigger an eager flush (see
-    /// `PREMA_UDP_BATCH`).
-    tx_batch: usize,
+    clock: Clock,
+    /// When `try_recv` next services the socket: one [`WIRE_SLICE`] after
+    /// the last service, on `clock`.
+    next_service: Cell<Duration>,
     /// Last value handed to `set_read_timeout`, to skip redundant
     /// `setsockopt` syscalls in the blocking-receive loop.
     cached_timeout: Cell<Option<Duration>>,
@@ -512,8 +617,7 @@ pub struct UdpTransport {
 
 impl UdpTransport {
     /// Bind a socket (use port 0 to let the kernel pick) and start the
-    /// two-phase join. `PREMA_UDP_BATCH` (validated via [`crate::env`])
-    /// overrides the staged-datagram flush threshold.
+    /// two-phase join.
     pub fn bind(addr: SocketAddr) -> Result<UdpBuilder, UdpError> {
         let socket = UdpSocket::bind(addr)?;
         let local = socket.local_addr()?;
@@ -525,6 +629,7 @@ impl UdpTransport {
         rank: Rank,
         peers: Vec<SocketAddr>,
         epoch: u64,
+        clock: Clock,
     ) -> Result<Self, UdpError> {
         let peers = peers
             .into_iter()
@@ -533,16 +638,15 @@ impl UdpTransport {
                 other => Err(UdpError::AddrUnsupported(other)),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let tx_batch = crate::env::usize_var("PREMA_UDP_BATCH")
-            .unwrap_or(IO_BATCH)
-            .clamp(1, 1024);
+        let n = peers.len();
         Ok(UdpTransport {
             socket,
             rank,
             epoch,
             peers,
             tx: RefCell::new(TxState {
-                staged: Vec::with_capacity(tx_batch),
+                open: (0..n).map(|_| None).collect(),
+                staged: Vec::with_capacity(n.max(IO_BATCH)),
                 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
                 sys: sys::Scratch::with_capacity(IO_BATCH),
             }),
@@ -554,7 +658,8 @@ impl UdpTransport {
                 sys: sys::Scratch::with_capacity(IO_BATCH),
             }),
             stats: RefCell::new(UdpStats::default()),
-            tx_batch,
+            clock,
+            next_service: Cell::new(Duration::ZERO),
             cached_timeout: Cell::new(None),
             tracer: Tracer::off(),
         })
@@ -672,14 +777,7 @@ impl UdpTransport {
             }
             KIND_DATA => {
                 let mut r = WireReader::new(body);
-                match decode_dgram(&mut r, &header) {
-                    Some(env) if env.dst == self.rank => {
-                        self.stats.borrow_mut().received += 1;
-                        self.rx.borrow_mut().ready.push_back(env);
-                    }
-                    Some(_) => self.stats.borrow_mut().misrouted += 1,
-                    None => self.stats.borrow_mut().malformed += 1,
-                }
+                self.ingest_data(&mut r, &header, &mut self.rx.borrow_mut().ready);
             }
             _ => self.stats.borrow_mut().malformed += 1,
         }
@@ -694,12 +792,7 @@ impl UdpTransport {
             self.stats.borrow_mut().runts += 1;
             return None;
         }
-        let frame = {
-            let rx = self.rx.borrow();
-            let mut b = pool::take(len);
-            b.put_slice(&rx.bufs[0][..len]);
-            b.freeze()
-        };
+        let frame = frame_of(&self.rx.borrow().bufs[0][..len]);
         let mut r = WireReader::new(frame);
         let header = decode_header(&mut r)?;
         if header.magic != MAGIC {
@@ -747,30 +840,46 @@ impl UdpTransport {
                 self.send_control(KIND_WELCOME, PROTO_VERSION, &from);
             }
             KIND_WELCOME => {}
-            KIND_DATA => match decode_dgram(&mut r, &header) {
-                Some(env) if env.dst == self.rank => {
-                    self.stats.borrow_mut().received += 1;
-                    ready.push_back(env);
-                }
-                Some(env) => {
-                    self.stats.borrow_mut().misrouted += 1;
-                    self.tracer.emit(|| TraceEvent::DcsDropped {
-                        peer,
-                        handler: env.handler.0,
-                    });
-                }
-                None => {
-                    self.stats.borrow_mut().malformed += 1;
-                    self.tracer
-                        .emit(|| TraceEvent::DcsDropped { peer, handler: 0 });
-                }
-            },
+            KIND_DATA => self.ingest_data(&mut r, &header, ready),
             _ => self.stats.borrow_mut().malformed += 1,
         }
     }
 
+    /// Unpack a DATA datagram's body (destination, then records) into
+    /// `ready`. A datagram for another rank is dropped whole; a body that
+    /// does not parse to the end delivers its whole records and counts as
+    /// malformed once.
+    fn ingest_data(&self, r: &mut WireReader, header: &Header, ready: &mut VecDeque<Envelope>) {
+        let src = header.src as Rank;
+        let peer = src.min(self.peers.len());
+        let mut stats = self.stats.borrow_mut();
+        let handler = match decode_dst(r) {
+            Some(dst) if dst == self.rank => {
+                stats.received += 1;
+                let before = ready.len();
+                let whole = unpack_records(r, src, dst, ready);
+                stats.records_received += (ready.len() - before) as u64;
+                if whole {
+                    return;
+                }
+                stats.malformed += 1;
+                0
+            }
+            Some(dst) => {
+                stats.misrouted += 1;
+                decode_record(r, src, dst).map_or(0, |env| env.handler.0)
+            }
+            None => {
+                stats.malformed += 1;
+                0
+            }
+        };
+        self.tracer
+            .emit(|| TraceEvent::DcsDropped { peer, handler });
+    }
+
     /// Set the socket read timeout, skipping the `setsockopt` when the
-    /// value is unchanged (the blocking loop re-arms every slice).
+    /// value is unchanged (the blocking loop re-arms on every wait).
     fn set_read_timeout(&self, wait: Duration) {
         let wait = wait.max(Duration::from_millis(1));
         if self.cached_timeout.get() == Some(wait) {
@@ -781,7 +890,25 @@ impl UdpTransport {
         }
     }
 
-    /// Push every staged datagram to the kernel — `sendmmsg` in
+    /// One look at the socket, at `now` on the transport's clock: every open
+    /// datagram closes, everything closed leaves together, and the socket is
+    /// drained. `try_recv` looks again one slice later. Returns envelopes
+    /// made ready.
+    fn service(&self, now: Duration) -> usize {
+        {
+            let TxState { open, staged, .. } = &mut *self.tx.borrow_mut();
+            for (dst, slot) in open.iter_mut().enumerate() {
+                if let Some(w) = slot.take() {
+                    staged.push((dst, w.finish()));
+                }
+            }
+        }
+        self.flush_tx();
+        self.next_service.set(now + WIRE_SLICE);
+        self.drain_rx()
+    }
+
+    /// Push every closed datagram to the kernel — `sendmmsg` in
     /// [`IO_BATCH`]-sized chunks. Buffers are recycled into the pool after
     /// the syscall.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -911,11 +1038,7 @@ impl UdpTransport {
             for i in 0..got {
                 let len = rx.sys.hdrs[i].len as usize;
                 let from = sys::from_sockaddr(&rx.sys.addrs[i]);
-                let frame = {
-                    let mut b = pool::take(len.max(1));
-                    b.put_slice(&rx.bufs[i][..len]);
-                    b.freeze()
-                };
+                let frame = frame_of(&rx.bufs[i][..len]);
                 self.ingest_dgram(frame, from, &mut rx.ready);
             }
             if got < vlen as usize {
@@ -947,11 +1070,7 @@ impl UdpTransport {
                 break;
             };
             self.stats.borrow_mut().recv_calls += 1;
-            let frame = {
-                let mut b = pool::take(len.max(1));
-                b.put_slice(&rx.bufs[0][..len]);
-                b.freeze()
-            };
+            let frame = frame_of(&rx.bufs[0][..len]);
             self.ingest_dgram(frame, from, &mut rx.ready);
         }
         let _ = self.socket.set_nonblocking(false);
@@ -969,8 +1088,12 @@ impl Transport for UdpTransport {
         self.peers.len()
     }
 
+    /// Packs `env` into its destination's open datagram. A `Tag::System`
+    /// record closes that datagram and leaves now, together with whatever
+    /// else has closed since the last flush.
     fn send(&self, env: Envelope) {
-        if env.payload.len() > MAX_DGRAM - HEADER_LEN - DATA_OVERHEAD {
+        let record = RECORD_OVERHEAD + env.payload.len();
+        if record > MAX_DGRAM - HEADER_LEN - DST_LEN {
             self.stats.borrow_mut().oversize += 1;
             self.tracer.emit(|| TraceEvent::DcsDropped {
                 peer: env.dst,
@@ -978,22 +1101,35 @@ impl Transport for UdpTransport {
             });
             return;
         }
-        let dgram = data_dgram(&env, self.epoch);
-        let mut tx = self.tx.borrow_mut();
-        tx.staged.push((env.dst, dgram));
-        let full = tx.staged.len() >= self.tx_batch;
-        drop(tx);
-        if full {
+        let (dst, system) = (env.dst, env.tag == Tag::System);
+        {
+            let TxState { open, staged, .. } = &mut *self.tx.borrow_mut();
+            let slot = &mut open[dst];
+            if let Some(full) = slot.take_if(|w| w.len() + record > DGRAM_CAP) {
+                staged.push((dst, full.finish()));
+            }
+            let w = slot.take().unwrap_or_else(|| {
+                let cap = DGRAM_CAP.max(HEADER_LEN + DST_LEN + record);
+                open_dgram(self.rank, dst, self.epoch, cap)
+            });
+            let w = encode_record(w, &env);
+            if system || record > MTU_PAYLOAD {
+                staged.push((dst, w.finish()));
+            } else {
+                *slot = Some(w);
+            }
+        }
+        self.stats.borrow_mut().records_sent += 1;
+        if system {
             self.flush_tx();
         }
     }
 
-    /// Staged sends leave on every call. The socket is looked at only when
-    /// nothing is ready, and the `None` that ends a burst one drain made
-    /// ready costs no syscall: a caller pumping until `None` pays one drain
-    /// for K datagrams, not two, and comes back on its next pass anyway.
+    /// Answers from what the last drain made ready; the socket is serviced
+    /// (open datagrams out, then one drain) only when nothing is ready and a
+    /// slice has passed since the last service. The `None` that ends a burst
+    /// a drain made ready costs not even the clock reading.
     fn try_recv(&self) -> Option<Envelope> {
-        self.flush_tx();
         {
             let rx = &mut *self.rx.borrow_mut();
             if let Some(env) = rx.ready.pop_front() {
@@ -1003,46 +1139,38 @@ impl Transport for UdpTransport {
                 return None;
             }
         }
-        let made_ready = self.drain_rx() > 0;
+        let now = self.clock.now();
+        if now < self.next_service.get() {
+            return None;
+        }
+        let made_ready = self.service(now) > 0;
         let rx = &mut *self.rx.borrow_mut();
         rx.in_burst = made_ready;
         rx.ready.pop_front()
     }
 
+    /// Services the socket at once, whatever the slice says, then blocks
+    /// for the next datagram if nothing was ready.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        if let Some(env) = self.try_recv() {
-            return Some(env);
+        if self.rx.borrow().ready.is_empty() {
+            self.service(self.clock.now());
         }
         let deadline = saturating_deadline(timeout);
         loop {
+            if let Some(env) = self.rx.borrow_mut().ready.pop_front() {
+                return Some(env);
+            }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            let wait = (deadline - now).min(BLOCK_SLICE);
+            let wait = (deadline - now).min(MAX_BLOCK);
             self.set_read_timeout(wait);
-            let got = {
-                let rx = &mut *self.rx.borrow_mut();
-                match self.socket.recv_from(&mut rx.bufs[0]) {
-                    Ok((len, SocketAddr::V4(from))) => Some((len, from)),
-                    _ => None,
-                }
-            };
-            if let Some((len, from)) = got {
+            let rx = &mut *self.rx.borrow_mut();
+            if let Ok((len, SocketAddr::V4(from))) = self.socket.recv_from(&mut rx.bufs[0]) {
                 self.stats.borrow_mut().recv_calls += 1;
-                let frame = {
-                    let rx = self.rx.borrow();
-                    let mut b = pool::take(len.max(1));
-                    b.put_slice(&rx.bufs[0][..len]);
-                    b.freeze()
-                };
-                {
-                    let rx = &mut *self.rx.borrow_mut();
-                    self.ingest_dgram(frame, from, &mut rx.ready);
-                }
-            }
-            if let Some(env) = self.try_recv() {
-                return Some(env);
+                let frame = frame_of(&rx.bufs[0][..len]);
+                self.ingest_dgram(frame, from, &mut rx.ready);
             }
         }
     }
@@ -1052,7 +1180,6 @@ impl Transport for UdpTransport {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosConfig, ChaosHandle, ChaosTransport};
-    use crate::clock::Clock;
     use crate::reliable::{ReliableTransport, RetryConfig};
     use proptest::prelude::*;
 
@@ -1070,7 +1197,20 @@ mod tests {
         }
     }
 
-    /// Two in-process transports joined over real loopback sockets.
+    fn sys_to(src: Rank, dst: Rank, n: u32) -> Envelope {
+        Envelope {
+            tag: Tag::System,
+            ..env_to(src, dst, n)
+        }
+    }
+
+    /// What an envelope says, for comparing lists of them.
+    fn key(e: &Envelope) -> (Rank, Rank, u32, Tag, Bytes) {
+        (e.src, e.dst, e.handler.0, e.tag, e.payload.clone())
+    }
+
+    /// Two in-process transports joined over real loopback sockets, on the
+    /// monotonic clock.
     fn pair(epoch: u64) -> (UdpTransport, UdpTransport) {
         let b0 = UdpTransport::bind(loopback()).expect("bind rank 0");
         let b1 = UdpTransport::bind(loopback()).expect("bind rank 1");
@@ -1085,6 +1225,54 @@ mod tests {
             .expect("rank 0 join");
         let t1 = h.join().expect("rank 1 thread");
         (t0, t1)
+    }
+
+    /// `n` transports joined over real loopback sockets on one manual
+    /// clock, each serviced once at t = 0, so every rank's next `try_recv`
+    /// service is one slice away.
+    fn stepped(n: usize, epoch: u64) -> (Vec<UdpTransport>, Clock) {
+        let clock = Clock::manual();
+        let builders: Vec<_> = (0..n)
+            .map(|_| UdpTransport::bind(loopback()).expect("bind"))
+            .collect();
+        let addrs: Vec<_> = builders.iter().map(UdpBuilder::local_addr).collect();
+        let world: Vec<UdpTransport> = std::thread::scope(|s| {
+            let joins: Vec<_> = builders
+                .into_iter()
+                .enumerate()
+                .map(|(rank, b)| {
+                    let (addrs, clock) = (addrs.clone(), clock.clone());
+                    let timeout = Duration::from_secs(5);
+                    s.spawn(move || b.connect_with_clock(rank, addrs, epoch, timeout, clock))
+                })
+                .collect();
+            joins
+                .into_iter()
+                .map(|j| j.join().expect("join thread").expect("join"))
+                .collect()
+        });
+        for t in &world {
+            assert!(t.try_recv().is_none());
+        }
+        (world, clock)
+    }
+
+    /// The next `k` envelopes `t` receives, waiting for each.
+    fn recv_ids(t: &UdpTransport, k: usize) -> Vec<u32> {
+        (0..k)
+            .map(|_| {
+                t.recv_timeout(Duration::from_secs(2))
+                    .expect("an envelope within 2 s")
+                    .handler
+                    .0
+            })
+            .collect()
+    }
+
+    /// Receive syscalls made so far, with or without a datagram.
+    fn looks(t: &UdpTransport) -> u64 {
+        let s = t.stats();
+        s.recv_calls + s.recv_empty
     }
 
     #[test]
@@ -1103,64 +1291,232 @@ mod tests {
         assert_eq!(r.remaining(), 0);
     }
 
+    /// A DATA datagram: the header, the destination once, then each record
+    /// with its own handler, tag and payload, in order.
     #[test]
     fn dgram_roundtrip() {
-        let env = Envelope {
+        let first = Envelope {
             src: 2,
             dst: 5,
             handler: HandlerId(0xFEED),
             tag: Tag::System,
             payload: Bytes::from_static(b"hello wire"),
         };
-        let bytes = data_dgram(&env, 42);
+        let envs = [
+            first.clone(),
+            Envelope {
+                handler: HandlerId(7),
+                tag: Tag::App,
+                payload: Bytes::new(),
+                ..first
+            },
+        ];
+        let bytes = envs
+            .iter()
+            .fold(open_dgram(2, 5, 42, DGRAM_CAP), encode_record)
+            .finish();
+        let body = 10 + 2 * RECORD_OVERHEAD;
+        assert_eq!(bytes.len(), HEADER_LEN + DST_LEN + body);
         let mut r = WireReader::new(bytes);
         let h = decode_header(&mut r).expect("header");
-        assert_eq!(h.magic, MAGIC);
-        assert_eq!(h.version, PROTO_VERSION);
-        assert_eq!(h.kind, KIND_DATA);
-        assert_eq!(h.src, 2);
-        assert_eq!(h.epoch, 42);
-        let got = decode_dgram(&mut r, &h).expect("body");
-        assert_eq!(got.src, env.src);
-        assert_eq!(got.dst, env.dst);
-        assert_eq!(got.handler, env.handler);
-        assert_eq!(got.tag, env.tag);
-        assert_eq!(got.payload, env.payload);
+        assert_eq!(
+            (h.magic, h.version, h.kind, h.src, h.epoch),
+            (MAGIC, PROTO_VERSION, KIND_DATA, 2, 42)
+        );
+        assert_eq!(decode_dst(&mut r), Some(5));
+        let mut out = VecDeque::new();
+        assert!(unpack_records(&mut r, 2, 5, &mut out));
+        assert_eq!(
+            out.iter().map(key).collect::<Vec<_>>(),
+            envs.iter().map(key).collect::<Vec<_>>()
+        );
     }
 
+    /// Both ways over real sockets: an App record leaves when its sender's
+    /// slice ends, a System record inside `send`.
     #[test]
     fn loopback_pair_delivers_both_ways() {
-        let (t0, t1) = pair(7);
+        let (w, clock) = stepped(2, 7);
+        let (t0, t1) = (&w[0], &w[1]);
         t0.send(env_to(0, 1, 11));
-        let _ = t0.try_recv(); // sends stage until the sender's next poll
+        clock.advance(WIRE_SLICE);
+        assert!(t0.try_recv().is_none()); // the slice is over: it leaves
         let got = t1.recv_timeout(Duration::from_secs(2)).expect("0→1");
-        assert_eq!(got.handler, HandlerId(11));
-        assert_eq!(got.src, 0);
-        t1.send(env_to(1, 0, 22));
-        let _ = t1.try_recv();
+        assert_eq!(
+            (got.src, got.dst, got.handler, got.tag),
+            (0, 1, HandlerId(11), Tag::App)
+        );
+        t1.send(sys_to(1, 0, 22));
         let got = t0.recv_timeout(Duration::from_secs(2)).expect("1→0");
-        assert_eq!(got.handler, HandlerId(22));
-        assert!(t0.stats().sent >= 1);
-        assert!(t0.stats().received >= 1);
+        assert_eq!(
+            (got.src, got.dst, got.handler, got.tag),
+            (1, 0, HandlerId(22), Tag::System)
+        );
+        let (s0, s1) = (t0.stats(), t1.stats());
+        assert_eq!((s0.sent, s0.received, s1.sent, s1.received), (1, 1, 1, 1));
     }
 
+    /// Every datagram open or closed when the slice ends leaves in one
+    /// `sendmmsg`, to however many peers, in send order per peer.
     #[test]
     fn staged_sends_flush_as_one_batch() {
-        let (t0, t1) = pair(8);
-        // Below the flush threshold: sends stage, the next receive-side
-        // flush pushes them all (one syscall on the batched path).
-        for i in 0..5 {
-            t0.send(env_to(0, 1, i));
+        let (w, clock) = stepped(3, 8);
+        // Two 1000-byte records never share a datagram: rank 1 gets three,
+        // rank 2 one holding both of its records.
+        let big = |n: u32| Envelope {
+            payload: Bytes::from(vec![n as u8; 1000]),
+            ..env_to(0, 1, n)
+        };
+        for e in [big(0), env_to(0, 2, 10), big(1), env_to(0, 2, 11), big(2)] {
+            w[0].send(e);
         }
-        let _ = t0.try_recv(); // flushes
-        let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while got.len() < 5 && Instant::now() < deadline {
-            if let Some(e) = t1.recv_timeout(Duration::from_millis(50)) {
-                got.push(e.handler.0);
-            }
+        assert_eq!(
+            w[0].stats().send_calls,
+            0,
+            "nothing leaves inside the slice"
+        );
+        clock.advance(WIRE_SLICE);
+        assert!(w[0].try_recv().is_none());
+        let s = w[0].stats();
+        assert_eq!((s.send_calls, s.sent, s.records_sent), (1, 4, 5));
+        assert_eq!(recv_ids(&w[1], 3), [0, 1, 2]);
+        assert_eq!(recv_ids(&w[2], 2), [10, 11]);
+    }
+
+    /// (a) K App records to one peer inside a slice are one datagram:
+    /// nothing leaves before the slice ends, all K leave at the first
+    /// receive call at or after its end, in order.
+    #[test]
+    fn app_records_inside_a_slice_leave_as_one_datagram_when_it_ends() {
+        const K: u32 = 8;
+        let (w, clock) = stepped(2, 15);
+        for i in 0..K {
+            w[0].send(env_to(0, 1, i));
         }
-        assert_eq!(got, vec![0, 1, 2, 3, 4], "in order, exactly once");
+        clock.advance(WIRE_SLICE - Duration::from_nanos(1));
+        assert!(w[0].try_recv().is_none());
+        assert_eq!(w[0].stats().sent, 0, "a nanosecond early");
+        clock.advance(Duration::from_nanos(1));
+        assert!(w[0].try_recv().is_none());
+        let s = w[0].stats();
+        assert_eq!((s.send_calls, s.sent, s.records_sent), (1, 1, K as u64));
+        assert_eq!(recv_ids(&w[1], K as usize), (0..K).collect::<Vec<_>>());
+        let s = w[1].stats();
+        assert_eq!((s.received, s.records_received), (1, K as u64));
+    }
+
+    /// (b) A System record leaves inside `send`, behind the App records
+    /// staged before it to the same peer, in one datagram; another peer's
+    /// open datagram stays open until the slice ends.
+    #[test]
+    fn a_system_send_leaves_at_once_and_other_peers_wait_for_the_slice() {
+        let (w, clock) = stepped(3, 16);
+        w[0].send(env_to(0, 2, 7));
+        w[0].send(env_to(0, 1, 1));
+        w[0].send(sys_to(0, 1, 2));
+        let s = w[0].stats();
+        assert_eq!((s.send_calls, s.sent, s.records_sent), (1, 1, 3));
+        assert_eq!(recv_ids(&w[1], 2), [1, 2]);
+        assert_eq!(w[1].stats().received, 1, "one datagram");
+        assert!(
+            w[2].recv_timeout(Duration::from_millis(20)).is_none(),
+            "rank 2's datagram is still open"
+        );
+        clock.advance(WIRE_SLICE);
+        assert!(w[0].try_recv().is_none());
+        assert_eq!(w[0].stats().sent, 2);
+        assert_eq!(recv_ids(&w[2], 1), [7]);
+    }
+
+    /// A poller pass that answers a request sends its System reply and
+    /// never calls `try_recv` again while the application thread sits in a
+    /// handler: the reply must not wait for the sender's next receive call.
+    /// The App record staged before it to the same peer arrives first.
+    #[test]
+    fn a_system_send_needs_no_later_receive_call() {
+        let (t0, t1) = pair(17);
+        t0.send(env_to(0, 1, 1));
+        t0.send(sys_to(0, 1, 2));
+        let got: Vec<(u32, Tag)> = (0..2)
+            .map(|_| {
+                let e = t1.recv_timeout(Duration::from_secs(2)).expect("delivered");
+                (e.handler.0, e.tag)
+            })
+            .collect();
+        assert_eq!(got, [(1, Tag::App), (2, Tag::System)]);
+    }
+
+    /// (c) Receive calls inside a slice make no syscall, even with data
+    /// waiting on the socket; the first one after the slice makes exactly
+    /// one.
+    #[test]
+    fn receive_calls_inside_a_slice_touch_no_socket() {
+        let (w, clock) = stepped(2, 18);
+        w[0].send(sys_to(0, 1, 3)); // on rank 1's socket when this returns
+        let before = looks(&w[1]);
+        let step = WIRE_SLICE / 100;
+        for _ in 0..99 {
+            clock.advance(step);
+            assert!(w[1].try_recv().is_none());
+        }
+        assert_eq!(looks(&w[1]), before, "no syscall inside the slice");
+        clock.advance(step);
+        assert_eq!(w[1].try_recv().map(|e| e.handler.0), Some(3));
+        assert_eq!(looks(&w[1]), before + 1, "one drain at the slice's end");
+        assert!(w[1].try_recv().is_none());
+        assert_eq!(looks(&w[1]), before + 1, "the burst's `None` is free");
+    }
+
+    /// (d) `recv_timeout` flushes and reads before it blocks, whatever the
+    /// slice says.
+    #[test]
+    fn recv_timeout_services_the_socket_whatever_the_slice_says() {
+        let (w, _clock) = stepped(2, 19);
+        w[0].send(env_to(0, 1, 5));
+        // The clock stands still inside the slice both ranks just started.
+        let before = looks(&w[0]);
+        assert!(w[0].recv_timeout(Duration::from_millis(1)).is_none());
+        assert_eq!(w[0].stats().sent, 1, "its open datagram left first");
+        assert_eq!(looks(&w[0]), before + 1, "and it read the socket");
+        assert_eq!(recv_ids(&w[1], 1), [5]);
+    }
+
+    /// (e) Records that would take a datagram past [`MTU_PAYLOAD`] close it
+    /// and open the next, in order; a record bigger than that travels
+    /// alone.
+    #[test]
+    fn records_past_the_mtu_cap_split_and_a_big_one_travels_alone() {
+        let (w, clock) = stepped(2, 20);
+        let sized = |n: u32, len: usize| Envelope {
+            payload: Bytes::from(vec![n as u8; len]),
+            ..env_to(0, 1, n)
+        };
+        let half = MTU_PAYLOAD / 2 - RECORD_OVERHEAD; // two fill a datagram
+        let sent = [
+            sized(0, half),
+            sized(1, half),
+            sized(2, 1),           // does not fit: a second datagram
+            sized(3, MTU_PAYLOAD), // alone
+            sized(4, 1),           // a fourth datagram, open until the slice ends
+        ];
+        for e in &sent {
+            w[0].send(e.clone());
+        }
+        clock.advance(WIRE_SLICE);
+        assert!(w[0].try_recv().is_none());
+        let s = w[0].stats();
+        assert_eq!((s.send_calls, s.sent, s.records_sent), (1, 4, 5));
+        let got: Vec<_> = (0..sent.len())
+            .map(|_| {
+                w[1].recv_timeout(Duration::from_secs(2))
+                    .expect("delivered")
+            })
+            .collect();
+        assert_eq!(
+            got.iter().map(key).collect::<Vec<_>>(),
+            sent.iter().map(key).collect::<Vec<_>>()
+        );
+        assert_eq!(w[1].stats().received, 4);
     }
 
     #[test]
@@ -1336,10 +1692,10 @@ mod tests {
         assert!(a.all_acked(), "every frame acknowledged over the socket");
     }
 
-    /// A burst of K datagrams costs the socket one look: the drain that
-    /// finds them, and nothing for the `None` that ends the pump — in this
-    /// layer or in the reliable layer above it (HEAD: K + 1 drains, each an
-    /// extra empty `recvmmsg`).
+    /// A burst of K frames is one datagram and one drain: the K frames a
+    /// reliable sender wraps inside a slice leave packed together, and the
+    /// receiver hands all K up from a single look at its socket — nothing
+    /// for the `None` that ends the pump, in this layer or the one above.
     #[test]
     fn a_burst_costs_one_socket_drain() {
         const K: u32 = 8;
@@ -1348,9 +1704,11 @@ mod tests {
         for i in 0..K {
             a.send(env_to(0, 1, i));
         }
-        // Flushes; loopback has queued all K on `b`'s socket when this
-        // returns.
+        // The sender's first receive call services its socket; loopback has
+        // queued the datagram on `b`'s socket when this returns.
         assert!(a.try_recv().is_none());
+        let s = a.inner.stats();
+        assert_eq!((s.sent, s.records_sent), (1, K as u64));
         let before = b.inner.stats();
         let got: Vec<u32> = std::iter::from_fn(|| b.try_recv())
             .map(|e| e.handler.0)
@@ -1358,8 +1716,9 @@ mod tests {
         assert_eq!(got, (0..K).collect::<Vec<_>>());
         let after = b.inner.stats();
         let looks = (after.recv_calls - before.recv_calls) + (after.recv_empty - before.recv_empty);
-        assert!(looks <= 2, "{looks} socket drains for one pump");
-        assert_eq!(after.received - before.received, K as u64);
+        assert_eq!(looks, 1, "socket drains for one pump");
+        assert_eq!(after.received - before.received, 1);
+        assert_eq!(after.records_received - before.records_received, K as u64);
     }
 
     /// The regression guard for the reliable wire's two old habits, on real
@@ -1379,7 +1738,10 @@ mod tests {
                 let (me, peer) = (t.rank(), 1 - t.rank());
                 let (mut sent, mut heard) = (0, 0);
                 let deadline = Instant::now() + Duration::from_secs(60);
-                while (heard < N || !t.all_acked()) && Instant::now() < deadline {
+                // `sent < N` too: one pump can bring the peer's whole tail
+                // and the ACK of everything sent so far, with up to a
+                // window of this side's frames still unsent.
+                while (sent < N || heard < N || !t.all_acked()) && Instant::now() < deadline {
                     while sent < N && sent < heard + WINDOW {
                         t.send(env_to(me, peer, sent));
                         sent += 1;
@@ -1410,18 +1772,66 @@ mod tests {
         }
     }
 
+    /// Rank 1 of two, its socket bound but never joined: what
+    /// `ingest_dgram` makes of hand-built datagrams.
+    fn lone_rank(epoch: u64) -> UdpTransport {
+        let socket = UdpSocket::bind(loopback()).expect("bind");
+        let me = socket.local_addr().expect("bound addr");
+        UdpTransport::from_parts(socket, 1, vec![me, me], epoch, Clock::manual())
+            .expect("an IPv4 world")
+    }
+
     proptest! {
-        /// Arbitrary bytes decode to `Some` or `None`: no panic, and a
-        /// payload no longer than what came in (it is a slice of it).
+        /// Arbitrary bytes decode to `Some` or `None`: no panic, and
+        /// records whose payloads are slices of what came in, so no more
+        /// of them than the bytes can hold.
         #[test]
-        fn decoders_survive_arbitrary_bytes(raw in proptest::collection::vec(any::<u8>(), 0..96)) {
+        fn decoders_survive_arbitrary_bytes(raw in proptest::collection::vec(any::<u8>(), 0..160)) {
             let len = raw.len();
             let mut r = WireReader::new(Bytes::from(raw));
             let header = decode_header(&mut r);
             prop_assert_eq!(header.is_some(), len >= HEADER_LEN);
-            if let Some(env) = header.and_then(|h| decode_dgram(&mut r, &h)) {
-                prop_assert!(HEADER_LEN + DATA_OVERHEAD + env.payload.len() <= len);
+            if let Some(dst) = header.and_then(|_| decode_dst(&mut r)) {
+                let mut out = VecDeque::new();
+                let _ = unpack_records(&mut r, 0, dst, &mut out);
+                let carried: usize = out.iter().map(|e| RECORD_OVERHEAD + e.payload.len()).sum();
+                prop_assert!(HEADER_LEN + DST_LEN + carried <= len);
             }
+        }
+
+        /// K records packed into a datagram come back out in order; cut
+        /// the datagram inside its last record and the K − 1 before it are
+        /// still delivered, and the datagram counts as malformed once.
+        #[test]
+        fn packed_records_round_trip_and_a_truncated_tail_keeps_its_prefix(
+            payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..8),
+            cut in any::<usize>(),
+        ) {
+            let sent: Vec<Envelope> = payloads
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| Envelope {
+                    tag: if i % 2 == 0 { Tag::App } else { Tag::System },
+                    payload: Bytes::from(p),
+                    ..env_to(0, 1, i as u32)
+                })
+                .collect();
+            let k = sent.len();
+            let whole = sent.iter().fold(open_dgram(0, 1, 9, DGRAM_CAP), encode_record).finish();
+            let last = RECORD_OVERHEAD + sent[k - 1].payload.len();
+            let short = whole.slice(0..whole.len() - 1 - cut % (last - 1));
+            let t = lone_rank(9);
+            let from: SocketAddrV4 = "127.0.0.1:9".parse().expect("literal address");
+            let mut ready = VecDeque::new();
+            t.ingest_dgram(whole, from, &mut ready);
+            prop_assert_eq!(ready.iter().map(key).collect::<Vec<_>>(), sent.iter().map(key).collect::<Vec<_>>());
+            let s = t.stats();
+            prop_assert_eq!((s.received, s.records_received, s.malformed), (1, k as u64, 0));
+            ready.clear();
+            t.ingest_dgram(short, from, &mut ready);
+            prop_assert_eq!(ready.iter().map(key).collect::<Vec<_>>(), sent[..k - 1].iter().map(key).collect::<Vec<_>>());
+            let s = t.stats();
+            prop_assert_eq!((s.received, s.records_received, s.malformed), (2, 2 * k as u64 - 1, 1));
         }
     }
 }

@@ -55,6 +55,11 @@ impl WireWriter {
         self
     }
 
+    /// Bytes written so far.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+
     /// Finish, producing the payload.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()

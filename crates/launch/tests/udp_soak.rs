@@ -20,7 +20,6 @@ fn run_launcher(args: &[&str]) -> (bool, String) {
         .env_remove("PREMA_LAUNCH_RANK")
         .env_remove("PREMA_CHAOS_SEED")
         .env_remove("PREMA_CHAOS_LOSS")
-        .env_remove("PREMA_UDP_BATCH")
         .args(args)
         .output()
         .expect("spawn prema-launch");

@@ -1371,10 +1371,11 @@ fn decode_ping(payload: &[u8]) -> Option<(u64, Bytes)> {
     }
 
     /// The UDP wire schema (crates/dcs/src/udp.rs) must stay under this
-    /// analysis: both the fixed header pair and the DATA-fields pair are
-    /// discovered from the real source and checked drift-free. Guards
-    /// against a refactor renaming the fns out of the `encode_`/`decode_`
-    /// convention and silently losing coverage.
+    /// analysis: the fixed header pair and the packed DATA layout — the
+    /// destination written once, then records — are discovered from the
+    /// real source and checked drift-free. Guards against a refactor
+    /// renaming the fns out of the `encode_`/`decode_` convention and
+    /// silently losing coverage.
     #[test]
     fn udp_wire_schema_is_discovered_and_paired() {
         let fns = paired_wire_fns("crates/dcs/src/udp.rs");
@@ -1385,11 +1386,17 @@ fn decode_ping(payload: &[u8]) -> Option<(u64, Bytes)> {
         );
         assert_eq!(ops_of(&fns, "encode_header"), ops_of(&fns, "decode_header"));
         assert_eq!(
-            ops_of(&fns, "encode_dgram"),
-            ["u32", "u32", "u32", "bytes"],
+            ops_of(&fns, "encode_dst"),
+            ["u32"],
             "DATA layout changed — bump PROTO_VERSION and update this test"
         );
-        assert_eq!(ops_of(&fns, "encode_dgram"), ops_of(&fns, "decode_dgram"));
+        assert_eq!(ops_of(&fns, "encode_dst"), ops_of(&fns, "decode_dst"));
+        assert_eq!(
+            ops_of(&fns, "encode_record"),
+            ["u32", "u32", "bytes"],
+            "record layout changed — bump PROTO_VERSION and update this test"
+        );
+        assert_eq!(ops_of(&fns, "encode_record"), ops_of(&fns, "decode_record"));
     }
 
     /// The same for the reliable layer's frames (crates/dcs/src/reliable.rs):

@@ -338,8 +338,10 @@ const RING_HOT_FNS: &[&str] = &[
     "park",
     "unpark",
     "is_empty",
-    // udp.rs steady state: the syscall batchers reuse preallocated
-    // scatter/gather scaffolding and pool-backed datagram buffers.
+    // udp.rs steady state: the slice's service and the syscall batchers
+    // reuse preallocated scatter/gather scaffolding and pool-backed
+    // datagram buffers.
+    "service",
     "flush_tx",
     "drain_rx",
 ];
