@@ -19,14 +19,25 @@
 //! executing object itself is never migrated, preserving the paper's
 //! guarantee that preemptive load balancing "in no way affects the execution
 //! of the application".
+//!
+//! # The polling operation's slice
+//!
+//! [`Runtime::step`] runs PREMA's cycle — poll, schedule, execute — but
+//! polls only when [`ilb::Scheduler::poll_due`] says so: before every unit
+//! while the rank's queue is empty or its units are a
+//! [`prema_dcs::WIRE_SLICE`] long, and once per slice (on the rank's
+//! monotonic [`Clock`]) while it works through shorter ones. What a unit
+//! sends still leaves at its `finish`; what arrives for the rank waits at
+//! most one slice. Every other poll — [`Runtime::poll`], the polling
+//! thread's pass — runs whenever it is called.
 
 use crate::config::{LbMode, PremaConfig};
 use crate::shutdown::{run_poll_loop, StopFlag};
 use crate::sync::{Arc, Mutex};
 use bytes::Bytes;
 use prema_dcs::{
-    ChaosConfig, ChaosHandle, ChaosTransport, Communicator, LocalFabric, Rank, ReliableTransport,
-    Transport,
+    ChaosConfig, ChaosHandle, ChaosTransport, Clock, Communicator, LocalFabric, Rank,
+    ReliableTransport, Transport,
 };
 use prema_ilb as ilb;
 use prema_ilb::LoadSnapshot;
@@ -99,18 +110,24 @@ impl<O: Migratable> Runtime<O> {
 
     /// The application-posted *polling operation* (§4): receives and
     /// processes messages, evaluates the work level, and triggers explicit
-    /// load balancing. Returns the number of protocol events processed.
+    /// load balancing. Runs whenever called, slice or not. Returns the
+    /// number of protocol events processed.
     pub fn poll(&self) -> usize {
         self.sched.lock().poll()
     }
 
-    /// Execute one queued work unit, if any. The handler runs **without**
-    /// holding the runtime lock (see module docs). Returns `false` if the
+    /// One turn of PREMA's cycle: the polling operation if it is due
+    /// ([`ilb::Scheduler::poll_due`]: always on an empty queue, else once
+    /// per [`prema_dcs::WIRE_SLICE`]), then one queued work unit, if any.
+    /// The handler runs **without** holding the runtime lock, and what it
+    /// sent leaves when it returns (see module docs). Returns `false` if the
     /// local queue was empty.
     pub fn step(&self) -> bool {
         let exec = {
             let mut s = self.sched.lock();
-            s.poll();
+            if s.poll_due() {
+                s.poll();
+            }
             s.begin()
         };
         match exec {
@@ -361,16 +378,19 @@ where
 }
 
 /// Assemble one rank's scheduler stack from `cfg`: communicator → batch
-/// config → MOL node → policy (seeded `cfg.seed + rank`) → stability governor
-/// → [`LbMode::Disabled`] → tracer. Applies no environment knob to `cfg` —
-/// what it says is what runs — so a caller with its own clock (the harness's
-/// discrete-event `SimRank`) builds exactly what [`launch`] runs, as a
-/// function of its inputs. (The one variable still read on the way is the
-/// MOL's own `PREMA_LOC_CACHE`, in [`MolNode::new`].)
+/// config → MOL node → policy (seeded `cfg.seed + rank`) → clock → stability
+/// governor → [`LbMode::Disabled`] → tracer. Applies no environment knob to
+/// `cfg` — what it says is what runs — and reads no time but `clock`
+/// ([`Clock::monotonic`] under [`launch`]), so a caller with its own clock
+/// (the harness's discrete-event `SimRank`, which hands it a manual one)
+/// builds exactly what [`launch`] runs, as a function of its inputs. (The
+/// one variable still read on the way is the MOL's own `PREMA_LOC_CACHE`, in
+/// [`MolNode::new`].)
 pub fn build_scheduler<O: Migratable>(
     cfg: &PremaConfig,
     rank: usize,
     transport: Box<dyn Transport>,
+    clock: Clock,
     tracer: prema_trace::Tracer,
 ) -> ilb::Scheduler<O> {
     let mut comm = Communicator::new(transport);
@@ -378,6 +398,7 @@ pub fn build_scheduler<O: Migratable>(
     let node: MolNode<O> = MolNode::new(comm);
     let policy = cfg.policy.build(cfg.seed.wrapping_add(rank as u64));
     let mut sched = ilb::Scheduler::new(node, policy);
+    sched.set_clock(clock);
     sched.set_stability(cfg.stability);
     if cfg.mode == LbMode::Disabled {
         sched.set_lb_enabled(false);
@@ -412,7 +433,7 @@ fn start_rank<O: Migratable>(
     let tracer = trace
         .map(|s| s.tracer(rank))
         .unwrap_or_else(prema_trace::Tracer::off);
-    let sched = build_scheduler(&cfg, rank, transport, tracer.clone());
+    let sched = build_scheduler(&cfg, rank, transport, Clock::monotonic(), tracer.clone());
     let sched = Arc::new(Mutex::new(sched));
 
     let poller = match cfg.mode {

@@ -2,7 +2,10 @@
 //! migration, explicit vs implicit modes, and the preemptive polling thread.
 
 use bytes::Bytes;
-use prema::{launch, Completion, LbMode, Migratable, PolicyKind, PremaConfig};
+use prema::dcs::{Envelope, LocalEndpoint, LocalFabric, Tag, Transport};
+use prema::{
+    launch, launch_single_rank, Completion, LbMode, Migratable, MobilePtr, PolicyKind, PremaConfig,
+};
 use std::time::Duration;
 
 struct Cell {
@@ -310,4 +313,69 @@ fn explicit_application_migration() {
         executed
     });
     assert_eq!(results, vec![2, 2, 2], "manual placement not honored");
+}
+
+/// Rank 0 of a two-rank machine on `LocalFabric`, run on this thread in
+/// explicit mode, so nothing polls but its own `step` and `poll`. Rank 1 is
+/// a bare endpoint the test reads with `try_recv`.
+fn rank_zero_of_two<R>(main: impl FnOnce(prema::Runtime<Cell>, &LocalEndpoint) -> R) -> R {
+    let mut eps = LocalFabric::new(2);
+    let peer = eps.pop().expect("two endpoints");
+    let ep0 = eps.pop().expect("two endpoints");
+    launch_single_rank(PremaConfig::explicit(2), 0, Box::new(ep0), None, |rt| {
+        main(rt, &peer)
+    })
+}
+
+/// What has reached `peer` since it last looked.
+fn arrived(peer: &LocalEndpoint) -> Vec<Envelope> {
+    std::iter::from_fn(|| peer.try_recv()).collect()
+}
+
+#[test]
+fn a_rank_whose_queue_runs_dry_begs_on_the_very_next_step() {
+    rank_zero_of_two(|rt, peer| {
+        rt.on_message(H_HIT, |_ctx, cell, _item| cell.hits += 1);
+        let ptr = rt.register(Cell { id: 0, hits: 0 });
+        // Weight 2 a unit: over the water-mark (1.0) until nothing is left.
+        for _ in 0..8 {
+            rt.message_with_hint(ptr, H_HIT, 2.0, Bytes::new());
+        }
+        while !rt.is_idle() {
+            assert!(rt.step());
+        }
+        arrived(peer);
+        assert_eq!(rt.sched_stats().requests_sent, 0, "begged with work queued");
+        // The unit that emptied the queue weighed nothing at its `finish`;
+        // the empty queue makes the next step poll, whatever the time.
+        assert!(!rt.step());
+        assert_eq!(rt.sched_stats().requests_sent, 1);
+        assert!(
+            arrived(peer).iter().any(|e| e.tag == Tag::System),
+            "the request is not on the peer's wire"
+        );
+    });
+}
+
+#[test]
+fn a_units_remote_sends_leave_at_its_finish() {
+    rank_zero_of_two(|rt, peer| {
+        // An object born on rank 1: its messages go straight there.
+        let remote = MobilePtr { home: 1, index: 1 };
+        rt.on_message(H_HIT, move |ctx, cell, _item| {
+            cell.hits += 1;
+            ctx.message(remote, H_HIT, Bytes::new());
+        });
+        let ptr = rt.register(Cell { id: 0, hits: 0 });
+        for _ in 0..4 {
+            rt.message(ptr, H_HIT, Bytes::new());
+        }
+        // Units after the first run inside one slice and do not poll; their
+        // sends must not wait for one.
+        for unit in 1..=4 {
+            assert!(rt.step());
+            let app = arrived(peer).iter().filter(|e| e.tag == Tag::App).count();
+            assert_eq!(app, 1, "unit {unit}'s send was still on rank 0");
+        }
+    });
 }

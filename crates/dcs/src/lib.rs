@@ -79,5 +79,5 @@ pub use fxmap::{FxHashMap, FxHashSet};
 pub use handler::{Handler, HandlerTable};
 pub use reliable::{ReliableStats, ReliableTransport, RetryConfig};
 pub use transport::{LocalEndpoint, LocalFabric, RingEndpoint, RingFabric, Transport};
-pub use udp::{UdpBuilder, UdpError, UdpStats, UdpTransport};
+pub use udp::{UdpBuilder, UdpError, UdpStats, UdpTransport, WIRE_SLICE};
 pub use wire::{WireReader, WireWriter};

@@ -134,6 +134,11 @@ const DGRAM_CAP: usize = HEADER_LEN + DST_LEN + MTU_PAYLOAD;
 /// slice only has to be long against a unit (so a datagram collects a
 /// slice's records) and short against `reliable::ACK_DELAY` and the 1 ms
 /// polling interval (so nothing above notices it).
+///
+/// The same slice paces the polling operation of a rank with queued work
+/// (`prema::Runtime::step` through `ilb::Scheduler::poll_due`): it pumps its
+/// wire and weighs its load once per slice, not once per unit. Swept on
+/// `chat_fine` (5–100 µs all within noise), so one constant serves both.
 pub const WIRE_SLICE: Duration = Duration::from_micros(50);
 
 /// Datagrams per `sendmmsg`/`recvmmsg` syscall.

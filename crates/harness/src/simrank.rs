@@ -36,7 +36,7 @@
 use crate::drivers::{callback_cpu, poll_wake_cpu, sched_cpu};
 use bytes::Bytes;
 use prema::{build_scheduler, LbMode, PremaConfig};
-use prema_dcs::{Envelope, Rank, Transport};
+use prema_dcs::{Clock, Envelope, Rank, Transport};
 use prema_ilb::{Execution, SchedStats, Scheduler};
 use prema_mol::{Migratable, MolStats, WorkItem};
 use prema_sim::{
@@ -132,8 +132,11 @@ struct SimRank<O: Migratable> {
     /// Units not yet finished anywhere in the machine: the application's own
     /// completion detection (the benchmark knows its unit count).
     units_left: Rc<Cell<u64>>,
+    /// The manual clock handed to the scheduler, set to the simulated time
+    /// at every call into it.
+    clock: Clock,
     /// The manually clocked sink the stack's tracer stamps from, if any.
-    clock: Option<Arc<TraceSink>>,
+    trace_clock: Option<Arc<TraceSink>>,
     /// This rank's arrivals not yet due, earliest first; each has a
     /// `T_ARRIVAL` timer set at start-up.
     arrivals: VecDeque<Arrival<O>>,
@@ -143,7 +146,9 @@ impl<O: Migratable> SimRank<O> {
     /// Call into the scheduler at the current simulated time, then put what
     /// it sent on the engine's wire.
     fn call<R>(&mut self, ctx: &mut Ctx, f: impl FnOnce(&mut Scheduler<O>) -> R) -> R {
-        if let Some(sink) = &self.clock {
+        self.clock
+            .set_now(Duration::from_nanos(ctx.now().as_nanos()));
+        if let Some(sink) = &self.trace_clock {
             sink.set_now(ctx.now().as_nanos());
         }
         let r = f(&mut self.sched.borrow_mut());
@@ -164,7 +169,9 @@ impl<O: Migratable> SimRank<O> {
 
     /// `Runtime::step` up to the handler's return: the polling operation,
     /// then the next unit if there is one. An idle rank parks until a
-    /// message arrives, or stops once no unit is left anywhere.
+    /// message arrives, or stops once no unit is left anywhere. The poll
+    /// runs at every boundary, which is what `Runtime::step`'s slice gate
+    /// does for units a `WIRE_SLICE` long or longer.
     fn unit_boundary(&mut self, ctx: &mut Ctx) {
         self.receive(ctx);
         self.call(ctx, |s| s.poll());
@@ -286,7 +293,7 @@ pub fn run<O: Migratable>(
         )),
         LbMode::Explicit | LbMode::Disabled => None,
     };
-    let clock = trace.clone().filter(|s| s.is_manual());
+    let trace_clock = trace.clone().filter(|s| s.is_manual());
     let units_left = Rc::new(Cell::new(units));
     let mut scheds = Vec::with_capacity(machine.procs);
     let report = Engine::build(machine, |rank| {
@@ -296,10 +303,11 @@ pub fn run<O: Migratable>(
             nprocs: machine.procs,
             wire: wire.clone(),
         };
-        let tracer = clock
+        let tracer = trace_clock
             .as_ref()
             .map_or_else(prema::trace::Tracer::off, |s| s.tracer(rank));
-        let mut sched = build_scheduler(cfg, rank, Box::new(transport), tracer);
+        let clock = Clock::manual();
+        let mut sched = build_scheduler(cfg, rank, Box::new(transport), clock.clone(), tracer);
         populate(&mut sched);
         let sched = Rc::new(RefCell::new(sched));
         scheds.push(sched.clone());
@@ -309,7 +317,8 @@ pub fn run<O: Migratable>(
             poll_interval,
             current: None,
             units_left: units_left.clone(),
-            clock: clock.clone(),
+            clock,
+            trace_clock: trace_clock.clone(),
             arrivals: std::mem::take(&mut due[rank]),
         })
     })

@@ -37,8 +37,8 @@ impl Forecast {
 
 /// A bounded ring of `(tick, weight)` samples with an incrementally
 /// maintained EWMA. Recording at the same tick twice overwrites the previous
-/// sample (the scheduler evaluates more than once per poll on unit
-/// boundaries), so the fit never sees a zero-width time step.
+/// sample, so the fit never sees a zero-width time step (the scheduler
+/// itself evaluates once per poll tick).
 #[derive(Clone, Debug)]
 pub struct WeightHistory {
     samples: Vec<(u64, f64)>,

@@ -8,13 +8,15 @@
 //!
 //! The scheduler is a plain (single-threaded) state machine; the `prema`
 //! facade composes it with OS threads and, in implicit mode, a preemptive
-//! polling thread that calls [`Scheduler::poll_system`] concurrently.
+//! polling thread that calls [`Scheduler::poll_system`] concurrently. It
+//! reads no clock of its own: the one it is handed ([`Scheduler::set_clock`])
+//! paces the polling operation ([`Scheduler::poll_due`]).
 
 use crate::forecast::WeightHistory;
 use crate::policy::{LbPolicy, LoadMap, LoadSnapshot};
 use crate::stability::{Governor, StabilityConfig, VetoKind};
 use bytes::Bytes;
-use prema_dcs::{FxHashMap, Rank, Tag, WireReader, WireWriter};
+use prema_dcs::{Clock, FxHashMap, Rank, Tag, WireReader, WireWriter, WIRE_SLICE};
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode, WorkItem};
 use prema_trace::{TraceEvent, Tracer};
 use std::sync::Arc;
@@ -197,6 +199,11 @@ pub struct Scheduler<O: Migratable> {
     /// Monotone poll counter: the governor's and forecaster's clock (never
     /// wall time — polls keep the scheduler deterministic).
     polls: u64,
+    /// The time this scheduler is handed (see [`Scheduler::set_clock`]).
+    clock: Clock,
+    /// When [`Scheduler::poll`] last ran, on `clock`; `None` before the
+    /// first.
+    last_poll: Option<std::time::Duration>,
     /// Migration stability governor (DESIGN.md §14).
     governor: Governor,
     /// Local weight-history ring feeding `LbPolicy::note_forecast`.
@@ -213,7 +220,8 @@ pub struct Scheduler<O: Migratable> {
 }
 
 impl<O: Migratable> Scheduler<O> {
-    /// Build a scheduler over a MOL node with the given policy.
+    /// Build a scheduler over a MOL node with the given policy. Its clock is
+    /// a manual one standing at zero until [`Scheduler::set_clock`].
     pub fn new(node: MolNode<O>, policy: Box<dyn LbPolicy>) -> Self {
         let neighborhood = policy
             .neighborhood(node.rank(), node.nprocs())
@@ -235,6 +243,8 @@ impl<O: Migratable> Scheduler<O> {
             stats: SchedStats::default(),
             lb_enabled: true,
             polls: 0,
+            clock: Clock::manual(),
+            last_poll: None,
             governor: Governor::new(StabilityConfig::default()),
             history: WeightHistory::new(32, 0.25),
             neighborhood,
@@ -267,14 +277,24 @@ impl<O: Migratable> Scheduler<O> {
         self.lb_enabled = enabled;
     }
 
+    /// Hand the scheduler its time: [`Clock::monotonic`] on a thread, a
+    /// manual clock where a test or the simulator decides what time it is.
+    /// It paces [`Scheduler::poll_due`]; the governor and the request
+    /// watchdog still count polls.
+    pub fn set_clock(&mut self, clock: Clock) {
+        self.clock = clock;
+    }
+
     /// How many polls a begging request may stay unanswered before the round
     /// declares it lost, forgets the victim's stale load snapshot, and
     /// re-issues to the next candidate. The clock is the *requester's own*
-    /// polls, and an idle rank polls about once a microsecond: the default
-    /// 256 is ~240 µs, against a donor that answers from its polling thread
-    /// every `poll_interval` (1 ms) while it sits in a handler. So it fires
-    /// on wires that lose nothing (DESIGN.md §19), and is also, under chaos,
-    /// the liveness backstop for a lost GRANT.
+    /// polls. An empty rank polls on every step, about once a microsecond on
+    /// the threaded runtime: the default 256 is ~240 µs there, against a
+    /// donor that answers from its polling thread every `poll_interval`
+    /// (1 ms) while it sits in a handler. So it fires on wires that lose
+    /// nothing (DESIGN.md §19), and is also, under chaos, the liveness
+    /// backstop for a lost GRANT. (A requester with work queued polls once
+    /// per [`WIRE_SLICE`], so the same count lasts ~13 ms there.)
     pub fn set_request_timeout_polls(&mut self, polls: u64) {
         assert!(polls > 0, "request timeout must be at least one poll");
         self.request_timeout_polls = polls;
@@ -352,9 +372,13 @@ impl<O: Migratable> Scheduler<O> {
 
     /// PREMA's *polling operation* (§4): receive and process messages,
     /// handle system load-balancing traffic, and evaluate the local work
-    /// level. Returns the number of protocol events handled.
+    /// level — the balancer's one evaluation point besides
+    /// [`Scheduler::poll_system`]. Polls whenever called; a caller that
+    /// wants it paced asks [`Scheduler::poll_due`] first. Returns the number
+    /// of protocol events handled.
     pub fn poll(&mut self) -> usize {
         self.polls += 1;
+        self.last_poll = Some(self.clock.now());
         let events = self.node.pump();
         let n = events.len();
         self.tracer.emit(|| TraceEvent::Poll { events: n as u32 });
@@ -367,6 +391,22 @@ impl<O: Migratable> Scheduler<O> {
         #[cfg(feature = "check-invariants")]
         self.verify_invariants();
         n
+    }
+
+    /// Whether the polling operation is due before the next unit (DESIGN.md
+    /// §8): always when nothing is queued locally — the rank has nothing
+    /// better to do, and must beg now — and before the first
+    /// [`Scheduler::poll`]; otherwise once [`WIRE_SLICE`] has passed on the
+    /// scheduler's clock since the last. A rank working through
+    /// sub-microsecond units thus pumps its wire and weighs its load once per
+    /// slice, not once per unit, while a unit a slice long or longer polls
+    /// before every unit as before. `prema::Runtime::step` asks this; every
+    /// other caller polls unconditionally.
+    pub fn poll_due(&self) -> bool {
+        self.node.ready_len() == 0
+            || self
+                .last_poll
+                .is_none_or(|last| self.clock.now() >= last + WIRE_SLICE)
     }
 
     /// The *preemptive* poll: processes only system-generated traffic
@@ -450,7 +490,9 @@ impl<O: Migratable> Scheduler<O> {
 
     /// Complete an execution started by [`Scheduler::begin`]: re-attach the
     /// object, apply the handler's buffered sends, update counters, and
-    /// evaluate the load balancer.
+    /// flush. The load balancer is not evaluated here: the next polling
+    /// operation does that, at most a [`WIRE_SLICE`] away under
+    /// `prema::Runtime::step`, and at once if the queue ran dry.
     pub fn finish(&mut self, exec: Execution<O>) {
         let Execution {
             item, obj, mut ctx, ..
@@ -475,9 +517,6 @@ impl<O: Migratable> Scheduler<O> {
         // handler buffered coalesces per destination and ships now, rather
         // than waiting for the next poll. System traffic was never staged.
         self.node.comm().flush();
-        if self.lb_enabled {
-            self.lb_evaluate();
-        }
         #[cfg(feature = "check-invariants")]
         self.verify_invariants();
     }
@@ -507,7 +546,9 @@ impl<O: Migratable> Scheduler<O> {
     }
 
     /// Convenience: begin + run + finish in one call (single-threaded /
-    /// explicit-mode use). Returns `false` if no work was queued.
+    /// explicit-mode use). Returns `false` if no work was queued. It does
+    /// not poll, so nothing it does reaches the balancer until the caller
+    /// next does.
     pub fn step(&mut self) -> bool {
         match self.begin() {
             Some(mut exec) => {
@@ -823,8 +864,8 @@ impl<O: Migratable> Scheduler<O> {
 
         // Sample the weight history; a policy that uses the forecast gets it
         // before any decision this evaluation makes (anticipatory policies
-        // cache it). Sampled at the poll tick; a re-evaluation within the
-        // same poll (unit finish) overwrites the tick's sample. The trend
+        // cache it). Sampled at the poll tick, one sample per evaluation:
+        // every evaluation is a poll of its own. The trend
         // fit is two passes over the ring, so it runs only for a consumer:
         // such a policy, or the sampled trace event when tracing records.
         self.history.record(self.polls, local.weight);
@@ -975,6 +1016,7 @@ mod tests {
     use super::*;
     use crate::policy::WorkStealing;
     use prema_dcs::{Communicator, LocalFabric};
+    use std::time::Duration;
 
     struct Unit;
 
@@ -1053,10 +1095,12 @@ mod tests {
         let mut by_request = 0;
         while !s.is_idle() {
             let before = (s.neighborhood[0].1, s.stats().status_sent);
-            s.poll();
+            // PREMA's cycle, each unit followed by the polling operation that
+            // weighs it (`finish` does not).
             s.step();
-            victim.poll();
+            s.poll();
             victim.step();
+            victim.poll();
             let told = s.neighborhood[0].1;
             assert_eq!(victim.known.get(&0), told.as_ref());
             assert_eq!(told.map(|t| t.units == 0), Some(s.is_idle()));
@@ -1065,6 +1109,51 @@ mod tests {
             }
         }
         assert!(by_request > 0, "no request carried news: {:?}", s.stats());
+    }
+
+    /// One rank on a manual clock with `units` messages queued for one
+    /// object, and the clock.
+    fn lone_rank(units: usize) -> (Scheduler<Unit>, Clock) {
+        let ep = LocalFabric::new(1).pop().expect("one rank");
+        let node = MolNode::new(Communicator::new(Box::new(ep)));
+        let mut s = Scheduler::new(node, Box::new(WorkStealing::new(1.0, 1)));
+        s.on_message(1, |_ctx, _obj: &mut Unit, _item| {});
+        let clock = Clock::manual();
+        s.set_clock(clock.clone());
+        let ptr = s.node_mut().register(Unit);
+        for _ in 0..units {
+            s.node_mut().message(ptr, 1, Bytes::new());
+        }
+        (s, clock)
+    }
+
+    #[test]
+    fn with_work_queued_the_polling_operation_is_due_once_a_slice() {
+        let (mut s, clock) = lone_rank(3);
+        clock.set_now(Duration::from_millis(7));
+        assert!(s.poll_due(), "nothing polled yet");
+        s.poll();
+        assert!(!s.poll_due(), "inside the slice");
+        assert!(s.step());
+        clock.advance(WIRE_SLICE - Duration::from_nanos(1));
+        assert!(!s.poll_due(), "a nanosecond early");
+        clock.advance(Duration::from_nanos(1));
+        assert!(s.poll_due(), "a slice after the last poll");
+        s.poll();
+        assert!(!s.poll_due(), "poll() starts the next slice");
+    }
+
+    #[test]
+    fn an_empty_queue_is_always_due() {
+        let (mut s, _clock) = lone_rank(0);
+        s.poll();
+        assert!(s.poll_due(), "the clock has not moved");
+        let (mut s, _clock) = lone_rank(2);
+        s.poll();
+        assert!(s.step());
+        assert!(!s.poll_due());
+        assert!(s.step());
+        assert!(s.poll_due(), "the last unit emptied the queue");
     }
 
     /// The peer of a draining rank must be able to read every load report on

@@ -21,7 +21,10 @@
 //! deterministic under test and in the simulator. The one wall-clock edge it
 //! sees is handed to it — [`Governor::roll_window`], called once per
 //! `Scheduler::poll_system` pass, which only the runtime's polling thread
-//! (every `poll_interval`) and tests that mean it ever make.
+//! (every `poll_interval`) and tests that mean it ever make. How long a poll
+//! count lasts depends on who polls: a threaded rank with work queued polls
+//! once per `dcs::WIRE_SLICE` (50 µs), an empty one on every step (DESIGN.md
+//! §19's table).
 
 use prema_dcs::FxHashMap;
 use prema_mol::MobilePtr;
@@ -37,9 +40,10 @@ pub struct StabilityConfig {
     /// Longest window, in polls, over which `migration_cap` applies. A
     /// `Scheduler::poll_system` pass (the polling thread's wake-up) ends the
     /// window early: a poll is not a time, and 64 of them last ~42 ms on a
-    /// rank inside millisecond handlers against ~0.2 ms on sub-microsecond
-    /// units (DESIGN.md §19). A scheduler nobody ticks that way — explicit
-    /// mode, the DES drivers — has this window alone.
+    /// rank inside millisecond handlers, ~3 ms on sub-microsecond units
+    /// (polled once per 50 µs slice), ~60 µs on an idle rank (DESIGN.md
+    /// §19). A scheduler nobody ticks that way — explicit mode, the DES
+    /// drivers — has this window alone.
     pub cap_window_polls: u64,
     /// Refuse work requests unless `local.weight - requester.weight` exceeds
     /// this. Negative values disable the hysteresis check.
@@ -143,9 +147,13 @@ impl Governor {
         }
     }
 
-    /// The object began executing locally: it has earned residency.
+    /// The object began executing locally: it has earned residency. Called
+    /// once per unit, and on most ranks no hold is active: that case costs
+    /// no hash.
     pub fn note_executed(&mut self, ptr: MobilePtr) {
-        self.arrivals.remove(&ptr);
+        if !self.arrivals.is_empty() {
+            self.arrivals.remove(&ptr);
+        }
     }
 
     /// The object migrated away: drop any hold state.

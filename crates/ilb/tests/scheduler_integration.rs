@@ -797,9 +797,12 @@ fn a_displaced_object_goes_home_before_any_native_is_touched() {
         post(&mut thief, ptr, 10);
     }
     post(&mut thief, displaced[0], 1);
-    // Rank 1 runs dry and begs as it starts its last unit: half the gap is
-    // 30 units, which is the 22 of the three guests and one native's 10.
-    while home.step() {}
+    // Rank 1 runs dry, polling after each unit as PREMA's cycle does, and
+    // begs once its last unit is all it has: half the gap is 30 units, which
+    // is the 22 of the three guests and one native's 10.
+    while home.step() {
+        home.poll();
+    }
     assert_eq!(home.stats().requests_sent, 1);
     thief.poll();
     let back = arrivals(&mut home);

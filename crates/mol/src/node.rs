@@ -261,6 +261,76 @@ impl<O> Default for DirEntry<O> {
     }
 }
 
+/// What accepting a message touches besides its target's [`Entry`]: the
+/// node's other fields, borrowed apart from the directory by
+/// [`MolNode::dir_entry`] so the caller holding the entry from that one
+/// probe needs no second.
+struct Accept<'a> {
+    ready: &'a mut ReadyIndex,
+    consumed: &'a mut [u64],
+    stats: &'a mut MolStats,
+    tracer: &'a Tracer,
+    #[cfg(feature = "check-invariants")]
+    oracle: &'a mut crate::oracle::NodeOracle,
+}
+
+impl Accept<'_> {
+    /// Accept `env` into its resident target's `entry`: queue it if it is
+    /// the next in its sender's order (with any buffered successors it
+    /// unblocks), buffer it if it is early, drop it if it is a duplicate.
+    fn accept<O>(self, entry: &mut Entry<O>, env: MolEnvelope) {
+        let exp = entry.expected.entry(env.sender).or_insert(0);
+        use std::cmp::Ordering::*;
+        match env.seq.cmp(exp) {
+            Equal => {
+                let before = *exp;
+                *exp += 1;
+                let sender = env.sender;
+                self.stats.note_chain(env.hops);
+                self.ready.push(&mut entry.lane, env);
+                #[cfg(feature = "check-invariants")]
+                self.oracle.on_accept();
+                // Drain any now-in-order buffered messages from this sender.
+                if let Some(buf) = entry.ooo.get_mut(&sender) {
+                    while let Some(next) = buf.remove(exp) {
+                        *exp += 1;
+                        self.stats.note_chain(next.hops);
+                        self.ready.push(&mut entry.lane, next);
+                        #[cfg(feature = "check-invariants")]
+                        self.oracle.on_accept();
+                    }
+                    if buf.is_empty() {
+                        entry.ooo.remove(&sender);
+                    }
+                }
+                if let Some(total) = self.consumed.get_mut(sender) {
+                    *total = total.wrapping_add(*exp - before);
+                }
+            }
+            Greater => {
+                self.stats.reordered += 1;
+                entry
+                    .ooo
+                    .entry(env.sender)
+                    .or_default()
+                    .insert(env.seq, env);
+            }
+            Less => {
+                // Duplicate: this sequence number was already consumed. On a
+                // reliable wire this cannot happen; under an unreliable one
+                // (chaos without the reliable shim) dropping it is exactly
+                // the idempotency the sequence numbers exist to provide.
+                self.stats.duplicates += 1;
+                let peer = env.sender;
+                self.tracer.emit(|| TraceEvent::DcsDuplicate {
+                    peer,
+                    handler: env.handler,
+                });
+            }
+        }
+    }
+}
+
 /// A routing decision for a message that is not deliverable locally.
 #[derive(Clone, Copy, Debug)]
 struct Route {
@@ -511,17 +581,17 @@ impl<O: Migratable> MolNode<O> {
     /// [`MolNode::message`] with an explicit computational-weight hint for
     /// the load balancer (the paper's programmer-supplied hints, §2).
     ///
-    /// One directory probe covers the sequence-number bump, residency, and
-    /// the trail knowledge feeding the routing decision; the bounded
-    /// location cache is one further O(1) probe on the remote path.
+    /// One directory probe covers the sequence-number bump, residency, the
+    /// local accept, and the trail knowledge feeding the routing decision;
+    /// the bounded location cache is one further O(1) probe on the remote
+    /// path.
     pub fn message_with_hint(&mut self, ptr: MobilePtr, handler: u32, hint: f64, payload: Bytes) {
         assert!(!ptr.is_null(), "message to NULL mobile pointer");
         let me = self.comm.rank();
-        let d = self.directory.entry(ptr).or_default();
+        self.stats.sent += 1;
+        let (d, acc) = self.dir_entry(ptr);
         let seq = d.seq_out;
         d.seq_out += 1;
-        let local = d.entry.is_some();
-        let fwd = d.forward;
         let mut env = MolEnvelope {
             target: ptr,
             sender: me,
@@ -533,11 +603,11 @@ impl<O: Migratable> MolNode<O> {
             hint,
             payload,
         };
-        self.stats.sent += 1;
-        if local {
-            self.accept_local(env);
+        if let Some(entry) = &mut d.entry {
+            acc.accept(entry, env);
             return;
         }
+        let fwd = d.forward;
         match self.plan_route(ptr, fwd, false, 0, true) {
             Some(route) => {
                 if route.know.is_some() {
@@ -638,9 +708,9 @@ impl<O: Migratable> MolNode<O> {
     /// send path inlines the same logic next to its sequence bump.
     fn route(&mut self, mut env: MolEnvelope) {
         let ptr = env.target;
-        let d = self.directory.entry(ptr).or_default();
-        if d.entry.is_some() {
-            self.accept_local(env);
+        let (d, acc) = self.dir_entry(ptr);
+        if let Some(entry) = &mut d.entry {
+            acc.accept(entry, env);
             return;
         }
         let fwd = d.forward;
@@ -784,61 +854,30 @@ impl<O: Migratable> MolNode<O> {
         })
     }
 
-    fn accept_local(&mut self, env: MolEnvelope) {
-        let entry = self
-            .directory
-            .get_mut(&env.target)
-            .and_then(|d| d.entry.as_mut())
-            .expect("accept_local on non-local object");
-        let exp = entry.expected.entry(env.sender).or_insert(0);
-        use std::cmp::Ordering::*;
-        match env.seq.cmp(exp) {
-            Equal => {
-                let before = *exp;
-                *exp += 1;
-                let sender = env.sender;
-                self.stats.note_chain(env.hops);
-                self.ready.push(&mut entry.lane, env);
-                #[cfg(feature = "check-invariants")]
-                self.oracle.on_accept();
-                // Drain any now-in-order buffered messages from this sender.
-                if let Some(buf) = entry.ooo.get_mut(&sender) {
-                    while let Some(next) = buf.remove(exp) {
-                        *exp += 1;
-                        self.stats.note_chain(next.hops);
-                        self.ready.push(&mut entry.lane, next);
-                        #[cfg(feature = "check-invariants")]
-                        self.oracle.on_accept();
-                    }
-                    if buf.is_empty() {
-                        entry.ooo.remove(&sender);
-                    }
-                }
-                if let Some(total) = self.consumed.get_mut(sender) {
-                    *total = total.wrapping_add(*exp - before);
-                }
-            }
-            Greater => {
-                self.stats.reordered += 1;
-                entry
-                    .ooo
-                    .entry(env.sender)
-                    .or_default()
-                    .insert(env.seq, env);
-            }
-            Less => {
-                // Duplicate: this sequence number was already consumed. On a
-                // reliable wire this cannot happen; under an unreliable one
-                // (chaos without the reliable shim) dropping it is exactly
-                // the idempotency the sequence numbers exist to provide.
-                self.stats.duplicates += 1;
-                let peer = env.sender;
-                self.tracer.emit(|| TraceEvent::DcsDuplicate {
-                    peer,
-                    handler: env.handler,
-                });
-            }
-        }
+    /// One directory probe: `ptr`'s entry (created empty if this rank has
+    /// none) and, borrowed beside it, what accepting a message into it
+    /// touches.
+    fn dir_entry(&mut self, ptr: MobilePtr) -> (&mut DirEntry<O>, Accept<'_>) {
+        let d = self.directory.entry(ptr).or_default();
+        let acc = Accept {
+            ready: &mut self.ready,
+            consumed: &mut self.consumed,
+            stats: &mut self.stats,
+            tracer: &self.tracer,
+            #[cfg(feature = "check-invariants")]
+            oracle: &mut self.oracle,
+        };
+        (d, acc)
+    }
+
+    /// Accept `env` if its target is resident here; hand it back if not.
+    fn accept_local(&mut self, env: MolEnvelope) -> Result<(), MolEnvelope> {
+        let (d, acc) = self.dir_entry(env.target);
+        let Some(entry) = &mut d.entry else {
+            return Err(env);
+        };
+        acc.accept(entry, env);
+        Ok(())
     }
 
     // ---- migration ------------------------------------------------------
@@ -1009,7 +1048,8 @@ impl<O: Migratable> MolNode<O> {
         // (Conservation: these re-queued messages were counted by the
         // oracle's on_install as `installed`, not `accepted`.)
         for env in packet.buffered {
-            self.accept_local(env);
+            self.accept_local(env)
+                .expect("the object was installed above");
         }
         // The migration *source* already published the move; the shard
         // itself just folds the installation into its own authority.
@@ -1087,9 +1127,7 @@ impl<O: Migratable> MolNode<O> {
         match env.handler {
             h if h == H_MOL_MSG => {
                 let menv = MolEnvelope::decode(env.payload);
-                if self.is_local(menv.target) {
-                    self.accept_local(menv);
-                } else {
+                if let Err(menv) = self.accept_local(menv) {
                     self.forward(menv);
                 }
             }
