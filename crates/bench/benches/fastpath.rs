@@ -1,8 +1,8 @@
 //! The substrate fast path: the costs PREMA pays *per message* in the layers
-//! above the wire — batching, fan-out staging, the buffer pool, migration —
-//! on the current `LocalFabric`, and *per unit* through the whole runtime
+//! above the wire — fan-out, the buffer pool, migration — on the current
+//! `LocalFabric`, and *per unit* through the whole runtime
 //! (`fastpath/runtime_step_local_send`). The wire itself (empty poll,
-//! unbatched point-to-point) is benched under the `substrate-ring/*` ids in
+//! point-to-point) is benched under the `substrate-ring/*` ids in
 //! `benches/ring.rs`.
 //!
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
@@ -13,10 +13,10 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use prema::{launch_single_rank, PremaConfig, Runtime};
-use prema_dcs::{pool, BatchConfig, Communicator, HandlerId, LocalFabric, Tag};
+use prema_dcs::{pool, Communicator, HandlerId, LocalFabric, Tag};
 use prema_mol::{Migratable, MobilePtr, MolNode};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: prema_bench::CountingAlloc = prema_bench::CountingAlloc;
@@ -31,91 +31,39 @@ impl Migratable for Blob {
     }
 }
 
-const P2P_MSGS: usize = 50_000;
-
-/// Point-to-point throughput under real concurrency: a sender thread pushes
-/// [`P2P_MSGS`] messages while the bench thread receives them all.
-fn bench_p2p_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate-fastpath");
-    group.sample_size(10);
-
-    // A pair of Communicators with coalescing on: the sender stages and
-    // flushes frames, the receiver's burst drain pulls a whole frame per
-    // wire op. Compare with the same traffic unbatched,
-    // `substrate-ring/p2p_ring_2ranks_*`.
-    group.bench_function(format!("p2p_batched_2ranks_{P2P_MSGS}msgs"), |b| {
-        b.iter(|| {
-            let mut eps = LocalFabric::new(2);
-            let rx_ep = eps.pop().expect("fabric returns one endpoint per rank");
-            let tx_ep = eps.pop().expect("fabric returns one endpoint per rank");
-            let sender = std::thread::spawn(move || {
-                let mut comm = Communicator::new(Box::new(tx_ep));
-                comm.set_batch_config(BatchConfig::on(64, 8 * 1024));
-                for i in 0..P2P_MSGS {
-                    comm.am_send(1, HandlerId(i as u32), Tag::App, Bytes::new());
-                }
-                comm.flush();
-            });
-            let rx = Communicator::new(Box::new(rx_ep));
-            let mut got = 0;
-            while got < P2P_MSGS {
-                if rx.recv_timeout(Duration::from_secs(5)).is_some() {
-                    got += 1;
-                }
-            }
-            sender.join().expect("sender thread panicked");
-        })
-    });
-    group.finish();
-}
-
-/// One rank broadcasting small messages to 7 peers — the per-destination
-/// staging case (load-balancer status fan-out, §4.1 traffic shape). Batched
-/// and unbatched variants share the same logical traffic.
+/// One rank broadcasting small messages to 7 peers — the load-balancer
+/// status fan-out shape (§4.1 traffic).
 fn bench_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate-fastpath");
     group.sample_size(10);
     const RANKS: usize = 8;
     const ROUNDS: usize = 2_000;
-
-    let mut run = |name: &str, batch: BatchConfig| {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut eps = LocalFabric::new(RANKS);
-                let peers: Vec<Communicator> = eps
-                    .split_off(1)
-                    .into_iter()
-                    .map(|ep| Communicator::new(Box::new(ep)))
-                    .collect();
-                let mut root = Communicator::new(Box::new(
-                    eps.pop().expect("fabric returns one endpoint per rank"),
-                ));
-                root.set_batch_config(batch);
-                for i in 0..ROUNDS {
-                    for dst in 1..RANKS {
-                        root.am_send(dst, HandlerId(i as u32), Tag::App, Bytes::new());
-                    }
+    group.bench_function(format!("fanout_{RANKS}ranks_broadcast"), |b| {
+        b.iter(|| {
+            let mut eps = LocalFabric::new(RANKS);
+            let peers: Vec<Communicator> = eps
+                .split_off(1)
+                .into_iter()
+                .map(|ep| Communicator::new(Box::new(ep)))
+                .collect();
+            let root = Communicator::new(Box::new(
+                eps.pop().expect("fabric returns one endpoint per rank"),
+            ));
+            for i in 0..ROUNDS {
+                for dst in 1..RANKS {
+                    root.am_send(dst, HandlerId(i as u32), Tag::App, Bytes::new());
                 }
-                root.flush();
-                let mut got = 0;
-                for peer in &peers {
-                    while peer.try_recv().is_some() {
-                        got += 1;
-                    }
+            }
+            let mut got = 0;
+            for peer in &peers {
+                while peer.try_recv().is_some() {
+                    got += 1;
                 }
-                assert_eq!(got, ROUNDS * (RANKS - 1));
-                black_box(got)
-            })
-        });
-    };
-    run(
-        &format!("fanout_{RANKS}ranks_broadcast"),
-        BatchConfig::off(),
-    );
-    run(
-        &format!("fanout_{RANKS}ranks_broadcast_batched"),
-        BatchConfig::on(64, 8 * 1024),
-    );
+            }
+            assert_eq!(got, ROUNDS * (RANKS - 1));
+            black_box(got)
+        })
+    });
     group.finish();
 }
 
@@ -249,7 +197,6 @@ fn bench_runtime_step(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_p2p_throughput,
     bench_fanout,
     bench_pool_hit_rate,
     bench_migrate_cost,

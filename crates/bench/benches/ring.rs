@@ -4,14 +4,14 @@
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
 //! allocator and **asserts** the transport's core invariant instead of just
 //! timing it: a steady-state point-to-point send/receive touches the
-//! allocator zero times (`p2p_ring_steady_state` below), and the batched
-//! receive path recycles frame buffers back into `dcs::pool`. Both
-//! assertions run under `cargo bench --bench ring -- --test`, which is what
-//! CI's bench smoke executes — a regression fails the build, not a graph.
+//! allocator zero times, both on the bare transport (`p2p_ring_steady_state`
+//! below) and through a `Communicator` pair. Both assertions run under
+//! `cargo bench --bench ring -- --test`, which is what CI's bench smoke
+//! executes — a regression fails the build, not a graph.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
-use prema_dcs::{pool, BatchConfig, Communicator, Envelope, HandlerId, RingFabric, Tag, Transport};
+use prema_dcs::{Communicator, Envelope, HandlerId, RingFabric, Tag, Transport};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -42,8 +42,7 @@ fn bench_empty_poll_ring(c: &mut Criterion) {
 }
 
 /// Point-to-point throughput under real concurrency: a sender thread pushes
-/// [`P2P_MSGS`] envelopes while the bench thread receives them all — the
-/// unbatched baseline for `p2p_batched` in `fastpath.rs`.
+/// [`P2P_MSGS`] envelopes while the bench thread receives them all.
 fn bench_p2p_ring(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate-ring");
     group.sample_size(10);
@@ -114,55 +113,33 @@ fn bench_steady_state_allocs(c: &mut Criterion) {
     group.finish();
 }
 
-/// The receive side of frame recycling, asserted: draining batched traffic
-/// hands each spent frame buffer back to `dcs::pool` (frames whose payload
-/// slices are all detached — empty payloads here — reclaim immediately), so
-/// a warmed sender allocates no fresh frame backing in the steady state.
-fn bench_batched_recycle(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate-ring");
-    group.sample_size(10);
-    const ROUNDS: usize = 1_000;
-    const PER_FLUSH: usize = 32;
+/// The same invariant one layer up, asserted: [`STEADY_OPS`] warm
+/// `Communicator::am_send` + `try_recv` round trips over the ring mesh — the
+/// remote path every MOL and load-balancer message takes — perform **zero**
+/// heap allocations (the sideline queue stays empty and unallocated, the
+/// stats are a `Cell`, and the tracer is off).
+fn bench_comm_steady_state_allocs(_c: &mut Criterion) {
     let mut eps = RingFabric::new(2);
     let rx = Communicator::new(Box::new(
         eps.pop().expect("fabric returns one endpoint per rank"),
     ));
-    let mut tx = Communicator::new(Box::new(
+    let tx = Communicator::new(Box::new(
         eps.pop().expect("fabric returns one endpoint per rank"),
     ));
-    tx.set_batch_config(BatchConfig::on(PER_FLUSH, 1 << 20));
-    let batched_round_trip = || {
-        for round in 0..ROUNDS {
-            for i in 0..PER_FLUSH {
-                let id = HandlerId((round * PER_FLUSH + i) as u32);
-                tx.am_send(1, id, Tag::App, Bytes::new());
-            }
-            tx.flush();
-            for _ in 0..PER_FLUSH {
-                assert!(rx.try_recv().is_some(), "batched message lost");
-            }
+    let steady = |n: usize| {
+        for i in 0..n {
+            tx.am_send(1, HandlerId(i as u32), Tag::App, Bytes::new());
+            assert!(rx.try_recv().is_some(), "steady-state message lost");
         }
     };
-    // Warm the pool's freelist, then require the steady state to recycle:
-    // every decoded frame must hand its buffer back (recycled grows with the
-    // frame count) and nearly every staged frame must draw a warm buffer.
-    batched_round_trip();
-    pool::reset_stats();
-    batched_round_trip();
-    let stats = pool::stats();
-    assert!(
-        stats.recycled >= (ROUNDS as u64) * 9 / 10,
-        "receive side must recycle spent frame buffers: {stats:?}"
+    steady(64);
+    prema_bench::reset_alloc_count();
+    steady(STEADY_OPS);
+    let allocs = prema_bench::alloc_count();
+    assert_eq!(
+        allocs, 0,
+        "steady-state Communicator round trips must not allocate: {allocs} allocs / {STEADY_OPS} ops"
     );
-    assert!(
-        stats.hits > stats.misses * 10,
-        "warmed frame staging must run ~all-hits: {stats:?}"
-    );
-    group.bench_function(
-        format!("p2p_ring_batched_{}msgs_recycled", ROUNDS * PER_FLUSH),
-        |b| b.iter(batched_round_trip),
-    );
-    group.finish();
 }
 
 criterion_group!(
@@ -170,6 +147,6 @@ criterion_group!(
     bench_empty_poll_ring,
     bench_p2p_ring,
     bench_steady_state_allocs,
-    bench_batched_recycle
+    bench_comm_steady_state_allocs
 );
 criterion_main!(benches);

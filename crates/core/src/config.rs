@@ -1,6 +1,5 @@
 //! PREMA runtime configuration.
 
-use prema_dcs::BatchConfig;
 use prema_ilb::{
     Anticipatory, Diffusion, Gradient, LbPolicy, Multilist, StabilityConfig, WorkStealing,
 };
@@ -87,12 +86,6 @@ pub struct PremaConfig {
     pub policy: PolicyKind,
     /// RNG seed for policies.
     pub seed: u64,
-    /// Small-message coalescing on the DCS substrate (see `DESIGN.md` §11).
-    /// Off in every preset — batching trades a bounded amount of latency for
-    /// throughput, a choice the application should make. At launch the
-    /// `PREMA_BATCH_MSGS` / `PREMA_BATCH_BYTES` environment knobs, when set,
-    /// override this field so any run can be batched without code changes.
-    pub batch: BatchConfig,
     /// Pin each rank's application thread (and, in implicit mode, its
     /// polling thread) to a fixed core, rank-round-robin over the machine's
     /// cores — keeps each ring pair's cache lines bouncing between exactly
@@ -119,19 +112,8 @@ impl PremaConfig {
             },
             policy: PolicyKind::WorkStealing { watermark: 1.0 },
             seed: 0xC0FFEE,
-            batch: BatchConfig::off(),
             pin_cores: false,
             stability: StabilityConfig::default(),
-        }
-    }
-
-    /// This configuration with DCS message coalescing enabled (flush after
-    /// `max_msgs` staged messages or `max_bytes` of staged payload,
-    /// whichever comes first).
-    pub fn with_batch(self, max_msgs: usize, max_bytes: usize) -> Self {
-        PremaConfig {
-            batch: BatchConfig::on(max_msgs, max_bytes),
-            ..self
         }
     }
 
@@ -181,16 +163,6 @@ mod tests {
         assert_eq!(PremaConfig::explicit(4).mode, LbMode::Explicit);
         assert_eq!(PremaConfig::disabled(4).mode, LbMode::Disabled);
         assert_eq!(PremaConfig::implicit(4).nprocs, 4);
-    }
-
-    #[test]
-    fn batching_is_off_in_every_preset() {
-        assert!(!PremaConfig::implicit(4).batch.is_on());
-        assert!(!PremaConfig::explicit(4).batch.is_on());
-        assert!(!PremaConfig::disabled(4).batch.is_on());
-        let b = PremaConfig::implicit(4).with_batch(16, 4096).batch;
-        assert!(b.is_on());
-        assert_eq!(b, BatchConfig::on(16, 4096));
     }
 
     #[test]

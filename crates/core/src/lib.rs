@@ -81,6 +81,3 @@ pub use prema_mol::{Migratable, MobilePtr, WorkItem};
 // (Defined in `prema_dcs` — the bottom layer — so every crate above can share
 // it; re-exported here so `prema::fxmap` is the one name to remember.)
 pub use prema_dcs::fxmap;
-
-// Batching knobs (`PremaConfig::batch` / `with_batch`) live in the substrate.
-pub use prema_dcs::BatchConfig;

@@ -338,10 +338,9 @@ where
 /// process per rank, each of which calls this with a socket transport such
 /// as [`prema_dcs::UdpTransport`]). `cfg.nprocs` is the *whole machine's*
 /// size; `transport.nprocs()` must agree. Environment knobs
-/// (`PREMA_BATCH_*`, `PREMA_MIN_RESIDENCY`, `PREMA_MIGRATION_CAP`,
-/// `PREMA_PIN_CORES`) apply exactly as in [`launch_with_transports`]; in
-/// [`LbMode::Implicit`] mode the rank gets its preemptive polling thread,
-/// reaped before this returns.
+/// (`PREMA_MIN_RESIDENCY`, `PREMA_MIGRATION_CAP`, `PREMA_PIN_CORES`) apply
+/// exactly as in [`launch_with_transports`]; in [`LbMode::Implicit`] mode
+/// the rank gets its preemptive polling thread, reaped before this returns.
 pub fn launch_single_rank<O, R, F>(
     cfg: PremaConfig,
     rank: usize,
@@ -377,9 +376,9 @@ where
     result
 }
 
-/// Assemble one rank's scheduler stack from `cfg`: communicator → batch
-/// config → MOL node → policy (seeded `cfg.seed + rank`) → clock → stability
-/// governor → [`LbMode::Disabled`] → tracer. Applies no environment knob to
+/// Assemble one rank's scheduler stack from `cfg`: communicator → MOL node
+/// → policy (seeded `cfg.seed + rank`) → clock → stability governor →
+/// [`LbMode::Disabled`] → tracer. Applies no environment knob to
 /// `cfg` — what it says is what runs — and reads no time but `clock`
 /// ([`Clock::monotonic`] under [`launch`]), so a caller with its own clock
 /// (the harness's discrete-event `SimRank`, which hands it a manual one)
@@ -393,9 +392,7 @@ pub fn build_scheduler<O: Migratable>(
     clock: Clock,
     tracer: prema_trace::Tracer,
 ) -> ilb::Scheduler<O> {
-    let mut comm = Communicator::new(transport);
-    comm.set_batch_config(cfg.batch);
-    let node: MolNode<O> = MolNode::new(comm);
+    let node: MolNode<O> = MolNode::new(Communicator::new(transport));
     let policy = cfg.policy.build(cfg.seed.wrapping_add(rank as u64));
     let mut sched = ilb::Scheduler::new(node, policy);
     sched.set_clock(clock);
@@ -408,7 +405,7 @@ pub fn build_scheduler<O: Migratable>(
 }
 
 /// Bring one rank up — the preamble every launch path shares: resolve the
-/// environment-over-config knobs (`PREMA_BATCH_*`, `PREMA_MIN_RESIDENCY`,
+/// environment-over-config knobs (`PREMA_MIN_RESIDENCY`,
 /// `PREMA_MIGRATION_CAP`, when set, win over the config fields, so any
 /// binary can be tuned without a rebuild), [`build_scheduler`] the stack
 /// and, in [`LbMode::Implicit`] mode, spawn its polling thread, which the
@@ -420,13 +417,7 @@ fn start_rank<O: Migratable>(
     trace: Option<&std::sync::Arc<prema_trace::TraceSink>>,
     stop: &Arc<StopFlag>,
 ) -> (Runtime<O>, Option<std::thread::JoinHandle<()>>) {
-    let env_batch = prema_dcs::BatchConfig::from_env();
     let cfg = PremaConfig {
-        batch: if env_batch.is_on() {
-            env_batch
-        } else {
-            cfg.batch
-        },
         stability: cfg.stability.from_env(),
         ..*cfg
     };

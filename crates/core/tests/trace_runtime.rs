@@ -82,71 +82,3 @@ fn runtime_records_exec_migration_and_substrate_events() {
         assert!(mine.windows(2).all(|w| w[0].t <= w[1].t));
     }
 }
-
-/// The §11 System-tag bypass, read off a trace: with coalescing on, a
-/// `Tag::System` send must flush the destination's pending app batch
-/// (`DcsBatchFlush { reason: "system" }`) and go direct — so at the moment
-/// any System `Send` is recorded, no app message is left staged behind it.
-#[test]
-fn traced_system_send_is_never_delayed_by_pending_batch() {
-    use prema::dcs::{BatchConfig, Communicator, HandlerId, LocalFabric, Tag};
-
-    let sink = TraceSink::new(2);
-    let mut eps = LocalFabric::new(2);
-    let rx = Communicator::new(Box::new(eps.pop().expect("fabric has two endpoints")));
-    let mut tx = Communicator::new(Box::new(eps.pop().expect("fabric has two endpoints")));
-    tx.set_tracer(sink.tracer(0));
-    // Thresholds no send can reach: only the System bypass or the final
-    // explicit flush can move staged messages.
-    tx.set_batch_config(BatchConfig::on(1000, 1 << 20));
-
-    let sys = HandlerId(HandlerId::SYSTEM_BASE + 1);
-    for i in 0..5u32 {
-        tx.am_send(1, HandlerId(i), Tag::App, Bytes::new());
-    }
-    tx.am_send(1, sys, Tag::System, Bytes::new());
-    for i in 5..8u32 {
-        tx.am_send(1, HandlerId(i), Tag::App, Bytes::new());
-    }
-    tx.flush();
-
-    // Wire order: the 5 staged app messages (flushed ahead of the System
-    // send), the System message, then the post-System batch — per-pair FIFO
-    // holds across the tag boundary.
-    let order: Vec<u32> = std::iter::from_fn(|| rx.try_recv())
-        .map(|e| e.handler.0)
-        .collect();
-    assert_eq!(order, vec![0, 1, 2, 3, 4, sys.0, 5, 6, 7]);
-
-    // Trace replay: walk rank 0's records tracking how many app sends are
-    // still staged; every System send must observe zero.
-    let recs = sink.drain();
-    let mut staged: i64 = 0;
-    let mut system_flushes = 0;
-    let mut saw_system_send = false;
-    for r in recs.iter().filter(|r| r.rank == 0) {
-        match r.ev {
-            TraceEvent::Send { system: false, .. } => staged += 1,
-            TraceEvent::DcsBatchFlush { reason, msgs, .. } => {
-                staged -= msgs as i64;
-                if reason == "system" {
-                    system_flushes += 1;
-                }
-            }
-            TraceEvent::Send { system: true, .. } => {
-                saw_system_send = true;
-                assert_eq!(
-                    staged, 0,
-                    "System send recorded while {staged} app messages were still staged"
-                );
-            }
-            _ => {}
-        }
-    }
-    assert!(saw_system_send, "trace never recorded the System send");
-    assert_eq!(
-        system_flushes, 1,
-        "exactly one flush must carry reason=\"system\" (the bypass)"
-    );
-    assert_eq!(staged, 0, "final flush left messages staged");
-}

@@ -6,16 +6,12 @@
 //! * active-message sends ([`Communicator::am_send`]);
 //! * polling receives, with a *sideline queue* so higher layers can defer a
 //!   message they are not ready for without losing FIFO order among the rest;
-//! * optional per-destination coalescing of application sends
-//!   ([`crate::batch`], off by default) with a receive-side ring that drains
-//!   a whole frame out of a single channel op;
 //! * traffic counters (the harness reports message/byte volumes).
 //!
 //! A `Communicator` belongs to one rank. It is `Send` (so the owning runtime
 //! can place it behind a lock shared between the worker and PREMA's preemptive
 //! polling thread) but deliberately not `Sync`.
 
-use crate::batch::{self, BatchConfig};
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
 use crate::transport::Transport;
 use bytes::Bytes;
@@ -27,72 +23,34 @@ use std::time::Duration;
 /// Cumulative traffic counters for one rank.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
-    /// Logical envelopes sent (each application message counts once, batched
-    /// or not).
+    /// Envelopes sent.
     pub msgs_sent: u64,
-    /// Wire bytes sent. **Batch-aware**: a coalesced frame is charged its
-    /// actual framed size (one 24-byte envelope header + 8 bytes of framing
-    /// per message) rather than a 24-byte header per logical message, so
-    /// these counters and the sim cost model agree on what crossed the wire.
+    /// Wire bytes sent: each envelope's 24-byte header plus its payload.
     pub bytes_sent: u64,
-    /// Transport-level envelopes actually sent (frames count once; equals
-    /// `msgs_sent` when batching is off).
+    /// Transport-level envelopes sent. Every envelope is its own frame, so
+    /// this equals `msgs_sent` by construction.
     pub frames_sent: u64,
     /// Envelopes received (delivered to the caller).
     pub msgs_recvd: u64,
-}
-
-/// Envelopes staged for one destination, awaiting a flush.
-#[derive(Default)]
-struct StagedBatch {
-    msgs: Vec<Envelope>,
-    /// Payload length of the frame these messages would coalesce into.
-    frame_bytes: usize,
 }
 
 /// A rank's endpoint: sends, polls, counters, sideline queue.
 pub struct Communicator {
     transport: Box<dyn Transport>,
     sidelined: RefCell<VecDeque<Envelope>>,
-    /// Envelopes decoded from a received frame but not yet handed out:
-    /// one channel op can deliver many messages (burst drain).
-    recv_ring: RefCell<VecDeque<Envelope>>,
-    /// `staged[dst]` holds coalescing state for that destination. Empty
-    /// (never allocated) while batching is off.
-    staged: RefCell<Vec<StagedBatch>>,
-    /// Total envelopes currently staged across all destinations, kept
-    /// denormalized so the poll-boundary flush is a load when idle.
-    staged_total: Cell<usize>,
-    batch: Cell<BatchConfig>,
     stats: Cell<CommStats>,
     tracer: Tracer,
 }
 
 impl Communicator {
-    /// Wrap a transport endpoint. Batching starts [`BatchConfig::off`].
+    /// Wrap a transport endpoint.
     pub fn new(transport: Box<dyn Transport>) -> Self {
         Communicator {
             transport,
             sidelined: RefCell::new(VecDeque::new()),
-            recv_ring: RefCell::new(VecDeque::new()),
-            staged: RefCell::new(Vec::new()),
-            staged_total: Cell::new(0),
-            batch: Cell::new(BatchConfig::off()),
             stats: Cell::new(CommStats::default()),
             tracer: Tracer::off(),
         }
-    }
-
-    /// Set the coalescing policy. Flushes anything staged under the old
-    /// policy first, so no envelope is stranded by a config change.
-    pub fn set_batch_config(&mut self, cfg: BatchConfig) {
-        self.flush_with_reason("config");
-        self.batch.set(cfg);
-    }
-
-    /// The active coalescing policy.
-    pub fn batch_config(&self) -> BatchConfig {
-        self.batch.get()
     }
 
     /// Attach a trace recorder for this rank's sends and receives. A no-op
@@ -112,16 +70,6 @@ impl Communicator {
     }
 
     /// Send an active message: `handler` will run at `dst` with `payload`.
-    ///
-    /// With batching on, `Tag::App` sends are staged per destination and
-    /// flushed by the three-way policy (size threshold here, explicit
-    /// [`flush`] at poll boundaries, and — critical for the preemptive
-    /// polling thread's latency — **`Tag::System` sends flush the
-    /// destination's pending batch and then go straight to the transport**,
-    /// so LB traffic is never queued behind an application batch while
-    /// per-pair FIFO across the tag boundary still holds.
-    ///
-    /// [`flush`]: Communicator::flush
     pub fn am_send(&self, dst: Rank, handler: HandlerId, tag: Tag, payload: Bytes) {
         let env = Envelope {
             src: self.rank(),
@@ -130,52 +78,12 @@ impl Communicator {
             tag,
             payload,
         };
-        let cfg = self.batch.get();
-        if cfg.is_on() && tag == Tag::System {
-            // Flush before emitting the Send record: the trace must show the
-            // staged batch reaching the wire ahead of the System envelope,
-            // matching the actual wire order.
-            self.flush_dst(dst, "system");
-        }
         self.tracer.emit(|| TraceEvent::Send {
             dst,
             handler: handler.0,
             bytes: env.wire_size(),
             system: tag == Tag::System,
         });
-        if cfg.is_on() && tag == Tag::App {
-            self.stage(env, cfg);
-            return;
-        }
-        self.send_direct(env);
-    }
-
-    /// Stage an application envelope for its destination, flushing if the
-    /// pending frame hits the size threshold.
-    fn stage(&self, env: Envelope, cfg: BatchConfig) {
-        let dst = env.dst;
-        let full = {
-            let mut staged = self.staged.borrow_mut();
-            if staged.len() <= dst {
-                let n = self.transport.nprocs().max(dst + 1);
-                staged.resize_with(n, StagedBatch::default);
-            }
-            let b = &mut staged[dst];
-            if b.msgs.is_empty() {
-                b.frame_bytes = batch::FRAME_OVERHEAD;
-            }
-            b.frame_bytes += batch::PER_MSG_OVERHEAD + env.payload.len();
-            b.msgs.push(env);
-            b.msgs.len() >= cfg.max_msgs || b.frame_bytes >= cfg.max_bytes
-        };
-        self.staged_total.set(self.staged_total.get() + 1);
-        if full {
-            self.flush_dst(dst, "size");
-        }
-    }
-
-    /// Hand one envelope to the transport, charging its full wire size.
-    fn send_direct(&self, env: Envelope) {
         let mut s = self.stats.get();
         s.msgs_sent += 1;
         s.frames_sent += 1;
@@ -184,92 +92,13 @@ impl Communicator {
         self.transport.send(env);
     }
 
-    /// Flush every destination's staged batch (a poll/handler-boundary
-    /// flush). Returns the number of envelopes pushed to the transport.
-    pub fn flush(&self) -> usize {
-        self.flush_with_reason("poll")
-    }
-
-    fn flush_with_reason(&self, reason: &'static str) -> usize {
-        if self.staged_total.get() == 0 {
-            return 0;
-        }
-        let ndst = self.staged.borrow().len();
-        (0..ndst).map(|dst| self.flush_dst(dst, reason)).sum()
-    }
-
-    /// Flush one destination's staged batch, if any. Returns the number of
-    /// envelopes flushed.
-    fn flush_dst(&self, dst: Rank, reason: &'static str) -> usize {
-        let pending = {
-            let mut staged = self.staged.borrow_mut();
-            match staged.get_mut(dst) {
-                Some(b) if !b.msgs.is_empty() => std::mem::take(b),
-                _ => return 0,
-            }
-        };
-        let n = pending.msgs.len();
-        self.staged_total.set(self.staged_total.get() - n);
-        let frame_wire = if n == 1 {
-            pending.msgs[0].wire_size()
-        } else {
-            // One envelope header for the whole frame plus the framing the
-            // encoder writes — charged as what actually crosses the wire.
-            24 + pending.frame_bytes
-        };
-        let mut s = self.stats.get();
-        s.msgs_sent += n as u64;
-        s.frames_sent += 1;
-        s.bytes_sent += frame_wire as u64;
-        self.stats.set(s);
-        self.tracer.emit(|| TraceEvent::DcsBatchFlush {
-            reason,
-            msgs: n as u32,
-            bytes: frame_wire,
-        });
-        self.transport.send_batch(dst, pending.msgs);
-        n
-    }
-
-    /// Number of envelopes currently staged (awaiting a flush).
-    pub fn staged_len(&self) -> usize {
-        self.staged_total.get()
-    }
-
-    /// Pull the next envelope off the wire without blocking: the local ring
-    /// of already-decoded frame contents first, then one transport probe
-    /// (which may refill the ring from a whole frame).
-    fn wire_next(&self) -> Option<Envelope> {
-        let mut ring = self.recv_ring.borrow_mut();
-        if let Some(env) = ring.pop_front() {
-            return Some(env);
-        }
-        if self.transport.try_recv_batch(&mut ring) == 0 {
-            return None;
-        }
-        ring.pop_front()
-    }
-
-    /// Blocking variant of [`wire_next`](Communicator::wire_next).
-    fn wire_next_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        let mut ring = self.recv_ring.borrow_mut();
-        if let Some(env) = ring.pop_front() {
-            return Some(env);
-        }
-        let env = self.transport.recv_timeout(timeout)?;
-        // A malformed frame can expand to zero envelopes; treat that like a
-        // timeout (the hostile bytes are dropped, not delivered).
-        batch::expand(env, &mut ring);
-        ring.pop_front()
-    }
-
     /// Non-blocking receive. Sidelined messages are returned first (in the
     /// order they were sidelined), then fresh transport messages.
     pub fn try_recv(&self) -> Option<Envelope> {
         if let Some(env) = self.sidelined.borrow_mut().pop_front() {
             return Some(self.count_recv(env));
         }
-        self.wire_next().map(|e| self.count_recv(e))
+        self.transport.try_recv().map(|e| self.count_recv(e))
     }
 
     /// Blocking receive with timeout. Sidelined messages take priority.
@@ -277,17 +106,9 @@ impl Communicator {
         if let Some(env) = self.sidelined.borrow_mut().pop_front() {
             return Some(self.count_recv(env));
         }
-        self.wire_next_timeout(timeout).map(|e| self.count_recv(e))
-    }
-
-    /// Blocking receive with timeout that bypasses the sideline queue. Used
-    /// by waits that *produce* sidelined messages (collectives): consuming
-    /// the sideline here would starve the transport and livelock. (The
-    /// frame ring does *not* count as the sideline: its contents are fresh
-    /// wire traffic that happened to share a frame, and draining it
-    /// terminates.)
-    pub fn recv_timeout_transport(&self, timeout: Duration) -> Option<Envelope> {
-        self.wire_next_timeout(timeout).map(|e| self.count_recv(e))
+        self.transport
+            .recv_timeout(timeout)
+            .map(|e| self.count_recv(e))
     }
 
     /// Non-blocking receive that bypasses the sideline queue, looking only at
@@ -298,7 +119,7 @@ impl Communicator {
     ///
     /// [`try_recv`]: Communicator::try_recv
     pub fn try_recv_transport(&self) -> Option<Envelope> {
-        self.wire_next().map(|e| self.count_recv(e))
+        self.transport.try_recv().map(|e| self.count_recv(e))
     }
 
     /// Put a message back for a later receive (front of the queue is the
@@ -325,11 +146,6 @@ impl Communicator {
         self.stats.get()
     }
 
-    /// Number of currently sidelined messages.
-    pub fn sidelined_len(&self) -> usize {
-        self.sidelined.borrow().len()
-    }
-
     fn count_recv(&self, env: Envelope) -> Envelope {
         let mut s = self.stats.get();
         s.msgs_recvd += 1;
@@ -341,16 +157,6 @@ impl Communicator {
             system: env.tag == Tag::System,
         });
         env
-    }
-}
-
-impl Drop for Communicator {
-    /// Teardown drains the staging buffers: no envelope is ever stranded in
-    /// a batch at shutdown. (If the peer's inbox is already gone the
-    /// transport's undeliverable counter picks the loss up, same as an
-    /// unbatched late send.)
-    fn drop(&mut self) {
-        self.flush_with_reason("shutdown");
     }
 }
 
@@ -398,31 +204,23 @@ mod tests {
         assert_eq!(b.stats().msgs_recvd, 3);
     }
 
-    /// The collective wait loop depends on `recv_timeout_transport` /
-    /// `try_recv_transport` *never* handing back sidelined messages (it
-    /// would re-receive what it just sidelined and livelock), while plain
-    /// `recv_timeout` must drain the sideline first. Regression test for
-    /// that contract across a transport swap.
+    /// A system-only poll (`MolNode::poll_system`) sidelines the application
+    /// envelopes it scans, so `try_recv_transport` must *never* hand back a
+    /// sidelined message: it would re-receive what it just sidelined and
+    /// livelock. Plain receives must still drain the sideline first.
     #[test]
     fn transport_receives_bypass_the_sideline_queue() {
         let (a, b) = pair();
         a.am_send(1, HandlerId(1), Tag::App, Bytes::new());
         let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
         b.sideline(env);
-        // Transport-only receives must not see the sidelined message, even
-        // though it is the only one queued anywhere.
+        // The transport-only receive must not see the sidelined message,
+        // even though it is the only one queued anywhere.
         assert!(b.try_recv_transport().is_none());
-        assert!(b
-            .recv_timeout_transport(Duration::from_millis(20))
-            .is_none());
         // Fresh wire traffic is returned ahead of the sidelined envelope.
         a.am_send(1, HandlerId(2), Tag::App, Bytes::new());
-        assert_eq!(
-            b.recv_timeout_transport(Duration::from_secs(1))
-                .unwrap()
-                .handler,
-            HandlerId(2)
-        );
+        assert_eq!(b.try_recv_transport().unwrap().handler, HandlerId(2));
+        assert!(b.try_recv_transport().is_none());
         // The plain receive finally drains the sideline, oldest first.
         assert_eq!(
             b.recv_timeout(Duration::from_secs(1)).unwrap().handler,
@@ -460,164 +258,5 @@ mod tests {
         let a = Communicator::new(Box::new(eps.pop().unwrap()));
         a.am_send(0, HandlerId(1), Tag::System, Bytes::new());
         assert!(a.try_recv().is_some());
-    }
-
-    fn batched_pair(max_msgs: usize, max_bytes: usize) -> (Communicator, Communicator) {
-        let (mut a, b) = pair();
-        a.set_batch_config(BatchConfig::on(max_msgs, max_bytes));
-        (a, b)
-    }
-
-    #[test]
-    fn batched_sends_stage_until_size_threshold() {
-        let (a, b) = batched_pair(3, 1 << 20);
-        a.am_send(1, HandlerId(1), Tag::App, Bytes::new());
-        a.am_send(1, HandlerId(2), Tag::App, Bytes::new());
-        assert_eq!(a.staged_len(), 2);
-        // Nothing on the wire yet.
-        assert!(b.try_recv().is_none());
-        assert_eq!(a.stats().frames_sent, 0);
-        // Third message hits max_msgs: the frame ships, one transport send.
-        a.am_send(1, HandlerId(3), Tag::App, Bytes::new());
-        assert_eq!(a.staged_len(), 0);
-        assert_eq!(a.stats().frames_sent, 1);
-        assert_eq!(a.stats().msgs_sent, 3);
-        for expect in 1..=3u32 {
-            assert_eq!(b.try_recv().unwrap().handler, HandlerId(expect));
-        }
-        assert!(b.try_recv().is_none());
-        assert_eq!(b.stats().msgs_recvd, 3);
-    }
-
-    #[test]
-    fn byte_threshold_flushes_before_msg_threshold() {
-        let (a, b) = batched_pair(1000, 64);
-        // Two 30-byte payloads push the pending frame past 64 bytes.
-        a.am_send(1, HandlerId(1), Tag::App, Bytes::from_static(&[7; 30]));
-        assert_eq!(a.staged_len(), 1);
-        a.am_send(1, HandlerId(2), Tag::App, Bytes::from_static(&[7; 30]));
-        assert_eq!(a.staged_len(), 0);
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(1)).unwrap().handler,
-            HandlerId(1)
-        );
-        assert_eq!(b.try_recv().unwrap().handler, HandlerId(2));
-    }
-
-    #[test]
-    fn explicit_flush_ships_a_partial_batch() {
-        let (a, b) = batched_pair(100, 1 << 20);
-        a.am_send(1, HandlerId(9), Tag::App, Bytes::new());
-        assert!(b.try_recv().is_none());
-        assert_eq!(a.flush(), 1);
-        assert_eq!(a.flush(), 0); // idempotent when empty
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(1)).unwrap().handler,
-            HandlerId(9)
-        );
-    }
-
-    /// Acceptance: a `Tag::System` envelope is never delayed behind a
-    /// pending application batch — the staged batch flushes *first* (so
-    /// per-pair FIFO holds across the tag boundary) and the system envelope
-    /// goes straight to the transport, unbatched.
-    #[test]
-    fn system_send_flushes_pending_batch_and_bypasses_staging() {
-        let (a, b) = batched_pair(100, 1 << 20);
-        a.am_send(1, HandlerId(1), Tag::App, Bytes::new());
-        a.am_send(1, HandlerId(2), Tag::App, Bytes::new());
-        let sys_handler = HandlerId(HandlerId::SYSTEM_BASE + 1);
-        a.am_send(1, sys_handler, Tag::System, Bytes::new());
-        // Nothing staged: the system send forced everything out.
-        assert_eq!(a.staged_len(), 0);
-        // Two transport envelopes: the 2-message frame, then the system one.
-        assert_eq!(a.stats().frames_sent, 2);
-        assert_eq!(a.stats().msgs_sent, 3);
-        // FIFO across the tag boundary: app messages arrive before system.
-        assert_eq!(b.try_recv().unwrap().handler, HandlerId(1));
-        assert_eq!(b.try_recv().unwrap().handler, HandlerId(2));
-        let sys = b.try_recv().unwrap();
-        assert_eq!(sys.handler, sys_handler);
-        assert_eq!(sys.tag, Tag::System);
-    }
-
-    /// The accounting regression the batch-aware counters exist for: the
-    /// same logical traffic must cost *fewer* wire bytes batched than
-    /// unbatched (8 bytes framing vs a 24-byte header per message), and the
-    /// logical message counters must not change at all.
-    #[test]
-    fn batched_accounting_charges_framed_bytes_not_per_envelope_headers() {
-        let n = 10u32;
-        let payload = Bytes::from_static(b"abcd");
-
-        let (u, urx) = pair();
-        for i in 0..n {
-            u.am_send(1, HandlerId(i), Tag::App, payload.clone());
-        }
-        while urx.try_recv().is_some() {}
-
-        let (b, brx) = batched_pair(n as usize, 1 << 20);
-        for i in 0..n {
-            b.am_send(1, HandlerId(i), Tag::App, payload.clone());
-        }
-        while brx.recv_timeout(Duration::from_millis(200)).is_some() {}
-
-        let (us, bs) = (u.stats(), b.stats());
-        assert_eq!(us.msgs_sent, n as u64);
-        assert_eq!(bs.msgs_sent, n as u64);
-        assert_eq!(urx.stats().msgs_recvd, n as u64);
-        assert_eq!(brx.stats().msgs_recvd, n as u64);
-        assert_eq!(us.frames_sent, n as u64);
-        assert_eq!(bs.frames_sent, 1);
-        // Unbatched: n * (24 + 4). Batched: 24 + 4 + n * (8 + 4).
-        assert_eq!(us.bytes_sent, (n as u64) * (24 + 4));
-        assert_eq!(bs.bytes_sent, 24 + 4 + (n as u64) * (8 + 4));
-        assert!(bs.bytes_sent < us.bytes_sent);
-    }
-
-    #[test]
-    fn drop_flushes_staged_envelopes() {
-        let (a, b) = batched_pair(100, 1 << 20);
-        a.am_send(1, HandlerId(5), Tag::App, Bytes::new());
-        a.am_send(1, HandlerId(6), Tag::App, Bytes::new());
-        assert_eq!(a.staged_len(), 2);
-        drop(a);
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(1)).unwrap().handler,
-            HandlerId(5)
-        );
-        assert_eq!(b.try_recv().unwrap().handler, HandlerId(6));
-    }
-
-    #[test]
-    fn transport_bypass_receives_drain_frames_too() {
-        let (a, b) = batched_pair(2, 1 << 20);
-        a.am_send(1, HandlerId(1), Tag::App, Bytes::new());
-        a.am_send(1, HandlerId(2), Tag::App, Bytes::new());
-        // A system-only poll sees both frame constituents (and can sideline
-        // them individually), even with something already sidelined.
-        let first = b.recv_timeout(Duration::from_secs(1)).unwrap();
-        b.sideline(first);
-        assert_eq!(b.try_recv_transport().unwrap().handler, HandlerId(2));
-        assert!(b.try_recv_transport().is_none());
-        // The sidelined envelope is still there for the plain receive.
-        assert_eq!(b.try_recv().unwrap().handler, HandlerId(1));
-    }
-
-    #[test]
-    fn batching_off_is_todays_behavior() {
-        let (mut a, _b) = pair();
-        assert!(!a.batch_config().is_on());
-        a.am_send(1, HandlerId(1), Tag::App, Bytes::new());
-        assert_eq!(a.staged_len(), 0);
-        assert_eq!(a.stats().frames_sent, 1);
-        assert_eq!(a.flush(), 0);
-        // Turning batching on mid-stream is allowed (nothing staged to lose).
-        a.set_batch_config(BatchConfig::on(4, 1024));
-        a.am_send(1, HandlerId(2), Tag::App, Bytes::new());
-        assert_eq!(a.staged_len(), 1);
-        // And back off: the config change flushes the stragglers.
-        a.set_batch_config(BatchConfig::off());
-        assert_eq!(a.staged_len(), 0);
     }
 }

@@ -21,7 +21,7 @@ pub struct HandlerId(pub u32);
 
 impl HandlerId {
     /// Handler ids at and above this value are reserved for the runtime
-    /// (collectives, migration protocol, load balancer).
+    /// (migration protocol, load balancer, termination detection).
     pub const SYSTEM_BASE: u32 = 0xFFFF_0000;
 
     /// Whether this is a runtime-reserved handler id.
@@ -36,7 +36,7 @@ pub enum Tag {
     /// Application-generated message: only processed at application-posted
     /// polling operations.
     App,
-    /// System-generated message (load balancing, migration, collectives):
+    /// System-generated message (load balancing, migration, termination):
     /// may additionally be processed preemptively by the polling thread.
     System,
 }

@@ -21,16 +21,9 @@
 //!   system) + payload bytes.
 //! * [`comm`] — the per-rank endpoint: sends, polling receives, a sideline
 //!   queue for deferring messages, traffic counters.
-//! * [`batch`] — opt-in per-destination coalescing: application envelopes
-//!   stage per destination and ship as one wire frame, amortizing the
-//!   per-message channel cost while `Tag::System` traffic bypasses staging
-//!   (the preemptive poll's latency is never queued behind a batch).
 //! * [`pool`] — a thread-local freelist of payload/frame buffers in
 //!   power-of-two size classes, so steady-state encoding reuses allocations.
 //! * [`handler`] — handler tables for dispatch.
-//! * [`collective`] — barrier / allgather / allreduce, used by the
-//!   *baselines* (stop-and-repartition, Charm++ `AtSync`), never by PREMA's
-//!   own asynchronous load balancing.
 //! * [`wire`] — tiny fixed-layout payload codec for runtime-internal protocol
 //!   messages.
 //! * [`chaos`] — a seeded fault-injecting transport decorator: deterministic
@@ -53,10 +46,8 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod chaos;
 pub mod clock;
-pub mod collective;
 pub mod comm;
 pub mod env;
 pub mod envelope;
@@ -69,10 +60,8 @@ pub mod transport;
 pub mod udp;
 pub mod wire;
 
-pub use batch::{BatchConfig, H_DCS_BATCH};
 pub use chaos::{ChaosConfig, ChaosHandle, ChaosStats, ChaosTransport};
 pub use clock::Clock;
-pub use collective::Collectives;
 pub use comm::{CommStats, Communicator};
 pub use envelope::{Envelope, HandlerId, Rank, Tag};
 pub use fxmap::{FxHashMap, FxHashSet};

@@ -1,7 +1,7 @@
 //! Thread-local buffer pool for payload and frame construction.
 //!
-//! The substrate's hot paths — `WireWriter` encoders, the [`crate::batch`]
-//! framer, MOL migrate packing — each used to allocate a fresh `Vec<u8>` per
+//! The substrate's hot paths — `WireWriter` encoders, the reliable and UDP
+//! framers, MOL migrate packing — each used to allocate a fresh `Vec<u8>` per
 //! message. Under the small-message regime the §4.2 fast path targets, that
 //! allocator churn is a measurable slice of per-message cost. This module
 //! keeps a **thread-local freelist** of emptied buffers in power-of-two size

@@ -892,38 +892,6 @@ mod tests {
         assert!(a.all_acked(), "all frames eventually acknowledged");
     }
 
-    /// Composition with coalescing: a batch frame is one envelope, so the
-    /// reliable layer gives it one sequence number and a drop retransmits
-    /// the *whole frame as a unit* — its constituents arrive together, in
-    /// order, exactly once, with no decorator-side batching knowledge.
-    #[test]
-    fn dropped_batch_frame_retransmits_as_a_unit() {
-        use crate::batch;
-        let mut cfg = ChaosConfig::quiet(11);
-        cfg.drop_p = 0.5;
-        let (a, b, _, clock) = reliable_pair(cfg);
-        let msgs: Vec<Envelope> = (0..8).map(|i| env(0, 1, i)).collect();
-        a.send_batch(1, msgs);
-        // One wrapped frame on the wire for the whole batch.
-        assert_eq!(a.stats().retries, 0);
-        let mut out = VecDeque::new();
-        let mut polls = 0;
-        // Poll until the sender settles too: the last ACK also has to
-        // survive the 50%-loss wire (via duplicate-triggered re-ACKs).
-        while (out.len() < 8 || !a.all_acked()) && polls < 400_000 {
-            polls += 1;
-            clock.advance(TICK);
-            a.try_recv_batch(&mut VecDeque::new());
-            b.try_recv_batch(&mut out);
-        }
-        // All eight constituents arrive (across however many retransmits the
-        // seeded wire forced), contiguously and in staging order.
-        let ids: Vec<u32> = out.iter().map(|e| e.handler.0).collect();
-        assert_eq!(ids, (0..8).collect::<Vec<_>>(), "after {polls} polls");
-        assert!(out.iter().all(|e| !batch::is_frame(e)));
-        assert!(a.all_acked());
-    }
-
     #[test]
     fn duplicates_are_suppressed_not_delivered() {
         let mut cfg = ChaosConfig::quiet(7);

@@ -17,7 +17,7 @@
 //! designs are retired by this one: the original n×n channel mesh paid an
 //! O(n) scan per *empty* poll, and the single shared MPSC inbox that
 //! replaced it made the empty poll O(1) but pushed every bulk send through
-//! one contended channel (BENCH_substrate.json: unbatched p2p *slower* than
+//! one contended channel (BENCH_substrate.json: p2p *slower* than
 //! the scan it replaced). The ring mesh keeps both properties at once:
 //!
 //! - **Empty poll**: a receiver-side readiness bitmask (one bit per peer,
@@ -30,7 +30,7 @@
 //! - **Backpressure**: a full ring spills to that pair's unbounded
 //!   [`ring::Overflow`] side channel, so `send` keeps the never-blocks /
 //!   never-drops contract the decorators (`ReliableTransport`,
-//!   `ChaosTransport`) and [`crate::batch`] assume. Spill order invariant:
+//!   `ChaosTransport`) assume. Spill order invariant:
 //!   from the first spill until the receiver drains the overflow empty, the
 //!   sender keeps appending to the overflow — and every receive probes the
 //!   ring before the overflow — so everything in the ring predates
@@ -46,12 +46,10 @@
 //! interleavings, and `tests/loom_ring.rs` model-checks the ring index
 //! handshake, the readiness clear-then-recheck, and the parker wakeup.
 
-use crate::batch;
 use crate::envelope::{Envelope, Rank};
 use crate::ring::{self, Consumer, Overflow, Parker, Producer, ReadySet};
 use prema_trace::{TraceEvent, Tracer};
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,34 +67,6 @@ pub trait Transport: Send {
     fn try_recv(&self) -> Option<Envelope>;
     /// Blocking receive with a timeout; `None` on timeout.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope>;
-
-    /// Send a group of envelopes staged for one destination as a single
-    /// wire frame (see [`crate::batch`]). The default coalesces into one
-    /// [`batch::H_DCS_BATCH`] envelope and pushes it through [`send`] — a
-    /// frame is an ordinary envelope, so decorators that wrap `send`
-    /// (reliability, chaos) treat the whole frame as their unit without
-    /// knowing batching exists. Zero or one envelope degenerates to today's
-    /// semantics exactly.
-    ///
-    /// [`send`]: Transport::send
-    fn send_batch(&self, dst: Rank, mut msgs: Vec<Envelope>) {
-        match msgs.len() {
-            0 => {}
-            1 => self.send(msgs.remove(0)),
-            _ => self.send(batch::encode_frame(self.rank(), dst, msgs)),
-        }
-    }
-
-    /// Non-blocking receive that expands a coalesced frame: **one** probe
-    /// (the empty poll stays O(1)), but a frame arrival appends every
-    /// constituent envelope to `out` in staging order. Returns the number of
-    /// envelopes appended (0 = nothing pending).
-    fn try_recv_batch(&self, out: &mut VecDeque<Envelope>) -> usize {
-        match self.try_recv() {
-            Some(env) => batch::expand(env, out),
-            None => 0,
-        }
-    }
 }
 
 /// Per-receiver state every sender needs a handle on: the readiness bits it
@@ -616,24 +586,6 @@ mod tests {
             assert_eq!(recs[0].ev.name(), "dcs_dropped");
         }
         assert_eq!(a.undeliverable_count(), 1);
-    }
-
-    #[test]
-    fn default_batch_surface_roundtrips() {
-        let mut eps = RingFabric::new(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        a.send_batch(1, vec![]); // zero envelopes: nothing hits the wire
-        a.send_batch(1, vec![env(0, 1, 1)]); // one envelope: sent plain
-        a.send_batch(1, (2..5).map(|i| env(0, 1, i)).collect());
-        let mut out = VecDeque::new();
-        // The plain envelope costs one probe; the frame delivers all three
-        // of its envelopes out of a single probe.
-        assert_eq!(b.try_recv_batch(&mut out), 1);
-        assert_eq!(b.try_recv_batch(&mut out), 3);
-        assert_eq!(b.try_recv_batch(&mut out), 0);
-        let ids: Vec<u32> = out.iter().map(|e| e.handler.0).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! Communicator → ReliableTransport → [ChaosTransport] → UdpTransport
 //! ```
 //!
-//! * [`crate::batch`] frames remain the send unit — a coalesced frame is one
-//!   envelope, hence one record;
 //! * [`crate::reliable`] supplies ack/retry over the genuinely lossy socket
 //!   (UDP drops under load even on loopback);
 //! * [`crate::chaos`] wraps the socket to make test runs deterministic at a
@@ -1522,22 +1520,6 @@ mod tests {
             sent.iter().map(key).collect::<Vec<_>>()
         );
         assert_eq!(w[1].stats().received, 4);
-    }
-
-    #[test]
-    fn batch_frames_pass_through() {
-        let (t0, t1) = pair(9);
-        t0.send_batch(1, vec![env_to(0, 1, 1), env_to(0, 1, 2)]);
-        let _ = t0.try_recv();
-        let mut out = VecDeque::new();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while out.len() < 2 && Instant::now() < deadline {
-            if t1.try_recv_batch(&mut out) == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        let ids: Vec<u32> = out.iter().map(|e| e.handler.0).collect();
-        assert_eq!(ids, vec![1, 2]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Tiny fixed-layout wire encoding helpers.
 //!
-//! DCS payloads are raw bytes; runtime-internal protocol messages (collectives,
-//! migration, load balancing) use these little-endian helpers rather than a
+//! DCS payloads are raw bytes; runtime-internal protocol messages (migration,
+//! load balancing, termination) use these little-endian helpers rather than a
 //! full serializer, keeping system messages small and allocation-light.
 
 use crate::pool;
@@ -103,7 +103,7 @@ impl WireReader {
             // Hand out a detached empty `Bytes` instead of a zero-length
             // slice of the backing buffer: a `split_to(0)` still clones the
             // storage handle, which would keep the buffer shared and defeat
-            // the frame-recycling in `batch::decode_frame`.
+            // a later `pool::recycle` of that buffer.
             return Bytes::new();
         }
         self.buf.split_to(len)

@@ -1,10 +1,7 @@
-//! Property-based tests for the DCS substrate: wire codec, transport FIFO,
-//! and collectives across arbitrary machine sizes and payloads.
+//! Property-based tests for the DCS substrate: the wire codec and per-pair
+//! transport FIFO across arbitrary machine sizes, interleavings and payloads.
 
-use prema_dcs::{
-    BatchConfig, Collectives, Communicator, HandlerId, LocalFabric, Tag, Transport, WireReader,
-    WireWriter,
-};
+use prema_dcs::{Communicator, HandlerId, LocalFabric, Tag, Transport, WireReader, WireWriter};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug, PartialEq)]
@@ -135,63 +132,6 @@ proptest! {
         }
     }
 
-    /// The batched companion of the test above: per-pair FIFO must also hold
-    /// when every sender stages messages through a coalescing Communicator,
-    /// with flushes injected at proptest-drawn points. Frames ride the
-    /// per-pair ring as single envelopes, so the property now additionally
-    /// rests on the framer preserving intra-frame order and the receiver's
-    /// burst drain preserving frame order.
-    #[test]
-    fn ring_mesh_preserves_per_pair_fifo_batched(
-        counts in proptest::collection::vec(1usize..120, 3..6),
-        yield_mask in any::<u64>(),
-        flush_mask in any::<u64>(),
-        max_msgs in 2usize..9,
-    ) {
-        let senders = counts.len();
-        let mut eps = LocalFabric::new(senders + 1);
-        let rx = Communicator::new(Box::new(
-            eps.pop().expect("fabric returns one endpoint per rank"),
-        ));
-        let dst = senders; // the receiver's rank (last one built)
-        let handles: Vec<_> = eps
-            .into_iter()
-            .zip(&counts)
-            .map(|(ep, &count)| {
-                std::thread::spawn(move || {
-                    let mut comm = Communicator::new(Box::new(ep));
-                    comm.set_batch_config(BatchConfig::on(max_msgs, 1 << 20));
-                    for seq in 0..count {
-                        comm.am_send(dst, HandlerId(seq as u32), Tag::App, bytes::Bytes::new());
-                        if (flush_mask >> (seq % 64)) & 1 == 1 {
-                            comm.flush();
-                        }
-                        if (yield_mask >> (seq % 64)) & 1 == 1 {
-                            std::thread::yield_now();
-                        }
-                    }
-                    comm.flush();
-                    assert_eq!(comm.staged_len(), 0, "messages stranded in staging");
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("sender thread panicked");
-        }
-        let total: usize = counts.iter().sum();
-        let mut next_seq = vec![0u32; senders];
-        for _ in 0..total {
-            let env = rx.try_recv().expect("message lost in batched path");
-            let src = env.src;
-            prop_assert_eq!(env.handler, HandlerId(next_seq[src]));
-            next_seq[src] += 1;
-        }
-        prop_assert!(rx.try_recv().is_none(), "duplicate or phantom message");
-        for (&got, &want) in next_seq.iter().zip(&counts) {
-            prop_assert_eq!(got as usize, want);
-        }
-    }
-
     /// Backpressure companion: with rings shrunk to two slots, almost every
     /// send spills to the overflow side channel while the receiver drains
     /// concurrently — messages bounce between ring and overflow across the
@@ -248,83 +188,5 @@ proptest! {
         for (&got, &want) in next_seq.iter().zip(&counts) {
             prop_assert_eq!(got as usize, want);
         }
-    }
-}
-
-/// Collectives stay matched for arbitrary (small) machine sizes and
-/// contribution sizes. Not a proptest macro body because it spawns threads;
-/// a couple of seeded variants keep runtime bounded.
-#[test]
-fn allgather_matches_for_various_shapes() {
-    for n in [1usize, 2, 3, 5, 8] {
-        for reps in [1usize, 3] {
-            let eps = LocalFabric::new(n);
-            let handles: Vec<_> = eps
-                .into_iter()
-                .enumerate()
-                .map(|(rank, ep)| {
-                    std::thread::spawn(move || {
-                        let comm = Communicator::new(Box::new(ep));
-                        let coll = Collectives::new(&comm);
-                        for round in 0..reps {
-                            let mine = vec![rank as u8; rank + round + 1];
-                            let all = coll.allgather(&mine);
-                            assert_eq!(all.len(), n);
-                            for (r, part) in all.iter().enumerate() {
-                                assert_eq!(part.len(), r + round + 1);
-                                assert!(part.iter().all(|&b| b == r as u8));
-                            }
-                            coll.barrier();
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        }
-    }
-}
-
-/// Mixed app traffic during collectives never corrupts either stream.
-#[test]
-fn app_traffic_interleaved_with_collectives() {
-    let n = 4;
-    let eps = LocalFabric::new(n);
-    let handles: Vec<_> = eps
-        .into_iter()
-        .enumerate()
-        .map(|(rank, ep)| {
-            std::thread::spawn(move || {
-                let comm = Communicator::new(Box::new(ep));
-                let coll = Collectives::new(&comm);
-                // Everyone sends an app message to everyone, then barriers.
-                for round in 0u32..5 {
-                    for dst in 0..n {
-                        if dst != rank {
-                            let payload = WireWriter::new().u32(round).u64(rank as u64).finish();
-                            comm.am_send(dst, HandlerId(7), Tag::App, payload);
-                        }
-                    }
-                    coll.barrier();
-                }
-                // All app messages must be intact and per-sender ordered.
-                let mut last_round = vec![-1i64; n];
-                let mut count = 0;
-                while let Some(env) = comm.try_recv() {
-                    assert_eq!(env.handler, HandlerId(7));
-                    let mut r = WireReader::new(env.payload);
-                    let round = r.u32() as i64;
-                    let src = r.u64() as usize;
-                    assert!(round > last_round[src], "per-sender order violated");
-                    last_round[src] = round;
-                    count += 1;
-                }
-                assert_eq!(count, 5 * (n - 1));
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
     }
 }

@@ -160,28 +160,3 @@ fn microbenchmark_survives_adversarial_wire() {
         );
     }
 }
-
-/// The same soak with DCS message coalescing on: a dropped wire envelope is
-/// now a whole *frame* of application messages, and the reliable layer must
-/// retransmit it as a unit. Exactly-once execution under seeded 5% loss is
-/// the end-to-end proof — a frame torn apart by loss would show up as lost
-/// units, a replayed fragment as double-executed ones.
-#[test]
-fn microbenchmark_survives_adversarial_wire_batched() {
-    let spec = BenchSpec::test_scale(3);
-    let loss = env_f64("PREMA_SOAK_LOSS", 0.05);
-    let chaos_cfg = ChaosConfig::adversarial(0xBA7C4, loss);
-    let cfg = PremaConfig::implicit(spec.machine.procs).with_batch(16, 4096);
-
-    let (counts, wire) = soak_run(&spec, chaos_cfg, cfg);
-    let lost: Vec<usize> = (0..counts.len()).filter(|&i| counts[i] == 0).collect();
-    let doubled: Vec<usize> = (0..counts.len()).filter(|&i| counts[i] > 1).collect();
-    assert!(
-        lost.is_empty() && doubled.is_empty(),
-        "batched soak: lost units {lost:?}, double-executed units {doubled:?} (wire: {wire:?})"
-    );
-    assert!(
-        wire.dropped > 0,
-        "batched soak: the wire dropped nothing — frame-as-retransmit-unit untested: {wire:?}"
-    );
-}

@@ -513,10 +513,6 @@ impl<O: Migratable> Scheduler<O> {
         });
         self.apply_outgoing(&mut ctx.outgoing);
         self.spare_outgoing = ctx.outgoing;
-        // Handler-boundary flush (DESIGN.md §11): the burst of sends this
-        // handler buffered coalesces per destination and ships now, rather
-        // than waiting for the next poll. System traffic was never staged.
-        self.node.comm().flush();
         #[cfg(feature = "check-invariants")]
         self.verify_invariants();
     }

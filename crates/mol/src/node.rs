@@ -114,6 +114,10 @@ pub struct MolStats {
     pub home_lookups: u64,
     /// `DirPublish` messages sent to home shards (migrations + repairs).
     pub dir_publishes: u64,
+    /// Wire envelopes dropped because their DCS handler id is not one of
+    /// the MOL's (malformed or hostile traffic; dropping beats aborting
+    /// the rank).
+    pub dropped_wire: u64,
     /// Longest forwarding chain of any message delivered on this rank.
     pub max_chain: u32,
     /// Histogram of delivered forwarding-chain lengths: bucket `i` counts
@@ -1081,16 +1085,11 @@ impl<O: Migratable> MolNode<O> {
     /// pair (used by the ILB scheduler) sidesteps the issue by keeping
     /// undelivered work inside the node.
     pub fn poll(&mut self) -> Vec<MolEvent> {
-        // Poll-boundary flush (DESIGN.md §11): anything the application
-        // staged since the last poll goes out before we look for input.
-        self.comm.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv() {
             self.handle_wire(env, &mut events);
         }
         self.drain_ready(&mut events);
-        // Forwards/routes performed while handling the wire stage too.
-        self.comm.flush();
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
         events
@@ -1103,9 +1102,6 @@ impl<O: Migratable> MolNode<O> {
     /// runs at its periodic wake-ups (§4.2): load-balancing messages are seen
     /// promptly, yet no application handler ever runs preemptively.
     pub fn poll_system(&mut self) -> Vec<MolEvent> {
-        // The preemptive poll is also a flush boundary: staged application
-        // batches ship even if the worker is stuck in a long handler.
-        self.comm.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv_transport() {
             let is_system = env.tag == Tag::System;
@@ -1115,9 +1111,6 @@ impl<O: Migratable> MolNode<O> {
                 self.comm.sideline(env);
             }
         }
-        // An install may have routed parked messages (application traffic);
-        // push those out rather than leaving them for the next poll.
-        self.comm.flush();
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
         events
@@ -1167,7 +1160,13 @@ impl<O: Migratable> MolNode<O> {
                     system: env.tag == Tag::System,
                 });
             }
-            other => panic!("MOL received unknown DCS handler {other:?}"),
+            other => {
+                self.stats.dropped_wire += 1;
+                self.tracer.emit(|| TraceEvent::DcsDropped {
+                    peer: env.src,
+                    handler: other.0,
+                });
+            }
         }
     }
 
@@ -1357,12 +1356,10 @@ impl<O: Migratable> MolNode<O> {
     /// [`MolNode::pop_work`]); only node messages and installation notices
     /// are returned. This is the scheduler's ingest step.
     pub fn pump(&mut self) -> Vec<MolEvent> {
-        self.comm.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv() {
             self.handle_wire(env, &mut events);
         }
-        self.comm.flush();
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
         events

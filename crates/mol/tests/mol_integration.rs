@@ -5,7 +5,7 @@ mod common;
 
 use bytes::Bytes;
 use common::{register_with_shard_not_in, Counter};
-use prema_dcs::{Communicator, LocalFabric, Tag};
+use prema_dcs::{Communicator, Envelope, HandlerId, LocalFabric, Tag, Transport};
 use prema_mol::{MobilePtr, MolEvent, MolNode};
 
 /// Build an N-rank machine with all nodes owned by the test thread, so the
@@ -188,6 +188,35 @@ fn with_object_self_sends_are_delivered_after() {
     });
     let evs = pump(&mut nodes);
     assert_eq!(evs.len(), 1, "self-send must surface as a later event");
+}
+
+/// An envelope naming a DCS handler the MOL does not own (here a retired
+/// system id) is counted and dropped, not fatal, and traffic behind it on
+/// the same pair still lands.
+#[test]
+fn unknown_dcs_handler_is_dropped_not_fatal() {
+    let mut eps = LocalFabric::new(2);
+    let ep1 = eps.pop().unwrap();
+    let raw = eps.pop().unwrap();
+    raw.send(Envelope {
+        src: 0,
+        dst: 1,
+        handler: HandlerId(HandlerId::SYSTEM_BASE + 64),
+        tag: Tag::System,
+        payload: Bytes::from_static(b"junk"),
+    });
+    let mut nodes: Vec<MolNode<Counter>> = [raw, ep1]
+        .into_iter()
+        .map(|ep| MolNode::new(Communicator::new(Box::new(ep))))
+        .collect();
+    let ptr = nodes[1].register(Counter { id: 4, value: 0 });
+    nodes[0].message(ptr, H_ADD, Bytes::copy_from_slice(&2i64.to_le_bytes()));
+    let evs = pump(&mut nodes);
+    assert_eq!(nodes[1].stats().dropped_wire, 1);
+    assert_eq!(evs.len(), 1);
+    assert_eq!((evs[0].0, evs[0].1), (1, ptr));
+    apply_add(&mut nodes[1], ptr, &evs[0].3);
+    assert_eq!(nodes[1].get(ptr).unwrap().value, 2);
 }
 
 #[test]

@@ -230,7 +230,6 @@ impl World {
             payload: Bytes::copy_from_slice(&m.id.to_le_bytes()),
         };
         self.injector.am_send(r, H_MOL_MSG, Tag::App, env.encode());
-        self.injector.flush();
         let events = self.nodes[r].pump();
         assert!(events.is_empty(), "pump keeps work queued: {events:?}");
         self.model[r].accept(m);

@@ -228,7 +228,8 @@ pub enum TraceEvent {
     },
     /// A message was dropped rather than delivered. Emitted by any layer
     /// that discards traffic: the chaos transport (injected loss or a
-    /// partitioned pair), a send into a torn-down rank's inbox, or a
+    /// partitioned pair), a send into a torn-down rank's inbox, a MOL node
+    /// that received an envelope for a DCS handler it does not own, or a
     /// scheduler that received a message it cannot route (unregistered
     /// handler id, malformed payload).
     DcsDropped {
@@ -237,19 +238,6 @@ pub enum TraceEvent {
         peer: usize,
         /// Raw handler id of the dropped envelope.
         handler: u32,
-    },
-    /// A communicator flushed a staged per-destination batch to the wire
-    /// (DESIGN.md §11). `reason` is one of `"size"` (threshold hit),
-    /// `"poll"` (poll/handler-boundary flush), `"system"` (a `Tag::System`
-    /// send forced the pending batch out ahead of itself), `"config"`
-    /// (batch policy change) or `"shutdown"` (teardown drain).
-    DcsBatchFlush {
-        /// What triggered the flush (static label, see above).
-        reason: &'static str,
-        /// Envelopes coalesced into the flushed frame.
-        msgs: u32,
-        /// Wire bytes of the flushed frame (header + framed payloads).
-        bytes: usize,
     },
     /// The reliable-delivery layer retransmitted an unacknowledged frame.
     DcsRetry {
@@ -307,7 +295,6 @@ impl TraceEvent {
             TraceEvent::LbVeto { .. } => "lb_veto",
             TraceEvent::LbForecast { .. } => "lb_forecast",
             TraceEvent::DcsDropped { .. } => "dcs_dropped",
-            TraceEvent::DcsBatchFlush { .. } => "dcs_batch_flush",
             TraceEvent::DcsRetry { .. } => "dcs_retry",
             TraceEvent::DcsDuplicate { .. } => "dcs_duplicate",
             TraceEvent::Span { .. } => "span",
@@ -429,19 +416,6 @@ impl TraceEvent {
             TraceEvent::DcsDropped { peer, handler }
             | TraceEvent::DcsDuplicate { peer, handler } => {
                 let _ = write!(out, ",\"peer\":{peer},\"handler\":{handler}");
-            }
-            TraceEvent::DcsBatchFlush {
-                reason,
-                msgs,
-                bytes,
-            } => {
-                // `reason` is one of a fixed set of static labels (no quotes
-                // or escapes), so emitting it verbatim keeps the line valid
-                // JSON without an escaper.
-                let _ = write!(
-                    out,
-                    ",\"reason\":\"{reason}\",\"msgs\":{msgs},\"bytes\":{bytes}"
-                );
             }
             TraceEvent::DcsRetry { peer, seq, attempt } => {
                 // `seq` is already the record-level sequence key; the frame's
@@ -858,20 +832,6 @@ mod tests {
                 attempt: 2,
             },
         };
-        let flush = Record {
-            rank: 0,
-            seq: 2,
-            t: 9,
-            ev: TraceEvent::DcsBatchFlush {
-                reason: "size",
-                msgs: 32,
-                bytes: 420,
-            },
-        };
-        assert_eq!(
-            flush.to_jsonl(),
-            "{\"rank\":0,\"seq\":2,\"t\":9,\"ev\":\"dcs_batch_flush\",\"reason\":\"size\",\"msgs\":32,\"bytes\":420}"
-        );
         assert_eq!(
             retry.to_jsonl(),
             "{\"rank\":1,\"seq\":1,\"t\":8,\"ev\":\"dcs_retry\",\"peer\":3,\"frame\":42,\"attempt\":2}"

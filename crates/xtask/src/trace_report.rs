@@ -416,10 +416,8 @@ struct Activity {
     req_in: u64,
     grants: u64,
     nacks_out: u64,
-    /// `dcs_batch_flush` (+ coalesced message count) and the loss/recovery
-    /// counters `dcs_dropped` / `dcs_retry` / `dcs_duplicate`.
-    flushes: u64,
-    flush_msgs: u64,
+    /// The loss/recovery counters `dcs_dropped` / `dcs_retry` /
+    /// `dcs_duplicate`.
     dropped: u64,
     retries: u64,
     dups: u64,
@@ -441,10 +439,6 @@ fn fold_activity(recs: &[Rec]) -> Vec<Activity> {
             "lb_request_recv" => a.req_in += 1,
             "lb_grant" => a.grants += 1,
             "lb_nack_sent" => a.nacks_out += 1,
-            "dcs_batch_flush" => {
-                a.flushes += 1;
-                a.flush_msgs += r.u64("msgs").unwrap_or(0);
-            }
             "dcs_dropped" => a.dropped += 1,
             "dcs_retry" => a.retries += 1,
             "dcs_duplicate" => a.dups += 1,
@@ -473,7 +467,6 @@ fn render_activity(recs: &[Rec], stride: usize) -> String {
             + a.req_in
             + a.grants
             + a.nacks_out
-            + a.flushes
             + a.dropped
             + a.retries
             + a.dups
@@ -503,34 +496,23 @@ fn render_activity(recs: &[Rec], stride: usize) -> String {
     }
     let _ = writeln!(
         s,
-        "{:>5} {:>8} {:>8} {:>9} {:>8} {:>10} {:>8} {:>8} {:>5}",
-        "proc",
-        "req-in",
-        "grants",
-        "nacks-out",
-        "flushes",
-        "flush-msgs",
-        "dropped",
-        "retries",
-        "dups"
+        "{:>5} {:>8} {:>8} {:>9} {:>8} {:>8} {:>5}",
+        "proc", "req-in", "grants", "nacks-out", "dropped", "retries", "dups"
     );
     for (p, a) in acts.iter().enumerate().step_by(stride) {
         let _ = writeln!(
             s,
-            "{p:>5} {:>8} {:>8} {:>9} {:>8} {:>10} {:>8} {:>8} {:>5}",
-            a.req_in, a.grants, a.nacks_out, a.flushes, a.flush_msgs, a.dropped, a.retries, a.dups
+            "{p:>5} {:>8} {:>8} {:>9} {:>8} {:>8} {:>5}",
+            a.req_in, a.grants, a.nacks_out, a.dropped, a.retries, a.dups
         );
     }
     let tot = |f: fn(&Activity) -> u64| acts.iter().map(f).sum::<u64>();
     let _ = writeln!(
         s,
-        "totals: {} sent, {} recvd, {} executed, {} flushed frames ({} msgs), \
-         {} dropped, {} retries, {} duplicates",
+        "totals: {} sent, {} recvd, {} executed, {} dropped, {} retries, {} duplicates",
         tot(|a| a.sent),
         tot(|a| a.recvd),
         tot(|a| a.exec_finish),
-        tot(|a| a.flushes),
-        tot(|a| a.flush_msgs),
         tot(|a| a.dropped),
         tot(|a| a.retries),
         tot(|a| a.dups)
@@ -750,7 +732,6 @@ mod tests {
 {"rank":0,"seq":5,"t":98,"ev":"lb_request_recv","src":1}
 {"rank":0,"seq":6,"t":99,"ev":"lb_grant","dst":1,"units":2,"affine":1}
 {"rank":0,"seq":7,"t":100,"ev":"lb_nack_sent","dst":1}
-{"rank":0,"seq":8,"t":101,"ev":"dcs_batch_flush","reason":"size","msgs":5,"bytes":320}
 {"rank":0,"seq":9,"t":102,"ev":"dcs_dropped","peer":1,"handler":7}
 {"rank":0,"seq":10,"t":103,"ev":"dcs_retry","peer":1,"frame":4,"attempt":1}
 {"rank":0,"seq":11,"t":104,"ev":"dcs_duplicate","peer":1,"handler":7}
@@ -770,7 +751,7 @@ mod tests {
     #[test]
     fn parses_every_line_of_a_real_dump() {
         let recs = parse_dump(DUMP).expect("dump parses");
-        assert_eq!(recs.len(), 39);
+        assert_eq!(recs.len(), 38);
         assert_eq!(recs[0].ev, "span");
         assert_eq!(recs[0].u64("dur"), Some(2_000_000_000));
     }
@@ -876,11 +857,9 @@ mod tests {
         let recs = parse_dump(DUMP).expect("dump parses");
         let out = render_activity(&recs, 1);
         // Rank 0: 1 sent, victim-side LB (1 req-in, 1 grant, 1 nack-out),
-        // substrate (1 flush of 5 msgs, 1 dropped, 1 retry, 1 dup).
+        // substrate (1 dropped, 1 retry, 1 dup).
         assert!(
-            out.contains(
-                "    0        1        1         1        1          5        1        1     1"
-            ),
+            out.contains("    0        1        1         1        1        1     1"),
             "{out}"
         );
         // Rank 1: 1 recvd, 1 exec, 1 poll, 1 sys-poll, 1 wake.
@@ -889,7 +868,7 @@ mod tests {
             "{out}"
         );
         assert!(
-            out.contains("totals: 1 sent, 1 recvd, 1 executed, 1 flushed frames (5 msgs), 1 dropped, 1 retries, 1 duplicates"),
+            out.contains("totals: 1 sent, 1 recvd, 1 executed, 1 dropped, 1 retries, 1 duplicates"),
             "{out}"
         );
     }
