@@ -7,14 +7,15 @@
 //!
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
 //! allocator: the runtime-step bench **asserts** that a steady-state
-//! `Runtime::step` allocates nothing, under `cargo bench --bench fastpath --
-//! --test` too.
+//! `Runtime::step` allocates nothing, and the remote-hop bench that a
+//! steady-state remote MOL hop allocates at most once, under `cargo bench
+//! --bench fastpath -- --test` too.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use prema::{launch_single_rank, PremaConfig, Runtime};
 use prema_dcs::{pool, Communicator, HandlerId, LocalFabric, Tag};
-use prema_mol::{Migratable, MobilePtr, MolNode};
+use prema_mol::{Migratable, MobilePtr, MolConfig, MolNode};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -195,11 +196,58 @@ fn bench_runtime_step(c: &mut Criterion) {
     group.finish();
 }
 
+const REMOTE_HOPS: usize = 10_000;
+
+/// One remote MOL hop: on a two-rank `LocalFabric` driven from this thread,
+/// rank 0 messages an object that lives on rank 1 (a 16-byte payload), and
+/// rank 1 pumps its wire and pops the unit. After warm-up, [`REMOTE_HOPS`]
+/// hops may allocate at most once each: the `Arc` that freezes the wire
+/// buffer. The buffer itself comes from the pool, because the receiver
+/// copies the small payload out at decode and hands the buffer back. The
+/// per-hop time of that run is printed; one timed iteration is
+/// [`REMOTE_HOPS`] hops.
+fn bench_remote_hop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fastpath");
+    group.sample_size(10);
+    let mut nodes: Vec<MolNode<Blob>> = LocalFabric::new(2)
+        .into_iter()
+        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), MolConfig::default()))
+        .collect();
+    let ptr = nodes[1].register(Blob(Vec::new()));
+    let mut hops = |n: usize| {
+        for i in 0..n {
+            nodes[0].message(ptr, H_HOP, Bytes::copy_from_slice(&[i as u8; 16]));
+            assert!(nodes[1].pump().is_empty(), "only object traffic is sent");
+            let item = nodes[1].pop_work().expect("the hop arrived");
+            black_box(item);
+        }
+    };
+    hops(REMOTE_HOPS);
+    prema_bench::reset_alloc_count();
+    let t0 = Instant::now();
+    hops(REMOTE_HOPS);
+    let per_hop = t0.elapsed() / REMOTE_HOPS as u32;
+    let allocs = prema_bench::alloc_count();
+    assert!(
+        allocs <= REMOTE_HOPS as u64,
+        "a steady-state remote hop must allocate at most once: {allocs} allocs / {REMOTE_HOPS} hops"
+    );
+    println!(
+        "  fastpath/remote_hop: {per_hop:?} per hop, {:.2} allocations per hop",
+        allocs as f64 / REMOTE_HOPS as f64
+    );
+    group.bench_function(format!("remote_hop_x{}k", REMOTE_HOPS / 1000), |b| {
+        b.iter(|| hops(REMOTE_HOPS))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fanout,
     bench_pool_hit_rate,
     bench_migrate_cost,
-    bench_runtime_step
+    bench_runtime_step,
+    bench_remote_hop
 );
 criterion_main!(benches);

@@ -34,9 +34,9 @@ fn encode_epoch(epoch: u64) -> Bytes {
     WireWriter::new().u64(epoch).finish()
 }
 
-/// Decode a barrier epoch payload.
-fn decode_epoch(payload: Bytes) -> u64 {
-    WireReader::new(payload).u64()
+/// Decode a barrier epoch payload; `None` if it is truncated.
+fn decode_epoch(payload: Bytes) -> Option<u64> {
+    WireReader::new(payload).try_u64()
 }
 
 /// A reusable inter-phase barrier. Install once per rank; call
@@ -65,7 +65,9 @@ impl PhaseBarrier {
             let arrivals = arrivals.clone();
             let released = released.clone();
             rt.on_node_message(H_PHASE_ARRIVE, move |ctx, _src, payload| {
-                let epoch = decode_epoch(payload);
+                let Some(epoch) = decode_epoch(payload) else {
+                    return;
+                };
                 let n = ctx.nprocs() as u64;
                 let total = arrivals.fetch_add(1, Ordering::SeqCst) + 1;
                 // Arrivals for epoch e complete when the count reaches e*n.
@@ -83,8 +85,9 @@ impl PhaseBarrier {
         {
             let released = released.clone();
             rt.on_node_message(H_PHASE_RELEASE, move |_ctx, _src, payload| {
-                let epoch = decode_epoch(payload);
-                released.fetch_max(epoch, Ordering::SeqCst);
+                if let Some(epoch) = decode_epoch(payload) {
+                    released.fetch_max(epoch, Ordering::SeqCst);
+                }
             });
         }
         PhaseBarrier {

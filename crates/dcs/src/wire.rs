@@ -5,7 +5,7 @@
 //! full serializer, keeping system messages small and allocation-light.
 
 use crate::pool;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut, INLINE_CAP};
 
 /// Incrementally build a payload.
 #[derive(Default)]
@@ -77,43 +77,11 @@ impl WireReader {
         Self { buf }
     }
 
-    /// Read a `u64`.
-    pub fn u64(&mut self) -> u64 {
-        assert!(self.buf.remaining() >= 8, "wire underflow reading u64");
-        self.buf.get_u64_le()
-    }
-
-    /// Read a `u32`.
-    pub fn u32(&mut self) -> u32 {
-        assert!(self.buf.remaining() >= 4, "wire underflow reading u32");
-        self.buf.get_u32_le()
-    }
-
-    /// Read an `f64`.
-    pub fn f64(&mut self) -> f64 {
-        assert!(self.buf.remaining() >= 8, "wire underflow reading f64");
-        self.buf.get_f64_le()
-    }
-
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Bytes {
-        let len = self.u32() as usize;
-        assert!(self.buf.remaining() >= len, "wire underflow reading bytes");
-        if len == 0 {
-            // Hand out a detached empty `Bytes` instead of a zero-length
-            // slice of the backing buffer: a `split_to(0)` still clones the
-            // storage handle, which would keep the buffer shared and defeat
-            // a later `pool::recycle` of that buffer.
-            return Bytes::new();
-        }
-        self.buf.split_to(len)
-    }
-
-    /// Read a `u64`, returning `None` on underflow instead of panicking.
+    /// Read a `u64`, or `None` on underflow.
     ///
-    /// Use this (and the other `try_*` readers) when decoding payloads that
-    /// arrived off the wire: a truncated or hostile message must be droppable
-    /// without aborting the rank.
+    /// Every reader is fallible: payloads arrive off the wire, and a
+    /// truncated or hostile message must be droppable without aborting the
+    /// rank. A failed read consumes nothing.
     pub fn try_u64(&mut self) -> Option<u64> {
         if self.buf.remaining() < 8 {
             return None;
@@ -121,7 +89,7 @@ impl WireReader {
         Some(self.buf.get_u64_le())
     }
 
-    /// Read a `u32`, returning `None` on underflow instead of panicking.
+    /// Read a `u32`, or `None` on underflow.
     pub fn try_u32(&mut self) -> Option<u32> {
         if self.buf.remaining() < 4 {
             return None;
@@ -129,7 +97,7 @@ impl WireReader {
         Some(self.buf.get_u32_le())
     }
 
-    /// Read an `f64`, returning `None` on underflow instead of panicking.
+    /// Read an `f64`, or `None` on underflow.
     pub fn try_f64(&mut self) -> Option<f64> {
         if self.buf.remaining() < 8 {
             return None;
@@ -137,17 +105,23 @@ impl WireReader {
         Some(self.buf.get_f64_le())
     }
 
-    /// Read a length-prefixed byte string, returning `None` on underflow
-    /// (including a length prefix that exceeds the remaining payload).
+    /// Read a length-prefixed byte string, or `None` on underflow (including
+    /// a length prefix that exceeds the remaining payload).
+    ///
+    /// A string of at most [`INLINE_CAP`] bytes is copied into the handle;
+    /// a longer one is a slice sharing the backing buffer. So a small
+    /// payload that outlives its frame — a queued work unit — never pins
+    /// the ring frame, datagram or migration packet it arrived in, and that
+    /// buffer can go back to the [`crate::pool`] as soon as it is decoded.
     pub fn try_bytes(&mut self) -> Option<Bytes> {
         let len = self.try_u32()? as usize;
         if self.buf.remaining() < len {
             return None;
         }
-        if len == 0 {
-            // See `bytes`: keep zero-length reads from sharing the backing
-            // buffer so it stays reclaimable.
-            return Some(Bytes::new());
+        if len <= INLINE_CAP {
+            let small = Bytes::copy_from_slice(&self.buf[..len]);
+            self.buf.advance(len);
+            return Some(small);
         }
         Some(self.buf.split_to(len))
     }
@@ -188,11 +162,11 @@ mod tests {
             .u64(7)
             .finish();
         let mut r = WireReader::new(payload);
-        assert_eq!(r.u64(), u64::MAX);
-        assert_eq!(r.u32(), 42);
-        assert_eq!(r.f64(), -1.5);
-        assert_eq!(&r.bytes()[..], b"abc");
-        assert_eq!(r.u64(), 7);
+        assert_eq!(r.try_u64(), Some(u64::MAX));
+        assert_eq!(r.try_u32(), Some(42));
+        assert_eq!(r.try_f64(), Some(-1.5));
+        assert_eq!(r.try_bytes().as_deref(), Some(&b"abc"[..]));
+        assert_eq!(r.try_u64(), Some(7));
         assert_eq!(r.remaining(), 0);
     }
 
@@ -200,14 +174,32 @@ mod tests {
     fn empty_byte_string() {
         let payload = WireWriter::new().bytes(b"").finish();
         let mut r = WireReader::new(payload);
-        assert_eq!(r.bytes().len(), 0);
+        assert_eq!(r.try_bytes().map(|b| b.len()), Some(0));
     }
 
+    /// A small read is a copy: once the reader is gone, the frame it came
+    /// from has one owner again and goes back to the pool. A longer read
+    /// still shares it.
     #[test]
-    #[should_panic(expected = "wire underflow")]
-    fn underflow_panics() {
-        let mut r = WireReader::new(Bytes::from_static(&[1, 2]));
-        let _ = r.u64();
+    fn small_reads_leave_their_frame_reclaimable() {
+        let frame = WireWriter::pooled(64)
+            .bytes(&[7; INLINE_CAP])
+            .bytes(&[8; INLINE_CAP + 1])
+            .finish();
+        let mut r = WireReader::new(frame.clone());
+        let small = r.try_bytes().expect("a whole string");
+        drop(r);
+        assert_eq!(&small[..], &[7; INLINE_CAP][..]);
+        let frame = frame.try_reclaim().expect("a small read pins nothing");
+        assert!(pool::recycle_vec(frame));
+
+        let frame = WireWriter::new().bytes(&[8; INLINE_CAP + 1]).finish();
+        let long = WireReader::new(frame.clone())
+            .try_bytes()
+            .expect("a whole string");
+        let frame = frame.try_reclaim().expect_err("a long read shares");
+        drop(long);
+        assert!(frame.try_reclaim().is_ok());
     }
 
     #[test]

@@ -43,10 +43,10 @@ proptest! {
         let mut r = WireReader::new(w.finish());
         for f in &fields {
             match f {
-                Field::U64(v) => prop_assert_eq!(r.u64(), *v),
-                Field::U32(v) => prop_assert_eq!(r.u32(), *v),
-                Field::F64(v) => prop_assert_eq!(r.f64(), *v),
-                Field::Bytes(v) => prop_assert_eq!(&r.bytes()[..], &v[..]),
+                Field::U64(v) => prop_assert_eq!(r.try_u64(), Some(*v)),
+                Field::U32(v) => prop_assert_eq!(r.try_u32(), Some(*v)),
+                Field::F64(v) => prop_assert_eq!(r.try_f64(), Some(*v)),
+                Field::Bytes(v) => prop_assert_eq!(r.try_bytes().map(|b| b.to_vec()), Some(v.clone())),
             }
         }
         prop_assert_eq!(r.remaining(), 0);

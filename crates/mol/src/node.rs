@@ -32,8 +32,8 @@ use crate::directory::{
 };
 use crate::migrate::Migratable;
 use crate::proto::{
-    DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope, NodeMsg, H_MOL_DIR_ANSWER,
-    H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG, H_NODE_MSG,
+    DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope, NodeMsg, Pending,
+    H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG, H_NODE_MSG,
 };
 use crate::ptr::{MobilePtr, PtrAllocator};
 use crate::ready::{ReadyIndex, NO_LANE};
@@ -115,8 +115,8 @@ pub struct MolStats {
     /// `DirPublish` messages sent to home shards (migrations + repairs).
     pub dir_publishes: u64,
     /// Wire envelopes dropped because their DCS handler id is not one of
-    /// the MOL's (malformed or hostile traffic; dropping beats aborting
-    /// the rank).
+    /// the MOL's or their payload does not decode (malformed or hostile
+    /// traffic; dropping beats aborting the rank).
     pub dropped_wire: u64,
     /// Longest forwarding chain of any message delivered on this rank.
     pub max_chain: u32,
@@ -289,9 +289,9 @@ impl Accept<'_> {
             Equal => {
                 let before = *exp;
                 *exp += 1;
-                let sender = env.sender;
+                let (sender, target) = (env.sender, env.target);
                 self.stats.note_chain(env.hops);
-                self.ready.push(&mut entry.lane, env);
+                self.ready.push(&mut entry.lane, target, env.into());
                 #[cfg(feature = "check-invariants")]
                 self.oracle.on_accept();
                 // Drain any now-in-order buffered messages from this sender.
@@ -299,7 +299,7 @@ impl Accept<'_> {
                     while let Some(next) = buf.remove(exp) {
                         *exp += 1;
                         self.stats.note_chain(next.hops);
-                        self.ready.push(&mut entry.lane, next);
+                        self.ready.push(&mut entry.lane, target, next.into());
                         #[cfg(feature = "check-invariants")]
                         self.oracle.on_accept();
                     }
@@ -1042,8 +1042,8 @@ impl<O: Migratable> MolNode<O> {
             None => self.resident += 1,
         }
         let entry = d.entry.insert(entry);
-        for env in packet.pending {
-            self.ready.push(&mut entry.lane, env);
+        for p in packet.pending {
+            self.ready.push(&mut entry.lane, ptr, p);
         }
         // Any messages parked here (we may be the home) can be routed once
         // installation finishes below.
@@ -1116,30 +1116,56 @@ impl<O: Migratable> MolNode<O> {
         events
     }
 
+    /// Handle one wire envelope, then hand its buffer back to the pool.
+    /// Decoding copies every small payload out of the frame
+    /// ([`prema_dcs::WireReader::try_bytes`]), so unless a long one still
+    /// shares it the buffer has a single owner again and serves this rank's
+    /// next send. An envelope that names no MOL handler, or does not decode,
+    /// is dropped and counted.
+    ///
+    /// A migration packet is dropped, not pooled: packets flow toward the
+    /// thief, which seldom sends one back, so its pool would keep up to
+    /// [`pool::PER_CLASS_CAP`] of them that it never reuses.
     fn handle_wire(&mut self, env: Envelope, events: &mut Vec<MolEvent>) {
+        if self.dispatch(&env, events).is_none() {
+            self.stats.dropped_wire += 1;
+            self.tracer.emit(|| TraceEvent::DcsDropped {
+                peer: env.src,
+                handler: env.handler.0,
+            });
+        }
+        if env.handler != H_MOL_MIGRATE {
+            pool::recycle(env.payload);
+        }
+    }
+
+    /// Decode and act on one wire envelope; `None` if it is not MOL traffic
+    /// or does not decode.
+    fn dispatch(&mut self, env: &Envelope, events: &mut Vec<MolEvent>) -> Option<()> {
+        let payload = env.payload.clone();
         match env.handler {
             h if h == H_MOL_MSG => {
-                let menv = MolEnvelope::decode(env.payload);
+                let menv = MolEnvelope::decode(payload)?;
                 if let Err(menv) = self.accept_local(menv) {
                     self.forward(menv);
                 }
             }
             h if h == H_MOL_MIGRATE => {
-                let packet = MigratePacket::decode(env.payload);
+                let packet = MigratePacket::decode(payload)?;
                 if let Some(ev) = self.install(env.src, packet) {
                     events.push(ev);
                 }
             }
             h if h == H_MOL_DIR_PUBLISH => {
-                let pu = DirPublish::decode(env.payload);
+                let pu = DirPublish::decode(payload)?;
                 self.publish_local(pu.ptr, pu.owner, pu.epoch);
             }
             h if h == H_MOL_DIR_LOOKUP => {
-                let q = DirLookup::decode(env.payload);
+                let q = DirLookup::decode(payload)?;
                 self.answer_lookup(env.src, q);
             }
             h if h == H_MOL_DIR_ANSWER => {
-                let ans = DirAnswer::decode(env.payload);
+                let ans = DirAnswer::decode(payload)?;
                 if ans.stale {
                     self.stats.loc_cache_stale += 1;
                     self.tracer.emit(|| TraceEvent::LocCacheStale {
@@ -1152,7 +1178,7 @@ impl<O: Migratable> MolNode<O> {
                 self.learn_location(ans.ptr, ans.owner, ans.epoch);
             }
             h if h == H_NODE_MSG => {
-                let body = NodeMsg::decode(env.payload);
+                let body = NodeMsg::decode(payload)?;
                 events.push(MolEvent::Node {
                     src: env.src,
                     handler: body.handler,
@@ -1160,14 +1186,9 @@ impl<O: Migratable> MolNode<O> {
                     system: env.tag == Tag::System,
                 });
             }
-            other => {
-                self.stats.dropped_wire += 1;
-                self.tracer.emit(|| TraceEvent::DcsDropped {
-                    peer: env.src,
-                    handler: other.0,
-                });
-            }
+            _ => return None,
         }
+        Some(())
     }
 
     fn forward(&mut self, mut menv: MolEnvelope) {
@@ -1291,22 +1312,22 @@ impl<O: Migratable> MolNode<O> {
         }
     }
 
-    /// Dequeue the oldest queued message.
-    fn pop_ready(&mut self) -> Option<MolEnvelope> {
-        let env = self.ready.pop()?;
+    /// Dequeue the oldest queued message, with its target.
+    fn pop_ready(&mut self) -> Option<(MobilePtr, Pending)> {
+        let (ptr, p) = self.ready.pop()?;
         self.stats.delivered += 1;
         #[cfg(feature = "check-invariants")]
-        self.oracle.on_deliver(env.sender, env.target, env.seq);
-        Some(env)
+        self.oracle.on_deliver(p.sender, ptr, p.seq);
+        Some((ptr, p))
     }
 
     fn drain_ready(&mut self, events: &mut Vec<MolEvent>) {
-        while let Some(env) = self.pop_ready() {
+        while let Some((ptr, p)) = self.pop_ready() {
             events.push(MolEvent::Object {
-                ptr: env.target,
-                sender: env.sender,
-                handler: env.handler,
-                payload: env.payload,
+                ptr,
+                sender: p.sender,
+                handler: p.handler,
+                payload: p.payload,
             });
         }
     }
@@ -1368,13 +1389,13 @@ impl<O: Migratable> MolNode<O> {
     /// Pop the oldest queued work unit (an in-order application message for a
     /// local object), if any.
     pub fn pop_work(&mut self) -> Option<WorkItem> {
-        let env = self.pop_ready()?;
+        let (ptr, p) = self.pop_ready()?;
         Some(WorkItem {
-            ptr: env.target,
-            sender: env.sender,
-            handler: env.handler,
-            hint: env.hint,
-            payload: env.payload,
+            ptr,
+            sender: p.sender,
+            handler: p.handler,
+            hint: p.hint,
+            payload: p.payload,
         })
     }
 

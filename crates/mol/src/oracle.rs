@@ -39,7 +39,7 @@
 //! [`MolNode::pop_work`]: crate::MolNode::pop_work
 
 use crate::directory::HARD_CHAIN_LIMIT;
-use crate::proto::MolEnvelope;
+use crate::proto::Pending;
 use crate::ptr::MobilePtr;
 use crate::ready::{ReadyIndex, Weight};
 use prema_dcs::Rank;
@@ -109,7 +109,7 @@ impl NodeOracle {
         epoch: u64,
         prior_epoch: Option<u64>,
         expected: &[(Rank, u64)],
-        pending: &[MolEnvelope],
+        pending: &[Pending],
     ) {
         if let Some(prior) = prior_epoch {
             assert!(
@@ -187,10 +187,13 @@ impl NodeOracle {
 /// Recount the ready index from its queue and compare with what it
 /// maintains incrementally; `resident` says whether an object lives here.
 pub(crate) fn verify_ready(index: &ReadyIndex, resident: impl Fn(MobilePtr) -> bool) {
-    let queued: HashMap<u64, &MolEnvelope> = index.queued().collect();
+    let queued: HashMap<u64, (MobilePtr, f64)> = index
+        .queued()
+        .map(|(at, target, hint)| (at, (target, hint)))
+        .collect();
     let mut weight = Weight::default();
-    for env in queued.values() {
-        weight.add(Weight::of(env.hint));
+    for &(_, hint) in queued.values() {
+        weight.add(Weight::of(hint));
     }
     assert_eq!(
         queued.len(),
@@ -217,7 +220,7 @@ pub(crate) fn verify_ready(index: &ReadyIndex, resident: impl Fn(MobilePtr) -> b
         for at in index.chain(lane) {
             // A hole (a message that left with a migration) is at no
             // position any chain may visit.
-            let env = at.and_then(|at| queued.get(&at)).unwrap_or_else(|| {
+            let &(target, hint) = at.and_then(|at| queued.get(&at)).unwrap_or_else(|| {
                 panic!("ready oracle: {ptr:?} chains through {at:?}, which holds no message")
             });
             assert!(
@@ -225,12 +228,12 @@ pub(crate) fn verify_ready(index: &ReadyIndex, resident: impl Fn(MobilePtr) -> b
                 "ready oracle: {ptr:?} chains its messages out of queue order"
             );
             prev = at;
+            // The message's own lane names its target: it must be this one.
             assert_eq!(
-                env.target, ptr,
-                "ready oracle: {ptr:?} claims a message for {:?}",
-                env.target
+                target, ptr,
+                "ready oracle: {ptr:?} claims a message for {target:?}"
             );
-            w.add(Weight::of(env.hint));
+            w.add(Weight::of(hint));
         }
         assert_eq!(
             w, lane.weight,
@@ -258,15 +261,11 @@ mod tests {
         MobilePtr { home: 0, index: i }
     }
 
-    fn env(sender: Rank, target: MobilePtr, seq: u64) -> MolEnvelope {
-        MolEnvelope {
-            target,
+    fn record(sender: Rank, seq: u64) -> Pending {
+        Pending {
             sender,
             seq,
             handler: 0,
-            hops: 0,
-            anchored: false,
-            route_epoch: 0,
             hint: 1.0,
             payload: Bytes::new(),
         }
@@ -304,7 +303,7 @@ mod tests {
         // Sender 2 had 5 accepted, 2 of them still pending: deliveries on
         // this node must resume at seq 3.
         let p = ptr(9);
-        let pending = vec![env(2, p, 3), env(2, p, 4)];
+        let pending = vec![record(2, 3), record(2, 4)];
         o.on_install(p, 1, None, &[(2, 5)], &pending);
         o.on_accept();
         o.on_accept();

@@ -77,10 +77,9 @@ impl MolEnvelope {
         write_env(WireWriter::pooled(ENV_HEADER + self.payload.len()), self).finish()
     }
 
-    /// Decode from the wire.
-    pub fn decode(payload: Bytes) -> Self {
-        let mut r = WireReader::new(payload);
-        read_env(&mut r)
+    /// Decode from the wire; `None` if the frame is truncated.
+    pub fn decode(payload: Bytes) -> Option<Self> {
+        read_env(&mut WireReader::new(payload))
     }
 }
 
@@ -101,21 +100,83 @@ fn write_env(w: WireWriter, e: &MolEnvelope) -> WireWriter {
         .bytes(&e.payload)
 }
 
-fn read_env(r: &mut WireReader) -> MolEnvelope {
-    MolEnvelope {
+fn read_env(r: &mut WireReader) -> Option<MolEnvelope> {
+    Some(MolEnvelope {
         target: MobilePtr {
-            home: r.u64() as usize,
-            index: r.u64(),
+            home: r.try_usize()?,
+            index: r.try_u64()?,
         },
-        sender: r.u64() as usize,
-        seq: r.u64(),
-        handler: r.u32(),
-        hops: r.u32(),
-        anchored: r.u32() != 0,
-        route_epoch: r.u64(),
-        hint: r.f64(),
-        payload: r.bytes(),
+        sender: r.try_usize()?,
+        seq: r.try_u64()?,
+        handler: r.try_u32()?,
+        hops: r.try_u32()?,
+        anchored: r.try_u32()? != 0,
+        route_epoch: r.try_u64()?,
+        hint: r.try_f64()?,
+        payload: r.try_bytes()?,
+    })
+}
+
+/// A message accepted in order on its target's rank but not yet executed:
+/// what running it, or re-homing it with its object, needs. The target is
+/// known from where the record is kept (the object's ready-queue lane, the
+/// migration packet that carries the object), and the routing state —
+/// `hops`, `anchored`, `route_epoch` — is dead once the message has been
+/// accepted, so neither is kept (DESIGN.md §17).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Pending {
+    /// Original sender rank.
+    pub sender: Rank,
+    /// Per-(sender, target) sequence number.
+    pub seq: u64,
+    /// Application-level handler id.
+    pub handler: u32,
+    /// Computational weight hint.
+    pub hint: f64,
+    /// Application payload.
+    pub payload: Bytes,
+}
+
+impl From<MolEnvelope> for Pending {
+    fn from(e: MolEnvelope) -> Self {
+        Pending {
+            sender: e.sender,
+            seq: e.seq,
+            handler: e.handler,
+            hint: e.hint,
+            payload: e.payload,
+        }
     }
+}
+
+/// Encoded size of a [`Pending`] record minus its payload: 2×u64 + u32 +
+/// f64 + the payload length prefix.
+const PENDING_HEADER: usize = 8 * 2 + 4 + 8 + 4;
+
+fn write_pending(w: WireWriter, p: &Pending) -> WireWriter {
+    w.u64(p.sender as u64)
+        .u64(p.seq)
+        .u32(p.handler)
+        .f64(p.hint)
+        .bytes(&p.payload)
+}
+
+fn read_pending(r: &mut WireReader) -> Option<Pending> {
+    Some(Pending {
+        sender: r.try_usize()?,
+        seq: r.try_u64()?,
+        handler: r.try_u32()?,
+        hint: r.try_f64()?,
+        payload: r.try_bytes()?,
+    })
+}
+
+/// Room to reserve for `n` records of at least `min_len` bytes each, `n`
+/// being a count read off the wire: no more than the bytes left in `r` could
+/// hold, so a corrupt count makes a short read (and `None`), never a huge
+/// allocation.
+fn reserve_for(n: usize, min_len: usize, r: &WireReader) -> usize {
+    n.min(r.remaining() / min_len)
 }
 
 /// A migrating object plus its ordering state.
@@ -131,16 +192,33 @@ pub struct MigratePacket {
     pub expected: Vec<(Rank, u64)>,
     /// Messages already accepted in order but not yet executed; they must be
     /// delivered at the destination before anything else.
-    pub pending: Vec<MolEnvelope>,
+    pub pending: Vec<Pending>,
     /// Out-of-order buffered messages; re-enter sequence checking at the
     /// destination.
     pub buffered: Vec<MolEnvelope>,
 }
 
 impl MigratePacket {
-    /// Encode for the wire.
+    /// Encode for the wire, into a pooled buffer sized to what is written.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::pooled(32 + self.object.len())
+        let len = 8 * 3
+            + 4
+            + self.object.len()
+            + 4
+            + 16 * self.expected.len()
+            + 4
+            + self
+                .pending
+                .iter()
+                .map(|p| PENDING_HEADER + p.payload.len())
+                .sum::<usize>()
+            + 4
+            + self
+                .buffered
+                .iter()
+                .map(|e| ENV_HEADER + e.payload.len())
+                .sum::<usize>();
+        let mut w = WireWriter::pooled(len)
             .u64(self.ptr.home as u64)
             .u64(self.ptr.index)
             .u64(self.epoch)
@@ -150,8 +228,8 @@ impl MigratePacket {
             w = w.u64(rank as u64).u64(seq);
         }
         w = w.u32(self.pending.len() as u32);
-        for e in &self.pending {
-            w = write_env(w, e);
+        for p in &self.pending {
+            w = write_pending(w, p);
         }
         w = w.u32(self.buffered.len() as u32);
         for e in &self.buffered {
@@ -160,29 +238,39 @@ impl MigratePacket {
         w.finish()
     }
 
-    /// Decode from the wire.
-    pub fn decode(payload: Bytes) -> Self {
+    /// Decode from the wire; `None` if the frame is truncated or a count
+    /// promises more records than follow.
+    pub fn decode(payload: Bytes) -> Option<Self> {
         let mut r = WireReader::new(payload);
         let ptr = MobilePtr {
-            home: r.u64() as usize,
-            index: r.u64(),
+            home: r.try_usize()?,
+            index: r.try_u64()?,
         };
-        let epoch = r.u64();
-        let object = r.bytes();
-        let n_exp = r.u32() as usize;
-        let expected = (0..n_exp).map(|_| (r.u64() as usize, r.u64())).collect();
-        let n_pend = r.u32() as usize;
-        let pending = (0..n_pend).map(|_| read_env(&mut r)).collect();
-        let n_buf = r.u32() as usize;
-        let buffered = (0..n_buf).map(|_| read_env(&mut r)).collect();
-        MigratePacket {
+        let epoch = r.try_u64()?;
+        let object = r.try_bytes()?;
+        let n = r.try_u32()? as usize;
+        let mut expected = Vec::with_capacity(reserve_for(n, 16, &r));
+        for _ in 0..n {
+            expected.push((r.try_usize()?, r.try_u64()?));
+        }
+        let n = r.try_u32()? as usize;
+        let mut pending = Vec::with_capacity(reserve_for(n, PENDING_HEADER, &r));
+        for _ in 0..n {
+            pending.push(read_pending(&mut r)?);
+        }
+        let n = r.try_u32()? as usize;
+        let mut buffered = Vec::with_capacity(reserve_for(n, ENV_HEADER, &r));
+        for _ in 0..n {
+            buffered.push(read_env(&mut r)?);
+        }
+        Some(MigratePacket {
             ptr,
             epoch,
             object,
             expected,
             pending,
             buffered,
-        }
+        })
     }
 }
 
@@ -210,17 +298,17 @@ impl DirPublish {
             .finish()
     }
 
-    /// Decode from the wire.
-    pub fn decode(payload: Bytes) -> Self {
+    /// Decode from the wire; `None` if the frame is truncated.
+    pub fn decode(payload: Bytes) -> Option<Self> {
         let mut r = WireReader::new(payload);
-        DirPublish {
+        Some(DirPublish {
             ptr: MobilePtr {
-                home: r.u64() as usize,
-                index: r.u64(),
+                home: r.try_usize()?,
+                index: r.try_u64()?,
             },
-            owner: r.u64() as usize,
-            epoch: r.u64(),
-        }
+            owner: r.try_usize()?,
+            epoch: r.try_u64()?,
+        })
     }
 }
 
@@ -244,16 +332,16 @@ impl DirLookup {
             .finish()
     }
 
-    /// Decode from the wire.
-    pub fn decode(payload: Bytes) -> Self {
+    /// Decode from the wire; `None` if the frame is truncated.
+    pub fn decode(payload: Bytes) -> Option<Self> {
         let mut r = WireReader::new(payload);
-        DirLookup {
+        Some(DirLookup {
             ptr: MobilePtr {
-                home: r.u64() as usize,
-                index: r.u64(),
+                home: r.try_usize()?,
+                index: r.try_u64()?,
             },
-            epoch: r.u64(),
-        }
+            epoch: r.try_u64()?,
+        })
     }
 }
 
@@ -284,18 +372,18 @@ impl DirAnswer {
             .finish()
     }
 
-    /// Decode from the wire.
-    pub fn decode(payload: Bytes) -> Self {
+    /// Decode from the wire; `None` if the frame is truncated.
+    pub fn decode(payload: Bytes) -> Option<Self> {
         let mut r = WireReader::new(payload);
-        DirAnswer {
+        Some(DirAnswer {
             ptr: MobilePtr {
-                home: r.u64() as usize,
-                index: r.u64(),
+                home: r.try_usize()?,
+                index: r.try_u64()?,
             },
-            owner: r.u64() as usize,
-            epoch: r.u64(),
-            stale: r.u32() != 0,
-        }
+            owner: r.try_usize()?,
+            epoch: r.try_u64()?,
+            stale: r.try_u32()? != 0,
+        })
     }
 }
 
@@ -317,13 +405,13 @@ impl NodeMsg {
             .finish()
     }
 
-    /// Decode from the wire.
-    pub fn decode(payload: Bytes) -> Self {
+    /// Decode from the wire; `None` if the frame is truncated.
+    pub fn decode(payload: Bytes) -> Option<Self> {
         let mut r = WireReader::new(payload);
-        NodeMsg {
-            handler: r.u32(),
-            payload: r.bytes(),
-        }
+        Some(NodeMsg {
+            handler: r.try_u32()?,
+            payload: r.try_bytes()?,
+        })
     }
 }
 
@@ -348,7 +436,7 @@ mod tests {
     #[test]
     fn envelope_roundtrip() {
         let e = env(77);
-        assert_eq!(MolEnvelope::decode(e.encode()), e);
+        assert_eq!(MolEnvelope::decode(e.encode()), Some(e));
     }
 
     #[test]
@@ -358,10 +446,10 @@ mod tests {
             epoch: 4,
             object: Bytes::from_static(&[9, 8, 7]),
             expected: vec![(0, 5), (3, 1)],
-            pending: vec![env(1), env(2)],
+            pending: vec![env(1).into(), env(2).into()],
             buffered: vec![env(10)],
         };
-        assert_eq!(MigratePacket::decode(p.encode()), p);
+        assert_eq!(MigratePacket::decode(p.encode()), Some(p));
     }
 
     #[test]
@@ -374,7 +462,85 @@ mod tests {
             pending: vec![],
             buffered: vec![],
         };
-        assert_eq!(MigratePacket::decode(p.encode()), p);
+        assert_eq!(MigratePacket::decode(p.encode()), Some(p));
+    }
+
+    /// A pending record carries no target and no routing state: 48 bytes
+    /// for a 16-byte payload, where the full envelope takes 80.
+    #[test]
+    fn a_pending_record_is_48_bytes_for_a_16_byte_payload() {
+        let mut e = env(0);
+        e.payload = Bytes::copy_from_slice(&[1; 16]);
+        let record = write_pending(WireWriter::new(), &e.clone().into()).finish();
+        assert_eq!(record.len(), 48);
+        assert_eq!(e.encode().len(), 80);
+    }
+
+    /// Small pending payloads are copied out at decode, so once the object
+    /// (the one long string) is gone the packet's buffer has a single owner
+    /// again, however long its messages stay queued.
+    #[test]
+    fn decoded_pending_payloads_do_not_pin_the_packet() {
+        let p = MigratePacket {
+            ptr: MobilePtr { home: 0, index: 1 },
+            epoch: 1,
+            object: Bytes::from(vec![5; 4096]),
+            expected: vec![(5, 60)],
+            pending: (0..60)
+                .map(|seq| {
+                    let mut e = env(seq);
+                    e.payload = Bytes::copy_from_slice(&[seq as u8; 16]);
+                    e.into()
+                })
+                .collect(),
+            buffered: vec![],
+        };
+        let wire = p.encode();
+        let decoded = MigratePacket::decode(wire.clone()).expect("a whole packet");
+        assert_eq!(decoded, p);
+        let MigratePacket {
+            object, pending, ..
+        } = decoded;
+        drop(object);
+        assert!(
+            wire.try_reclaim().is_ok(),
+            "pending payloads pin the packet"
+        );
+        drop(pending);
+    }
+
+    #[test]
+    fn a_packet_sizes_its_buffer_to_what_it_writes() {
+        let p = MigratePacket {
+            ptr: MobilePtr { home: 0, index: 1 },
+            epoch: 1,
+            object: Bytes::from(vec![5; 4096]),
+            expected: vec![(5, 60)],
+            pending: (0..60).map(|seq| env(seq).into()).collect(),
+            buffered: vec![env(61)],
+        };
+        // 4 KiB of object and 60 pending messages fit the 8 KiB class.
+        let wire = p.encode();
+        assert!(wire.len() < 8192);
+        let v = wire.try_reclaim().expect("sole owner");
+        assert!((8192..16384).contains(&v.capacity()), "{}", v.capacity());
+    }
+
+    #[test]
+    fn truncated_frames_decode_to_none() {
+        let e = env(3).encode();
+        assert_eq!(MolEnvelope::decode(e.slice(0..e.len() - 1)), None);
+        // A count of 2^32 - 1 pending records and nothing after it must be
+        // a short read, not a 446 GB reservation.
+        let hostile = WireWriter::new()
+            .u64(0)
+            .u64(1)
+            .u64(1)
+            .bytes(b"")
+            .u32(0)
+            .u32(u32::MAX)
+            .finish();
+        assert_eq!(MigratePacket::decode(hostile), None);
     }
 
     #[test]
@@ -384,12 +550,12 @@ mod tests {
             owner: 6,
             epoch: 9,
         };
-        assert_eq!(DirPublish::decode(p.encode()), p);
+        assert_eq!(DirPublish::decode(p.encode()), Some(p));
         let l = DirLookup {
             ptr: MobilePtr { home: 0, index: 12 },
             epoch: 3,
         };
-        assert_eq!(DirLookup::decode(l.encode()), l);
+        assert_eq!(DirLookup::decode(l.encode()), Some(l));
         for stale in [false, true] {
             let a = DirAnswer {
                 ptr: MobilePtr { home: 2, index: 7 },
@@ -397,7 +563,7 @@ mod tests {
                 epoch: 15,
                 stale,
             };
-            assert_eq!(DirAnswer::decode(a.encode()), a);
+            assert_eq!(DirAnswer::decode(a.encode()), Some(a));
         }
     }
 
@@ -407,6 +573,6 @@ mod tests {
             handler: 6,
             payload: Bytes::from_static(b"lb"),
         };
-        assert_eq!(NodeMsg::decode(n.encode()), n);
+        assert_eq!(NodeMsg::decode(n.encode()), Some(n));
     }
 }

@@ -18,10 +18,16 @@
 //!   leaving `None` holes behind that a later pop steps over — O(that
 //!   object's queue), not O(the rank's);
 //! * queue length, total weight and the lanes are updated on every push,
-//!   pop and migration, so reading them is O(1) (O(k) for k lanes).
+//!   pop and migration, so reading them is O(1) (O(k) for k lanes);
+//! * a queued message keeps only what running it needs (a [`Pending`]
+//!   record): its target is its lane's, and its routing state died when it
+//!   was accepted. That is 80 bytes a slot, holes included, where the whole
+//!   envelope took 120.
 
-use crate::proto::MolEnvelope;
+use crate::proto::Pending;
 use crate::ptr::MobilePtr;
+use bytes::Bytes;
+use prema_dcs::Rank;
 use std::collections::VecDeque;
 
 /// An exact accumulator of weight hints: unsigned Q64.64 fixed point.
@@ -85,13 +91,32 @@ pub(crate) struct Lane {
     tail: u64,
 }
 
-/// A queued message, the lane that accounts for it, and where the same
-/// object's next message sits (meaningful unless this is the lane's newest).
+/// A queued message's [`Pending`] record, the lane that accounts for it
+/// (and names its target), and where the same object's next message sits
+/// (meaningful unless this is the lane's newest). The record's fields are
+/// laid out here rather than nested so that `handler` and `lane` share a
+/// word.
 #[derive(Debug)]
 struct Queued {
-    env: MolEnvelope,
+    sender: Rank,
+    seq: u64,
+    hint: f64,
+    handler: u32,
     lane: u32,
     next: u64,
+    payload: Bytes,
+}
+
+impl Queued {
+    fn pending(self) -> Pending {
+        Pending {
+            sender: self.sender,
+            seq: self.seq,
+            handler: self.handler,
+            hint: self.hint,
+            payload: self.payload,
+        }
+    }
 }
 
 /// A rank's in-order messages awaiting execution.
@@ -135,14 +160,19 @@ impl ReadyIndex {
         self.queue.len()
     }
 
-    /// The queued messages with their absolute positions, oldest first.
+    /// The queued messages as `(absolute position, the object their lane
+    /// names, hint)`, oldest first.
     #[cfg(feature = "check-invariants")]
-    pub fn queued(&self) -> impl Iterator<Item = (u64, &MolEnvelope)> {
+    pub fn queued(&self) -> impl Iterator<Item = (u64, MobilePtr, f64)> + '_ {
         let base = self.base;
-        self.queue
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, slot)| Some((base + i as u64, &slot.as_ref()?.env)))
+        self.queue.iter().enumerate().filter_map(move |(i, slot)| {
+            let q = slot.as_ref()?;
+            let target = self
+                .lanes
+                .get(q.lane as usize)
+                .map_or(MobilePtr::NULL, |l| l.ptr);
+            Some((base + i as u64, target, q.hint))
+        })
     }
 
     /// The absolute positions `lane`'s chain visits, oldest first; `None`
@@ -162,27 +192,31 @@ impl ReadyIndex {
         &mut self.queue[(at - self.base) as usize]
     }
 
-    /// Append `env` to the queue. `lane` is the caller's memory of the lane
-    /// its target used last, kept beside the resident object so that no
-    /// lookup is needed here; it is checked (the lane may have been released
-    /// and reclaimed since) and updated.
-    pub fn push(&mut self, lane: &mut u32, env: MolEnvelope) {
+    /// Append a message for `target` to the queue. `lane` is the caller's
+    /// memory of the lane `target` used last, kept beside the resident
+    /// object so that no lookup is needed here; it is checked (the lane may
+    /// have been released and reclaimed since) and updated.
+    pub fn push(&mut self, lane: &mut u32, target: MobilePtr, p: Pending) {
         let held = self
             .lanes
             .get(*lane as usize)
-            .is_some_and(|l| l.ptr == env.target);
+            .is_some_and(|l| l.ptr == target);
         if !held {
-            *lane = self.claim(env.target);
+            *lane = self.claim(target);
         }
         self.link(*lane, self.base + self.queue.len() as u64);
-        let w = Weight::of(env.hint);
+        let w = Weight::of(p.hint);
         self.lanes[*lane as usize].weight.add(w);
         self.weight.add(w);
         self.len += 1;
         self.queue.push_back(Some(Queued {
-            env,
+            sender: p.sender,
+            seq: p.seq,
+            hint: p.hint,
+            handler: p.handler,
             lane: *lane,
             next: 0,
+            payload: p.payload,
         }));
     }
 
@@ -228,25 +262,27 @@ impl ReadyIndex {
         self.free.push(lane);
     }
 
-    /// Remove the oldest queued message, stepping over (and freeing) holes.
-    pub fn pop(&mut self) -> Option<MolEnvelope> {
+    /// Remove the oldest queued message, with its target, stepping over
+    /// (and freeing) holes.
+    pub fn pop(&mut self) -> Option<(MobilePtr, Pending)> {
         if self.len == 0 {
             // Whatever is left is holes.
             self.base += self.queue.len() as u64;
             self.queue.clear();
             return None;
         }
-        let Queued { env, lane, next } = loop {
+        let q = loop {
             let slot = self.queue.pop_front().expect("len counts stored messages");
             self.base += 1;
             if let Some(q) = slot {
                 break q;
             }
         };
+        let lane = q.lane;
         let l = &mut self.lanes[lane as usize];
         debug_assert_eq!(l.head, self.base - 1, "per-object order is queue order");
-        let w = Weight::of(env.hint);
-        l.head = next;
+        let (target, w) = (l.ptr, Weight::of(q.hint));
+        l.head = q.next;
         l.count -= 1;
         l.weight.sub(w);
         self.weight.sub(w);
@@ -254,13 +290,13 @@ impl ReadyIndex {
         if l.count == 0 {
             self.release(lane);
         }
-        Some(env)
+        Some((target, q.pending()))
     }
 
     /// Take a departing object's messages out of the queue, in order,
     /// leaving holes. `lane` is the caller's memory of its lane, as for
     /// [`ReadyIndex::push`].
-    pub fn take_all(&mut self, lane: u32, ptr: MobilePtr) -> Vec<MolEnvelope> {
+    pub fn take_all(&mut self, lane: u32, ptr: MobilePtr) -> Vec<Pending> {
         let Some(l) = self.lanes.get_mut(lane as usize).filter(|l| l.ptr == ptr) else {
             return Vec::new();
         };
@@ -275,7 +311,7 @@ impl ReadyIndex {
                     .take()
                     .expect("a lane's chain runs through queued messages");
                 at = q.next;
-                q.env
+                q.pending()
             })
             .collect();
         // Holes are only made here, so checking here keeps the queue within
@@ -343,5 +379,6 @@ mod tests {
             std::mem::size_of::<Option<Queued>>(),
             std::mem::size_of::<Queued>()
         );
+        assert!(std::mem::size_of::<Option<Queued>>() <= 80);
     }
 }

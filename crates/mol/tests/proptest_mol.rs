@@ -1,10 +1,12 @@
-//! Property-based tests for the Mobile Object Layer: wire-format roundtrips
-//! and delivery-order preservation under arbitrary interleavings of sends,
-//! polls, and migrations.
+//! Property-based tests for the Mobile Object Layer: wire-format roundtrips,
+//! decoders that survive arbitrary bytes, and delivery-order preservation
+//! under arbitrary interleavings of sends, polls, and migrations.
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric};
-use prema_mol::proto::{DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope};
+use prema_mol::proto::{
+    DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope, NodeMsg, Pending,
+};
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
 use proptest::prelude::*;
 
@@ -60,13 +62,49 @@ fn arb_env() -> impl Strategy<Value = MolEnvelope> {
         )
 }
 
+/// An envelope for a frame when the strategy drew none.
+fn plain_env(payload: Vec<u8>) -> MolEnvelope {
+    MolEnvelope {
+        target: MobilePtr { home: 1, index: 2 },
+        sender: 0,
+        seq: 0,
+        handler: 1,
+        hops: 0,
+        anchored: false,
+        route_epoch: 0,
+        hint: 1.0,
+        payload: Bytes::from(payload),
+    }
+}
+
+/// Whether `frame` decodes as MOL message kind `kind` (in the order
+/// [`decode_all`] tries them).
+fn decodes_as(kind: usize, frame: &Bytes) -> bool {
+    let f = frame.clone();
+    match kind {
+        0 => MolEnvelope::decode(f).is_some(),
+        1 => MigratePacket::decode(f).is_some(),
+        2 => DirPublish::decode(f).is_some(),
+        3 => DirLookup::decode(f).is_some(),
+        4 => DirAnswer::decode(f).is_some(),
+        _ => NodeMsg::decode(f).is_some(),
+    }
+}
+
+/// Feed `frame` to every MOL decoder; each must return, whatever it says.
+fn decode_all(frame: &Bytes) {
+    for kind in 0..6 {
+        decodes_as(kind, frame);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn envelope_wire_roundtrip(env in arb_env()) {
         let decoded = MolEnvelope::decode(env.encode());
-        prop_assert_eq!(decoded, env);
+        prop_assert_eq!(decoded, Some(env));
     }
 
     #[test]
@@ -81,11 +119,11 @@ proptest! {
             epoch,
             object: Bytes::from(object),
             expected,
-            pending: envs.clone(),
+            pending: envs.iter().cloned().map(Pending::from).collect(),
             buffered: envs,
         };
         let d = MigratePacket::decode(p.encode());
-        prop_assert_eq!(d, p);
+        prop_assert_eq!(d, Some(p));
     }
 
     #[test]
@@ -98,11 +136,62 @@ proptest! {
     ) {
         let ptr = MobilePtr { home, index };
         let p = DirPublish { ptr, owner, epoch };
-        prop_assert_eq!(DirPublish::decode(p.encode()), p);
+        prop_assert_eq!(DirPublish::decode(p.encode()), Some(p));
         let q = DirLookup { ptr, epoch };
-        prop_assert_eq!(DirLookup::decode(q.encode()), q);
+        prop_assert_eq!(DirLookup::decode(q.encode()), Some(q));
         let a = DirAnswer { ptr, owner, epoch, stale };
-        prop_assert_eq!(DirAnswer::decode(a.encode()), a);
+        prop_assert_eq!(DirAnswer::decode(a.encode()), Some(a));
+    }
+
+    /// Every MOL decoder is total: arbitrary bytes decode to `None` or to a
+    /// value, never a panic or an abort.
+    #[test]
+    fn decoders_survive_arbitrary_bytes(raw in proptest::collection::vec(any::<u8>(), 0..256)) {
+        decode_all(&Bytes::from(raw));
+    }
+
+    /// A valid frame of each kind decodes; every strict prefix of it is
+    /// `None`; and with any one 4-byte word overwritten (a corrupt length or
+    /// record count among them) it still decodes to `None` or a value.
+    #[test]
+    fn truncated_and_corrupted_frames_decode_to_none_or_a_value(
+        envs in proptest::collection::vec(arb_env(), 0..4),
+        object in proptest::collection::vec(any::<u8>(), 0..64),
+        at in any::<usize>(),
+        word in any::<u32>(),
+    ) {
+        let env = envs.first().cloned().unwrap_or_else(|| plain_env(object.clone()));
+        let frames = [
+            env.encode(),
+            MigratePacket {
+                ptr: env.target,
+                epoch: 2,
+                object: Bytes::from(object.clone()),
+                expected: vec![(env.sender, env.seq)],
+                pending: envs.iter().cloned().map(Pending::from).collect(),
+                buffered: envs,
+            }
+            .encode(),
+            DirPublish { ptr: env.target, owner: 1, epoch: 3 }.encode(),
+            DirLookup { ptr: env.target, epoch: 3 }.encode(),
+            DirAnswer { ptr: env.target, owner: 1, epoch: 3, stale: true }.encode(),
+            NodeMsg { handler: 4, payload: Bytes::from(object) }.encode(),
+        ];
+        for (kind, frame) in frames.iter().enumerate() {
+            prop_assert!(decodes_as(kind, frame), "kind {} rejects its own frame", kind);
+            for len in 0..frame.len() {
+                prop_assert!(
+                    !decodes_as(kind, &frame.slice(0..len)),
+                    "kind {} decodes a {}-byte prefix of its {}-byte frame", kind, len, frame.len()
+                );
+            }
+            if frame.len() >= 4 {
+                let mut bad = frame.to_vec();
+                let at = at % (frame.len() - 3);
+                bad[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                decode_all(&Bytes::from(bad));
+            }
+        }
     }
 
     /// The MOL's headline guarantee: for any interleaving of migrations and
