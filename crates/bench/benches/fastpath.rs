@@ -7,13 +7,14 @@
 //!
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
 //! allocator: the runtime-step bench **asserts** that a steady-state
-//! `Runtime::step` allocates nothing, and the remote-hop bench that a
+//! `Runtime::step` followed by its `Completion::report` allocates nothing
+//! and sends nothing, and the remote-hop bench that a
 //! steady-state remote MOL hop allocates at most once, under `cargo bench
 //! --bench fastpath -- --test` too.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
-use prema::{launch_single_rank, PremaConfig, Runtime};
+use prema::{launch_single_rank, Completion, PremaConfig, Runtime};
 use prema_dcs::{pool, Communicator, HandlerId, LocalFabric, Tag};
 use prema_mol::{Migratable, MobilePtr, MolConfig, MolNode};
 use std::hint::black_box;
@@ -144,10 +145,11 @@ const HOP_STEPS: usize = 10_000;
 /// `Runtime::step` end to end on one rank (explicit mode, so no polling
 /// thread): 512 objects in a ring, 64 tokens hopping along it, each unit one
 /// 16-byte local send — the lock, the sliced polling operation, `begin`, the
-/// handler, `finish` and the MOL's local accept, with nothing on the wire.
-/// After warm-up, [`HOP_STEPS`] steps must not touch the allocator; the
-/// per-step time of that run is printed, and one timed iteration is
-/// [`HOP_STEPS`] steps.
+/// handler, `finish` and the MOL's local accept, with nothing on the wire —
+/// and then the unit's `Completion::report`, as every shipped wait loop
+/// makes it. After warm-up, [`HOP_STEPS`] steps must neither touch the
+/// allocator nor send a message; the per-step time of that run is printed,
+/// and one timed iteration is [`HOP_STEPS`] steps.
 fn bench_runtime_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("fastpath");
     group.sample_size(10);
@@ -172,22 +174,34 @@ fn bench_runtime_step(c: &mut Criterion) {
             let payload = Bytes::copy_from_slice(&[t as u8; 16]);
             rt.message(ptrs[t * HOP_OBJECTS / HOP_TOKENS], H_HOP, payload);
         }
+        // A target never reached: every report only counts.
+        let completion = Completion::install(&rt, u64::MAX);
         let steps = |n: usize| {
             for _ in 0..n {
                 assert!(rt.step(), "a token was lost");
+                completion.report(&rt, 1);
             }
         };
+        let msgs_sent = || rt.with_scheduler(|s| s.node().comm().stats().msgs_sent);
         steps(HOP_STEPS);
+        let sent_before = msgs_sent();
         prema_bench::reset_alloc_count();
         let t0 = Instant::now();
         steps(HOP_STEPS);
         let per_step = t0.elapsed() / HOP_STEPS as u32;
         let allocs = prema_bench::alloc_count();
+        let sent = msgs_sent() - sent_before;
         assert_eq!(
             allocs, 0,
-            "a steady-state Runtime::step must not allocate: {allocs} allocs / {HOP_STEPS} steps"
+            "a steady-state Runtime::step + report must not allocate: {allocs} allocs / {HOP_STEPS} steps"
         );
-        println!("  fastpath/runtime_step_local_send: {per_step:?} per step, 0 allocations");
+        assert_eq!(
+            sent, 0,
+            "a steady-state Runtime::step + report must not send: {sent} sends / {HOP_STEPS} steps"
+        );
+        println!(
+            "  fastpath/runtime_step_local_send: {per_step:?} per step, 0 allocations, 0 sends"
+        );
         group.bench_function(
             format!("runtime_step_local_send_x{}k", HOP_STEPS / 1000),
             |b| b.iter(|| steps(HOP_STEPS)),

@@ -43,6 +43,27 @@ use prema_ilb as ilb;
 use prema_ilb::LoadSnapshot;
 use prema_mol::{Migratable, MobilePtr, MolNode, MolStats, WorkItem};
 
+/// A rank's scheduler seen from code that cannot name its object type:
+/// [`crate::Completion`] keeps one to send from a call that has no
+/// [`Runtime`] in hand.
+pub(crate) trait TrySend: Send + Sync {
+    /// Send a rank-targeted application message if the scheduler lock is
+    /// free right now. Returns `false`, having sent nothing, if it is held —
+    /// by another thread or by the caller itself — so it never blocks.
+    fn try_node_message(&self, dst: Rank, handler: u32, payload: Bytes) -> bool;
+}
+
+impl<O: Migratable> TrySend for Mutex<ilb::Scheduler<O>> {
+    fn try_node_message(&self, dst: Rank, handler: u32, payload: Bytes) -> bool {
+        let Some(mut s) = self.try_lock() else {
+            return false;
+        };
+        s.node_mut()
+            .node_message(dst, handler, prema_dcs::Tag::App, payload);
+        true
+    }
+}
+
 /// Handle to one rank's PREMA runtime, used from that rank's application
 /// thread.
 pub struct Runtime<O: Migratable> {
@@ -188,6 +209,11 @@ impl<O: Migratable> Runtime<O> {
     /// Run `f` with the scheduler locked (escape hatch for tests and tools).
     pub fn with_scheduler<R>(&self, f: impl FnOnce(&mut ilb::Scheduler<O>) -> R) -> R {
         f(&mut self.sched.lock())
+    }
+
+    /// A non-blocking send handle on this rank's scheduler.
+    pub(crate) fn try_sender(&self) -> Arc<dyn TrySend> {
+        self.sched.clone()
     }
 }
 

@@ -367,7 +367,8 @@ pub struct UdpStats {
     pub bad_epoch: u64,
     /// DATA datagrams whose header parses but whose body does not: no
     /// destination, no record, or a partial last record (the whole records
-    /// before it are delivered).
+    /// before it are delivered) — and those naming a source rank outside
+    /// the machine, which deliver nothing.
     pub malformed: u64,
     /// DATA datagrams addressed to a different rank.
     pub misrouted: u64,
@@ -849,14 +850,19 @@ impl UdpTransport {
     }
 
     /// Unpack a DATA datagram's body (destination, then records) into
-    /// `ready`. A datagram for another rank is dropped whole; a body that
-    /// does not parse to the end delivers its whole records and counts as
-    /// malformed once.
+    /// `ready`. A datagram from a source outside the machine is malformed
+    /// and dropped whole, as is one for another rank; a body that does not
+    /// parse to the end delivers its whole records and counts as malformed
+    /// once.
     fn ingest_data(&self, r: &mut WireReader, header: &Header, ready: &mut VecDeque<Envelope>) {
         let src = header.src as Rank;
         let peer = src.min(self.peers.len());
         let mut stats = self.stats.borrow_mut();
         let handler = match decode_dst(r) {
+            _ if src >= self.peers.len() => {
+                stats.malformed += 1;
+                0
+            }
             Some(dst) if dst == self.rank => {
                 stats.received += 1;
                 let before = ready.len();
@@ -1766,6 +1772,28 @@ mod tests {
         let me = socket.local_addr().expect("bound addr");
         UdpTransport::from_parts(socket, 1, vec![me, me], epoch, Clock::manual())
             .expect("an IPv4 world")
+    }
+
+    /// A DATA datagram with the right magic, version and epoch but a
+    /// source rank outside the machine is counted as malformed and delivers
+    /// nothing, though its records are whole and addressed to this rank.
+    #[test]
+    fn a_source_outside_the_machine_is_malformed_and_delivers_nothing() {
+        let t = lone_rank(5);
+        let forged = t.nprocs() + 5;
+        let dgram =
+            encode_record(open_dgram(forged, 1, 5, DGRAM_CAP), &env_to(forged, 1, 7)).finish();
+        let from: SocketAddrV4 = "127.0.0.1:9".parse().expect("literal address");
+        let mut ready = VecDeque::new();
+        t.ingest_dgram(dgram, from, &mut ready);
+        assert!(ready.is_empty(), "a forged source was delivered: {ready:?}");
+        let s = t.stats();
+        assert_eq!((s.malformed, s.received, s.records_received), (1, 0, 0));
+        // The same record from a rank of the machine goes through.
+        let real = encode_record(open_dgram(0, 1, 5, DGRAM_CAP), &env_to(0, 1, 7)).finish();
+        t.ingest_dgram(real, from, &mut ready);
+        assert_eq!(ready.len(), 1);
+        assert_eq!(t.stats().malformed, 1);
     }
 
     proptest! {

@@ -42,7 +42,7 @@ const NODE_HANDLER_LIMIT: u64 = 0xFFFF_F000;
 const HANDLER_CRATES: [&str; 4] = ["core", "dcs", "mol", "ilb"];
 
 /// Functions whose argument position makes a handler constant a *send*.
-const SEND_FNS: [&str; 2] = ["am_send", "node_message"];
+const SEND_FNS: [&str; 3] = ["am_send", "node_message", "try_node_message"];
 /// Functions whose argument position makes a handler constant a *receive*.
 const RECV_FNS: [&str; 3] = ["register", "on_node_message", "await_handler"];
 
