@@ -1,13 +1,11 @@
-//! Optional CPU affinity for rank threads.
+//! CPU affinity for a thread the caller owns.
 //!
-//! The ring transport's steady-state path is cache-resident: each pair's
-//! head/tail lines ping-pong between exactly two cores, so keeping a rank's
-//! application and polling threads on fixed cores removes migration-induced
-//! cache refills from the fast path. Pinning is strictly opt-in (see
-//! [`crate::config::PremaConfig::pin_cores`] and the `PREMA_PIN_CORES`
-//! environment knob) because on oversubscribed machines — more ranks than
-//! cores, the common CI shape — pinning serializes ranks that the scheduler
-//! would otherwise spread.
+//! The runtime pins nothing itself: on oversubscribed machines — more ranks
+//! than cores, the common CI shape — pinning serializes ranks that the
+//! scheduler would otherwise spread, and a pinned A/B run of the benchmark
+//! ledger changed nothing (`benchmark/README.md`). A caller that wants a
+//! thread on a fixed core (a machine-speed probe, say) calls
+//! [`pin_current_thread`] from it.
 //!
 //! No libc dependency: on x86-64 Linux the `sched_setaffinity` syscall is
 //! issued directly; everywhere else pinning is a no-op that reports failure.

@@ -1,8 +1,6 @@
 //! PREMA runtime configuration.
 
-use prema_ilb::{
-    Anticipatory, Diffusion, Gradient, LbPolicy, Multilist, StabilityConfig, WorkStealing,
-};
+use prema_ilb::{Diffusion, Gradient, LbPolicy, Multilist, StabilityConfig, WorkStealing};
 use std::time::Duration;
 
 /// When the load balancer gets control (§4.1 / §4.2 of the paper).
@@ -48,13 +46,6 @@ pub enum PolicyKind {
         /// Overload threshold for granting.
         high_weight: f64,
     },
-    /// Diffusion driven by forecast load (EWMA + trend) instead of the
-    /// instantaneous weight, so ramping ranks shed work before the imbalance
-    /// materializes (DESIGN.md §14).
-    AnticipatoryDiffusion {
-        /// Ignore load differences below this weight.
-        threshold: f64,
-    },
 }
 
 impl PolicyKind {
@@ -68,9 +59,6 @@ impl PolicyKind {
                 low_weight,
                 high_weight,
             } => Box::new(Gradient::new(low_weight, high_weight)),
-            PolicyKind::AnticipatoryDiffusion { threshold } => {
-                Box::new(Anticipatory::new(Box::new(Diffusion::new(threshold))))
-            }
         }
     }
 }
@@ -86,18 +74,10 @@ pub struct PremaConfig {
     pub policy: PolicyKind,
     /// RNG seed for policies.
     pub seed: u64,
-    /// Pin each rank's application thread (and, in implicit mode, its
-    /// polling thread) to a fixed core, rank-round-robin over the machine's
-    /// cores — keeps each ring pair's cache lines bouncing between exactly
-    /// two cores (see `crate::affinity`). Off in every preset; the
-    /// `PREMA_PIN_CORES` environment variable (`1`/`true`/`on` to enable,
-    /// anything else to disable), when set, overrides this field at launch.
-    pub pin_cores: bool,
     /// Migration stability governor (DESIGN.md §14): per-object minimum
     /// residency, per-rank migration-rate cap, and grant hysteresis. On (at
-    /// the defaults) in every preset; the `PREMA_MIN_RESIDENCY` /
-    /// `PREMA_MIGRATION_CAP` environment knobs, when set, override the
-    /// corresponding fields at launch.
+    /// the defaults) in every preset. No environment variable overrides it:
+    /// the threaded runtime and the harness's `SimRank` run what it says.
     pub stability: StabilityConfig,
 }
 
@@ -112,17 +92,7 @@ impl PremaConfig {
             },
             policy: PolicyKind::WorkStealing { watermark: 1.0 },
             seed: 0xC0FFEE,
-            pin_cores: false,
             stability: StabilityConfig::default(),
-        }
-    }
-
-    /// This configuration with rank threads pinned to cores (see
-    /// [`PremaConfig::pin_cores`]).
-    pub fn with_pinning(self, on: bool) -> Self {
-        PremaConfig {
-            pin_cores: on,
-            ..self
         }
     }
 
@@ -166,20 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn pinning_is_off_in_every_preset() {
-        assert!(!PremaConfig::implicit(4).pin_cores);
-        assert!(!PremaConfig::explicit(4).pin_cores);
-        assert!(!PremaConfig::disabled(4).pin_cores);
-        assert!(PremaConfig::implicit(4).with_pinning(true).pin_cores);
-        assert!(
-            !PremaConfig::implicit(4)
-                .with_pinning(true)
-                .with_pinning(false)
-                .pin_cores
-        );
-    }
-
-    #[test]
     fn policies_instantiate() {
         assert_eq!(
             PolicyKind::WorkStealing { watermark: 2.0 }.build(1).name(),
@@ -201,12 +157,6 @@ mod tests {
             .build(1)
             .name(),
             "gradient"
-        );
-        assert_eq!(
-            PolicyKind::AnticipatoryDiffusion { threshold: 0.5 }
-                .build(1)
-                .name(),
-            "anticipatory"
         );
     }
 

@@ -35,10 +35,7 @@ use crate::config::{LbMode, PremaConfig};
 use crate::shutdown::{run_poll_loop, StopFlag};
 use crate::sync::{Arc, Mutex};
 use bytes::Bytes;
-use prema_dcs::{
-    ChaosConfig, ChaosHandle, ChaosTransport, Clock, Communicator, LocalFabric, Rank,
-    ReliableTransport, Transport,
-};
+use prema_dcs::{Clock, Communicator, LocalFabric, Rank, Transport};
 use prema_ilb as ilb;
 use prema_ilb::LoadSnapshot;
 use prema_mol::{Migratable, MobilePtr, MolNode, MolStats, WorkItem};
@@ -217,21 +214,6 @@ impl<O: Migratable> Runtime<O> {
     }
 }
 
-/// The core `rank`'s threads are pinned to, if pinning is on: the
-/// `PREMA_PIN_CORES` environment variable, when set, wins over
-/// [`PremaConfig::pin_cores`] in either direction (`1`/`true`/`on`/`yes`
-/// enables, `0`/`false`/`off`/`no` — or, with a warning, anything else —
-/// disables). Parsed via [`prema_dcs::env`]. Each rank's threads go to core
-/// `rank % ncores` (see `crate::affinity`); the app thread and its poller
-/// share a core so a pair's ring lines stay between two caches.
-fn pin_core(cfg: &PremaConfig, rank: usize) -> Option<usize> {
-    let pin = prema_dcs::env::flag_var("PREMA_PIN_CORES").unwrap_or(cfg.pin_cores);
-    let ncores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    pin.then_some(rank % ncores)
-}
-
 /// Launch a PREMA machine: `cfg.nprocs` ranks, each running `main(runtime)`
 /// on its own thread. Returns each rank's result, in rank order.
 ///
@@ -252,13 +234,9 @@ where
 /// per-rank tracer stamping events with wall time since the sink's epoch.
 ///
 /// Tracing hooks are compiled out unless the `trace` cargo feature is on;
-/// without it the sink simply stays empty.
-///
-/// When `PREMA_CHAOS_SEED` is set in the environment the wire is wrapped in
-/// a [`ChaosTransport`] (seeded fault injection) under a
-/// [`ReliableTransport`] (ack/retry recovery), so any run can be soaked
-/// against an adversarial wire without code changes. See
-/// [`ChaosConfig::from_env`] for the knobs.
+/// without it the sink simply stays empty. The wire is the in-process
+/// [`LocalFabric`]; a caller wanting another stack (chaos, reliable, UDP)
+/// builds it and calls [`launch_with_transports`].
 pub fn launch_with_trace<O, R, F>(
     cfg: PremaConfig,
     trace: Option<std::sync::Arc<prema_trace::TraceSink>>,
@@ -269,39 +247,16 @@ where
     R: Send + 'static,
     F: Fn(Runtime<O>) -> R + Send + Sync + 'static,
 {
-    let endpoints = LocalFabric::new(cfg.nprocs);
-    let tracer_for = |rank: usize| {
-        trace
-            .as_ref()
-            .map(|s| s.tracer(rank))
-            .unwrap_or_else(prema_trace::Tracer::off)
-    };
-    let transports: Vec<Box<dyn Transport>> = match ChaosConfig::from_env() {
-        Some(chaos_cfg) => {
-            let handle = ChaosHandle::new();
-            endpoints
-                .into_iter()
-                .enumerate()
-                .map(|(rank, mut ep)| {
-                    let tracer = tracer_for(rank);
-                    ep.set_tracer(tracer.clone());
-                    let mut chaos = ChaosTransport::new(ep, chaos_cfg, handle.clone());
-                    chaos.set_tracer(tracer.clone());
-                    let mut reliable = ReliableTransport::new(chaos);
-                    reliable.set_tracer(tracer);
-                    Box::new(reliable) as Box<dyn Transport>
-                })
-                .collect()
-        }
-        None => endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(rank, mut ep)| {
-                ep.set_tracer(tracer_for(rank));
-                Box::new(ep) as Box<dyn Transport>
-            })
-            .collect(),
-    };
+    let transports = LocalFabric::new(cfg.nprocs)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, mut ep)| {
+            if let Some(sink) = &trace {
+                ep.set_tracer(sink.tracer(rank));
+            }
+            Box::new(ep) as Box<dyn Transport>
+        })
+        .collect();
     launch_with_transports(cfg, transports, trace, main)
 }
 
@@ -336,13 +291,7 @@ where
         poll_threads.extend(poller);
 
         let main = main.clone();
-        let core = pin_core(&cfg, rank);
-        app_threads.push(std::thread::spawn(move || {
-            if let Some(core) = core {
-                crate::affinity::pin_current_thread(core);
-            }
-            main(runtime)
-        }));
+        app_threads.push(std::thread::spawn(move || main(runtime)));
     }
 
     // Join app threads first (no lock held — a join while holding a
@@ -363,10 +312,8 @@ where
 /// entry point for out-of-process deployments (`prema-launch` spawns one OS
 /// process per rank, each of which calls this with a socket transport such
 /// as [`prema_dcs::UdpTransport`]). `cfg.nprocs` is the *whole machine's*
-/// size; `transport.nprocs()` must agree. Environment knobs
-/// (`PREMA_MIN_RESIDENCY`, `PREMA_MIGRATION_CAP`, `PREMA_PIN_CORES`) apply
-/// exactly as in [`launch_with_transports`]; in [`LbMode::Implicit`] mode
-/// the rank gets its preemptive polling thread, reaped before this returns.
+/// size; `transport.nprocs()` must agree. In [`LbMode::Implicit`] mode the
+/// rank gets its preemptive polling thread, reaped before this returns.
 pub fn launch_single_rank<O, R, F>(
     cfg: PremaConfig,
     rank: usize,
@@ -391,9 +338,6 @@ where
     );
     let stop = Arc::new(StopFlag::new());
     let (runtime, poller) = start_rank(&cfg, rank, transport, trace.as_ref(), &stop);
-    if let Some(core) = pin_core(&cfg, rank) {
-        crate::affinity::pin_current_thread(core);
-    }
     let result = main(runtime);
     stop.request_stop();
     if let Some(t) = poller {
@@ -430,12 +374,9 @@ pub fn build_scheduler<O: Migratable>(
     sched
 }
 
-/// Bring one rank up — the preamble every launch path shares: resolve the
-/// environment-over-config knobs (`PREMA_MIN_RESIDENCY`,
-/// `PREMA_MIGRATION_CAP`, when set, win over the config fields, so any
-/// binary can be tuned without a rebuild), [`build_scheduler`] the stack
-/// and, in [`LbMode::Implicit`] mode, spawn its polling thread, which the
-/// caller reaps after `stop.request_stop()`.
+/// Bring one rank up — the preamble every launch path shares:
+/// [`build_scheduler`] the stack and, in [`LbMode::Implicit`] mode, spawn
+/// its polling thread, which the caller reaps after `stop.request_stop()`.
 fn start_rank<O: Migratable>(
     cfg: &PremaConfig,
     rank: usize,
@@ -443,14 +384,10 @@ fn start_rank<O: Migratable>(
     trace: Option<&std::sync::Arc<prema_trace::TraceSink>>,
     stop: &Arc<StopFlag>,
 ) -> (Runtime<O>, Option<std::thread::JoinHandle<()>>) {
-    let cfg = PremaConfig {
-        stability: cfg.stability.from_env(),
-        ..*cfg
-    };
     let tracer = trace
         .map(|s| s.tracer(rank))
         .unwrap_or_else(prema_trace::Tracer::off);
-    let sched = build_scheduler(&cfg, rank, transport, Clock::monotonic(), tracer.clone());
+    let sched = build_scheduler(cfg, rank, transport, Clock::monotonic(), tracer.clone());
     let sched = Arc::new(Mutex::new(sched));
 
     let poller = match cfg.mode {
@@ -459,7 +396,6 @@ fn start_rank<O: Migratable>(
             stop.clone(),
             poll_interval,
             tracer,
-            pin_core(&cfg, rank),
         )),
         _ => None,
     };
@@ -473,19 +409,14 @@ fn start_rank<O: Migratable>(
 
 /// Spawn one rank's preemptive polling thread ([`LbMode::Implicit`]):
 /// wakes every `poll_interval`, processes system messages, emits a
-/// `PollWake` trace event. `pin_core` pins the poller next to its app
-/// thread (see `crate::affinity`).
+/// `PollWake` trace event.
 fn spawn_poller<O: Migratable>(
     sched: Arc<Mutex<ilb::Scheduler<O>>>,
     stop: Arc<StopFlag>,
     poll_interval: std::time::Duration,
     tracer: prema_trace::Tracer,
-    pin_core: Option<usize>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
-        if let Some(core) = pin_core {
-            crate::affinity::pin_current_thread(core);
-        }
         run_poll_loop(&stop, || {
             std::thread::sleep(poll_interval);
             let events = sched.lock().poll_system();

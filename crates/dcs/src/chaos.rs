@@ -86,38 +86,17 @@ impl ChaosConfig {
         }
     }
 
-    /// Read the chaos knobs from the environment. Returns `None` unless
-    /// `PREMA_CHAOS_SEED` is set (chaos is strictly opt-in). The rates
-    /// default to a mild 1% loss mix and can be overridden individually:
-    ///
-    /// * `PREMA_CHAOS_SEED` — fate seed (required to enable)
-    /// * `PREMA_CHAOS_LOSS` — drop probability (default `0.01`)
-    /// * `PREMA_CHAOS_DUP` — duplication probability (default `loss / 2`)
-    /// * `PREMA_CHAOS_REORDER` — reorder probability (default `loss / 2`)
-    /// * `PREMA_CHAOS_DELAY` — delay probability (default `loss / 2`)
-    /// * `PREMA_CHAOS_DELAY_TICKS` — delay length in polls (default `3`)
-    ///
-    /// All knobs are validated via [`crate::env`]: malformed values warn
-    /// once and read as unset, and the probabilities are range-checked to
-    /// `[0, 1]` (an out-of-range rate previously saturated the fate dice
-    /// silently).
+    /// Read the chaos knobs from the environment: `None` unless
+    /// `PREMA_CHAOS_SEED` (the fate seed) is set, else
+    /// [`ChaosConfig::adversarial`] at `PREMA_CHAOS_LOSS` (default `0.01`).
+    /// This is how `prema-launch` hands `--seed` / `--loss` to its worker
+    /// processes. Both knobs are validated via [`crate::env`]: malformed
+    /// values warn once and read as unset, and the loss is range-checked to
+    /// `[0, 1]`.
     pub fn from_env() -> Option<Self> {
         let seed = crate::env::u64_var("PREMA_CHAOS_SEED")?;
         let loss = crate::env::prob_var("PREMA_CHAOS_LOSS").unwrap_or(0.01);
-        let mut cfg = Self::adversarial(seed, loss);
-        if let Some(dup) = crate::env::prob_var("PREMA_CHAOS_DUP") {
-            cfg.dup_p = dup;
-        }
-        if let Some(re) = crate::env::prob_var("PREMA_CHAOS_REORDER") {
-            cfg.reorder_p = re;
-        }
-        if let Some(delay) = crate::env::prob_var("PREMA_CHAOS_DELAY") {
-            cfg.delay_p = delay;
-        }
-        if let Some(ticks) = crate::env::u32_var("PREMA_CHAOS_DELAY_TICKS") {
-            cfg.delay_ticks = ticks;
-        }
-        Some(cfg)
+        Some(Self::adversarial(seed, loss))
     }
 }
 

@@ -1,8 +1,7 @@
 //! Validated parsing for the `PREMA_*` environment knobs.
 //!
-//! Before this module each knob rolled its own `.parse().ok()`, with three
-//! different failure behaviors: `PREMA_RING_CAP` silently ignored malformed
-//! values, `ilb::stability` silently fell back to defaults, and
+//! Before this module each knob rolled its own `.parse().ok()`, with
+//! different failure behaviors: some silently ignored malformed values, and
 //! `ChaosConfig::from_env` accepted out-of-range probabilities (loss above
 //! `1.0` quietly saturates the fate dice). A typo in an env var is exactly
 //! the situation where silence is costliest — the operator believes a knob
@@ -58,16 +57,6 @@ pub fn parse_usize(key: &str, raw: Option<&str>) -> Option<usize> {
     }
 }
 
-/// Parse a `u32` knob (same rules as [`parse_u64`], plus a range check).
-pub fn parse_u32(key: &str, raw: Option<&str>) -> Option<u32> {
-    let v = parse_u64(key, raw)?;
-    if v > u32::MAX as u64 {
-        warn_once(key, &format!("{v} exceeds u32::MAX"));
-        return None;
-    }
-    Some(v as u32)
-}
-
 /// Parse a finite `f64` knob. Non-finite values (NaN, ±inf) warn and read
 /// as unset.
 pub fn parse_f64(key: &str, raw: Option<&str>) -> Option<f64> {
@@ -98,23 +87,6 @@ pub fn parse_prob(key: &str, raw: Option<&str>) -> Option<f64> {
     Some(v)
 }
 
-/// Parse a boolean knob. `1`/`true`/`on`/`yes` (case-insensitive) read as
-/// `true`; `0`/`false`/`off`/`no` as `false`; anything else warns once and
-/// reads as `false` — matching the historical `PREMA_PIN_CORES` contract
-/// where *any* set value overrides the config and only the affirmative
-/// spellings enable.
-pub fn parse_flag(key: &str, raw: Option<&str>) -> Option<bool> {
-    let raw = raw?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        other => {
-            warn_once(key, &format!("{other:?} is not a boolean; reading as off"));
-            Some(false)
-        }
-    }
-}
-
 fn raw(key: &str) -> Option<String> {
     std::env::var(key).ok()
 }
@@ -129,19 +101,9 @@ pub fn usize_var(key: &str) -> Option<usize> {
     parse_usize(key, raw(key).as_deref())
 }
 
-/// Read + validate a `u32` knob from the process environment.
-pub fn u32_var(key: &str) -> Option<u32> {
-    parse_u32(key, raw(key).as_deref())
-}
-
 /// Read + validate a probability knob from the process environment.
 pub fn prob_var(key: &str) -> Option<f64> {
     parse_prob(key, raw(key).as_deref())
-}
-
-/// Read + validate a boolean knob from the process environment.
-pub fn flag_var(key: &str) -> Option<bool> {
-    parse_flag(key, raw(key).as_deref())
 }
 
 #[cfg(test)]
@@ -162,12 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn u32_range_checked() {
-        assert_eq!(parse_u32("K", Some("7")), Some(7));
-        assert_eq!(parse_u32("K", Some("4294967296")), None);
-    }
-
-    #[test]
     fn prob_range_checked() {
         assert_eq!(parse_prob("K", Some("0")), Some(0.0));
         assert_eq!(parse_prob("K", Some("1")), Some(1.0));
@@ -177,20 +133,6 @@ mod tests {
         assert_eq!(parse_prob("K", Some("NaN")), None);
         assert_eq!(parse_prob("K", Some("inf")), None);
         assert_eq!(parse_prob("K", Some("lots")), None);
-    }
-
-    #[test]
-    fn flag_spellings() {
-        for yes in ["1", "true", "ON", "Yes"] {
-            assert_eq!(parse_flag("K", Some(yes)), Some(true));
-        }
-        for no in ["0", "false", "OFF", "No"] {
-            assert_eq!(parse_flag("K", Some(no)), Some(false));
-        }
-        // Historical contract: a set-but-unrecognized value reads as off
-        // (it still *overrides* any config default — Some, not None).
-        assert_eq!(parse_flag("K", Some("maybe")), Some(false));
-        assert_eq!(parse_flag("K", None), None);
     }
 
     #[test]

@@ -288,18 +288,9 @@ pub(crate) fn saturating_deadline(timeout: Duration) -> Instant {
         .unwrap_or_else(|| now + Duration::from_secs(60 * 60 * 24 * 365 * 30))
 }
 
-/// Per-pair ring capacity: scaled down with machine size so the n² mesh
-/// stays affordable (n=2 → 4096 slots, n=128 → 64), overridable with
-/// `PREMA_RING_CAP` (validated via [`crate::env`]; malformed values warn
-/// once and fall back to the scaled default). Always rounded up to a power
-/// of two.
-fn default_ring_capacity(n: usize) -> usize {
-    crate::env::usize_var("PREMA_RING_CAP")
-        .map(|cap| cap.max(2).next_power_of_two())
-        .unwrap_or_else(|| scaled_ring_capacity(n))
-}
-
-/// The env-independent default: `8192 / n` slots per pair, clamped.
+/// Per-pair ring capacity: `8192 / n` slots, clamped and rounded up to a
+/// power of two, so the n² mesh stays affordable (n=2 → 4096 slots, n=128 →
+/// 64).
 fn scaled_ring_capacity(n: usize) -> usize {
     (8192 / n).clamp(32, 4096).next_power_of_two()
 }
@@ -311,7 +302,7 @@ impl RingFabric {
     /// has no identity beyond its endpoints.)
     #[allow(clippy::new_ret_no_self)]
     pub fn new(n: usize) -> Vec<RingEndpoint> {
-        Self::with_capacity(n, default_ring_capacity(n))
+        Self::with_capacity(n, scaled_ring_capacity(n))
     }
 
     /// Create `n` endpoints whose per-pair rings hold `capacity` envelopes

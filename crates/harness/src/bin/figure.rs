@@ -36,7 +36,7 @@ use prema_sim::TraceSink;
 const TRACE_RING_CAPACITY: usize = 1 << 18;
 
 /// One scenario's table: a row per policy.
-fn scenario(policies: [PolicyKind; 5], run: impl Fn(PolicyKind) -> PolicyRun) {
+fn scenario(policies: [PolicyKind; 4], run: impl Fn(PolicyKind) -> PolicyRun) {
     println!("policy         remote-notes  migrations  makespan");
     for policy in policies {
         let out = run(policy);

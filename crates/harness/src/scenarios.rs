@@ -7,9 +7,9 @@
 //!   what it spreads decides how many of their messages cross ranks
 //!   afterwards (metric: **remote notes**).
 //! * **wave** — work arrives at one rank in escalating waves
-//!   ([`simrank::Arrival`]). A reactive policy waits for each wave's
-//!   imbalance to clear its threshold; an anticipatory one sees the trend in
-//!   its weight history and sheds early (metric: **makespan**).
+//!   ([`simrank::Arrival`]). A diffusive policy waits for each wave's
+//!   imbalance to clear its threshold; a begging one waits for a hungry
+//!   rank to hear of the wave (metric: **makespan**).
 //!
 //! An object runs its tasks one at a time: the task handler posts the
 //! object's next task to the object itself, hinted at one task's cost, so
@@ -102,7 +102,7 @@ fn preset(procs: usize, policy: PolicyKind) -> PremaConfig {
 /// one task's hint, where the begging policies draw their water-marks
 /// (`implicit_cfg`'s choice for the figures); `threshold` is the diffusive
 /// policies' hysteresis and the gradient model's overload mark.
-pub fn shipped_policies(task: f64, threshold: f64) -> [PolicyKind; 5] {
+pub fn shipped_policies(task: f64, threshold: f64) -> [PolicyKind; 4] {
     [
         PolicyKind::WorkStealing { watermark: task },
         PolicyKind::Diffusion { threshold },
@@ -111,7 +111,6 @@ pub fn shipped_policies(task: f64, threshold: f64) -> [PolicyKind; 5] {
             low_weight: task,
             high_weight: threshold,
         },
-        PolicyKind::AnticipatoryDiffusion { threshold },
     ]
 }
 

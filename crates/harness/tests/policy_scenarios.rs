@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use prema::{PolicyKind, PremaConfig};
 use prema_harness::drivers::{callback_cpu, sched_cpu};
-use prema_harness::scenarios::{run_interact, run_wave, InteractCfg, WaveCfg};
+use prema_harness::scenarios::{run_interact, run_wave, shipped_policies, InteractCfg, WaveCfg};
 use prema_harness::simrank::{self, mflop_payload, Arrival, StackRun};
 use prema_mol::{Migratable, MAX_CHAIN};
 use prema_sim::{Category, MachineConfig, SimTime};
@@ -57,29 +57,20 @@ fn interact_under_diffusion_spreads_conserves_and_repeats() {
     assert_eq!(a.events, b.events);
 }
 
-/// (b) `wave`: the forecast sheds each wave before its imbalance has cleared
-/// the threshold that plain diffusion waits for.
+/// (b) `wave`: every shipped policy runs every task the waves bring, and
+/// each run executes exactly the units it was given.
 #[test]
-fn anticipatory_beats_reactive_diffusion_on_the_wave() {
+fn every_shipped_policy_executes_every_wave_task() {
     let cfg = WaveCfg::default();
-    let threshold = 12.0 * cfg.task_mflop;
-    let reactive = run_wave(&cfg, PolicyKind::Diffusion { threshold });
-    let ant = run_wave(&cfg, PolicyKind::AnticipatoryDiffusion { threshold });
-    eprintln!(
-        "wave: reactive makespan {} ({} migrations), anticipatory makespan {} ({} migrations)",
-        reactive.stack.report.makespan,
-        reactive.migrations(),
-        ant.stack.report.makespan,
-        ant.migrations(),
-    );
-    assert_eq!(executed(&reactive.stack), reactive.units);
-    assert_eq!(executed(&ant.stack), ant.units);
-    assert!(
-        ant.stack.report.makespan < reactive.stack.report.makespan,
-        "anticipatory {} not better than reactive {}",
-        ant.stack.report.makespan,
-        reactive.stack.report.makespan
-    );
+    for policy in shipped_policies(cfg.task_mflop, 12.0 * cfg.task_mflop) {
+        let run = run_wave(&cfg, policy);
+        eprintln!(
+            "wave under {policy:?}: makespan {} ({} migrations)",
+            run.stack.report.makespan,
+            run.migrations(),
+        );
+        assert_eq!(executed(&run.stack), run.units, "{policy:?}");
+    }
 }
 
 // (c) The arrival hook alone: one rank, nobody to balance with.

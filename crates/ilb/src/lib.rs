@@ -17,9 +17,6 @@
 //! * [`stability`] — the migration stability governor (DESIGN.md §14):
 //!   per-object minimum residency, a per-rank migration-rate cap, and grant
 //!   hysteresis, enforced at the mechanism layer so every policy benefits.
-//! * [`forecast`] — weight-history rings (EWMA + linear trend) whose
-//!   [`Forecast`]s the scheduler feeds to policies for anticipatory
-//!   balancing.
 //!
 //! Explicit vs. implicit invocation (§4.1/§4.2) is composed one level up, in
 //! the `prema` facade: explicit mode calls [`Scheduler::poll`] only from
@@ -28,15 +25,13 @@
 
 #![warn(missing_docs)]
 
-pub mod forecast;
 pub mod policy;
 pub mod scheduler;
 pub mod stability;
 
-pub use forecast::{Forecast, WeightHistory};
 pub use policy::{
-    diffusion_neighborhood, pair_partner, Anticipatory, Diffusion, Gradient, LbPolicy, LoadMap,
-    LoadSnapshot, Multilist, WorkStealing,
+    diffusion_neighborhood, pair_partner, Diffusion, Gradient, LbPolicy, LoadMap, LoadSnapshot,
+    Multilist, WorkStealing,
 };
 pub use scheduler::{
     Execution, HandlerCtx, SchedStats, Scheduler, WorkHandler, NODE_HANDLER_LIMIT,

@@ -12,7 +12,6 @@
 //! objects drive both the real threaded runtime and the discrete-event
 //! evaluation harness.
 
-use crate::forecast::Forecast;
 use prema_dcs::{FxHashMap, Rank};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -64,21 +63,6 @@ pub trait LbPolicy: Send {
     /// policies implement this; the default pushes nothing.
     fn flows(&self, _me: Rank, _local: &LoadSnapshot, _known: &LoadMap) -> Vec<(Rank, f64)> {
         Vec::new()
-    }
-
-    /// Mechanism feedback hook: the scheduler samples its local load into a
-    /// weight-history ring every evaluation tick and, for a policy whose
-    /// [`LbPolicy::uses_forecast`] says so, reports the resulting
-    /// [`Forecast`] here before asking for flows or begging decisions.
-    /// Anticipatory policies cache it; the default ignores it.
-    fn note_forecast(&mut self, _tick: u64, _local: &LoadSnapshot, _forecast: &Forecast) {}
-
-    /// Whether this policy consumes the [`Forecast`]. When `false` (the
-    /// default) the scheduler skips the trend fit and never calls
-    /// [`LbPolicy::note_forecast`] — it evaluates twice per work unit, and
-    /// the fit is the costliest thing in an evaluation that moves nothing.
-    fn uses_forecast(&self) -> bool {
-        false
     }
 }
 
@@ -456,89 +440,6 @@ impl LbPolicy for Gradient {
     }
 }
 
-/// **Anticipatory balancing** (Boulmier et al., PAPERS.md): a wrapper that
-/// feeds any inner policy a *forecast-adjusted* view of the local load. When
-/// the scheduler's weight-history trend predicts the queue growing, the
-/// inner policy sees `max(current, predicted)` weight and starts shedding
-/// work during the ramp — before the imbalance materializes — instead of
-/// reacting to it; symmetrically, a queue trending toward empty begs early.
-/// With a flat history the adjusted view equals the current one and the
-/// wrapper is transparent.
-pub struct Anticipatory {
-    inner: Box<dyn LbPolicy>,
-    latest: Forecast,
-}
-
-impl Anticipatory {
-    /// Wrap `inner` with forecast-adjusted load views.
-    pub fn new(inner: Box<dyn LbPolicy>) -> Self {
-        Anticipatory {
-            inner,
-            latest: Forecast::default(),
-        }
-    }
-
-    /// The most recent forecast the scheduler reported.
-    pub fn latest(&self) -> Forecast {
-        self.latest
-    }
-
-    /// Local load as the inner policy should see it: the heavier of now and
-    /// the predicted near future (trends need two samples to be trusted).
-    fn adjusted(&self, local: &LoadSnapshot) -> LoadSnapshot {
-        let mut adj = *local;
-        if self.latest.samples >= 2 && self.latest.predicted > adj.weight {
-            adj.weight = self.latest.predicted;
-        }
-        adj
-    }
-}
-
-impl LbPolicy for Anticipatory {
-    fn name(&self) -> &'static str {
-        "anticipatory"
-    }
-
-    fn neighborhood(&self, me: Rank, nprocs: usize) -> Vec<Rank> {
-        self.inner.neighborhood(me, nprocs)
-    }
-
-    fn is_underloaded(&self, local: &LoadSnapshot) -> bool {
-        // Beg early when the trend says we run dry within the horizon.
-        let draining = self.latest.samples >= 2 && self.latest.predicted <= 0.0 && local.units > 0;
-        self.inner.is_underloaded(local) || draining
-    }
-
-    fn choose_victim(
-        &mut self,
-        me: Rank,
-        nprocs: usize,
-        known: &LoadMap,
-        attempt: u32,
-    ) -> Option<Rank> {
-        self.inner.choose_victim(me, nprocs, known, attempt)
-    }
-
-    fn grant_units(&self, local: &LoadSnapshot, requester: &LoadSnapshot) -> usize {
-        // A rank ramping up sheds eagerly: the inner policy judges the
-        // requester against the predicted (heavier) local load.
-        self.inner.grant_units(&self.adjusted(local), requester)
-    }
-
-    fn flows(&self, me: Rank, local: &LoadSnapshot, known: &LoadMap) -> Vec<(Rank, f64)> {
-        self.inner.flows(me, &self.adjusted(local), known)
-    }
-
-    fn note_forecast(&mut self, tick: u64, local: &LoadSnapshot, forecast: &Forecast) {
-        self.latest = *forecast;
-        self.inner.note_forecast(tick, local, forecast);
-    }
-
-    fn uses_forecast(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,77 +641,6 @@ mod tests {
         // Equal weight refuses (no gap to close), as does a bare queue.
         assert_eq!(d.grant_units(&snap(4, 4.0), &snap(2, 4.0)), 0);
         assert_eq!(d.grant_units(&snap(1, 9.0), &snap(0, 0.0)), 0);
-    }
-
-    #[test]
-    fn anticipatory_is_transparent_on_a_flat_history() {
-        use crate::forecast::WeightHistory;
-        let mut a = Anticipatory::new(Box::new(Diffusion::new(0.5)));
-        let mut h = WeightHistory::new(8, 0.5);
-        let local = snap(4, 4.0);
-        for t in 0..6u64 {
-            h.record(t, local.weight);
-            let f = h.forecast(8);
-            a.note_forecast(t, &local, &f);
-        }
-        let mut known = LoadMap::default();
-        known.insert(1, snap(2, 2.0));
-        let plain = Diffusion::new(0.5).flows(0, &local, &known);
-        assert_eq!(a.flows(0, &local, &known), plain);
-        assert_eq!(a.name(), "anticipatory");
-        assert!(!a.is_underloaded(&local));
-    }
-
-    #[test]
-    fn anticipatory_sheds_during_a_ramp_before_imbalance_materializes() {
-        use crate::forecast::WeightHistory;
-        let mut a = Anticipatory::new(Box::new(Diffusion::new(2.0)));
-        let mut h = WeightHistory::new(8, 0.5);
-        // Local load climbing 1.0/tick; neighbor flat at the same level.
-        let mut local = snap(3, 3.0);
-        for t in 0..6u64 {
-            local.weight = 3.0 + t as f64;
-            local.units = local.weight as usize;
-            h.record(t, local.weight);
-            let f = h.forecast(8);
-            a.note_forecast(t, &local, &f);
-        }
-        let mut known = LoadMap::default();
-        known.insert(1, snap(8, 8.0)); // equal to current local weight
-        assert!(
-            Diffusion::new(2.0).flows(0, &local, &known).is_empty(),
-            "reactive diffusion sees no imbalance yet"
-        );
-        let flows = a.flows(0, &local, &known);
-        assert_eq!(flows.len(), 1, "anticipatory acts on the predicted gap");
-        assert_eq!(flows[0].0, 1);
-        // Grants shed eagerly too: reactive diffusion refuses this requester
-        // (the current gap is under the threshold), anticipatory grants.
-        assert_eq!(Diffusion::new(2.0).grant_units(&local, &snap(2, 7.0)), 0);
-        assert!(a.grant_units(&local, &snap(2, 7.0)) > 0);
-    }
-
-    #[test]
-    fn anticipatory_begs_early_when_draining() {
-        use crate::forecast::Forecast;
-        let mut a = Anticipatory::new(Box::new(WorkStealing::new(1.0, 9)));
-        let local = snap(3, 6.0); // well above the inner watermark
-        assert!(!a.is_underloaded(&local));
-        a.note_forecast(
-            5,
-            &local,
-            &Forecast {
-                ewma: 6.0,
-                slope: -2.0,
-                predicted: -1.0,
-                horizon: 4,
-                samples: 5,
-            },
-        );
-        assert!(
-            a.is_underloaded(&local),
-            "trend says the queue runs dry within the horizon"
-        );
     }
 
     #[test]

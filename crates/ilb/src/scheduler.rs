@@ -12,7 +12,6 @@
 //! reads no clock of its own: the one it is handed ([`Scheduler::set_clock`])
 //! paces the polling operation ([`Scheduler::poll_due`]).
 
-use crate::forecast::WeightHistory;
 use crate::policy::{LbPolicy, LoadMap, LoadSnapshot};
 use crate::stability::{Governor, StabilityConfig, VetoKind};
 use bytes::Bytes;
@@ -34,11 +33,6 @@ pub const NODE_HANDLER_LIMIT: u32 = 0xFFFF_F000;
 /// before that neighbour is told again, as a fraction of the told weight (see
 /// [`status_due`]).
 const STATUS_DRIFT: f64 = 0.125;
-
-/// How many polls ahead the local load forecast extrapolates: the horizon of
-/// the [`Forecast`](crate::forecast::Forecast) handed to
-/// [`LbPolicy::note_forecast`].
-const FORECAST_HORIZON: u64 = 32;
 
 /// Whether an `LB_STATUS` is due to one neighbour (DESIGN.md §18): `told` is
 /// what it was last told (`None`: nothing yet, or nothing since an object
@@ -196,7 +190,7 @@ pub struct Scheduler<O: Migratable> {
     executing_weight: f64,
     stats: SchedStats,
     lb_enabled: bool,
-    /// Monotone poll counter: the governor's and forecaster's clock (never
+    /// Monotone poll counter: the governor's clock (never
     /// wall time — polls keep the scheduler deterministic).
     polls: u64,
     /// The time this scheduler is handed (see [`Scheduler::set_clock`]).
@@ -206,8 +200,6 @@ pub struct Scheduler<O: Migratable> {
     last_poll: Option<std::time::Duration>,
     /// Migration stability governor (DESIGN.md §14).
     governor: Governor,
-    /// Local weight-history ring feeding `LbPolicy::note_forecast`.
-    history: WeightHistory,
     /// `policy.neighborhood(rank, nprocs)`, fixed for the run, each rank with
     /// the load snapshot last published to it: `None` until the first, and
     /// again when an object arrived from it or a flow shipped one to it. A
@@ -246,7 +238,6 @@ impl<O: Migratable> Scheduler<O> {
             clock: Clock::manual(),
             last_poll: None,
             governor: Governor::new(StabilityConfig::default()),
-            history: WeightHistory::new(32, 0.25),
             neighborhood,
             spare_outgoing: Vec::new(),
             tracer: Tracer::off(),
@@ -857,29 +848,6 @@ impl<O: Migratable> Scheduler<O> {
         let local = self.local_load();
         let me = self.rank();
         let n = self.nprocs();
-
-        // Sample the weight history; a policy that uses the forecast gets it
-        // before any decision this evaluation makes (anticipatory policies
-        // cache it). Sampled at the poll tick, one sample per evaluation:
-        // every evaluation is a poll of its own. The trend
-        // fit is two passes over the ring, so it runs only for a consumer:
-        // such a policy, or the sampled trace event when tracing records.
-        self.history.record(self.polls, local.weight);
-        if self.policy.uses_forecast() {
-            let fc = self.history.forecast(FORECAST_HORIZON);
-            self.policy.note_forecast(self.polls, &local, &fc);
-        }
-        if self.polls.is_multiple_of(64) {
-            let history = &self.history;
-            self.tracer.emit(|| {
-                let fc = history.forecast(FORECAST_HORIZON);
-                TraceEvent::LbForecast {
-                    weight_milli: (local.weight * 1000.0) as u64,
-                    predicted_milli: (fc.predicted.max(0.0) * 1000.0) as u64,
-                    rising: fc.rising(1e-9),
-                }
-            });
-        }
 
         // Publish status to the neighbours it is due to.
         for (nb, told) in &mut self.neighborhood {

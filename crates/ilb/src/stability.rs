@@ -72,22 +72,6 @@ impl StabilityConfig {
             hysteresis_band: -1.0,
         }
     }
-
-    /// This configuration with the `PREMA_MIN_RESIDENCY` (polls) and
-    /// `PREMA_MIGRATION_CAP` (objects per window) environment knobs applied
-    /// on top, when set and parseable. Unset values leave the corresponding
-    /// field unchanged; malformed values warn once (via
-    /// [`prema_dcs::env`]) and also leave it unchanged.
-    pub fn from_env(self) -> Self {
-        let mut cfg = self;
-        if let Some(v) = prema_dcs::env::u64_var("PREMA_MIN_RESIDENCY") {
-            cfg.min_residency_polls = v;
-        }
-        if let Some(v) = prema_dcs::env::u32_var("PREMA_MIGRATION_CAP") {
-            cfg.migration_cap = v;
-        }
-        cfg
-    }
 }
 
 /// Why the governor vetoed a migration or a grant; carried in the
@@ -293,24 +277,5 @@ mod tests {
         // A negative band disables the check even for equal loads.
         let off = Governor::new(StabilityConfig::off());
         assert!(off.hysteresis_ok(3.0, 3.0));
-    }
-
-    #[test]
-    fn env_overrides_apply_when_set() {
-        // Process-global env: use names no other test touches.
-        std::env::set_var("PREMA_MIN_RESIDENCY", "42");
-        std::env::set_var("PREMA_MIGRATION_CAP", "7");
-        let cfg = StabilityConfig::default().from_env();
-        assert_eq!(cfg.min_residency_polls, 42);
-        assert_eq!(cfg.migration_cap, 7);
-        std::env::set_var("PREMA_MIN_RESIDENCY", "not-a-number");
-        let cfg2 = StabilityConfig::default().from_env();
-        assert_eq!(
-            cfg2.min_residency_polls,
-            StabilityConfig::default().min_residency_polls,
-            "malformed values fall back to the configured default"
-        );
-        std::env::remove_var("PREMA_MIN_RESIDENCY");
-        std::env::remove_var("PREMA_MIGRATION_CAP");
     }
 }

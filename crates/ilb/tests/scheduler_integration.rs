@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric, Tag, WireWriter};
-use prema_ilb::{Anticipatory, Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing};
+use prema_ilb::{Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing};
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -521,8 +521,6 @@ fn a_diffusive_flow_stops_at_the_balance_point() {
     // reporting once an object has moved: without that the sender pushes the
     // same flow again on every poll, past the balance point, and with the
     // governor off the two ranks trade the surplus back and forth.
-    // (`Anticipatory(Diffusion)` sizes its flows on a trend and echoes: the
-    // two tests below are its own.)
     let mk: &dyn Fn() -> Box<dyn LbPolicy> = &|| Box::new(Diffusion::new(0.5));
     // Poll-only as before, then with the polling thread's passes in between,
     // governor off and on: an evaluation more or a window less must not move
@@ -584,64 +582,6 @@ fn a_diffusive_flow_stops_at_the_balance_point() {
             executed[0].abs_diff(executed[1]) <= 2,
             "{name} {units:?}: executed {executed:?}"
         );
-    }
-}
-
-#[test]
-fn an_anticipatory_flow_settles_as_it_did_with_a_status_per_change() {
-    // `Anticipatory(Diffusion)` reads a trend into every arrival and pushes
-    // some of it back; when nobody executes, the echo is paced by the
-    // governor's rate cap alone and dies only when both ranks happen to land
-    // level at a window's start. That makes it the policy most sensitive to
-    // what each rank knows of the other. Told at both ends of every shipment
-    // it moves what it moved when every change was reported (the counts
-    // below are the parent commit's); told less, it cycles at the cap.
-    let mk: &dyn Fn() -> Box<dyn LbPolicy> =
-        &|| Box::new(Anticipatory::new(Box::new(Diffusion::new(0.5))));
-    for (units, parent_moves) in [
-        ([1000, 900], [143, 93]),
-        ([120, 100], [95, 85]),
-        ([200, 100], [143, 93]),
-        ([64, 0], [111, 79]),
-    ] {
-        let mut scheds = unequal_pair(mk, units, StabilityConfig::default());
-        for _ in 0..4096 {
-            for s in scheds.iter_mut() {
-                s.poll();
-            }
-        }
-        let even = (units[0] + units[1]) / 2;
-        assert_eq!(scheds[0].node().ready_len(), even, "{units:?}");
-        assert_eq!(scheds[1].node().ready_len(), even, "{units:?}");
-        let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
-        assert!(
-            moved[0] <= parent_moves[0] && moved[1] <= parent_moves[1],
-            "{units:?}: moved {moved:?}, a status per change moved {parent_moves:?}"
-        );
-    }
-}
-
-#[test]
-fn a_ticked_anticipatory_flow_still_ends_level() {
-    // The same echo with the polling thread waking in between. It is paced
-    // by the rate window alone, every pass of the poller ends a window, so a
-    // ticked run buys more of it: 1000 / 900 moves 304 + 254 objects before
-    // it dies against the 143 + 93 above (DESIGN.md §19 has the table). What
-    // must not change is where it dies: on level loads.
-    let mk: &dyn Fn() -> Box<dyn LbPolicy> =
-        &|| Box::new(Anticipatory::new(Box::new(Diffusion::new(0.5))));
-    for units in [[1000, 900], [120, 100], [200, 100], [64, 0]] {
-        let mut poller = Poller::seeded();
-        let mut scheds = unequal_pair(mk, units, StabilityConfig::default());
-        for _ in 0..4096 {
-            for s in scheds.iter_mut() {
-                poller.poll(s);
-            }
-        }
-        let even = (units[0] + units[1]) / 2;
-        let moved = [scheds[0].stats().granted, scheds[1].stats().granted];
-        assert_eq!(scheds[0].node().ready_len(), even, "{units:?} {moved:?}");
-        assert_eq!(scheds[1].node().ready_len(), even, "{units:?} {moved:?}");
     }
 }
 
@@ -814,57 +754,53 @@ fn a_displaced_object_goes_home_before_any_native_is_touched() {
 
 #[test]
 fn a_flow_takes_the_same_objects_whatever_policy_sized_it() {
-    // The candidate order does not depend on who sized the flow.
-    let policies: [&dyn Fn() -> Box<dyn LbPolicy>; 2] =
-        [&|| Box::new(Diffusion::new(0.5)), &|| {
-            Box::new(Anticipatory::new(Box::new(Diffusion::new(0.5))))
-        }];
-    for mk in policies {
-        let mut scheds = machine(2, |_| mk());
-        for s in scheds.iter_mut() {
-            s.set_stability(StabilityConfig::off());
-            s.set_lb_enabled(false);
-        }
-        // Three objects of rank 1's that heard 3, 2 and 1 messages there and
-        // were then moved to rank 0.
-        let displaced: Vec<MobilePtr> = [3, 2, 1]
-            .into_iter()
-            .map(|n| {
-                let ptr = scheds[1].node_mut().register(Counter { value: 0 });
-                post(&mut scheds[1], ptr, n);
-                assert!(scheds[1].node_mut().migrate(ptr, 0));
-                ptr
-            })
-            .collect();
-        // Six natives of rank 0 with 5 messages of its own each. The first
-        // has also heard 4 from rank 1, more than any guest — but fewer than
-        // from here, so it is no guest.
-        let natives: Vec<MobilePtr> = (0..6)
-            .map(|_| {
-                let ptr = scheds[0].node_mut().register(Counter { value: 0 });
-                post(&mut scheds[0], ptr, 5);
-                ptr
-            })
-            .collect();
-        post(&mut scheds[1], natives[0], 4);
-        scheds[1].poll();
-        scheds[0].poll();
-        assert_eq!(scheds[0].local_load().units, 6 + 30 + 4);
-
-        // 40 units against none: the flow is 20. The guests fit (6), then
-        // the second class by weight: the native of 9, and one of 5.
-        for s in scheds.iter_mut() {
-            s.set_lb_enabled(true);
-        }
-        scheds[1].poll();
-        scheds[0].poll();
-        let shipped = arrivals(&mut scheds[1]);
-        let name = mk().name();
-        assert_eq!(shipped[..3], displaced[..], "{name}");
-        assert_eq!(shipped[3..], natives[..2], "{name}");
-        let stats = scheds[0].stats();
-        assert_eq!((stats.granted, stats.granted_affine), (5, 3), "{name}");
+    // The candidate order does not depend on who sized the flow (`Diffusion`
+    // is the one shipped policy that sizes flows).
+    let mk = || -> Box<dyn LbPolicy> { Box::new(Diffusion::new(0.5)) };
+    let mut scheds = machine(2, |_| mk());
+    for s in scheds.iter_mut() {
+        s.set_stability(StabilityConfig::off());
+        s.set_lb_enabled(false);
     }
+    // Three objects of rank 1's that heard 3, 2 and 1 messages there and
+    // were then moved to rank 0.
+    let displaced: Vec<MobilePtr> = [3, 2, 1]
+        .into_iter()
+        .map(|n| {
+            let ptr = scheds[1].node_mut().register(Counter { value: 0 });
+            post(&mut scheds[1], ptr, n);
+            assert!(scheds[1].node_mut().migrate(ptr, 0));
+            ptr
+        })
+        .collect();
+    // Six natives of rank 0 with 5 messages of its own each. The first
+    // has also heard 4 from rank 1, more than any guest — but fewer than
+    // from here, so it is no guest.
+    let natives: Vec<MobilePtr> = (0..6)
+        .map(|_| {
+            let ptr = scheds[0].node_mut().register(Counter { value: 0 });
+            post(&mut scheds[0], ptr, 5);
+            ptr
+        })
+        .collect();
+    post(&mut scheds[1], natives[0], 4);
+    scheds[1].poll();
+    scheds[0].poll();
+    assert_eq!(scheds[0].local_load().units, 6 + 30 + 4);
+
+    // 40 units against none: the flow is 20. The guests fit (6), then
+    // the second class by weight: the native of 9, and one of 5.
+    for s in scheds.iter_mut() {
+        s.set_lb_enabled(true);
+    }
+    scheds[1].poll();
+    scheds[0].poll();
+    let shipped = arrivals(&mut scheds[1]);
+    let name = mk().name();
+    assert_eq!(shipped[..3], displaced[..], "{name}");
+    assert_eq!(shipped[3..], natives[..2], "{name}");
+    let stats = scheds[0].stats();
+    assert_eq!((stats.granted, stats.granted_affine), (5, 3), "{name}");
 }
 
 proptest! {

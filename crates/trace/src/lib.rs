@@ -215,17 +215,6 @@ pub enum TraceEvent {
         /// 1 = minimum residency, 2 = migration-rate cap.
         kind: u32,
     },
-    /// Periodic sample of the scheduler's local-load forecast (every 64th
-    /// poll): the weight-history trend extrapolated one horizon ahead.
-    LbForecast {
-        /// Current local weight, in milli-weight units.
-        weight_milli: u64,
-        /// Predicted weight one horizon ahead, clamped at zero, in
-        /// milli-weight units.
-        predicted_milli: u64,
-        /// Whether the fitted trend is rising.
-        rising: bool,
-    },
     /// A message was dropped rather than delivered. Emitted by any layer
     /// that discards traffic: the chaos transport (injected loss or a
     /// partitioned pair), a send into a torn-down rank's inbox, a MOL node
@@ -293,7 +282,6 @@ impl TraceEvent {
             TraceEvent::LbNackSent { .. } => "lb_nack_sent",
             TraceEvent::LbNackRecv { .. } => "lb_nack_recv",
             TraceEvent::LbVeto { .. } => "lb_veto",
-            TraceEvent::LbForecast { .. } => "lb_forecast",
             TraceEvent::DcsDropped { .. } => "dcs_dropped",
             TraceEvent::DcsRetry { .. } => "dcs_retry",
             TraceEvent::DcsDuplicate { .. } => "dcs_duplicate",
@@ -402,16 +390,6 @@ impl TraceEvent {
             }
             TraceEvent::LbVeto { peer, kind } => {
                 let _ = write!(out, ",\"peer\":{peer},\"kind\":{kind}");
-            }
-            TraceEvent::LbForecast {
-                weight_milli,
-                predicted_milli,
-                rising,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"weight_milli\":{weight_milli},\"predicted_milli\":{predicted_milli},\"rising\":{rising}"
-                );
             }
             TraceEvent::DcsDropped { peer, handler }
             | TraceEvent::DcsDuplicate { peer, handler } => {
@@ -923,20 +901,6 @@ mod tests {
         assert_eq!(
             veto.to_jsonl(),
             "{\"rank\":1,\"seq\":0,\"t\":4,\"ev\":\"lb_veto\",\"peer\":3,\"kind\":1}"
-        );
-        let fc = Record {
-            rank: 0,
-            seq: 1,
-            t: 5,
-            ev: TraceEvent::LbForecast {
-                weight_milli: 1500,
-                predicted_milli: 2750,
-                rising: true,
-            },
-        };
-        assert_eq!(
-            fc.to_jsonl(),
-            "{\"rank\":0,\"seq\":1,\"t\":5,\"ev\":\"lb_forecast\",\"weight_milli\":1500,\"predicted_milli\":2750,\"rising\":true}"
         );
     }
 

@@ -602,3 +602,56 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     out.sort();
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `PREMA_[A-Z0-9_]+` name inside a string literal of `text`.
+    fn knob_names(text: &str) -> impl Iterator<Item = &str> {
+        text.match_indices("PREMA_").map(move |(at, _)| {
+            let len = text[at..]
+                .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(text.len() - at);
+            text[at..at + len].trim_end_matches('_')
+        })
+    }
+
+    /// README's environment-knob table lists exactly the `PREMA_*` names in
+    /// the string literals of non-test `crates/*/src` code: a knob cannot be
+    /// added, or left behind after its reader goes, without a visible diff.
+    #[test]
+    fn readme_knob_table_matches_the_source() {
+        let root = workspace_root();
+        let mut in_code = BTreeSet::new();
+        for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+            for path in rust_files(&krate.expect("readable entry").path().join("src")) {
+                let text = std::fs::read_to_string(&path).expect("readable source");
+                let sf = SourceFile::parse(&path.to_string_lossy(), &text);
+                for tok in sf.tokens.iter().filter(|t| !sf.line_is_test(t.line)) {
+                    if let Some(lit) = tok.str_content() {
+                        in_code.extend(knob_names(lit).map(str::to_string));
+                    }
+                }
+            }
+        }
+        let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+        let table = readme
+            .split("### Environment knobs")
+            .nth(1)
+            .expect("README has an `Environment knobs` section");
+        let in_readme: BTreeSet<String> = table
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|row| row.split('|').nth(1))
+            .flat_map(knob_names)
+            .map(str::to_string)
+            .collect();
+        assert!(
+            !in_code.is_empty(),
+            "no PREMA_* literal found under crates/*/src"
+        );
+        assert_eq!(in_readme, in_code, "README knob table vs the source");
+    }
+}

@@ -581,8 +581,7 @@ const VETO_LABELS: [&str; 3] = ["hysteresis", "residency", "rate-cap"];
 ///   because they had heard more from the requester than from their donor;
 /// * `lb_veto` — migrations the governor refused, by kind; kind 1 is a
 ///   residency violation averted (the object had not yet served its
-///   minimum residency when a policy tried to move it again);
-/// * `lb_forecast` — the anticipatory sampler's periodic load predictions.
+///   minimum residency when a policy tried to move it again.
 fn render_migration_churn(recs: &[Rec]) -> String {
     let mut s = String::from("== Migration churn ==\n");
     let mut per_obj: BTreeMap<(u64, u64), u64> = BTreeMap::new();
@@ -642,39 +641,6 @@ fn render_migration_churn(recs: &[Rec]) -> String {
         for (p, v) in vetoes.iter().enumerate() {
             if v.iter().sum::<u64>() > 0 {
                 let _ = writeln!(s, "{p:>5} {:>11} {:>10} {:>9}", v[0], v[1], v[2]);
-            }
-        }
-    }
-    // Forecast stream: per-rank sample count, how often the trend pointed
-    // up, and the last weight -> prediction pair (in load units).
-    let mut fc = vec![(0u64, 0u64, 0u64, 0u64); nprocs];
-    for r in recs.iter().filter(|r| r.ev == "lb_forecast") {
-        let f = &mut fc[r.rank];
-        f.0 += 1;
-        if r.fields.get("rising").map(String::as_str) == Some("true") {
-            f.1 += 1;
-        }
-        f.2 = r.u64("weight_milli").unwrap_or(0);
-        f.3 = r.u64("predicted_milli").unwrap_or(0);
-    }
-    if fc.iter().map(|f| f.0).sum::<u64>() == 0 {
-        s.push_str("(no forecasts)\n");
-    } else {
-        let _ = writeln!(
-            s,
-            "{:>5} {:>9} {:>7} {:>11} {:>11}",
-            "proc", "forecasts", "rising", "last-load", "last-pred"
-        );
-        for (p, f) in fc.iter().enumerate() {
-            if f.0 > 0 {
-                let _ = writeln!(
-                    s,
-                    "{p:>5} {:>9} {:>7} {:>11.3} {:>11.3}",
-                    f.0,
-                    f.1,
-                    f.2 as f64 / 1e3,
-                    f.3 as f64 / 1e3
-                );
             }
         }
     }
@@ -739,8 +705,6 @@ mod tests {
 {"rank":0,"seq":13,"t":106,"ev":"lb_veto","peer":1,"kind":1}
 {"rank":0,"seq":14,"t":107,"ev":"lb_veto","peer":1,"kind":1}
 {"rank":0,"seq":15,"t":108,"ev":"lb_veto","peer":1,"kind":2}
-{"rank":1,"seq":16,"t":109,"ev":"lb_forecast","weight_milli":1500,"predicted_milli":2750,"rising":true}
-{"rank":1,"seq":17,"t":110,"ev":"lb_forecast","weight_milli":2750,"predicted_milli":2600,"rising":false}
 {"rank":0,"seq":16,"t":111,"ev":"loc_cache_hit","home":0,"index":7,"owner":1}
 {"rank":0,"seq":17,"t":112,"ev":"loc_cache_hit","home":0,"index":7,"owner":1}
 {"rank":0,"seq":18,"t":113,"ev":"loc_cache_miss","home":0,"index":8,"shard":2}
@@ -751,7 +715,7 @@ mod tests {
     #[test]
     fn parses_every_line_of_a_real_dump() {
         let recs = parse_dump(DUMP).expect("dump parses");
-        assert_eq!(recs.len(), 38);
+        assert_eq!(recs.len(), 36);
         assert_eq!(recs[0].ev, "span");
         assert_eq!(recs[0].u64("dur"), Some(2_000_000_000));
     }
@@ -885,7 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn migration_churn_folds_moves_vetoes_and_forecasts() {
+    fn migration_churn_folds_moves_and_vetoes() {
         let recs = parse_dump(DUMP).expect("dump parses");
         let out = render_migration_churn(&recs);
         // One object (0:7) moved once.
@@ -901,11 +865,6 @@ mod tests {
             out.contains("    0           1          2         1"),
             "{out}"
         );
-        // Rank 1 forecasts: 2 samples, 1 rising, last pair 2.75 -> 2.60.
-        assert!(
-            out.contains("    1         2       1       2.750       2.600"),
-            "{out}"
-        );
     }
 
     #[test]
@@ -915,7 +874,6 @@ mod tests {
         let out = render_migration_churn(&recs);
         assert!(out.contains("(no migrations)"), "{out}");
         assert!(out.contains("(no governor vetoes)"), "{out}");
-        assert!(out.contains("(no forecasts)"), "{out}");
     }
 
     #[test]
