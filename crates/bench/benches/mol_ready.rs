@@ -17,10 +17,13 @@
 //!   leaves for the other rank and returns: O(its own queue), whatever
 //!   everyone else has queued (it used to rotate the whole queue, twice).
 //!
-//! [`assert_flat_in_depth`] *asserts* the two O(1) claims instead of just
+//! [`assert_flat_in_depth`] *asserts* the O(1) claims instead of just
 //! printing them — per-operation time at depth 32768 within 3× of depth 64
-//! for `local_load` and `migrate_out_and_back` (the scans were ~500× apart)
-//! — and runs under `cargo bench --bench mol_ready -- --test`, CI's smoke.
+//! for `local_load` and `migrate_out_and_back` (the scans were ~500× apart),
+//! and the mean cost of shedding half of a queue's objects, one migration
+//! at a time (`shed_half`: 8 messages an object, the compactions and
+//! shrinks the departures trigger included), within 3× of depth 4096 — and
+//! runs under `cargo bench --bench mol_ready -- --test`, CI's smoke.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -28,7 +31,7 @@ use prema_dcs::{Communicator, LocalFabric};
 use prema_ilb::{Scheduler, WorkStealing};
 use prema_mol::{Migratable, MobilePtr, MolConfig, MolNode};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const OBJECTS: usize = 512;
 const DEPTHS: [usize; 3] = [64, 4096, 32768];
@@ -56,6 +59,25 @@ struct Machine {
 
 impl Machine {
     fn new(depth: usize) -> Machine {
+        Machine::build(OBJECTS, depth, |i| {
+            if i < MOVER_PENDING {
+                0
+            } else {
+                1 + i % (OBJECTS - 1)
+            }
+        })
+    }
+
+    /// `depth / MOVER_PENDING` objects with [`MOVER_PENDING`] messages each,
+    /// dealt round-robin.
+    fn even(depth: usize) -> Machine {
+        let objects = depth / MOVER_PENDING;
+        Machine::build(objects, depth, |i| i % objects)
+    }
+
+    /// `objects` objects on rank 0; message `i` of `depth` goes to object
+    /// `target(i)`.
+    fn build(objects: usize, depth: usize, target: impl Fn(usize) -> usize) -> Machine {
         let mut ranks: Vec<Scheduler<Blob>> = LocalFabric::new(2)
             .into_iter()
             .map(|ep| {
@@ -67,16 +89,16 @@ impl Machine {
             })
             .collect();
         let node = ranks[0].node_mut();
-        let ptrs: Vec<MobilePtr> = (0..OBJECTS)
+        let ptrs: Vec<MobilePtr> = (0..objects)
             .map(|_| node.register(Blob(vec![0; 64])))
             .collect();
         for i in 0..depth {
-            let target = if i < MOVER_PENDING {
-                0
-            } else {
-                1 + i % (OBJECTS - 1)
-            };
-            node.message_with_hint(ptrs[target], 1, 0.9 + (i % 7) as f64 / 32.0, Bytes::new());
+            node.message_with_hint(
+                ptrs[target(i)],
+                1,
+                0.9 + (i % 7) as f64 / 32.0,
+                Bytes::new(),
+            );
         }
         assert_eq!(node.ready_len(), depth);
         Machine { ranks, ptrs }
@@ -103,6 +125,21 @@ impl Machine {
         // The publish to the pointer's shard, wherever that is.
         let _ = self.ranks[1].node_mut().pump();
     }
+
+    /// Migrate every other object to rank 1, one at a time: the mean time
+    /// rank 0 spends per departure, in nanoseconds.
+    fn shed_half(&mut self) -> f64 {
+        let movers: Vec<MobilePtr> = self.ptrs.iter().copied().step_by(2).collect();
+        let mut spent = Duration::ZERO;
+        for &mover in &movers {
+            let t = Instant::now();
+            assert!(self.ranks[0].node_mut().migrate(mover, 1));
+            spent += t.elapsed();
+            let _ = self.ranks[1].node_mut().pump();
+            let _ = self.ranks[0].node_mut().pump();
+        }
+        spent.as_nanos() as f64 / movers.len() as f64
+    }
 }
 
 /// Fastest of five batches, in nanoseconds per operation.
@@ -118,20 +155,30 @@ fn per_op_ns(batch: usize, mut op: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Fastest of five fresh [`Machine::even`] machines at `depth`, in
+/// nanoseconds per shed object.
+fn shed_half_ns(depth: usize) -> f64 {
+    (0..5)
+        .map(|_| Machine::even(depth).shed_half())
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// The O(1) claims, asserted: neither reading the load nor moving one
-/// object may cost more at a 32768-deep backlog than at a 64-deep one
-/// (3× and 100 ns of slack for cache effects and timer noise).
+/// object may cost more at a 32768-deep backlog than at a 64-deep one, nor
+/// shedding half the objects more per object than at a 4096-deep one (3×
+/// and 100 ns of slack for cache effects and timer noise).
 fn assert_flat_in_depth(_c: &mut Criterion) {
     let [mut shallow, _, mut deep] = DEPTHS.map(Machine::new);
-    let check = |what: &str, at_64: f64, at_32768: f64| {
-        println!("  mol-ready flatness: {what} {at_64:.1} ns at depth 64, {at_32768:.1} ns at depth 32768");
+    let check = |what: &str, depth: usize, at_shallow: f64, at_32768: f64| {
+        println!("  mol-ready flatness: {what} {at_shallow:.1} ns at depth {depth}, {at_32768:.1} ns at depth 32768");
         assert!(
-            at_32768 <= 3.0 * at_64 + 100.0,
-            "{what} grows with queue depth: {at_64:.1} ns at 64, {at_32768:.1} ns at 32768"
+            at_32768 <= 3.0 * at_shallow + 100.0,
+            "{what} grows with queue depth: {at_shallow:.1} ns at {depth}, {at_32768:.1} ns at 32768"
         );
     };
     check(
         "local_load",
+        64,
         per_op_ns(10_000, || {
             black_box(shallow.local_load());
         }),
@@ -141,9 +188,11 @@ fn assert_flat_in_depth(_c: &mut Criterion) {
     );
     check(
         "migrate_out_and_back",
+        64,
         per_op_ns(200, || shallow.migrate_out_and_back()),
         per_op_ns(200, || deep.migrate_out_and_back()),
     );
+    check("shed_half", 4096, shed_half_ns(4096), shed_half_ns(32768));
 }
 
 fn bench_depths(c: &mut Criterion) {

@@ -916,7 +916,10 @@ impl<O: Migratable> MolNode<O> {
             .flat_map(|m| m.into_values())
             .collect();
         #[cfg(feature = "check-invariants")]
-        self.oracle.on_migrate_out(ptr, pending.len());
+        {
+            self.oracle.on_migrate_out(ptr, pending.len());
+            crate::oracle::verify_shed(&self.ready);
+        }
         let epoch = entry.epoch + 1;
         let obj = entry
             .obj
@@ -1486,7 +1489,7 @@ mod tests {
             for (src, dst) in [(0, 1), (1, 0)] {
                 assert!(nodes[src].migrate(mover, dst));
                 let ready = &nodes[src].ready;
-                assert!(ready.slots() <= 2 * ready.len() + 64);
+                assert!(ready.slots() <= ready.len() + ready.len() / 2 + 64);
                 nodes[dst].pump();
                 assert!(nodes[dst].is_local(mover));
             }

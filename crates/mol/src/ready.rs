@@ -160,6 +160,12 @@ impl ReadyIndex {
         self.queue.len()
     }
 
+    /// Queue slots allocated: the held ones and the spare room.
+    #[cfg(any(test, feature = "check-invariants"))]
+    pub fn capacity(&self) -> usize {
+        self.queue.capacity()
+    }
+
     /// The queued messages as `(absolute position, the object their lane
     /// names, hint)`, oldest first.
     #[cfg(feature = "check-invariants")]
@@ -314,18 +320,24 @@ impl ReadyIndex {
                 q.pending()
             })
             .collect();
-        // Holes are only made here, so checking here keeps the queue within
-        // twice its deepest backlog plus the slack. Closing them up is
-        // O(queue), paid for by the holes: they outnumber the messages.
-        if self.queue.len() > 2 * self.len + 64 {
+        // Holes are only made here, so checking here keeps them within half
+        // the live messages plus the slack. Closing them up is O(queue),
+        // paid for by the holes: they are over a third of it.
+        if self.queue.len() > self.len + self.len / 2 + 64 {
             self.compact();
         }
         taken
     }
 
-    /// Close up the holes and re-chain every lane through the new positions.
+    /// Close up the holes, give back the room departed objects left behind,
+    /// and re-chain every lane through the new positions.
     fn compact(&mut self) {
         self.queue.retain(Option::is_some);
+        // Only here, so shrinking and regrowing cannot alternate: a shrink
+        // costs O(live), paid for by the holes this compaction closed.
+        if self.queue.capacity() > 2 * self.len + 64 {
+            self.queue.shrink_to(self.len + self.len / 4 + 64);
+        }
         for l in &mut self.lanes {
             l.count = 0;
         }
@@ -333,6 +345,8 @@ impl ReadyIndex {
             let lane = self.queue[i].as_ref().expect("holes just removed").lane;
             self.link(lane, self.base + i as u64);
         }
+        #[cfg(feature = "check-invariants")]
+        crate::oracle::verify_compacted(self);
     }
 }
 
@@ -371,6 +385,51 @@ mod tests {
         w.sub(Weight::of(f64::INFINITY));
         w.sub(Weight::of(1e300));
         assert_eq!(w.get(), 1.5);
+    }
+
+    #[test]
+    fn departures_give_back_their_room() {
+        const OBJECTS: u64 = 512;
+        let mut ready = ReadyIndex::default();
+        let mut lanes = vec![NO_LANE; OBJECTS as usize];
+        // Index 0 is the null pointer.
+        let ptr = |i: u64| MobilePtr {
+            home: 0,
+            index: i + 1,
+        };
+        for seq in 0..60 {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                let p = Pending {
+                    sender: 0,
+                    seq,
+                    handler: 1,
+                    hint: 1.0,
+                    payload: Bytes::new(),
+                };
+                ready.push(lane, ptr(i as u64), p);
+            }
+        }
+        assert_eq!(ready.len(), 30_720);
+        for i in (0..OBJECTS).filter(|i| i % 3 != 0) {
+            let taken = ready.take_all(lanes[i as usize], ptr(i));
+            assert_eq!(taken.len(), 60);
+            assert!(ready.slots() <= ready.len() + ready.len() / 2 + 64);
+        }
+        assert_eq!(ready.len(), 171 * 60);
+        assert!(
+            ready.capacity() <= 2 * ready.len() + 64,
+            "{} slots allocated for {} messages",
+            ready.capacity(),
+            ready.len()
+        );
+        // What stayed still pops in arrival order.
+        for seq in 0..60 {
+            for i in (0..OBJECTS).step_by(3) {
+                let (target, p) = ready.pop().expect("queued");
+                assert_eq!((target, p.seq), (ptr(i), seq));
+            }
+        }
+        assert!(ready.pop().is_none());
     }
 
     #[test]
