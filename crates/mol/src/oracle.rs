@@ -9,7 +9,7 @@
 //! hash-map entry per active (sender, object) pair; release builds that
 //! want the last few percent can disable default features.
 //!
-//! Five properties are checked (the first three from §4 of the paper):
+//! Four properties are checked (the first three from §4 of the paper):
 //!
 //! 1. **Delivery-order monotonicity** — for every (sender, object) pair,
 //!    messages are delivered in exactly send order: seq 0, 1, 2, … with no
@@ -34,10 +34,6 @@
 //!    only once an eighth that many checks have passed since the last one:
 //!    amortised O(1) per check, and on the small states of most tests every
 //!    check.
-//! 5. **Ready-queue memory** — the queue's size follows its live backlog:
-//!    after every departure its slots, holes included, are at most 1.5× its
-//!    messages plus 64 ([`verify_shed`]), and after every compaction its
-//!    allocation is at most 2× plus 64 ([`verify_compacted`]).
 //!
 //! [`MolNode::drain_ready`]: crate::MolNode::poll
 //! [`MolNode::pop_work`]: crate::MolNode::pop_work
@@ -253,26 +249,6 @@ pub(crate) fn verify_ready(index: &ReadyIndex, resident: impl Fn(MobilePtr) -> b
         claimed,
         queued.len(),
         "ready oracle: queued messages no lane accounts for"
-    );
-}
-
-/// After an object left: the holes it and earlier departures made are at
-/// most half the live messages plus 64.
-pub(crate) fn verify_shed(index: &ReadyIndex) {
-    let (slots, len) = (index.slots(), index.len());
-    assert!(
-        slots <= len + len / 2 + 64,
-        "ready oracle: {slots} slots hold {len} messages — holes left uncompacted"
-    );
-}
-
-/// After a compaction: the queue holds at most twice its live messages plus
-/// 64 slots of room.
-pub(crate) fn verify_compacted(index: &ReadyIndex) {
-    let (capacity, len) = (index.capacity(), index.len());
-    assert!(
-        capacity <= 2 * len + 64,
-        "ready oracle: {capacity} slots allocated for {len} messages after a compaction"
     );
 }
 

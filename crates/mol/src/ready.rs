@@ -161,7 +161,7 @@ impl ReadyIndex {
     }
 
     /// Queue slots allocated: the held ones and the spare room.
-    #[cfg(any(test, feature = "check-invariants"))]
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.queue.capacity()
     }
@@ -326,6 +326,7 @@ impl ReadyIndex {
         if self.queue.len() > self.len + self.len / 2 + 64 {
             self.compact();
         }
+        debug_assert!(self.queue.len() <= self.len + self.len / 2 + 64);
         taken
     }
 
@@ -338,6 +339,7 @@ impl ReadyIndex {
         if self.queue.capacity() > 2 * self.len + 64 {
             self.queue.shrink_to(self.len + self.len / 4 + 64);
         }
+        debug_assert!(self.queue.capacity() <= 2 * self.len + 64);
         for l in &mut self.lanes {
             l.count = 0;
         }
@@ -345,8 +347,6 @@ impl ReadyIndex {
             let lane = self.queue[i].as_ref().expect("holes just removed").lane;
             self.link(lane, self.base + i as u64);
         }
-        #[cfg(feature = "check-invariants")]
-        crate::oracle::verify_compacted(self);
     }
 }
 
