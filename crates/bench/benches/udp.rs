@@ -9,13 +9,21 @@
 //! plain-socket benches keep a bounded number of frames in flight (ping
 //! pong and small bursts) instead of blasting an open-loop stream — only
 //! the `reliable` bench, whose ack/retry absorbs loss, streams freely.
+//!
+//! This binary registers [`prema_bench::CountingAlloc`] as the global
+//! allocator, and `udp_join` **asserts** what binding and joining a pair
+//! zeroes, under `cargo bench --bench udp -- --test` too.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
+use prema_dcs::udp::MAX_DGRAM;
 use prema_dcs::{Envelope, HandlerId, ReliableTransport, Tag, Transport, UdpTransport};
 use std::hint::black_box;
 use std::net::SocketAddr;
 use std::time::Duration;
+
+#[global_allocator]
+static ALLOC: prema_bench::CountingAlloc = prema_bench::CountingAlloc;
 
 const PINGPONGS: usize = 1_000;
 const BURST: usize = 64;
@@ -75,6 +83,27 @@ fn pump_recv(rx: &UdpTransport, tx: &UdpTransport) -> Envelope {
         }
         std::hint::spin_loop();
     }
+}
+
+/// Bind and join a loopback pair, the cost every `UdpTransport` pays
+/// before its first message. The receive windows the kernel writes are
+/// never zeroed, so the pair may zero at most one [`MAX_DGRAM`] each (a
+/// transport that zeroed its windows would zero 16 of them).
+fn bench_join(c: &mut Criterion) {
+    let mut group = c.benchmark_group("udp-loopback");
+    group.bench_function("udp_join", |b| {
+        b.iter(|| {
+            prema_bench::reset_alloc_count();
+            let joined = pair(5);
+            let zeroed = prema_bench::zeroed_bytes();
+            assert!(
+                zeroed <= 2 * MAX_DGRAM as u64,
+                "joining a pair zeroed {zeroed} bytes, over 2 x MAX_DGRAM"
+            );
+            joined
+        })
+    });
+    group.finish();
 }
 
 /// One App frame in flight, both endpoints spinning on `try_recv` on the
@@ -197,6 +226,7 @@ fn bench_reliable_stream(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_join,
     bench_pingpong,
     bench_pingpong_system,
     bench_burst,

@@ -10,7 +10,8 @@
 //! This lib exposes [`CountingAlloc`], a pass-through global allocator that
 //! counts allocations so `benches/ring.rs` can *assert* — not just eyeball —
 //! that the transport's steady-state send/receive path never touches the
-//! allocator.
+//! allocator, and zeroed bytes so `benches/udp.rs` can assert what a join
+//! zeroes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,10 +20,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the counter brackets measured regions across threads and its cost is
 /// noise next to the allocation it counts.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for zeroed since the last [`reset_alloc_count`]; SeqCst for
+/// the same reason.
+static ZEROED: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator that counts every allocation (including
 /// grow-reallocations — each is a fresh chance to blow the zero-alloc
-/// budget). Register it in a bench binary with `#[global_allocator]`:
+/// budget), and the bytes of every zeroed allocation. Register it in a
+/// bench binary with `#[global_allocator]`:
 ///
 /// ```ignore
 /// #[global_allocator]
@@ -42,6 +47,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.alloc(layout)
     }
 
+    /// Forwards to `System.alloc_zeroed`, so the OS still supplies zero
+    /// pages where it can instead of a `memset`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        ZEROED.fetch_add(layout.size() as u64, Ordering::SeqCst);
+        System.alloc_zeroed(layout)
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
@@ -58,7 +71,14 @@ pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
 
-/// Zero the allocation counter (call immediately before a measured region).
+/// Bytes allocated zeroed since the last [`reset_alloc_count`] (0 forever
+/// if no bench binary registered [`CountingAlloc`]).
+pub fn zeroed_bytes() -> u64 {
+    ZEROED.load(Ordering::SeqCst)
+}
+
+/// Zero both counters (call immediately before a measured region).
 pub fn reset_alloc_count() {
     ALLOCS.store(0, Ordering::SeqCst);
+    ZEROED.store(0, Ordering::SeqCst);
 }

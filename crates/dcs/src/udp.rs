@@ -74,6 +74,22 @@
 //! `IO_BATCH` datagrams per call; datagram buffers come from
 //! [`crate::pool`]. Elsewhere a portable `send_to`/`recv_from` fallback
 //! keeps the module compiling.
+//!
+//! # The receive region
+//!
+//! Received datagrams land in one region of `IO_BATCH` windows of
+//! [`MAX_DGRAM`] bytes (1 MiB), allocated but never zeroed: `recvmmsg`
+//! overwrites what it delivers, and a window is read only up to the length
+//! the kernel reported (`sys::RecvBatch::datagram`). The drain, the join
+//! handshake and `recv_timeout` all receive into it, so building and
+//! joining a transport zeroes none of it; only the portable fallback keeps
+//! one zeroed `MAX_DGRAM` buffer. `udp_join` in `benches/udp.rs` asserts
+//! that a joined loopback pair zeroes at most two `MAX_DGRAM` (zeroed
+//! windows would be 32) and times the join: 25–45 µs a pair, against
+//! 60–67 µs when the windows are zeroed (2-vCPU VM, six runs a side, means
+//! of 20 samples). The saving is in a process that builds transports
+//! repeatedly; a fresh process's first allocations come from pages the
+//! kernel has already zeroed.
 
 use crate::clock::Clock;
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
@@ -386,9 +402,12 @@ pub struct UdpStats {
 /// target exactly (x86-64 `sockaddr_in` / `iovec` / `msghdr` / `mmsghdr`).
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
+    use super::{IO_BATCH, MAX_DGRAM};
+    use std::mem::MaybeUninit;
     use std::net::SocketAddrV4;
 
     pub const MSG_DONTWAIT: i64 = 0x40;
+    pub const MSG_WAITFORONE: i64 = 0x10000;
     pub const EAGAIN: i64 = 11;
     pub const EINTR: i64 = 4;
 
@@ -474,13 +493,14 @@ mod sys {
         ret
     }
 
-    /// `recvmmsg(fd, hdrs, vlen, MSG_DONTWAIT, NULL)`; returns datagrams
-    /// received or `-errno` (notably `-EAGAIN` when the queue is empty).
+    /// `recvmmsg(fd, hdrs, vlen, flags, NULL)`; returns datagrams received
+    /// or `-errno` (notably `-EAGAIN` when the queue is empty or the
+    /// socket's read timeout passed).
     ///
     /// # Safety
     /// `hdrs[..vlen]` must point at valid scaffolding whose iovec buffers
     /// are writable for the duration of the call.
-    pub unsafe fn recvmmsg(fd: i32, hdrs: *mut MMsgHdr, vlen: u32) -> i64 {
+    unsafe fn recvmmsg(fd: i32, hdrs: *mut MMsgHdr, vlen: u32, flags: i64) -> i64 {
         let ret: i64;
         // SAFETY: as for `sendmmsg`; the kernel writes through the iovec
         // and sockaddr pointers, all owned by the caller's scratch arrays.
@@ -490,13 +510,93 @@ mod sys {
             in("rdi") fd as i64,
             in("rsi") hdrs,
             in("rdx") vlen as i64,
-            in("r10") MSG_DONTWAIT,
+            in("r10") flags,
             in("r8") 0i64, // no per-call timeout struct
             lateout("rcx") _,
             lateout("r11") _,
             options(nostack),
         );
         ret
+    }
+
+    /// Where the kernel writes received datagrams: one region of
+    /// `IO_BATCH` windows of `MAX_DGRAM` bytes, allocated but never zeroed
+    /// (the kernel overwrites what it delivers, and nothing past a
+    /// datagram's reported length is read), plus the scaffolding that
+    /// points `recvmmsg` at the windows.
+    pub struct RecvBatch {
+        region: Box<[MaybeUninit<u8>]>,
+        scratch: Scratch,
+        /// Datagrams the last `recv` wrote, into windows `0..got`.
+        got: usize,
+    }
+
+    impl RecvBatch {
+        pub fn new() -> Self {
+            RecvBatch {
+                region: Box::new_uninit_slice(IO_BATCH * MAX_DGRAM),
+                scratch: Scratch::with_capacity(IO_BATCH),
+                got: 0,
+            }
+        }
+
+        /// One `recvmmsg` into the windows: `MSG_DONTWAIT` never blocks;
+        /// `MSG_WAITFORONE` blocks under the socket's read timeout for the
+        /// first datagram and then takes only what is already queued.
+        /// Returns datagrams received or `Err(errno)`.
+        pub fn recv(&mut self, fd: i32, flags: i64) -> Result<usize, i64> {
+            let s = &mut self.scratch;
+            s.addrs.clear();
+            s.iovs.clear();
+            s.hdrs.clear();
+            for window in self.region.chunks_exact_mut(MAX_DGRAM) {
+                s.addrs.push(SockAddrIn {
+                    family: 0,
+                    port_be: 0,
+                    addr_be: 0,
+                    zero: [0; 8],
+                });
+                s.iovs.push(IoVec {
+                    base: window.as_mut_ptr().cast(),
+                    len: MAX_DGRAM,
+                });
+            }
+            for i in 0..IO_BATCH {
+                s.hdrs.push(MMsgHdr {
+                    hdr: MsgHdr {
+                        name: &mut s.addrs[i],
+                        namelen: std::mem::size_of::<SockAddrIn>() as u32,
+                        iov: &mut s.iovs[i],
+                        iovlen: 1,
+                        control: std::ptr::null_mut(),
+                        controllen: 0,
+                        flags: 0,
+                    },
+                    len: 0,
+                });
+            }
+            // SAFETY: scaffolding and windows both live in `self`, held
+            // exclusively for the duration of the call.
+            let ret = unsafe { recvmmsg(fd, s.hdrs.as_mut_ptr(), IO_BATCH as u32, flags) };
+            self.got = ret.max(0) as usize;
+            if ret < 0 {
+                Err(-ret)
+            } else {
+                Ok(self.got)
+            }
+        }
+
+        /// Datagram `i` of the last `recv` and who sent it.
+        pub fn datagram(&self, i: usize) -> (&[u8], SocketAddrV4) {
+            assert!(i < self.got, "window {i} holds no datagram");
+            let len = (self.scratch.hdrs[i].len as usize).min(MAX_DGRAM);
+            let window = &self.region[i * MAX_DGRAM..][..len];
+            // SAFETY: the last `recvmmsg` filled windows `0..got` and wrote
+            // `hdrs[i].len` bytes at the start of window `i`, so its first
+            // `len` bytes are initialized; nothing past them is read.
+            let bytes = unsafe { std::slice::from_raw_parts(window.as_ptr().cast::<u8>(), len) };
+            (bytes, from_sockaddr(&self.scratch.addrs[i]))
+        }
     }
 
     /// Persistent syscall scaffolding: pointer arrays rebuilt (not
@@ -536,16 +636,18 @@ struct TxState {
     sys: sys::Scratch,
 }
 
-/// Receive-side state: decoded envelopes ready for delivery plus the
-/// persistent datagram scratch buffers the kernel fills.
+/// Receive-side state: decoded envelopes ready for delivery plus where the
+/// kernel writes datagrams.
 struct RxState {
     ready: VecDeque<Envelope>,
     /// The last drain made something ready and no `None` has ended that
     /// burst yet (see `try_recv`).
     in_burst: bool,
-    bufs: Vec<Vec<u8>>,
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    sys: sys::Scratch,
+    batch: sys::RecvBatch,
+    /// The portable fallback's one receive buffer.
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    buf: Vec<u8>,
 }
 
 /// A bound-but-unjoined UDP endpoint: created by [`UdpTransport::bind`],
@@ -657,9 +759,10 @@ impl UdpTransport {
             rx: RefCell::new(RxState {
                 ready: VecDeque::new(),
                 in_burst: false,
-                bufs: (0..IO_BATCH).map(|_| vec![0u8; MAX_DGRAM]).collect(),
                 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-                sys: sys::Scratch::with_capacity(IO_BATCH),
+                batch: sys::RecvBatch::new(),
+                #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+                buf: vec![0u8; MAX_DGRAM],
             }),
             stats: RefCell::new(UdpStats::default()),
             clock,
@@ -725,21 +828,10 @@ impl UdpTransport {
             }
             let wait = (deadline - now).min(HELLO_INTERVAL);
             self.set_read_timeout(wait);
-            let (len, from) = {
-                let rx = &mut *self.rx.borrow_mut();
-                match self.socket.recv_from(&mut rx.bufs[0]) {
-                    Ok((len, SocketAddr::V4(from))) => (len, from),
-                    Ok(_) => continue,
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        continue
-                    }
-                    Err(e) => return Err(UdpError::Io(e)),
-                }
-            };
-            self.handshake_ingest(len, from, version, &mut welcomed)?;
+            let rx = &mut *self.rx.borrow_mut();
+            self.recv_wait(rx, |dgram, from, ready| {
+                self.handshake_ingest(dgram, from, version, &mut welcomed, ready)
+            })?;
         }
     }
 
@@ -748,12 +840,13 @@ impl UdpTransport {
     /// from peers that finished earlier is queued for normal delivery.
     fn handshake_ingest(
         &self,
-        len: usize,
+        dgram: &[u8],
         from: SocketAddrV4,
         version: u32,
         welcomed: &mut [bool],
+        ready: &mut VecDeque<Envelope>,
     ) -> Result<(), UdpError> {
-        let Some((header, body)) = self.parse_header(len) else {
+        let Some((header, body)) = self.parse_header(dgram) else {
             return Ok(()); // runt or stray magic: counted, ignored
         };
         if header.version != version {
@@ -781,22 +874,22 @@ impl UdpTransport {
             }
             KIND_DATA => {
                 let mut r = WireReader::new(body);
-                self.ingest_data(&mut r, &header, &mut self.rx.borrow_mut().ready);
+                self.ingest_data(&mut r, &header, ready);
             }
             _ => self.stats.borrow_mut().malformed += 1,
         }
         Ok(())
     }
 
-    /// Copy `rx.bufs[0][..len]` into a pooled buffer, read and
+    /// Copy a received datagram into a pooled buffer, read and
     /// magic-check the header. Returns the header plus the remaining body.
     /// `None` ⇒ already counted as runt / stray.
-    fn parse_header(&self, len: usize) -> Option<(Header, Bytes)> {
-        if len < HEADER_LEN {
+    fn parse_header(&self, dgram: &[u8]) -> Option<(Header, Bytes)> {
+        if dgram.len() < HEADER_LEN {
             self.stats.borrow_mut().runts += 1;
             return None;
         }
-        let frame = frame_of(&self.rx.borrow().bufs[0][..len]);
+        let frame = frame_of(dgram);
         let mut r = WireReader::new(frame);
         let header = decode_header(&mut r)?;
         if header.magic != MAGIC {
@@ -1003,58 +1096,69 @@ impl UdpTransport {
         let rx = &mut *self.rx.borrow_mut();
         let before = rx.ready.len();
         loop {
-            let RxState { bufs, sys: s, .. } = rx;
-            s.addrs.clear();
-            s.iovs.clear();
-            s.hdrs.clear();
-            for b in bufs.iter_mut() {
-                s.addrs.push(sys::SockAddrIn {
-                    family: 0,
-                    port_be: 0,
-                    addr_be: 0,
-                    zero: [0; 8],
-                });
-                s.iovs.push(sys::IoVec {
-                    base: b.as_mut_ptr(),
-                    len: b.len(),
-                });
-            }
-            for i in 0..bufs.len() {
-                s.hdrs.push(sys::MMsgHdr {
-                    hdr: sys::MsgHdr {
-                        name: &mut s.addrs[i],
-                        namelen: std::mem::size_of::<sys::SockAddrIn>() as u32,
-                        iov: &mut s.iovs[i],
-                        iovlen: 1,
-                        control: std::ptr::null_mut(),
-                        controllen: 0,
-                        flags: 0,
-                    },
-                    len: 0,
-                });
-            }
-            let vlen = bufs.len() as u32;
-            // SAFETY: scaffolding and buffers both live in `rx`, held
-            // exclusively for the duration of the call.
-            let ret = unsafe { sys::recvmmsg(fd, s.hdrs.as_mut_ptr(), vlen) };
-            if ret <= 0 {
-                // -EAGAIN: queue empty. -EINTR: let the caller's loop retry.
-                self.stats.borrow_mut().recv_empty += 1;
-                break;
-            }
+            let got = match rx.batch.recv(fd, sys::MSG_DONTWAIT) {
+                Ok(got) if got > 0 => got,
+                _ => {
+                    // -EAGAIN: queue empty. -EINTR: let the caller's loop retry.
+                    self.stats.borrow_mut().recv_empty += 1;
+                    break;
+                }
+            };
             self.stats.borrow_mut().recv_calls += 1;
-            let got = ret as usize;
             for i in 0..got {
-                let len = rx.sys.hdrs[i].len as usize;
-                let from = sys::from_sockaddr(&rx.sys.addrs[i]);
-                let frame = frame_of(&rx.bufs[i][..len]);
-                self.ingest_dgram(frame, from, &mut rx.ready);
+                let (dgram, from) = rx.batch.datagram(i);
+                self.ingest_dgram(frame_of(dgram), from, &mut rx.ready);
             }
-            if got < vlen as usize {
+            if got < IO_BATCH {
                 break; // queue drained mid-batch
             }
         }
         rx.ready.len() - before
+    }
+
+    /// Block under the socket's read timeout for the next datagram, then
+    /// take whatever else is already queued (`MSG_WAITFORONE`), into the
+    /// same windows a drain uses, and hand each datagram with `rx.ready` to
+    /// `each`. Returns datagrams received: 0 when the timeout passed.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn recv_wait(
+        &self,
+        rx: &mut RxState,
+        mut each: impl FnMut(&[u8], SocketAddrV4, &mut VecDeque<Envelope>) -> Result<(), UdpError>,
+    ) -> Result<usize, UdpError> {
+        use std::os::fd::AsRawFd;
+        let got = match rx.batch.recv(self.socket.as_raw_fd(), sys::MSG_WAITFORONE) {
+            Ok(got) => got,
+            Err(sys::EAGAIN | sys::EINTR) => return Ok(0),
+            Err(errno) => return Err(io::Error::from_raw_os_error(errno as i32).into()),
+        };
+        for i in 0..got {
+            let (dgram, from) = rx.batch.datagram(i);
+            each(dgram, from, &mut rx.ready)?;
+        }
+        Ok(got)
+    }
+
+    /// Portable fallback: one blocking `recv_from`.
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    fn recv_wait(
+        &self,
+        rx: &mut RxState,
+        mut each: impl FnMut(&[u8], SocketAddrV4, &mut VecDeque<Envelope>) -> Result<(), UdpError>,
+    ) -> Result<usize, UdpError> {
+        match self.socket.recv_from(&mut rx.buf) {
+            Ok((len, SocketAddr::V4(from))) => {
+                each(&rx.buf[..len], from, &mut rx.ready)?;
+                Ok(1)
+            }
+            Ok(_) => Ok(0),
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                Ok(0)
+            }
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Portable fallback: nonblocking `recv_from` until `WouldBlock`.
@@ -1066,20 +1170,17 @@ impl UdpTransport {
             return 0;
         }
         loop {
-            let got = {
-                let RxState { bufs, .. } = rx;
-                match self.socket.recv_from(&mut bufs[0]) {
-                    Ok((len, SocketAddr::V4(from))) => Some((len, from)),
-                    Ok(_) => continue,
-                    Err(_) => None,
-                }
+            let got = match self.socket.recv_from(&mut rx.buf) {
+                Ok((len, SocketAddr::V4(from))) => Some((len, from)),
+                Ok(_) => continue,
+                Err(_) => None,
             };
             let Some((len, from)) = got else {
                 self.stats.borrow_mut().recv_empty += 1;
                 break;
             };
             self.stats.borrow_mut().recv_calls += 1;
-            let frame = frame_of(&rx.bufs[0][..len]);
+            let frame = frame_of(&rx.buf[..len]);
             self.ingest_dgram(frame, from, &mut rx.ready);
         }
         let _ = self.socket.set_nonblocking(false);
@@ -1176,10 +1277,12 @@ impl Transport for UdpTransport {
             let wait = (deadline - now).min(MAX_BLOCK);
             self.set_read_timeout(wait);
             let rx = &mut *self.rx.borrow_mut();
-            if let Ok((len, SocketAddr::V4(from))) = self.socket.recv_from(&mut rx.bufs[0]) {
+            let got = self.recv_wait(rx, |dgram, from, ready| {
+                self.ingest_dgram(frame_of(dgram), from, ready);
+                Ok(())
+            });
+            if let Ok(1..) = got {
                 self.stats.borrow_mut().recv_calls += 1;
-                let frame = frame_of(&rx.bufs[0][..len]);
-                self.ingest_dgram(frame, from, &mut rx.ready);
             }
         }
     }
@@ -1794,6 +1897,138 @@ mod tests {
         t.ingest_dgram(real, from, &mut ready);
         assert_eq!(ready.len(), 1);
         assert_eq!(t.stats().malformed, 1);
+    }
+
+    /// The largest payload `send` accepts: its record fills a datagram of
+    /// [`MAX_DGRAM`].
+    const LARGEST: usize = MAX_DGRAM - HEADER_LEN - DST_LEN - RECORD_OVERHEAD;
+
+    /// `IO_BATCH + 2` datagrams, one System record each from rank 0 to
+    /// rank 1: first a record of [`LARGEST`], then payloads of 1400 down to
+    /// 1400 − 16 × 83 bytes, then as many of 0 to 17 bytes, which land in
+    /// windows that held long ones whichever receive path reads them. Every
+    /// byte is a function of its record and position, so a stale byte from
+    /// another datagram cannot pass for a right one. Under 120 KiB in all,
+    /// well inside a loopback socket's default receive buffer.
+    fn long_then_short(epoch: u64) -> (Vec<Bytes>, Vec<Envelope>) {
+        let n = IO_BATCH + 2;
+        let long = std::iter::once(LARGEST).chain((1..n).map(|i| 1400 - (i - 1) * 83));
+        long.chain(0..n)
+            .zip(0u32..)
+            .map(|(len, id)| {
+                let payload: Vec<u8> = (0..len)
+                    .map(|j| (j * 7 + id as usize * 13 + 1) as u8)
+                    .collect();
+                let env = Envelope {
+                    payload: Bytes::from(payload),
+                    ..sys_to(0, 1, id)
+                };
+                let cap = HEADER_LEN + DST_LEN + RECORD_OVERHEAD + len;
+                (
+                    encode_record(open_dgram(0, 1, epoch, cap), &env).finish(),
+                    env,
+                )
+            })
+            .unzip()
+    }
+
+    /// Rank 1 of two, joined on `clock` against a plain socket standing in
+    /// for rank 0, which sends `before_join` and then its WELCOME before
+    /// rank 1 starts its handshake.
+    fn joined_by_hand(
+        epoch: u64,
+        before_join: &[Bytes],
+        clock: Clock,
+    ) -> (UdpSocket, UdpTransport) {
+        let b = UdpTransport::bind(loopback()).expect("bind");
+        let peer = UdpSocket::bind(loopback()).expect("stand-in for rank 0");
+        let me = b.local_addr();
+        for d in before_join {
+            peer.send_to(d, me).expect("send before the join");
+        }
+        let welcome = control_dgram(KIND_WELCOME, PROTO_VERSION, 0, epoch);
+        peer.send_to(&welcome, me).expect("send WELCOME");
+        let addrs = vec![peer.local_addr().expect("peer addr"), me];
+        let t = b
+            .connect_with_clock(1, addrs, epoch, Duration::from_secs(2), clock)
+            .expect("join");
+        (peer, t)
+    }
+
+    /// Byte-exact delivery, in order, with nothing counted malformed.
+    fn assert_exact(t: &UdpTransport, got: &[Envelope], sent: &[Envelope]) {
+        assert_eq!(got.len(), sent.len());
+        for (g, s) in got.iter().zip(sent) {
+            assert_eq!(key(g), key(s), "record {} arrived changed", s.handler.0);
+        }
+        let st = t.stats();
+        assert_eq!(
+            (st.received, st.malformed, st.runts),
+            (sent.len() as u64, 0, 0)
+        );
+    }
+
+    /// One drain takes more than [`IO_BATCH`] datagrams of mixed sizes,
+    /// the largest `send` accepts among them; the next drain's short
+    /// datagrams land in windows that held longer ones. Each window is read
+    /// only up to the length the kernel wrote, so every record is exact.
+    #[test]
+    fn a_drain_reads_each_window_only_as_far_as_the_kernel_wrote() {
+        let clock = Clock::manual();
+        let (peer, t) = joined_by_hand(31, &[], clock.clone());
+        let me = t.local_addr().expect("bound addr");
+        let (dgrams, sent) = long_then_short(31);
+        let (long, short) = dgrams.split_at(IO_BATCH + 2);
+        let mut got = Vec::new();
+        for round in [long, short] {
+            for d in round {
+                peer.send_to(d, me).expect("send");
+            }
+            got.extend(t.try_recv());
+            assert_eq!(
+                t.rx.borrow().ready.len(),
+                round.len() - 1,
+                "one drain took all"
+            );
+            got.extend(std::iter::from_fn(|| t.try_recv()));
+            clock.advance(WIRE_SLICE);
+        }
+        assert_exact(&t, &got, &sent);
+    }
+
+    /// The same datagrams, all queued before the join, are read by the
+    /// handshake's blocking receives and delivered exactly afterwards.
+    #[test]
+    fn the_handshake_reads_each_window_only_as_far_as_the_kernel_wrote() {
+        let (dgrams, sent) = long_then_short(32);
+        let (_peer, t) = joined_by_hand(32, &dgrams, Clock::manual());
+        assert_eq!(
+            t.stats().received,
+            sent.len() as u64,
+            "all read while joining"
+        );
+        let got: Vec<Envelope> = std::iter::from_fn(|| t.try_recv()).collect();
+        assert_exact(&t, &got, &sent);
+    }
+
+    /// The same datagrams, sent while `recv_timeout` blocks, are read by its
+    /// blocking receives and delivered exactly.
+    #[test]
+    fn recv_timeout_reads_each_window_only_as_far_as_the_kernel_wrote() {
+        let (peer, t) = joined_by_hand(33, &[], Clock::manual());
+        let me = t.local_addr().expect("bound addr");
+        let (dgrams, sent) = long_then_short(33);
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            for d in &dgrams {
+                peer.send_to(d, me).expect("send");
+            }
+        });
+        let got: Vec<Envelope> = (0..sent.len())
+            .map(|_| t.recv_timeout(Duration::from_secs(2)).expect("delivered"))
+            .collect();
+        sender.join().expect("sender thread");
+        assert_exact(&t, &got, &sent);
     }
 
     proptest! {
