@@ -88,4 +88,12 @@ mod tests {
         };
         assert_eq!(e.wire_size(), 24 + 5);
     }
+
+    /// Every queued, pooled or in-flight message carries one: six words,
+    /// three of them the payload handle.
+    #[test]
+    fn an_envelope_is_six_words() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 24);
+        assert!(std::mem::size_of::<Envelope>() <= 48);
+    }
 }

@@ -66,6 +66,20 @@ impl<T> DerefMut for CachePadded<T> {
 // Bounded SPSC ring
 // ---------------------------------------------------------------------------
 
+/// One ring slot: an envelope, padded to the 64 bytes it took before the
+/// payload handle shrank. The ring keeps its old layout and size, and the
+/// allocator keeps its old behaviour around it (DESIGN.md §13).
+struct Slot {
+    env: UnsafeCell<MaybeUninit<Envelope>>,
+    _pad: MaybeUninit<[u8; 64 - std::mem::size_of::<Envelope>()]>,
+}
+
+impl Slot {
+    fn get(&self) -> *mut MaybeUninit<Envelope> {
+        self.env.get()
+    }
+}
+
 /// Shared state of one bounded SPSC ring. Constructed only through [`spsc`],
 /// which hands out exactly one [`Producer`] and one [`Consumer`]; all slot
 /// access goes through those two ends.
@@ -75,7 +89,7 @@ pub(crate) struct SpscRing {
     mask: usize,
     /// Slot storage. A slot is initialized exactly when its index lies in
     /// `[head, tail)` of the free-running counters.
-    slots: Box<[UnsafeCell<MaybeUninit<Envelope>>]>,
+    slots: Box<[Slot]>,
     /// Consumer position (free-running). Written only by the consumer
     /// (Release), read by the producer (Acquire) when it looks full.
     head: CachePadded<AtomicUsize>,
@@ -114,7 +128,10 @@ impl Drop for SpscRing {
 pub(crate) fn spsc(capacity: usize) -> (Producer, Consumer) {
     let cap = capacity.next_power_of_two().max(2);
     let slots = (0..cap)
-        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+        .map(|_| Slot {
+            env: UnsafeCell::new(MaybeUninit::uninit()),
+            _pad: MaybeUninit::uninit(),
+        })
         .collect::<Vec<_>>()
         .into_boxed_slice();
     let ring = Arc::new(SpscRing {

@@ -2,8 +2,13 @@
 //! at most `bytes::INLINE_CAP` bytes allocates nothing. Such a handle must
 //! behave exactly like one over shared storage, and the buffer pool must
 //! refuse it without fuss.
+//!
+//! A handle is three words: a shared one bounds its view of the storage with
+//! `u32`s, so its views must land on the right bytes at either end and
+//! through any chain of splits, and storage past `u32::MAX` bytes must be
+//! refused loudly rather than wrapped.
 
-use bytes::{Bytes, INLINE_CAP};
+use bytes::{Buf, Bytes, INLINE_CAP, MAX_SHARED_LEN};
 use prema_dcs::pool;
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -64,6 +69,88 @@ fn the_pool_refuses_an_inline_handle() {
         big.try_reclaim().is_ok(),
         "past the bound, a copy is on the heap"
     );
+}
+
+#[test]
+fn a_shared_handle_cuts_at_both_ends() {
+    let src: Vec<u8> = (0..40).collect();
+    let b = shared(&src);
+    assert!(b.slice(0..0).is_empty());
+    assert!(b.slice(40..40).is_empty());
+    assert_eq!(&b.slice(0..40)[..], &src[..]);
+
+    let mut at_start = b.clone();
+    assert!(at_start.split_to(0).is_empty());
+    assert_eq!(&at_start[..], &src[..]);
+    let mut at_end = b.clone();
+    assert_eq!(&at_end.split_to(40)[..], &src[..]);
+    assert!(at_end.is_empty());
+    assert!(at_end.slice(0..0).is_empty());
+
+    let mut advanced = b.clone();
+    advanced.advance(0);
+    assert_eq!(&advanced[..], &src[..]);
+    advanced.advance(40);
+    assert!(advanced.is_empty());
+    advanced.advance(0);
+    assert_eq!(advanced.remaining(), 0);
+}
+
+#[test]
+fn a_chain_of_splits_reads_every_byte_once() {
+    let src: Vec<u8> = (0..=255).collect();
+    let mut rest = shared(&src);
+    let mut read = Vec::new();
+    let mut widths = [0, 1, 7, 0, 16, 17, 64].into_iter().cycle();
+    while !rest.is_empty() {
+        let width = widths.next().expect("cycles").min(rest.len());
+        let mut head = rest.split_to(width);
+        // Cut the head again, and read its middle through a slice.
+        let front = head.split_to(width / 2);
+        let middle = head.slice(0..head.len());
+        head.advance(head.len());
+        assert!(head.is_empty());
+        read.extend_from_slice(&front);
+        read.extend_from_slice(&middle);
+    }
+    assert_eq!(read, src);
+}
+
+#[test]
+fn a_shared_view_reclaims_only_when_it_is_the_last() {
+    let mut v = Vec::with_capacity(64);
+    v.extend(0..40u8);
+    let mut b = Bytes::from(v);
+    let head = b.split_to(0);
+    let tail = b.split_to(b.len());
+    assert!(b.is_empty());
+    // Three views of one vector: none may take it.
+    let b = b
+        .try_reclaim()
+        .expect_err("the head and tail still read it");
+    let head = head.try_reclaim().expect_err("the tail still reads it");
+    drop((b, head));
+    let back = tail.try_reclaim().expect("the last view takes it back");
+    assert!(back.is_empty() && back.capacity() >= 64);
+
+    // A view emptied by reading to its end still owns its storage.
+    let mut read = Bytes::from(vec![1u8; 40]);
+    read.advance(40);
+    assert!(read.try_reclaim().is_ok());
+}
+
+#[test]
+fn shared_storage_up_to_the_bound_is_taken() {
+    assert_eq!(bytes::shared_end(0), 0);
+    assert_eq!(bytes::shared_end(MAX_SHARED_LEN), u32::MAX);
+}
+
+/// `From<Vec<u8>>` takes its end bound from `shared_end`; a vector past the
+/// bound is refused there, so the test needs no 4 GiB vector.
+#[test]
+#[should_panic(expected = "past the 4294967295-byte bound of shared storage")]
+fn shared_storage_past_the_bound_panics() {
+    bytes::shared_end(MAX_SHARED_LEN + 1);
 }
 
 proptest! {

@@ -32,11 +32,11 @@ use crate::directory::{
 };
 use crate::migrate::Migratable;
 use crate::proto::{
-    DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope, NodeMsg, Pending,
-    H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG, H_NODE_MSG,
+    DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope, NodeMsg, H_MOL_DIR_ANSWER,
+    H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG, H_NODE_MSG,
 };
 use crate::ptr::{MobilePtr, PtrAllocator};
-use crate::ready::{ReadyIndex, NO_LANE};
+use crate::ready::{Queued, ReadyIndex, NO_LANE};
 use bytes::Bytes;
 use prema_dcs::{env, pool, Communicator, Envelope, FxHashMap, Rank, Tag};
 use prema_trace::{TraceEvent, Tracer};
@@ -909,7 +909,7 @@ impl<O: Migratable> MolNode<O> {
         note_consumed(&mut self.consumed, &entry.expected, u64::wrapping_sub);
         // The object's accepted-but-unexecuted messages leave with it, in
         // order, taken from the ready queue by position.
-        let pending = self.ready.take_all(entry.lane, ptr);
+        let pending = self.ready.take_all(entry.lane, ptr, &entry.expected);
         let buffered: Vec<MolEnvelope> = entry
             .ooo
             .into_values()
@@ -1313,21 +1313,21 @@ impl<O: Migratable> MolNode<O> {
     }
 
     /// Dequeue the oldest queued message, with its target.
-    fn pop_ready(&mut self) -> Option<(MobilePtr, Pending)> {
-        let (ptr, p) = self.ready.pop()?;
+    fn pop_ready(&mut self) -> Option<(MobilePtr, Queued)> {
+        let (ptr, q) = self.ready.pop()?;
         self.stats.delivered += 1;
         #[cfg(feature = "check-invariants")]
-        self.oracle.on_deliver(p.sender, ptr, p.seq);
-        Some((ptr, p))
+        self.oracle.on_deliver(q.sender as Rank, ptr, q.seq);
+        Some((ptr, q))
     }
 
     fn drain_ready(&mut self, events: &mut Vec<MolEvent>) {
-        while let Some((ptr, p)) = self.pop_ready() {
+        while let Some((ptr, q)) = self.pop_ready() {
             events.push(MolEvent::Object {
                 ptr,
-                sender: p.sender,
-                handler: p.handler,
-                payload: p.payload,
+                sender: q.sender as Rank,
+                handler: q.handler,
+                payload: q.payload,
             });
         }
     }
@@ -1389,13 +1389,13 @@ impl<O: Migratable> MolNode<O> {
     /// Pop the oldest queued work unit (an in-order application message for a
     /// local object), if any.
     pub fn pop_work(&mut self) -> Option<WorkItem> {
-        let (ptr, p) = self.pop_ready()?;
+        let (ptr, q) = self.pop_ready()?;
         Some(WorkItem {
             ptr,
-            sender: p.sender,
-            handler: p.handler,
-            hint: p.hint,
-            payload: p.payload,
+            sender: q.sender as Rank,
+            handler: q.handler,
+            hint: q.hint,
+            payload: q.payload,
         })
     }
 

@@ -77,7 +77,8 @@ impl MolEnvelope {
         write_env(WireWriter::pooled(ENV_HEADER + self.payload.len()), self).finish()
     }
 
-    /// Decode from the wire; `None` if the frame is truncated.
+    /// Decode from the wire; `None` if the frame is truncated or names a
+    /// sender past `u32::MAX`.
     pub fn decode(payload: Bytes) -> Option<Self> {
         read_env(&mut WireReader::new(payload))
     }
@@ -100,13 +101,19 @@ fn write_env(w: WireWriter, e: &MolEnvelope) -> WireWriter {
         .bytes(&e.payload)
 }
 
+/// A message's sender as read off the wire. A rank is kept as a `u32` once
+/// its message is queued, so a sender past `u32::MAX` marks a corrupt frame.
+fn sender_rank(raw: u64) -> Option<Rank> {
+    u32::try_from(raw).ok().map(|s| s as Rank)
+}
+
 fn read_env(r: &mut WireReader) -> Option<MolEnvelope> {
     Some(MolEnvelope {
         target: MobilePtr {
             home: r.try_usize()?,
             index: r.try_u64()?,
         },
-        sender: r.try_usize()?,
+        sender: sender_rank(r.try_u64()?)?,
         seq: r.try_u64()?,
         handler: r.try_u32()?,
         hops: r.try_u32()?,
@@ -163,7 +170,7 @@ fn write_pending(w: WireWriter, p: &Pending) -> WireWriter {
 
 fn read_pending(r: &mut WireReader) -> Option<Pending> {
     Some(Pending {
-        sender: r.try_usize()?,
+        sender: sender_rank(r.try_u64()?)?,
         seq: r.try_u64()?,
         handler: r.try_u32()?,
         hint: r.try_f64()?,
@@ -238,8 +245,9 @@ impl MigratePacket {
         w.finish()
     }
 
-    /// Decode from the wire; `None` if the frame is truncated or a count
-    /// promises more records than follow.
+    /// Decode from the wire; `None` if the frame is truncated, a count
+    /// promises more records than follow, or a message names a sender past
+    /// `u32::MAX`.
     pub fn decode(payload: Bytes) -> Option<Self> {
         let mut r = WireReader::new(payload);
         let ptr = MobilePtr {
@@ -541,6 +549,24 @@ mod tests {
             .u32(u32::MAX)
             .finish();
         assert_eq!(MigratePacket::decode(hostile), None);
+    }
+
+    #[test]
+    fn a_sender_past_u32_decodes_to_none() {
+        let mut e = env(3);
+        e.sender = u32::MAX as Rank;
+        assert_eq!(MolEnvelope::decode(e.encode()), Some(e.clone()));
+        e.sender += 1;
+        assert_eq!(MolEnvelope::decode(e.encode()), None);
+        let p = MigratePacket {
+            ptr: MobilePtr { home: 0, index: 1 },
+            epoch: 1,
+            object: Bytes::new(),
+            expected: vec![(e.sender, 4)],
+            pending: vec![e.into()],
+            buffered: vec![],
+        };
+        assert_eq!(MigratePacket::decode(p.encode()), None);
     }
 
     #[test]

@@ -10,24 +10,27 @@
 //!
 //! * every object with pending work has a [`Lane`]: the count and summed
 //!   weight of its messages and the queue positions of its oldest and
-//!   newest; each queued message names its lane and the position of the
-//!   object's next one. Each resident object's directory entry (which every
-//!   push already holds) remembers its lane, so neither push nor pop looks
-//!   anything up, and nothing is allocated per object;
+//!   newest; each queued message names its lane and how far behind it the
+//!   object's next one sits. Each resident object's directory entry (which
+//!   every push already holds) remembers its lane, so neither push nor pop
+//!   looks anything up, and nothing is allocated per object;
 //! * a migrating object takes its messages out by walking its chain,
 //!   leaving `None` holes behind that a later pop steps over — O(that
 //!   object's queue), not O(the rank's);
 //! * queue length, total weight and the lanes are updated on every push,
 //!   pop and migration, so reading them is O(1) (O(k) for k lanes);
-//! * a queued message keeps only what running it needs (a [`Pending`]
-//!   record): its target is its lane's, and its routing state died when it
-//!   was accepted. That is 80 bytes a slot, holes included, where the whole
-//!   envelope took 120.
+//! * a queued message keeps only what running it needs (a [`Queued`]
+//!   record): its target is its lane's, its routing state died when it was
+//!   accepted, and its sequence number is implied by its object's ordering
+//!   state, so a migration packet derives it ([`ReadyIndex::take_all`]).
+//!   That is 48 bytes a slot, holes included, where the whole envelope took
+//!   120; builds with the `check-invariants` oracles keep the number too,
+//!   to check the derivation and the delivery order, at 56.
 
 use crate::proto::Pending;
 use crate::ptr::MobilePtr;
 use bytes::Bytes;
-use prema_dcs::Rank;
+use prema_dcs::{FxHashMap, Rank};
 use std::collections::VecDeque;
 
 /// An exact accumulator of weight hints: unsigned Q64.64 fixed point.
@@ -91,27 +94,39 @@ pub(crate) struct Lane {
     tail: u64,
 }
 
-/// A queued message's [`Pending`] record, the lane that accounts for it
-/// (and names its target), and where the same object's next message sits
-/// (meaningful unless this is the lane's newest). The record's fields are
-/// laid out here rather than nested so that `handler` and `lane` share a
-/// word.
+/// A queued message: what running it needs, the lane that accounts for it
+/// (and names its target), and how many positions behind it the same
+/// object's next message sits (meaningful unless this is the lane's newest).
+/// Ranks, handlers, lanes and distances are `u32`s so that the record and
+/// its hole are six words (seven where the oracles keep `seq`).
 #[derive(Debug)]
-struct Queued {
-    sender: Rank,
-    seq: u64,
-    hint: f64,
-    handler: u32,
+pub(crate) struct Queued {
+    /// Original sender rank.
+    pub sender: u32,
+    /// Application-level handler id.
+    pub handler: u32,
+    /// Computational weight hint.
+    pub hint: f64,
+    /// Application payload.
+    pub payload: Bytes,
+    /// Per-(sender, target) sequence number: only the oracles read it.
+    #[cfg(feature = "check-invariants")]
+    pub seq: u64,
     lane: u32,
-    next: u64,
-    payload: Bytes,
+    next: u32,
 }
 
 impl Queued {
+    /// The record a migration packet carries. Its sequence number is the
+    /// stored one where there is one and 0 where not, until
+    /// [`ReadyIndex::take_all`] derives it.
     fn pending(self) -> Pending {
         Pending {
-            sender: self.sender,
+            sender: self.sender as Rank,
+            #[cfg(feature = "check-invariants")]
             seq: self.seq,
+            #[cfg(not(feature = "check-invariants"))]
+            seq: 0,
             handler: self.handler,
             hint: self.hint,
             payload: self.payload,
@@ -188,8 +203,8 @@ impl ReadyIndex {
         let mut at = lane.head;
         (0..lane.count).map(move |_| {
             let i = at.checked_sub(self.base)? as usize;
-            let q = self.queue.get(i)?.as_ref()?;
-            Some(std::mem::replace(&mut at, q.next))
+            let next = at + u64::from(self.queue.get(i)?.as_ref()?.next);
+            Some(std::mem::replace(&mut at, next))
         })
     }
 
@@ -216,13 +231,14 @@ impl ReadyIndex {
         self.weight.add(w);
         self.len += 1;
         self.queue.push_back(Some(Queued {
-            sender: p.sender,
-            seq: p.seq,
-            hint: p.hint,
+            sender: u32::try_from(p.sender).expect("decoders refuse a sender past u32::MAX"),
             handler: p.handler,
+            hint: p.hint,
+            payload: p.payload,
+            #[cfg(feature = "check-invariants")]
+            seq: p.seq,
             lane: *lane,
             next: 0,
-            payload: p.payload,
         }));
     }
 
@@ -237,7 +253,7 @@ impl ReadyIndex {
             self.at_mut(newest)
                 .as_mut()
                 .expect("a lane's newest message is queued")
-                .next = at;
+                .next = u32::try_from(at - newest).expect("a queue holds under 2^32 slots");
         }
     }
 
@@ -270,7 +286,7 @@ impl ReadyIndex {
 
     /// Remove the oldest queued message, with its target, stepping over
     /// (and freeing) holes.
-    pub fn pop(&mut self) -> Option<(MobilePtr, Pending)> {
+    pub fn pop(&mut self) -> Option<(MobilePtr, Queued)> {
         if self.len == 0 {
             // Whatever is left is holes.
             self.base += self.queue.len() as u64;
@@ -288,7 +304,7 @@ impl ReadyIndex {
         let l = &mut self.lanes[lane as usize];
         debug_assert_eq!(l.head, self.base - 1, "per-object order is queue order");
         let (target, w) = (l.ptr, Weight::of(q.hint));
-        l.head = q.next;
+        l.head += u64::from(q.next);
         l.count -= 1;
         l.weight.sub(w);
         self.weight.sub(w);
@@ -296,13 +312,24 @@ impl ReadyIndex {
         if l.count == 0 {
             self.release(lane);
         }
-        Some((target, q.pending()))
+        Some((target, q))
     }
 
     /// Take a departing object's messages out of the queue, in order,
     /// leaving holes. `lane` is the caller's memory of its lane, as for
-    /// [`ReadyIndex::push`].
-    pub fn take_all(&mut self, lane: u32, ptr: MobilePtr) -> Vec<Pending> {
+    /// [`ReadyIndex::push`]; `expected` is the object's next sequence number
+    /// to accept from each sender.
+    ///
+    /// Each sender's messages to the object were accepted in sequence order
+    /// and are popped oldest first, so the ones still queued are the last
+    /// that sender's count went past, in order: the newest is `expected - 1`,
+    /// the one before it `expected - 2`, and so on.
+    pub fn take_all(
+        &mut self,
+        lane: u32,
+        ptr: MobilePtr,
+        expected: &FxHashMap<Rank, u64>,
+    ) -> Vec<Pending> {
         let Some(l) = self.lanes.get_mut(lane as usize).filter(|l| l.ptr == ptr) else {
             return Vec::new();
         };
@@ -310,16 +337,30 @@ impl ReadyIndex {
         self.weight.sub(std::mem::take(&mut l.weight));
         self.len -= count;
         self.release(lane);
-        let taken = (0..count)
+        let mut taken: Vec<Pending> = (0..count)
             .map(|_| {
                 let q = self
                     .at_mut(at)
                     .take()
                     .expect("a lane's chain runs through queued messages");
-                at = q.next;
+                at += u64::from(q.next);
                 q.pending()
             })
             .collect();
+        // Newest first, each sender's count runs back down to the oldest.
+        let mut next_seq = expected.clone();
+        for p in taken.iter_mut().rev() {
+            let seq = next_seq.entry(p.sender).or_default();
+            *seq = seq.wrapping_sub(1);
+            #[cfg(feature = "check-invariants")]
+            assert_eq!(
+                p.seq, *seq,
+                "sequence oracle: a departing message from rank {} was accepted \
+                 as seq {} but its object's ordering state derives {}",
+                p.sender, p.seq, *seq
+            );
+            p.seq = *seq;
+        }
         // Holes are only made here, so checking here keeps them within half
         // the live messages plus the slack. Closing them up is O(queue),
         // paid for by the holes: they are over a third of it.
@@ -402,7 +443,7 @@ mod tests {
                 let p = Pending {
                     sender: 0,
                     seq,
-                    handler: 1,
+                    handler: seq as u32,
                     hint: 1.0,
                     payload: Bytes::new(),
                 };
@@ -410,8 +451,9 @@ mod tests {
             }
         }
         assert_eq!(ready.len(), 30_720);
+        let expected = FxHashMap::from_iter([(0, 60)]);
         for i in (0..OBJECTS).filter(|i| i % 3 != 0) {
-            let taken = ready.take_all(lanes[i as usize], ptr(i));
+            let taken = ready.take_all(lanes[i as usize], ptr(i), &expected);
             assert_eq!(taken.len(), 60);
             assert!(ready.slots() <= ready.len() + ready.len() / 2 + 64);
         }
@@ -425,19 +467,101 @@ mod tests {
         // What stayed still pops in arrival order.
         for seq in 0..60 {
             for i in (0..OBJECTS).step_by(3) {
-                let (target, p) = ready.pop().expect("queued");
-                assert_eq!((target, p.seq), (ptr(i), seq));
+                let (target, q) = ready.pop().expect("queued");
+                assert_eq!((target, q.handler), (ptr(i), seq));
             }
         }
         assert!(ready.pop().is_none());
     }
 
+    /// Queue the next message from `sender` to `target`, its seq counted in
+    /// `next` and repeated in its handler id.
+    fn accept(
+        ready: &mut ReadyIndex,
+        lane: &mut u32,
+        next: &mut FxHashMap<(MobilePtr, Rank), u64>,
+        target: MobilePtr,
+        sender: Rank,
+    ) {
+        let seq = next.entry((target, sender)).or_default();
+        let p = Pending {
+            sender,
+            seq: *seq,
+            handler: *seq as u32,
+            hint: 1.0,
+            payload: Bytes::new(),
+        };
+        *seq += 1;
+        ready.push(lane, target, p);
+    }
+
+    /// `target`'s ordering state: its next seq from each sender.
+    fn expected_of(
+        next: &FxHashMap<(MobilePtr, Rank), u64>,
+        target: MobilePtr,
+    ) -> FxHashMap<Rank, u64> {
+        next.iter()
+            .filter(|((p, _), _)| *p == target)
+            .map(|(&(_, s), &n)| (s, n))
+            .collect()
+    }
+
+    /// One object's queue interleaves three senders with another object's
+    /// messages, which have left (holes) and come back, and its oldest
+    /// messages have run: the seqs its departure derives are the ones each
+    /// message was accepted under.
+    #[test]
+    fn a_departure_derives_each_senders_seqs() {
+        let (obj, other) = (
+            MobilePtr { home: 0, index: 1 },
+            MobilePtr { home: 0, index: 2 },
+        );
+        let mut ready = ReadyIndex::default();
+        let (mut lane, mut other_lane) = (NO_LANE, NO_LANE);
+        let mut next = FxHashMap::default();
+        for i in 0..40 {
+            accept(&mut ready, &mut lane, &mut next, obj, [3, 0, 7][i % 3]);
+            if i % 2 == 0 {
+                accept(&mut ready, &mut other_lane, &mut next, other, 5);
+            }
+            if i % 4 == 3 {
+                accept(&mut ready, &mut lane, &mut next, obj, 7);
+            }
+        }
+        let ran = (0..9)
+            .filter(|_| ready.pop().expect("queued").0 == obj)
+            .count();
+        let left = ready.take_all(other_lane, other, &expected_of(&next, other));
+        assert!(!left.is_empty());
+        for _ in 0..3 {
+            accept(&mut ready, &mut other_lane, &mut next, other, 5);
+            accept(&mut ready, &mut lane, &mut next, obj, 0);
+        }
+        let expected = expected_of(&next, obj);
+        let taken = ready.take_all(lane, obj, &expected);
+        assert_eq!(
+            taken.len() as u64,
+            expected.values().sum::<u64>() - ran as u64
+        );
+        let mut newest = FxHashMap::default();
+        for p in &taken {
+            assert_eq!(p.seq, u64::from(p.handler), "rank {}'s message", p.sender);
+            if let Some(prev) = newest.insert(p.sender, p.seq) {
+                assert_eq!(p.seq, prev + 1, "rank {}'s run has a gap", p.sender);
+            }
+        }
+        for (s, n) in expected {
+            assert_eq!(newest[&s], n - 1, "rank {s}'s newest message left");
+        }
+    }
+
     #[test]
     fn a_hole_costs_no_more_than_a_message() {
-        assert_eq!(
-            std::mem::size_of::<Option<Queued>>(),
-            std::mem::size_of::<Queued>()
-        );
-        assert!(std::mem::size_of::<Option<Queued>>() <= 80);
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<Queued>>(), size_of::<Queued>());
+        #[cfg(not(feature = "check-invariants"))]
+        assert!(size_of::<Option<Queued>>() <= 48);
+        #[cfg(feature = "check-invariants")]
+        assert!(size_of::<Option<Queued>>() <= 56);
     }
 }
