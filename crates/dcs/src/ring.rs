@@ -66,9 +66,9 @@ impl<T> DerefMut for CachePadded<T> {
 // Bounded SPSC ring
 // ---------------------------------------------------------------------------
 
-/// One ring slot: an envelope, padded to the 64 bytes it took before the
-/// payload handle shrank. The ring keeps its old layout and size, and the
-/// allocator keeps its old behaviour around it (DESIGN.md §13).
+/// One ring slot: an envelope padded to 64 bytes. Smaller slots lower glibc's
+/// dynamic heap-trim threshold, and ranks' arenas then shrink and fault back
+/// in between runtimes launched in one process (DESIGN.md §13).
 struct Slot {
     env: UnsafeCell<MaybeUninit<Envelope>>,
     _pad: MaybeUninit<[u8; 64 - std::mem::size_of::<Envelope>()]>,
