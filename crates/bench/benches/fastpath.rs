@@ -8,9 +8,10 @@
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
 //! allocator: the runtime-step bench **asserts** that a steady-state
 //! `Runtime::step` followed by its `Completion::report` allocates nothing
-//! and sends nothing, and the remote-hop bench that a
-//! steady-state remote MOL hop allocates at most once, under `cargo bench
-//! --bench fastpath -- --test` too.
+//! and sends nothing, the remote-hop bench that a steady-state remote MOL
+//! hop allocates at most once, and the staged-slice bench that eight staged
+//! remote hops and one pump cost one envelope and at most one allocation,
+//! under `cargo bench --bench fastpath -- --test` too.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -256,12 +257,71 @@ fn bench_remote_hop(c: &mut Criterion) {
     group.finish();
 }
 
+const SLICE_HOPS: usize = 8;
+const SLICES: usize = 2_000;
+
+/// A polling slice's remote hops, staged as `ilb::Scheduler::finish` stages
+/// a handler's sends: on the same two ranks, rank 0 stages
+/// [`SLICE_HOPS`] 16-byte messages for the object on rank 1
+/// (`MolNode::stage_message`), pumps once, and rank 1 pumps and pops them.
+/// After warm-up, each of [`SLICES`] slices must cost exactly one envelope,
+/// the frame that carries the eight records, and at most one allocation, the
+/// `Arc` that freezes it. The per-hop time of that run is printed; one timed
+/// iteration is [`SLICES`] slices.
+fn bench_staged_slice(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fastpath");
+    group.sample_size(10);
+    let mut nodes: Vec<MolNode<Blob>> = LocalFabric::new(2)
+        .into_iter()
+        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), MolConfig::default()))
+        .collect();
+    let ptr = nodes[1].register(Blob(Vec::new()));
+    let mut slices = |n: usize| {
+        for _ in 0..n {
+            for i in 0..SLICE_HOPS {
+                let payload = Bytes::copy_from_slice(&[i as u8; 16]);
+                nodes[0].stage_message(ptr, H_HOP, 1.0, payload);
+            }
+            assert!(nodes[0].pump().is_empty(), "only object traffic is sent");
+            assert!(nodes[1].pump().is_empty(), "only object traffic is sent");
+            for _ in 0..SLICE_HOPS {
+                black_box(nodes[1].pop_work().expect("the hop arrived"));
+            }
+        }
+        nodes[0].comm().stats().msgs_sent
+    };
+    let warm = slices(SLICES);
+    prema_bench::reset_alloc_count();
+    let t0 = Instant::now();
+    let sent = slices(SLICES) - warm;
+    let per_hop = t0.elapsed() / (SLICES * SLICE_HOPS) as u32;
+    let allocs = prema_bench::alloc_count();
+    assert_eq!(
+        sent, SLICES as u64,
+        "a slice's staged hops must leave as one envelope"
+    );
+    assert!(
+        allocs <= SLICES as u64,
+        "a staged slice must allocate at most once: {allocs} allocs / {SLICES} slices"
+    );
+    println!(
+        "  fastpath/staged_slice: {per_hop:?} per hop, {:.2} allocations per slice of {SLICE_HOPS}",
+        allocs as f64 / SLICES as f64
+    );
+    group.bench_function(
+        format!("staged_slice_x{SLICE_HOPS}_x{}k", SLICES / 1000),
+        |b| b.iter(|| slices(SLICES)),
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fanout,
     bench_pool_hit_rate,
     bench_migrate_cost,
     bench_runtime_step,
-    bench_remote_hop
+    bench_remote_hop,
+    bench_staged_slice
 );
 criterion_main!(benches);

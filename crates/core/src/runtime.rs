@@ -26,10 +26,18 @@
 //! polls only when [`ilb::Scheduler::poll_due`] says so: before every unit
 //! while the rank's queue is empty or its units are a
 //! [`prema_dcs::WIRE_SLICE`] long, and once per slice (on the rank's
-//! monotonic [`Clock`]) while it works through shorter ones. What a unit
-//! sends still leaves at its `finish`; what arrives for the rank waits at
-//! most one slice. Every other poll — [`Runtime::poll`], the polling
-//! thread's pass — runs whenever it is called.
+//! monotonic [`Clock`]) while it works through shorter ones. What arrives
+//! for the rank waits at most one slice, and so do the object messages its
+//! units send to other ranks: a unit's `finish` appends each to its peer's
+//! frame, and every frame leaves at the rank's next polling operation, one
+//! frame a peer (DESIGN.md §11). That is within one slice while the rank
+//! runs short units, at once when its queue runs dry or its units are a
+//! slice long, and at the polling thread's next pass if a long unit starts
+//! first. Every other poll — [`Runtime::poll`], the polling thread's pass —
+//! runs whenever it is called, and what is still staged when a rank's
+//! `main` returns leaves then. Everything else a rank sends — messages
+//! posted through this handle, migrations, load-balancing traffic — leaves
+//! at once.
 
 use crate::config::{LbMode, PremaConfig};
 use crate::shutdown::{run_poll_loop, StopFlag};
@@ -137,9 +145,10 @@ impl<O: Migratable> Runtime<O> {
     /// One turn of PREMA's cycle: the polling operation if it is due
     /// ([`ilb::Scheduler::poll_due`]: always on an empty queue, else once
     /// per [`prema_dcs::WIRE_SLICE`]), then one queued work unit, if any.
-    /// The handler runs **without** holding the runtime lock, and what it
-    /// sent leaves when it returns (see module docs). Returns `false` if the
-    /// local queue was empty.
+    /// The handler runs **without** holding the runtime lock; what it sent
+    /// is applied when it returns and leaves the rank at its next polling
+    /// operation (see module docs). Returns `false` if the local queue was
+    /// empty.
     pub fn step(&self) -> bool {
         let exec = {
             let mut s = self.sched.lock();
@@ -291,7 +300,7 @@ where
         poll_threads.extend(poller);
 
         let main = main.clone();
-        app_threads.push(std::thread::spawn(move || main(runtime)));
+        app_threads.push(std::thread::spawn(move || run_main(runtime, &*main)));
     }
 
     // Join app threads first (no lock held — a join while holding a
@@ -338,11 +347,19 @@ where
     );
     let stop = Arc::new(StopFlag::new());
     let (runtime, poller) = start_rank(&cfg, rank, transport, trace.as_ref(), &stop);
-    let result = main(runtime);
+    let result = run_main(runtime, main);
     stop.request_stop();
     if let Some(t) = poller {
         t.join().expect("polling thread panicked");
     }
+    result
+}
+
+/// Run a rank's `main`, then send the frames its last units staged.
+fn run_main<O: Migratable, R>(runtime: Runtime<O>, main: impl FnOnce(Runtime<O>) -> R) -> R {
+    let sched = runtime.sched.clone();
+    let result = main(runtime);
+    sched.lock().node_mut().flush();
     result
 }
 

@@ -2,7 +2,8 @@
 //! migration, explicit vs implicit modes, and the preemptive polling thread.
 
 use bytes::Bytes;
-use prema::dcs::{Envelope, LocalEndpoint, LocalFabric, Tag, Transport};
+use prema::dcs::{Clock, Envelope, LocalEndpoint, LocalFabric, Tag, Transport, WIRE_SLICE};
+use prema::mol::proto::{frame_records, H_MOL_MSG};
 use prema::{
     launch, launch_single_rank, Completion, LbMode, Migratable, MobilePtr, PolicyKind, PremaConfig,
 };
@@ -357,9 +358,27 @@ fn a_rank_whose_queue_runs_dry_begs_on_the_very_next_step() {
     });
 }
 
+/// The records in one `H_MOL_MSG` frame `peer` received, if `env` is one.
+fn records(env: &Envelope) -> Option<usize> {
+    if env.tag != Tag::App || env.handler != H_MOL_MSG {
+        return None;
+    }
+    let mut n = 0;
+    frame_records(env.payload.clone(), |_| n += 1).expect("the frame decodes");
+    Some(n)
+}
+
+/// The object-message frames that have reached `peer` since it last looked,
+/// as their record counts.
+fn frames_arrived(peer: &LocalEndpoint) -> Vec<usize> {
+    arrived(peer).iter().filter_map(records).collect()
+}
+
 #[test]
-fn a_units_remote_sends_leave_at_its_finish() {
+fn a_units_remote_sends_leave_at_the_next_poll() {
     rank_zero_of_two(|rt, peer| {
+        let clock = Clock::manual();
+        rt.with_scheduler(|s| s.set_clock(clock.clone()));
         // An object born on rank 1: its messages go straight there.
         let remote = MobilePtr { home: 1, index: 1 };
         rt.on_message(H_HIT, move |ctx, cell, _item| {
@@ -370,12 +389,75 @@ fn a_units_remote_sends_leave_at_its_finish() {
         for _ in 0..4 {
             rt.message(ptr, H_HIT, Bytes::new());
         }
-        // Units after the first run inside one slice and do not poll; their
-        // sends must not wait for one.
-        for unit in 1..=4 {
+        // The first step polls; it and the next two run inside one slice,
+        // so their sends wait on rank 0.
+        for unit in 1..=3 {
             assert!(rt.step());
-            let app = arrived(peer).iter().filter(|e| e.tag == Tag::App).count();
-            assert_eq!(app, 1, "unit {unit}'s send was still on rank 0");
+            assert_eq!(
+                frames_arrived(peer),
+                [0; 0],
+                "unit {unit}'s send left early"
+            );
         }
+        // The slice is over: the fourth step polls first, and one envelope
+        // carries the three records.
+        clock.advance(WIRE_SLICE);
+        assert!(rt.step());
+        assert_eq!(frames_arrived(peer), [3]);
+        // The queue is empty: the step that finds it so polls at once.
+        assert!(!rt.step());
+        assert_eq!(frames_arrived(peer), [1]);
+    });
+}
+
+/// In implicit mode a frame staged before a long unit begins leaves at the
+/// polling thread's next pass, not after that unit.
+#[test]
+fn a_frame_staged_before_a_long_unit_leaves_at_the_polling_threads_pass() {
+    const H_SEND: u32 = 2;
+    const H_LONG: u32 = 3;
+    let mut eps = LocalFabric::new(2);
+    let peer = std::sync::Arc::new(std::sync::Mutex::new(eps.pop().expect("two endpoints")));
+    let ep0 = eps.pop().expect("two endpoints");
+    let cfg = PremaConfig {
+        mode: LbMode::Implicit {
+            poll_interval: Duration::from_micros(200),
+        },
+        ..PremaConfig::implicit(2)
+    };
+    launch_single_rank(cfg, 0, Box::new(ep0), None, |rt: prema::Runtime<Cell>| {
+        // No balancer: a status or request to rank 1 would take the frame
+        // along ahead of itself, whoever sent it.
+        rt.with_scheduler(|s| {
+            s.set_clock(Clock::manual());
+            s.set_lb_enabled(false);
+        });
+        let remote = MobilePtr { home: 1, index: 1 };
+        rt.on_message(H_SEND, move |ctx, _cell, _item| {
+            ctx.message(remote, H_HIT, Bytes::new());
+        });
+        let seen = peer.clone();
+        rt.on_message(H_LONG, move |_ctx, cell, _item| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while std::time::Instant::now() < deadline {
+                let got = std::iter::from_fn(|| seen.lock().unwrap().try_recv())
+                    .filter_map(|e| records(&e))
+                    .sum::<usize>();
+                if got > 0 {
+                    cell.hits = got as u64;
+                    return;
+                }
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        });
+        let ptr = rt.register(Cell { id: 0, hits: 0 });
+        rt.message(ptr, H_SEND, Bytes::new());
+        rt.message(ptr, H_LONG, Bytes::new());
+        // The first step polls, then stages the send; the clock stands
+        // still, so the second step begins the long unit without a poll.
+        assert!(rt.step());
+        assert!(rt.step());
+        let hits = rt.with_scheduler(|s| s.node().get(ptr).map(|c| c.hits));
+        assert_eq!(hits, Some(1), "the frame waited for the long unit to end");
     });
 }

@@ -52,7 +52,8 @@
 //!   an application record is appended to it. A datagram closes when the
 //!   next record would take its records past [`MTU_PAYLOAD`]; a record
 //!   bigger than that travels alone (up to [`MAX_DGRAM`], which loopback
-//!   carries whole).
+//!   carries whole). A MOL frame, the object messages a rank's units sent
+//!   one peer within a slice (up to 1 KiB), rides as one record.
 //! * **System traffic never waits.** A `Tag::System` record closes its
 //!   destination's datagram and leaves inside `send`, behind the application
 //!   records staged before it to that peer, so per-pair FIFO holds across

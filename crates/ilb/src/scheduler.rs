@@ -66,7 +66,8 @@ pub type WorkHandler<O> = Arc<dyn Fn(&mut HandlerCtx, &mut O, &WorkItem) + Send 
 /// Buffered send context handed to work handlers. Handlers run with the
 /// object *detached* from the node (so the preemptive polling thread can keep
 /// balancing everything else); their sends are buffered here and applied when
-/// the unit completes.
+/// the unit completes, a unit's object messages for other ranks leaving with
+/// the rank's next poll ([`Scheduler::finish`]).
 pub struct HandlerCtx {
     rank: Rank,
     nprocs: usize,
@@ -480,10 +481,12 @@ impl<O: Migratable> Scheduler<O> {
     }
 
     /// Complete an execution started by [`Scheduler::begin`]: re-attach the
-    /// object, apply the handler's buffered sends, update counters, and
-    /// flush. The load balancer is not evaluated here: the next polling
-    /// operation does that, at most a [`WIRE_SLICE`] away under
-    /// `prema::Runtime::step`, and at once if the queue ran dry.
+    /// object, apply the handler's buffered sends and update counters. The
+    /// load balancer is not evaluated here, and the object messages the
+    /// handler sent to other ranks do not leave here: the next polling
+    /// operation weighs the load and sends them, at most a [`WIRE_SLICE`]
+    /// away under `prema::Runtime::step`, and at once if the queue ran dry.
+    /// A [`Scheduler::poll_system`] in between sends them too.
     pub fn finish(&mut self, exec: Execution<O>) {
         let Execution {
             item, obj, mut ctx, ..
@@ -548,7 +551,11 @@ impl<O: Migratable> Scheduler<O> {
     }
 
     /// Send what a handler buffered, leaving the buffer empty (and its
-    /// allocation reusable).
+    /// allocation reusable). Object messages go to
+    /// [`MolNode::stage_message`]: a local target has its message at once,
+    /// a remote one's record joins the frame this rank sends that peer at
+    /// its next poll (DESIGN.md §11). Node messages leave at once, after
+    /// that peer's frame.
     fn apply_outgoing(&mut self, outgoing: &mut Vec<Outgoing>) {
         for out in outgoing.drain(..) {
             match out {
@@ -557,7 +564,7 @@ impl<O: Migratable> Scheduler<O> {
                     handler,
                     hint,
                     payload,
-                } => self.node.message_with_hint(ptr, handler, hint, payload),
+                } => self.node.stage_message(ptr, handler, hint, payload),
                 Outgoing::Node {
                     dst,
                     handler,
@@ -633,6 +640,9 @@ impl<O: Migratable> Scheduler<O> {
                         };
                         h(&mut ctx, src, payload);
                         self.apply_outgoing(&mut ctx.outgoing);
+                        // This poll has sent its frames already: what a node
+                        // handler sends leaves now, not at the next one.
+                        self.node.flush();
                     } else {
                         // An unregistered handler id is one bad remote
                         // message; dropping it beats aborting the rank.

@@ -32,13 +32,14 @@ use crate::directory::{
 };
 use crate::migrate::Migratable;
 use crate::proto::{
-    DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope, NodeMsg, H_MOL_DIR_ANSWER,
-    H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG, H_NODE_MSG,
+    frame_records, DirAnswer, DirLookup, DirPublish, Frame, MigratePacket, MolEnvelope, NodeMsg,
+    FRAME_CAP, H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG,
+    H_NODE_MSG,
 };
 use crate::ptr::{MobilePtr, PtrAllocator};
 use crate::ready::{Queued, ReadyIndex, NO_LANE};
 use bytes::Bytes;
-use prema_dcs::{env, pool, Communicator, Envelope, FxHashMap, Rank, Tag};
+use prema_dcs::{env, pool, Communicator, Envelope, FxHashMap, HandlerId, Rank, Tag};
 use prema_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
 
@@ -424,6 +425,9 @@ pub struct MolNode<O: Migratable> {
     /// outside the machine — only a corrupt frame names one — is no peer and
     /// is left out.
     consumed: Vec<u64>,
+    /// The open `H_MOL_MSG` frame of each peer: the records
+    /// [`MolNode::stage_message`] has staged for it and not yet sent.
+    frames: Vec<Option<Frame>>,
     stats: MolStats,
     tracer: Tracer,
     /// Shadow state asserting ordering/conservation invariants (see
@@ -444,6 +448,9 @@ impl<O: Migratable> MolNode<O> {
     pub fn with_config(comm: Communicator, cfg: MolConfig) -> Self {
         let rank = comm.rank();
         let consumed = vec![0; comm.nprocs()];
+        let frames = std::iter::repeat_with(|| None)
+            .take(comm.nprocs())
+            .collect();
         MolNode {
             comm,
             alloc: PtrAllocator::new(rank),
@@ -453,6 +460,7 @@ impl<O: Migratable> MolNode<O> {
             resident: 0,
             ready: ReadyIndex::default(),
             consumed,
+            frames,
             stats: MolStats::default(),
             tracer: Tracer::off(),
             #[cfg(feature = "check-invariants")]
@@ -577,7 +585,8 @@ impl<O: Migratable> MolNode<O> {
 
     /// Send an application message to a mobile object, wherever it lives.
     /// `handler` is an application-level id dispatched by the caller when the
-    /// message comes back out of [`MolNode::poll`] at the destination.
+    /// message comes back out of [`MolNode::poll`] at the destination. A
+    /// remote target's message leaves at once, as a frame of its own.
     pub fn message(&mut self, ptr: MobilePtr, handler: u32, payload: Bytes) {
         self.message_with_hint(ptr, handler, 1.0, payload);
     }
@@ -590,6 +599,71 @@ impl<O: Migratable> MolNode<O> {
     /// the bounded location cache is one further O(1) probe on the remote
     /// path.
     pub fn message_with_hint(&mut self, ptr: MobilePtr, handler: u32, hint: f64, payload: Bytes) {
+        self.send_object(ptr, handler, hint, payload, false);
+    }
+
+    /// [`MolNode::message_with_hint`] for a sender that polls, as the ILB
+    /// scheduler does after a handler returns (DESIGN.md §11). A local
+    /// target accepts the message at once; a remote one gets it as a record
+    /// appended to that peer's open `H_MOL_MSG` [`Frame`]. The frame leaves
+    /// at the start of this node's next [`MolNode::pump`], [`MolNode::poll`]
+    /// or [`MolNode::poll_system`], before any other send to that peer (so
+    /// the pair's FIFO order is the order of the sends), as soon as it is
+    /// full, and at [`MolNode::flush`]. Routing, sequence number and
+    /// counters are settled here, as for an eager send.
+    pub fn stage_message(&mut self, ptr: MobilePtr, handler: u32, hint: f64, payload: Bytes) {
+        self.send_object(ptr, handler, hint, payload, true);
+    }
+
+    /// Send every open frame (see [`MolNode::stage_message`]), in rank
+    /// order.
+    pub fn flush(&mut self) {
+        for dst in 0..self.frames.len() {
+            self.flush_to(dst);
+        }
+    }
+
+    /// Send `dst`'s open frame, if it has one.
+    fn flush_to(&mut self, dst: Rank) {
+        if let Some(frame) = self.frames.get_mut(dst).and_then(Option::take) {
+            self.comm.am_send(dst, H_MOL_MSG, Tag::App, frame.finish());
+        }
+    }
+
+    /// Every send of this node but a staged record: `dst`'s open frame goes
+    /// first.
+    fn am_send(&mut self, dst: Rank, handler: HandlerId, tag: Tag, payload: Bytes) {
+        self.flush_to(dst);
+        self.comm.am_send(dst, handler, tag, payload);
+    }
+
+    /// Append `env` to `dst`'s open frame, opening one if there is none
+    /// and sending the old one first if `env` does not fit, and send the
+    /// frame once it is full. A record too large for any frame goes alone.
+    fn stage(&mut self, dst: Rank, env: &MolEnvelope) {
+        if env.wire_len() > FRAME_CAP || dst >= self.frames.len() {
+            return self.am_send(dst, H_MOL_MSG, Tag::App, env.encode());
+        }
+        if self.frames[dst].as_ref().is_some_and(|f| !f.fits(env)) {
+            self.flush_to(dst);
+        }
+        let frame = self.frames[dst].get_or_insert_with(Frame::new);
+        frame.push(env);
+        if frame.is_full() {
+            self.flush_to(dst);
+        }
+    }
+
+    /// The body of [`MolNode::message_with_hint`] and
+    /// [`MolNode::stage_message`]: `stage` picks how a remote message leaves.
+    fn send_object(
+        &mut self,
+        ptr: MobilePtr,
+        handler: u32,
+        hint: f64,
+        payload: Bytes,
+        stage: bool,
+    ) {
         assert!(!ptr.is_null(), "message to NULL mobile pointer");
         let me = self.comm.rank();
         self.stats.sent += 1;
@@ -631,8 +705,12 @@ impl<O: Migratable> MolNode<O> {
                 }
                 env.anchored = route.anchored;
                 env.route_epoch = route.epoch;
-                let wire = env.encode();
-                self.comm.am_send(route.dst, H_MOL_MSG, Tag::App, wire);
+                if stage {
+                    self.stage(route.dst, &env);
+                } else {
+                    let wire = env.encode();
+                    self.am_send(route.dst, H_MOL_MSG, Tag::App, wire);
+                }
             }
             None => {
                 // We are the home (and shard) and have never seen the
@@ -692,8 +770,7 @@ impl<O: Migratable> MolNode<O> {
             shard,
         });
         let q = DirLookup { ptr, epoch: 0 };
-        self.comm
-            .am_send(shard, H_MOL_DIR_LOOKUP, Tag::System, q.encode());
+        self.am_send(shard, H_MOL_DIR_LOOKUP, Tag::System, q.encode());
         None
     }
 
@@ -704,7 +781,7 @@ impl<O: Migratable> MolNode<O> {
         let body = msg.encode();
         // The frame holds a copy: a pooled payload goes back for the next.
         pool::recycle(msg.payload);
-        self.comm.am_send(dst, H_NODE_MSG, tag, body);
+        self.am_send(dst, H_NODE_MSG, tag, body);
     }
 
     /// Route a (re-)considered envelope: accept locally, send toward the best
@@ -723,7 +800,7 @@ impl<O: Migratable> MolNode<O> {
                 env.anchored = route.anchored;
                 env.route_epoch = route.epoch;
                 let wire = env.encode();
-                self.comm.am_send(route.dst, H_MOL_MSG, Tag::App, wire);
+                self.am_send(route.dst, H_MOL_MSG, Tag::App, wire);
             }
             None => self
                 .directory
@@ -940,8 +1017,7 @@ impl<O: Migratable> MolNode<O> {
             index: ptr.index,
             dst,
         });
-        self.comm
-            .am_send(dst, H_MOL_MIGRATE, Tag::System, packet.encode());
+        self.am_send(dst, H_MOL_MIGRATE, Tag::System, packet.encode());
         // Publish the move to the pointer's home shard so cold senders and
         // stale-send redirects resolve in one bounded hop (DESIGN.md §16).
         let shard = shard_of(ptr, self.comm.nprocs());
@@ -954,8 +1030,7 @@ impl<O: Migratable> MolNode<O> {
                 owner: dst,
                 epoch,
             };
-            self.comm
-                .am_send(shard, H_MOL_DIR_PUBLISH, Tag::System, pu.encode());
+            self.am_send(shard, H_MOL_DIR_PUBLISH, Tag::System, pu.encode());
         }
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
@@ -1073,8 +1148,9 @@ impl<O: Migratable> MolNode<O> {
 
     // ---- polling ---------------------------------------------------------
 
-    /// Process every queued incoming message and return the resulting events:
-    /// in-order application messages for local objects, node messages, and
+    /// Send the open frames ([`MolNode::flush`]), then process every queued
+    /// incoming message and return the resulting events: in-order
+    /// application messages for local objects, node messages, and
     /// installation notices. This is PREMA's *application-posted* polling
     /// operation.
     ///
@@ -1085,6 +1161,7 @@ impl<O: Migratable> MolNode<O> {
     /// pair (used by the ILB scheduler) sidesteps the issue by keeping
     /// undelivered work inside the node.
     pub fn poll(&mut self) -> Vec<MolEvent> {
+        self.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv() {
             self.handle_wire(env, &mut events);
@@ -1095,13 +1172,15 @@ impl<O: Migratable> MolNode<O> {
         events
     }
 
-    /// Process only *system-generated* traffic — migrations, location
-    /// updates, and system-tagged node messages — sidelining application
-    /// messages untouched (their order is preserved for the next
-    /// [`MolNode::poll`]). This is what PREMA's preemptive polling thread
-    /// runs at its periodic wake-ups (§4.2): load-balancing messages are seen
-    /// promptly, yet no application handler ever runs preemptively.
+    /// Send the open frames ([`MolNode::flush`]), then process only
+    /// *system-generated* traffic — migrations, location updates, and
+    /// system-tagged node messages — sidelining application messages
+    /// untouched (their order is preserved for the next [`MolNode::poll`]).
+    /// This is what PREMA's preemptive polling thread runs at its periodic
+    /// wake-ups (§4.2): load-balancing messages are seen promptly, yet no
+    /// application handler ever runs preemptively.
     pub fn poll_system(&mut self) -> Vec<MolEvent> {
+        self.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv_transport() {
             let is_system = env.tag == Tag::System;
@@ -1140,16 +1219,16 @@ impl<O: Migratable> MolNode<O> {
     }
 
     /// Decode and act on one wire envelope; `None` if it is not MOL traffic
-    /// or does not decode.
+    /// or does not decode. A frame's records are acted on one by one, so a
+    /// record that does not decode drops only itself and what follows it.
     fn dispatch(&mut self, env: &Envelope, events: &mut Vec<MolEvent>) -> Option<()> {
         let payload = env.payload.clone();
         match env.handler {
-            h if h == H_MOL_MSG => {
-                let menv = MolEnvelope::decode(payload)?;
+            h if h == H_MOL_MSG => frame_records(payload, |menv| {
                 if let Err(menv) = self.accept_local(menv) {
                     self.forward(menv);
                 }
-            }
+            })?,
             h if h == H_MOL_MIGRATE => {
                 let packet = MigratePacket::decode(payload)?;
                 if let Some(ev) = self.install(env.src, packet) {
@@ -1226,8 +1305,7 @@ impl<O: Migratable> MolNode<O> {
                             epoch,
                             stale: epoch > 0,
                         };
-                        self.comm
-                            .am_send(sender, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
+                        self.am_send(sender, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
                     }
                     // A chase this deep means the shard missed a publish
                     // (lost under chaos): repair it with our knowledge.
@@ -1235,12 +1313,11 @@ impl<O: Migratable> MolNode<O> {
                     if menv.hops >= REPAIR_HOPS && shard != me {
                         self.stats.dir_publishes += 1;
                         let pu = DirPublish { ptr, owner, epoch };
-                        self.comm
-                            .am_send(shard, H_MOL_DIR_PUBLISH, Tag::System, pu.encode());
+                        self.am_send(shard, H_MOL_DIR_PUBLISH, Tag::System, pu.encode());
                     }
                 }
                 let wire = menv.encode();
-                self.comm.am_send(next, H_MOL_MSG, Tag::App, wire);
+                self.am_send(next, H_MOL_MSG, Tag::App, wire);
             }
             None => self
                 .directory
@@ -1280,8 +1357,7 @@ impl<O: Migratable> MolNode<O> {
             epoch,
             stale: q.epoch > 0 && epoch > q.epoch,
         };
-        self.comm
-            .am_send(src, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
+        self.am_send(src, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
     }
 
     /// Merge a location fact learned from the wire (a `DirAnswer`) and
@@ -1372,11 +1448,13 @@ impl<O: Migratable> MolNode<O> {
         self.ready.weight().get()
     }
 
-    /// Process incoming wire traffic *without* draining the work queue:
-    /// routed application messages stay queued (visible via
-    /// [`MolNode::pop_work`]); only node messages and installation notices
-    /// are returned. This is the scheduler's ingest step.
+    /// Send the open frames ([`MolNode::flush`]), then process incoming wire
+    /// traffic *without* draining the work queue: routed application
+    /// messages stay queued (visible via [`MolNode::pop_work`]); only node
+    /// messages and installation notices are returned. This is the
+    /// scheduler's ingest step.
     pub fn pump(&mut self) -> Vec<MolEvent> {
+        self.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv() {
             self.handle_wire(env, &mut events);
@@ -1497,6 +1575,82 @@ mod tests {
             assert_eq!(nodes[0].pop_work().map(|w| w.ptr), Some(stayer));
         }
         assert_eq!(nodes[0].pop_work().map(|w| w.ptr), Some(mover));
+    }
+
+    fn two_nodes() -> Vec<MolNode<Unit>> {
+        LocalFabric::new(2)
+            .into_iter()
+            .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), MolConfig::default()))
+            .collect()
+    }
+
+    /// What has reached `node`'s wire since it last looked, as (handler,
+    /// records in the frame) pairs; a frame other than `H_MOL_MSG` counts
+    /// as one record.
+    fn wire_of(node: &MolNode<Unit>) -> Vec<(HandlerId, usize)> {
+        std::iter::from_fn(|| node.comm.try_recv())
+            .map(|env| {
+                let mut n = 0;
+                if env.handler == H_MOL_MSG {
+                    frame_records(env.payload, |_| n += 1).expect("the frame decodes");
+                } else {
+                    n = 1;
+                }
+                (env.handler, n)
+            })
+            .collect()
+    }
+
+    /// A staged record waits for the sender's next poll, shares its peer's
+    /// frame with the records staged after it, and leaves at once in a full
+    /// frame; a local target has its message at once, and a record too
+    /// large for any frame goes alone.
+    #[test]
+    fn a_frame_leaves_at_the_next_poll_or_once_full() {
+        let mut nodes = two_nodes();
+        let there = nodes[1].register(Unit);
+        let here = nodes[0].register(Unit);
+        nodes[0].stage_message(here, 1, 1.0, Bytes::new());
+        assert_eq!(nodes[0].ready_len(), 1, "a local target waits for nothing");
+        for _ in 0..3 {
+            nodes[0].stage_message(there, 1, 1.0, Bytes::new());
+        }
+        assert_eq!(wire_of(&nodes[1]), []);
+        nodes[0].pump();
+        assert_eq!(wire_of(&nodes[1]), [(H_MOL_MSG, 3)]);
+        // Empty payloads: 64-byte records, sixteen to a 1 KiB frame, which
+        // leaves with the sixteenth.
+        let fill = FRAME_CAP / 64;
+        for _ in 0..fill {
+            nodes[0].stage_message(there, 1, 1.0, Bytes::new());
+        }
+        assert_eq!(wire_of(&nodes[1]), [(H_MOL_MSG, fill)]);
+        // 16-byte payloads: 80-byte records, twelve to a frame; the
+        // thirteenth sends them and opens the next.
+        for i in 0..=12 {
+            nodes[0].stage_message(there, 1, 1.0, Bytes::copy_from_slice(&[i as u8; 16]));
+        }
+        assert_eq!(wire_of(&nodes[1]), [(H_MOL_MSG, 12)]);
+        nodes[0].stage_message(there, 1, 1.0, Bytes::from(vec![7; FRAME_CAP]));
+        assert_eq!(wire_of(&nodes[1]), [(H_MOL_MSG, 1), (H_MOL_MSG, 1)]);
+        assert!(nodes[0].frames.iter().all(Option::is_none));
+    }
+
+    /// Records staged for a peer leave before anything else this rank sends
+    /// it: an object that migrates there arrives after them.
+    #[test]
+    fn records_staged_for_a_peer_arrive_before_a_migration_to_it() {
+        let mut nodes = two_nodes();
+        let there = nodes[1].register(Unit);
+        let mover = nodes[0].register(Unit);
+        for _ in 0..3 {
+            nodes[0].stage_message(there, 1, 1.0, Bytes::new());
+        }
+        assert!(nodes[0].migrate(mover, 1));
+        let wire = wire_of(&nodes[1]);
+        let at = |h| wire.iter().position(|&(handler, _)| handler == h);
+        assert_eq!(wire[0], (H_MOL_MSG, 3), "the frame went first: {wire:?}");
+        assert!(at(H_MOL_MIGRATE) > at(H_MOL_MSG), "{wire:?}");
     }
 
     /// Pops between departures may leave more holes than a departure would

@@ -2,9 +2,12 @@
 //!
 //! Six message kinds ride on DCS:
 //!
-//! * `MOL_MSG` — an application message targeted at a mobile object,
+//! * `MOL_MSG` — application messages targeted at mobile objects, each
 //!   carrying a per-(sender, object) sequence number so delivery order is
-//!   preserved even across migrations and forwarding chains;
+//!   preserved even across migrations and forwarding chains. A frame holds
+//!   one or more [`MolEnvelope`] records back to back: what a rank's units
+//!   send one peer between two polls shares a [`Frame`], every other
+//!   message is a frame of one;
 //! * `MOL_MIGRATE` — a packed object moving to a new owner, together with its
 //!   ordering state (per-sender expected sequence numbers), any accepted but
 //!   not-yet-executed messages, and any out-of-order buffered messages;
@@ -77,10 +80,80 @@ impl MolEnvelope {
         write_env(WireWriter::pooled(ENV_HEADER + self.payload.len()), self).finish()
     }
 
-    /// Decode from the wire; `None` if the frame is truncated or names a
+    /// Decode a one-record frame; `None` if it is truncated or names a
     /// sender past `u32::MAX`.
     pub fn decode(payload: Bytes) -> Option<Self> {
         read_env(&mut WireReader::new(payload))
+    }
+
+    /// Bytes this envelope takes as a frame record.
+    pub fn wire_len(&self) -> usize {
+        ENV_HEADER + self.payload.len()
+    }
+}
+
+/// Byte budget of a [`Frame`]: the pooled buffer it fills, which it never
+/// outgrows.
+pub const FRAME_CAP: usize = 1024;
+
+/// An `H_MOL_MSG` frame being filled with records for one peer, in a pooled
+/// buffer of [`FRAME_CAP`] bytes that takes only records that
+/// [fit](Frame::fits), so it never reallocates; a record larger than the
+/// whole budget travels as a frame of its own ([`MolEnvelope::encode`]).
+pub struct Frame {
+    w: WireWriter,
+    len: usize,
+}
+
+impl Frame {
+    /// An empty frame.
+    pub fn new() -> Self {
+        Frame {
+            w: WireWriter::pooled(FRAME_CAP),
+            len: 0,
+        }
+    }
+
+    /// Whether `e` fits as the next record.
+    pub fn fits(&self, e: &MolEnvelope) -> bool {
+        self.len + e.wire_len() <= FRAME_CAP
+    }
+
+    /// Append `e` as the next record. Panics if it does not
+    /// [fit](Frame::fits).
+    pub fn push(&mut self, e: &MolEnvelope) {
+        assert!(self.fits(e), "a record past the frame's budget");
+        self.w = write_env(std::mem::take(&mut self.w), e);
+        self.len += e.wire_len();
+    }
+
+    /// Whether no further record, even one with an empty payload, fits.
+    pub fn is_full(&self) -> bool {
+        self.len + ENV_HEADER > FRAME_CAP
+    }
+
+    /// The frame's bytes, ready to send.
+    pub fn finish(self) -> Bytes {
+        self.w.finish()
+    }
+}
+
+impl Default for Frame {
+    fn default() -> Self {
+        Frame::new()
+    }
+}
+
+/// Hand each record of an `H_MOL_MSG` frame to `each`, in order. `None` at
+/// the first record that does not decode, every record before it having
+/// been handed over once; an empty frame is `None` as well.
+pub fn frame_records(payload: Bytes, mut each: impl FnMut(MolEnvelope)) -> Option<()> {
+    let mut r = WireReader::new(payload);
+    loop {
+        each(read_env(&mut r)?);
+        if r.remaining() == 0 {
+            return Some(());
+        }
     }
 }
 

@@ -3,9 +3,10 @@
 //! under arbitrary interleavings of sends, polls, and migrations.
 
 use bytes::Bytes;
-use prema_dcs::{Communicator, LocalFabric};
+use prema_dcs::{Communicator, Envelope, LocalFabric, Tag, Transport};
 use prema_mol::proto::{
-    DirAnswer, DirLookup, DirPublish, MigratePacket, MolEnvelope, NodeMsg, Pending,
+    frame_records, DirAnswer, DirLookup, DirPublish, Frame, MigratePacket, MolEnvelope, NodeMsg,
+    Pending, H_MOL_MSG,
 };
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
 use proptest::prelude::*;
@@ -96,6 +97,24 @@ fn decode_all(frame: &Bytes) {
     for kind in 0..6 {
         decodes_as(kind, frame);
     }
+    frame_records(frame.clone(), drop);
+}
+
+/// A frame of `envs`' records, in order.
+fn frame_of(envs: &[MolEnvelope]) -> Frame {
+    let mut frame = Frame::new();
+    for e in envs {
+        frame.push(e);
+    }
+    frame
+}
+
+/// The records `frame_records` hands over from `frame`, and whether it
+/// decoded to the end.
+fn records_of(frame: Bytes) -> (Vec<MolEnvelope>, bool) {
+    let mut got = Vec::new();
+    let whole = frame_records(frame, |e| got.push(e)).is_some();
+    (got, whole)
 }
 
 proptest! {
@@ -144,10 +163,74 @@ proptest! {
     }
 
     /// Every MOL decoder is total: arbitrary bytes decode to `None` or to a
-    /// value, never a panic or an abort.
+    /// value, never a panic or an abort. That holds for a multi-record
+    /// frame that runs from valid records into arbitrary bytes as well, and
+    /// it hands over every valid record first, each once, in order.
     #[test]
-    fn decoders_survive_arbitrary_bytes(raw in proptest::collection::vec(any::<u8>(), 0..256)) {
-        decode_all(&Bytes::from(raw));
+    fn decoders_survive_arbitrary_bytes(
+        envs in proptest::collection::vec(arb_env(), 0..4),
+        raw in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        decode_all(&Bytes::from(raw.clone()));
+        let mut frame = frame_of(&envs).finish().to_vec();
+        let (whole, complete) = records_of(Bytes::from(frame.clone()));
+        prop_assert_eq!(&whole, &envs);
+        prop_assert_eq!(complete, !envs.is_empty());
+        frame.extend_from_slice(&raw);
+        let (got, _) = records_of(Bytes::from(frame));
+        prop_assert!(got.len() >= envs.len());
+        prop_assert_eq!(&got[..envs.len()], &envs[..]);
+    }
+
+    /// A frame whose record `k` is corrupt (a sender past `u32::MAX`, or
+    /// cut off inside it) delivers records before `k` exactly once, drops
+    /// the rest, and counts one dropped envelope.
+    #[test]
+    fn a_corrupt_record_drops_itself_and_what_follows(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 1..8),
+        corrupt in any::<usize>(),
+        cut in any::<bool>(),
+        into in any::<usize>(),
+    ) {
+        let mut eps = LocalFabric::new(2);
+        let node_ep = eps.pop().expect("two endpoints");
+        let raw = eps.pop().expect("two endpoints");
+        let mut node: MolNode<Log> = MolNode::new(Communicator::new(Box::new(node_ep)));
+        let ptr = node.register(Log { seen: vec![] });
+        let envs: Vec<MolEnvelope> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| MolEnvelope {
+                target: ptr,
+                sender: 0,
+                seq: i as u64,
+                handler: i as u32,
+                ..plain_env(p)
+            })
+            .collect();
+        // `k == envs.len()`: nothing is corrupt.
+        let k = corrupt % (envs.len() + 1);
+        let mut frame = frame_of(&envs).finish().to_vec();
+        let at: usize = envs[..k].iter().map(MolEnvelope::wire_len).sum();
+        if k < envs.len() {
+            if cut {
+                frame.truncate(at + 1 + into % (envs[k].wire_len() - 1));
+            } else {
+                // The sender is the record's third u64.
+                frame[at + 16..at + 24].copy_from_slice(&u64::MAX.to_le_bytes());
+            }
+        }
+        raw.send(Envelope {
+            src: 0,
+            dst: 1,
+            handler: H_MOL_MSG,
+            tag: Tag::App,
+            payload: Bytes::from(frame),
+        });
+        prop_assert!(node.pump().is_empty());
+        let handlers: Vec<u32> = std::iter::from_fn(|| node.pop_work()).map(|w| w.handler).collect();
+        prop_assert_eq!(handlers, (0..k as u32).collect::<Vec<_>>());
+        prop_assert_eq!(node.stats().dropped_wire, u64::from(k < envs.len()));
     }
 
     /// A valid frame of each kind decodes; every strict prefix of it is
@@ -358,7 +441,14 @@ proptest! {
                     let mut payload = Vec::new();
                     payload.extend_from_slice(&(rank as u32).to_le_bytes());
                     payload.extend_from_slice(&seq.to_le_bytes());
-                    nodes[rank].message(ptrs[obj], 1, Bytes::from(payload));
+                    // Half the sends are staged, as a handler's are: they
+                    // leave with the sender's next poll of either kind, or
+                    // ahead of its next send to the same peer.
+                    if op == 0 {
+                        nodes[rank].message(ptrs[obj], 1, Bytes::from(payload));
+                    } else {
+                        nodes[rank].stage_message(ptrs[obj], 1, 1.0, Bytes::from(payload));
+                    }
                     *seq += 1;
                 }
                 2 => {
