@@ -14,7 +14,9 @@ pub enum LbMode {
     /// Implicit (preemptive): a polling thread additionally wakes at fixed
     /// intervals and processes *system* messages while work units execute.
     /// Application messages are never touched preemptively, so the
-    /// single-threaded programming model is preserved.
+    /// single-threaded programming model is preserved. A rank's thread
+    /// starts when the rank begins its first work unit, and is woken and
+    /// joined once every rank's `main` has returned.
     Implicit {
         /// Polling-thread wake-up period.
         poll_interval: Duration,

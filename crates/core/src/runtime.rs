@@ -1,10 +1,15 @@
 //! The PREMA runtime facade: threads, locking, and the implicit polling
 //! thread.
 //!
-//! [`launch`] starts one OS thread per rank (plus, in implicit mode, one
-//! polling thread per rank) and hands each application thread a
-//! [`Runtime`] — the paper's user-facing API: register mobile objects, send
-//! `ilb_message`s, post polling operations, and let the framework balance.
+//! [`launch`] starts one OS thread per rank and hands each application
+//! thread a [`Runtime`] — the paper's user-facing API: register mobile
+//! objects, send `ilb_message`s, post polling operations, and let the
+//! framework balance. In implicit mode each rank also gets one polling
+//! thread, started when the rank begins its first work unit — through
+//! [`Runtime::step`], [`Runtime::run_until`], or a unit begun inside
+//! [`Runtime::with_scheduler`] — since before that there is no unit for it
+//! to preempt (DESIGN.md §23). Registering, posting and polling never start
+//! it, and a `main` that runs no unit never has one.
 //!
 //! # Locking discipline
 //!
@@ -40,13 +45,15 @@
 //! at once.
 
 use crate::config::{LbMode, PremaConfig};
-use crate::shutdown::{run_poll_loop, StopFlag};
+use crate::shutdown::{run_started_poller, PollerSlot, StopFlag};
 use crate::sync::{Arc, Mutex};
 use bytes::Bytes;
 use prema_dcs::{Clock, Communicator, LocalFabric, Rank, Transport};
 use prema_ilb as ilb;
 use prema_ilb::LoadSnapshot;
 use prema_mol::{Migratable, MobilePtr, MolNode, MolStats, WorkItem};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// A rank's scheduler seen from code that cannot name its object type:
 /// [`crate::Completion`] keeps one to send from a call that has no
@@ -75,6 +82,17 @@ pub struct Runtime<O: Migratable> {
     sched: Arc<Mutex<ilb::Scheduler<O>>>,
     rank: Rank,
     nprocs: usize,
+    /// The rank's polling thread, in [`LbMode::Implicit`] mode.
+    poller: Option<Arc<Poller>>,
+}
+
+/// What a rank in [`LbMode::Implicit`] mode needs to start its polling
+/// thread at its first unit.
+struct Poller {
+    slot: PollerSlot<JoinHandle<()>>,
+    stop: Arc<StopFlag>,
+    interval: Duration,
+    tracer: prema_trace::Tracer,
 }
 
 impl<O: Migratable> Runtime<O> {
@@ -159,6 +177,7 @@ impl<O: Migratable> Runtime<O> {
         };
         match exec {
             Some(mut exec) => {
+                self.start_poller();
                 exec.run(); // lock released: polling thread is live here
                 self.sched.lock().finish(exec);
                 true
@@ -213,8 +232,32 @@ impl<O: Migratable> Runtime<O> {
     }
 
     /// Run `f` with the scheduler locked (escape hatch for tests and tools).
+    /// A unit begun inside `f` starts the rank's polling thread, as
+    /// [`Runtime::step`] does.
     pub fn with_scheduler<R>(&self, f: impl FnOnce(&mut ilb::Scheduler<O>) -> R) -> R {
-        f(&mut self.sched.lock())
+        let mut s = self.sched.lock();
+        let result = f(&mut s);
+        if self.poller.as_ref().is_some_and(|p| !p.slot.is_started()) && s.units_begun() > 0 {
+            drop(s);
+            self.start_poller();
+        }
+        result
+    }
+
+    /// Start the rank's polling thread if it has one and it has not started:
+    /// one atomic load once it has. Called with the scheduler lock released.
+    #[inline]
+    fn start_poller(&self) {
+        if let Some(p) = &self.poller {
+            p.slot.start(|| {
+                spawn_poller(
+                    self.sched.clone(),
+                    p.stop.clone(),
+                    p.interval,
+                    p.tracer.clone(),
+                )
+            });
+        }
     }
 
     /// A non-blocking send handle on this rank's scheduler.
@@ -228,7 +271,9 @@ impl<O: Migratable> Runtime<O> {
 ///
 /// In [`LbMode::Implicit`] mode a polling thread per rank preemptively
 /// processes system messages every `poll_interval` — this is the
-/// configuration the paper's evaluation crowns (§5).
+/// configuration the paper's evaluation crowns (§5). It starts when its rank
+/// begins its first work unit and is stopped, woken and joined after every
+/// rank's `main` has returned.
 pub fn launch<O, R, F>(cfg: PremaConfig, main: F) -> Vec<R>
 where
     O: Migratable,
@@ -292,28 +337,28 @@ where
     let stop = Arc::new(StopFlag::new());
     let main = Arc::new(main);
 
-    let mut app_threads = Vec::with_capacity(cfg.nprocs);
-    let mut poll_threads = Vec::new();
-
-    for (rank, transport) in transports.into_iter().enumerate() {
-        let (runtime, poller) = start_rank(&cfg, rank, transport, trace.as_ref(), &stop);
-        poll_threads.extend(poller);
-
-        let main = main.clone();
-        app_threads.push(std::thread::spawn(move || run_main(runtime, &*main)));
-    }
+    let app_threads: Vec<_> = transports
+        .into_iter()
+        .enumerate()
+        .map(|(rank, transport)| {
+            let runtime = start_rank(&cfg, rank, transport, trace.as_ref(), &stop);
+            let main = main.clone();
+            std::thread::spawn(move || run_main(runtime, &*main))
+        })
+        .collect();
 
     // Join app threads first (no lock held — a join while holding a
     // scheduler mutex would deadlock against the pollers; see the loom model
-    // in tests/loom_shutdown.rs), then request stop and reap the pollers.
-    let results: Vec<R> = app_threads
-        .into_iter()
-        .map(|t| t.join().expect("rank thread panicked"))
-        .collect();
-    stop.request_stop();
-    for t in poll_threads {
-        t.join().expect("polling thread panicked");
+    // in tests/loom_shutdown.rs), then request stop and reap the pollers
+    // the ranks handed back.
+    let mut results = Vec::with_capacity(cfg.nprocs);
+    let mut pollers = Vec::new();
+    for t in app_threads {
+        let (result, poller) = t.join().expect("rank thread panicked");
+        results.push(result);
+        pollers.extend(poller);
     }
+    stop_pollers(&stop, pollers);
     results
 }
 
@@ -322,7 +367,8 @@ where
 /// process per rank, each of which calls this with a socket transport such
 /// as [`prema_dcs::UdpTransport`]). `cfg.nprocs` is the *whole machine's*
 /// size; `transport.nprocs()` must agree. In [`LbMode::Implicit`] mode the
-/// rank gets its preemptive polling thread, reaped before this returns.
+/// rank gets its preemptive polling thread when it begins its first work
+/// unit; it is stopped, woken and joined before this returns.
 pub fn launch_single_rank<O, R, F>(
     cfg: PremaConfig,
     rank: usize,
@@ -346,21 +392,37 @@ where
         "transport bound to a different rank"
     );
     let stop = Arc::new(StopFlag::new());
-    let (runtime, poller) = start_rank(&cfg, rank, transport, trace.as_ref(), &stop);
-    let result = run_main(runtime, main);
-    stop.request_stop();
-    if let Some(t) = poller {
-        t.join().expect("polling thread panicked");
-    }
+    let runtime = start_rank(&cfg, rank, transport, trace.as_ref(), &stop);
+    let (result, poller) = run_main(runtime, main);
+    stop_pollers(&stop, poller);
     result
 }
 
-/// Run a rank's `main`, then send the frames its last units staged.
-fn run_main<O: Migratable, R>(runtime: Runtime<O>, main: impl FnOnce(Runtime<O>) -> R) -> R {
+/// Run a rank's `main`, then send the frames its last units staged. Returns
+/// `main`'s result and the rank's polling thread, if its first unit started
+/// one, for the launcher to stop once every rank has returned.
+fn run_main<O: Migratable, R>(
+    runtime: Runtime<O>,
+    main: impl FnOnce(Runtime<O>) -> R,
+) -> (R, Option<JoinHandle<()>>) {
     let sched = runtime.sched.clone();
+    let poller = runtime.poller.clone();
     let result = main(runtime);
     sched.lock().node_mut().flush();
-    result
+    (result, poller.and_then(|p| p.slot.take()))
+}
+
+/// Request stop, wake every poller out of its wait, and join them. A woken
+/// poller still runs the pass it was waiting for, then sees the stop.
+fn stop_pollers(stop: &StopFlag, pollers: impl IntoIterator<Item = JoinHandle<()>>) {
+    stop.request_stop();
+    let pollers: Vec<_> = pollers.into_iter().collect();
+    for t in &pollers {
+        t.thread().unpark();
+    }
+    for t in pollers {
+        t.join().expect("polling thread panicked");
+    }
 }
 
 /// Assemble one rank's scheduler stack from `cfg`: communicator → MOL node
@@ -392,50 +454,60 @@ pub fn build_scheduler<O: Migratable>(
 }
 
 /// Bring one rank up — the preamble every launch path shares:
-/// [`build_scheduler`] the stack and, in [`LbMode::Implicit`] mode, spawn
-/// its polling thread, which the caller reaps after `stop.request_stop()`.
+/// [`build_scheduler`] the stack and, in [`LbMode::Implicit`] mode, arm its
+/// polling thread to start at the rank's first unit; [`run_main`] hands it
+/// back for the caller to stop.
 fn start_rank<O: Migratable>(
     cfg: &PremaConfig,
     rank: usize,
     transport: Box<dyn Transport>,
     trace: Option<&std::sync::Arc<prema_trace::TraceSink>>,
     stop: &Arc<StopFlag>,
-) -> (Runtime<O>, Option<std::thread::JoinHandle<()>>) {
+) -> Runtime<O> {
     let tracer = trace
         .map(|s| s.tracer(rank))
         .unwrap_or_else(prema_trace::Tracer::off);
     let sched = build_scheduler(cfg, rank, transport, Clock::monotonic(), tracer.clone());
-    let sched = Arc::new(Mutex::new(sched));
-
     let poller = match cfg.mode {
-        LbMode::Implicit { poll_interval } => Some(spawn_poller(
-            sched.clone(),
-            stop.clone(),
-            poll_interval,
+        LbMode::Implicit { poll_interval } => Some(Arc::new(Poller {
+            slot: PollerSlot::new(),
+            stop: stop.clone(),
+            interval: poll_interval,
             tracer,
-        )),
+        })),
         _ => None,
     };
-    let runtime = Runtime {
-        sched,
+    Runtime {
+        sched: Arc::new(Mutex::new(sched)),
         rank,
         nprocs: cfg.nprocs,
-    };
-    (runtime, poller)
+        poller,
+    }
 }
 
 /// Spawn one rank's preemptive polling thread ([`LbMode::Implicit`]):
-/// wakes every `poll_interval`, processes system messages, emits a
-/// `PollWake` trace event.
+/// waits `poll_interval`, processes system messages, emits a `PollWake`
+/// trace event, and again until stopped; the first pass runs even if stop
+/// came first ([`run_started_poller`]). [`stop_pollers`] unparks it, so the
+/// wait ends at a stop request rather than at its deadline.
 fn spawn_poller<O: Migratable>(
     sched: Arc<Mutex<ilb::Scheduler<O>>>,
     stop: Arc<StopFlag>,
-    poll_interval: std::time::Duration,
+    poll_interval: Duration,
     tracer: prema_trace::Tracer,
-) -> std::thread::JoinHandle<()> {
+) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        run_poll_loop(&stop, || {
-            std::thread::sleep(poll_interval);
+        let clock = Clock::monotonic();
+        run_started_poller(&stop, || {
+            let deadline = clock.now() + poll_interval;
+            // `park_timeout` may return early, for no reason at all.
+            while !stop.is_requested() {
+                let left = deadline.saturating_sub(clock.now());
+                if left.is_zero() {
+                    break;
+                }
+                std::thread::park_timeout(left);
+            }
             let events = sched.lock().poll_system();
             tracer.emit(|| prema_trace::TraceEvent::PollWake {
                 events: events as u32,

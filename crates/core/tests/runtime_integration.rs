@@ -142,6 +142,23 @@ fn fast_polling_thread_does_not_break_handlers() {
 }
 
 #[test]
+fn launch_returns_without_sleeping_out_the_polling_interval() {
+    // The polling thread starts at the unit and is woken at stop: `launch`
+    // must not wait for its 10 s interval to run out.
+    let cfg = PremaConfig {
+        mode: LbMode::Implicit {
+            poll_interval: Duration::from_secs(10),
+        },
+        ..PremaConfig::implicit(1)
+    };
+    let t0 = std::time::Instant::now();
+    let results = run_config(cfg, 1, 1);
+    let took = t0.elapsed();
+    assert_eq!(results[0].0, 1);
+    assert!(took < Duration::from_secs(1), "launch took {took:?}");
+}
+
+#[test]
 fn object_state_survives_migration_exactly() {
     // Each object's hit count must equal the number of messages sent to it,
     // no matter how often it migrated.

@@ -5,7 +5,8 @@
 
 use bytes::Bytes;
 use prema::trace::{TraceEvent, TraceSink};
-use prema::{launch_with_trace, PremaConfig};
+use prema::{launch_with_trace, PremaConfig, Runtime};
+use std::time::{Duration, Instant};
 
 struct Cell(u64);
 impl prema::Migratable for Cell {
@@ -18,6 +19,7 @@ impl prema::Migratable for Cell {
 }
 
 const H_BUMP: u32 = 1;
+const H_SPIN: u32 = 2;
 
 #[test]
 fn runtime_records_exec_migration_and_substrate_events() {
@@ -81,4 +83,68 @@ fn runtime_records_exec_migration_and_substrate_events() {
         }
         assert!(mine.windows(2).all(|w| w[0].t <= w[1].t));
     }
+}
+
+/// How a rank's `main` in [`poll_wakes`] treats the unit it posts itself.
+#[derive(Clone, Copy)]
+enum Unit {
+    /// Registers, posts and returns without running it.
+    Posted,
+    /// Runs it through `Runtime::step`.
+    Stepped,
+    /// Begins it inside `Runtime::with_scheduler`, as a tool spelling out
+    /// `step` does.
+    BegunInScheduler,
+}
+
+/// The `PollWake` records of an implicit 2-rank machine whose ranks each
+/// post one 5 ms unit to an object of their own and one node message to the
+/// other rank, then treat the unit as `unit` says.
+fn poll_wakes(unit: Unit) -> usize {
+    let sink = TraceSink::new(2);
+    launch_with_trace::<Cell, (), _>(
+        PremaConfig::implicit(2),
+        Some(sink.clone()),
+        move |rt: Runtime<Cell>| {
+            rt.on_message(H_SPIN, |_ctx, cell, _item| {
+                let until = Instant::now() + Duration::from_millis(5);
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+                cell.0 += 1;
+            });
+            rt.on_node_message(H_BUMP, |_ctx, _from, _payload| {});
+            let ptr = rt.register(Cell(0));
+            rt.message(ptr, H_SPIN, Bytes::new());
+            rt.node_message(1 - rt.rank(), H_BUMP, Bytes::new());
+            match unit {
+                Unit::Posted => {}
+                Unit::Stepped => assert!(rt.step()),
+                Unit::BegunInScheduler => {
+                    let mut exec = rt.with_scheduler(|s| s.begin()).expect("a unit");
+                    exec.run();
+                    rt.with_scheduler(|s| s.finish(exec));
+                }
+            }
+        },
+    );
+    sink.drain()
+        .iter()
+        .filter(|r| matches!(r.ev, TraceEvent::PollWake { .. }))
+        .count()
+}
+
+#[test]
+fn a_rank_that_runs_no_unit_starts_no_polling_thread() {
+    assert_eq!(poll_wakes(Unit::Posted), 0);
+}
+
+#[test]
+fn a_unit_run_by_step_starts_the_polling_thread() {
+    assert!(poll_wakes(Unit::Stepped) >= 1);
+}
+
+#[test]
+fn a_unit_begun_inside_with_scheduler_starts_the_polling_thread() {
+    assert!(poll_wakes(Unit::BegunInScheduler) >= 1);
 }

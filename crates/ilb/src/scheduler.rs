@@ -362,6 +362,12 @@ impl<O: Migratable> Scheduler<O> {
         self.node.ready_len() == 0 && self.executing.is_none()
     }
 
+    /// Work units begun so far: those executed plus the one executing, if
+    /// any.
+    pub fn units_begun(&self) -> u64 {
+        self.stats.executed + u64::from(self.executing.is_some())
+    }
+
     /// PREMA's *polling operation* (§4): receive and process messages,
     /// handle system load-balancing traffic, and evaluate the local work
     /// level — the balancer's one evaluation point besides
