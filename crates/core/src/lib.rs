@@ -70,7 +70,7 @@ pub use prema_ilb as ilb;
 pub use prema_mol as mol;
 
 // Per-rank event tracing (`prema::trace::TraceSink` + `launch_with_trace`).
-// Hooks record only when built with the `trace` cargo feature.
+// Hooks record only into a sink a caller hands over.
 pub use prema_trace as trace;
 
 // The types applications touch constantly.

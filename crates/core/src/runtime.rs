@@ -287,10 +287,10 @@ where
 /// rank's scheduler, MOL node, communicator, and polling thread get a
 /// per-rank tracer stamping events with wall time since the sink's epoch.
 ///
-/// Tracing hooks are compiled out unless the `trace` cargo feature is on;
-/// without it the sink simply stays empty. The wire is the in-process
-/// [`LocalFabric`]; a caller wanting another stack (chaos, reliable, UDP)
-/// builds it and calls [`launch_with_transports`].
+/// With `None` every tracer stays detached, and each trace hook costs one
+/// branch. The wire is the in-process [`LocalFabric`]; a caller wanting
+/// another stack (chaos, reliable, UDP) builds it and calls
+/// [`launch_with_transports`].
 pub fn launch_with_trace<O, R, F>(
     cfg: PremaConfig,
     trace: Option<std::sync::Arc<prema_trace::TraceSink>>,

@@ -1,7 +1,5 @@
-//! End-to-end tracing through the live runtime (threads + polling thread).
-//! Compiled only with the `trace` cargo feature — without it the hooks are
-//! no-ops and there is nothing to assert.
-#![cfg(feature = "trace")]
+//! End-to-end tracing through the live runtime (threads + polling thread):
+//! `launch_with_trace` hands every rank's components a tracer on its sink.
 
 use bytes::Bytes;
 use prema::trace::{TraceEvent, TraceSink};

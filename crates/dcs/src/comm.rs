@@ -53,8 +53,7 @@ impl Communicator {
         }
     }
 
-    /// Attach a trace recorder for this rank's sends and receives. A no-op
-    /// handle unless `prema-trace` is built with its `enabled` feature.
+    /// Attach a trace recorder for this rank's sends and receives.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }

@@ -13,6 +13,9 @@ pub struct WireWriter {
     buf: BytesMut,
 }
 
+// The fixed-width writers are `#[inline]`: the workspace builds without
+// LTO, and each is one store plus a cold reserve that every MOL record
+// header would otherwise reach through a cross-crate call.
 impl WireWriter {
     /// New empty writer.
     pub fn new() -> Self {
@@ -31,24 +34,28 @@ impl WireWriter {
     }
 
     /// Append a `u64`.
+    #[inline]
     pub fn u64(mut self, v: u64) -> Self {
         self.buf.put_u64_le(v);
         self
     }
 
     /// Append a `u32`.
+    #[inline]
     pub fn u32(mut self, v: u32) -> Self {
         self.buf.put_u32_le(v);
         self
     }
 
     /// Append an `f64`.
+    #[inline]
     pub fn f64(mut self, v: f64) -> Self {
         self.buf.put_f64_le(v);
         self
     }
 
     /// Append a length-prefixed byte string.
+    #[inline]
     pub fn bytes(mut self, v: &[u8]) -> Self {
         self.buf.put_u32_le(v.len() as u32);
         self.buf.put_slice(v);

@@ -9,9 +9,8 @@
 //!
 //! Set `PREMA_TRACE_OUT=<path>` to additionally record the PREMA-implicit
 //! panel's run as a JSONL event trace, ready for `cargo xtask trace-report`:
-//! the engine's spans and messages, and — built with
-//! `--features prema-ilb/trace` — the runtime stack's own events
-//! (`lb_request`, `lb_grant`, `lb_veto`, `migrate`, `install`, ...) at
+//! the engine's spans and messages, and the runtime stack's own events
+//! (`lb_request`, `lb_grant`, `lb_veto`, `migrate`, `install`, ...), all at
 //! simulated-time stamps.
 //!
 //! Two policy scenarios (DESIGN.md §14) ride along, each one row per shipped
@@ -32,7 +31,7 @@ use prema_sim::TraceSink;
 /// Ring capacity per simulated processor when tracing a full-scale figure.
 /// A 128-proc paper run emits ~30 thousand records per processor (a span per
 /// poll-interval segment of each unit), about twice that with the stack's
-/// tracer compiled in; 2^18 slots leaves headroom so `dropped()` stays 0.
+/// own events; 2^18 slots leaves headroom so `dropped()` stays 0.
 const TRACE_RING_CAPACITY: usize = 1 << 18;
 
 /// One scenario's table: a row per policy.

@@ -74,8 +74,8 @@ pub fn run(spec: &BenchSpec, cfg: PremaConfig) -> SimReport {
 }
 
 /// [`run`] with an optional trace sink recording every span and message at
-/// simulated-time stamps (and, into a manually clocked sink of a build with
-/// the tracer compiled in, the stack's own events).
+/// simulated-time stamps (and, into a manually clocked sink, the stack's own
+/// events).
 pub fn run_traced(spec: &BenchSpec, cfg: PremaConfig, trace: Option<Arc<TraceSink>>) -> SimReport {
     let units: Vec<Vec<WorkUnit>> = spec
         .units()

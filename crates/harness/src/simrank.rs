@@ -268,9 +268,9 @@ pub struct StackRun {
 /// messages. `arrivals` is the work that appears later.
 ///
 /// The engine records its spans and messages into `trace`; the stack's own
-/// tracer (when compiled in) is attached too if the sink is manually clocked
-/// ([`TraceSink::manual`]) — its stamps are then simulated nanoseconds — and
-/// left off otherwise, a wall-clock stamp meaning nothing here.
+/// tracer is attached too if the sink is manually clocked
+/// ([`TraceSink::manual`]), its stamps then simulated nanoseconds, and left
+/// off otherwise, a wall-clock stamp meaning nothing here.
 pub fn run<O: Migratable>(
     machine: MachineConfig,
     cfg: &PremaConfig,

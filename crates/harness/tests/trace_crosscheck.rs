@@ -59,15 +59,11 @@ fn untraced_panels_leave_the_sink_empty() {
     assert!(sink.drain().is_empty());
 }
 
-/// Built with the stack's tracer compiled in (`--features prema-ilb/trace`),
-/// a manually clocked sink also receives the scheduler's and the MOL's own
+/// A manually clocked sink also receives the scheduler's and the MOL's own
 /// events, and `SimRank` keeps its clock on the engine's: every stamp is a
 /// simulated time within the run.
 #[test]
 fn the_stacks_own_events_are_stamped_in_simulated_time() {
-    if std::mem::size_of::<prema::trace::Tracer>() == 0 {
-        return; // tracer compiled out: the stack records nothing
-    }
     let spec = BenchSpec::test_scale(4);
     let sink = TraceSink::manual(spec.machine.procs, 1 << 16);
     let report = prema_drv::run_traced(&spec, prema_drv::implicit_cfg(&spec), Some(sink.clone()));

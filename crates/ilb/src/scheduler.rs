@@ -257,8 +257,7 @@ impl<O: Migratable> Scheduler<O> {
     }
 
     /// Attach a trace recorder. Propagates down through the MOL node to the
-    /// communicator so the whole rank records into one sink. A no-op handle
-    /// unless `prema-trace` is built with its `enabled` feature.
+    /// communicator so the whole rank records into one sink.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.node.set_tracer(tracer.clone());
         self.tracer = tracer;

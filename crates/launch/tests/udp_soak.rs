@@ -80,3 +80,36 @@ fn launcher_rejects_bad_usage() {
     let (ok, _) = run_launcher(&["--loss", "2.0"]);
     assert!(!ok, "--loss outside [0,1] must be a usage error");
 }
+
+#[test]
+fn trace_dir_gets_each_ranks_sends_and_receives() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("udp_soak_trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 target dir");
+    let (ok, stdout) = run_launcher(&[
+        "--ranks",
+        "2",
+        "--units-per-proc",
+        "10",
+        "--trace-dir",
+        dir_arg,
+    ]);
+    assert!(ok, "traced run failed:\n{stdout}");
+    assert!(
+        stdout.contains("exactly-once: ok"),
+        "traced run lost or doubled units:\n{stdout}"
+    );
+    for rank in 0..2 {
+        let path = dir.join(format!("rank-{rank}.jsonl"));
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        for ev in ["send", "recv"] {
+            assert!(
+                text.lines()
+                    .any(|l| l.contains(&format!("\"ev\":\"{ev}\""))),
+                "{} holds no `{ev}` record",
+                path.display()
+            );
+        }
+    }
+}

@@ -469,8 +469,7 @@ impl<O: Migratable> MolNode<O> {
     }
 
     /// Attach a trace recorder, propagated down to the communicator so the
-    /// rank's substrate traffic is recorded too. A no-op handle unless
-    /// `prema-trace` is built with its `enabled` feature.
+    /// rank's substrate traffic is recorded too.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.comm.set_tracer(tracer.clone());
         self.tracer = tracer;

@@ -12,12 +12,12 @@
 //!   simulator and the harness drivers call [`TraceSink::record`] directly
 //!   with explicit *simulated* timestamps; `cargo xtask trace-report` replays
 //!   a dumped run back into the Figure 3–6 tables.
-//! * **Feature gated:** the [`Tracer`] handle embedded in the real runtime
-//!   (dcs / mol / ilb / core). With the `enabled` feature off — the default —
-//!   `Tracer` is a zero-sized type and [`Tracer::emit`] is an empty inline
-//!   function, so the substrate fast path pays nothing (the `trace_overhead`
-//!   bench in `prema-bench` measures exactly this). With `enabled` on, a
-//!   tracer stamps events with wall-clock nanoseconds since its sink's epoch.
+//! * **Attached on demand:** the [`Tracer`] handle every component of the
+//!   real runtime (dcs / mol / ilb / core) holds, detached until a caller
+//!   hands the runtime a sink. A detached [`Tracer::emit`] is one load and
+//!   one branch and never builds its event (the `trace_overhead` bench in
+//!   `prema-bench` measures it); an attached one stamps with its sink's
+//!   clock: wall nanoseconds since the sink's epoch, or simulated time.
 //!
 //! Rings are bounded: when a rank's ring fills, further events are counted
 //! in [`TraceSink::dropped`] rather than blocking or reallocating, so tracing
@@ -631,45 +631,32 @@ impl TraceSink {
         Ok(())
     }
 
-    /// A recording handle for `rank`, stamping events with this sink's wall
-    /// clock. With the `enabled` feature off this is the same zero-sized
-    /// no-op as [`Tracer::off`]; the sink still works via [`TraceSink::record`].
-    #[cfg(feature = "enabled")]
+    /// A recording handle for `rank`, stamping events with this sink's
+    /// clock ([`TraceSink::elapsed_nanos`]).
     pub fn tracer(self: &Arc<Self>, rank: usize) -> Tracer {
         Tracer(Some(TracerInner {
             sink: Arc::clone(self),
             rank,
         }))
     }
-
-    /// A recording handle for `rank`, stamping events with this sink's wall
-    /// clock. With the `enabled` feature off this is the same zero-sized
-    /// no-op as [`Tracer::off`]; the sink still works via [`TraceSink::record`].
-    #[cfg(not(feature = "enabled"))]
-    pub fn tracer(self: &Arc<Self>, _rank: usize) -> Tracer {
-        Tracer
-    }
 }
 
 /// A per-rank recording handle embedded in the live runtime (communicator,
 /// mobile-object node, scheduler, poll thread).
 ///
-/// With the default-off `enabled` feature this is a zero-sized type and
-/// [`Tracer::emit`] compiles to nothing — including the closure building the
-/// event, which is never called. With `enabled` on, an attached tracer
-/// stamps events with wall nanoseconds since its sink's epoch.
-#[cfg(feature = "enabled")]
+/// Detached ([`Tracer::off`], the default) until built by
+/// [`TraceSink::tracer`]: tracing is on exactly when a caller hands the
+/// runtime a sink. A detached [`Tracer::emit`] is one load and one branch in
+/// its caller, and the closure building the event never runs.
 #[derive(Clone, Default)]
 pub struct Tracer(Option<TracerInner>);
 
-#[cfg(feature = "enabled")]
 #[derive(Clone)]
 struct TracerInner {
     sink: Arc<TraceSink>,
     rank: usize,
 }
 
-#[cfg(feature = "enabled")]
 impl Tracer {
     /// A detached tracer: emits are dropped. The default state of every
     /// runtime component until a sink is attached.
@@ -681,35 +668,21 @@ impl Tracer {
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = &self.0 {
-            let t = inner.sink.elapsed_nanos();
-            inner.sink.record(inner.rank, t, f());
+            inner.record(f());
         }
     }
 }
 
-/// A per-rank recording handle embedded in the live runtime (communicator,
-/// mobile-object node, scheduler, poll thread).
-///
-/// This is the compiled-out variant (`enabled` feature off): a zero-sized
-/// type whose [`Tracer::emit`] is an empty `#[inline(always)]` function, so
-/// the event-building closure is dead code and the fast path is untouched.
-// Deliberately not `Copy`, matching the enabled variant: callers clone when
-// fanning a tracer out to sub-components, and the two variants must accept
-// identical code.
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Default)]
-pub struct Tracer;
-
-#[cfg(not(feature = "enabled"))]
-impl Tracer {
-    /// A detached tracer (the only state this variant has).
-    pub fn off() -> Self {
-        Tracer
+impl TracerInner {
+    /// The attached path, stamp and record, kept out of line so a detached
+    /// emit site stays a load and a branch. Building the event stays in the
+    /// caller's branch: a closure handed here would make its captures'
+    /// addresses escape and cost the detached path a copy.
+    #[cold]
+    #[inline(never)]
+    fn record(&self, ev: TraceEvent) {
+        self.sink.record(self.rank, self.sink.elapsed_nanos(), ev);
     }
-
-    /// No-op: the closure is never called and the call compiles away.
-    #[inline(always)]
-    pub fn emit(&self, _f: impl FnOnce() -> TraceEvent) {}
 }
 
 #[cfg(test)]
@@ -948,12 +921,13 @@ mod tests {
         assert_eq!(sink.elapsed_nanos(), 0);
         sink.set_now(1_500_000_000);
         assert_eq!(sink.elapsed_nanos(), 1_500_000_000);
-        // A live tracer, where one is compiled in, stamps with that time.
+        // A live tracer stamps with that time.
         sink.tracer(0).emit(|| TraceEvent::PollWake { events: 0 });
-        assert!(sink.drain().iter().all(|r| r.t == 1_500_000_000));
+        let recs = sink.drain();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].t, 1_500_000_000);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn enabled_tracer_records_with_wall_stamps() {
         let sink = TraceSink::with_capacity(2, 16);
@@ -968,15 +942,26 @@ mod tests {
         assert_eq!(sink.drain().len(), 1);
     }
 
-    #[cfg(not(feature = "enabled"))]
     #[test]
-    fn disabled_tracer_is_zero_sized_and_never_calls_the_closure() {
-        assert_eq!(std::mem::size_of::<Tracer>(), 0);
-        let tracer = Tracer::off();
-        tracer.emit(|| unreachable!("closure must not run when disabled"));
+    fn a_detached_tracer_never_calls_the_closure_and_records_nothing() {
+        /// A runtime component before any sink is handed to it.
+        #[derive(Default)]
+        struct Component {
+            tracer: Tracer,
+        }
         let sink = TraceSink::with_capacity(1, 4);
-        sink.tracer(0)
-            .emit(|| unreachable!("sink tracer is also a no-op when disabled"));
-        assert_eq!(sink.drain().len(), 0);
+        let attached = Component {
+            tracer: sink.tracer(0),
+        };
+        Tracer::off().emit(|| unreachable!("closure must not run when detached"));
+        Component::default()
+            .tracer
+            .emit(|| unreachable!("a default tracer is detached"));
+        attached.tracer.emit(|| TraceEvent::ProcFinish);
+        // The sink holds the attached component's record alone.
+        let recs = sink.drain();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].ev, TraceEvent::ProcFinish);
+        assert_eq!(sink.dropped(), 0);
     }
 }
