@@ -123,4 +123,4 @@ criterion_group!(
     ablate_alpha,
     ablate_sync_points
 );
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

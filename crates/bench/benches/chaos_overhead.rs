@@ -122,4 +122,4 @@ fn bench_p2p_throughput(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_empty_poll, bench_p2p_throughput);
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

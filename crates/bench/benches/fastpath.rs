@@ -324,4 +324,4 @@ criterion_group!(
     bench_remote_hop,
     bench_staged_slice
 );
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

@@ -214,4 +214,4 @@ criterion_group!(
     bench_migrate_publish,
     bench_chain_collapse
 );
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

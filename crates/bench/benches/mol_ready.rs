@@ -227,4 +227,4 @@ fn bench_depths(c: &mut Criterion) {
 }
 
 criterion_group!(benches, assert_flat_in_depth, bench_depths);
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

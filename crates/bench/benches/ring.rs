@@ -149,4 +149,4 @@ criterion_group!(
     bench_steady_state_allocs,
     bench_comm_steady_state_allocs
 );
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

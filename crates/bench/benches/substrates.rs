@@ -164,4 +164,4 @@ criterion_group!(
     bench_sim_engine,
     bench_mesher
 );
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

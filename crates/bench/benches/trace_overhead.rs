@@ -102,4 +102,4 @@ fn bench_mol(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_dcs, bench_mol);
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

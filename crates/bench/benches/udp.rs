@@ -11,8 +11,9 @@
 //! the `reliable` bench, whose ack/retry absorbs loss, streams freely.
 //!
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
-//! allocator, and `udp_join` **asserts** what binding and joining a pair
-//! zeroes, under `cargo bench --bench udp -- --test` too.
+//! allocator and **asserts**, under `cargo bench --bench udp -- --test`
+//! too, what binding and joining a pair zeroes (`udp_join`) and how often a
+//! warm pair allocates per message it sends and receives.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -29,6 +30,14 @@ const PINGPONGS: usize = 1_000;
 const BURST: usize = 64;
 const BURST_ROUNDS: usize = 100;
 const STREAM_MSGS: usize = 1_000;
+/// Round trips that warm a pair up before its allocations are counted, and
+/// round trips counted.
+const WARM_TRIPS: usize = 200;
+const COUNTED_TRIPS: usize = 1_000;
+/// Heap allocations a warm pair may make per message, send and receive
+/// together, App or System. The wire makes 3 today; where they come from is
+/// not yet known, so this pins the count rather than a target.
+const ALLOCS_PER_MSG: u64 = 3;
 /// Sender-side pacing window for the reliable stream: polling between
 /// windows keeps in-flight bounded, so loss stays rare and the bench
 /// measures throughput rather than retransmit-storm recovery.
@@ -106,6 +115,48 @@ fn bench_join(c: &mut Criterion) {
     group.finish();
 }
 
+/// `n` App round trips, one frame in flight, both endpoints pumped.
+fn app_trips(t0: &UdpTransport, t1: &UdpTransport, n: usize) {
+    for i in 0..n {
+        t0.send(env(0, 1, i as u32));
+        black_box(pump_recv(t1, t0));
+        t1.send(env(1, 0, i as u32));
+        black_box(pump_recv(t0, t1));
+    }
+}
+
+/// `n` System round trips, each frame received with a blocking
+/// `recv_timeout`.
+fn system_trips(t0: &UdpTransport, t1: &UdpTransport, n: usize) {
+    let wait = Duration::from_secs(5);
+    for i in 0..n {
+        t0.send(sys(0, 1, i as u32));
+        black_box(t1.recv_timeout(wait).expect("ping"));
+        t1.send(sys(1, 0, i as u32));
+        black_box(t0.recv_timeout(wait).expect("pong"));
+    }
+}
+
+/// The steady-state allocation count, asserted: after [`WARM_TRIPS`] round
+/// trips, [`COUNTED_TRIPS`] more, App and System alike, may allocate at
+/// most [`ALLOCS_PER_MSG`] times per message.
+fn bench_steady_state_allocs(_c: &mut Criterion) {
+    let (t0, t1) = pair(6);
+    type Trips = fn(&UdpTransport, &UdpTransport, usize);
+    for (tag, trips) in [("App", app_trips as Trips), ("System", system_trips)] {
+        trips(&t0, &t1, WARM_TRIPS);
+        prema_bench::reset_alloc_count();
+        trips(&t0, &t1, COUNTED_TRIPS);
+        let allocs = prema_bench::alloc_count();
+        let msgs = 2 * COUNTED_TRIPS as u64;
+        assert!(
+            allocs <= ALLOCS_PER_MSG * msgs,
+            "{tag}: a warm UDP pair made {allocs} allocations for {msgs} messages, \
+             over {ALLOCS_PER_MSG} per message"
+        );
+    }
+}
+
 /// One App frame in flight, both endpoints spinning on `try_recv` on the
 /// bench thread, twice per round. An App record leaves at its sender's
 /// first receive call at least `prema_dcs::udp::WIRE_SLICE` (50 µs) after
@@ -117,14 +168,7 @@ fn bench_pingpong(c: &mut Criterion) {
     group.sample_size(10);
     let (t0, t1) = pair(1);
     group.bench_function(format!("udp_pingpong_x{PINGPONGS}"), |b| {
-        b.iter(|| {
-            for i in 0..PINGPONGS {
-                t0.send(env(0, 1, i as u32));
-                black_box(pump_recv(&t1, &t0));
-                t1.send(env(1, 0, i as u32));
-                black_box(pump_recv(&t0, &t1));
-            }
-        })
+        b.iter(|| app_trips(&t0, &t1, PINGPONGS))
     });
     group.finish();
 }
@@ -138,16 +182,8 @@ fn bench_pingpong_system(c: &mut Criterion) {
     let mut group = c.benchmark_group("udp-loopback");
     group.sample_size(10);
     let (t0, t1) = pair(4);
-    let wait = Duration::from_secs(5);
     group.bench_function(format!("udp_pingpong_system_x{PINGPONGS}"), |b| {
-        b.iter(|| {
-            for i in 0..PINGPONGS {
-                t0.send(sys(0, 1, i as u32));
-                black_box(t1.recv_timeout(wait).expect("ping"));
-                t1.send(sys(1, 0, i as u32));
-                black_box(t0.recv_timeout(wait).expect("pong"));
-            }
-        })
+        b.iter(|| system_trips(&t0, &t1, PINGPONGS))
     });
     group.finish();
 }
@@ -227,9 +263,10 @@ fn bench_reliable_stream(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_join,
+    bench_steady_state_allocs,
     bench_pingpong,
     bench_pingpong_system,
     bench_burst,
     bench_reliable_stream
 );
-criterion_main!(benches);
+criterion_main!(prema_bench::assert_oracle_free, benches);

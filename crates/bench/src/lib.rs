@@ -1,18 +1,20 @@
 //! Criterion benches for the PREMA reproduction live in `benches/`:
-//! `figures` (Figures 3–6 + the mesh study), `ablations` (design-knob
-//! sweeps), `substrates` (partitioner / MOL / engine / mesher
-//! microbenchmarks), `fastpath` (per-message and per-poll costs vs the
-//! retired transport designs), `ring` (the SPSC ring mesh, including the
-//! zero-allocation steady-state check), and `mol_ready` (the ready-work
-//! index across queue depths, including the flat-in-depth check). Run with
-//! `cargo bench`.
+//! `ablations` (design-knob sweeps), `substrates` (partitioner / MOL /
+//! engine / mesher microbenchmarks), `fastpath` (per-message and per-poll
+//! costs vs the retired transport designs), `ring` (the SPSC ring mesh,
+//! including the zero-allocation steady-state check), `udp` (the socket
+//! wire, including its allocations per steady-state message), and
+//! `mol_ready` (the ready-work index across queue depths, including the
+//! flat-in-depth check). Run with `cargo bench -p prema-bench`.
 //!
 //! This lib exposes [`CountingAlloc`], a pass-through global allocator that
 //! counts allocations so `benches/ring.rs` can *assert* — not just eyeball —
 //! that the transport's steady-state send/receive path never touches the
 //! allocator, and zeroed bytes so `benches/udp.rs` can assert what a join
-//! zeroes.
+//! zeroes; and [`assert_oracle_free`], which every bench binary runs before
+//! it measures.
 
+use criterion::Criterion;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,4 +83,28 @@ pub fn zeroed_bytes() -> u64 {
 pub fn reset_alloc_count() {
     ALLOCS.store(0, Ordering::SeqCst);
     ZEROED.store(0, Ordering::SeqCst);
+}
+
+/// Fail the bench run unless the runtime crates were compiled without their
+/// `check-invariants` oracles: published numbers must describe the build
+/// users ship (DESIGN.md §8). Cargo unifies features across the whole
+/// build, so this catches an oracle dependency anywhere in it, not only in
+/// this crate's manifest. Runs first in each bench binary's
+/// `criterion_main!`. A run-time check on purpose: `cargo clippy
+/// --workspace --all-targets` unifies features with the default-featured
+/// test builds and compiles the benches with the oracles on.
+pub fn assert_oracle_free(_: &mut Criterion) {
+    let on: Vec<&str> = [
+        ("prema", prema::CHECK_INVARIANTS),
+        ("prema-ilb", prema_ilb::CHECK_INVARIANTS),
+        ("prema-mol", prema_mol::CHECK_INVARIANTS),
+    ]
+    .into_iter()
+    .filter_map(|(name, on)| on.then_some(name))
+    .collect();
+    assert!(
+        on.is_empty(),
+        "bench build compiled with the `check-invariants` oracles of {on:?}: \
+         a dependency somewhere in the build left default features on"
+    );
 }

@@ -57,6 +57,10 @@ pub mod shutdown;
 pub mod sync;
 pub mod termination;
 
+/// Whether this build carries the `check-invariants` oracles (DESIGN.md §7).
+/// Benchmarks assert it is `false` before they measure.
+pub const CHECK_INVARIANTS: bool = cfg!(feature = "check-invariants");
+
 pub use config::{LbMode, PolicyKind, PremaConfig};
 pub use phases::PhaseBarrier;
 pub use runtime::{

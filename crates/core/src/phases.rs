@@ -112,3 +112,16 @@ impl PhaseBarrier {
         let _ = &self.arrivals;
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn epoch_roundtrip() {
+        for epoch in [0, 1, u64::MAX] {
+            assert_eq!(decode_epoch(encode_epoch(epoch)), Some(epoch));
+        }
+        assert_eq!(decode_epoch(encode_epoch(7).slice(0..7)), None);
+    }
+}

@@ -19,9 +19,9 @@
 //! # Wire format
 //!
 //! Every datagram starts with a fixed 24-byte little-endian header
-//! (`encode_header`/`decode_header`, checked for drift by `cargo xtask
-//! analyze`): magic `"PRMA"`, protocol version, frame kind (HELLO /
-//! WELCOME / DATA), source rank, epoch. A DATA datagram then names its
+//! (`encode_header`/`decode_header`, pinned by `header_roundtrip`): magic
+//! `"PRMA"`, protocol version, frame kind (HELLO / WELCOME / DATA), source
+//! rank, epoch. A DATA datagram then names its
 //! destination rank once (`encode_dst`/`decode_dst`) and packs one or more
 //! records, each a handler id, a tag and a length-prefixed payload
 //! (`encode_record`/`decode_record`). The epoch ties a datagram to one
@@ -175,8 +175,8 @@ struct Header {
     epoch: u64,
 }
 
-// Wire schema, kept as named encode/decode pairs so `cargo xtask analyze`
-// checks the field sequences against each other (see `wire_pairing`).
+// Wire schema, as encode/decode pairs; `header_roundtrip` and
+// `dgram_roundtrip` decode what each writer wrote, field by field.
 
 /// Append the fixed header to `w`.
 fn encode_header(w: WireWriter, h: &Header) -> WireWriter {
@@ -1388,13 +1388,15 @@ mod tests {
         s.recv_calls + s.recv_empty
     }
 
+    /// Every field holds a value no other field holds, so a decoder that
+    /// swaps two fields fails here.
     #[test]
     fn header_roundtrip() {
         let h = Header {
             magic: MAGIC,
             version: PROTO_VERSION,
             kind: KIND_DATA,
-            src: 3,
+            src: 7,
             epoch: 0xDEAD_BEEF,
         };
         let bytes = encode_header(WireWriter::new(), &h).finish();

@@ -6,7 +6,7 @@
 //! registration — against every schedule, not just the ones a stress test
 //! happens to hit. Each model mirrors one structure from `dcs::ring` and
 //! keeps its name (`SpscRing`, `ReadySet`, `Parker`) so `cargo xtask
-//! analyze`'s atomics audit can tie the production declarations to their
+//! lint`'s atomics audit can tie the production declarations to their
 //! models.
 //!
 //! The models run under plain `cargo test`: vendored loom is a normal

@@ -29,6 +29,11 @@ pub mod policy;
 pub mod scheduler;
 pub mod stability;
 
+/// Whether this build carries the `check-invariants` oracles, the
+/// scheduler's conservation check among them. Benchmarks assert it is
+/// `false` before they measure.
+pub const CHECK_INVARIANTS: bool = cfg!(feature = "check-invariants");
+
 pub use policy::{
     diffusion_neighborhood, pair_partner, Diffusion, Gradient, LbPolicy, LoadMap, LoadSnapshot,
     Multilist, WorkStealing,

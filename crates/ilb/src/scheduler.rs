@@ -1011,6 +1011,15 @@ mod tests {
     }
 
     #[test]
+    fn load_snapshot_roundtrip() {
+        for load in [snap(0, 0.0), snap(7, 2.5), snap(usize::MAX, f64::MAX)] {
+            let back =
+                Scheduler::<Unit>::decode_snapshot(Scheduler::<Unit>::encode_snapshot(&load));
+            assert_eq!(back, Some(load));
+        }
+    }
+
+    #[test]
     fn a_status_is_due_at_each_line_a_neighbour_acts_on() {
         let p = WorkStealing::new(2.0, 1);
         let due = |told, local, theirs: Option<LoadSnapshot>| {

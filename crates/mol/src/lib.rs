@@ -36,6 +36,11 @@ pub mod proto;
 pub mod ptr;
 pub(crate) mod ready;
 
+/// Whether this build carries the `check-invariants` oracles (and the
+/// ready-queue slot's sequence number, DESIGN.md §17). Benchmarks assert it
+/// is `false` before they measure.
+pub const CHECK_INVARIANTS: bool = cfg!(feature = "check-invariants");
+
 pub use directory::{shard_of, LocCache, ShardAuthority, HARD_CHAIN_LIMIT, MAX_CHAIN};
 pub use migrate::{pack_to_vec, Migratable};
 pub use node::{MolConfig, MolEvent, MolNode, MolStats, WorkItem};

@@ -2,11 +2,13 @@
 //! (plus explicit configuration), so fixtures in the tests below exercise
 //! exactly the code `cargo xtask lint` runs.
 
+use crate::analyze::code_tokens;
+use crate::lex::Kind;
 use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One lint finding.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     pub path: String,
     pub line: usize,
@@ -25,41 +27,41 @@ impl Violation {
     }
 }
 
-/// One parsed allowlist entry: the 1-based line it sits on in the allowlist
-/// file (so stale-entry diagnostics point at the exact line to delete) and
-/// its mandatory justification.
-pub struct AllowEntry {
-    pub line: usize,
-    pub why: String,
-}
-
-/// Parsed allowlist: key -> entry, where a key is either a
-/// workspace-relative `path` or a `path:line` pair.
+/// Parsed allowlist: key -> the 1-based line of its entry in the allowlist
+/// file (so stale-entry diagnostics point at the exact line to delete). A
+/// key is a workspace-relative `path`, or `path: item` in a list keyed by
+/// item ([`Allowlist::parse_by_item`]).
 ///
-/// File format: one `path: justification` or `path:line: justification` per
-/// line; `#` starts a comment. A justification is mandatory — an allowlist
-/// entry without a reason is itself a violation (reported against the
-/// allowlist file). Line-keyed lists ([`Allowlist::parse_line_keyed`])
-/// additionally reject plain-path keys, so a single entry can never
-/// blanket-allow a whole file.
+/// File format: one `path: justification` (or `path: item: justification`)
+/// per line; `#` starts a comment. A justification is mandatory — an
+/// allowlist entry without a reason is itself a violation (reported against
+/// the allowlist file). An item is a function name or an atomic's
+/// `Container.field`: it names what is allowed without naming a line, so
+/// an edit that moves the code needs no allowlist edit, and a single entry
+/// can never blanket a whole file.
 pub struct Allowlist {
     pub file: String,
-    pub entries: BTreeMap<String, AllowEntry>,
+    pub entries: BTreeMap<String, usize>,
     pub parse_errors: Vec<Violation>,
 }
 
+/// The key of `item` in `path` in a list keyed by item.
+pub fn item_key(path: &str, item: &str) -> String {
+    format!("{path}: {item}")
+}
+
 impl Allowlist {
+    /// Parse a list keyed by file: `path: justification`.
     pub fn parse(file: &str, text: &str) -> Allowlist {
         Self::parse_with(file, text, false)
     }
 
-    /// Parse an allowlist whose entries must all be `path:line: reason` —
-    /// used by lints that refuse file-granular allowances.
-    pub fn parse_line_keyed(file: &str, text: &str) -> Allowlist {
+    /// Parse a list keyed by item: `path: item: justification`.
+    pub fn parse_by_item(file: &str, text: &str) -> Allowlist {
         Self::parse_with(file, text, true)
     }
 
-    fn parse_with(file: &str, text: &str, line_keyed: bool) -> Allowlist {
+    fn parse_with(file: &str, text: &str, by_item: bool) -> Allowlist {
         let mut entries = BTreeMap::new();
         let mut parse_errors = Vec::new();
         for (i, raw) in text.lines().enumerate() {
@@ -67,39 +69,31 @@ impl Allowlist {
             if line.is_empty() {
                 continue;
             }
-            let parsed = line.split_once(':').map(|(path, rest)| {
-                // `path:line: reason` when the text between the first two
-                // colons is an integer; `path: reason` otherwise.
-                match rest.split_once(':') {
-                    Some((num, why)) if num.trim().parse::<usize>().is_ok() => (
-                        format!("{}:{}", path.trim(), num.trim()),
-                        why.trim().to_string(),
-                        true,
-                    ),
-                    _ => (path.trim().to_string(), rest.trim().to_string(), false),
+            let parsed = line.split_once(':').and_then(|(path, rest)| {
+                let path = path.trim();
+                if !by_item {
+                    return Some((path.to_string(), rest.trim()));
                 }
+                let (item, why) = rest.split_once(':')?;
+                let item = item.trim();
+                let is_name = item.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                    && item
+                        .chars()
+                        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.');
+                is_name.then(|| (item_key(path, item), why.trim()))
             });
             match parsed {
-                Some((key, why, has_line)) if !why.is_empty() => {
-                    if line_keyed && !has_line {
-                        parse_errors.push(Violation::new(
-                            file,
-                            i + 1,
-                            "allowlist",
-                            format!(
-                                "entry `{key}` allows a whole file; this \
-                                 allowlist requires `path:line: justification`"
-                            ),
-                        ));
-                        continue;
-                    }
-                    entries.insert(key, AllowEntry { line: i + 1, why });
+                Some((key, why)) if !why.is_empty() => {
+                    entries.insert(key, i + 1);
                 }
                 _ => parse_errors.push(Violation::new(
                     file,
                     i + 1,
                     "allowlist",
-                    format!("entry must be `path[:line]: justification`, got `{line}`"),
+                    format!(
+                        "entry must be `{}: justification`, got `{line}`",
+                        if by_item { "path: item" } else { "path" }
+                    ),
                 )),
             }
         }
@@ -121,10 +115,10 @@ impl Allowlist {
         self.entries
             .iter()
             .filter(|(k, _)| !used.contains(*k))
-            .map(|(k, e)| {
+            .map(|(k, &line)| {
                 Violation::new(
                     &self.file,
-                    e.line,
+                    line,
                     "allowlist",
                     format!("stale entry `{k}`: no finding at that key any more"),
                 )
@@ -137,33 +131,70 @@ impl Allowlist {
 ///
 /// Rationale: the vendored loom explorer verifies schedules under sequential
 /// consistency only, so every relaxed access is unverified by tooling and
-/// must carry a written justification. The allowlist is line-granular
-/// (`path:line` keys): each individual relaxed access needs its own
-/// justified entry, so a whole file can never be blanket-allowed.
+/// must carry a written justification. The allowlist is keyed by the
+/// innermost enclosing function (`path: fn_name`): an entry covers that
+/// function's relaxed accesses and no other function's, and an access
+/// outside any function body cannot be allowlisted at all.
 pub fn lint_relaxed_ordering(
     file: &SourceFile,
     allow: &Allowlist,
     used: &mut BTreeSet<String>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    for (ln, stripped, _orig) in file.all_lines() {
-        if !stripped.contains("Ordering::Relaxed") {
-            continue;
+    let toks = code_tokens(file);
+    // The enclosing fns, innermost last, each with the brace depth inside
+    // its body; `pending` is a declared fn whose body has not opened yet.
+    let mut fns: Vec<(&str, i32)> = Vec::new();
+    let mut pending: Option<&str> = None;
+    let (mut depth, mut nest) = (0i32, 0i32);
+    for (i, t) in toks.iter().enumerate() {
+        match t.text.as_str() {
+            "fn" if t.kind == Kind::Ident => {
+                pending = toks
+                    .get(i + 1)
+                    .filter(|n| n.kind == Kind::Ident)
+                    .map(|n| n.text.as_str());
+            }
+            "(" | "[" => nest += 1,
+            ")" | "]" => nest -= 1,
+            // A body-less declaration (trait method, extern fn).
+            ";" if nest == 0 => pending = None,
+            "{" => {
+                depth += 1;
+                if let Some(name) = pending.take() {
+                    fns.push((name, depth));
+                }
+            }
+            "}" => {
+                if fns.last().is_some_and(|&(_, d)| d == depth) {
+                    fns.pop();
+                }
+                depth -= 1;
+            }
+            "Relaxed"
+                if i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident("Ordering") =>
+            {
+                if let Some(&(name, _)) = fns.last() {
+                    let key = item_key(&file.path, name);
+                    if allow.allows(&key) {
+                        used.insert(key);
+                        continue;
+                    }
+                }
+                out.push(Violation::new(
+                    &file.path,
+                    t.line,
+                    "relaxed-ordering",
+                    format!(
+                        "Ordering::Relaxed outside the audited allowlist; use \
+                         Acquire/Release (or SeqCst) or add a `{}` allowlist \
+                         entry with a justification",
+                        item_key(&file.path, fns.last().map_or("<fn>", |f| f.0))
+                    ),
+                ));
+            }
+            _ => {}
         }
-        let key = format!("{}:{ln}", file.path);
-        if allow.allows(&key) {
-            used.insert(key);
-            continue;
-        }
-        out.push(Violation::new(
-            &file.path,
-            ln,
-            "relaxed-ordering",
-            "Ordering::Relaxed outside the audited allowlist; use \
-             Acquire/Release (or SeqCst) or add a `path:line:` allowlist \
-             entry with a justification"
-                .to_string(),
-        ));
     }
     out
 }
@@ -307,123 +338,6 @@ pub fn lint_batch_hygiene(
     out
 }
 
-/// The transport files whose steady-state functions carry the ring mesh's
-/// zero-allocation guarantee (asserted at runtime by `benches/ring.rs`; this
-/// lint catches the regression at review time, before a bench ever runs).
-const RING_HOT_FILES: &[&str] = &[
-    "crates/dcs/src/transport.rs",
-    "crates/dcs/src/ring.rs",
-    "crates/dcs/src/udp.rs",
-];
-
-/// The steady-state function names within those files. Construction-time
-/// code (`new`, `with_capacity`, `spsc`, fabric building) may allocate
-/// freely; everything a message crosses per send/receive may not.
-const RING_HOT_FNS: &[&str] = &[
-    "send",
-    "try_recv",
-    "recv_timeout",
-    "sweep",
-    "pop_pair",
-    "push",
-    "pop",
-    "mark",
-    "clear",
-    "is_marked",
-    "any",
-    "prepare",
-    "cancel",
-    "park",
-    "unpark",
-    "is_empty",
-    // udp.rs steady state: the slice's service and the syscall batchers
-    // reuse preallocated scatter/gather scaffolding and pool-backed
-    // datagram buffers.
-    "service",
-    "flush_tx",
-    "drain_rx",
-];
-
-/// Tokens that put a heap allocation on the line that carries them.
-const RING_ALLOC_TOKENS: &[&str] = &[
-    "Box::new(",
-    "Vec::new(",
-    "Vec::with_capacity(",
-    "vec![",
-    "VecDeque::new(",
-    "String::new(",
-    "String::from(",
-    ".to_vec(",
-    ".to_string(",
-    "format!(",
-    "BTreeMap::new(",
-    "HashMap::new(",
-];
-
-/// Forbid allocation tokens in the ring transport's steady-state functions
-/// (outside the line-keyed allowlist). The attribution is lexical: a line
-/// belongs to the most recently declared function, so cold constructors stay
-/// free while every line of `send`/`try_recv`/`sweep`/… is policed.
-pub fn lint_ring_hygiene(
-    file: &SourceFile,
-    allow: &Allowlist,
-    used: &mut BTreeSet<String>,
-) -> Vec<Violation> {
-    if !RING_HOT_FILES.contains(&file.path.as_str()) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut in_hot_fn = false;
-    for (ln, stripped, _orig) in file.non_test_lines() {
-        if let Some(name) = fn_decl_name(stripped) {
-            in_hot_fn = RING_HOT_FNS.contains(&name.as_str());
-        }
-        if !in_hot_fn {
-            continue;
-        }
-        let Some(token) = RING_ALLOC_TOKENS.iter().find(|t| stripped.contains(*t)) else {
-            continue;
-        };
-        let key = format!("{}:{ln}", file.path);
-        if allow.allows(&key) {
-            used.insert(key);
-            continue;
-        }
-        out.push(Violation::new(
-            &file.path,
-            ln,
-            "ring-hygiene",
-            format!(
-                "`{token}` allocates inside a steady-state transport \
-                 function; the ring fast path must be allocation-free (move \
-                 the allocation to construction, or add a `path:line:` \
-                 allowlist entry with a justification)"
-            ),
-        ));
-    }
-    out
-}
-
-/// `[pub[(..)]] [unsafe] fn NAME` on one line -> NAME (the token after a
-/// whole-word `fn`, trimmed at its generics/argument list).
-fn fn_decl_name(stripped: &str) -> Option<String> {
-    let mut toks = stripped.split_whitespace().peekable();
-    while let Some(t) = toks.next() {
-        if t == "fn" {
-            let name: String = toks
-                .next()?
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if name.is_empty() {
-                return None;
-            }
-            return Some(name);
-        }
-    }
-    None
-}
-
 /// Minimum words for an `.expect("...")` message to count as stating an
 /// invariant rather than restating the operation.
 const EXPECT_MIN_WORDS: usize = 3;
@@ -497,155 +411,6 @@ fn expect_message(rest: &str) -> Option<String> {
     None
 }
 
-/// Runtime crates whose `check-invariants` oracles must stay OFF in bench
-/// builds: the benches measure the fast path, and a benchmark silently
-/// compiled with oracle bookkeeping would publish numbers for a build nobody
-/// ships (see DESIGN.md on the bench oracle policy).
-const ORACLE_CRATES: &[&str] = &["prema", "prema-mol", "prema-ilb"];
-
-/// Check the bench crate's manifest: every oracle-bearing dependency must
-/// resolve to `default-features = false` (stated inline, or inherited from a
-/// workspace dependency table that states it), and the manifest must not
-/// re-enable `check-invariants` through a feature list.
-pub fn lint_bench_manifest(
-    bench_path: &str,
-    bench_toml: &str,
-    workspace_toml: &str,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for dep in ORACLE_CRATES {
-        let Some((line_no, entry)) = dep_entry(bench_toml, dep) else {
-            continue; // not a dependency at all: nothing to police
-        };
-        let inline_off = entry.contains("default-features = false");
-        let inherited_off = entry.contains("workspace = true")
-            && dep_entry(workspace_toml, dep)
-                .is_some_and(|(_, ws)| ws.contains("default-features = false"));
-        if !(inline_off || inherited_off) {
-            out.push(Violation::new(
-                bench_path,
-                line_no,
-                "bench-invariants",
-                format!(
-                    "bench dependency `{dep}` pulls in default features \
-                     (including `check-invariants` oracles); add \
-                     `default-features = false` so benches measure the real \
-                     fast path"
-                ),
-            ));
-        }
-    }
-    for (i, line) in bench_toml.lines().enumerate() {
-        let code = line.split('#').next().unwrap_or("");
-        if code.contains("check-invariants") {
-            out.push(Violation::new(
-                bench_path,
-                i + 1,
-                "bench-invariants",
-                "bench manifest must not enable `check-invariants`: published \
-                 numbers must describe the oracle-free build"
-                    .to_string(),
-            ));
-        }
-    }
-    out
-}
-
-/// Find dependency `dep`'s entry in a manifest: the 1-based line number and
-/// the entry text (`dep = { ... }` inline tables and `dep.workspace = true`
-/// dotted keys both live on one line in this workspace's manifests).
-fn dep_entry(toml: &str, dep: &str) -> Option<(usize, String)> {
-    for (i, line) in toml.lines().enumerate() {
-        let code = line.split('#').next().unwrap_or("").trim();
-        let after = code
-            .strip_prefix(dep)
-            .and_then(|r| r.trim_start().strip_prefix(['=', '.']).map(|_| ()));
-        if after.is_some() {
-            return Some((i + 1, code.to_string()));
-        }
-    }
-    None
-}
-
-/// Every `const NAME: HandlerId` must be referenced by name somewhere other
-/// than its declaration — a handler id that is never registered or
-/// dispatched is dead protocol surface (or worse, a typo split across
-/// declaration and registration).
-pub fn lint_handler_ids(files: &[SourceFile]) -> Vec<Violation> {
-    // name -> (path, line) of declaration
-    let mut decls: BTreeMap<String, (String, usize)> = BTreeMap::new();
-    for f in files {
-        for (ln, stripped, _orig) in f.all_lines() {
-            if let Some(name) = handler_decl_name(stripped) {
-                decls.insert(name, (f.path.clone(), ln));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    'decl: for (name, (path, line)) in &decls {
-        for f in files {
-            for (ln, stripped, _orig) in f.all_lines() {
-                if (&f.path, ln) == (path, *line) {
-                    continue; // the declaration itself
-                }
-                if mentions_ident(stripped, name) {
-                    continue 'decl;
-                }
-            }
-        }
-        out.push(Violation::new(
-            path,
-            *line,
-            "handler-id",
-            format!(
-                "HandlerId constant `{name}` is declared but never referenced \
-                 (no registration or dispatch site)"
-            ),
-        ));
-    }
-    out
-}
-
-/// `[pub] const NAME: HandlerId` on one line -> NAME.
-fn handler_decl_name(stripped: &str) -> Option<String> {
-    let t = stripped.trim_start();
-    let t = t.strip_prefix("pub ").unwrap_or(t);
-    let t = t.strip_prefix("const ")?;
-    let (name, rest) = t.split_once(':')?;
-    if rest.trim_start().starts_with("HandlerId") {
-        let name = name.trim();
-        if !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return Some(name.to_string());
-        }
-    }
-    None
-}
-
-/// Whole-identifier match (so `H_MOL_MSG` does not count as a reference to
-/// `H_MOL`).
-fn mentions_ident(line: &str, ident: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(ident) {
-        let at = from + pos;
-        let before_ok = at == 0
-            || !line[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        let end = at + ident.len();
-        let after_ok = end >= line.len()
-            || !line[end..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        from = at + ident.len();
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,6 +421,12 @@ mod tests {
 
     fn empty_allow() -> Allowlist {
         Allowlist::parse("allow.txt", "")
+    }
+
+    fn kinds(v: &[Violation]) -> Vec<(&str, usize, &'static str)> {
+        v.iter()
+            .map(|x| (x.path.as_str(), x.line, x.lint))
+            .collect()
     }
 
     // ---- relaxed-ordering ----
@@ -674,10 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_on_allowlisted_line_passes_and_is_marked_used() {
-        let allow = Allowlist::parse_line_keyed(
+    fn relaxed_in_allowlisted_fn_passes_and_is_marked_used() {
+        let allow = Allowlist::parse_by_item(
             "allow.txt",
-            "crates/core/src/stats.rs:1: monotone counter, read only for reporting\n",
+            "crates/core/src/stats.rs: f: monotone counter, read only for reporting\n",
         );
         assert!(allow.parse_errors.is_empty());
         let f = file(
@@ -686,35 +457,64 @@ mod tests {
         );
         let mut used = BTreeSet::new();
         assert!(lint_relaxed_ordering(&f, &allow, &mut used).is_empty());
-        assert!(used.contains("crates/core/src/stats.rs:1"));
+        assert!(used.contains("crates/core/src/stats.rs: f"));
         assert!(allow.unused(&used).is_empty());
     }
 
+    const STATS_ALLOW: &str = "crates/core/src/stats.rs: a: monotone counter\n";
+
     #[test]
-    fn relaxed_allowance_does_not_cover_other_lines_of_the_file() {
-        let allow = Allowlist::parse_line_keyed(
-            "allow.txt",
-            "crates/core/src/stats.rs:1: monotone counter, read only for reporting\n",
-        );
+    fn relaxed_allowance_for_one_fn_does_not_cover_another() {
+        let allow = Allowlist::parse_by_item("allow.txt", STATS_ALLOW);
         let f = file(
             "crates/core/src/stats.rs",
-            "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\nfn g(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n",
+            "fn a(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n\
+             fn b(c: &AtomicU64) {\n    c.fetch_add(1, Ordering::Relaxed);\n}\n",
         );
         let mut used = BTreeSet::new();
         let v = lint_relaxed_ordering(&f, &allow, &mut used);
-        assert_eq!(v.len(), 1, "only the un-allowlisted line fires");
-        assert_eq!(v[0].line, 2);
+        assert_eq!(v.len(), 1, "only fn b's access fires: {v:?}");
+        assert_eq!(v[0].line, 3);
+        assert!(v[0].message.contains("`crates/core/src/stats.rs: b`"));
     }
 
     #[test]
-    fn line_keyed_allowlist_rejects_whole_file_entries() {
-        let allow = Allowlist::parse_line_keyed(
+    fn moving_an_access_within_its_fn_needs_no_allowlist_edit() {
+        let allow = Allowlist::parse_by_item("allow.txt", STATS_ALLOW);
+        for body in [
+            "fn a(c: &AtomicU64) {\n    c.fetch_add(1, Ordering::Relaxed);\n}\n",
+            "fn a(c: &AtomicU64) {\n    let x = [0u8; 4];\n    if x.is_empty() {}\n    \
+             let f = |c: &AtomicU64| c.load(Ordering::Relaxed);\n    f(c);\n}\n",
+        ] {
+            let mut used = BTreeSet::new();
+            let v =
+                lint_relaxed_ordering(&file("crates/core/src/stats.rs", body), &allow, &mut used);
+            assert!(v.is_empty(), "{v:?}");
+            assert!(allow.unused(&used).is_empty());
+        }
+    }
+
+    #[test]
+    fn stale_item_entry_is_reported_at_its_own_line() {
+        let allow = Allowlist::parse_by_item(
+            "allow/atomics.txt",
+            "# header\n\ncrates/core/src/f.rs: Flag.gone: was a latch once\n",
+        );
+        let v = allow.unused(&BTreeSet::new());
+        assert_eq!(kinds(&v), vec![("allow/atomics.txt", 3, "allowlist")]);
+        assert!(v[0].message.contains("`crates/core/src/f.rs: Flag.gone`"));
+    }
+
+    #[test]
+    fn item_keyed_allowlist_rejects_file_and_line_entries() {
+        let allow = Allowlist::parse_by_item(
             "allow.txt",
-            "crates/core/src/stats.rs: would blanket-allow the file\n",
+            "crates/core/src/stats.rs: would blanket-allow the file\n\
+             crates/core/src/stats.rs:12: a line moves with every edit\n",
         );
         assert!(allow.entries.is_empty());
-        assert_eq!(allow.parse_errors.len(), 1);
-        assert!(allow.parse_errors[0].message.contains("whole file"));
+        assert_eq!(allow.parse_errors.len(), 2);
+        assert!(allow.parse_errors[0].message.contains("path: item"));
     }
 
     #[test]
@@ -747,17 +547,6 @@ mod tests {
     fn allowlist_entry_without_justification_is_an_error() {
         let allow = Allowlist::parse("allow.txt", "crates/core/src/runtime.rs\n");
         assert_eq!(allow.parse_errors.len(), 1);
-    }
-
-    #[test]
-    fn path_line_keys_parse_in_either_mode() {
-        let allow = Allowlist::parse(
-            "allow.txt",
-            "crates/dcs/src/chaos.rs:42: counter only read in stats()\n",
-        );
-        assert!(allow.parse_errors.is_empty());
-        assert!(allow.allows("crates/dcs/src/chaos.rs:42"));
-        assert!(!allow.allows("crates/dcs/src/chaos.rs"));
     }
 
     // ---- blocking calls ----
@@ -917,76 +706,6 @@ mod tests {
         assert!(used.contains("crates/dcs/src/handler.rs"));
     }
 
-    // ---- ring hygiene ----
-
-    #[test]
-    fn allocation_in_steady_state_fn_fires() {
-        let f = file(
-            "crates/dcs/src/transport.rs",
-            "impl T {\n    fn send(&self, env: Envelope) {\n        let b = Box::new(env);\n    }\n}\n",
-        );
-        let mut used = BTreeSet::new();
-        let v = lint_ring_hygiene(&f, &empty_allow(), &mut used);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, "ring-hygiene");
-        assert_eq!(v[0].line, 3);
-        assert!(v[0].message.contains("Box::new("));
-    }
-
-    #[test]
-    fn allocation_in_constructor_passes() {
-        let f = file(
-            "crates/dcs/src/ring.rs",
-            "impl T {\n    pub fn with_capacity(n: usize) -> Self {\n        let v = Vec::with_capacity(n);\n        T { v }\n    }\n}\n",
-        );
-        let mut used = BTreeSet::new();
-        assert!(lint_ring_hygiene(&f, &empty_allow(), &mut used).is_empty());
-    }
-
-    #[test]
-    fn hot_fn_after_cold_fn_is_still_policed() {
-        let f = file(
-            "crates/dcs/src/ring.rs",
-            "impl T {\n    fn new() -> Self {\n        T { v: Vec::new() }\n    }\n    fn pop(&self) {\n        let s = format!(\"x\");\n    }\n}\n",
-        );
-        let mut used = BTreeSet::new();
-        let v = lint_ring_hygiene(&f, &empty_allow(), &mut used);
-        assert_eq!(v.len(), 1, "only the hot fn's allocation fires");
-        assert_eq!(v[0].line, 6);
-    }
-
-    #[test]
-    fn other_files_and_tests_are_exempt() {
-        let elsewhere = file(
-            "crates/dcs/src/comm.rs",
-            "fn send(&self) { let b = Box::new(1); }\n",
-        );
-        let test_code = file(
-            "crates/dcs/src/transport.rs",
-            "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn send() { let b = Box::new(1); }\n}\n",
-        );
-        let mut used = BTreeSet::new();
-        for f in [elsewhere, test_code] {
-            assert!(lint_ring_hygiene(&f, &empty_allow(), &mut used).is_empty());
-        }
-    }
-
-    #[test]
-    fn allowlisted_hot_allocation_passes_and_is_marked_used() {
-        let allow = Allowlist::parse_line_keyed(
-            "allow.txt",
-            "crates/dcs/src/transport.rs:2: one-time lazy init, not per-message\n",
-        );
-        let f = file(
-            "crates/dcs/src/transport.rs",
-            "fn try_recv(&self) {\n    let v = Vec::new();\n}\n",
-        );
-        let mut used = BTreeSet::new();
-        assert!(lint_ring_hygiene(&f, &allow, &mut used).is_empty());
-        assert!(used.contains("crates/dcs/src/transport.rs:2"));
-        assert!(allow.unused(&used).is_empty());
-    }
-
     // ---- unwrap/expect ----
 
     #[test]
@@ -1028,98 +747,5 @@ mod tests {
             "// do not .unwrap() here\nfn f() {}\n",
         );
         assert!(lint_unwrap(&f).is_empty());
-    }
-
-    // ---- handler ids ----
-
-    #[test]
-    fn unregistered_handler_id_fires() {
-        let decl = file(
-            "crates/mol/src/proto.rs",
-            "pub const H_MOL_ORPHAN: HandlerId = HandlerId(SYSTEM_BASE + 40);\n",
-        );
-        let other = file("crates/mol/src/node.rs", "fn f() {}\n");
-        let v = lint_handler_ids(&[decl, other]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, "handler-id");
-        assert!(v[0].message.contains("H_MOL_ORPHAN"));
-    }
-
-    #[test]
-    fn registered_handler_id_passes() {
-        let decl = file(
-            "crates/mol/src/proto.rs",
-            "pub const H_MOL_MSG: HandlerId = HandlerId(SYSTEM_BASE + 16);\n",
-        );
-        let reg = file(
-            "crates/mol/src/node.rs",
-            "fn wire(r: &mut Registry) { r.register(H_MOL_MSG, on_msg); }\n",
-        );
-        assert!(lint_handler_ids(&[decl, reg]).is_empty());
-    }
-
-    #[test]
-    fn prefix_name_is_not_a_reference() {
-        let decl = file(
-            "crates/mol/src/proto.rs",
-            "pub const H_MOL: HandlerId = HandlerId(SYSTEM_BASE + 30);\n",
-        );
-        let near_miss = file(
-            "crates/mol/src/node.rs",
-            "fn wire(r: &mut Registry) { r.register(H_MOL_MSG, on_msg); }\n",
-        );
-        let v = lint_handler_ids(&[decl, near_miss]);
-        assert_eq!(v.len(), 1, "H_MOL_MSG must not count as a use of H_MOL");
-    }
-
-    // ---- bench manifest ----
-
-    const WS_TOML: &str = "[workspace.dependencies]\n\
-        prema = { path = \"crates/core\" }\n\
-        prema-mol = { path = \"crates/mol\", default-features = false }\n\
-        prema-ilb = { path = \"crates/ilb\", default-features = false }\n";
-
-    #[test]
-    fn bench_inline_default_features_off_passes() {
-        let bench = "[dev-dependencies]\n\
-            prema = { workspace = true, default-features = false }\n\
-            prema-mol.workspace = true\n\
-            prema-ilb.workspace = true\n";
-        assert!(lint_bench_manifest("crates/bench/Cargo.toml", bench, WS_TOML).is_empty());
-    }
-
-    #[test]
-    fn bench_default_featured_prema_fires() {
-        // `prema` is default-featured in the workspace table, so plain
-        // inheritance drags `check-invariants` into the bench build.
-        let bench = "[dev-dependencies]\nprema.workspace = true\n";
-        let v = lint_bench_manifest("crates/bench/Cargo.toml", bench, WS_TOML);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, "bench-invariants");
-        assert_eq!(v[0].line, 2);
-        assert!(v[0].message.contains("`prema`"));
-    }
-
-    #[test]
-    fn bench_explicit_check_invariants_fires() {
-        let bench = "[dev-dependencies]\n\
-            prema = { workspace = true, default-features = false, features = [\"check-invariants\"] }\n";
-        let v = lint_bench_manifest("crates/bench/Cargo.toml", bench, WS_TOML);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("oracle-free"));
-    }
-
-    #[test]
-    fn bench_check_invariants_in_comment_passes() {
-        let bench = "[dev-dependencies]\n\
-            # keep check-invariants out of benches\n\
-            prema = { workspace = true, default-features = false }\n";
-        assert!(lint_bench_manifest("crates/bench/Cargo.toml", bench, WS_TOML).is_empty());
-    }
-
-    #[test]
-    fn bench_without_oracle_deps_passes() {
-        let bench = "[dev-dependencies]\nbytes.workspace = true\n";
-        assert!(lint_bench_manifest("crates/bench/Cargo.toml", bench, WS_TOML).is_empty());
     }
 }

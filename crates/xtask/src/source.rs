@@ -51,16 +51,6 @@ impl SourceFile {
             .map(|(i, (s, o))| (i + 1, s.as_str(), o.as_str()))
     }
 
-    /// Iterate (1-based line number, stripped line, original line) over all
-    /// lines.
-    pub fn all_lines(&self) -> impl Iterator<Item = (usize, &str, &str)> {
-        self.stripped
-            .iter()
-            .zip(&self.lines)
-            .enumerate()
-            .map(|(i, (s, o))| (i + 1, s.as_str(), o.as_str()))
-    }
-
     /// Whether a 1-based line is inside test-gated code.
     pub fn line_is_test(&self, line: usize) -> bool {
         line >= 1 && self.is_test.get(line - 1).copied().unwrap_or(false)

@@ -397,7 +397,7 @@ fn render_begging_latency(recs: &[Rec]) -> String {
 
 /// Per-rank activity counters folded from the event stream. Together with
 /// the views above this consumes every `TraceEvent` variant — a property
-/// `cargo xtask analyze` enforces (trace-event coverage), so telemetry can
+/// `cargo xtask lint` enforces (trace-event coverage), so telemetry can
 /// not silently become write-only.
 #[derive(Default, Clone)]
 struct Activity {
