@@ -107,7 +107,7 @@ pub const ACK_DELAY: Duration = Duration::from_micros(250);
 pub const ACK_EVERY: u32 = 32;
 
 // Wire schema of the two reliable-layer frames, as encode/decode pairs that
-// `data_frames_round_trip` pins.
+// `data_frames_round_trip` and `frame_layout_is_pinned` pin.
 
 /// Encode a data frame: seq, the ACK riding on it, inner handler, inner tag,
 /// inner payload.
@@ -1115,6 +1115,29 @@ mod tests {
             let _ = b.try_recv();
         }
         assert!(h.join().expect("sender thread must not panic"));
+    }
+
+    /// The bytes of both frames, field by field: a change here is a change of
+    /// every DATA payload on the UDP wire, and bumps `udp::PROTO_VERSION`.
+    #[test]
+    fn frame_layout_is_pinned() {
+        let env = Envelope {
+            src: 0,
+            dst: 1,
+            handler: HandlerId(0x0A0B),
+            tag: Tag::System,
+            payload: Bytes::from_static(b"xy"),
+        };
+        let mut want = Vec::new();
+        want.extend_from_slice(&3u64.to_le_bytes());
+        want.extend_from_slice(&9u64.to_le_bytes());
+        want.extend_from_slice(&[0x0B, 0x0A, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, b'x', b'y']);
+        assert_eq!(
+            &encode_data(3, 9, &env)[..],
+            &want[..],
+            "data frame layout changed: bump udp::PROTO_VERSION"
+        );
+        assert_eq!(&encode_ack(9)[..], &9u64.to_le_bytes());
     }
 
     proptest! {

@@ -176,7 +176,8 @@ struct Header {
 }
 
 // Wire schema, as encode/decode pairs; `header_roundtrip` and
-// `dgram_roundtrip` decode what each writer wrote, field by field.
+// `dgram_roundtrip` decode what each writer wrote, field by field, and
+// `wire_layout_is_pinned` holds the bytes each writer writes.
 
 /// Append the fixed header to `w`.
 fn encode_header(w: WireWriter, h: &Header) -> WireWriter {
@@ -1404,6 +1405,50 @@ mod tests {
         let mut r = WireReader::new(bytes);
         assert_eq!(decode_header(&mut r), Some(h));
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// The bytes each writer puts on the wire, field by field. A roundtrip
+    /// passes when both ends change together; this fails, so a layout
+    /// change comes with a `PROTO_VERSION` bump.
+    #[test]
+    fn wire_layout_is_pinned() {
+        let header = Header {
+            magic: MAGIC,
+            version: PROTO_VERSION,
+            kind: KIND_DATA,
+            src: 7,
+            epoch: 0x0102_0304_0506_0708,
+        };
+        let mut want = Vec::new();
+        want.extend_from_slice(b"PRMA");
+        want.extend_from_slice(&PROTO_VERSION.to_le_bytes());
+        want.extend_from_slice(&[2, 0, 0, 0, 7, 0, 0, 0]);
+        want.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1]);
+        let got = encode_header(WireWriter::new(), &header).finish();
+        assert_eq!(
+            &got[..],
+            &want[..],
+            "header layout changed: bump PROTO_VERSION"
+        );
+        let got = encode_dst(WireWriter::new(), 5).finish();
+        assert_eq!(
+            &got[..],
+            &[5, 0, 0, 0],
+            "DATA layout changed: bump PROTO_VERSION"
+        );
+        let record = Envelope {
+            src: 2,
+            dst: 5,
+            handler: HandlerId(0x0A0B),
+            tag: Tag::System,
+            payload: Bytes::from_static(b"xy"),
+        };
+        let got = encode_record(WireWriter::new(), &record).finish();
+        assert_eq!(
+            &got[..],
+            &[0x0B, 0x0A, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, b'x', b'y'],
+            "record layout changed: bump PROTO_VERSION"
+        );
     }
 
     /// A DATA datagram: the header, the destination once, then each record

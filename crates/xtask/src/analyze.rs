@@ -964,6 +964,23 @@ fn wire(t: &T) {
         assert!(v[0].message.contains("never sent to nor received"));
     }
 
+    /// Declared in one file, registered and sent in another: the references
+    /// are counted across the whole file set.
+    #[test]
+    fn registered_handler_id_passes() {
+        let decl = sf(
+            "crates/mol/src/proto.rs",
+            "pub const H_MOL_MSG: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 16);\n",
+        );
+        let reg = sf(
+            "crates/mol/src/node.rs",
+            "fn wire(r: &mut Registry, t: &T) { r.register(H_MOL_MSG, on_msg); t.am_send(1, H_MOL_MSG, p); }\n",
+        );
+        let (handlers, v) = handler_graph(&[decl, reg]);
+        assert_eq!((handlers[0].sends, handlers[0].recvs), (1, 1));
+        assert!(v.is_empty(), "{v:?}");
+    }
+
     #[test]
     fn prefix_name_is_not_a_reference() {
         let decls = sf(

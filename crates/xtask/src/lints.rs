@@ -506,15 +506,25 @@ mod tests {
     }
 
     #[test]
-    fn item_keyed_allowlist_rejects_file_and_line_entries() {
+    fn item_keyed_allowlist_rejects_whole_file_entries() {
         let allow = Allowlist::parse_by_item(
             "allow.txt",
-            "crates/core/src/stats.rs: would blanket-allow the file\n\
-             crates/core/src/stats.rs:12: a line moves with every edit\n",
+            "crates/core/src/stats.rs: would blanket-allow the file\n",
         );
         assert!(allow.entries.is_empty());
-        assert_eq!(allow.parse_errors.len(), 2);
+        assert_eq!(allow.parse_errors.len(), 1);
         assert!(allow.parse_errors[0].message.contains("path: item"));
+    }
+
+    #[test]
+    fn item_keyed_allowlist_rejects_path_line_entries() {
+        let allow = Allowlist::parse_by_item(
+            "allow.txt",
+            "crates/dcs/src/chaos.rs:42: a line moves with every edit\n",
+        );
+        assert!(allow.entries.is_empty());
+        assert_eq!(allow.parse_errors.len(), 1);
+        assert!(!allow.allows("crates/dcs/src/chaos.rs: 42"));
     }
 
     #[test]
