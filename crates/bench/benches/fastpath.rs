@@ -70,14 +70,14 @@ fn bench_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pool's steady-state loop: take a buffer, fill it, freeze, recycle. One
-/// iteration = 10k cycles; after warm-up every take should hit the freelist
-/// (the hit rate is asserted, not just timed).
+/// The pool's steady-state loop: take a buffer, fill it, freeze, drop (its
+/// storage goes home). One iteration = 10k cycles; after warm-up every take
+/// should hit the freelist (the hit rate is asserted, not just timed).
 fn bench_pool_hit_rate(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate-fastpath");
     const CYCLES: usize = 10_000;
     // Warm the freelist so the measured loop is the steady state.
-    pool::recycle(pool::take(256).freeze());
+    drop(pool::take(256).freeze());
     pool::reset_stats();
     group.bench_function(format!("pool_take_recycle_256B_x{}k", CYCLES / 1000), |b| {
         b.iter(|| {
@@ -86,7 +86,7 @@ fn bench_pool_hit_rate(c: &mut Criterion) {
                 let mut buf = pool::take(256);
                 buf.put_slice(&(i as u64).to_le_bytes());
                 black_box(&buf);
-                pool::recycle(buf.freeze());
+                drop(buf.freeze());
             }
         })
     });

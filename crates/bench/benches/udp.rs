@@ -1,9 +1,9 @@
 //! The UDP loopback transport (`prema_dcs::UdpTransport`), measured on
 //! shapes comparable with the in-process substrates: a single-frame round
 //! trip both as application traffic (which waits for the wire slice) and
-//! as system traffic (the syscall path), a burst (amortization by packing
-//! and `sendmmsg`/`recvmmsg`), and the full reliable stack pushing a
-//! stream end to end.
+//! as system traffic (sent by a flush: the syscall path), a burst
+//! (amortization by packing and `sendmmsg`/`recvmmsg`), and the full
+//! reliable stack pushing a stream end to end.
 //!
 //! UDP loopback drops datagrams under receive-buffer pressure, so the
 //! plain-socket benches keep a bounded number of frames in flight (ping
@@ -35,9 +35,10 @@ const STREAM_MSGS: usize = 1_000;
 const WARM_TRIPS: usize = 200;
 const COUNTED_TRIPS: usize = 1_000;
 /// Heap allocations a warm pair may make per message, send and receive
-/// together, App or System. The wire makes 3 today; where they come from is
-/// not yet known, so this pins the count rather than a target.
-const ALLOCS_PER_MSG: u64 = 3;
+/// together, App or System: none. Every datagram buffer, the one a send
+/// packs and the one a receive copies into, comes from the pool with its
+/// reference-count box and goes back to it when its last handle drops.
+const ALLOCS_PER_MSG: u64 = 0;
 /// Sender-side pacing window for the reliable stream: polling between
 /// windows keeps in-flight bounded, so loss stays rare and the bench
 /// measures throughput rather than retransmit-storm recovery.
@@ -125,14 +126,17 @@ fn app_trips(t0: &UdpTransport, t1: &UdpTransport, n: usize) {
     }
 }
 
-/// `n` System round trips, each frame received with a blocking
+/// `n` System round trips, each frame sent by a flush, as the runtime
+/// flushes before it releases a rank's lock, and received with a blocking
 /// `recv_timeout`.
 fn system_trips(t0: &UdpTransport, t1: &UdpTransport, n: usize) {
     let wait = Duration::from_secs(5);
     for i in 0..n {
         t0.send(sys(0, 1, i as u32));
+        t0.flush();
         black_box(t1.recv_timeout(wait).expect("ping"));
         t1.send(sys(1, 0, i as u32));
+        t1.flush();
         black_box(t0.recv_timeout(wait).expect("pong"));
     }
 }
@@ -174,8 +178,8 @@ fn bench_pingpong(c: &mut Criterion) {
 }
 
 /// One System frame in flight, both endpoints on the bench thread, each
-/// received with a blocking `recv_timeout`: the path load-balancing
-/// traffic takes. A System record leaves inside `send` and a waiting
+/// sent by a flush and received with a blocking `recv_timeout`: the path
+/// load-balancing traffic takes. A flush sends at once and a waiting
 /// receiver reads its socket at once, so this is the full encode →
 /// sendmmsg → recvmmsg → decode path, twice per round, with no slice in it.
 fn bench_pingpong_system(c: &mut Criterion) {

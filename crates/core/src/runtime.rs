@@ -40,20 +40,66 @@
 //! slice long, and at the polling thread's next pass if a long unit starts
 //! first. Every other poll — [`Runtime::poll`], the polling thread's pass —
 //! runs whenever it is called, and what is still staged when a rank's
-//! `main` returns leaves then. Everything else a rank sends — messages
-//! posted through this handle, migrations, load-balancing traffic — leaves
-//! at once.
+//! `main` returns leaves then.
+//!
+//! # One flush per lock hold
+//!
+//! Everything a rank sends — the frames a polling operation sends, messages
+//! posted through this handle, migrations, load-balancing traffic — is
+//! handed to its transport during a hold of the scheduler lock, and every
+//! hold ends with [`Transport::flush`]: the lock is only ever taken through
+//! [`Locked`], whose drop flushes before it unlocks. So what one polling
+//! pass, unit completion, registration or migration sent leaves together,
+//! in one `sendmmsg` on the UDP wire, and a polling thread's reply does not
+//! wait for a later receive call while the application thread sits in a
+//! handler.
 
 use crate::config::{LbMode, PremaConfig};
 use crate::shutdown::{run_started_poller, PollerSlot, StopFlag};
-use crate::sync::{Arc, Mutex};
+use crate::sync::{Arc, Mutex, MutexGuard};
 use bytes::Bytes;
 use prema_dcs::{Clock, Communicator, LocalFabric, Rank, Transport};
 use prema_ilb as ilb;
 use prema_ilb::LoadSnapshot;
 use prema_mol::{Migratable, MobilePtr, MolNode, MolStats, WorkItem};
+use std::ops::{Deref, DerefMut};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// A rank's scheduler, locked. Dropping it flushes the rank's transport
+/// ([`Transport::flush`]) and then releases the lock (module docs: "One
+/// flush per lock hold").
+struct Locked<'a, O: Migratable>(MutexGuard<'a, ilb::Scheduler<O>>);
+
+impl<'a, O: Migratable> Locked<'a, O> {
+    fn new(sched: &'a Mutex<ilb::Scheduler<O>>) -> Self {
+        Locked(sched.lock())
+    }
+
+    /// The lock if it is free now; never blocks.
+    fn try_new(sched: &'a Mutex<ilb::Scheduler<O>>) -> Option<Self> {
+        sched.try_lock().map(Locked)
+    }
+}
+
+impl<O: Migratable> Deref for Locked<'_, O> {
+    type Target = ilb::Scheduler<O>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<O: Migratable> DerefMut for Locked<'_, O> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl<O: Migratable> Drop for Locked<'_, O> {
+    fn drop(&mut self) {
+        self.0.node().comm().flush();
+    }
+}
 
 /// A rank's scheduler seen from code that cannot name its object type:
 /// [`crate::Completion`] keeps one to send from a call that has no
@@ -67,7 +113,7 @@ pub(crate) trait TrySend: Send + Sync {
 
 impl<O: Migratable> TrySend for Mutex<ilb::Scheduler<O>> {
     fn try_node_message(&self, dst: Rank, handler: u32, payload: Bytes) -> bool {
-        let Some(mut s) = self.try_lock() else {
+        let Some(mut s) = Locked::try_new(self) else {
             return false;
         };
         s.node_mut()
@@ -109,7 +155,7 @@ impl<O: Migratable> Runtime<O> {
     /// Register a mobile object with the runtime (the paper's
     /// `mol_register`), returning its global mobile pointer.
     pub fn register(&self, obj: O) -> MobilePtr {
-        self.sched.lock().node_mut().register(obj)
+        self.lock().node_mut().register(obj)
     }
 
     /// Register the handler that work messages with id `id` invoke (the
@@ -119,7 +165,7 @@ impl<O: Migratable> Runtime<O> {
         id: u32,
         f: impl Fn(&mut ilb::HandlerCtx, &mut O, &WorkItem) + Send + Sync + 'static,
     ) {
-        self.sched.lock().on_message(id, f);
+        self.lock().on_message(id, f);
     }
 
     /// Register a handler for rank-targeted application messages.
@@ -128,12 +174,12 @@ impl<O: Migratable> Runtime<O> {
         id: u32,
         f: impl Fn(&mut ilb::HandlerCtx, Rank, Bytes) + Send + Sync + 'static,
     ) {
-        self.sched.lock().on_node_message(id, f);
+        self.lock().on_node_message(id, f);
     }
 
     /// Send a message to a mobile object (the paper's `ilb_message`).
     pub fn message(&self, ptr: MobilePtr, handler: u32, payload: Bytes) {
-        self.sched.lock().node_mut().message(ptr, handler, payload);
+        self.lock().node_mut().message(ptr, handler, payload);
     }
 
     /// [`Runtime::message`] with a computational weight hint.
@@ -157,7 +203,7 @@ impl<O: Migratable> Runtime<O> {
     /// load balancing. Runs whenever called, slice or not. Returns the
     /// number of protocol events processed.
     pub fn poll(&self) -> usize {
-        self.sched.lock().poll()
+        self.lock().poll()
     }
 
     /// One turn of PREMA's cycle: the polling operation if it is due
@@ -169,7 +215,7 @@ impl<O: Migratable> Runtime<O> {
     /// empty.
     pub fn step(&self) -> bool {
         let exec = {
-            let mut s = self.sched.lock();
+            let mut s = self.lock();
             if s.poll_due() {
                 s.poll();
             }
@@ -179,7 +225,7 @@ impl<O: Migratable> Runtime<O> {
             Some(mut exec) => {
                 self.start_poller();
                 exec.run(); // lock released: polling thread is live here
-                self.sched.lock().finish(exec);
+                self.lock().finish(exec);
                 true
             }
             None => false,
@@ -191,7 +237,7 @@ impl<O: Migratable> Runtime<O> {
     pub fn run_until(&self, done: impl Fn(&ilb::Scheduler<O>) -> bool) {
         loop {
             {
-                let s = self.sched.lock();
+                let s = self.lock();
                 if done(&s) {
                     return;
                 }
@@ -208,34 +254,34 @@ impl<O: Migratable> Runtime<O> {
     /// any policy (e.g. co-locating subdomains with a solver's partition).
     /// Returns `false` if the object is not local or is currently executing.
     pub fn migrate(&self, ptr: MobilePtr, dst: Rank) -> bool {
-        self.sched.lock().node_mut().migrate(ptr, dst)
+        self.lock().node_mut().migrate(ptr, dst)
     }
 
     /// Current local load (queued + executing units).
     pub fn local_load(&self) -> LoadSnapshot {
-        self.sched.lock().local_load()
+        self.lock().local_load()
     }
 
     /// Whether this rank has no queued or executing work.
     pub fn is_idle(&self) -> bool {
-        self.sched.lock().is_idle()
+        self.lock().is_idle()
     }
 
     /// Mobile Object Layer statistics for this rank.
     pub fn mol_stats(&self) -> MolStats {
-        self.sched.lock().node().stats()
+        self.lock().node().stats()
     }
 
     /// Scheduler statistics for this rank.
     pub fn sched_stats(&self) -> ilb::SchedStats {
-        self.sched.lock().stats()
+        self.lock().stats()
     }
 
     /// Run `f` with the scheduler locked (escape hatch for tests and tools).
     /// A unit begun inside `f` starts the rank's polling thread, as
     /// [`Runtime::step`] does.
     pub fn with_scheduler<R>(&self, f: impl FnOnce(&mut ilb::Scheduler<O>) -> R) -> R {
-        let mut s = self.sched.lock();
+        let mut s = self.lock();
         let result = f(&mut s);
         if self.poller.as_ref().is_some_and(|p| !p.slot.is_started()) && s.units_begun() > 0 {
             drop(s);
@@ -258,6 +304,11 @@ impl<O: Migratable> Runtime<O> {
                 )
             });
         }
+    }
+
+    /// The rank's scheduler, locked until the result drops.
+    fn lock(&self) -> Locked<'_, O> {
+        Locked::new(&self.sched)
     }
 
     /// A non-blocking send handle on this rank's scheduler.
@@ -408,7 +459,7 @@ fn run_main<O: Migratable, R>(
     let sched = runtime.sched.clone();
     let poller = runtime.poller.clone();
     let result = main(runtime);
-    sched.lock().node_mut().flush();
+    Locked::new(&sched).node_mut().flush();
     (result, poller.and_then(|p| p.slot.take()))
 }
 
@@ -508,7 +559,7 @@ fn spawn_poller<O: Migratable>(
                 }
                 std::thread::park_timeout(left);
             }
-            let events = sched.lock().poll_system();
+            let events = Locked::new(&sched).poll_system();
             tracer.emit(|| prema_trace::TraceEvent::PollWake {
                 events: events as u32,
             });

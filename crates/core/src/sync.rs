@@ -11,12 +11,12 @@
 #[cfg(loom)]
 pub use loom::sync::atomic::{AtomicBool, Ordering};
 #[cfg(loom)]
-pub use loom::sync::{Arc, Mutex};
+pub use loom::sync::{Arc, Mutex, MutexGuard};
 #[cfg(loom)]
 pub use loom::thread::{spawn, JoinHandle};
 
 #[cfg(not(loom))]
-pub use parking_lot::Mutex;
+pub use parking_lot::{Mutex, MutexGuard};
 #[cfg(not(loom))]
 pub use std::sync::atomic::{AtomicBool, Ordering};
 #[cfg(not(loom))]

@@ -2,8 +2,11 @@
 //! migration, explicit vs implicit modes, and the preemptive polling thread.
 
 use bytes::Bytes;
-use prema::dcs::{Clock, Envelope, LocalEndpoint, LocalFabric, Tag, Transport, WIRE_SLICE};
-use prema::mol::proto::{frame_records, H_MOL_MSG};
+use prema::dcs::{
+    Clock, Envelope, LocalEndpoint, LocalFabric, ReliableTransport, Tag, Transport, UdpTransport,
+    WIRE_SLICE,
+};
+use prema::mol::proto::{frame_records, DirLookup, H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_MSG};
 use prema::{
     launch, launch_single_rank, Completion, LbMode, Migratable, MobilePtr, PolicyKind, PremaConfig,
 };
@@ -477,4 +480,75 @@ fn a_frame_staged_before_a_long_unit_leaves_at_the_polling_threads_pass() {
         let hits = rt.with_scheduler(|s| s.node().get(ptr).map(|c| c.hits));
         assert_eq!(hits, Some(1), "the frame waited for the long unit to end");
     });
+}
+
+/// Ranks 0 and 1 of a two-rank machine, each a `ReliableTransport` over a
+/// `UdpTransport` on loopback, joined by the handshake; rank 0's wire slice
+/// runs on `clock`.
+fn reliable_udp_pair(clock: Clock) -> (Box<dyn Transport>, ReliableTransport<UdpTransport>) {
+    let any = "127.0.0.1:0".parse().expect("literal address");
+    let b0 = UdpTransport::bind(any).expect("bind rank 0");
+    let b1 = UdpTransport::bind(any).expect("bind rank 1");
+    let addrs = vec![b0.local_addr(), b1.local_addr()];
+    let addrs1 = addrs.clone();
+    let join = Duration::from_secs(5);
+    let h = std::thread::spawn(move || b1.connect(1, addrs1, 41, join).expect("rank 1 join"));
+    let t0 = b0
+        .connect_with_clock(0, addrs, 41, join, clock)
+        .expect("rank 0 join");
+    let t1 = h.join().expect("rank 1 thread");
+    (
+        Box::new(ReliableTransport::new(t0)),
+        ReliableTransport::new(t1),
+    )
+}
+
+/// Over the reliable UDP wire, a System reply sent by a polling-thread pass
+/// reaches its peer while the application thread sits in a long handler,
+/// with no later receive call on rank 0: the pass flushes what it sent
+/// before it releases the lock. Rank 1 asks rank 0's directory where an
+/// object lives once rank 0 is inside the handler. Rank 0's wire slice
+/// runs on a hand-stepped clock that the handler moves one slice on, so
+/// rank 0's socket is read once more, by the polling thread's next pass,
+/// and then never serviced again: the reply can leave only by a flush.
+#[test]
+fn a_polling_pass_reply_leaves_while_the_application_thread_runs_a_long_handler() {
+    const H_LONG: u32 = 2;
+    let wire_clock = Clock::manual();
+    let (t0, t1) = reliable_udp_pair(wire_clock.clone());
+    let peer = std::sync::Arc::new(std::sync::Mutex::new(t1));
+    let cfg = PremaConfig {
+        mode: LbMode::Implicit {
+            poll_interval: Duration::from_millis(5),
+        },
+        ..PremaConfig::implicit(2)
+    };
+    let answered = launch_single_rank(cfg, 0, t0, None, |rt: prema::Runtime<Cell>| {
+        rt.with_scheduler(|s| s.set_lb_enabled(false));
+        let ptr = rt.register(Cell { id: 0, hits: 0 });
+        rt.on_message(H_LONG, move |_ctx, cell, _item| {
+            let t1 = peer.lock().unwrap();
+            t1.send(Envelope {
+                src: 1,
+                dst: 0,
+                handler: H_MOL_DIR_LOOKUP,
+                tag: Tag::System,
+                payload: DirLookup { ptr, epoch: 0 }.encode(),
+            });
+            t1.flush();
+            wire_clock.advance(WIRE_SLICE);
+            let asked = std::time::Instant::now();
+            while asked.elapsed() < Duration::from_secs(2) {
+                let reply = t1.recv_timeout(Duration::from_millis(5));
+                if reply.is_some_and(|e| e.handler == H_MOL_DIR_ANSWER) {
+                    cell.hits = 1;
+                    return;
+                }
+            }
+        });
+        rt.message(ptr, H_LONG, Bytes::new());
+        assert!(rt.step());
+        rt.with_scheduler(|s| s.node().get(ptr).map(|c| c.hits))
+    });
+    assert_eq!(answered, Some(1), "the reply never left rank 0");
 }

@@ -415,11 +415,20 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.inner.send(env);
     }
 
+    fn flush(&self) {
+        self.inner.flush();
+    }
+
+    /// One logical tick per call; the inner transport is drained only when
+    /// nothing is ready here, so a burst of K costs K + 2 inner receives,
+    /// not 2K.
     fn try_recv(&self) -> Option<Envelope> {
         let mut state = self.state.borrow_mut();
         self.tick(&mut state);
-        while let Some(env) = self.inner.try_recv() {
-            self.admit(&mut state, env);
+        if state.ready.is_empty() {
+            while let Some(env) = self.inner.try_recv() {
+                self.admit(&mut state, env);
+            }
         }
         state.ready.pop_front()
     }
@@ -455,6 +464,7 @@ impl<T: Transport> Transport for ChaosTransport<T> {
 mod tests {
     use super::*;
     use crate::envelope::{HandlerId, Tag};
+    use crate::reliable::tests::Counted;
     use crate::transport::LocalFabric;
     use bytes::Bytes;
 
@@ -486,6 +496,26 @@ mod tests {
             }
         }
         (got, handle.stats())
+    }
+
+    /// A burst of K is drained from the inner transport once, by the
+    /// receive that finds nothing ready, and once more by the receive that
+    /// ends it: K + 2 inner receives in all, K of them delivering.
+    #[test]
+    fn a_burst_drains_the_inner_transport_only_when_nothing_is_ready() {
+        const K: u32 = 8;
+        let mut eps = LocalFabric::new(2);
+        let inner = Counted(eps.pop().unwrap(), std::cell::Cell::new(0));
+        let b = ChaosTransport::new(inner, ChaosConfig::quiet(1), ChaosHandle::new());
+        let a = eps.pop().unwrap();
+        for i in 0..K {
+            a.send(env(0, 1, i));
+        }
+        let got: Vec<u32> = std::iter::from_fn(|| b.try_recv())
+            .map(|e| e.handler.0)
+            .collect();
+        assert_eq!(got, (0..K).collect::<Vec<_>>());
+        assert_eq!(b.inner.1.get(), K + 2);
     }
 
     #[test]

@@ -94,20 +94,18 @@ impl Communicator {
     /// Non-blocking receive. Sidelined messages are returned first (in the
     /// order they were sidelined), then fresh transport messages.
     pub fn try_recv(&self) -> Option<Envelope> {
-        if let Some(env) = self.sidelined.borrow_mut().pop_front() {
-            return Some(self.count_recv(env));
-        }
-        self.transport.try_recv().map(|e| self.count_recv(e))
+        self.received(|| {
+            let sidelined = self.sidelined.borrow_mut().pop_front();
+            sidelined.or_else(|| self.transport.try_recv())
+        })
     }
 
     /// Blocking receive with timeout. Sidelined messages take priority.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        if let Some(env) = self.sidelined.borrow_mut().pop_front() {
-            return Some(self.count_recv(env));
-        }
-        self.transport
-            .recv_timeout(timeout)
-            .map(|e| self.count_recv(e))
+        self.received(|| {
+            let sidelined = self.sidelined.borrow_mut().pop_front();
+            sidelined.or_else(|| self.transport.recv_timeout(timeout))
+        })
     }
 
     /// Non-blocking receive that bypasses the sideline queue, looking only at
@@ -118,7 +116,12 @@ impl Communicator {
     ///
     /// [`try_recv`]: Communicator::try_recv
     pub fn try_recv_transport(&self) -> Option<Envelope> {
-        self.transport.try_recv().map(|e| self.count_recv(e))
+        self.received(|| self.transport.try_recv())
+    }
+
+    /// Put everything sent so far on the wire ([`Transport::flush`]).
+    pub fn flush(&self) {
+        self.transport.flush();
     }
 
     /// Put a message back for a later receive (front of the queue is the
@@ -145,17 +148,37 @@ impl Communicator {
         self.stats.get()
     }
 
-    fn count_recv(&self, env: Envelope) -> Envelope {
+    /// Receive through `recv`, then count what it returned and trace it.
+    /// The tracer is tested before the receive: with a detached one nothing
+    /// reads the envelope after it lands, so it is written once, straight
+    /// into the caller's slot (`trace_overhead`'s `dcs_send_recv` reads the
+    /// same with the emit site deleted).
+    #[inline(always)]
+    fn received(&self, recv: impl FnOnce() -> Option<Envelope>) -> Option<Envelope> {
+        if !self.tracer.is_on() {
+            let env = recv();
+            if env.is_some() {
+                self.count_recv();
+            }
+            return env;
+        }
+        let env = recv();
+        if let Some(env) = &env {
+            self.count_recv();
+            self.tracer.emit(|| TraceEvent::Recv {
+                src: env.src,
+                handler: env.handler.0,
+                bytes: env.wire_size(),
+                system: env.tag == Tag::System,
+            });
+        }
+        env
+    }
+
+    fn count_recv(&self) {
         let mut s = self.stats.get();
         s.msgs_recvd += 1;
         self.stats.set(s);
-        self.tracer.emit(|| TraceEvent::Recv {
-            src: env.src,
-            handler: env.handler.0,
-            bytes: env.wire_size(),
-            system: env.tag == Tag::System,
-        });
-        env
     }
 }
 

@@ -34,11 +34,11 @@
 //!   (sequence-deduped, per-pair FIFO, cumulative ACKs riding on reverse
 //!   data frames) that restores the MPI-grade wire contract above an
 //!   adversarial transport.
-//! * [`udp`] — the out-of-process wire: one UDP socket per rank, serviced
-//!   once per wire slice with application records packed one datagram per
-//!   peer (system traffic leaves at once), batched `sendmmsg`/`recvmmsg`
-//!   I/O, a versioned header, and a join handshake, so ranks run as
-//!   separate OS processes (see `prema-launch`).
+//! * [`udp`] — the out-of-process wire (x86-64 Linux only): one UDP socket
+//!   per rank, records packed one datagram per peer and sent at each
+//!   [`Transport::flush`] or wire slice, batched `sendmmsg`/`recvmmsg` I/O,
+//!   a versioned header, and a join handshake, so ranks run as separate OS
+//!   processes (see `prema-launch`).
 //! * [`env`] — validated `PREMA_*` environment-knob parsing (warn-once on
 //!   malformed values, range-checked probabilities), shared by every layer.
 //! * [`fxmap`] — Fx-hashed map aliases for runtime-internal keys (fast,
@@ -57,6 +57,7 @@ pub mod pool;
 pub mod reliable;
 mod ring;
 pub mod transport;
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub mod udp;
 pub mod wire;
 
@@ -67,6 +68,7 @@ pub use envelope::{Envelope, HandlerId, Rank, Tag};
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use handler::{Handler, HandlerTable};
 pub use reliable::{ReliableStats, ReliableTransport, RetryConfig};
-pub use transport::{LocalEndpoint, LocalFabric, RingEndpoint, RingFabric, Transport};
-pub use udp::{UdpBuilder, UdpError, UdpStats, UdpTransport, WIRE_SLICE};
+pub use transport::{LocalEndpoint, LocalFabric, RingEndpoint, RingFabric, Transport, WIRE_SLICE};
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+pub use udp::{UdpBuilder, UdpError, UdpStats, UdpTransport};
 pub use wire::{WireReader, WireWriter};

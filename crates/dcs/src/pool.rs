@@ -6,24 +6,26 @@
 //! allocator churn is a measurable slice of per-message cost. This module
 //! keeps a **thread-local freelist** of emptied buffers in power-of-two size
 //! classes so an encoder can take a warm buffer, freeze it into a payload,
-//! and (once the payload's last owner drops it) hand the allocation back.
+//! and have the allocation back once the payload's last owner drops it.
 //!
 //! Design points:
 //!
+//! * **Buffers come home by themselves.** [`take`] hands out a
+//!   [`BytesMut`] whose storage is *homed* (`BytesMut::homed` in the
+//!   vendored `bytes`): freezing it allocates nothing, and when the last
+//!   handle on the frozen payload drops, the storage — buffer and reference
+//!   count box together — is handed back here, emptied. No caller recycles
+//!   anything; a payload still shared with a decoder or a retransmit queue
+//!   simply comes back later.
 //! * **Thread-local, no locks.** Every rank runs on its own thread; a send
-//!   path never contends on a shared pool. A buffer recycled on a different
-//!   thread than it was taken from simply refills that thread's freelist —
-//!   allocations are plain `Vec`s, owned by whoever holds them.
+//!   path never contends on a shared pool. A buffer that comes home on a
+//!   different thread than it was taken from refills that thread's freelist.
 //! * **Power-of-two size classes**, 64 B ([`MIN_POOLED`]) through 64 KiB
 //!   ([`MAX_POOLED`]). Oversized buffers are never pooled (a one-off huge
 //!   migrate must not pin its allocation forever); undersized requests round
 //!   up to the smallest class.
 //! * **Bounded capacity** ([`PER_CLASS_CAP`] buffers per class): a burst can
 //!   not turn the pool into an unbounded leak. Overflow buffers just drop.
-//! * **Best-effort recycling.** [`recycle`] only reclaims a `Bytes` whose
-//!   storage is uniquely owned; payloads still shared with a decoder or a
-//!   retransmit queue are left alone and returned `false`. Correctness never
-//!   depends on a recycle succeeding — a miss is just an allocation.
 
 use bytes::{Bytes, BytesMut};
 use std::cell::RefCell;
@@ -46,15 +48,15 @@ pub struct PoolStats {
     pub hits: u64,
     /// `take` calls that had to allocate.
     pub misses: u64,
-    /// Buffers returned to the freelist by `recycle`.
+    /// Buffers that came home to the freelist.
     pub recycled: u64,
-    /// `recycle` calls that could not reclaim (shared, static, oversized, or
-    /// a full size class) — the allocation was simply dropped.
+    /// Buffers that came home and were dropped: oversized, or their size
+    /// class was full.
     pub rejected: u64,
 }
 
 struct ThreadPool {
-    classes: [Vec<Vec<u8>>; NUM_CLASSES],
+    classes: [Vec<BytesMut>; NUM_CLASSES],
     stats: PoolStats,
 }
 
@@ -92,75 +94,66 @@ fn class_for_capacity(capacity: usize) -> Option<usize> {
 }
 
 /// Take a buffer with at least `min_cap` bytes of capacity, reusing a pooled
-/// allocation when one is available.
+/// allocation when one is available. Its storage comes back to the pool of
+/// whichever thread drops the last handle on it.
 pub fn take(min_cap: usize) -> BytesMut {
-    BytesMut::from(take_vec(min_cap))
-}
-
-/// [`take`], as a raw `Vec<u8>` for callers that fill through `&mut Vec<u8>`
-/// (MOL object packing).
-pub fn take_vec(min_cap: usize) -> Vec<u8> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if let Some(class) = class_for_request(min_cap) {
-            // Buffers in a class always have capacity >= the class size, and
-            // the request rounds *up*, so any pooled buffer fits.
-            if let Some(buf) = p.classes[class].pop() {
-                p.stats.hits += 1;
-                debug_assert!(buf.capacity() >= min_cap);
-                return buf;
-            }
+        let class = class_for_request(min_cap);
+        // Buffers in a class always have capacity >= the class size, and
+        // the request rounds *up*, so any pooled buffer fits.
+        if let Some(buf) = class.and_then(|c| p.classes[c].pop()) {
+            p.stats.hits += 1;
+            debug_assert!(buf.capacity() >= min_cap);
+            return buf;
         }
         p.stats.misses += 1;
         // Allocate at the class size (not the raw request) so the buffer
-        // re-enters the same class it serves when it is recycled.
-        let cap = match class_for_request(min_cap) {
-            Some(class) => MIN_POOLED << class,
-            None => min_cap,
-        };
-        Vec::with_capacity(cap)
+        // re-enters the same class it serves when it comes home.
+        let cap = class.map_or(min_cap, |c| MIN_POOLED << c);
+        BytesMut::homed(Vec::with_capacity(cap), come_home)
     })
 }
 
-/// Fill a pooled scratch buffer through `fill` and freeze it into a payload.
-/// This is the sanctioned way for hot paths to turn `&mut Vec<u8>`-style
-/// packing APIs (MOL object packing) into a `Bytes` — the `batch-hygiene`
-/// lint forbids raw `Bytes::from(vec…)` construction outside this module.
-pub fn build<F: FnOnce(&mut Vec<u8>)>(min_cap: usize, fill: F) -> Bytes {
-    let mut v = take_vec(min_cap);
-    fill(&mut v);
-    Bytes::from(v)
-}
-
-/// Return a payload's allocation to this thread's freelist.
+/// Fill a pooled buffer through `fill` and freeze it into a payload. This is
+/// the sanctioned way for hot paths to turn `&mut Vec<u8>`-style packing
+/// APIs (MOL object packing) into a `Bytes` — the `batch-hygiene` lint
+/// forbids raw `Bytes::from(vec…)` construction outside this module.
 ///
-/// Succeeds (and returns `true`) only when `bytes` was the sole owner of
-/// poolable heap storage; otherwise the bytes drop normally. Always safe to
-/// call — recycling is an optimization, never a requirement.
-pub fn recycle(bytes: Bytes) -> bool {
-    let Ok(v) = bytes.try_reclaim() else {
-        POOL.with(|p| p.borrow_mut().stats.rejected += 1);
-        return false;
-    };
-    recycle_vec(v)
+/// A buffer that `fill` grew past its class is frozen without a home: it
+/// would come back to a bigger class than the one `min_cap` asks for, which
+/// the next `build` would miss again, so every packed 4 KiB object would
+/// park its buffer until that class filled up.
+pub fn build<F: FnOnce(&mut Vec<u8>)>(min_cap: usize, fill: F) -> Bytes {
+    let mut b = take(min_cap);
+    let cap = b.capacity();
+    fill(b.as_mut_vec());
+    if b.capacity() == cap {
+        return b.freeze();
+    }
+    Bytes::from(std::mem::take(b.as_mut_vec()))
 }
 
-/// [`recycle`] for an already-owned buffer (e.g. a drained scratch `Vec`).
-pub fn recycle_vec(v: Vec<u8>) -> bool {
-    POOL.with(|p| {
+/// Drop `bytes` without giving its storage to this thread's pool, if it is
+/// the last handle on it: for payloads that flow one way between ranks, which
+/// the receiving thread would only hoard.
+pub fn discard(bytes: Bytes) {
+    drop(bytes.try_reclaim());
+}
+
+/// Where a taken buffer's storage lands when its last handle drops. A
+/// thread whose pool is already torn down just frees it.
+fn come_home(buf: BytesMut) {
+    let _ = POOL.try_with(|p| {
         let mut p = p.borrow_mut();
-        if let Some(class) = class_for_capacity(v.capacity()) {
-            if p.classes[class].len() < PER_CLASS_CAP {
-                let mut v = v;
-                v.clear();
-                p.classes[class].push(v);
+        match class_for_capacity(buf.capacity()) {
+            Some(class) if p.classes[class].len() < PER_CLASS_CAP => {
+                p.classes[class].push(buf);
                 p.stats.recycled += 1;
-                return true;
             }
+            _ => p.stats.rejected += 1,
         }
-        p.stats.rejected += 1;
-        false
-    })
+    });
 }
 
 /// This thread's pool counters.
@@ -197,36 +190,40 @@ mod tests {
             let mut buf = take(100);
             use bytes::BufMut;
             buf.put_slice(&[7; 100]);
-            let frozen = buf.freeze();
-            assert!(recycle(frozen));
+            drop(buf.freeze());
             let again = take(100);
             assert!(again.capacity() >= 100);
         });
-        assert_eq!(d.recycled, 1);
+        assert_eq!(d.recycled, 1, "the last drop brought it home: {d:?}");
         assert!(d.hits >= 1, "second take must hit the freelist: {d:?}");
     }
 
     #[test]
     fn shared_payload_is_not_reclaimed() {
         let d = delta(|| {
-            let buf = take(64);
-            let frozen = buf.freeze();
+            let frozen = take(64).freeze();
             let clone = frozen.clone();
-            assert!(!recycle(frozen), "shared storage must not be pooled");
+            let before = stats().recycled;
+            drop(frozen);
+            assert_eq!(stats().recycled, before, "a clone still reads it");
             drop(clone);
         });
-        assert_eq!(d.recycled, 0);
-        assert_eq!(d.rejected, 1);
+        assert_eq!((d.recycled, d.rejected), (1, 0));
     }
 
     #[test]
     fn static_and_oversized_are_rejected() {
         let d = delta(|| {
-            assert!(!recycle(Bytes::from_static(b"abc")));
-            assert!(!recycle_vec(Vec::with_capacity(MAX_POOLED * 2)));
-            assert!(!recycle_vec(Vec::with_capacity(MIN_POOLED / 2)));
+            drop(Bytes::from_static(b"abc"));
+            drop(take(MAX_POOLED * 2).freeze());
+            discard(take(64).freeze());
         });
-        assert_eq!(d.rejected, 3);
+        assert_eq!(
+            (d.recycled, d.rejected),
+            (0, 1),
+            "static storage has no home, an oversized one is turned away, \
+             a discarded one never comes"
+        );
     }
 
     #[test]
@@ -241,13 +238,26 @@ mod tests {
     #[test]
     fn class_is_bounded() {
         let d = delta(|| {
-            for _ in 0..(PER_CLASS_CAP + 8) {
-                // Exact power-of-two capacity lands in one class.
-                recycle_vec(Vec::with_capacity(1024));
-            }
+            // All live at once, so none is reused: PER_CLASS_CAP + 8 come
+            // home to one class.
+            let held: Vec<Bytes> = (0..PER_CLASS_CAP + 8)
+                .map(|_| take(1024).freeze())
+                .collect();
+            drop(held);
         });
         assert!(d.recycled <= PER_CLASS_CAP as u64);
         assert!(d.rejected >= 8);
+    }
+
+    /// A built payload that fit its class comes home; one that grew past it
+    /// does not, so it cannot park in a class its next build never asks for.
+    #[test]
+    fn a_build_that_outgrew_its_class_does_not_come_home() {
+        let d = delta(|| {
+            drop(build(64, |v| v.extend_from_slice(&[1; 64])));
+            drop(build(64, |v| v.extend_from_slice(&[2; 4096])));
+        });
+        assert_eq!((d.recycled, d.rejected), (1, 0));
     }
 
     #[test]

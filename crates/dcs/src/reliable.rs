@@ -69,14 +69,14 @@
 //! fabric (`Chaos(LocalFabric)` in the lock-step tests) the second look is
 //! what finds a reply that is already receivable and what advances the
 //! chaos layer's logical tick. Over [`crate::udp`], which services its
-//! socket once per wire slice, a System frame — every ACK and every
-//! load-balancing message — has already left inside `send`, and an App frame
-//! leaves at the first receive call a slice after the last service, so the
-//! look costs a clock reading, not a syscall.
+//! socket once per wire slice, a frame leaves at the sender's next
+//! [`Transport::flush`] (forwarded by this layer; the runtime flushes before
+//! it releases a rank's scheduler lock) or at the first receive call a
+//! slice after the last service, so the look costs a clock reading, not a
+//! syscall.
 
 use crate::clock::Clock;
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
-use crate::pool;
 use crate::transport::Transport;
 use crate::wire::{WireReader, WireWriter};
 use prema_trace::{TraceEvent, Tracer};
@@ -331,11 +331,9 @@ impl<T: Transport> ReliableTransport<T> {
         // Progress: the backoff starts over.
         s.rounds = 0;
         s.retry_at = Some(now + self.retry.wait(0));
-        // Hand the buffers back to the pool (best-effort: one still shared
-        // with an in-flight retransmit clone just drops normally).
-        for frame in s.unacked.drain(..(ack - oldest) as usize) {
-            pool::recycle(frame.payload);
-        }
+        // Each frame's buffer goes back to the pool as it drops here, or
+        // later if a retransmit clone still shares it.
+        s.unacked.drain(..(ack - oldest) as usize);
     }
 
     /// Process one raw envelope from the inner transport.
@@ -538,6 +536,10 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         self.inner.send(frame);
     }
 
+    fn flush(&self) {
+        self.inner.flush();
+    }
+
     fn try_recv(&self) -> Option<Envelope> {
         let mut state = self.state.borrow_mut();
         if state.ready.is_empty() {
@@ -584,7 +586,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::chaos::{ChaosConfig, ChaosHandle, ChaosTransport};
     use crate::transport::{LocalEndpoint, LocalFabric};
@@ -811,7 +813,7 @@ mod tests {
     }
 
     /// Counts how often the layer above looks at this one.
-    struct Counted<T>(T, Cell<u32>);
+    pub(crate) struct Counted<T>(pub(crate) T, pub(crate) Cell<u32>);
 
     impl<T: Transport> Transport for Counted<T> {
         fn rank(&self) -> Rank {

@@ -54,6 +54,26 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The wire slice: how often a rank with queued work runs its polling
+/// operation (`prema::Runtime::step` through `ilb::Scheduler::poll_due`) —
+/// it pumps its wire and weighs its load once per slice, not once per unit
+/// — and how often [`crate::udp`] services its socket while a rank keeps
+/// receiving without flushing: open datagrams leave, and the socket is
+/// drained, at the first `try_recv` at least this long after the last
+/// service.
+///
+/// A constant, not configuration. Swept on `chat_udp` (benchmark/README.md;
+/// 8 s runs, seed 1, two rounds, 2-vCPU Xeon VM) against servicing the
+/// socket on every receive call (723–876 k units/s): 10 µs read
+/// 1.01–1.05 M, 20 µs 1.13–1.14 M, 50 µs 1.29–1.37 M, 100 µs 1.26–1.30 M,
+/// and 250 µs 1.02–1.10 M with `on_time_share` slipping to 0.99997. The
+/// slice only has to be long against a unit (so a datagram collects a
+/// slice's records) and short against `reliable::ACK_DELAY` and the 1 ms
+/// polling interval (so nothing above notices it). Swept on `chat_fine`
+/// as the polling pace (5–100 µs all within noise), so one constant serves
+/// both.
+pub const WIRE_SLICE: Duration = Duration::from_micros(50);
+
 /// A node's connection to the machine.
 pub trait Transport: Send {
     /// This node's rank.
@@ -67,6 +87,12 @@ pub trait Transport: Send {
     fn try_recv(&self) -> Option<Envelope>;
     /// Blocking receive with a timeout; `None` on timeout.
     fn recv_timeout(&self, timeout: Duration) -> Option<Envelope>;
+    /// Put on the wire everything `send` has accepted and is still holding.
+    /// The runtime calls it before it releases a rank's scheduler lock, so
+    /// what one lock hold sent leaves together. A transport whose `send`
+    /// delivers at once holds nothing, and the default does nothing; a
+    /// decorator forwards it to the transport it wraps.
+    fn flush(&self) {}
 }
 
 /// Per-receiver state every sender needs a handle on: the readiness bits it

@@ -41,40 +41,41 @@
 //! answered (the last rank to finish still needs WELCOMEs) and bad headers
 //! are dropped with per-cause counters plus a `DcsDropped` trace event.
 //!
-//! # The wire slice
+//! # Flush and slice
 //!
-//! The socket is touched in slices of [`WIRE_SLICE`] on the [`Clock`] the
-//! transport is handed, read once per receive call that looks past what is
-//! already ready:
+//! The socket is touched at [`Transport::flush`] and in slices of
+//! [`WIRE_SLICE`] on the [`Clock`] the transport is handed:
 //!
 //! * **Sends pack.** Each destination has at most one *open* datagram — a
 //!   pooled buffer of one MTU, the header and destination written once — and
-//!   an application record is appended to it. A datagram closes when the
-//!   next record would take its records past [`MTU_PAYLOAD`]; a record
-//!   bigger than that travels alone (up to [`MAX_DGRAM`], which loopback
-//!   carries whole). A MOL frame, the object messages a rank's units sent
-//!   one peer within a slice (up to 1 KiB), rides as one record.
-//! * **System traffic never waits.** A `Tag::System` record closes its
-//!   destination's datagram and leaves inside `send`, behind the application
-//!   records staged before it to that peer, so per-pair FIFO holds across
-//!   tags. Other peers' open datagrams stay open.
-//! * **The socket is serviced once per slice.** `try_recv` closes every open
-//!   datagram, sends everything closed in one `sendmmsg`, and drains the
-//!   socket at the first call at least one slice after the last service;
-//!   in between it answers from what the last drain made ready and makes no
-//!   syscall. `recv_timeout` services at once before it blocks, so a caller
-//!   that waits never waits longer than it would without the slice.
+//!   every record, App or System, is appended to it, so per-pair FIFO holds
+//!   across tags. A datagram closes when the next record would take its
+//!   records past [`MTU_PAYLOAD`]; a record bigger than that travels alone
+//!   (up to [`MAX_DGRAM`], which loopback carries whole). A MOL frame, the
+//!   object messages a rank's units sent one peer within a slice (up to
+//!   1 KiB), rides as one record.
+//! * **A flush sends.** `flush` closes every open datagram and sends
+//!   everything closed in one `sendmmsg`; it reads nothing. The runtime
+//!   flushes before it releases a rank's scheduler lock, so what one
+//!   polling pass, unit completion or registration sent leaves together.
+//! * **The socket is serviced once per slice.** `try_recv` flushes and then
+//!   drains the socket at the first call at least one slice after the last
+//!   service; in between it answers from what the last drain made ready and
+//!   makes no syscall. `recv_timeout` services at once before it blocks, so
+//!   a caller that waits never waits longer than it would without the
+//!   slice.
 //!
-//! An application record therefore waits at most one slice while its rank
-//! keeps receiving. A rank inside a long handler services its socket when
-//! its next receive call comes — under `PremaConfig::implicit`, which every
-//! UDP deployment runs, the polling thread's next wake.
+//! A record therefore leaves at its sender's next flush. Under a caller
+//! that never flushes (a decorator that does not forward `flush`) it leaves
+//! at the first service, at most one slice later while its rank keeps
+//! receiving.
 //!
-//! On x86-64 Linux the syscalls are raw `sendmmsg` / `recvmmsg` (no libc,
-//! the `prema::affinity` idiom) over persistent scatter/gather scaffolding,
-//! `IO_BATCH` datagrams per call; datagram buffers come from
-//! [`crate::pool`]. Elsewhere a portable `send_to`/`recv_from` fallback
-//! keeps the module compiling.
+//! The syscalls are raw `sendmmsg` / `recvmmsg` (no libc, the
+//! `prema::affinity` idiom) over persistent scatter/gather scaffolding,
+//! `IO_BATCH` datagrams per call, so the module is built on x86-64 Linux
+//! only. Datagram buffers, sent and received, come from [`crate::pool`] and
+//! go back to it when their last handle drops: a warm pair allocates
+//! nothing per message.
 //!
 //! # The receive region
 //!
@@ -83,10 +84,9 @@
 //! overwrites what it delivers, and a window is read only up to the length
 //! the kernel reported (`sys::RecvBatch::datagram`). The drain, the join
 //! handshake and `recv_timeout` all receive into it, so building and
-//! joining a transport zeroes none of it; only the portable fallback keeps
-//! one zeroed `MAX_DGRAM` buffer. `udp_join` in `benches/udp.rs` asserts
-//! that a joined loopback pair zeroes at most two `MAX_DGRAM` (zeroed
-//! windows would be 32) and times the join: 25–45 µs a pair, against
+//! joining a transport zeroes none of it. `udp_join` in `benches/udp.rs`
+//! asserts that a joined loopback pair zeroes at most two `MAX_DGRAM`
+//! (zeroed windows would be 32) and times the join: 25–45 µs a pair, against
 //! 60–67 µs when the windows are zeroed (2-vCPU VM, six runs a side, means
 //! of 20 samples). The saving is in a process that builds transports
 //! repeatedly; a fresh process's first allocations come from pages the
@@ -95,6 +95,7 @@
 use crate::clock::Clock;
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
 use crate::pool;
+pub use crate::transport::WIRE_SLICE;
 use crate::transport::{saturating_deadline, Transport};
 use crate::wire::{WireReader, WireWriter};
 use bytes::{BufMut, Bytes};
@@ -104,6 +105,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, SocketAddrV4, UdpSocket};
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 /// `"PRMA"` in little-endian — the first four bytes of every datagram.
@@ -136,25 +138,6 @@ pub const MTU_PAYLOAD: usize = 1408;
 /// An open datagram's buffer: it is taken from the pool at this size and
 /// never regrows.
 const DGRAM_CAP: usize = HEADER_LEN + DST_LEN + MTU_PAYLOAD;
-
-/// How often the socket is serviced while a rank keeps receiving: open
-/// datagrams leave, and the socket is drained, at the first `try_recv` at
-/// least this long after the last service (module docs).
-///
-/// A constant, not configuration. Swept on `chat_udp` (benchmark/README.md;
-/// 8 s runs, seed 1, two rounds, 2-vCPU Xeon VM) against servicing the
-/// socket on every receive call (723–876 k units/s): 10 µs read
-/// 1.01–1.05 M, 20 µs 1.13–1.14 M, 50 µs 1.29–1.37 M, 100 µs 1.26–1.30 M,
-/// and 250 µs 1.02–1.10 M with `on_time_share` slipping to 0.99997. The
-/// slice only has to be long against a unit (so a datagram collects a
-/// slice's records) and short against `reliable::ACK_DELAY` and the 1 ms
-/// polling interval (so nothing above notices it).
-///
-/// The same slice paces the polling operation of a rank with queued work
-/// (`prema::Runtime::step` through `ilb::Scheduler::poll_due`): it pumps its
-/// wire and weighs its load once per slice, not once per unit. Swept on
-/// `chat_fine` (5–100 µs all within noise), so one constant serves both.
-pub const WIRE_SLICE: Duration = Duration::from_micros(50);
 
 /// Datagrams per `sendmmsg`/`recvmmsg` syscall.
 const IO_BATCH: usize = 16;
@@ -289,7 +272,9 @@ fn unpack_records(r: &mut WireReader, src: Rank, dst: Rank, out: &mut VecDeque<E
     true
 }
 
-/// Copy one received datagram out of a scratch buffer into a pooled one.
+/// Copy one received datagram out of the receive region into a pooled
+/// buffer, which goes back to the pool when the last record that shares it
+/// drops.
 fn frame_of(buf: &[u8]) -> Bytes {
     let mut b = pool::take(buf.len().max(1));
     b.put_slice(buf);
@@ -402,7 +387,6 @@ pub struct UdpStats {
 /// Raw batched-I/O syscalls for x86-64 Linux — no libc, the
 /// `prema::affinity` idiom. Struct layouts match the kernel ABI for this
 /// target exactly (x86-64 `sockaddr_in` / `iovec` / `msghdr` / `mmsghdr`).
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
     use super::{IO_BATCH, MAX_DGRAM};
     use std::mem::MaybeUninit;
@@ -631,10 +615,14 @@ mod sys {
 struct TxState {
     /// `open[d]`: the datagram to rank `d` still taking records, if any.
     open: Vec<Option<WireWriter>>,
+    /// The peers whose datagram opened since the last flush, in the order
+    /// they opened (one may appear again after its datagram filled), so a
+    /// flush visits only those and one with nothing open costs nothing per
+    /// peer.
+    opened: Vec<Rank>,
     /// Closed datagrams (destination rank + bytes), in the order they
     /// closed, so per-destination order is send order.
     staged: Vec<(Rank, Bytes)>,
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     sys: sys::Scratch,
 }
 
@@ -645,11 +633,7 @@ struct RxState {
     /// The last drain made something ready and no `None` has ended that
     /// burst yet (see `try_recv`).
     in_burst: bool,
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     batch: sys::RecvBatch,
-    /// The portable fallback's one receive buffer.
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    buf: Vec<u8>,
 }
 
 /// A bound-but-unjoined UDP endpoint: created by [`UdpTransport::bind`],
@@ -754,17 +738,14 @@ impl UdpTransport {
             peers,
             tx: RefCell::new(TxState {
                 open: (0..n).map(|_| None).collect(),
+                opened: Vec::with_capacity(n),
                 staged: Vec::with_capacity(n.max(IO_BATCH)),
-                #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
                 sys: sys::Scratch::with_capacity(IO_BATCH),
             }),
             rx: RefCell::new(RxState {
                 ready: VecDeque::new(),
                 in_burst: false,
-                #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
                 batch: sys::RecvBatch::new(),
-                #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-                buf: vec![0u8; MAX_DGRAM],
             }),
             stats: RefCell::new(UdpStats::default()),
             clock,
@@ -799,7 +780,6 @@ impl UdpTransport {
     fn send_control(&self, kind: u32, version: u32, addr: &SocketAddrV4) {
         let frame = control_dgram(kind, version, self.rank as u32, self.epoch);
         let _ = self.socket.send_to(&frame, addr);
-        let _ = pool::recycle(frame);
     }
 
     /// The symmetric join protocol (see the module docs). `version` is a
@@ -994,106 +974,18 @@ impl UdpTransport {
         }
     }
 
-    /// One look at the socket, at `now` on the transport's clock: every open
-    /// datagram closes, everything closed leaves together, and the socket is
-    /// drained. `try_recv` looks again one slice later. Returns envelopes
-    /// made ready.
+    /// One look at the socket, at `now` on the transport's clock: a
+    /// [`Transport::flush`], then a drain. `try_recv` looks again one slice
+    /// later. Returns envelopes made ready.
     fn service(&self, now: Duration) -> usize {
-        {
-            let TxState { open, staged, .. } = &mut *self.tx.borrow_mut();
-            for (dst, slot) in open.iter_mut().enumerate() {
-                if let Some(w) = slot.take() {
-                    staged.push((dst, w.finish()));
-                }
-            }
-        }
-        self.flush_tx();
+        self.flush();
         self.next_service.set(now + WIRE_SLICE);
         self.drain_rx()
     }
 
-    /// Push every closed datagram to the kernel — `sendmmsg` in
-    /// [`IO_BATCH`]-sized chunks. Buffers are recycled into the pool after
-    /// the syscall.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    fn flush_tx(&self) {
-        use std::os::fd::AsRawFd;
-        let tx = &mut *self.tx.borrow_mut();
-        if tx.staged.is_empty() {
-            return;
-        }
-        let fd = self.socket.as_raw_fd();
-        let mut start = 0;
-        while start < tx.staged.len() {
-            let chunk = (tx.staged.len() - start).min(IO_BATCH);
-            tx.sys.addrs.clear();
-            tx.sys.iovs.clear();
-            tx.sys.hdrs.clear();
-            for (dst, bytes) in tx.staged[start..start + chunk].iter() {
-                tx.sys.addrs.push(sys::to_sockaddr(&self.peers[*dst]));
-                tx.sys.iovs.push(sys::IoVec {
-                    base: bytes.as_ptr() as *mut u8,
-                    len: bytes.len(),
-                });
-            }
-            for i in 0..chunk {
-                tx.sys.hdrs.push(sys::MMsgHdr {
-                    hdr: sys::MsgHdr {
-                        name: &mut tx.sys.addrs[i],
-                        namelen: std::mem::size_of::<sys::SockAddrIn>() as u32,
-                        iov: &mut tx.sys.iovs[i],
-                        iovlen: 1,
-                        control: std::ptr::null_mut(),
-                        controllen: 0,
-                        flags: 0,
-                    },
-                    len: 0,
-                });
-            }
-            // SAFETY: hdrs/iovs/addrs live in `tx.sys`, the payload bytes in
-            // `tx.staged` — all alive across the call, nothing aliased
-            // mutably.
-            let ret = unsafe { sys::sendmmsg(fd, tx.sys.hdrs.as_mut_ptr(), chunk as u32, 0) };
-            let mut stats = self.stats.borrow_mut();
-            stats.send_calls += 1;
-            if ret > 0 {
-                stats.sent += ret as u64;
-                start += ret as usize;
-            } else if ret == -sys::EINTR || ret == -sys::EAGAIN {
-                // Interrupted or transiently full: retry the same chunk.
-            } else {
-                // Hard error (e.g. ECONNREFUSED bounced off a dead peer):
-                // skip one datagram so the flush always terminates.
-                stats.send_errors += 1;
-                start += 1;
-            }
-        }
-        for (_, bytes) in tx.staged.drain(..) {
-            let _ = pool::recycle(bytes);
-        }
-    }
-
-    /// Portable fallback: one `send_to` per staged datagram.
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    fn flush_tx(&self) {
-        let tx = &mut *self.tx.borrow_mut();
-        for (dst, bytes) in tx.staged.drain(..) {
-            let mut stats = self.stats.borrow_mut();
-            stats.send_calls += 1;
-            match self.socket.send_to(&bytes, self.peers[dst]) {
-                Ok(_) => stats.sent += 1,
-                Err(_) => stats.send_errors += 1,
-            }
-            drop(stats);
-            let _ = pool::recycle(bytes);
-        }
-    }
-
     /// Drain everything queued on the socket without blocking — `recvmmsg`
     /// in [`IO_BATCH`]-sized gulps. Returns envelopes made ready.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     fn drain_rx(&self) -> usize {
-        use std::os::fd::AsRawFd;
         let fd = self.socket.as_raw_fd();
         let rx = &mut *self.rx.borrow_mut();
         let before = rx.ready.len();
@@ -1122,13 +1014,11 @@ impl UdpTransport {
     /// take whatever else is already queued (`MSG_WAITFORONE`), into the
     /// same windows a drain uses, and hand each datagram with `rx.ready` to
     /// `each`. Returns datagrams received: 0 when the timeout passed.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     fn recv_wait(
         &self,
         rx: &mut RxState,
         mut each: impl FnMut(&[u8], SocketAddrV4, &mut VecDeque<Envelope>) -> Result<(), UdpError>,
     ) -> Result<usize, UdpError> {
-        use std::os::fd::AsRawFd;
         let got = match rx.batch.recv(self.socket.as_raw_fd(), sys::MSG_WAITFORONE) {
             Ok(got) => got,
             Err(sys::EAGAIN | sys::EINTR) => return Ok(0),
@@ -1139,55 +1029,6 @@ impl UdpTransport {
             each(dgram, from, &mut rx.ready)?;
         }
         Ok(got)
-    }
-
-    /// Portable fallback: one blocking `recv_from`.
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    fn recv_wait(
-        &self,
-        rx: &mut RxState,
-        mut each: impl FnMut(&[u8], SocketAddrV4, &mut VecDeque<Envelope>) -> Result<(), UdpError>,
-    ) -> Result<usize, UdpError> {
-        match self.socket.recv_from(&mut rx.buf) {
-            Ok((len, SocketAddr::V4(from))) => {
-                each(&rx.buf[..len], from, &mut rx.ready)?;
-                Ok(1)
-            }
-            Ok(_) => Ok(0),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Ok(0)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Portable fallback: nonblocking `recv_from` until `WouldBlock`.
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    fn drain_rx(&self) -> usize {
-        let rx = &mut *self.rx.borrow_mut();
-        let before = rx.ready.len();
-        if self.socket.set_nonblocking(true).is_err() {
-            return 0;
-        }
-        loop {
-            let got = match self.socket.recv_from(&mut rx.buf) {
-                Ok((len, SocketAddr::V4(from))) => Some((len, from)),
-                Ok(_) => continue,
-                Err(_) => None,
-            };
-            let Some((len, from)) = got else {
-                self.stats.borrow_mut().recv_empty += 1;
-                break;
-            };
-            self.stats.borrow_mut().recv_calls += 1;
-            let frame = frame_of(&rx.buf[..len]);
-            self.ingest_dgram(frame, from, &mut rx.ready);
-        }
-        let _ = self.socket.set_nonblocking(false);
-        self.cached_timeout.set(None);
-        rx.ready.len() - before
     }
 }
 
@@ -1200,9 +1041,8 @@ impl Transport for UdpTransport {
         self.peers.len()
     }
 
-    /// Packs `env` into its destination's open datagram. A `Tag::System`
-    /// record closes that datagram and leaves now, together with whatever
-    /// else has closed since the last flush.
+    /// Packs `env` into its destination's open datagram, whatever its tag;
+    /// it leaves at the next [`Transport::flush`] or service.
     fn send(&self, env: Envelope) {
         let record = RECORD_OVERHEAD + env.payload.len();
         if record > MAX_DGRAM - HEADER_LEN - DST_LEN {
@@ -1213,28 +1053,29 @@ impl Transport for UdpTransport {
             });
             return;
         }
-        let (dst, system) = (env.dst, env.tag == Tag::System);
-        {
-            let TxState { open, staged, .. } = &mut *self.tx.borrow_mut();
-            let slot = &mut open[dst];
-            if let Some(full) = slot.take_if(|w| w.len() + record > DGRAM_CAP) {
-                staged.push((dst, full.finish()));
-            }
-            let w = slot.take().unwrap_or_else(|| {
-                let cap = DGRAM_CAP.max(HEADER_LEN + DST_LEN + record);
-                open_dgram(self.rank, dst, self.epoch, cap)
-            });
-            let w = encode_record(w, &env);
-            if system || record > MTU_PAYLOAD {
-                staged.push((dst, w.finish()));
-            } else {
-                *slot = Some(w);
-            }
+        let dst = env.dst;
+        let TxState {
+            open,
+            opened,
+            staged,
+            ..
+        } = &mut *self.tx.borrow_mut();
+        let slot = &mut open[dst];
+        if let Some(full) = slot.take_if(|w| w.len() + record > DGRAM_CAP) {
+            staged.push((dst, full.finish()));
+        }
+        let w = slot.take().unwrap_or_else(|| {
+            opened.push(dst);
+            let cap = DGRAM_CAP.max(HEADER_LEN + DST_LEN + record);
+            open_dgram(self.rank, dst, self.epoch, cap)
+        });
+        let w = encode_record(w, &env);
+        if record > MTU_PAYLOAD {
+            staged.push((dst, w.finish()));
+        } else {
+            *slot = Some(w);
         }
         self.stats.borrow_mut().records_sent += 1;
-        if system {
-            self.flush_tx();
-        }
     }
 
     /// Answers from what the last drain made ready; the socket is serviced
@@ -1287,6 +1128,69 @@ impl Transport for UdpTransport {
                 self.stats.borrow_mut().recv_calls += 1;
             }
         }
+    }
+
+    /// Closes every open datagram and pushes every closed one to the kernel
+    /// — `sendmmsg` in [`IO_BATCH`]-sized chunks; reads nothing. Each buffer
+    /// goes back to the pool as the staged list is cleared after the
+    /// syscalls.
+    fn flush(&self) {
+        let tx = &mut *self.tx.borrow_mut();
+        for dst in tx.opened.drain(..) {
+            if let Some(w) = tx.open[dst].take() {
+                tx.staged.push((dst, w.finish()));
+            }
+        }
+        if tx.staged.is_empty() {
+            return;
+        }
+        let fd = self.socket.as_raw_fd();
+        let mut start = 0;
+        while start < tx.staged.len() {
+            let chunk = (tx.staged.len() - start).min(IO_BATCH);
+            tx.sys.addrs.clear();
+            tx.sys.iovs.clear();
+            tx.sys.hdrs.clear();
+            for (dst, bytes) in tx.staged[start..start + chunk].iter() {
+                tx.sys.addrs.push(sys::to_sockaddr(&self.peers[*dst]));
+                tx.sys.iovs.push(sys::IoVec {
+                    base: bytes.as_ptr() as *mut u8,
+                    len: bytes.len(),
+                });
+            }
+            for i in 0..chunk {
+                tx.sys.hdrs.push(sys::MMsgHdr {
+                    hdr: sys::MsgHdr {
+                        name: &mut tx.sys.addrs[i],
+                        namelen: std::mem::size_of::<sys::SockAddrIn>() as u32,
+                        iov: &mut tx.sys.iovs[i],
+                        iovlen: 1,
+                        control: std::ptr::null_mut(),
+                        controllen: 0,
+                        flags: 0,
+                    },
+                    len: 0,
+                });
+            }
+            // SAFETY: hdrs/iovs/addrs live in `tx.sys`, the payload bytes in
+            // `tx.staged` — all alive across the call, nothing aliased
+            // mutably.
+            let ret = unsafe { sys::sendmmsg(fd, tx.sys.hdrs.as_mut_ptr(), chunk as u32, 0) };
+            let mut stats = self.stats.borrow_mut();
+            stats.send_calls += 1;
+            if ret > 0 {
+                stats.sent += ret as u64;
+                start += ret as usize;
+            } else if ret == -sys::EINTR || ret == -sys::EAGAIN {
+                // Interrupted or transiently full: retry the same chunk.
+            } else {
+                // Hard error (e.g. ECONNREFUSED bounced off a dead peer):
+                // skip one datagram so the flush always terminates.
+                stats.send_errors += 1;
+                start += 1;
+            }
+        }
+        tx.staged.clear();
     }
 }
 
@@ -1492,10 +1396,10 @@ mod tests {
         );
     }
 
-    /// Both ways over real sockets: an App record leaves when its sender's
-    /// slice ends, a System record inside `send`.
+    /// Both ways over real sockets: a record leaves when its sender's slice
+    /// ends, or at its sender's flush, App or System alike.
     #[test]
-    fn loopback_pair_delivers_both_ways() {
+    fn loopback_pair_delivers_both_ways_at_the_slice_or_a_flush() {
         let (w, clock) = stepped(2, 7);
         let (t0, t1) = (&w[0], &w[1]);
         t0.send(env_to(0, 1, 11));
@@ -1507,6 +1411,8 @@ mod tests {
             (0, 1, HandlerId(11), Tag::App)
         );
         t1.send(sys_to(1, 0, 22));
+        assert_eq!(t1.stats().sent, 0, "a System record waits like any other");
+        t1.flush();
         let got = t0.recv_timeout(Duration::from_secs(2)).expect("1→0");
         assert_eq!(
             (got.src, got.dst, got.handler, got.tag),
@@ -1565,38 +1471,66 @@ mod tests {
         assert_eq!((s.received, s.records_received), (1, K as u64));
     }
 
-    /// (b) A System record leaves inside `send`, behind the App records
-    /// staged before it to the same peer, in one datagram; another peer's
-    /// open datagram stays open until the slice ends.
+    /// (b) A System record packs like an App record, behind the App records
+    /// sent before it to the same peer; nothing leaves until a flush, which
+    /// sends every peer's datagram in one `sendmmsg` and reads nothing.
     #[test]
-    fn a_system_send_leaves_at_once_and_other_peers_wait_for_the_slice() {
-        let (w, clock) = stepped(3, 16);
+    fn a_system_send_waits_for_the_flush_which_sends_every_peer_at_once() {
+        let (w, _clock) = stepped(3, 16);
         w[0].send(env_to(0, 2, 7));
         w[0].send(env_to(0, 1, 1));
         w[0].send(sys_to(0, 1, 2));
+        assert_eq!(w[0].stats().send_calls, 0, "nothing leaves inside `send`");
+        let before = looks(&w[0]);
+        w[0].flush();
         let s = w[0].stats();
-        assert_eq!((s.send_calls, s.sent, s.records_sent), (1, 1, 3));
+        assert_eq!((s.send_calls, s.sent, s.records_sent), (1, 2, 3));
+        assert_eq!(looks(&w[0]), before, "a flush reads nothing");
         assert_eq!(recv_ids(&w[1], 2), [1, 2]);
         assert_eq!(w[1].stats().received, 1, "one datagram");
-        assert!(
-            w[2].recv_timeout(Duration::from_millis(20)).is_none(),
-            "rank 2's datagram is still open"
-        );
-        clock.advance(WIRE_SLICE);
-        assert!(w[0].try_recv().is_none());
-        assert_eq!(w[0].stats().sent, 2);
         assert_eq!(recv_ids(&w[2], 1), [7]);
+        w[0].flush();
+        assert_eq!(
+            w[0].stats().send_calls,
+            1,
+            "an empty flush makes no syscall"
+        );
     }
 
-    /// A poller pass that answers a request sends its System reply and
-    /// never calls `try_recv` again while the application thread sits in a
-    /// handler: the reply must not wait for the sender's next receive call.
-    /// The App record staged before it to the same peer arrives first.
+    /// A polling pass that sends `k` System records (grants, NACKs,
+    /// statuses, directory replies) and one MOL frame to one peer, with no
+    /// slice ending inside it, makes exactly one `sendmmsg` at its flush:
+    /// one datagram of `k + 1` records, in send order.
     #[test]
-    fn a_system_send_needs_no_later_receive_call() {
+    fn a_pass_of_system_records_and_a_frame_leaves_in_one_sendmmsg() {
+        const K: u32 = 5;
+        let (w, _clock) = stepped(2, 21);
+        let before = w[0].stats();
+        for i in 0..K {
+            w[0].send(sys_to(0, 1, i));
+        }
+        let frame = Envelope {
+            payload: Bytes::from(vec![9; 200]),
+            ..env_to(0, 1, K)
+        };
+        w[0].send(frame);
+        w[0].flush();
+        let after = w[0].stats();
+        assert_eq!(after.send_calls - before.send_calls, 1);
+        assert_eq!(after.sent - before.sent, 1);
+        assert_eq!(after.records_sent - before.records_sent, K as u64 + 1);
+        assert_eq!(recv_ids(&w[1], K as usize + 1), (0..=K).collect::<Vec<_>>());
+    }
+
+    /// A flush needs no later receive call on its sender: the peer's
+    /// `recv_timeout` has both records, the App one sent first ahead of the
+    /// System one, while the sender makes no further call at all.
+    #[test]
+    fn a_flush_needs_no_later_receive_call() {
         let (t0, t1) = pair(17);
         t0.send(env_to(0, 1, 1));
         t0.send(sys_to(0, 1, 2));
+        t0.flush();
         let got: Vec<(u32, Tag)> = (0..2)
             .map(|_| {
                 let e = t1.recv_timeout(Duration::from_secs(2)).expect("delivered");
@@ -1610,9 +1544,10 @@ mod tests {
     /// waiting on the socket; the first one after the slice makes exactly
     /// one.
     #[test]
-    fn receive_calls_inside_a_slice_touch_no_socket() {
+    fn receive_calls_inside_a_slice_make_no_syscall() {
         let (w, clock) = stepped(2, 18);
-        w[0].send(sys_to(0, 1, 3)); // on rank 1's socket when this returns
+        w[0].send(sys_to(0, 1, 3));
+        w[0].flush(); // on rank 1's socket when this returns
         let before = looks(&w[1]);
         let step = WIRE_SLICE / 100;
         for _ in 0..99 {

@@ -26,7 +26,7 @@ impl WireWriter {
     /// (see [`crate::pool`]). Hot-path encoders use this so steady-state
     /// message construction reuses allocations instead of growing fresh
     /// `Vec`s; the buffer returns to the pool when the finished payload's
-    /// last owner recycles it (or is dropped — recycling is best-effort).
+    /// last handle drops.
     pub fn pooled(min_cap: usize) -> Self {
         WireWriter {
             buf: pool::take(min_cap),
@@ -148,8 +148,8 @@ impl WireReader {
     /// Consume the reader, returning whatever is left of the backing buffer.
     ///
     /// After a full decode this is a zero-length handle on the original
-    /// storage — exactly what [`crate::pool::recycle`] needs to reclaim the
-    /// allocation when no decoded slice still shares it.
+    /// storage, which goes back to the [`crate::pool`] when it drops unless a
+    /// decoded slice still shares it.
     pub fn into_inner(self) -> Bytes {
         self.buf
     }
@@ -197,8 +197,13 @@ mod tests {
         let small = r.try_bytes().expect("a whole string");
         drop(r);
         assert_eq!(&small[..], &[7; INLINE_CAP][..]);
-        let frame = frame.try_reclaim().expect("a small read pins nothing");
-        assert!(pool::recycle_vec(frame));
+        let before = pool::stats().recycled;
+        drop(frame);
+        assert_eq!(
+            pool::stats().recycled,
+            before + 1,
+            "a small read pins nothing"
+        );
 
         let frame = WireWriter::new().bytes(&[8; INLINE_CAP + 1]).finish();
         let long = WireReader::new(frame.clone())
@@ -243,9 +248,10 @@ mod tests {
         let fresh = WireWriter::new().u64(1).bytes(b"abc").finish();
         let pooled = WireWriter::pooled(32).u64(1).bytes(b"abc").finish();
         assert_eq!(fresh, pooled);
-        // Recycle and re-take: the encoding must still be identical (a warm
-        // buffer carries no residue of its previous contents).
-        assert!(pool::recycle(pooled));
+        // Drop (the buffer goes home) and re-take: the encoding must still
+        // be identical (a warm buffer carries no residue of its previous
+        // contents).
+        drop(pooled);
         let warm = WireWriter::pooled(32).u64(1).bytes(b"abc").finish();
         assert_eq!(fresh, warm);
     }

@@ -10,7 +10,10 @@
 //! facade composes it with OS threads and, in implicit mode, a preemptive
 //! polling thread that calls [`Scheduler::poll_system`] concurrently. It
 //! reads no clock of its own: the one it is handed ([`Scheduler::set_clock`])
-//! paces the polling operation ([`Scheduler::poll_due`]).
+//! paces the polling operation ([`Scheduler::poll_due`]). What a call sends
+//! is handed to the node's transport before it returns; the facade flushes
+//! that transport ([`prema_dcs::Transport::flush`]) before it releases the
+//! rank's lock, so a pass's sends leave together.
 
 use crate::policy::{LbPolicy, LoadMap, LoadSnapshot};
 use crate::stability::{Governor, StabilityConfig, VetoKind};
@@ -559,7 +562,7 @@ impl<O: Migratable> Scheduler<O> {
     /// allocation reusable). Object messages go to
     /// [`MolNode::stage_message`]: a local target has its message at once,
     /// a remote one's record joins the frame this rank sends that peer at
-    /// its next poll (DESIGN.md §11). Node messages leave at once, after
+    /// its next poll (DESIGN.md §11). Node messages are sent at once, after
     /// that peer's frame.
     fn apply_outgoing(&mut self, outgoing: &mut Vec<Outgoing>) {
         for out in outgoing.drain(..) {

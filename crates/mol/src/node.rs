@@ -604,12 +604,14 @@ impl<O: Migratable> MolNode<O> {
     /// [`MolNode::message_with_hint`] for a sender that polls, as the ILB
     /// scheduler does after a handler returns (DESIGN.md §11). A local
     /// target accepts the message at once; a remote one gets it as a record
-    /// appended to that peer's open `H_MOL_MSG` [`Frame`]. The frame leaves
-    /// at the start of this node's next [`MolNode::pump`], [`MolNode::poll`]
-    /// or [`MolNode::poll_system`], before any other send to that peer (so
-    /// the pair's FIFO order is the order of the sends), as soon as it is
-    /// full, and at [`MolNode::flush`]. Routing, sequence number and
-    /// counters are settled here, as for an eager send.
+    /// appended to that peer's open `H_MOL_MSG` [`Frame`]. The frame is sent
+    /// at the end of this node's next [`MolNode::pump`], [`MolNode::poll`]
+    /// or [`MolNode::poll_system`], after the pass has drained the wire, so
+    /// it shares the pass's [`Communicator::flush`] with every reply the
+    /// pass sends; before any other send to that peer (so the pair's FIFO
+    /// order is the order of the sends); as soon as it is full; and at
+    /// [`MolNode::flush`]. Routing, sequence number and counters are settled
+    /// here, as for an eager send.
     pub fn stage_message(&mut self, ptr: MobilePtr, handler: u32, hint: f64, payload: Bytes) {
         self.send_object(ptr, handler, hint, payload, true);
     }
@@ -776,10 +778,7 @@ impl<O: Migratable> MolNode<O> {
     /// Send a rank-targeted message (bypasses object routing). System-tagged
     /// messages are visible to [`MolNode::poll_system`].
     pub fn node_message(&mut self, dst: Rank, handler: u32, tag: Tag, payload: Bytes) {
-        let msg = NodeMsg { handler, payload };
-        let body = msg.encode();
-        // The frame holds a copy: a pooled payload goes back for the next.
-        pool::recycle(msg.payload);
+        let body = NodeMsg { handler, payload }.encode();
         self.am_send(dst, H_NODE_MSG, tag, body);
     }
 
@@ -1147,8 +1146,8 @@ impl<O: Migratable> MolNode<O> {
 
     // ---- polling ---------------------------------------------------------
 
-    /// Send the open frames ([`MolNode::flush`]), then process every queued
-    /// incoming message and return the resulting events: in-order
+    /// Process every queued incoming message, send the open frames
+    /// ([`MolNode::flush`]), and return the resulting events: in-order
     /// application messages for local objects, node messages, and
     /// installation notices. This is PREMA's *application-posted* polling
     /// operation.
@@ -1160,26 +1159,25 @@ impl<O: Migratable> MolNode<O> {
     /// pair (used by the ILB scheduler) sidesteps the issue by keeping
     /// undelivered work inside the node.
     pub fn poll(&mut self) -> Vec<MolEvent> {
-        self.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv() {
             self.handle_wire(env, &mut events);
         }
+        self.flush();
         self.drain_ready(&mut events);
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
         events
     }
 
-    /// Send the open frames ([`MolNode::flush`]), then process only
-    /// *system-generated* traffic — migrations, location updates, and
-    /// system-tagged node messages — sidelining application messages
-    /// untouched (their order is preserved for the next [`MolNode::poll`]).
+    /// Process only *system-generated* traffic — migrations, location
+    /// updates, and system-tagged node messages — sidelining application
+    /// messages untouched (their order is preserved for the next
+    /// [`MolNode::poll`]), then send the open frames ([`MolNode::flush`]).
     /// This is what PREMA's preemptive polling thread runs at its periodic
     /// wake-ups (§4.2): load-balancing messages are seen promptly, yet no
     /// application handler ever runs preemptively.
     pub fn poll_system(&mut self) -> Vec<MolEvent> {
-        self.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv_transport() {
             let is_system = env.tag == Tag::System;
@@ -1189,19 +1187,20 @@ impl<O: Migratable> MolNode<O> {
                 self.comm.sideline(env);
             }
         }
+        self.flush();
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
         events
     }
 
-    /// Handle one wire envelope, then hand its buffer back to the pool.
-    /// Decoding copies every small payload out of the frame
+    /// Handle one wire envelope; its buffer goes back to the pool as it
+    /// drops here. Decoding copies every small payload out of the frame
     /// ([`prema_dcs::WireReader::try_bytes`]), so unless a long one still
-    /// shares it the buffer has a single owner again and serves this rank's
-    /// next send. An envelope that names no MOL handler, or does not decode,
-    /// is dropped and counted.
+    /// shares it the buffer has no other owner and serves this rank's next
+    /// send. An envelope that names no MOL handler, or does not decode, is
+    /// dropped and counted.
     ///
-    /// A migration packet is dropped, not pooled: packets flow toward the
+    /// A migration packet is discarded, not pooled: packets flow toward the
     /// thief, which seldom sends one back, so its pool would keep up to
     /// [`pool::PER_CLASS_CAP`] of them that it never reuses.
     fn handle_wire(&mut self, env: Envelope, events: &mut Vec<MolEvent>) {
@@ -1212,8 +1211,8 @@ impl<O: Migratable> MolNode<O> {
                 handler: env.handler.0,
             });
         }
-        if env.handler != H_MOL_MIGRATE {
-            pool::recycle(env.payload);
+        if env.handler == H_MOL_MIGRATE {
+            pool::discard(env.payload);
         }
     }
 
@@ -1447,17 +1446,17 @@ impl<O: Migratable> MolNode<O> {
         self.ready.weight().get()
     }
 
-    /// Send the open frames ([`MolNode::flush`]), then process incoming wire
-    /// traffic *without* draining the work queue: routed application
+    /// Process incoming wire traffic *without* draining the work queue,
+    /// then send the open frames ([`MolNode::flush`]): routed application
     /// messages stay queued (visible via [`MolNode::pop_work`]); only node
     /// messages and installation notices are returned. This is the
     /// scheduler's ingest step.
     pub fn pump(&mut self) -> Vec<MolEvent> {
-        self.flush();
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv() {
             self.handle_wire(env, &mut events);
         }
+        self.flush();
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
         events
@@ -1600,13 +1599,61 @@ mod tests {
             .collect()
     }
 
-    /// A staged record waits for the sender's next poll, shares its peer's
-    /// frame with the records staged after it, and leaves at once in a full
-    /// frame; a local target has its message at once, and a record too
-    /// large for any frame goes alone.
+    /// What a node's transport was asked to do, in order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Call {
+        Recv,
+        Send(HandlerId),
+    }
+
+    /// A transport that records each receive and send it is asked for.
+    struct Logged<T> {
+        inner: T,
+        log: std::sync::Arc<std::sync::Mutex<Vec<Call>>>,
+    }
+
+    impl<T: prema_dcs::Transport> prema_dcs::Transport for Logged<T> {
+        fn rank(&self) -> Rank {
+            self.inner.rank()
+        }
+        fn nprocs(&self) -> usize {
+            self.inner.nprocs()
+        }
+        fn send(&self, env: Envelope) {
+            self.log.lock().unwrap().push(Call::Send(env.handler));
+            self.inner.send(env);
+        }
+        fn try_recv(&self) -> Option<Envelope> {
+            self.log.lock().unwrap().push(Call::Recv);
+            self.inner.try_recv()
+        }
+        fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Envelope> {
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
+    /// A staged record waits for the sender's next poll and shares its
+    /// peer's frame with the records staged after it; the poll sends the
+    /// frame after it has drained the wire, so the frame and every reply
+    /// the pass makes reach the transport within one pass's sends. A full
+    /// frame leaves at once; a local target has its message at once, and a
+    /// record too large for any frame goes alone.
     #[test]
-    fn a_frame_leaves_at_the_next_poll_or_once_full() {
-        let mut nodes = two_nodes();
+    fn a_frame_leaves_after_the_next_polls_drain_or_once_full() {
+        let mut eps = LocalFabric::new(2);
+        let log = std::sync::Arc::default();
+        let one = eps.pop().expect("rank 1");
+        let zero = Logged {
+            inner: eps.pop().expect("rank 0"),
+            log: std::sync::Arc::clone(&log),
+        };
+        let mut nodes: Vec<MolNode<Unit>> = [
+            Box::new(zero) as Box<dyn prema_dcs::Transport>,
+            Box::new(one),
+        ]
+        .into_iter()
+        .map(|t| MolNode::with_config(Communicator::new(t), MolConfig::default()))
+        .collect();
         let there = nodes[1].register(Unit);
         let here = nodes[0].register(Unit);
         nodes[0].stage_message(here, 1, 1.0, Bytes::new());
@@ -1615,7 +1662,14 @@ mod tests {
             nodes[0].stage_message(there, 1, 1.0, Bytes::new());
         }
         assert_eq!(wire_of(&nodes[1]), []);
+        nodes[1].node_message(0, 5, Tag::App, Bytes::new());
+        log.lock().unwrap().clear();
         nodes[0].pump();
+        assert_eq!(
+            *log.lock().unwrap(),
+            [Call::Recv, Call::Recv, Call::Send(H_MOL_MSG)],
+            "the drain, then the frame"
+        );
         assert_eq!(wire_of(&nodes[1]), [(H_MOL_MSG, 3)]);
         // Empty payloads: 64-byte records, sixteen to a 1 KiB frame, which
         // leaves with the sixteenth.

@@ -664,6 +664,13 @@ impl Tracer {
         Tracer(None)
     }
 
+    /// Whether this tracer is attached to a sink, for a caller that must
+    /// choose its path before it has what the event would carry.
+    #[inline]
+    pub fn is_on(&self) -> bool {
+        self.0.is_some()
+    }
+
     /// Record the event built by `f` if this tracer is attached to a sink.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> TraceEvent) {
