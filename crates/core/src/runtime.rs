@@ -184,16 +184,14 @@ impl<O: Migratable> Runtime<O> {
 
     /// [`Runtime::message`] with a computational weight hint.
     pub fn message_with_hint(&self, ptr: MobilePtr, handler: u32, hint: f64, payload: Bytes) {
-        self.sched
-            .lock()
+        self.lock()
             .node_mut()
             .message_with_hint(ptr, handler, hint, payload);
     }
 
     /// Send a rank-targeted application message.
     pub fn node_message(&self, dst: Rank, handler: u32, payload: Bytes) {
-        self.sched
-            .lock()
+        self.lock()
             .node_mut()
             .node_message(dst, handler, prema_dcs::Tag::App, payload);
     }

@@ -6,7 +6,9 @@ use prema::dcs::{
     Clock, Envelope, LocalEndpoint, LocalFabric, ReliableTransport, Tag, Transport, UdpTransport,
     WIRE_SLICE,
 };
-use prema::mol::proto::{frame_records, DirLookup, H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_MSG};
+use prema::mol::proto::{
+    frame_records, DirLookup, H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_MSG, H_NODE_MSG,
+};
 use prema::{
     launch, launch_single_rank, Completion, LbMode, Migratable, MobilePtr, PolicyKind, PremaConfig,
 };
@@ -551,4 +553,44 @@ fn a_polling_pass_reply_leaves_while_the_application_thread_runs_a_long_handler(
         rt.with_scheduler(|s| s.node().get(ptr).map(|c| c.hits))
     });
     assert_eq!(answered, Some(1), "the reply never left rank 0");
+}
+
+/// The next envelope `peer` receives within two seconds, if any.
+fn next_arrival(peer: &impl Transport) -> Option<Envelope> {
+    let asked = std::time::Instant::now();
+    while asked.elapsed() < Duration::from_secs(2) {
+        if let Some(env) = peer.recv_timeout(Duration::from_millis(5)) {
+            return Some(env);
+        }
+    }
+    None
+}
+
+/// Over the reliable UDP wire, what `Runtime::node_message` and
+/// `Runtime::message_with_hint` send reaches the peer with no later call on
+/// the sender: each releases the scheduler lock through the flush. Rank 0's
+/// wire slice runs on a hand-stepped clock that never moves, so its socket
+/// is never serviced and a record left in an open datagram would stay
+/// there.
+#[test]
+fn a_node_message_and_a_hinted_message_leave_with_no_later_call() {
+    const H_NODE: u32 = 7;
+    const H_OBJ: u32 = 1;
+    let (t0, t1) = reliable_udp_pair(Clock::manual());
+    let remote = MobilePtr { home: 1, index: 1 };
+    let arrived = launch_single_rank(
+        PremaConfig::explicit(2),
+        0,
+        t0,
+        None,
+        move |rt: prema::Runtime<Cell>| {
+            rt.node_message(1, H_NODE, Bytes::from_static(b"node"));
+            let node = next_arrival(&t1).map(|e| e.handler);
+            rt.message_with_hint(remote, H_OBJ, 2.0, Bytes::from_static(b"obj"));
+            let frame = next_arrival(&t1).and_then(|e| records(&e));
+            (node, frame)
+        },
+    );
+    assert_eq!(arrived.0, Some(H_NODE_MSG), "the node message never left");
+    assert_eq!(arrived.1, Some(1), "the hinted message never left");
 }

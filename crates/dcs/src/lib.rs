@@ -34,7 +34,8 @@
 //!   (sequence-deduped, per-pair FIFO, cumulative ACKs riding on reverse
 //!   data frames) that restores the MPI-grade wire contract above an
 //!   adversarial transport.
-//! * [`udp`] — the out-of-process wire (x86-64 Linux only): one UDP socket
+//! * [`udp`] — the out-of-process wire (x86-64 Linux only, and so is the
+//!   crate): one UDP socket
 //!   per rank, records packed one datagram per peer and sent at each
 //!   [`Transport::flush`] or wire slice, batched `sendmmsg`/`recvmmsg` I/O,
 //!   a versioned header, and a join handshake, so ranks run as separate OS
@@ -57,7 +58,6 @@ pub mod pool;
 pub mod reliable;
 mod ring;
 pub mod transport;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub mod udp;
 pub mod wire;
 
@@ -69,6 +69,5 @@ pub use fxmap::{FxHashMap, FxHashSet};
 pub use handler::{Handler, HandlerTable};
 pub use reliable::{ReliableStats, ReliableTransport, RetryConfig};
 pub use transport::{LocalEndpoint, LocalFabric, RingEndpoint, RingFabric, Transport, WIRE_SLICE};
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub use udp::{UdpBuilder, UdpError, UdpStats, UdpTransport};
 pub use wire::{WireReader, WireWriter};

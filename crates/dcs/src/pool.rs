@@ -137,6 +137,10 @@ pub fn build<F: FnOnce(&mut Vec<u8>)>(min_cap: usize, fill: F) -> Bytes {
 /// Drop `bytes` without giving its storage to this thread's pool, if it is
 /// the last handle on it: for payloads that flow one way between ranks, which
 /// the receiving thread would only hoard.
+///
+/// Best effort: if another handle still shares the storage (a payload
+/// longer than [`bytes::INLINE_CAP`] read out of it), the storage keeps its
+/// home and goes to the pool of the thread that drops that handle.
 pub fn discard(bytes: Bytes) {
     drop(bytes.try_reclaim());
 }

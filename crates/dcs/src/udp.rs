@@ -72,8 +72,8 @@
 //!
 //! The syscalls are raw `sendmmsg` / `recvmmsg` (no libc, the
 //! `prema::affinity` idiom) over persistent scatter/gather scaffolding,
-//! `IO_BATCH` datagrams per call, so the module is built on x86-64 Linux
-//! only. Datagram buffers, sent and received, come from [`crate::pool`] and
+//! `IO_BATCH` datagrams per call, so the crate builds on x86-64 Linux only
+//! (a `compile_error!` says so on any other target). Datagram buffers, sent and received, come from [`crate::pool`] and
 //! go back to it when their last handle drops: a warm pair allocates
 //! nothing per message.
 //!
@@ -91,6 +91,12 @@
 //! of 20 samples). The saving is in a process that builds transports
 //! repeatedly; a fresh process's first allocations come from pages the
 //! kernel has already zeroed.
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+compile_error!(
+    "prema-dcs builds on x86-64 Linux only: the UDP wire's batched I/O is raw \
+     sendmmsg/recvmmsg syscalls (DESIGN.md §15)"
+);
 
 use crate::clock::Clock;
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
@@ -615,11 +621,6 @@ mod sys {
 struct TxState {
     /// `open[d]`: the datagram to rank `d` still taking records, if any.
     open: Vec<Option<WireWriter>>,
-    /// The peers whose datagram opened since the last flush, in the order
-    /// they opened (one may appear again after its datagram filled), so a
-    /// flush visits only those and one with nothing open costs nothing per
-    /// peer.
-    opened: Vec<Rank>,
     /// Closed datagrams (destination rank + bytes), in the order they
     /// closed, so per-destination order is send order.
     staged: Vec<(Rank, Bytes)>,
@@ -738,7 +739,6 @@ impl UdpTransport {
             peers,
             tx: RefCell::new(TxState {
                 open: (0..n).map(|_| None).collect(),
-                opened: Vec::with_capacity(n),
                 staged: Vec::with_capacity(n.max(IO_BATCH)),
                 sys: sys::Scratch::with_capacity(IO_BATCH),
             }),
@@ -1054,18 +1054,12 @@ impl Transport for UdpTransport {
             return;
         }
         let dst = env.dst;
-        let TxState {
-            open,
-            opened,
-            staged,
-            ..
-        } = &mut *self.tx.borrow_mut();
+        let TxState { open, staged, .. } = &mut *self.tx.borrow_mut();
         let slot = &mut open[dst];
         if let Some(full) = slot.take_if(|w| w.len() + record > DGRAM_CAP) {
             staged.push((dst, full.finish()));
         }
         let w = slot.take().unwrap_or_else(|| {
-            opened.push(dst);
             let cap = DGRAM_CAP.max(HEADER_LEN + DST_LEN + record);
             open_dgram(self.rank, dst, self.epoch, cap)
         });
@@ -1136,8 +1130,8 @@ impl Transport for UdpTransport {
     /// syscalls.
     fn flush(&self) {
         let tx = &mut *self.tx.borrow_mut();
-        for dst in tx.opened.drain(..) {
-            if let Some(w) = tx.open[dst].take() {
+        for (dst, slot) in tx.open.iter_mut().enumerate() {
+            if let Some(w) = slot.take() {
                 tx.staged.push((dst, w.finish()));
             }
         }
