@@ -8,7 +8,7 @@
 //! stacked bars exactly as the paper draws them.
 //!
 //! Set `PREMA_TRACE_OUT=<path>` to additionally record the PREMA-implicit
-//! panel's run as a JSONL event trace, ready for `cargo xtask trace-report`:
+//! panel's run as a JSONL event trace, ready for the `trace-report` binary:
 //! the engine's spans and messages, and the runtime stack's own events
 //! (`lb_request`, `lb_grant`, `lb_veto`, `migrate`, `install`, ...), all at
 //! simulated-time stamps.

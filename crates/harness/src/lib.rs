@@ -15,11 +15,14 @@
 //!   applications on that stack, one run per shipped policy;
 //! * [`runner`] — runs a whole figure and checks the paper's shape claims;
 //! * [`report`] — uniform per-processor breakdown tables;
+//! * [`trace_report`] — the same table and six more views, read back from a
+//!   JSONL event trace;
 //! * [`mesh_eval`] — the mesh-generator study (PREMA-implicit vs
 //!   stop-and-repartition vs no LB on a moving crack front).
 //!
 //! Binaries: `figure <3|4|5|6|interact|wave>`, `quality`, `overhead`, `mesh_eval`,
-//! `experiments` (regenerates the data behind EXPERIMENTS.md).
+//! `experiments` (regenerates the data behind EXPERIMENTS.md), `trace-report
+//! <trace.jsonl> [stride]`.
 
 #![warn(missing_docs)]
 
@@ -30,6 +33,7 @@ pub mod runner;
 pub mod scenarios;
 pub mod simrank;
 pub mod spec;
+pub mod trace_report;
 
 pub use report::{Config, FigureReport};
 pub use runner::{run_figure, run_paper_figure, run_test_figure};

@@ -135,8 +135,8 @@ impl FigureReport {
     }
 }
 
-/// Rebuild a per-processor [`SimReport`] from raw trace records, the way
-/// `cargo xtask trace-report` does from a JSONL dump. Every simulated
+/// Rebuild a per-processor [`SimReport`] from raw trace records: the table
+/// [`crate::trace_report`] prints from a JSONL dump. Every simulated
 /// nanosecond is recorded as exactly one `Span`, so on a complete trace the
 /// result's breakdowns, finish times, and message counters equal the
 /// engine's own report — the cross-check that the figure tables and the

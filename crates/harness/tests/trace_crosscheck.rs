@@ -1,9 +1,10 @@
 //! Cross-check: a figure run replayed from its event trace reproduces the
 //! engine's own per-processor breakdown tables.
 //!
-//! This is the acceptance test for `cargo xtask trace-report`: the simulator
-//! records one `Span` per accounted nanosecond, so folding a complete trace
-//! back through [`breakdown_from_trace`] must land within 1% of the
+//! This is the acceptance test for the `trace-report` binary's breakdown
+//! table (`prema_harness::trace_report`): the simulator records one `Span`
+//! per accounted nanosecond, so folding a complete trace back through
+//! [`breakdown_from_trace`] must land within 1% of the
 //! engine-reported Computation / Messaging / LB / Idle split on every
 //! processor (in practice the match is exact).
 

@@ -10,6 +10,8 @@
 //! the configuration and the work-conservation outcome, so repeated runs
 //! of a correct build must be bit-identical.
 
+use prema_harness::trace_report;
+use prema_trace::TraceEvent;
 use std::process::Command;
 
 /// Run the launcher binary with `args`, returning (exit-ok, stdout).
@@ -103,13 +105,21 @@ fn trace_dir_gets_each_ranks_sends_and_receives() {
         let path = dir.join(format!("rank-{rank}.jsonl"));
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        for ev in ["send", "recv"] {
-            assert!(
-                text.lines()
-                    .any(|l| l.contains(&format!("\"ev\":\"{ev}\""))),
-                "{} holds no `{ev}` record",
-                path.display()
-            );
+        let records =
+            trace_report::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let sent = records
+            .iter()
+            .any(|r| matches!(r.ev, TraceEvent::Send { .. }));
+        let received = records
+            .iter()
+            .any(|r| matches!(r.ev, TraceEvent::Recv { .. }));
+        assert!(
+            sent && received,
+            "{} lacks a send or a recv",
+            path.display()
+        );
+        if let Err(e) = trace_report::render(&records, 1) {
+            panic!("{}: trace-report fails: {e}", path.display());
         }
     }
 }

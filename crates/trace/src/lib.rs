@@ -10,8 +10,8 @@
 //!
 //! * **Always available:** the [`TraceSink`] API. The discrete-event
 //!   simulator and the harness drivers call [`TraceSink::record`] directly
-//!   with explicit *simulated* timestamps; `cargo xtask trace-report` replays
-//!   a dumped run back into the Figure 3–6 tables.
+//!   with explicit *simulated* timestamps; the harness's `trace-report`
+//!   binary replays a dumped run back into the Figure 3–6 tables.
 //! * **Attached on demand:** the [`Tracer`] handle every component of the
 //!   real runtime (dcs / mol / ilb / core) holds, detached until a caller
 //!   hands the runtime a sink. A detached [`Tracer::emit`] is one load and
@@ -28,6 +28,7 @@
 use std::cell::UnsafeCell;
 use std::fmt::Write as _;
 use std::mem::MaybeUninit;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -257,159 +258,95 @@ pub enum TraceEvent {
     ProcFinish,
 }
 
-impl TraceEvent {
-    /// Stable snake_case name used as the `"ev"` field in JSONL dumps.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Send { .. } => "send",
-            TraceEvent::Recv { .. } => "recv",
-            TraceEvent::Migrate { .. } => "migrate",
-            TraceEvent::Install { .. } => "install",
-            TraceEvent::ForwardHop { .. } => "forward_hop",
-            TraceEvent::LocCacheHit { .. } => "loc_cache_hit",
-            TraceEvent::LocCacheMiss { .. } => "loc_cache_miss",
-            TraceEvent::LocCacheStale { .. } => "loc_cache_stale",
-            TraceEvent::HomeLookup { .. } => "home_lookup",
-            TraceEvent::ExecBegin { .. } => "exec_begin",
-            TraceEvent::ExecFinish { .. } => "exec_finish",
-            TraceEvent::Poll { .. } => "poll",
-            TraceEvent::PollSystem { .. } => "poll_system",
-            TraceEvent::PollWake { .. } => "poll_wake",
-            TraceEvent::LbRequest { .. } => "lb_request",
-            TraceEvent::LbRequestRecv { .. } => "lb_request_recv",
-            TraceEvent::LbGrant { .. } => "lb_grant",
-            TraceEvent::LbGrantRecv { .. } => "lb_grant_recv",
-            TraceEvent::LbNackSent { .. } => "lb_nack_sent",
-            TraceEvent::LbNackRecv { .. } => "lb_nack_recv",
-            TraceEvent::LbVeto { .. } => "lb_veto",
-            TraceEvent::DcsDropped { .. } => "dcs_dropped",
-            TraceEvent::DcsRetry { .. } => "dcs_retry",
-            TraceEvent::DcsDuplicate { .. } => "dcs_duplicate",
-            TraceEvent::Span { .. } => "span",
-            TraceEvent::ProcFinish => "proc_finish",
-        }
-    }
+/// The key a field is written under: its own name, or the one given.
+macro_rules! jsonl_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
 
-    /// Append the event-specific JSON fields (everything after `"ev"`) to a
-    /// line under construction. Fields are flat scalars only, so the
-    /// `trace-report` parser in xtask can stay a hand-rolled splitter.
-    fn write_fields(&self, out: &mut String) {
-        match *self {
-            TraceEvent::Send {
-                dst,
-                handler,
-                bytes,
-                system,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"dst\":{dst},\"handler\":{handler},\"bytes\":{bytes},\"system\":{system}"
-                );
+/// The JSONL form of every variant, stated once: its `"ev"` name, then its
+/// fields in the order they are written, each under its own name unless a
+/// key is given. Expands to [`TraceEvent::name`] and to the writer and the
+/// reader behind [`Record::to_jsonl`] and [`Record::from_jsonl`], so the two
+/// cannot disagree. `name` and the writer `match` on the variant with no
+/// wildcard arm, so a variant missing from the table does not build.
+macro_rules! jsonl_forms {
+    ($($variant:ident $name:literal { $($field:ident $(= $key:literal)?),* })*) => {
+        impl TraceEvent {
+            /// Stable snake_case name used as the `"ev"` field in JSONL dumps.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $name,)*
+                }
             }
-            TraceEvent::Recv {
-                src,
-                handler,
-                bytes,
-                system,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"src\":{src},\"handler\":{handler},\"bytes\":{bytes},\"system\":{system}"
-                );
+
+            /// Append the event-specific JSON fields (everything after
+            /// `"ev"`) to a line under construction. Fields are flat scalars
+            /// only.
+            fn write_fields(&self, out: &mut String) {
+                match *self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        $(let _ = write!(out, ",\"{}\":{}", jsonl_key!($field $($key)?), $field);)*
+                    })*
+                }
             }
-            TraceEvent::Migrate { home, index, dst } => {
-                let _ = write!(out, ",\"home\":{home},\"index\":{index},\"dst\":{dst}");
+
+            /// Every variant in table order, each field cut from one `draw`:
+            /// the roundtrip proptest's events, so a new row is tested too.
+            #[cfg(test)]
+            fn every(draw: &mut dyn FnMut() -> u64) -> Vec<TraceEvent> {
+                vec![$(TraceEvent::$variant {
+                    $($field: tests::Drawn::from_draw(draw()),)*
+                }),*]
             }
-            TraceEvent::Install { home, index, from } => {
-                let _ = write!(out, ",\"home\":{home},\"index\":{index},\"from\":{from}");
+
+            /// The event named `name`, its fields taken out of `f`.
+            fn read_fields(name: &str, f: &mut Fields) -> Option<TraceEvent> {
+                Some(match name {
+                    $($name => TraceEvent::$variant {
+                        $($field: f.value(jsonl_key!($field $($key)?))?,)*
+                    },)*
+                    _ => return None,
+                })
             }
-            TraceEvent::ForwardHop {
-                home,
-                index,
-                next,
-                hops,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"home\":{home},\"index\":{index},\"next\":{next},\"hops\":{hops}"
-                );
-            }
-            TraceEvent::LocCacheHit { home, index, owner } => {
-                let _ = write!(out, ",\"home\":{home},\"index\":{index},\"owner\":{owner}");
-            }
-            TraceEvent::LocCacheMiss { home, index, shard }
-            | TraceEvent::HomeLookup { home, index, shard } => {
-                let _ = write!(out, ",\"home\":{home},\"index\":{index},\"shard\":{shard}");
-            }
-            TraceEvent::LocCacheStale {
-                home,
-                index,
-                owner,
-                epoch,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"home\":{home},\"index\":{index},\"owner\":{owner},\"epoch\":{epoch}"
-                );
-            }
-            TraceEvent::ExecBegin {
-                home,
-                index,
-                handler,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"home\":{home},\"index\":{index},\"handler\":{handler}"
-                );
-            }
-            TraceEvent::ExecFinish { home, index } => {
-                let _ = write!(out, ",\"home\":{home},\"index\":{index}");
-            }
-            TraceEvent::Poll { events }
-            | TraceEvent::PollSystem { events }
-            | TraceEvent::PollWake { events } => {
-                let _ = write!(out, ",\"events\":{events}");
-            }
-            TraceEvent::LbRequest { victim, attempt } => {
-                let _ = write!(out, ",\"victim\":{victim},\"attempt\":{attempt}");
-            }
-            TraceEvent::LbRequestRecv { src } => {
-                let _ = write!(out, ",\"src\":{src}");
-            }
-            TraceEvent::LbGrant { dst, units, affine } => {
-                let _ = write!(out, ",\"dst\":{dst},\"units\":{units},\"affine\":{affine}");
-            }
-            TraceEvent::LbGrantRecv { src, units } => {
-                let _ = write!(out, ",\"src\":{src},\"units\":{units}");
-            }
-            TraceEvent::LbNackSent { dst } => {
-                let _ = write!(out, ",\"dst\":{dst}");
-            }
-            TraceEvent::LbNackRecv { src, stale } => {
-                let _ = write!(out, ",\"src\":{src},\"stale\":{stale}");
-            }
-            TraceEvent::LbVeto { peer, kind } => {
-                let _ = write!(out, ",\"peer\":{peer},\"kind\":{kind}");
-            }
-            TraceEvent::DcsDropped { peer, handler }
-            | TraceEvent::DcsDuplicate { peer, handler } => {
-                let _ = write!(out, ",\"peer\":{peer},\"handler\":{handler}");
-            }
-            TraceEvent::DcsRetry { peer, seq, attempt } => {
-                // `seq` is already the record-level sequence key; the frame's
-                // own sequence number serializes as `frame` to keep the flat
-                // JSON object free of duplicate keys.
-                let _ = write!(
-                    out,
-                    ",\"peer\":{peer},\"frame\":{seq},\"attempt\":{attempt}"
-                );
-            }
-            TraceEvent::Span { cat, dur } => {
-                let _ = write!(out, ",\"cat\":{cat},\"dur\":{dur}");
-            }
-            TraceEvent::ProcFinish => {}
         }
-    }
+    };
+}
+
+jsonl_forms! {
+    Send "send" { dst, handler, bytes, system }
+    Recv "recv" { src, handler, bytes, system }
+    Migrate "migrate" { home, index, dst }
+    Install "install" { home, index, from }
+    ForwardHop "forward_hop" { home, index, next, hops }
+    LocCacheHit "loc_cache_hit" { home, index, owner }
+    LocCacheMiss "loc_cache_miss" { home, index, shard }
+    LocCacheStale "loc_cache_stale" { home, index, owner, epoch }
+    HomeLookup "home_lookup" { home, index, shard }
+    ExecBegin "exec_begin" { home, index, handler }
+    ExecFinish "exec_finish" { home, index }
+    Poll "poll" { events }
+    PollSystem "poll_system" { events }
+    PollWake "poll_wake" { events }
+    LbRequest "lb_request" { victim, attempt }
+    LbRequestRecv "lb_request_recv" { src }
+    LbGrant "lb_grant" { dst, units, affine }
+    LbGrantRecv "lb_grant_recv" { src, units }
+    LbNackSent "lb_nack_sent" { dst }
+    LbNackRecv "lb_nack_recv" { src, stale }
+    LbVeto "lb_veto" { peer, kind }
+    DcsDropped "dcs_dropped" { peer, handler }
+    // `seq` is already the record-level sequence key; the frame's own
+    // sequence number serializes as `frame` to keep the flat JSON object
+    // free of duplicate keys.
+    DcsRetry "dcs_retry" { peer, seq = "frame", attempt }
+    DcsDuplicate "dcs_duplicate" { peer, handler }
+    Span "span" { cat, dur }
+    ProcFinish "proc_finish" {}
 }
 
 /// A recorded event with its full stamp: which rank, its logical sequence
@@ -430,7 +367,7 @@ pub struct Record {
 
 impl Record {
     /// Render this record as one line of flat JSON (no trailing newline),
-    /// the on-disk format consumed by `cargo xtask trace-report`.
+    /// the on-disk format [`Record::from_jsonl`] reads back.
     pub fn to_jsonl(&self) -> String {
         let mut line = String::with_capacity(96);
         let _ = write!(
@@ -444,6 +381,48 @@ impl Record {
         self.ev.write_fields(&mut line);
         line.push('}');
         line
+    }
+
+    /// Read back one line written by [`Record::to_jsonl`]. `None` when the
+    /// line is not a record: an unknown `"ev"`, a missing or extra key, a
+    /// value out of range for its field, a non-bool flag.
+    pub fn from_jsonl(line: &str) -> Option<Record> {
+        let mut f = Fields::parse(line)?;
+        let rank = f.value("rank")?;
+        let seq = f.value("seq")?;
+        let t = f.value("t")?;
+        let name = f.take("ev")?.strip_prefix('"')?.strip_suffix('"')?;
+        let ev = TraceEvent::read_fields(name, &mut f)?;
+        f.0.is_empty().then_some(Record { rank, seq, t, ev })
+    }
+}
+
+/// The `"key":value` pairs of one flat JSON line, taken out key by key so
+/// that what is left over at the end is an extra key.
+struct Fields<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Fields<'a> {
+    fn parse(line: &'a str) -> Option<Self> {
+        let inner = line.trim().strip_prefix('{')?.strip_suffix('}')?;
+        inner
+            .split(',')
+            .map(|pair| {
+                let (k, v) = pair.split_once(':')?;
+                Some((k.trim().strip_prefix('"')?.strip_suffix('"')?, v.trim()))
+            })
+            .collect::<Option<_>>()
+            .map(Fields)
+    }
+
+    fn take(&mut self, key: &str) -> Option<&'a str> {
+        let at = self.0.iter().position(|&(k, _)| k == key)?;
+        Some(self.0.swap_remove(at).1)
+    }
+
+    /// The value under `key`, if it parses as a `T`: an unsigned integer in
+    /// `T`'s range, or `true` / `false`.
+    fn value<T: FromStr>(&mut self, key: &str) -> Option<T> {
+        self.take(key)?.parse().ok()
     }
 }
 
@@ -469,16 +448,14 @@ struct Slot {
 unsafe impl Sync for RankRing {}
 
 impl RankRing {
+    /// Zeroed slots: the allocator hands back untouched pages, so a ring
+    /// costs memory only as far as it is written.
     fn new(capacity: usize) -> Self {
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push(Slot {
-                ready: AtomicBool::new(false),
-                data: UnsafeCell::new(MaybeUninit::uninit()),
-            });
-        }
+        // SAFETY: all-zero bytes are a valid `Slot`: `ready` is `false` and
+        // `data` is `MaybeUninit`, valid whatever its bytes.
+        let slots = unsafe { Box::<[Slot]>::new_zeroed_slice(capacity).assume_init() };
         RankRing {
-            slots: slots.into_boxed_slice(),
+            slots,
             cursor: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -518,9 +495,10 @@ impl RankRing {
     }
 }
 
-/// Default per-rank ring capacity (events). Roughly 40 bytes per slot, so
-/// the default costs ~1.3 MiB per rank; callers recording long runs should
-/// size explicitly with [`TraceSink::with_capacity`].
+/// Default per-rank ring capacity (events). A slot is 56 bytes, so the
+/// default reserves 1.75 MiB per rank, of which only the written slots'
+/// pages are touched; callers recording long runs should size explicitly
+/// with [`TraceSink::with_capacity`].
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 
 /// A whole machine's trace: one bounded lock-free ring per rank plus a
@@ -623,7 +601,7 @@ impl TraceSink {
     }
 
     /// Write the full trace as JSONL (one flat object per line) — the input
-    /// format of `cargo xtask trace-report`.
+    /// format of the harness's `trace-report` binary.
     pub fn write_jsonl(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
         for rec in self.drain() {
             writeln!(out, "{}", rec.to_jsonl())?;
@@ -882,6 +860,126 @@ mod tests {
             veto.to_jsonl(),
             "{\"rank\":1,\"seq\":0,\"t\":4,\"ev\":\"lb_veto\",\"peer\":3,\"kind\":1}"
         );
+    }
+
+    /// A field value cut from a drawn `u64`.
+    pub(super) trait Drawn {
+        fn from_draw(x: u64) -> Self;
+    }
+
+    macro_rules! drawn_as {
+        ($($t:ty),*) => {$(
+            impl Drawn for $t {
+                fn from_draw(x: u64) -> Self {
+                    x as $t
+                }
+            }
+        )*};
+    }
+    drawn_as!(u8, u32, u64, usize);
+
+    impl Drawn for bool {
+        fn from_draw(x: u64) -> Self {
+            x & 1 == 1
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn from_jsonl_reads_back_every_record_to_jsonl_writes(
+            stamp in (proptest::prelude::any::<usize>(), proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            values in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..128),
+        ) {
+            let mut next = values.iter().copied().cycle();
+            for ev in TraceEvent::every(&mut || next.next().unwrap_or(0)) {
+                let r = Record {
+                    rank: stamp.0,
+                    seq: stamp.1,
+                    t: stamp.2,
+                    ev,
+                };
+                proptest::prop_assert_eq!(Record::from_jsonl(&r.to_jsonl()), Some(r));
+            }
+        }
+
+        #[test]
+        fn from_jsonl_never_panics_on_arbitrary_or_damaged_lines(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            tag in proptest::prelude::any::<usize>(),
+            cut in proptest::prelude::any::<usize>(),
+            splice in proptest::prelude::any::<u8>(),
+        ) {
+            let _ = Record::from_jsonl(&String::from_utf8_lossy(&bytes));
+            // A real line, cut short or with one byte replaced.
+            let mut events = TraceEvent::every(&mut || 7);
+            let ev = events.swap_remove(tag % events.len());
+            let line = Record { rank: 1, seq: 2, t: 3, ev }.to_jsonl().into_bytes();
+            let at = cut % (line.len() + 1);
+            let _ = Record::from_jsonl(&String::from_utf8_lossy(&line[..at]));
+            let mut damaged = line.clone();
+            damaged[at.min(line.len() - 1)] = splice;
+            let _ = Record::from_jsonl(&String::from_utf8_lossy(&damaged));
+        }
+    }
+
+    #[test]
+    fn event_names_are_distinct() {
+        let events = TraceEvent::every(&mut || 0);
+        let mut names: Vec<&str> = events.iter().map(TraceEvent::name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 26, "{names:?}");
+    }
+
+    #[test]
+    fn from_jsonl_rejects_an_unknown_event() {
+        assert_eq!(
+            Record::from_jsonl("{\"rank\":0,\"seq\":0,\"t\":0,\"ev\":\"proc_start\"}"),
+            None
+        );
+    }
+
+    #[test]
+    fn from_jsonl_rejects_a_missing_or_an_extra_key() {
+        let line =
+            "{\"rank\":0,\"seq\":0,\"t\":0,\"ev\":\"lb_request\",\"victim\":1,\"attempt\":0}";
+        assert!(Record::from_jsonl(line).is_some());
+        let missing = line.replace(",\"attempt\":0", "");
+        assert_eq!(Record::from_jsonl(&missing), None);
+        let no_seq = line.replace("\"seq\":0,", "");
+        assert_eq!(Record::from_jsonl(&no_seq), None);
+        let extra = line.replace("}", ",\"units\":2}");
+        assert_eq!(Record::from_jsonl(&extra), None);
+        let twice = line.replace("}", ",\"attempt\":0}");
+        assert_eq!(Record::from_jsonl(&twice), None);
+    }
+
+    #[test]
+    fn from_jsonl_rejects_a_value_out_of_range_for_its_field() {
+        let send = |handler: u64| {
+            format!("{{\"rank\":0,\"seq\":0,\"t\":0,\"ev\":\"send\",\"dst\":1,\"handler\":{handler},\"bytes\":8,\"system\":false}}")
+        };
+        assert!(Record::from_jsonl(&send(u32::MAX.into())).is_some());
+        assert_eq!(Record::from_jsonl(&send(u64::from(u32::MAX) + 1)), None);
+        let span = |cat: u64| {
+            format!("{{\"rank\":0,\"seq\":0,\"t\":0,\"ev\":\"span\",\"cat\":{cat},\"dur\":5}}")
+        };
+        assert!(Record::from_jsonl(&span(255)).is_some());
+        assert_eq!(Record::from_jsonl(&span(256)), None);
+        assert_eq!(Record::from_jsonl(&span(1).replace(":1,", ":-1,")), None);
+    }
+
+    #[test]
+    fn from_jsonl_rejects_a_non_bool_flag() {
+        let recv = |system: &str| {
+            format!("{{\"rank\":0,\"seq\":0,\"t\":0,\"ev\":\"recv\",\"src\":1,\"handler\":2,\"bytes\":8,\"system\":{system}}}")
+        };
+        assert!(Record::from_jsonl(&recv("true")).is_some());
+        for bad in ["1", "\"true\"", "True", ""] {
+            assert_eq!(Record::from_jsonl(&recv(bad)), None, "system:{bad}");
+        }
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!    with the orderings used to access it, and requires each to be covered
 //!    by a loom model (the container type named in a loom test) or carry a
 //!    `path: Container.field` entry in `crates/xtask/allow/atomics.txt`.
-//! 3. [`trace_coverage`] — every `TraceEvent` variant must have a `name()`
-//!    string, be emitted from non-test runtime code, and be consumed by the
-//!    `trace-report` replayer; dead or invisible telemetry is a violation.
+//! 3. [`trace_coverage`] — every `TraceEvent` variant must be constructed in
+//!    non-test runtime code (a pattern that reads it does not count); dead
+//!    telemetry is a violation. That every variant is named, written and
+//!    read back is the compiler's job (the exhaustive matches in
+//!    `prema-trace` and the harness's `trace_report`) and the `from_jsonl`
+//!    roundtrip proptest's.
 //!
 //! All three work on the same lexed token stream as the line lints, so line
 //! numbers in diagnostics agree with the editor. None of them parse Rust
@@ -650,20 +653,16 @@ pub fn atomics_audit(
 // Analysis 3: trace-event coverage
 // ---------------------------------------------------------------------------
 
-/// One `TraceEvent` variant's lifecycle coverage.
+/// One `TraceEvent` variant's emission coverage.
 #[derive(Debug)]
 pub struct TraceEventInfo {
     pub variant: String,
-    /// The `name()` string, when an arm maps the variant to one.
-    pub name: Option<String>,
     pub line: usize,
     /// Construction sites in non-test runtime code outside the trace crate.
     pub emitted: usize,
-    /// Whether the replayer (`trace_report.rs`) consumes the name.
-    pub consumed: bool,
 }
 
-/// Check that every `TraceEvent` variant is named, emitted, and replayed.
+/// Check that every `TraceEvent` variant is emitted from runtime code.
 pub fn trace_coverage(files: &[SourceFile]) -> (Vec<TraceEventInfo>, Vec<Violation>) {
     let Some(lib) = files.iter().find(|f| f.path.ends_with("trace/src/lib.rs")) else {
         return (Vec::new(), Vec::new());
@@ -698,10 +697,8 @@ pub fn trace_coverage(files: &[SourceFile]) -> (Vec<TraceEventInfo>, Vec<Violati
                     } else if expecting && u.kind == Kind::Ident {
                         events.push(TraceEventInfo {
                             variant: u.text.clone(),
-                            name: None,
                             line: u.line,
                             emitted: 0,
-                            consumed: false,
                         });
                         expecting = false;
                     }
@@ -713,40 +710,10 @@ pub fn trace_coverage(files: &[SourceFile]) -> (Vec<TraceEventInfo>, Vec<Violati
         i += 1;
     }
 
-    // name() arms: `TraceEvent::V { .. } => "v"`.
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("TraceEvent")
-            || !matches!(toks.get(i + 1), Some(n) if n.is_punct("::"))
-        {
-            continue;
-        }
-        let Some(var_t) = toks.get(i + 2).filter(|v| v.kind == Kind::Ident) else {
-            continue;
-        };
-        // Skip an optional `{ .. }` pattern, then require `=> "str"`.
-        let mut j = i + 3;
-        if matches!(toks.get(j), Some(u) if u.is_punct("{")) {
-            let mut d = 1i32;
-            j += 1;
-            while j < toks.len() && d > 0 {
-                if toks[j].is_punct("{") {
-                    d += 1;
-                } else if toks[j].is_punct("}") {
-                    d -= 1;
-                }
-                j += 1;
-            }
-        }
-        if matches!(toks.get(j), Some(u) if u.is_punct("=>")) {
-            if let Some(s) = toks.get(j + 1).and_then(|u| u.str_content()) {
-                if let Some(ev) = events.iter_mut().find(|e| e.variant == var_t.text) {
-                    ev.name = Some(s.to_string());
-                }
-            }
-        }
-    }
-
-    // Emission sites: `TraceEvent::V` in non-test src code outside trace.
+    // Emission sites: `TraceEvent::V` constructed in non-test src code
+    // outside trace. A pattern (`match` arm, `if let`, `matches!`) reads a
+    // variant, it does not emit one, so the readers' exhaustive matches do
+    // not count.
     for f in files.iter().filter(|f| {
         f.path.starts_with("crates/")
             && f.path.contains("/src/")
@@ -757,6 +724,7 @@ pub fn trace_coverage(files: &[SourceFile]) -> (Vec<TraceEventInfo>, Vec<Violati
             if ftoks[i].is_ident("TraceEvent")
                 && matches!(ftoks.get(i + 1), Some(n) if n.is_punct("::"))
                 && !f.line_is_test(ftoks[i].line)
+                && !is_pattern(&ftoks, i)
             {
                 if let Some(v) = ftoks.get(i + 2) {
                     if let Some(ev) = events.iter_mut().find(|e| e.variant == v.text) {
@@ -767,64 +735,65 @@ pub fn trace_coverage(files: &[SourceFile]) -> (Vec<TraceEventInfo>, Vec<Violati
         }
     }
 
-    // Consumption: the replayer mentions the name as a string literal.
-    if let Some(report) = files
+    let violations = events
         .iter()
-        .find(|f| f.path.ends_with("xtask/src/trace_report.rs"))
-    {
-        let names: BTreeSet<&str> = report
-            .tokens
-            .iter()
-            .filter_map(|t| t.str_content())
-            .collect();
-        for ev in &mut events {
-            if let Some(n) = &ev.name {
-                ev.consumed = names.contains(n.as_str());
-            }
-        }
-    }
-
-    let mut violations = Vec::new();
-    for ev in &events {
-        match &ev.name {
-            None => violations.push(Violation::new(
+        .filter(|ev| ev.emitted == 0)
+        .map(|ev| {
+            Violation::new(
                 &lib.path,
                 ev.line,
-                "trace-unnamed",
+                "trace-unemitted",
                 format!(
-                    "TraceEvent::{} has no name() arm: it cannot be serialized",
+                    "TraceEvent::{} is never emitted from runtime code: dead telemetry",
                     ev.variant
                 ),
-            )),
-            Some(n) => {
-                if ev.emitted == 0 {
-                    violations.push(Violation::new(
-                        &lib.path,
-                        ev.line,
-                        "trace-unemitted",
-                        format!(
-                            "TraceEvent::{} (`{}`) is never emitted from runtime code: \
-                             dead telemetry",
-                            ev.variant, n
-                        ),
-                    ));
-                }
-                if !ev.consumed {
-                    violations.push(Violation::new(
-                        &lib.path,
-                        ev.line,
-                        "trace-unconsumed",
-                        format!(
-                            "TraceEvent::{} (`{}`) is not consumed by the trace-report \
-                             replayer: invisible telemetry",
-                            ev.variant, n
-                        ),
-                    ));
-                }
+            )
+        })
+        .collect();
+    (events, violations)
+}
+
+/// Whether the `TraceEvent::V` path starting at `toks[i]` is a pattern: it
+/// is followed (after its field group, if any) by `=>`, `|`, `if` or `=`, or
+/// it sits inside a `matches!(..)` call.
+fn is_pattern(toks: &[&Token], i: usize) -> bool {
+    let mut k = i + 3;
+    if matches!(toks.get(k), Some(t) if t.is_punct("{") || t.is_punct("(")) {
+        let mut d = 0i32;
+        while let Some(t) = toks.get(k) {
+            if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
+                d += 1;
+            } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
+                d -= 1;
+            }
+            k += 1;
+            if d == 0 {
+                break;
             }
         }
     }
-    (events, violations)
+    if matches!(toks.get(k), Some(t) if t.is_punct("=>") || t.is_punct("|") || t.is_punct("=") || t.is_ident("if"))
+    {
+        return true;
+    }
+    // Walk back to the enclosing group and look for `matches ! (`.
+    let mut d = 0i32;
+    for j in (0..i).rev() {
+        let t = toks[j];
+        if t.is_punct(")") || t.is_punct("}") || t.is_punct("]") {
+            d += 1;
+        } else if t.is_punct("(") || t.is_punct("{") || t.is_punct("[") {
+            if d > 0 {
+                d -= 1;
+                continue;
+            }
+            return t.is_punct("(")
+                && j >= 2
+                && toks[j - 1].is_punct("!")
+                && toks[j - 2].is_ident("matches");
+        }
+    }
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -1100,52 +1069,38 @@ pub enum TraceEvent {
     Send { dst: u32 },
     Orphan { n: u64 },
 }
-impl TraceEvent {
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Send { .. } => \"send\",
-            TraceEvent::Orphan { .. } => \"orphan\",
-        }
-    }
-}
 ";
 
     #[test]
-    fn unemitted_and_unconsumed_variants_are_flagged() {
+    fn unemitted_variant_is_flagged() {
+        // A reader that matches on every variant emits none of them.
+        let reader = "\
+fn fold(e: TraceEvent) -> u64 {
+    if matches!(e, TraceEvent::Orphan { .. }) { return 0; }
+    if let TraceEvent::Orphan { n } = e { return n; }
+    match e {
+        TraceEvent::Send { .. } | TraceEvent::Orphan { .. } => 1,
+        TraceEvent::Orphan { n } if n > 0 => n,
+        TraceEvent::Orphan { n } => n,
+    }
+}
+";
         let files = [
             sf("crates/trace/src/lib.rs", TRACE_LIB),
             sf(
                 "crates/dcs/src/e.rs",
                 "fn f(tr: &Tracer) { tr.emit(|| TraceEvent::Send { dst: 1 }); }\n",
             ),
-            sf(
-                "crates/xtask/src/trace_report.rs",
-                "fn consume(ev: &str) { if ev == \"send\" {} }\n",
-            ),
+            sf("crates/harness/src/trace_report.rs", reader),
         ];
         let (events, v) = trace_coverage(&files);
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name.as_deref(), Some("send"));
-        assert!(events[0].consumed && events[0].emitted == 1);
+        assert_eq!(events[0].variant, "Send");
+        assert_eq!(events[0].emitted, 1);
         assert_eq!(
             kinds(&v),
-            vec![
-                ("crates/trace/src/lib.rs", 3, "trace-unemitted"),
-                ("crates/trace/src/lib.rs", 3, "trace-unconsumed"),
-            ],
+            vec![("crates/trace/src/lib.rs", 3, "trace-unemitted")],
             "{v:?}"
-        );
-    }
-
-    #[test]
-    fn unnamed_variant_is_flagged() {
-        let lib = "pub enum TraceEvent { Ghost { x: u64 } }\n\
-                   impl TraceEvent { pub fn name(&self) -> &'static str { \"?\" } }\n";
-        let files = [sf("crates/trace/src/lib.rs", lib)];
-        let (_, v) = trace_coverage(&files);
-        assert_eq!(
-            kinds(&v),
-            vec![("crates/trace/src/lib.rs", 1, "trace-unnamed")]
         );
     }
 

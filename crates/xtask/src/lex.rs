@@ -55,7 +55,9 @@ impl Token {
     }
 
     /// The contents of a string literal (delimiters and prefixes removed),
-    /// or `None` for non-string tokens.
+    /// or `None` for non-string tokens. Only the README knob-table test
+    /// reads literals.
+    #[cfg(test)]
     pub fn str_content(&self) -> Option<&str> {
         match self.kind {
             Kind::Str => {

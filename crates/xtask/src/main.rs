@@ -24,16 +24,11 @@
 //! `cargo xtask bench-json` runs the substrate benchmarks and aggregates
 //! their per-benchmark JSON lines into the checked-in `BENCH_substrate.json`
 //! baseline.
-//!
-//! `cargo xtask trace-report <trace.jsonl> [stride]` replays a JSONL event
-//! trace (harness `PREMA_TRACE_OUT`) into the per-processor breakdown table
-//! plus forwarding-chain, begging-latency, and migration views.
 
 mod analyze;
 mod lex;
 mod lints;
 mod source;
-mod trace_report;
 
 use lints::{Allowlist, Violation};
 use source::SourceFile;
@@ -49,7 +44,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
         Some("bench-json") => bench_json(),
-        Some("trace-report") => trace_report_cmd(&args[1..]),
         Some(other) => {
             eprintln!("unknown xtask `{other}`\n");
             usage();
@@ -63,40 +57,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!("usage: cargo xtask <lint | bench-json | trace-report <trace.jsonl> [stride]>");
-}
-
-/// `cargo xtask trace-report <trace.jsonl> [stride]`.
-fn trace_report_cmd(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        usage();
-        return ExitCode::FAILURE;
-    };
-    let stride: usize = match args.get(1).map(|s| s.parse()) {
-        None => 1,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("xtask: stride must be a positive integer");
-            return ExitCode::FAILURE;
-        }
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match trace_report::report(&text, stride) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask trace-report: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    eprintln!("usage: cargo xtask <lint | bench-json>");
 }
 
 /// Workspace root, derived from this crate's location (`crates/xtask`).
