@@ -1022,6 +1022,59 @@ mod tests {
         }
     }
 
+    /// The bytes of the three LB messages, ids included, as a scheduler
+    /// sends them and reads them: each rides in an `H_NODE_MSG` frame as the
+    /// node-message id, then a length-prefixed body.
+    #[test]
+    fn lb_wire_layout_is_pinned() {
+        use prema_dcs::{Envelope, Transport};
+        use prema_mol::proto::H_NODE_MSG;
+        let frame = |id: u32, body: &[u8]| {
+            let mut out = id.to_le_bytes().to_vec();
+            out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            out.extend_from_slice(body);
+            out
+        };
+        let snapshot =
+            |units: u64, weight: f64| [units.to_le_bytes(), weight.to_le_bytes()].concat();
+        let mut eps = LocalFabric::new(2);
+        let raw = eps.pop().expect("two endpoints");
+        let node = MolNode::new(Communicator::new(Box::new(eps.remove(0))));
+        let mut s: Scheduler<Unit> = Scheduler::new(node, Box::new(WorkStealing::new(1.0, 1)));
+        let sent = || {
+            let e = raw.try_recv().expect("a frame");
+            assert_eq!((e.handler, e.tag), (H_NODE_MSG, Tag::System));
+            e.payload.to_vec()
+        };
+        let deliver = |id: u32, body: &[u8]| {
+            raw.send(Envelope {
+                src: 1,
+                dst: 0,
+                handler: H_NODE_MSG,
+                tag: Tag::System,
+                payload: Bytes::from(frame(id, body)),
+            })
+        };
+        assert_eq!(
+            (LB_STATUS, LB_REQUEST, LB_NACK),
+            (0xFFFF_F001, 0xFFFF_F002, 0xFFFF_F003)
+        );
+
+        s.poll();
+        assert_eq!(sent(), frame(LB_STATUS, &snapshot(0, 0.0)));
+        deliver(LB_STATUS, &snapshot(9, 9.0));
+        s.poll();
+        assert_eq!(s.known[&1], snap(9, 9.0));
+        assert_eq!(sent(), frame(LB_REQUEST, &snapshot(0, 0.0)));
+        deliver(LB_REQUEST, &snapshot(0, 0.0));
+        s.poll();
+        assert_eq!(sent(), frame(LB_NACK, &[]));
+        deliver(LB_NACK, &[]);
+        s.poll();
+        assert_eq!(s.stats().nacks_recv, 1);
+        assert_eq!(s.stats().dropped_node_msgs, 0);
+    }
+
     #[test]
     fn a_status_is_due_at_each_line_a_neighbour_acts_on() {
         let p = WorkStealing::new(2.0, 1);

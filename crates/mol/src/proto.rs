@@ -666,6 +666,103 @@ mod tests {
         }
     }
 
+    /// Little-endian bytes of `fields`, in order: a `u64`, `u32` or `f64`
+    /// each, or a length-prefixed byte string.
+    fn le(fields: &[Field]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in fields {
+            match *f {
+                Field::U64(v) => out.extend_from_slice(&v.to_le_bytes()),
+                Field::U32(v) => out.extend_from_slice(&v.to_le_bytes()),
+                Field::F64(v) => out.extend_from_slice(&v.to_le_bytes()),
+                Field::Str(s) => {
+                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                    out.extend_from_slice(s);
+                }
+            }
+        }
+        out
+    }
+
+    #[derive(Clone, Copy)]
+    enum Field {
+        U64(u64),
+        U32(u32),
+        F64(f64),
+        Str(&'static [u8]),
+    }
+
+    /// The bytes of one frame of each of the six kinds, field by field, as a
+    /// [`crate::MolNode`] puts them on the wire and reads them off it: a
+    /// change here is a change of the MOL's wire.
+    #[test]
+    fn wire_layout_is_pinned() {
+        use crate::{shard_of, Migratable, MolNode};
+        use prema_dcs::{Communicator, Envelope, LocalFabric, Tag, Transport};
+        use Field::*;
+
+        struct Blob;
+        impl Migratable for Blob {
+            fn pack(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(b"obj");
+            }
+            fn unpack(_: &[u8]) -> Self {
+                Blob
+            }
+        }
+        let mut eps = LocalFabric::new(2);
+        let raw = eps.pop().expect("two endpoints");
+        let mut node: MolNode<Blob> = MolNode::new(Communicator::new(Box::new(eps.remove(0))));
+        let sent = || {
+            let e = raw.try_recv().expect("a frame");
+            (e.handler, e.tag, e.payload.to_vec())
+        };
+        // Rank 1 is the shard of `far` and `cold`, rank 0 that of `near`.
+        let far = MobilePtr { home: 1, index: 3 };
+        let near = MobilePtr { home: 1, index: 1 };
+        assert_eq!((shard_of(far, 2), shard_of(near, 2)), (1, 0));
+
+        node.message_with_hint(far, 6, 2.5, Bytes::from_static(b"ab"));
+        let msg = [U64(1), U64(3), U64(0), U64(0), U32(6), U32(0), U32(0)];
+        let msg = [&msg[..], &[U64(0), F64(2.5), Str(b"ab")]].concat();
+        assert_eq!(sent(), (H_MOL_MSG, Tag::App, le(&msg)));
+
+        node.node_message(1, 7, Tag::System, Bytes::from_static(b"hi"));
+        let want = le(&[U32(7), Str(b"hi")]);
+        assert_eq!(sent(), (H_NODE_MSG, Tag::System, want));
+
+        let cold = MobilePtr { home: 1, index: 6 };
+        assert_eq!((shard_of(cold, 2), node.resolve(cold)), (1, None));
+        let want = le(&[U64(1), U64(6), U64(0)]);
+        assert_eq!(sent(), (H_MOL_DIR_LOOKUP, Tag::System, want));
+
+        raw.send(Envelope {
+            src: 1,
+            dst: 0,
+            handler: H_MOL_DIR_LOOKUP,
+            tag: Tag::System,
+            payload: Bytes::from(le(&[U64(1), U64(1), U64(4)])),
+        });
+        assert!(node.poll_system().is_empty());
+        let want = le(&[U64(1), U64(1), U64(1), U64(0), U32(0)]);
+        assert_eq!(sent(), (H_MOL_DIR_ANSWER, Tag::System, want));
+
+        let obj = node.register(Blob);
+        assert_eq!(
+            (obj, shard_of(obj, 2)),
+            (MobilePtr { home: 0, index: 1 }, 1)
+        );
+        node.message_with_hint(obj, 9, 0.5, Bytes::from_static(b"p"));
+        assert!(node.migrate(obj, 1));
+        let packet = [U64(0), U64(1), U64(1), Str(b"obj"), U32(1), U64(0), U64(1)];
+        let pending = [U32(1), U64(0), U64(0), U32(9), F64(0.5), Str(b"p"), U32(0)];
+        let want = le(&[&packet[..], &pending[..]].concat());
+        assert_eq!(sent(), (H_MOL_MIGRATE, Tag::System, want));
+        let want = le(&[U64(0), U64(1), U64(1), U64(1)]);
+        assert_eq!(sent(), (H_MOL_DIR_PUBLISH, Tag::System, want));
+        assert!(raw.try_recv().is_none());
+    }
+
     #[test]
     fn nodemsg_roundtrip() {
         let n = NodeMsg {
