@@ -85,3 +85,41 @@ pub use prema_mol::{Migratable, MobilePtr, WorkItem};
 // (Defined in `prema_dcs` — the bottom layer — so every crate above can share
 // it; re-exported here so `prema::fxmap` is the one name to remember.)
 pub use prema_dcs::fxmap;
+
+#[cfg(test)]
+mod tests {
+    use crate::dcs::reliable::{H_REL_ACK, H_REL_DATA};
+    use crate::ilb::{LB_NACK, LB_REQUEST, LB_STATUS, NODE_HANDLER_LIMIT};
+    use crate::mol::proto::{
+        H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG, H_NODE_MSG,
+    };
+    use crate::phases::{H_PHASE_ARRIVE, H_PHASE_RELEASE};
+    use crate::termination::{H_COMPLETE_DONE, H_COMPLETE_REPORT};
+    use std::collections::BTreeSet;
+
+    /// The runtime's 15 message ids, in the one crate that sees them all:
+    /// no two are equal; the eight DCS handler ids are system ids; the load
+    /// balancer's three node-message ids lie at or above
+    /// `NODE_HANDLER_LIMIT`, where no application id may go; and the four
+    /// of `Completion` and `PhaseBarrier` are the four just below it, which
+    /// an application that installs either must leave free.
+    #[test]
+    fn runtime_message_ids_are_distinct_and_on_their_side_of_the_limits() {
+        let reliable = [H_REL_DATA, H_REL_ACK];
+        let dir = [H_MOL_DIR_PUBLISH, H_MOL_DIR_LOOKUP, H_MOL_DIR_ANSWER];
+        let dcs = [&reliable[..], &[H_MOL_MSG, H_MOL_MIGRATE, H_NODE_MSG], &dir].concat();
+        let lb = [LB_STATUS, LB_REQUEST, LB_NACK];
+        let completion = [H_COMPLETE_REPORT, H_COMPLETE_DONE];
+        let core = [completion, [H_PHASE_ARRIVE, H_PHASE_RELEASE]].concat();
+        let all = dcs
+            .iter()
+            .map(|h| h.0)
+            .chain(lb)
+            .chain(core.iter().copied());
+        assert_eq!(all.collect::<BTreeSet<u32>>().len(), 15, "two ids collide");
+        assert!(dcs.iter().all(|h| h.is_system()), "{dcs:?}");
+        assert!(lb.iter().all(|&id| id >= NODE_HANDLER_LIMIT), "{lb:x?}");
+        let below = NODE_HANDLER_LIMIT - 4..NODE_HANDLER_LIMIT;
+        assert!(core.iter().all(|id| below.contains(id)), "{core:x?}");
+    }
+}

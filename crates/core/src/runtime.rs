@@ -168,7 +168,10 @@ impl<O: Migratable> Runtime<O> {
         self.lock().on_message(id, f);
     }
 
-    /// Register a handler for rank-targeted application messages.
+    /// Register a handler for rank-targeted application messages. Ids at
+    /// and above [`ilb::NODE_HANDLER_LIMIT`] are the runtime's, and once a
+    /// [`crate::Completion`] or [`crate::PhaseBarrier`] is installed so are
+    /// the four just below it, `NODE_HANDLER_LIMIT - 4 .. NODE_HANDLER_LIMIT`.
     pub fn on_node_message(
         &self,
         id: u32,

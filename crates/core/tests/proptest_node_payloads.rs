@@ -7,15 +7,11 @@
 
 use bytes::Bytes;
 use prema::dcs::{Communicator, LocalFabric, Tag};
+use prema::ilb::{LB_REQUEST, LB_STATUS};
 use prema::mol::MolNode;
 use prema::termination::H_COMPLETE_REPORT;
 use prema::{launch_single_rank, Completion, Migratable, PremaConfig, Runtime};
 use proptest::prelude::*;
-
-/// The load balancer's node-message ids (`ilb::scheduler`'s `LB_STATUS`,
-/// `LB_REQUEST`): the top of the handler space, above `NODE_HANDLER_LIMIT`.
-const LB_STATUS: u32 = 0xFFFF_F001;
-const LB_REQUEST: u32 = 0xFFFF_F002;
 
 /// Rank 0's completion target in every case.
 const TARGET: u64 = 10;

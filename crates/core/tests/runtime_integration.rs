@@ -4,11 +4,9 @@
 use bytes::Bytes;
 use prema::dcs::{
     Clock, Envelope, LocalEndpoint, LocalFabric, ReliableTransport, Tag, Transport, UdpTransport,
-    WIRE_SLICE,
+    WireWriter, WIRE_SLICE,
 };
-use prema::mol::proto::{
-    frame_records, DirLookup, H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_MSG, H_NODE_MSG,
-};
+use prema::mol::proto::{frame_records, H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_MSG, H_NODE_MSG};
 use prema::{
     launch, launch_single_rank, Completion, LbMode, Migratable, MobilePtr, PolicyKind, PremaConfig,
 };
@@ -535,7 +533,12 @@ fn a_polling_pass_reply_leaves_while_the_application_thread_runs_a_long_handler(
                 dst: 0,
                 handler: H_MOL_DIR_LOOKUP,
                 tag: Tag::System,
-                payload: DirLookup { ptr, epoch: 0 }.encode(),
+                // A `DirLookup`: the pointer, and no epoch known.
+                payload: WireWriter::new()
+                    .u64(ptr.home as u64)
+                    .u64(ptr.index)
+                    .u64(0)
+                    .finish(),
             });
             t1.flush();
             wire_clock.advance(WIRE_SLICE);

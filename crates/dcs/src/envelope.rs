@@ -42,7 +42,7 @@ pub enum Tag {
 }
 
 /// A message either in flight or queued for dispatch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Envelope {
     /// Sending rank.
     pub src: Rank,

@@ -23,7 +23,6 @@
 //!   queue for deferring messages, traffic counters.
 //! * [`pool`] — a thread-local freelist of payload/frame buffers in
 //!   power-of-two size classes, so steady-state encoding reuses allocations.
-//! * [`handler`] — handler tables for dispatch.
 //! * [`wire`] — tiny fixed-layout payload codec for runtime-internal protocol
 //!   messages.
 //! * [`chaos`] — a seeded fault-injecting transport decorator: deterministic
@@ -53,7 +52,6 @@ pub mod comm;
 pub mod env;
 pub mod envelope;
 pub mod fxmap;
-pub mod handler;
 pub mod pool;
 pub mod reliable;
 mod ring;
@@ -66,7 +64,6 @@ pub use clock::Clock;
 pub use comm::{CommStats, Communicator};
 pub use envelope::{Envelope, HandlerId, Rank, Tag};
 pub use fxmap::{FxHashMap, FxHashSet};
-pub use handler::{Handler, HandlerTable};
 pub use reliable::{ReliableStats, ReliableTransport, RetryConfig};
 pub use transport::{LocalEndpoint, LocalFabric, RingEndpoint, RingFabric, Transport, WIRE_SLICE};
 pub use udp::{UdpBuilder, UdpError, UdpStats, UdpTransport};

@@ -79,6 +79,7 @@ use crate::clock::Clock;
 use crate::envelope::{Envelope, HandlerId, Rank, Tag};
 use crate::transport::Transport;
 use crate::wire::{WireReader, WireWriter};
+use bytes::Bytes;
 use prema_trace::{TraceEvent, Tracer};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -106,49 +107,93 @@ pub const ACK_DELAY: Duration = Duration::from_micros(250);
 /// stays short however fast it runs.
 pub const ACK_EVERY: u32 = 32;
 
-// Wire schema of the two reliable-layer frames, as encode/decode pairs that
-// `data_frames_round_trip` and `frame_layout_is_pinned` pin.
+/// The layer's two frames, each with its handler id ([`Frame::id`]), its
+/// tag ([`Frame::tag`]) and its codec ([`Frame::encode`],
+/// [`Frame::decode`]); `frame_layout_is_pinned` pins the bytes.
+/// `handle_incoming` dispatches on this type with one `match`.
+#[derive(Clone, Debug, PartialEq)]
+enum Frame {
+    /// One wrapped envelope, with its sequence number to this peer and the
+    /// ACK riding on it. Its handler, tag and payload travel; its source
+    /// and destination are the frame's own.
+    Data { seq: u64, ack: u64, env: Envelope },
+    /// A standalone cumulative ACK: the next sequence number expected.
+    Ack { expected: u64 },
+}
 
-/// Encode a data frame: seq, the ACK riding on it, inner handler, inner tag,
-/// inner payload.
-///
-/// Pooled: frame buffers cycle constantly under load (wrapped at send,
-/// dropped at ACK), the exact pattern the freelist serves.
-fn encode_data(seq: u64, ack: u64, env: &Envelope) -> bytes::Bytes {
-    WireWriter::pooled(28 + env.payload.len())
-        .u64(seq)
-        .u64(ack)
-        .u32(env.handler.0)
-        .u32(match env.tag {
-            Tag::App => 0,
-            Tag::System => 1,
+impl Frame {
+    fn id(&self) -> HandlerId {
+        match self {
+            Frame::Data { .. } => H_REL_DATA,
+            Frame::Ack { .. } => H_REL_ACK,
+        }
+    }
+
+    /// A data frame shares the inner tag so chaos layers that filter by tag
+    /// see representative traffic; the receiver restores the decoded tag
+    /// anyway.
+    fn tag(&self) -> Tag {
+        match self {
+            Frame::Data { env, .. } => env.tag,
+            Frame::Ack { .. } => Tag::System,
+        }
+    }
+
+    /// Pooled: frame buffers cycle constantly under load (wrapped at send,
+    /// dropped at ACK), the exact pattern the freelist serves.
+    fn encode(self) -> Bytes {
+        match self {
+            Frame::Data { seq, ack, env } => WireWriter::pooled(28 + env.payload.len())
+                .u64(seq)
+                .u64(ack)
+                .u32(env.handler.0)
+                .u32(match env.tag {
+                    Tag::App => 0,
+                    Tag::System => 1,
+                })
+                .bytes(&env.payload)
+                .finish(),
+            Frame::Ack { expected } => WireWriter::pooled(8).u64(expected).finish(),
+        }
+    }
+
+    /// The frame `outer` carries; `None` if its handler is neither frame's
+    /// or its payload is truncated.
+    fn decode(outer: Envelope) -> Option<Frame> {
+        let (src, dst) = (outer.src, outer.dst);
+        let mut r = WireReader::new(outer.payload);
+        Some(match outer.handler {
+            H_REL_DATA => Frame::Data {
+                seq: r.try_u64()?,
+                ack: r.try_u64()?,
+                env: Envelope {
+                    src,
+                    dst,
+                    handler: HandlerId(r.try_u32()?),
+                    tag: match r.try_u32()? {
+                        0 => Tag::App,
+                        _ => Tag::System,
+                    },
+                    payload: r.try_bytes()?,
+                },
+            },
+            H_REL_ACK => Frame::Ack {
+                expected: r.try_u64()?,
+            },
+            _ => return None,
         })
-        .bytes(&env.payload)
-        .finish()
-}
+    }
 
-/// Decode a data frame back to (seq, ack, handler, tag, payload).
-fn decode_data(payload: bytes::Bytes) -> Option<(u64, u64, HandlerId, Tag, bytes::Bytes)> {
-    let mut r = WireReader::new(payload);
-    let seq = r.try_u64()?;
-    let ack = r.try_u64()?;
-    let handler = HandlerId(r.try_u32()?);
-    let tag = match r.try_u32()? {
-        0 => Tag::App,
-        _ => Tag::System,
-    };
-    let inner = r.try_bytes()?;
-    Some((seq, ack, handler, tag, inner))
-}
-
-/// Encode a cumulative ACK: the next expected sequence number.
-fn encode_ack(expected: u64) -> bytes::Bytes {
-    WireWriter::pooled(8).u64(expected).finish()
-}
-
-/// Decode a cumulative ACK.
-fn decode_ack(payload: bytes::Bytes) -> Option<u64> {
-    WireReader::new(payload).try_u64()
+    /// The frame as an envelope from `src` to `dst`.
+    fn envelope(self, src: Rank, dst: Rank) -> Envelope {
+        Envelope {
+            src,
+            dst,
+            handler: self.id(),
+            tag: self.tag(),
+            payload: self.encode(),
+        }
+    }
 }
 
 /// Retransmission schedule.
@@ -307,13 +352,10 @@ impl<T: Transport> ReliableTransport<T> {
         r.owed = 0;
         state.stats.acks_sent += 1;
         state.unflushed = true;
-        self.inner.send(Envelope {
-            src: self.inner.rank(),
-            dst,
-            handler: H_REL_ACK,
-            tag: Tag::System,
-            payload: encode_ack(r.expected),
-        });
+        let ack = Frame::Ack {
+            expected: r.expected,
+        };
+        self.inner.send(ack.envelope(self.inner.rank(), dst));
     }
 
     /// `src` expects `ack` next: everything below it is done for good.
@@ -344,34 +386,29 @@ impl<T: Transport> ReliableTransport<T> {
             state.stats.malformed += 1;
             return;
         }
-        if env.handler == H_REL_ACK {
-            match decode_ack(env.payload) {
-                Some(ack) => self.on_ack(state, src, ack, now),
-                None => state.stats.malformed += 1,
-            }
-            return;
-        }
-        if env.handler != H_REL_DATA {
+        let id = env.handler;
+        if id != H_REL_DATA && id != H_REL_ACK {
             // Raw traffic from an unwrapped peer (or a layer below): pass it
             // through untouched rather than wedging interop.
             state.ready.push_back(env);
             return;
         }
-        let Some((seq, ack, handler, tag, payload)) = decode_data(env.payload) else {
-            state.stats.malformed += 1;
-            let handler = env.handler.0;
-            self.tracer
-                .emit(|| TraceEvent::DcsDropped { peer: src, handler });
-            return;
+        let (seq, ack, inner_env) = match Frame::decode(env) {
+            Some(Frame::Ack { expected }) => return self.on_ack(state, src, expected, now),
+            Some(Frame::Data { seq, ack, env }) => (seq, ack, env),
+            None => {
+                state.stats.malformed += 1;
+                if id == H_REL_DATA {
+                    self.tracer.emit(|| TraceEvent::DcsDropped {
+                        peer: src,
+                        handler: id.0,
+                    });
+                }
+                return;
+            }
         };
         self.on_ack(state, src, ack, now);
-        let inner_env = Envelope {
-            src,
-            dst: env.dst,
-            handler,
-            tag,
-            payload,
-        };
+        let handler = inner_env.handler;
         let r = &mut state.recv[src];
         if seq < r.expected || r.ooo.contains_key(&seq) {
             // Duplicate (a retransmission that crossed our ACK, or injected
@@ -512,7 +549,11 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         let dst = env.dst;
         let s = &mut state.send[dst];
         let r = &mut state.recv[dst];
-        let payload = encode_data(s.next_seq, r.expected, &env);
+        let data = Frame::Data {
+            seq: s.next_seq,
+            ack: r.expected,
+            env,
+        };
         // The frame tells `dst` everything a standalone ACK would.
         r.owed = 0;
         s.next_seq += 1;
@@ -521,16 +562,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
             // the retry timer.
             s.retry_at = None;
         }
-        let frame = Envelope {
-            src: self.inner.rank(),
-            dst,
-            handler: H_REL_DATA,
-            // The frame shares the inner tag so chaos layers that filter by
-            // tag see representative traffic; the receiver restores the
-            // decoded tag anyway.
-            tag: env.tag,
-            payload,
-        };
+        let frame = data.envelope(self.inner.rank(), dst);
         s.unacked.push_back(frame.clone());
         state.unflushed = true;
         self.inner.send(frame);
@@ -590,7 +622,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::chaos::{ChaosConfig, ChaosHandle, ChaosTransport};
     use crate::transport::{LocalEndpoint, LocalFabric};
-    use bytes::Bytes;
     use proptest::prelude::*;
     use std::cell::Cell;
 
@@ -780,6 +811,17 @@ pub(crate) mod tests {
         assert!(a.all_acked());
     }
 
+    /// The bytes `send` wraps `env` in as frame `seq` carrying `ack`.
+    fn encode_data(seq: u64, ack: u64, env: &Envelope) -> Bytes {
+        let env = env.clone();
+        Frame::Data { seq, ack, env }.encode()
+    }
+
+    /// The bytes of a standalone ACK of everything below `expected`.
+    fn encode_ack(expected: u64) -> Bytes {
+        Frame::Ack { expected }.encode()
+    }
+
     /// A raw frame from rank 0 as `b` would see it off the wire.
     fn raw_data(seq: u64, ack: u64, n: u32) -> Envelope {
         Envelope {
@@ -796,20 +838,22 @@ pub(crate) mod tests {
         let (a, b, _, _clock) = reliable_pair(ChaosConfig::quiet(25));
         let ack_seen = || {
             let raw = a.inner.try_recv().expect("an ACK on the wire");
-            assert_eq!(raw.handler, H_REL_ACK);
-            decode_ack(raw.payload)
+            match Frame::decode(raw) {
+                Some(Frame::Ack { expected }) => expected,
+                other => panic!("not an ACK: {other:?}"),
+            }
         };
         a.inner.send(raw_data(1, 0, 1));
         assert!(pump(&b).is_empty(), "parked behind the gap");
         assert_eq!(b.stats().acks_sent, 1);
-        assert_eq!(ack_seen(), Some(0));
+        assert_eq!(ack_seen(), 0);
         a.inner.send(raw_data(0, 0, 0));
         assert_eq!(pump(&b), vec![0, 1]);
         assert_eq!(b.stats().acks_sent, 1, "in order: owed, not sent");
         a.inner.send(raw_data(0, 0, 0));
         assert!(pump(&b).is_empty());
         assert_eq!((b.stats().duplicates, b.stats().acks_sent), (1, 2));
-        assert_eq!(ack_seen(), Some(2));
+        assert_eq!(ack_seen(), 2);
     }
 
     /// Counts how often the layer above looks at this one.
@@ -1143,31 +1187,33 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// Arbitrary bytes decode to `Some` or `None`: no panic, and a
-        /// payload no longer than what came in (it is a slice of it).
+        /// Each frame decodes back to itself under its own id. Arbitrary
+        /// bytes under either id, or any other, decode to `Some` or `None`
+        /// with no panic; a data frame's payload is a slice of what came in,
+        /// and an ACK decodes whenever eight bytes are there.
         #[test]
-        fn decoders_survive_arbitrary_bytes(raw in proptest::collection::vec(any::<u8>(), 0..96)) {
-            let len = raw.len();
-            let bytes = Bytes::from(raw);
-            if let Some((.., payload)) = decode_data(bytes.clone()) {
-                prop_assert!(payload.len() + 28 <= len);
-            }
-            prop_assert_eq!(decode_ack(bytes).is_some(), len >= 8);
-        }
-
-        #[test]
-        fn data_frames_round_trip(
-            seq in any::<u64>(),
-            ack in prop_oneof![Just(0), Just(u64::MAX), any::<u64>()],
-            handler in any::<u32>(),
-            system in any::<bool>(),
+        fn every_frame_round_trips_and_arbitrary_bytes_never_panic(
+            (seq, ack) in (any::<u64>(), prop_oneof![Just(0), Just(u64::MAX), any::<u64>()]),
+            (handler, system) in (any::<u32>(), any::<bool>()),
             payload in proptest::collection::vec(any::<u8>(), 0..64),
+            id in prop_oneof![Just(H_REL_DATA.0), Just(H_REL_ACK.0), any::<u32>()],
+            raw in proptest::collection::vec(any::<u8>(), 0..96),
         ) {
             let tag = if system { Tag::System } else { Tag::App };
-            let env = Envelope { src: 0, dst: 1, handler: HandlerId(handler), tag, payload: Bytes::from(payload) };
-            let back = decode_data(encode_data(seq, ack, &env));
-            prop_assert_eq!(back, Some((seq, ack, env.handler, tag, env.payload)));
-            prop_assert_eq!(decode_ack(encode_ack(ack)), Some(ack));
+            let (handler, payload) = (HandlerId(handler), Bytes::from(payload));
+            let inner = Envelope { handler, tag, payload, ..env(0, 1, 0) };
+            for f in [Frame::Data { seq, ack, env: inner }, Frame::Ack { expected: ack }] {
+                prop_assert_eq!(Frame::decode(f.clone().envelope(0, 1)), Some(f));
+            }
+            let len = raw.len();
+            let handler = HandlerId(id);
+            match Frame::decode(Envelope { handler, payload: Bytes::from(raw), ..env(0, 1, 0) }) {
+                Some(Frame::Data { env, .. }) => {
+                    prop_assert!(id == H_REL_DATA.0 && env.payload.len() + 28 <= len)
+                }
+                Some(Frame::Ack { .. }) => prop_assert!(id == H_REL_ACK.0 && len >= 8),
+                None => prop_assert!(id == H_REL_DATA.0 || id != H_REL_ACK.0 || len < 8),
+            }
         }
 
         /// Whatever arrives under the layer's two handler ids, from

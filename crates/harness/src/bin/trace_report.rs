@@ -7,7 +7,8 @@
 //! The trace is the `figure` binary's `PREMA_TRACE_OUT` dump, one
 //! `prema-launch --trace-dir` rank file (or their concatenation), or any
 //! `TraceSink::write_jsonl` output. `stride > 1` prints every `stride`-th
-//! processor in the per-processor tables.
+//! processor in the per-processor tables. The dump is folded as it is
+//! read, line by line, so memory does not grow with its length.
 
 use prema_harness::trace_report;
 use std::process::ExitCode;
@@ -26,14 +27,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let file = match std::fs::File::open(path) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("trace-report: cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    match trace_report::parse(&text).and_then(|records| trace_report::render(&records, stride)) {
+    match trace_report::report(std::io::BufReader::new(file), stride) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS

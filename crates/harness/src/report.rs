@@ -1,7 +1,7 @@
 //! Uniform reporting across the six benchmark configurations.
 
 use prema_charm::CharmReport;
-use prema_sim::{Category, Record, SimReport, SimTime, TimeBreakdown, TraceEvent};
+use prema_sim::{Category, Record, SimReport, SimTime};
 
 /// The six configurations of Figures 3–6, panels (a)–(f).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -140,43 +140,13 @@ impl FigureReport {
 /// nanosecond is recorded as exactly one `Span`, so on a complete trace the
 /// result's breakdowns, finish times, and message counters equal the
 /// engine's own report — the cross-check that the figure tables and the
-/// trace agree (`tests/trace_crosscheck.rs`).
+/// trace agree (`tests/trace_crosscheck.rs`). Records of a rank at or past
+/// `nprocs` are left out. The fold is `trace_report`'s, whose `match` names
+/// every [`prema_sim::TraceEvent`].
 ///
 /// `events` is not reconstructible from a trace and is reported as 0.
 pub fn breakdown_from_trace(records: &[Record], nprocs: usize) -> SimReport {
-    let mut breakdowns = vec![TimeBreakdown::new(); nprocs];
-    let mut finish = vec![SimTime::ZERO; nprocs];
-    let mut msgs_sent = vec![0u64; nprocs];
-    let mut bytes_sent = vec![0u64; nprocs];
-    for r in records {
-        if r.rank >= nprocs {
-            continue;
-        }
-        match r.ev {
-            TraceEvent::Span { cat, dur } => {
-                if let Some(cat) = Category::from_index(cat as usize) {
-                    breakdowns[r.rank].add(cat, SimTime(dur));
-                }
-            }
-            TraceEvent::ProcFinish => {
-                finish[r.rank] = finish[r.rank].max(SimTime(r.t));
-            }
-            TraceEvent::Send { bytes, .. } => {
-                msgs_sent[r.rank] += 1;
-                bytes_sent[r.rank] += bytes as u64;
-            }
-            _ => {}
-        }
-    }
-    let makespan = finish.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    SimReport {
-        breakdowns,
-        finish,
-        makespan,
-        msgs_sent,
-        bytes_sent,
-        events: 0,
-    }
+    crate::trace_report::table(records.iter().filter(|r| r.rank < nprocs), nprocs)
 }
 
 /// Saving of `b` relative to `a`: `(a - b)/a` (what the paper quotes as "30%

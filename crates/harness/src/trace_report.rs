@@ -5,73 +5,75 @@
 //! the forwarding-chain length histogram, the directory caches, begging-round
 //! latencies, a migration timeline, migration churn and activity counters.
 //!
-//! Every line is read back by [`Record::from_jsonl`]. The breakdown table is
-//! [`breakdown_from_trace`] rendered by [`prema_sim::SimReport::render_table`], the very
-//! table the figures print. The other views fold the records in one pass
-//! whose `match` names every [`TraceEvent`] variant, so a new variant does
-//! not compile until this reader says what it does with it.
+//! Every line is read back by [`Record::from_jsonl`]. All views, the
+//! breakdown table among them, fold the records in one pass whose `match`
+//! names every [`TraceEvent`] variant, so a new variant does not compile
+//! until this reader says what it does with it. The table is rendered by
+//! [`prema_sim::SimReport::render_table`], the very table the figures print;
+//! [`crate::report::breakdown_from_trace`] is the same fold over a slice.
+//! [`report`] folds a dump as it reads it, line by line, and holds neither
+//! the dump nor its records.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::BufRead;
 
-use prema_sim::{Record, TraceEvent};
-
-use crate::report::breakdown_from_trace;
+use prema_sim::{Category, Record, SimReport, SimTime, TimeBreakdown, TraceEvent};
 
 /// Read a whole dump, one record per non-blank line; the error names the
 /// first line that is not a record.
 pub fn parse(text: &str) -> Result<Vec<Record>, String> {
-    text.lines()
+    records(text.as_bytes()).collect()
+}
+
+/// The records of `input`, one per non-blank line, each an error naming
+/// its line if it is not one.
+fn records(input: impl BufRead) -> impl Iterator<Item = Result<Record, String>> {
+    input
+        .lines()
         .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            Record::from_jsonl(line)
-                .ok_or_else(|| format!("line {}: not a trace record: {line}", i + 1))
+        .filter_map(|(i, line)| match line {
+            Ok(line) if line.trim().is_empty() => None,
+            Ok(line) => Some(
+                Record::from_jsonl(&line)
+                    .ok_or_else(|| format!("line {}: not a trace record: {line}", i + 1)),
+            ),
+            Err(e) => Some(Err(format!("line {}: {e}", i + 1))),
         })
-        .collect()
 }
 
 /// The per-rank tables are sized by the largest rank a trace names, so a
 /// rank past this one is refused rather than allowed to size them.
 const MAX_RANKS: usize = 1 << 16;
 
-/// Every view of a trace's records, as the `trace-report` binary prints it.
+/// Every view of a dump read from `input`, one record per non-blank line, as
+/// the `trace-report` binary prints it; the error names the first line that
+/// is not a record, or the first rank too large to size the tables.
+pub fn report(input: impl BufRead, stride: usize) -> Result<String, String> {
+    Views::fold(records(input))?.render(stride)
+}
+
+/// The breakdown table of ranks `0..nprocs` folded from `records`:
+/// [`crate::report::breakdown_from_trace`].
+pub(crate) fn table<'a>(records: impl Iterator<Item = &'a Record>, nprocs: usize) -> SimReport {
+    let mut views = Views::default();
+    records.for_each(|r| views.add(r));
+    views.table(nprocs)
+}
+
+/// Every view of a trace's records, as [`report`] prints them.
 pub fn render(records: &[Record], stride: usize) -> Result<String, String> {
-    if records.is_empty() {
-        return Err("trace is empty".to_string());
-    }
-    if let Some(r) = records.iter().find(|r| r.rank >= MAX_RANKS) {
-        return Err(format!(
-            "rank {} is past the {MAX_RANKS} a trace may name",
-            r.rank
-        ));
-    }
-    let views = Views::fold(records);
-    let mut s = breakdown(records, views.ranks.len(), stride);
-    for view in [
-        views.forward_histogram(),
-        views.directory(stride),
-        views.begging_latency(),
-        views.migration_timeline(),
-        views.migration_churn(),
-        views.activity(stride),
-    ] {
-        s.push('\n');
-        s.push_str(&view);
-    }
-    Ok(s)
+    Views::fold(records.iter().copied().map(Ok))?.render(stride)
 }
 
-/// The per-processor table, the figures' own: idle padded to the makespan,
-/// empty categories omitted, then the makespan / quality / overhead line.
-fn breakdown(records: &[Record], nprocs: usize, stride: usize) -> String {
-    breakdown_from_trace(records, nprocs)
-        .render_table("Trace: per-processor time breakdown", stride)
-}
-
-/// What one rank's records add up to, outside the breakdown table.
+/// What one rank's records add up to.
 #[derive(Default, Clone)]
 struct RankCounts {
+    /// The breakdown table's row: `span` time by category, the latest
+    /// `proc_finish`, and the bytes of `send` (counted in `sent`).
+    breakdown: TimeBreakdown,
+    finish: SimTime,
+    bytes_sent: u64,
     /// `loc_cache_hit` / `loc_cache_miss` / `loc_cache_stale` /
     /// `home_lookup`.
     directory: [u64; 4],
@@ -137,7 +139,8 @@ struct Move {
     peer: usize,
 }
 
-/// Everything the views after the breakdown table read, folded in one pass.
+/// Everything the views read, folded one record at a time.
+#[derive(Default)]
 struct Views {
     ranks: Vec<RankCounts>,
     /// `forward_hop` records by their `hops`.
@@ -159,74 +162,129 @@ const TIMELINE_LIMIT: usize = 20;
 const VETO_LABELS: [&str; 3] = ["hysteresis", "residency", "rate-cap"];
 
 impl Views {
-    fn fold(records: &[Record]) -> Self {
-        let nprocs = records.iter().map(|r| r.rank + 1).max().unwrap_or(0);
-        let mut v = Views {
-            ranks: vec![RankCounts::default(); nprocs],
-            hops: BTreeMap::new(),
-            moves: Vec::new(),
-            per_obj: BTreeMap::new(),
-            affine: 0,
-        };
+    /// Fold `records` in, one at a time; the first error, or a rank past
+    /// [`MAX_RANKS`], ends the fold.
+    fn fold(records: impl Iterator<Item = Result<Record, String>>) -> Result<Self, String> {
+        let mut v = Views::default();
         for r in records {
-            let c = &mut v.ranks[r.rank];
-            match r.ev {
-                TraceEvent::Send { .. } => c.sent += 1,
-                TraceEvent::Recv { .. } => c.recvd += 1,
-                TraceEvent::Migrate { home, index, dst } => {
-                    *v.per_obj.entry((home, index)).or_insert(0) += 1;
-                    v.moves.push(Move {
-                        t: r.t,
-                        rank: r.rank,
-                        home,
-                        index,
-                        out: true,
-                        peer: dst,
-                    });
+            let r = r?;
+            if r.rank >= MAX_RANKS {
+                return Err(format!(
+                    "rank {} is past the {MAX_RANKS} a trace may name",
+                    r.rank
+                ));
+            }
+            v.add(&r);
+        }
+        v.moves.sort_by_key(|m| (m.t, m.rank));
+        Ok(v)
+    }
+
+    fn add(&mut self, r: &Record) {
+        if r.rank >= self.ranks.len() {
+            self.ranks.resize(r.rank + 1, RankCounts::default());
+        }
+        let c = &mut self.ranks[r.rank];
+        match r.ev {
+            TraceEvent::Span { cat, dur } => {
+                if let Some(cat) = Category::from_index(cat as usize) {
+                    c.breakdown.add(cat, SimTime(dur));
                 }
-                TraceEvent::Install { home, index, from } => v.moves.push(Move {
+            }
+            TraceEvent::ProcFinish => c.finish = c.finish.max(SimTime(r.t)),
+            TraceEvent::Send { bytes, .. } => {
+                c.sent += 1;
+                c.bytes_sent += bytes as u64;
+            }
+            TraceEvent::Recv { .. } => c.recvd += 1,
+            TraceEvent::Migrate { home, index, dst } => {
+                *self.per_obj.entry((home, index)).or_insert(0) += 1;
+                self.moves.push(Move {
                     t: r.t,
                     rank: r.rank,
                     home,
                     index,
-                    out: false,
-                    peer: from,
-                }),
-                TraceEvent::ForwardHop { hops, .. } => *v.hops.entry(hops).or_insert(0) += 1,
-                TraceEvent::LocCacheHit { .. } => c.directory[0] += 1,
-                TraceEvent::LocCacheMiss { .. } => c.directory[1] += 1,
-                TraceEvent::LocCacheStale { .. } => c.directory[2] += 1,
-                TraceEvent::HomeLookup { .. } => c.directory[3] += 1,
-                TraceEvent::ExecBegin { .. } => c.exec_begin += 1,
-                TraceEvent::ExecFinish { .. } => c.exec_finish += 1,
-                TraceEvent::Poll { .. } => c.polls += 1,
-                TraceEvent::PollSystem { .. } => c.sys_polls += 1,
-                TraceEvent::PollWake { .. } => c.wakes += 1,
-                TraceEvent::LbRequest { .. } => c.open = Some(r.t),
-                TraceEvent::LbRequestRecv { .. } => c.req_in += 1,
-                TraceEvent::LbGrant { affine, .. } => {
-                    c.grants += 1;
-                    v.affine += u64::from(affine);
-                }
-                TraceEvent::LbGrantRecv { .. } => c.close_round(r.t, true),
-                TraceEvent::LbNackSent { .. } => c.nacks_out += 1,
-                TraceEvent::LbNackRecv { stale: false, .. } => c.close_round(r.t, false),
-                // A stale NACK answers an older, already-cancelled round.
-                TraceEvent::LbNackRecv { stale: true, .. } => {}
-                TraceEvent::LbVeto { kind, .. } => {
-                    if let Some(n) = c.vetoes.get_mut(kind as usize) {
-                        *n += 1;
-                    }
-                }
-                TraceEvent::DcsDropped { .. } => c.dropped += 1,
-                TraceEvent::DcsRetry { .. } => c.retries += 1,
-                TraceEvent::DcsDuplicate { .. } => c.dups += 1,
-                // The breakdown table's, folded by `breakdown_from_trace`.
-                TraceEvent::Span { .. } | TraceEvent::ProcFinish => {}
+                    out: true,
+                    peer: dst,
+                });
             }
+            TraceEvent::Install { home, index, from } => self.moves.push(Move {
+                t: r.t,
+                rank: r.rank,
+                home,
+                index,
+                out: false,
+                peer: from,
+            }),
+            TraceEvent::ForwardHop { hops, .. } => *self.hops.entry(hops).or_insert(0) += 1,
+            TraceEvent::LocCacheHit { .. } => c.directory[0] += 1,
+            TraceEvent::LocCacheMiss { .. } => c.directory[1] += 1,
+            TraceEvent::LocCacheStale { .. } => c.directory[2] += 1,
+            TraceEvent::HomeLookup { .. } => c.directory[3] += 1,
+            TraceEvent::ExecBegin { .. } => c.exec_begin += 1,
+            TraceEvent::ExecFinish { .. } => c.exec_finish += 1,
+            TraceEvent::Poll { .. } => c.polls += 1,
+            TraceEvent::PollSystem { .. } => c.sys_polls += 1,
+            TraceEvent::PollWake { .. } => c.wakes += 1,
+            TraceEvent::LbRequest { .. } => c.open = Some(r.t),
+            TraceEvent::LbRequestRecv { .. } => c.req_in += 1,
+            TraceEvent::LbGrant { affine, .. } => {
+                c.grants += 1;
+                self.affine += u64::from(affine);
+            }
+            TraceEvent::LbGrantRecv { .. } => c.close_round(r.t, true),
+            TraceEvent::LbNackSent { .. } => c.nacks_out += 1,
+            TraceEvent::LbNackRecv { stale: false, .. } => c.close_round(r.t, false),
+            // A stale NACK answers an older, already-cancelled round.
+            TraceEvent::LbNackRecv { stale: true, .. } => {}
+            TraceEvent::LbVeto { kind, .. } => {
+                if let Some(n) = c.vetoes.get_mut(kind as usize) {
+                    *n += 1;
+                }
+            }
+            TraceEvent::DcsDropped { .. } => c.dropped += 1,
+            TraceEvent::DcsRetry { .. } => c.retries += 1,
+            TraceEvent::DcsDuplicate { .. } => c.dups += 1,
         }
-        v.moves.sort_by_key(|m| (m.t, m.rank));
-        v
+    }
+
+    /// The breakdown table of ranks `0..nprocs`; a rank no record named is
+    /// all zero, and `events` is not in a trace, so it is 0.
+    fn table(&self, nprocs: usize) -> SimReport {
+        let mut ranks = self.ranks.clone();
+        ranks.resize(nprocs, RankCounts::default());
+        let finish: Vec<SimTime> = ranks.iter().map(|c| c.finish).collect();
+        SimReport {
+            breakdowns: ranks.iter().map(|c| c.breakdown.clone()).collect(),
+            makespan: finish.iter().copied().fold(SimTime::ZERO, SimTime::max),
+            finish,
+            msgs_sent: ranks.iter().map(|c| c.sent).collect(),
+            bytes_sent: ranks.iter().map(|c| c.bytes_sent).collect(),
+            events: 0,
+        }
+    }
+
+    /// The breakdown table, the figures' own (idle padded to the makespan,
+    /// empty categories omitted, then the makespan / quality / overhead
+    /// line), and the other views after it.
+    fn render(self, stride: usize) -> Result<String, String> {
+        if self.ranks.is_empty() {
+            return Err("trace is empty".to_string());
+        }
+        let table = self.table(self.ranks.len());
+        let mut s = table.render_table("Trace: per-processor time breakdown", stride);
+        for view in [
+            self.forward_histogram(),
+            self.directory(stride),
+            self.begging_latency(),
+            self.migration_timeline(),
+            self.migration_churn(),
+            self.activity(stride),
+        ] {
+            s.push('\n');
+            s.push_str(&view);
+        }
+        Ok(s)
     }
 
     /// Forwarding-chain length histogram. Each migration leaves a forwarding
@@ -522,6 +580,16 @@ mod tests {
         parse(ALL_EVENTS).expect("fixture parses")
     }
 
+    fn fold(records: &[Record]) -> Views {
+        Views::fold(records.iter().copied().map(Ok)).expect("ranks in range")
+    }
+
+    /// The breakdown table alone, as [`render`] prints it first.
+    fn breakdown(records: &[Record], nprocs: usize, stride: usize) -> String {
+        crate::report::breakdown_from_trace(records, nprocs)
+            .render_table("Trace: per-processor time breakdown", stride)
+    }
+
     fn rec(rank: usize, seq: u64, t: u64, ev: TraceEvent) -> Record {
         Record { rank, seq, t, ev }
     }
@@ -586,7 +654,7 @@ mod tests {
 
     #[test]
     fn forward_histogram_counts_exact_chain_lengths() {
-        let out = Views::fold(&all_events()).forward_histogram();
+        let out = fold(&all_events()).forward_histogram();
         // hops=1 seen twice, hops=2 once: one chain of length 1, one of 2.
         assert!(out.contains("     1          1"), "{out}");
         assert!(out.contains("     2          1"), "{out}");
@@ -608,7 +676,7 @@ mod tests {
 
     #[test]
     fn directory_section_folds_cache_counters() {
-        let out = Views::fold(&all_events()).directory(1);
+        let out = fold(&all_events()).directory(1);
         // Rank 0: 2 hits, 1 miss; rank 1: 1 stale, 1 lookup.
         assert!(
             out.contains("    0        2        1        0        0"),
@@ -629,13 +697,13 @@ mod tests {
     #[test]
     fn directory_section_handles_a_quiet_trace() {
         let recs = [rec(0, 0, 0, TraceEvent::Span { cat: 0, dur: 5 })];
-        let out = Views::fold(&recs).directory(1);
+        let out = fold(&recs).directory(1);
         assert!(out.contains("(no directory events)"), "{out}");
     }
 
     #[test]
     fn begging_latency_pairs_requests_with_replies() {
-        let out = Views::fold(&all_events()).begging_latency();
+        let out = fold(&all_events()).begging_latency();
         // Two rounds on proc 1: 3ms NACK and 1ms grant -> mean 2ms, max 3ms.
         assert!(
             out.contains("    1       2        1        1      2.000      3.000"),
@@ -674,7 +742,7 @@ mod tests {
                 },
             ),
         ];
-        let out = Views::fold(&recs).begging_latency();
+        let out = fold(&recs).begging_latency();
         // One round, closed by the genuine NACK at +1ms (not the stale one).
         assert!(
             out.contains("    0       1        0        1      1.000      1.000"),
@@ -684,7 +752,7 @@ mod tests {
 
     #[test]
     fn migration_timeline_merges_both_sides_in_time_order() {
-        let out = Views::fold(&all_events()).migration_timeline();
+        let out = fold(&all_events()).migration_timeline();
         let migrate_at = out.find("migrate").expect("has migrate row");
         let install_at = out.find("install").expect("has install row");
         assert!(migrate_at < install_at, "{out}");
@@ -693,7 +761,7 @@ mod tests {
 
     #[test]
     fn activity_counters_fold_per_rank() {
-        let out = Views::fold(&all_events()).activity(1);
+        let out = fold(&all_events()).activity(1);
         // Rank 0: 1 sent, victim-side LB (1 req-in, 1 grant, 1 nack-out),
         // substrate (1 dropped, 1 retry, 1 dup).
         assert!(
@@ -723,7 +791,7 @@ mod tests {
                 handler: 0,
             },
         )];
-        let out = Views::fold(&recs).activity(1);
+        let out = fold(&recs).activity(1);
         assert!(
             out.contains("warning: 1 exec_begin vs 0 exec_finish"),
             "{out}"
@@ -732,7 +800,7 @@ mod tests {
 
     #[test]
     fn migration_churn_folds_moves_and_vetoes() {
-        let out = Views::fold(&all_events()).migration_churn();
+        let out = fold(&all_events()).migration_churn();
         // One object (0:7) moved once.
         assert!(out.contains("     1        1"), "{out}");
         assert!(
@@ -751,7 +819,7 @@ mod tests {
     #[test]
     fn migration_churn_handles_a_quiet_trace() {
         let recs = [rec(0, 0, 0, TraceEvent::Span { cat: 0, dur: 5 })];
-        let out = Views::fold(&recs).migration_churn();
+        let out = fold(&recs).migration_churn();
         assert!(out.contains("(no migrations)"), "{out}");
         assert!(out.contains("(no governor vetoes)"), "{out}");
     }

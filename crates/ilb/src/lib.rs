@@ -39,6 +39,7 @@ pub use policy::{
     Multilist, WorkStealing,
 };
 pub use scheduler::{
-    Execution, HandlerCtx, SchedStats, Scheduler, WorkHandler, NODE_HANDLER_LIMIT,
+    Execution, HandlerCtx, SchedStats, Scheduler, WorkHandler, LB_NACK, LB_REQUEST, LB_STATUS,
+    NODE_HANDLER_LIMIT,
 };
 pub use stability::{Governor, StabilityConfig, VetoKind};

@@ -23,14 +23,76 @@ use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode, WorkItem};
 use prema_trace::{TraceEvent, Tracer};
 use std::sync::Arc;
 
-/// Runtime-internal node-message handler ids (top of the u32 space).
-const LB_STATUS: u32 = 0xFFFF_F001;
-const LB_REQUEST: u32 = 0xFFFF_F002;
-const LB_NACK: u32 = 0xFFFF_F003;
+/// Node-message id of a load report (top of the u32 space, above
+/// [`NODE_HANDLER_LIMIT`]; `lb_wire_layout_is_pinned` pins all three).
+pub const LB_STATUS: u32 = 0xFFFF_F001;
+/// Node-message id of a work request.
+pub const LB_REQUEST: u32 = 0xFFFF_F002;
+/// Node-message id of a refused work request.
+pub const LB_NACK: u32 = 0xFFFF_F003;
 
 /// First runtime-reserved node-message handler id; application node-message
 /// handlers must stay below this.
 pub const NODE_HANDLER_LIMIT: u32 = 0xFFFF_F000;
+
+/// The load balancer's three node messages, each with its node-message id
+/// ([`LbMsg::id`]) and its codec ([`LbMsg::encode`], [`LbMsg::decode`]); all
+/// three travel as [`Tag::System`] ([`LbMsg::send`]). `handle_event`
+/// dispatches on this type with one `match`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum LbMsg {
+    /// The sender's load, to a neighbour it is due to (DESIGN.md §18).
+    Status(LoadSnapshot),
+    /// A plea for work, carrying the requester's load.
+    Request(LoadSnapshot),
+    /// A refused request.
+    Nack,
+}
+
+impl LbMsg {
+    fn id(self) -> u32 {
+        match self {
+            LbMsg::Status(_) => LB_STATUS,
+            LbMsg::Request(_) => LB_REQUEST,
+            LbMsg::Nack => LB_NACK,
+        }
+    }
+
+    /// A snapshot is written into a pooled buffer, which `node_message`
+    /// copies into its frame and hands back; a NACK is empty.
+    fn encode(self) -> Bytes {
+        match self {
+            LbMsg::Status(load) | LbMsg::Request(load) => WireWriter::pooled(16)
+                .u64(load.units as u64)
+                .f64(load.weight)
+                .finish(),
+            LbMsg::Nack => Bytes::new(),
+        }
+    }
+
+    /// `None` if `id` names no LB message, or a snapshot is truncated, has
+    /// a unit count that does not fit in `usize` (checked narrowing: a
+    /// corrupt count must not truncate silently on 32-bit targets) or a
+    /// weight that is not finite and non-negative. A NACK's payload is not
+    /// read.
+    fn decode(id: u32, payload: Bytes) -> Option<LbMsg> {
+        let snapshot = || {
+            let mut r = WireReader::new(payload);
+            let (units, weight) = (r.try_usize()?, r.try_f64()?);
+            (weight.is_finite() && weight >= 0.0).then_some(LoadSnapshot { units, weight })
+        };
+        match id {
+            LB_STATUS => snapshot().map(LbMsg::Status),
+            LB_REQUEST => snapshot().map(LbMsg::Request),
+            LB_NACK => Some(LbMsg::Nack),
+            _ => None,
+        }
+    }
+
+    fn send<O: Migratable>(self, node: &mut MolNode<O>, dst: Rank) {
+        node.node_message(dst, self.id(), Tag::System, self.encode());
+    }
+}
 
 /// How far a rank's weight may drift from what a neighbour was last told
 /// before that neighbour is told again, as a fraction of the told weight (see
@@ -117,7 +179,10 @@ impl HandlerCtx {
         });
     }
 
-    /// Send a rank-targeted application message.
+    /// Send a rank-targeted application message. `handler` must lie below
+    /// [`NODE_HANDLER_LIMIT`]; the `prema` facade's `Completion` and
+    /// `PhaseBarrier`, once installed, also take the four ids just below it,
+    /// `NODE_HANDLER_LIMIT - 4 .. NODE_HANDLER_LIMIT`.
     pub fn node_message(&mut self, dst: Rank, handler: u32, payload: Bytes) {
         assert!(
             handler < NODE_HANDLER_LIMIT,
@@ -589,12 +654,33 @@ impl<O: Migratable> Scheduler<O> {
                 handler,
                 payload,
                 ..
-            } => match handler {
-                LB_STATUS => {
-                    let Some(snap) = Self::decode_snapshot(payload) else {
-                        self.drop_node_msg(src, handler);
-                        return;
+            } if handler < NODE_HANDLER_LIMIT => {
+                if let Some(h) = self.node_handlers.get(&handler).cloned() {
+                    let mut ctx = HandlerCtx {
+                        rank: self.rank(),
+                        nprocs: self.nprocs(),
+                        outgoing: Vec::new(),
                     };
+                    h(&mut ctx, src, payload);
+                    self.apply_outgoing(&mut ctx.outgoing);
+                    // This poll has sent its frames already: what a node
+                    // handler sends leaves now, not at the next one.
+                    self.node.flush();
+                } else {
+                    // An unregistered handler id is one bad remote
+                    // message; dropping it beats aborting the rank.
+                    self.drop_node_msg(src, handler);
+                }
+            }
+            // The ids at and above the limit are the load balancer's: one
+            // that names no LB message, or does not decode, is dropped.
+            MolEvent::Node {
+                src,
+                handler,
+                payload,
+                ..
+            } => match LbMsg::decode(handler, payload) {
+                Some(LbMsg::Status(snap)) => {
                     self.known.insert(src, snap);
                     // Begging liveness: a rank that exhausted its attempt
                     // cap would otherwise never beg again until work arrives
@@ -604,11 +690,7 @@ impl<O: Migratable> Scheduler<O> {
                         self.attempt = 0;
                     }
                 }
-                LB_REQUEST => {
-                    let Some(requester) = Self::decode_snapshot(payload) else {
-                        self.drop_node_msg(src, handler);
-                        return;
-                    };
+                Some(LbMsg::Request(requester)) => {
                     self.tracer.emit(|| TraceEvent::LbRequestRecv { src });
                     // The requester's own load rides on the request: with
                     // statuses sent on demand it is the freshest evidence
@@ -620,7 +702,7 @@ impl<O: Migratable> Scheduler<O> {
                     }
                     self.handle_request(src, requester);
                 }
-                LB_NACK => {
+                Some(LbMsg::Nack) => {
                     self.stats.nacks_recv += 1;
                     // Only a refusal from the victim of the *outstanding*
                     // request ends the round: a delayed NACK from an earlier
@@ -639,24 +721,7 @@ impl<O: Migratable> Scheduler<O> {
                         self.attempt += 1;
                     }
                 }
-                id => {
-                    if let Some(h) = self.node_handlers.get(&id).cloned() {
-                        let mut ctx = HandlerCtx {
-                            rank: self.rank(),
-                            nprocs: self.nprocs(),
-                            outgoing: Vec::new(),
-                        };
-                        h(&mut ctx, src, payload);
-                        self.apply_outgoing(&mut ctx.outgoing);
-                        // This poll has sent its frames already: what a node
-                        // handler sends leaves now, not at the next one.
-                        self.node.flush();
-                    } else {
-                        // An unregistered handler id is one bad remote
-                        // message; dropping it beats aborting the rank.
-                        self.drop_node_msg(src, id);
-                    }
-                }
+                None => self.drop_node_msg(src, handler),
             },
             MolEvent::Installed { ptr, from } => {
                 // Work arrived: the begging round (if any) succeeded. The
@@ -693,29 +758,6 @@ impl<O: Migratable> Scheduler<O> {
             .map(|(_, told)| told)
     }
 
-    /// Encode a load snapshot for the `LB_STATUS`/`LB_REQUEST` node
-    /// messages; the wire twin of [`Self::decode_snapshot`]. The buffer is
-    /// the pool's; `node_message` copies it into its frame and hands it back.
-    fn encode_snapshot(load: &LoadSnapshot) -> Bytes {
-        WireWriter::pooled(16)
-            .u64(load.units as u64)
-            .f64(load.weight)
-            .finish()
-    }
-
-    /// Decode a load snapshot off the wire, refusing truncated payloads and
-    /// unit counts that do not fit in `usize` (checked narrowing — a corrupt
-    /// count must not truncate silently on 32-bit targets).
-    fn decode_snapshot(payload: Bytes) -> Option<LoadSnapshot> {
-        let mut r = WireReader::new(payload);
-        let units = r.try_usize()?;
-        let weight = r.try_f64()?;
-        if !weight.is_finite() || weight < 0.0 {
-            return None;
-        }
-        Some(LoadSnapshot { units, weight })
-    }
-
     /// Count and trace an unroutable or undecodable node message.
     fn drop_node_msg(&mut self, src: Rank, handler: u32) {
         self.stats.dropped_node_msgs += 1;
@@ -737,23 +779,20 @@ impl<O: Migratable> Scheduler<O> {
                 kind: VetoKind::Hysteresis.code(),
             });
             self.tracer.emit(|| TraceEvent::LbNackSent { dst: src });
-            self.node
-                .node_message(src, LB_NACK, Tag::System, Bytes::new());
+            LbMsg::Nack.send(&mut self.node, src);
             return;
         }
         let want = self.policy.grant_units(&local, &requester);
         if want == 0 {
             self.tracer.emit(|| TraceEvent::LbNackSent { dst: src });
-            self.node
-                .node_message(src, LB_NACK, Tag::System, Bytes::new());
+            LbMsg::Nack.send(&mut self.node, src);
             return;
         }
         let affine_before = self.stats.granted_affine;
         let granted = self.grant_objects(src, want, requester.units == 0);
         if granted == 0 {
             self.tracer.emit(|| TraceEvent::LbNackSent { dst: src });
-            self.node
-                .node_message(src, LB_NACK, Tag::System, Bytes::new());
+            LbMsg::Nack.send(&mut self.node, src);
         } else {
             let affine = self.stats.granted_affine - affine_before;
             self.tracer.emit(|| TraceEvent::LbGrant {
@@ -870,8 +909,7 @@ impl<O: Migratable> Scheduler<O> {
         // Publish status to the neighbours it is due to.
         for (nb, told) in &mut self.neighborhood {
             if status_due(&*self.policy, told.as_ref(), &local, self.known.get(nb)) {
-                let status = Self::encode_snapshot(&local);
-                self.node.node_message(*nb, LB_STATUS, Tag::System, status);
+                LbMsg::Status(local).send(&mut self.node, *nb);
                 self.stats.status_sent += 1;
                 *told = Some(local);
             }
@@ -954,8 +992,7 @@ impl<O: Migratable> Scheduler<O> {
                 let attempt = self.attempt;
                 self.tracer
                     .emit(|| TraceEvent::LbRequest { victim, attempt });
-                let req = Self::encode_snapshot(&local);
-                self.node.node_message(victim, LB_REQUEST, Tag::System, req);
+                LbMsg::Request(local).send(&mut self.node, victim);
                 // The request told the victim this rank's load, like a status.
                 if let Some(told) = self.told_mut(victim) {
                     *told = Some(local);
@@ -998,6 +1035,7 @@ mod tests {
     use super::*;
     use crate::policy::WorkStealing;
     use prema_dcs::{Communicator, LocalFabric};
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_oneof, Just};
     use std::time::Duration;
 
     struct Unit;
@@ -1013,12 +1051,29 @@ mod tests {
         LoadSnapshot { units, weight }
     }
 
-    #[test]
-    fn load_snapshot_roundtrip() {
-        for load in [snap(0, 0.0), snap(7, 2.5), snap(usize::MAX, f64::MAX)] {
-            let back =
-                Scheduler::<Unit>::decode_snapshot(Scheduler::<Unit>::encode_snapshot(&load));
-            assert_eq!(back, Some(load));
+    proptest::proptest! {
+        /// Each message decodes back to itself under its own id, whatever
+        /// its load. Arbitrary bytes under an arbitrary id decode to `Some`
+        /// or `None` with no panic; a NACK whatever its payload, a snapshot
+        /// only from 16 bytes with a weight that is finite and non-negative.
+        #[test]
+        fn every_message_round_trips_and_arbitrary_bytes_never_panic(
+            (units, weight) in (any::<usize>(), prop_oneof![Just(0.0), Just(f64::MAX), 0.0..1e9]),
+            id in prop_oneof![LB_STATUS..LB_NACK + 1, any::<u32>()],
+            raw in proptest::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let load = snap(units, weight);
+            for m in [LbMsg::Status(load), LbMsg::Request(load), LbMsg::Nack] {
+                prop_assert_eq!(LbMsg::decode(m.id(), m.encode()), Some(m));
+            }
+            let len = raw.len();
+            match LbMsg::decode(id, Bytes::from(raw)) {
+                Some(LbMsg::Status(s) | LbMsg::Request(s)) => {
+                    prop_assert!(len >= 16 && s.weight.is_finite() && s.weight >= 0.0)
+                }
+                Some(LbMsg::Nack) => prop_assert_eq!(id, LB_NACK),
+                None => prop_assert!(id != LB_NACK),
+            }
         }
     }
 

@@ -7,13 +7,11 @@ use bytes::Bytes;
 use prema_dcs::{
     ChaosConfig, ChaosHandle, ChaosTransport, Communicator, LocalFabric, Tag, WireWriter,
 };
-use prema_ilb::{LbPolicy, LoadSnapshot, Scheduler, StabilityConfig, WorkStealing};
+// The LB wire ids, used to inject raw protocol traffic.
+use prema_ilb::{
+    LbPolicy, LoadSnapshot, Scheduler, StabilityConfig, WorkStealing, LB_REQUEST, LB_STATUS,
+};
 use prema_mol::{Migratable, MolNode};
-
-/// Runtime-internal LB wire ids (see `crates/ilb/src/scheduler.rs`), used to
-/// inject raw protocol traffic.
-const LB_STATUS: u32 = 0xFFFF_F001;
-const LB_REQUEST: u32 = 0xFFFF_F002;
 
 #[derive(Debug, PartialEq)]
 struct Counter {

@@ -3,18 +3,15 @@
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric, Tag, WireWriter};
-use prema_ilb::{Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing};
+// The LB wire ids: the protocol regression tests below inject raw LB
+// traffic to set up exact interleavings (delayed NACKs, forged statuses)
+// that normal polling cannot reproduce deterministically.
+use prema_ilb::{
+    Diffusion, LbPolicy, Scheduler, StabilityConfig, WorkStealing, LB_NACK, LB_REQUEST, LB_STATUS,
+};
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// Runtime-internal LB wire ids (see `crates/ilb/src/scheduler.rs`). The
-/// protocol regression tests below inject raw LB traffic to set up exact
-/// interleavings (delayed NACKs, forged statuses) that normal polling
-/// cannot reproduce deterministically.
-const LB_STATUS: u32 = 0xFFFF_F001;
-const LB_REQUEST: u32 = 0xFFFF_F002;
-const LB_NACK: u32 = 0xFFFF_F003;
 
 #[derive(Debug, PartialEq)]
 struct Counter {

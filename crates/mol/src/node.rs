@@ -32,14 +32,12 @@ use crate::directory::{
 };
 use crate::migrate::Migratable;
 use crate::proto::{
-    frame_records, DirAnswer, DirLookup, DirPublish, Frame, MigratePacket, MolEnvelope, NodeMsg,
-    FRAME_CAP, H_MOL_DIR_ANSWER, H_MOL_DIR_LOOKUP, H_MOL_DIR_PUBLISH, H_MOL_MIGRATE, H_MOL_MSG,
-    H_NODE_MSG,
+    frame_records, Frame, MigratePacket, MolEnvelope, Wire, FRAME_CAP, H_MOL_MIGRATE,
 };
 use crate::ptr::{MobilePtr, PtrAllocator};
 use crate::ready::{Queued, ReadyIndex, NO_LANE};
 use bytes::Bytes;
-use prema_dcs::{env, pool, Communicator, Envelope, FxHashMap, HandlerId, Rank, Tag};
+use prema_dcs::{env, pool, Communicator, Envelope, FxHashMap, Rank, Tag};
 use prema_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
 
@@ -627,15 +625,17 @@ impl<O: Migratable> MolNode<O> {
     /// Send `dst`'s open frame, if it has one.
     fn flush_to(&mut self, dst: Rank) {
         if let Some(frame) = self.frames.get_mut(dst).and_then(Option::take) {
-            self.comm.am_send(dst, H_MOL_MSG, Tag::App, frame.finish());
+            let frame = Wire::Msg(frame.finish());
+            self.comm
+                .am_send(dst, frame.id(), frame.tag(), frame.encode());
         }
     }
 
     /// Every send of this node but a staged record: `dst`'s open frame goes
     /// first.
-    fn am_send(&mut self, dst: Rank, handler: HandlerId, tag: Tag, payload: Bytes) {
+    fn send(&mut self, dst: Rank, msg: Wire) {
         self.flush_to(dst);
-        self.comm.am_send(dst, handler, tag, payload);
+        self.comm.am_send(dst, msg.id(), msg.tag(), msg.encode());
     }
 
     /// Append `env` to `dst`'s open frame, opening one if there is none
@@ -643,7 +643,7 @@ impl<O: Migratable> MolNode<O> {
     /// frame once it is full. A record too large for any frame goes alone.
     fn stage(&mut self, dst: Rank, env: &MolEnvelope) {
         if env.wire_len() > FRAME_CAP || dst >= self.frames.len() {
-            return self.am_send(dst, H_MOL_MSG, Tag::App, env.encode());
+            return self.send(dst, Wire::Msg(env.encode()));
         }
         if self.frames[dst].as_ref().is_some_and(|f| !f.fits(env)) {
             self.flush_to(dst);
@@ -709,8 +709,7 @@ impl<O: Migratable> MolNode<O> {
                 if stage {
                     self.stage(route.dst, &env);
                 } else {
-                    let wire = env.encode();
-                    self.am_send(route.dst, H_MOL_MSG, Tag::App, wire);
+                    self.send(route.dst, Wire::Msg(env.encode()));
                 }
             }
             None => {
@@ -727,7 +726,7 @@ impl<O: Migratable> MolNode<O> {
 
     /// Resolve a mobile pointer to this rank's best idea of its current
     /// owner. Resident objects and cache/trail hits answer immediately; a
-    /// miss sends a [`DirLookup`] to the pointer's home shard and returns
+    /// miss sends a `DirLookup` to the pointer's home shard and returns
     /// `None` — the answer lands in the cache during a later poll, after
     /// which `resolve` hits.
     pub fn resolve(&mut self, ptr: MobilePtr) -> Option<Rank> {
@@ -770,16 +769,22 @@ impl<O: Migratable> MolNode<O> {
             index: ptr.index,
             shard,
         });
-        let q = DirLookup { ptr, epoch: 0 };
-        self.am_send(shard, H_MOL_DIR_LOOKUP, Tag::System, q.encode());
+        self.send(shard, Wire::DirLookup { ptr, epoch: 0 });
         None
     }
 
     /// Send a rank-targeted message (bypasses object routing). System-tagged
     /// messages are visible to [`MolNode::poll_system`].
     pub fn node_message(&mut self, dst: Rank, handler: u32, tag: Tag, payload: Bytes) {
-        let body = NodeMsg { handler, payload }.encode();
-        self.am_send(dst, H_NODE_MSG, tag, body);
+        let system = tag == Tag::System;
+        self.send(
+            dst,
+            Wire::Node {
+                handler,
+                payload,
+                system,
+            },
+        );
     }
 
     /// Route a (re-)considered envelope: accept locally, send toward the best
@@ -797,8 +802,7 @@ impl<O: Migratable> MolNode<O> {
             Some(route) => {
                 env.anchored = route.anchored;
                 env.route_epoch = route.epoch;
-                let wire = env.encode();
-                self.am_send(route.dst, H_MOL_MSG, Tag::App, wire);
+                self.send(route.dst, Wire::Msg(env.encode()));
             }
             None => self
                 .directory
@@ -1015,7 +1019,7 @@ impl<O: Migratable> MolNode<O> {
             index: ptr.index,
             dst,
         });
-        self.am_send(dst, H_MOL_MIGRATE, Tag::System, packet.encode());
+        self.send(dst, Wire::Migrate(packet));
         // Publish the move to the pointer's home shard so cold senders and
         // stale-send redirects resolve in one bounded hop (DESIGN.md §16).
         let shard = shard_of(ptr, self.comm.nprocs());
@@ -1023,12 +1027,8 @@ impl<O: Migratable> MolNode<O> {
             self.publish_local(ptr, dst, epoch);
         } else {
             self.stats.dir_publishes += 1;
-            let pu = DirPublish {
-                ptr,
-                owner: dst,
-                epoch,
-            };
-            self.am_send(shard, H_MOL_DIR_PUBLISH, Tag::System, pu.encode());
+            let owner = dst;
+            self.send(shard, Wire::DirPublish { ptr, owner, epoch });
         }
         #[cfg(feature = "check-invariants")]
         self.verify_conservation();
@@ -1220,50 +1220,46 @@ impl<O: Migratable> MolNode<O> {
     /// or does not decode. A frame's records are acted on one by one, so a
     /// record that does not decode drops only itself and what follows it.
     fn dispatch(&mut self, env: &Envelope, events: &mut Vec<MolEvent>) -> Option<()> {
-        let payload = env.payload.clone();
-        match env.handler {
-            h if h == H_MOL_MSG => frame_records(payload, |menv| {
+        match Wire::decode(env.handler, env.tag, env.payload.clone())? {
+            Wire::Msg(frame) => frame_records(frame, |menv| {
                 if let Err(menv) = self.accept_local(menv) {
                     self.forward(menv);
                 }
             })?,
-            h if h == H_MOL_MIGRATE => {
-                let packet = MigratePacket::decode(payload)?;
+            Wire::Migrate(packet) => {
                 if let Some(ev) = self.install(env.src, packet) {
                     events.push(ev);
                 }
             }
-            h if h == H_MOL_DIR_PUBLISH => {
-                let pu = DirPublish::decode(payload)?;
-                self.publish_local(pu.ptr, pu.owner, pu.epoch);
-            }
-            h if h == H_MOL_DIR_LOOKUP => {
-                let q = DirLookup::decode(payload)?;
-                self.answer_lookup(env.src, q);
-            }
-            h if h == H_MOL_DIR_ANSWER => {
-                let ans = DirAnswer::decode(payload)?;
-                if ans.stale {
+            Wire::Node {
+                handler,
+                payload,
+                system,
+            } => events.push(MolEvent::Node {
+                src: env.src,
+                handler,
+                payload,
+                system,
+            }),
+            Wire::DirPublish { ptr, owner, epoch } => self.publish_local(ptr, owner, epoch),
+            Wire::DirLookup { ptr, epoch } => self.answer_lookup(env.src, ptr, epoch),
+            Wire::DirAnswer {
+                ptr,
+                owner,
+                epoch,
+                stale,
+            } => {
+                if stale {
                     self.stats.loc_cache_stale += 1;
                     self.tracer.emit(|| TraceEvent::LocCacheStale {
-                        home: ans.ptr.home,
-                        index: ans.ptr.index,
-                        owner: ans.owner,
-                        epoch: ans.epoch,
+                        home: ptr.home,
+                        index: ptr.index,
+                        owner,
+                        epoch,
                     });
                 }
-                self.learn_location(ans.ptr, ans.owner, ans.epoch);
+                self.learn_location(ptr, owner, epoch);
             }
-            h if h == H_NODE_MSG => {
-                let body = NodeMsg::decode(payload)?;
-                events.push(MolEvent::Node {
-                    src: env.src,
-                    handler: body.handler,
-                    payload: body.payload,
-                    system: env.tag == Tag::System,
-                });
-            }
-            _ => return None,
         }
         Some(())
     }
@@ -1297,25 +1293,24 @@ impl<O: Migratable> MolNode<O> {
                         self.stats.locupd_sent += 1;
                         // Epoch 0 is a cold fill ("never migrated, lives at
                         // home"), not a stale correction.
-                        let ans = DirAnswer {
+                        let stale = epoch > 0;
+                        let ans = Wire::DirAnswer {
                             ptr,
                             owner,
                             epoch,
-                            stale: epoch > 0,
+                            stale,
                         };
-                        self.am_send(sender, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
+                        self.send(sender, ans);
                     }
                     // A chase this deep means the shard missed a publish
                     // (lost under chaos): repair it with our knowledge.
                     let shard = shard_of(ptr, self.comm.nprocs());
                     if menv.hops >= REPAIR_HOPS && shard != me {
                         self.stats.dir_publishes += 1;
-                        let pu = DirPublish { ptr, owner, epoch };
-                        self.am_send(shard, H_MOL_DIR_PUBLISH, Tag::System, pu.encode());
+                        self.send(shard, Wire::DirPublish { ptr, owner, epoch });
                     }
                 }
-                let wire = menv.encode();
-                self.am_send(next, H_MOL_MSG, Tag::App, wire);
+                self.send(next, Wire::Msg(menv.encode()));
             }
             None => self
                 .directory
@@ -1326,13 +1321,12 @@ impl<O: Migratable> MolNode<O> {
         }
     }
 
-    /// Answer a [`DirLookup`] with this shard's freshest knowledge: the
+    /// Answer a `DirLookup` with this shard's freshest knowledge: the
     /// authority table, residency, or the trail — falling back to "never
     /// migrated, so it is at its birth rank" (epoch 0), which is always a
     /// safe answer because the birth rank either hosts the object or heads
     /// its forwarding trail.
-    fn answer_lookup(&mut self, src: Rank, q: DirLookup) {
-        let ptr = q.ptr;
+    fn answer_lookup(&mut self, src: Rank, ptr: MobilePtr, known: u64) {
         let me = self.comm.rank();
         let resident = self
             .directory
@@ -1349,13 +1343,14 @@ impl<O: Migratable> MolNode<O> {
         );
         let (owner, epoch) = best.unwrap_or((ptr.home, 0));
         self.stats.locupd_sent += 1;
-        let ans = DirAnswer {
+        let stale = known > 0 && epoch > known;
+        let ans = Wire::DirAnswer {
             ptr,
             owner,
             epoch,
-            stale: q.epoch > 0 && epoch > q.epoch,
+            stale,
         };
-        self.am_send(src, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
+        self.send(src, ans);
     }
 
     /// Merge a location fact learned from the wire (a `DirAnswer`) and
@@ -1530,7 +1525,8 @@ pub struct WorkItem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prema_dcs::LocalFabric;
+    use crate::proto::H_MOL_MSG;
+    use prema_dcs::{HandlerId, LocalFabric};
 
     struct Unit;
 

@@ -1,28 +1,17 @@
-//! The Mobile Object Layer wire protocol.
-//!
-//! Six message kinds ride on DCS:
-//!
-//! * `MOL_MSG` — application messages targeted at mobile objects, each
-//!   carrying a per-(sender, object) sequence number so delivery order is
-//!   preserved even across migrations and forwarding chains. A frame holds
-//!   one or more [`MolEnvelope`] records back to back: what a rank's units
-//!   send one peer between two polls shares a [`Frame`], every other
-//!   message is a frame of one;
-//! * `MOL_MIGRATE` — a packed object moving to a new owner, together with its
-//!   ordering state (per-sender expected sequence numbers), any accepted but
-//!   not-yet-executed messages, and any out-of-order buffered messages;
-//! * `NODE_MSG` — a plain rank-targeted message (used by the load-balancing
-//!   framework for status/request traffic; not object-routed);
-//! * `MOL_DIR_PUBLISH` — a migration publishing `(ptr, new_rank, epoch)` to
-//!   the pointer's home shard (DESIGN.md §16);
-//! * `MOL_DIR_LOOKUP` — an explicit location query to the home shard (the
-//!   [`crate::MolNode::resolve`] miss path);
-//! * `MOL_DIR_ANSWER` — the shard's authoritative reply, also piggybacked to
-//!   the original sender whenever a rank has to forward its message.
+//! The Mobile Object Layer wire protocol: six message kinds ride on DCS,
+//! one variant each of the crate-private [`Wire`] enum, which states each
+//! kind's handler id, tag and codec once, so a kind that nobody handles does
+//! not compile and one that nobody sends is dead code. Object messages
+//! travel as `H_MOL_MSG` frames of [`MolEnvelope`] records, each carrying a
+//! per-(sender, object) sequence number so delivery order is preserved even
+//! across migrations and forwarding chains: what a rank's units send one
+//! peer between two polls shares a [`Frame`], every other message is a frame
+//! of one. The `H_*` ids stay public for tests that put raw frames on a
+//! fabric.
 
 use crate::ptr::MobilePtr;
 use bytes::Bytes;
-use prema_dcs::{HandlerId, Rank, WireReader, WireWriter};
+use prema_dcs::{HandlerId, Rank, Tag, WireReader, WireWriter};
 
 /// DCS handler id for object-targeted messages.
 pub const H_MOL_MSG: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 16);
@@ -78,12 +67,6 @@ impl MolEnvelope {
     /// application message, the hottest encoder in the stack).
     pub fn encode(&self) -> Bytes {
         write_env(WireWriter::pooled(ENV_HEADER + self.payload.len()), self).finish()
-    }
-
-    /// Decode a one-record frame; `None` if it is truncated or names a
-    /// sender past `u32::MAX`.
-    pub fn decode(payload: Bytes) -> Option<Self> {
-        read_env(&mut WireReader::new(payload))
     }
 
     /// Bytes this envelope takes as a frame record.
@@ -260,8 +243,8 @@ fn reserve_for(n: usize, min_len: usize, r: &WireReader) -> usize {
 }
 
 /// A migrating object plus its ordering state.
-#[derive(Debug, PartialEq)]
-pub struct MigratePacket {
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct MigratePacket {
     /// The object's name.
     pub ptr: MobilePtr,
     /// Migration epoch after this move (monotonically increasing per object).
@@ -278,220 +261,210 @@ pub struct MigratePacket {
     pub buffered: Vec<MolEnvelope>,
 }
 
-impl MigratePacket {
-    /// Encode for the wire, into a pooled buffer sized to what is written.
-    pub fn encode(&self) -> Bytes {
-        let len = 8 * 3
-            + 4
-            + self.object.len()
-            + 4
-            + 16 * self.expected.len()
-            + 4
-            + self
-                .pending
-                .iter()
-                .map(|p| PENDING_HEADER + p.payload.len())
-                .sum::<usize>()
-            + 4
-            + self
-                .buffered
-                .iter()
-                .map(|e| ENV_HEADER + e.payload.len())
-                .sum::<usize>();
-        let mut w = WireWriter::pooled(len)
-            .u64(self.ptr.home as u64)
-            .u64(self.ptr.index)
-            .u64(self.epoch)
-            .bytes(&self.object)
-            .u32(self.expected.len() as u32);
-        for &(rank, seq) in &self.expected {
-            w = w.u64(rank as u64).u64(seq);
-        }
-        w = w.u32(self.pending.len() as u32);
-        for p in &self.pending {
-            w = write_pending(w, p);
-        }
-        w = w.u32(self.buffered.len() as u32);
-        for e in &self.buffered {
-            w = write_env(w, e);
-        }
-        w.finish()
-    }
-
-    /// Decode from the wire; `None` if the frame is truncated, a count
-    /// promises more records than follow, or a message names a sender past
-    /// `u32::MAX`.
-    pub fn decode(payload: Bytes) -> Option<Self> {
-        let mut r = WireReader::new(payload);
-        let ptr = MobilePtr {
-            home: r.try_usize()?,
-            index: r.try_u64()?,
-        };
-        let epoch = r.try_u64()?;
-        let object = r.try_bytes()?;
-        let n = r.try_u32()? as usize;
-        let mut expected = Vec::with_capacity(reserve_for(n, 16, &r));
-        for _ in 0..n {
-            expected.push((r.try_usize()?, r.try_u64()?));
-        }
-        let n = r.try_u32()? as usize;
-        let mut pending = Vec::with_capacity(reserve_for(n, PENDING_HEADER, &r));
-        for _ in 0..n {
-            pending.push(read_pending(&mut r)?);
-        }
-        let n = r.try_u32()? as usize;
-        let mut buffered = Vec::with_capacity(reserve_for(n, ENV_HEADER, &r));
-        for _ in 0..n {
-            buffered.push(read_env(&mut r)?);
-        }
-        Some(MigratePacket {
-            ptr,
-            epoch,
-            object,
-            expected,
-            pending,
-            buffered,
-        })
-    }
-}
-
-/// A migration publishing its outcome to the pointer's home shard: "object
-/// `ptr` now lives at `owner`, as of migration epoch `epoch`". Shards merge
-/// by epoch-max, so duplicated or reordered publishes are harmless.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DirPublish {
-    /// Which object moved.
-    pub ptr: MobilePtr,
-    /// Where it now lives (as of `epoch`).
-    pub owner: Rank,
-    /// Migration epoch of this information.
-    pub epoch: u64,
-}
-
-impl DirPublish {
-    /// Encode for the wire.
-    pub fn encode(&self) -> Bytes {
-        WireWriter::pooled(32)
-            .u64(self.ptr.home as u64)
-            .u64(self.ptr.index)
-            .u64(self.owner as u64)
-            .u64(self.epoch)
-            .finish()
-    }
-
-    /// Decode from the wire; `None` if the frame is truncated.
-    pub fn decode(payload: Bytes) -> Option<Self> {
-        let mut r = WireReader::new(payload);
-        Some(DirPublish {
-            ptr: MobilePtr {
-                home: r.try_usize()?,
-                index: r.try_u64()?,
-            },
-            owner: r.try_usize()?,
-            epoch: r.try_u64()?,
-        })
-    }
-}
-
-/// An explicit location query to a pointer's home shard.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DirLookup {
-    /// Which object the inquirer wants resolved.
-    pub ptr: MobilePtr,
-    /// The freshest epoch the inquirer already holds for the object (0 if
-    /// none) — lets the shard mark its answer as a stale-cache correction.
-    pub epoch: u64,
-}
-
-impl DirLookup {
-    /// Encode for the wire.
-    pub fn encode(&self) -> Bytes {
-        WireWriter::pooled(24)
-            .u64(self.ptr.home as u64)
-            .u64(self.ptr.index)
-            .u64(self.epoch)
-            .finish()
-    }
-
-    /// Decode from the wire; `None` if the frame is truncated.
-    pub fn decode(payload: Bytes) -> Option<Self> {
-        let mut r = WireReader::new(payload);
-        Some(DirLookup {
-            ptr: MobilePtr {
-                home: r.try_usize()?,
-                index: r.try_u64()?,
-            },
-            epoch: r.try_u64()?,
-        })
-    }
-}
-
-/// The home shard's location answer — sent in reply to a [`DirLookup`] and
-/// piggybacked to the original sender whenever a rank forwards its message.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DirAnswer {
-    /// Which object this answers for.
-    pub ptr: MobilePtr,
-    /// Best-known owner (as of `epoch`).
-    pub owner: Rank,
-    /// Migration epoch of this information; receivers keep the max.
-    pub epoch: u64,
-    /// Whether the receiver's earlier guess was stale (it sent a message
-    /// that had to be forwarded, or looked up with an older epoch).
-    pub stale: bool,
-}
-
-impl DirAnswer {
-    /// Encode for the wire.
-    pub fn encode(&self) -> Bytes {
-        WireWriter::pooled(40)
-            .u64(self.ptr.home as u64)
-            .u64(self.ptr.index)
-            .u64(self.owner as u64)
-            .u64(self.epoch)
-            .u32(u32::from(self.stale))
-            .finish()
-    }
-
-    /// Decode from the wire; `None` if the frame is truncated.
-    pub fn decode(payload: Bytes) -> Option<Self> {
-        let mut r = WireReader::new(payload);
-        Some(DirAnswer {
-            ptr: MobilePtr {
-                home: r.try_usize()?,
-                index: r.try_u64()?,
-            },
-            owner: r.try_usize()?,
-            epoch: r.try_u64()?,
-            stale: r.try_u32()? != 0,
-        })
-    }
-}
-
-/// A rank-targeted message (load-balancer traffic and the like).
+/// The MOL's six message kinds (module docs), each with its DCS handler id
+/// ([`Wire::id`]), its tag ([`Wire::tag`]) and its codec ([`Wire::encode`],
+/// [`Wire::decode`]). [`crate::MolNode`] sends nothing else and dispatches
+/// on this type with one `match`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct NodeMsg {
-    /// Application/runtime-level handler id.
-    pub handler: u32,
-    /// Payload.
-    pub payload: Bytes,
+pub(crate) enum Wire {
+    /// An `H_MOL_MSG` frame of one or more [`MolEnvelope`] records, built by
+    /// a [`Frame`] or [`MolEnvelope::encode`] and read by [`frame_records`]:
+    /// its bytes pass through the codec as they are.
+    Msg(Bytes),
+    /// A packed object moving to a new owner, with its ordering state
+    /// (per-sender expected sequence numbers), its accepted but not yet
+    /// executed messages and its out-of-order buffered ones.
+    Migrate(MigratePacket),
+    /// A rank-targeted message, not object-routed (load-balancer traffic
+    /// and the like), under the tag its sender chose.
+    Node {
+        handler: u32,
+        payload: Bytes,
+        /// Whether it travels as [`Tag::System`].
+        system: bool,
+    },
+    /// A migration publishing its outcome to the pointer's home shard
+    /// (DESIGN.md §16): "object `ptr` now lives at `owner`, as of migration
+    /// epoch `epoch`". Shards merge by epoch-max, so duplicated or
+    /// reordered publishes are harmless.
+    DirPublish {
+        ptr: MobilePtr,
+        owner: Rank,
+        epoch: u64,
+    },
+    /// An explicit location query to a pointer's home shard (the
+    /// [`crate::MolNode::resolve`] miss path). `epoch` is the
+    /// freshest the inquirer already holds for the object (0 if none): it
+    /// lets the shard mark its answer as a stale-cache correction.
+    DirLookup { ptr: MobilePtr, epoch: u64 },
+    /// The home shard's location answer: `ptr` lives at `owner` as of
+    /// `epoch` (receivers keep the max). Sent in reply to a `DirLookup` and
+    /// piggybacked to the original sender whenever a rank forwards its
+    /// message; `stale` says the receiver's earlier guess was stale (its
+    /// message had to be forwarded, or it looked up with an older epoch).
+    DirAnswer {
+        ptr: MobilePtr,
+        owner: Rank,
+        epoch: u64,
+        stale: bool,
+    },
 }
 
-impl NodeMsg {
-    /// Encode for the wire.
-    pub fn encode(&self) -> Bytes {
-        WireWriter::pooled(8 + self.payload.len())
-            .u32(self.handler)
-            .bytes(&self.payload)
-            .finish()
+impl Wire {
+    /// The DCS handler id this kind travels under.
+    pub(crate) fn id(&self) -> HandlerId {
+        match self {
+            Wire::Msg(_) => H_MOL_MSG,
+            Wire::Migrate(_) => H_MOL_MIGRATE,
+            Wire::Node { .. } => H_NODE_MSG,
+            Wire::DirPublish { .. } => H_MOL_DIR_PUBLISH,
+            Wire::DirLookup { .. } => H_MOL_DIR_LOOKUP,
+            Wire::DirAnswer { .. } => H_MOL_DIR_ANSWER,
+        }
     }
 
-    /// Decode from the wire; `None` if the frame is truncated.
-    pub fn decode(payload: Bytes) -> Option<Self> {
+    /// The tag it travels under: object messages are application traffic,
+    /// the protocol's own messages system traffic.
+    pub(crate) fn tag(&self) -> Tag {
+        match self {
+            Wire::Msg(_) | Wire::Node { system: false, .. } => Tag::App,
+            Wire::Migrate(_)
+            | Wire::Node { system: true, .. }
+            | Wire::DirPublish { .. }
+            | Wire::DirLookup { .. }
+            | Wire::DirAnswer { .. } => Tag::System,
+        }
+    }
+
+    /// Encode for the wire, into a pooled buffer sized to what is written.
+    pub(crate) fn encode(self) -> Bytes {
+        let home = |ptr: MobilePtr| ptr.home as u64;
+        match self {
+            Wire::Msg(frame) => frame,
+            Wire::Migrate(p) => {
+                let pending: usize = p
+                    .pending
+                    .iter()
+                    .map(|p| PENDING_HEADER + p.payload.len())
+                    .sum();
+                let buffered: usize = p.buffered.iter().map(MolEnvelope::wire_len).sum();
+                let len = 8 * 3 + 4 * 4 + p.object.len() + 16 * p.expected.len();
+                let mut w = WireWriter::pooled(len + pending + buffered)
+                    .u64(home(p.ptr))
+                    .u64(p.ptr.index)
+                    .u64(p.epoch)
+                    .bytes(&p.object)
+                    .u32(p.expected.len() as u32);
+                for &(rank, seq) in &p.expected {
+                    w = w.u64(rank as u64).u64(seq);
+                }
+                w = w.u32(p.pending.len() as u32);
+                for pending in &p.pending {
+                    w = write_pending(w, pending);
+                }
+                w = w.u32(p.buffered.len() as u32);
+                for e in &p.buffered {
+                    w = write_env(w, e);
+                }
+                w.finish()
+            }
+            Wire::Node {
+                handler, payload, ..
+            } => WireWriter::pooled(8 + payload.len())
+                .u32(handler)
+                .bytes(&payload)
+                .finish(),
+            Wire::DirPublish { ptr, owner, epoch } => WireWriter::pooled(32)
+                .u64(home(ptr))
+                .u64(ptr.index)
+                .u64(owner as u64)
+                .u64(epoch)
+                .finish(),
+            Wire::DirLookup { ptr, epoch } => WireWriter::pooled(24)
+                .u64(home(ptr))
+                .u64(ptr.index)
+                .u64(epoch)
+                .finish(),
+            Wire::DirAnswer {
+                ptr,
+                owner,
+                epoch,
+                stale,
+            } => WireWriter::pooled(40)
+                .u64(home(ptr))
+                .u64(ptr.index)
+                .u64(owner as u64)
+                .u64(epoch)
+                .u32(u32::from(stale))
+                .finish(),
+        }
+    }
+
+    /// Decode what arrived under handler `id` and `tag`; `None` if `id`
+    /// names no MOL kind, the frame is truncated, a count promises more
+    /// records than follow, or a message names a sender past `u32::MAX`.
+    /// An `H_MOL_MSG` frame is not read here: [`frame_records`] reads its
+    /// records one by one.
+    pub(crate) fn decode(id: HandlerId, tag: Tag, payload: Bytes) -> Option<Self> {
+        if id == H_MOL_MSG {
+            return Some(Wire::Msg(payload));
+        }
         let mut r = WireReader::new(payload);
-        Some(NodeMsg {
-            handler: r.try_u32()?,
-            payload: r.try_bytes()?,
+        let r = &mut r;
+        let ptr = |r: &mut WireReader| {
+            Some(MobilePtr {
+                home: r.try_usize()?,
+                index: r.try_u64()?,
+            })
+        };
+        Some(match id {
+            H_MOL_MIGRATE => {
+                let (ptr, epoch, object) = (ptr(r)?, r.try_u64()?, r.try_bytes()?);
+                let n = r.try_u32()? as usize;
+                let mut expected = Vec::with_capacity(reserve_for(n, 16, r));
+                for _ in 0..n {
+                    expected.push((r.try_usize()?, r.try_u64()?));
+                }
+                let n = r.try_u32()? as usize;
+                let mut pending = Vec::with_capacity(reserve_for(n, PENDING_HEADER, r));
+                for _ in 0..n {
+                    pending.push(read_pending(r)?);
+                }
+                let n = r.try_u32()? as usize;
+                let mut buffered = Vec::with_capacity(reserve_for(n, ENV_HEADER, r));
+                for _ in 0..n {
+                    buffered.push(read_env(r)?);
+                }
+                Wire::Migrate(MigratePacket {
+                    ptr,
+                    epoch,
+                    object,
+                    expected,
+                    pending,
+                    buffered,
+                })
+            }
+            H_NODE_MSG => Wire::Node {
+                handler: r.try_u32()?,
+                payload: r.try_bytes()?,
+                system: tag == Tag::System,
+            },
+            H_MOL_DIR_PUBLISH => Wire::DirPublish {
+                ptr: ptr(r)?,
+                owner: r.try_usize()?,
+                epoch: r.try_u64()?,
+            },
+            H_MOL_DIR_LOOKUP => Wire::DirLookup {
+                ptr: ptr(r)?,
+                epoch: r.try_u64()?,
+            },
+            H_MOL_DIR_ANSWER => Wire::DirAnswer {
+                ptr: ptr(r)?,
+                owner: r.try_usize()?,
+                epoch: r.try_u64()?,
+                stale: r.try_u32()? != 0,
+            },
+            _ => return None,
         })
     }
 }
@@ -499,6 +472,8 @@ impl NodeMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn env(seq: u64) -> MolEnvelope {
         MolEnvelope {
@@ -514,36 +489,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn envelope_roundtrip() {
-        let e = env(77);
-        assert_eq!(MolEnvelope::decode(e.encode()), Some(e));
+    /// A migration packet's frame decoded back, if it decodes.
+    fn packet(frame: Bytes) -> Option<MigratePacket> {
+        match Wire::decode(H_MOL_MIGRATE, Tag::System, frame)? {
+            Wire::Migrate(p) => Some(p),
+            other => panic!("a packet decoded as {other:?}"),
+        }
     }
 
-    #[test]
-    fn migrate_packet_roundtrip() {
-        let p = MigratePacket {
-            ptr: MobilePtr { home: 1, index: 2 },
-            epoch: 4,
-            object: Bytes::from_static(&[9, 8, 7]),
-            expected: vec![(0, 5), (3, 1)],
-            pending: vec![env(1).into(), env(2).into()],
-            buffered: vec![env(10)],
-        };
-        assert_eq!(MigratePacket::decode(p.encode()), Some(p));
+    /// The records of an `H_MOL_MSG` frame, if every one decodes.
+    fn records(frame: Bytes) -> Option<Vec<MolEnvelope>> {
+        let mut got = Vec::new();
+        frame_records(frame, |e| got.push(e))?;
+        Some(got)
     }
 
-    #[test]
-    fn empty_migrate_packet_roundtrip() {
-        let p = MigratePacket {
-            ptr: MobilePtr { home: 0, index: 1 },
-            epoch: 1,
-            object: Bytes::new(),
-            expected: vec![],
-            pending: vec![],
-            buffered: vec![],
-        };
-        assert_eq!(MigratePacket::decode(p.encode()), Some(p));
+    /// Decode `frame` under `id`, down to an `H_MOL_MSG` frame's records:
+    /// it must return, whatever it says.
+    fn decode_all(id: HandlerId, tag: Tag, frame: Bytes) {
+        if let Some(Wire::Msg(frame)) = Wire::decode(id, tag, frame) {
+            frame_records(frame, drop);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each of the six kinds, built from arbitrary field values, decodes
+        /// back to itself under its own id and tag, and every strict prefix
+        /// of one that is not an `H_MOL_MSG` frame is refused. Arbitrary
+        /// bytes under an arbitrary id, or a valid frame with any 4-byte
+        /// word overwritten (a corrupt length or record count among them),
+        /// decode to `None` or a value, never a panic or a huge reservation.
+        #[test]
+        fn every_kind_round_trips_and_arbitrary_frames_never_panic(
+            (home, index, owner, epoch) in (0usize..64, any::<u64>(), 0usize..64, any::<u64>()),
+            (seqs, hint, flag) in (vec(any::<u64>(), 1..4), -1e9..1e9f64, any::<bool>()),
+            bytes in vec(any::<u8>(), 0..48),
+            id in prop_oneof![(16u32..23).prop_map(|k| HandlerId::SYSTEM_BASE + k), any::<u32>()],
+            raw in vec(any::<u8>(), 0..128),
+            (at, word) in (any::<usize>(), any::<u32>()),
+        ) {
+            let (ptr, payload) = (MobilePtr { home, index }, Bytes::from(bytes));
+            let envs: Vec<MolEnvelope> = seqs
+                .iter()
+                .map(|&seq| MolEnvelope {
+                    target: ptr,
+                    sender: owner,
+                    handler: index as u32,
+                    anchored: flag,
+                    route_epoch: epoch,
+                    hint,
+                    payload: payload.clone(),
+                    ..env(seq)
+                })
+                .collect();
+            let mut frame = Frame::new();
+            envs.iter().for_each(|e| frame.push(e));
+            let packet = MigratePacket {
+                ptr,
+                epoch,
+                object: payload.clone(),
+                expected: vec![(owner, epoch)],
+                pending: envs.iter().cloned().map(Pending::from).collect(),
+                buffered: envs,
+            };
+            let (stale, system, handler) = (flag, flag, index as u32);
+            let kinds = [
+                Wire::Msg(frame.finish()),
+                Wire::Migrate(packet),
+                Wire::Node { handler, payload, system },
+                Wire::DirPublish { ptr, owner, epoch },
+                Wire::DirLookup { ptr, epoch },
+                Wire::DirAnswer { ptr, owner, epoch, stale },
+            ];
+            for m in kinds {
+                let (own, tag) = (m.id(), m.tag());
+                let frame = m.clone().encode();
+                prop_assert_eq!(Wire::decode(own, tag, frame.clone()), Some(m));
+                if own != H_MOL_MSG {
+                    for len in 0..frame.len() {
+                        prop_assert_eq!(Wire::decode(own, tag, frame.slice(0..len)), None);
+                    }
+                }
+                let mut bad = frame.to_vec();
+                let at = at % (bad.len() - 3);
+                bad[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                decode_all(own, tag, Bytes::from(bad));
+            }
+            let tag = if flag { Tag::System } else { Tag::App };
+            decode_all(HandlerId(id), tag, Bytes::from(raw));
+        }
     }
 
     /// A pending record carries no target and no routing state: 48 bytes
@@ -576,8 +612,8 @@ mod tests {
                 .collect(),
             buffered: vec![],
         };
-        let wire = p.encode();
-        let decoded = MigratePacket::decode(wire.clone()).expect("a whole packet");
+        let wire = Wire::Migrate(p.clone()).encode();
+        let decoded = packet(wire.clone()).expect("a whole packet");
         assert_eq!(decoded, p);
         let MigratePacket {
             object, pending, ..
@@ -601,7 +637,7 @@ mod tests {
             buffered: vec![env(61)],
         };
         // 4 KiB of object and 60 pending messages fit the 8 KiB class.
-        let wire = p.encode();
+        let wire = Wire::Migrate(p).encode();
         assert!(wire.len() < 8192);
         let v = wire.try_reclaim().expect("sole owner");
         assert!((8192..16384).contains(&v.capacity()), "{}", v.capacity());
@@ -610,7 +646,7 @@ mod tests {
     #[test]
     fn truncated_frames_decode_to_none() {
         let e = env(3).encode();
-        assert_eq!(MolEnvelope::decode(e.slice(0..e.len() - 1)), None);
+        assert_eq!(records(e.slice(0..e.len() - 1)), None);
         // A count of 2^32 - 1 pending records and nothing after it must be
         // a short read, not a 446 GB reservation.
         let hostile = WireWriter::new()
@@ -621,16 +657,16 @@ mod tests {
             .u32(0)
             .u32(u32::MAX)
             .finish();
-        assert_eq!(MigratePacket::decode(hostile), None);
+        assert_eq!(packet(hostile), None);
     }
 
     #[test]
     fn a_sender_past_u32_decodes_to_none() {
         let mut e = env(3);
         e.sender = u32::MAX as Rank;
-        assert_eq!(MolEnvelope::decode(e.encode()), Some(e.clone()));
+        assert_eq!(records(e.encode()), Some(vec![e.clone()]));
         e.sender += 1;
-        assert_eq!(MolEnvelope::decode(e.encode()), None);
+        assert_eq!(records(e.encode()), None);
         let p = MigratePacket {
             ptr: MobilePtr { home: 0, index: 1 },
             epoch: 1,
@@ -639,31 +675,7 @@ mod tests {
             pending: vec![e.into()],
             buffered: vec![],
         };
-        assert_eq!(MigratePacket::decode(p.encode()), None);
-    }
-
-    #[test]
-    fn directory_messages_roundtrip() {
-        let p = DirPublish {
-            ptr: MobilePtr { home: 1, index: 44 },
-            owner: 6,
-            epoch: 9,
-        };
-        assert_eq!(DirPublish::decode(p.encode()), Some(p));
-        let l = DirLookup {
-            ptr: MobilePtr { home: 0, index: 12 },
-            epoch: 3,
-        };
-        assert_eq!(DirLookup::decode(l.encode()), Some(l));
-        for stale in [false, true] {
-            let a = DirAnswer {
-                ptr: MobilePtr { home: 2, index: 7 },
-                owner: 4,
-                epoch: 15,
-                stale,
-            };
-            assert_eq!(DirAnswer::decode(a.encode()), Some(a));
-        }
+        assert_eq!(packet(Wire::Migrate(p).encode()), None);
     }
 
     /// Little-endian bytes of `fields`, in order: a `u64`, `u32` or `f64`
@@ -761,14 +773,5 @@ mod tests {
         let want = le(&[U64(0), U64(1), U64(1), U64(1)]);
         assert_eq!(sent(), (H_MOL_DIR_PUBLISH, Tag::System, want));
         assert!(raw.try_recv().is_none());
-    }
-
-    #[test]
-    fn nodemsg_roundtrip() {
-        let n = NodeMsg {
-            handler: 6,
-            payload: Bytes::from_static(b"lb"),
-        };
-        assert_eq!(NodeMsg::decode(n.encode()), Some(n));
     }
 }

@@ -1,13 +1,12 @@
-//! Property-based tests for the Mobile Object Layer: wire-format roundtrips,
-//! decoders that survive arbitrary bytes, and delivery-order preservation
-//! under arbitrary interleavings of sends, polls, and migrations.
+//! Property-based tests for the Mobile Object Layer: object-message frames
+//! that survive arbitrary bytes, and delivery-order preservation under
+//! arbitrary interleavings of sends, polls, and migrations. The codec of the
+//! MOL's six kinds has its own proptest, inside the crate
+//! (`proto::tests::every_kind_round_trips_and_arbitrary_frames_never_panic`).
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, Envelope, LocalFabric, Tag, Transport};
-use prema_mol::proto::{
-    frame_records, DirAnswer, DirLookup, DirPublish, Frame, MigratePacket, MolEnvelope, NodeMsg,
-    Pending, H_MOL_MSG,
-};
+use prema_mol::proto::{frame_records, Frame, MolEnvelope, H_MOL_MSG};
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
 use proptest::prelude::*;
 
@@ -78,28 +77,6 @@ fn plain_env(payload: Vec<u8>) -> MolEnvelope {
     }
 }
 
-/// Whether `frame` decodes as MOL message kind `kind` (in the order
-/// [`decode_all`] tries them).
-fn decodes_as(kind: usize, frame: &Bytes) -> bool {
-    let f = frame.clone();
-    match kind {
-        0 => MolEnvelope::decode(f).is_some(),
-        1 => MigratePacket::decode(f).is_some(),
-        2 => DirPublish::decode(f).is_some(),
-        3 => DirLookup::decode(f).is_some(),
-        4 => DirAnswer::decode(f).is_some(),
-        _ => NodeMsg::decode(f).is_some(),
-    }
-}
-
-/// Feed `frame` to every MOL decoder; each must return, whatever it says.
-fn decode_all(frame: &Bytes) {
-    for kind in 0..6 {
-        decodes_as(kind, frame);
-    }
-    frame_records(frame.clone(), drop);
-}
-
 /// A frame of `envs`' records, in order.
 fn frame_of(envs: &[MolEnvelope]) -> Frame {
     let mut frame = Frame::new();
@@ -120,58 +97,17 @@ fn records_of(frame: Bytes) -> (Vec<MolEnvelope>, bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    #[test]
-    fn envelope_wire_roundtrip(env in arb_env()) {
-        let decoded = MolEnvelope::decode(env.encode());
-        prop_assert_eq!(decoded, Some(env));
-    }
-
-    #[test]
-    fn migrate_packet_wire_roundtrip(
-        envs in proptest::collection::vec(arb_env(), 0..8),
-        expected in proptest::collection::vec((0usize..64, any::<u64>()), 0..8),
-        epoch in any::<u64>(),
-        object in proptest::collection::vec(any::<u8>(), 0..128),
-    ) {
-        let p = MigratePacket {
-            ptr: MobilePtr { home: 3, index: 7 },
-            epoch,
-            object: Bytes::from(object),
-            expected,
-            pending: envs.iter().cloned().map(Pending::from).collect(),
-            buffered: envs,
-        };
-        let d = MigratePacket::decode(p.encode());
-        prop_assert_eq!(d, Some(p));
-    }
-
-    #[test]
-    fn directory_wire_roundtrips(
-        home in 0usize..64,
-        index in any::<u64>(),
-        owner in 0usize..64,
-        epoch in any::<u64>(),
-        stale in any::<bool>(),
-    ) {
-        let ptr = MobilePtr { home, index };
-        let p = DirPublish { ptr, owner, epoch };
-        prop_assert_eq!(DirPublish::decode(p.encode()), Some(p));
-        let q = DirLookup { ptr, epoch };
-        prop_assert_eq!(DirLookup::decode(q.encode()), Some(q));
-        let a = DirAnswer { ptr, owner, epoch, stale };
-        prop_assert_eq!(DirAnswer::decode(a.encode()), Some(a));
-    }
-
-    /// Every MOL decoder is total: arbitrary bytes decode to `None` or to a
-    /// value, never a panic or an abort. That holds for a multi-record
-    /// frame that runs from valid records into arbitrary bytes as well, and
-    /// it hands over every valid record first, each once, in order.
+    /// Reading an object-message frame is total: arbitrary bytes decode to
+    /// `None` or to records, never a panic or an abort. That holds for a
+    /// multi-record frame that runs from valid records into arbitrary bytes
+    /// as well, and it hands over every valid record first, each once, in
+    /// order.
     #[test]
     fn decoders_survive_arbitrary_bytes(
         envs in proptest::collection::vec(arb_env(), 0..4),
         raw in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        decode_all(&Bytes::from(raw.clone()));
+        frame_records(Bytes::from(raw.clone()), drop);
         let mut frame = frame_of(&envs).finish().to_vec();
         let (whole, complete) = records_of(Bytes::from(frame.clone()));
         prop_assert_eq!(&whole, &envs);
@@ -231,50 +167,6 @@ proptest! {
         let handlers: Vec<u32> = std::iter::from_fn(|| node.pop_work()).map(|w| w.handler).collect();
         prop_assert_eq!(handlers, (0..k as u32).collect::<Vec<_>>());
         prop_assert_eq!(node.stats().dropped_wire, u64::from(k < envs.len()));
-    }
-
-    /// A valid frame of each kind decodes; every strict prefix of it is
-    /// `None`; and with any one 4-byte word overwritten (a corrupt length or
-    /// record count among them) it still decodes to `None` or a value.
-    #[test]
-    fn truncated_and_corrupted_frames_decode_to_none_or_a_value(
-        envs in proptest::collection::vec(arb_env(), 0..4),
-        object in proptest::collection::vec(any::<u8>(), 0..64),
-        at in any::<usize>(),
-        word in any::<u32>(),
-    ) {
-        let env = envs.first().cloned().unwrap_or_else(|| plain_env(object.clone()));
-        let frames = [
-            env.encode(),
-            MigratePacket {
-                ptr: env.target,
-                epoch: 2,
-                object: Bytes::from(object.clone()),
-                expected: vec![(env.sender, env.seq)],
-                pending: envs.iter().cloned().map(Pending::from).collect(),
-                buffered: envs,
-            }
-            .encode(),
-            DirPublish { ptr: env.target, owner: 1, epoch: 3 }.encode(),
-            DirLookup { ptr: env.target, epoch: 3 }.encode(),
-            DirAnswer { ptr: env.target, owner: 1, epoch: 3, stale: true }.encode(),
-            NodeMsg { handler: 4, payload: Bytes::from(object) }.encode(),
-        ];
-        for (kind, frame) in frames.iter().enumerate() {
-            prop_assert!(decodes_as(kind, frame), "kind {} rejects its own frame", kind);
-            for len in 0..frame.len() {
-                prop_assert!(
-                    !decodes_as(kind, &frame.slice(0..len)),
-                    "kind {} decodes a {}-byte prefix of its {}-byte frame", kind, len, frame.len()
-                );
-            }
-            if frame.len() >= 4 {
-                let mut bad = frame.to_vec();
-                let at = at % (frame.len() - 3);
-                bad[at..at + 4].copy_from_slice(&word.to_le_bytes());
-                decode_all(&Bytes::from(bad));
-            }
-        }
     }
 
     /// The MOL's headline guarantee: for any interleaving of migrations and

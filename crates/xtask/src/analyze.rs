@@ -1,49 +1,33 @@
-//! Token-level protocol and concurrency analyses, run by `cargo xtask lint`.
+//! Token-level concurrency and telemetry analyses, run by `cargo xtask lint`.
 //!
-//! Three analyses, each a pure function over [`SourceFile`] token streams:
+//! Two analyses, each a pure function over [`SourceFile`] token streams:
 //!
-//! 1. [`handler_graph`] — extracts every `HandlerId`/node-plane handler
-//!    constant with its numeric value, then classifies each use site as a
-//!    *send* (`am_send`/`node_message` argument, `handler:` field init) or a
-//!    *receive* (`register`/`on_node_message`/`await_handler` argument,
-//!    `==`/`!=` comparison, match arm). Flags value collisions within a
-//!    plane, ids outside the reserved system range, ids that are sent but
-//!    never received, ids that are registered but never sent, and ids that
-//!    are neither.
-//! 2. [`atomics_audit`] — inventories every atomic field/static declaration
+//! 1. [`atomics_audit`] — inventories every atomic field/static declaration
 //!    with the orderings used to access it, and requires each to be covered
 //!    by a loom model (the container type named in a loom test) or carry a
 //!    `path: Container.field` entry in `crates/xtask/allow/atomics.txt`.
-//! 3. [`trace_coverage`] — every `TraceEvent` variant must be constructed in
+//! 2. [`trace_coverage`] — every `TraceEvent` variant must be constructed in
 //!    non-test runtime code (a pattern that reads it does not count); dead
 //!    telemetry is a violation. That every variant is named, written and
 //!    read back is the compiler's job (the exhaustive matches in
 //!    `prema-trace` and the harness's `trace_report`) and the `from_jsonl`
 //!    roundtrip proptest's.
 //!
-//! All three work on the same lexed token stream as the line lints, so line
+//! Whether each runtime message kind is both sent and handled is the
+//! compiler's check, not this module's: `dcs::reliable`, `mol::proto` and
+//! `ilb::scheduler` each keep their kinds in one crate-private enum that
+//! one exhaustive `match` dispatches (DESIGN.md §12).
+//!
+//! Both work on the same lexed token stream as the line lints, so line
 //! numbers in diagnostics agree with the editor. None of them parse Rust
 //! fully — they rely on the workspace's own conventions (documented in
 //! DESIGN.md §12) and are tested against seeded-violation fixtures below.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::lex::{Kind, Token};
 use crate::lints::{item_key, Allowlist, Violation};
 use crate::source::SourceFile;
-
-/// `HandlerId::SYSTEM_BASE`: system handler ids live at or above this.
-const SYSTEM_BASE: u64 = 0xFFFF_0000;
-/// `NODE_HANDLER_LIMIT`: node-plane LB ids sit above, core ids just below.
-const NODE_HANDLER_LIMIT: u64 = 0xFFFF_F000;
-
-/// Crates whose `src/` trees declare message handlers.
-const HANDLER_CRATES: [&str; 4] = ["core", "dcs", "mol", "ilb"];
-
-/// Functions whose argument position makes a handler constant a *send*.
-const SEND_FNS: [&str; 3] = ["am_send", "node_message", "try_node_message"];
-/// Functions whose argument position makes a handler constant a *receive*.
-const RECV_FNS: [&str; 3] = ["register", "on_node_message", "await_handler"];
 
 // ---------------------------------------------------------------------------
 // Shared token helpers
@@ -57,319 +41,8 @@ pub(crate) fn code_tokens(f: &SourceFile) -> Vec<&Token> {
         .collect()
 }
 
-/// Parse a Rust integer literal (`42`, `0xFFFF_0000`) to a value.
-fn parse_int(text: &str) -> Option<u64> {
-    let t = text.replace('_', "");
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        t.parse().ok()
-    }
-}
-
-/// Evaluate a handler-id initializer expression from tokens.
-///
-/// Understands integer literals, the two named anchors
-/// (`HandlerId::SYSTEM_BASE`, `NODE_HANDLER_LIMIT`), `+`/`-`, and ignores
-/// grouping (`HandlerId(...)`, parens, `::` paths). Any other identifier
-/// makes the value unknown.
-fn eval_handler_expr(toks: &[&Token]) -> Option<u64> {
-    let mut value: Option<u64> = None;
-    let mut op: char = '+';
-    for (i, t) in toks.iter().enumerate() {
-        match t.kind {
-            Kind::Num => {
-                let term = parse_int(&t.text)?;
-                value = Some(apply(value.unwrap_or(0), op, term)?);
-            }
-            Kind::Ident => {
-                let term = match t.text.as_str() {
-                    "SYSTEM_BASE" => SYSTEM_BASE,
-                    "NODE_HANDLER_LIMIT" => NODE_HANDLER_LIMIT,
-                    // Wrapper/paths: `HandlerId(...)`, `ilb::scheduler::...`.
-                    _ if matches!(toks.get(i + 1), Some(n) if n.is_punct("(") || n.is_punct("::")) =>
-                    {
-                        continue;
-                    }
-                    _ => return None,
-                };
-                value = Some(apply(value.unwrap_or(0), op, term)?);
-            }
-            Kind::Punct => match t.text.as_str() {
-                "+" => op = '+',
-                "-" => op = '-',
-                "(" | ")" | "::" => {}
-                _ => return None,
-            },
-            _ => return None,
-        }
-    }
-    return value;
-
-    fn apply(acc: u64, op: char, term: u64) -> Option<u64> {
-        match op {
-            '+' => acc.checked_add(term),
-            '-' => acc.checked_sub(term),
-            _ => None,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Analysis 1: handler graph
-// ---------------------------------------------------------------------------
-
-/// Which message plane a handler constant belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Plane {
-    /// `HandlerId` — the DCS envelope plane.
-    Envelope,
-    /// Bare `u32` node-message ids (`on_node_message` plane).
-    Node,
-}
-
-impl Plane {
-    pub fn label(self) -> &'static str {
-        match self {
-            Plane::Envelope => "envelope",
-            Plane::Node => "node",
-        }
-    }
-}
-
-/// One handler constant with its routing degree.
-#[derive(Debug)]
-pub struct HandlerInfo {
-    pub name: String,
-    pub plane: Plane,
-    /// Numeric id when the initializer is statically evaluable.
-    pub value: Option<u64>,
-    pub path: String,
-    pub line: usize,
-    /// Send sites in non-test `src/` code.
-    pub sends: usize,
-    /// Receive sites (registration/comparison/match) in non-test `src/` code.
-    pub recvs: usize,
-}
-
-fn is_handler_decl_path(path: &str) -> bool {
-    path.contains("/src/")
-        && HANDLER_CRATES
-            .iter()
-            .any(|c| path.starts_with(&format!("crates/{c}/")))
-}
-
-/// Extract handler constants and classify every use site; see module docs.
-pub fn handler_graph(files: &[SourceFile]) -> (Vec<HandlerInfo>, Vec<Violation>) {
-    let mut handlers: Vec<HandlerInfo> = Vec::new();
-
-    // Pass 1: declarations, only in the message-driven crates' src trees.
-    for f in files.iter().filter(|f| is_handler_decl_path(&f.path)) {
-        let toks = code_tokens(f);
-        for i in 0..toks.len() {
-            if !toks[i].is_ident("const") || f.line_is_test(toks[i].line) {
-                continue;
-            }
-            let (name_t, colon, ty) = match (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3)) {
-                (Some(n), Some(c), Some(t)) if n.kind == Kind::Ident && c.is_punct(":") => {
-                    (*n, c, *t)
-                }
-                _ => continue,
-            };
-            let _ = colon;
-            let plane = if ty.is_ident("HandlerId") {
-                Plane::Envelope
-            } else if ty.is_ident("u32") {
-                Plane::Node
-            } else {
-                continue;
-            };
-            // `SYSTEM_BASE` / `NODE_HANDLER_LIMIT` are range anchors, not
-            // routable handlers.
-            if name_t.text.ends_with("_BASE") || name_t.text.ends_with("_LIMIT") {
-                continue;
-            }
-            // Initializer: tokens between `=` and `;`.
-            let mut j = i + 4;
-            while j < toks.len() && !toks[j].is_punct("=") {
-                j += 1;
-            }
-            let start = j + 1;
-            let mut end = start;
-            while end < toks.len() && !toks[end].is_punct(";") {
-                end += 1;
-            }
-            let value = eval_handler_expr(&toks[start..end]);
-            if plane == Plane::Node {
-                // A bare u32 const is only a handler id if it provably lives
-                // in the reserved node-id space.
-                let referes_limit = toks[start..end]
-                    .iter()
-                    .any(|t| t.is_ident("NODE_HANDLER_LIMIT"));
-                if !referes_limit && !matches!(value, Some(v) if v >= SYSTEM_BASE) {
-                    continue;
-                }
-            }
-            handlers.push(HandlerInfo {
-                name: name_t.text.clone(),
-                plane,
-                value,
-                path: f.path.clone(),
-                line: name_t.line,
-                sends: 0,
-                recvs: 0,
-            });
-        }
-    }
-
-    let by_name: BTreeMap<String, Vec<usize>> = {
-        let mut m: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (idx, h) in handlers.iter().enumerate() {
-            m.entry(h.name.clone()).or_default().push(idx);
-        }
-        m
-    };
-
-    // Pass 2: classify use sites in non-test src code across the workspace.
-    for f in files.iter().filter(|f| f.path.contains("/src/")) {
-        let toks = code_tokens(f);
-        let mut call_stack: Vec<String> = Vec::new();
-        let mut in_use = false;
-        for i in 0..toks.len() {
-            let t = toks[i];
-            if t.is_ident("use") {
-                in_use = true;
-            } else if t.is_punct(";") {
-                in_use = false;
-            } else if t.is_punct("(") {
-                let callee = match i.checked_sub(1).and_then(|p| toks.get(p)) {
-                    Some(p) if p.kind == Kind::Ident => p.text.clone(),
-                    _ => String::new(),
-                };
-                call_stack.push(callee);
-            } else if t.is_punct(")") {
-                call_stack.pop();
-            }
-            if t.kind != Kind::Ident || f.line_is_test(t.line) || in_use {
-                continue;
-            }
-            let Some(decl_idxs) = by_name.get(&t.text) else {
-                continue;
-            };
-            // Skip the declaration itself.
-            if decl_idxs
-                .iter()
-                .any(|&d| handlers[d].path == f.path && handlers[d].line == t.line)
-            {
-                continue;
-            }
-            let prev = i.checked_sub(1).and_then(|p| toks.get(p).copied());
-            let prev2 = i.checked_sub(2).and_then(|p| toks.get(p).copied());
-            let next = toks.get(i + 1).copied();
-            let innermost = call_stack.last().map(String::as_str).unwrap_or("");
-            let cmp =
-                |t: Option<&Token>| matches!(t, Some(t) if t.is_punct("==") || t.is_punct("!="));
-            let is_recv = cmp(prev)
-                || cmp(next)
-                || matches!(next, Some(n) if n.is_punct("=>"))
-                || RECV_FNS.contains(&innermost);
-            let is_send = !is_recv
-                && (SEND_FNS.contains(&innermost)
-                    || (matches!(prev, Some(p) if p.is_punct(":"))
-                        && matches!(prev2, Some(p) if p.is_ident("handler"))));
-            for &d in decl_idxs {
-                if is_recv {
-                    handlers[d].recvs += 1;
-                } else if is_send {
-                    handlers[d].sends += 1;
-                }
-            }
-        }
-    }
-
-    // Violations.
-    let mut violations = Vec::new();
-    let mut by_value: BTreeMap<(Plane, u64), Vec<usize>> = BTreeMap::new();
-    for (idx, h) in handlers.iter().enumerate() {
-        if let Some(v) = h.value {
-            by_value.entry((h.plane, v)).or_default().push(idx);
-        }
-    }
-    for ((plane, v), idxs) in &by_value {
-        if idxs.len() > 1 {
-            let first = &handlers[idxs[0]];
-            for &d in &idxs[1..] {
-                let h = &handlers[d];
-                violations.push(Violation::new(
-                    &h.path,
-                    h.line,
-                    "handler-collision",
-                    format!(
-                        "{} id {:#010x} of `{}` collides with `{}` ({}:{})",
-                        plane.label(),
-                        v,
-                        h.name,
-                        first.name,
-                        first.path,
-                        first.line
-                    ),
-                ));
-            }
-        }
-    }
-    for h in &handlers {
-        if let Some(v) = h.value {
-            if v < SYSTEM_BASE {
-                violations.push(Violation::new(
-                    &h.path,
-                    h.line,
-                    "handler-range",
-                    format!(
-                        "`{}` = {:#010x} is below HandlerId::SYSTEM_BASE ({:#010x}): \
-                         runtime handlers must not squat on application id space",
-                        h.name, v, SYSTEM_BASE
-                    ),
-                ));
-            }
-        }
-        match (h.sends, h.recvs) {
-            (0, 0) => violations.push(Violation::new(
-                &h.path,
-                h.line,
-                "handler-unrouted",
-                format!("`{}` is declared but never sent to nor received", h.name),
-            )),
-            (_, 0) => violations.push(Violation::new(
-                &h.path,
-                h.line,
-                "handler-unrouted",
-                format!(
-                    "`{}` is sent ({} site{}) but never registered/received: \
-                     those messages land in the undeliverable count",
-                    h.name,
-                    h.sends,
-                    if h.sends == 1 { "" } else { "s" }
-                ),
-            )),
-            (0, _) => violations.push(Violation::new(
-                &h.path,
-                h.line,
-                "handler-unreachable",
-                format!(
-                    "`{}` is registered ({} site{}) but nothing sends it: dead handler",
-                    h.name,
-                    h.recvs,
-                    if h.recvs == 1 { "" } else { "s" }
-                ),
-            )),
-            _ => {}
-        }
-    }
-    (handlers, violations)
-}
-
-// ---------------------------------------------------------------------------
-// Analysis 2: atomics audit
+// Analysis 1: atomics audit
 // ---------------------------------------------------------------------------
 
 /// One atomic field or static, with every ordering used to access it.
@@ -650,7 +323,7 @@ pub fn atomics_audit(
 }
 
 // ---------------------------------------------------------------------------
-// Analysis 3: trace-event coverage
+// Analysis 2: trace-event coverage
 // ---------------------------------------------------------------------------
 
 /// One `TraceEvent` variant's emission coverage.
@@ -812,161 +485,6 @@ mod tests {
         v.iter()
             .map(|x| (x.path.as_str(), x.line, x.lint))
             .collect()
-    }
-
-    // -- handler graph ------------------------------------------------------
-
-    const HANDLER_OK: &str = "\
-pub const H_GOOD: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 64);
-fn wire(t: &T) {
-    t.am_send(1, H_GOOD, payload);
-    rt.register(H_GOOD, |env| {});
-}
-";
-
-    #[test]
-    fn handler_graph_clean_fixture_passes() {
-        let files = [sf("crates/dcs/src/h.rs", HANDLER_OK)];
-        let (handlers, v) = handler_graph(&files);
-        assert_eq!(handlers.len(), 1);
-        assert_eq!(handlers[0].value, Some(0xFFFF_0040));
-        assert_eq!((handlers[0].sends, handlers[0].recvs), (1, 1));
-        assert!(v.is_empty(), "unexpected: {v:?}");
-    }
-
-    #[test]
-    fn handler_collision_and_range_are_flagged() {
-        let a = sf(
-            "crates/dcs/src/a.rs",
-            "pub const H_ONE: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 7);\n\
-             fn f(t: &T) { t.am_send(0, H_ONE, p); r.register(H_ONE, h); }\n",
-        );
-        let b = sf(
-            "crates/mol/src/b.rs",
-            "pub const H_TWO: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 7);\n\
-             pub const H_LOW: HandlerId = HandlerId(42);\n\
-             fn g(t: &T) { t.am_send(0, H_TWO, p); r.register(H_TWO, h);\n\
-                 t.am_send(0, H_LOW, p); r.register(H_LOW, h); }\n",
-        );
-        let files = [a, b];
-        let (_, v) = handler_graph(&files);
-        assert_eq!(
-            kinds(&v),
-            vec![
-                ("crates/mol/src/b.rs", 1, "handler-collision"),
-                ("crates/mol/src/b.rs", 2, "handler-range"),
-            ],
-            "exactly one collision (at the later decl) and one range violation: {v:?}"
-        );
-    }
-
-    #[test]
-    fn send_without_recv_and_recv_without_send_are_flagged() {
-        let src = sf(
-            "crates/core/src/x.rs",
-            "const H_SENT: u32 = NODE_HANDLER_LIMIT - 9;\n\
-             const H_DEAD: u32 = NODE_HANDLER_LIMIT - 10;\n\
-             fn f(rt: &Rt) {\n\
-                 rt.node_message(1, H_SENT, bytes);\n\
-                 rt.on_node_message(H_DEAD, |ctx, src, p| {});\n\
-             }\n",
-        );
-        let files = [src];
-        let (_, v) = handler_graph(&files);
-        assert_eq!(
-            kinds(&v),
-            vec![
-                ("crates/core/src/x.rs", 1, "handler-unrouted"),
-                ("crates/core/src/x.rs", 2, "handler-unreachable"),
-            ],
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn match_arms_field_inits_and_use_statements_classify_correctly() {
-        let src = sf(
-            "crates/ilb/src/y.rs",
-            "use crate::other::H_ARM;\n\
-             pub const H_ARM: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 80);\n\
-             fn f(env: &Envelope) -> Envelope {\n\
-                 match env.handler {\n\
-                     H_ARM => {}\n\
-                     _ => {}\n\
-                 }\n\
-                 Envelope { handler: H_ARM, payload }\n\
-             }\n",
-        );
-        let files = [src];
-        let (handlers, v) = handler_graph(&files);
-        assert_eq!((handlers[0].sends, handlers[0].recvs), (1, 1));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn test_code_and_foreign_crates_do_not_declare_handlers() {
-        let src = sf(
-            "crates/harness/src/z.rs",
-            "pub const H_NOT_TRACKED: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 5);\n",
-        );
-        let test_decl = sf(
-            "crates/dcs/src/t.rs",
-            "#[cfg(test)]\nmod tests {\n    const H_TEST_ONLY: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 6);\n}\n",
-        );
-        let files = [src, test_decl];
-        let (handlers, _) = handler_graph(&files);
-        assert!(handlers.is_empty(), "{handlers:?}");
-    }
-
-    #[test]
-    fn unregistered_handler_id_fires() {
-        let decl = sf(
-            "crates/mol/src/proto.rs",
-            "pub const H_MOL_ORPHAN: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 40);\n",
-        );
-        let other = sf("crates/mol/src/node.rs", "fn f() {}\n");
-        let (_, v) = handler_graph(&[decl, other]);
-        assert_eq!(
-            kinds(&v),
-            vec![("crates/mol/src/proto.rs", 1, "handler-unrouted")]
-        );
-        assert!(v[0].message.contains("never sent to nor received"));
-    }
-
-    /// Declared in one file, registered and sent in another: the references
-    /// are counted across the whole file set.
-    #[test]
-    fn registered_handler_id_passes() {
-        let decl = sf(
-            "crates/mol/src/proto.rs",
-            "pub const H_MOL_MSG: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 16);\n",
-        );
-        let reg = sf(
-            "crates/mol/src/node.rs",
-            "fn wire(r: &mut Registry, t: &T) { r.register(H_MOL_MSG, on_msg); t.am_send(1, H_MOL_MSG, p); }\n",
-        );
-        let (handlers, v) = handler_graph(&[decl, reg]);
-        assert_eq!((handlers[0].sends, handlers[0].recvs), (1, 1));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn prefix_name_is_not_a_reference() {
-        let decls = sf(
-            "crates/mol/src/proto.rs",
-            "pub const H_MOL: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 30);\n\
-             pub const H_MOL_MSG: HandlerId = HandlerId(HandlerId::SYSTEM_BASE + 16);\n",
-        );
-        let near_miss = sf(
-            "crates/mol/src/node.rs",
-            "fn wire(r: &mut Registry, t: &T) { r.register(H_MOL_MSG, on_msg); t.am_send(1, H_MOL_MSG, p); }\n",
-        );
-        let (_, v) = handler_graph(&[decls, near_miss]);
-        assert_eq!(
-            kinds(&v),
-            vec![("crates/mol/src/proto.rs", 1, "handler-unrouted")],
-            "H_MOL_MSG must not count as a use of H_MOL"
-        );
     }
 
     // -- atomics audit ------------------------------------------------------

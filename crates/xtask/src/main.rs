@@ -18,8 +18,10 @@
 //!   `Bytes::copy_from_slice(..)` payload construction in dcs/mol hot paths
 //!   outside the pool module, outside `allow/batch-hygiene.txt`.
 //!
-//! Three cross-crate analyses (see `analyze.rs`, DESIGN.md §12): the handler
-//! graph, the atomics audit (`allow/atomics.txt`), and trace-event coverage.
+//! Two cross-crate analyses (see `analyze.rs`, DESIGN.md §12): the atomics
+//! audit (`allow/atomics.txt`) and trace-event coverage. Whether each
+//! runtime message kind is both sent and handled is the compiler's check:
+//! each protocol crate keeps its kinds in one crate-private enum.
 //!
 //! `cargo xtask bench-json` runs the substrate benchmarks and aggregates
 //! their per-benchmark JSON lines into the checked-in `BENCH_substrate.json`
@@ -145,10 +147,9 @@ fn lint() -> ExitCode {
             violations.extend(lints::lint_unwrap(f));
         }
     }
-    let (handlers, hv) = analyze::handler_graph(&files);
     let (atomics, av) = analyze::atomics_audit(&files, &atomics_allow, &mut atomics_used);
     let (events, tv) = analyze::trace_coverage(&files);
-    violations.extend(hv.into_iter().chain(av).chain(tv));
+    violations.extend(av.into_iter().chain(tv));
     for (list, used) in [
         (&relaxed_allow, &relaxed_used),
         (&atomics_allow, &atomics_used),
@@ -166,9 +167,8 @@ fn lint() -> ExitCode {
     }
     if violations.is_empty() {
         println!(
-            "xtask lint: OK ({} files, 8 checks: {} handlers, {} atomics, {} trace events; 0 violations)",
+            "xtask lint: OK ({} files, 7 checks: {} atomics, {} trace events; 0 violations)",
             files.len(),
-            handlers.len(),
             atomics.len(),
             events.len()
         );
