@@ -776,15 +776,12 @@ impl<O: Migratable> MolNode<O> {
     /// Send a rank-targeted message (bypasses object routing). System-tagged
     /// messages are visible to [`MolNode::poll_system`].
     pub fn node_message(&mut self, dst: Rank, handler: u32, tag: Tag, payload: Bytes) {
-        let system = tag == Tag::System;
-        self.send(
-            dst,
-            Wire::Node {
-                handler,
-                payload,
-                system,
-            },
-        );
+        let msg = Wire::Node {
+            handler,
+            payload,
+            system: tag == Tag::System,
+        };
+        self.send(dst, msg);
     }
 
     /// Route a (re-)considered envelope: accept locally, send toward the best
@@ -1293,12 +1290,11 @@ impl<O: Migratable> MolNode<O> {
                         self.stats.locupd_sent += 1;
                         // Epoch 0 is a cold fill ("never migrated, lives at
                         // home"), not a stale correction.
-                        let stale = epoch > 0;
                         let ans = Wire::DirAnswer {
                             ptr,
                             owner,
                             epoch,
-                            stale,
+                            stale: epoch > 0,
                         };
                         self.send(sender, ans);
                     }
@@ -1343,12 +1339,11 @@ impl<O: Migratable> MolNode<O> {
         );
         let (owner, epoch) = best.unwrap_or((ptr.home, 0));
         self.stats.locupd_sent += 1;
-        let stale = known > 0 && epoch > known;
         let ans = Wire::DirAnswer {
             ptr,
             owner,
             epoch,
-            stale,
+            stale: known > 0 && epoch > known,
         };
         self.send(src, ans);
     }
