@@ -1,7 +1,7 @@
 //! The Mobile Object Layer wire protocol: six message kinds ride on DCS,
-//! one variant each of the crate-private [`Wire`] enum, which states each
+//! one variant each of the crate-private `Wire` enum, which states each
 //! kind's handler id, tag and codec once, so a kind that nobody handles does
-//! not compile and one that nobody sends is dead code. Object messages
+//! not compile and one that nobody builds is dead code. Object messages
 //! travel as `H_MOL_MSG` frames of [`MolEnvelope`] records, each carrying a
 //! per-(sender, object) sequence number so delivery order is preserved even
 //! across migrations and forwarding chains: what a rank's units send one
