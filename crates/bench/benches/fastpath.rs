@@ -1,14 +1,16 @@
 //! The substrate fast path: the costs PREMA pays *per message* in the layers
 //! above the wire — fan-out, the buffer pool, migration — on the current
 //! `LocalFabric`, and *per unit* through the whole runtime
-//! (`fastpath/runtime_step_local_send`). The wire itself (empty poll,
-//! point-to-point) is benched under the `substrate-ring/*` ids in
-//! `benches/ring.rs`.
+//! (`fastpath/runtime_step_local_send`; on rank 0 of two, with no I/O,
+//! `fastpath/step_empty_handler` and `fastpath/local_message`). The wire
+//! itself (empty poll, point-to-point) is benched under the
+//! `substrate-ring/*` ids in `benches/ring.rs`.
 //!
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
 //! allocator: the runtime-step bench **asserts** that a steady-state
 //! `Runtime::step` followed by its `Completion::report` allocates nothing
-//! and sends nothing, the remote-hop bench that a steady-state remote MOL
+//! and sends nothing, the two-rank step benches the same of a bare
+//! `Runtime::step`, the remote-hop bench that a steady-state remote MOL
 //! hop allocates at most once, and the staged-slice bench that eight staged
 //! remote hops and one pump cost one envelope and at most one allocation,
 //! under `cargo bench --bench fastpath -- --test` too.
@@ -211,6 +213,129 @@ fn bench_runtime_step(c: &mut Criterion) {
     group.finish();
 }
 
+const H_EMPTY: u32 = 2;
+const TWO_RANK_STEPS: usize = 10_000;
+
+/// Rank 0 of a two-rank machine with load balancing off, so nothing it does
+/// goes on the wire: 512 ring-linked [`Hop`] objects, an empty handler
+/// ([`H_EMPTY`]) and the ring hop of [`bench_runtime_step`] ([`H_HOP`])
+/// registered, and `body` run on it. Rank 1 never runs; its endpoint lives
+/// until `body` returns.
+fn on_rank_0_of_2(body: impl FnOnce(&Runtime<Hop>, &[MobilePtr])) {
+    let mut eps = LocalFabric::new(2);
+    let _rank_1 = eps.pop().expect("fabric returns one endpoint per rank");
+    let rank_0 = eps.pop().expect("fabric returns one endpoint per rank");
+    let cfg = PremaConfig::disabled(2);
+    launch_single_rank(cfg, 0, Box::new(rank_0), None, |rt: Runtime<Hop>| {
+        rt.on_message(H_EMPTY, |_ctx, _hop, _item| {});
+        rt.on_message(H_HOP, |ctx, hop, item| {
+            ctx.message(hop.0, H_HOP, Bytes::copy_from_slice(&item.payload));
+        });
+        let ptrs: Vec<MobilePtr> = (0..HOP_OBJECTS)
+            .map(|_| rt.register(Hop(MobilePtr::NULL)))
+            .collect();
+        rt.with_scheduler(|s| {
+            for (i, &p) in ptrs.iter().enumerate() {
+                let hop = s.node_mut().get_mut(p).expect("registered here");
+                hop.0 = ptrs[(i + 1) % HOP_OBJECTS];
+            }
+        });
+        body(&rt, &ptrs);
+    });
+}
+
+/// Run `prepare` then `steps` ([`TWO_RANK_STEPS`] of them) on `rt`, once to
+/// warm up and once counted: the counted steps must neither allocate nor
+/// send. Prints the per-step time of the counted run as `name`.
+fn assert_quiet_steps(
+    rt: &Runtime<Hop>,
+    name: &str,
+    mut prepare: impl FnMut(),
+    mut steps: impl FnMut(),
+) {
+    let msgs_sent = || rt.with_scheduler(|s| s.node().comm().stats().msgs_sent);
+    prepare();
+    steps();
+    prepare();
+    let sent_before = msgs_sent();
+    prema_bench::reset_alloc_count();
+    let t0 = Instant::now();
+    steps();
+    let per_step = t0.elapsed() / TWO_RANK_STEPS as u32;
+    let allocs = prema_bench::alloc_count();
+    let sent = msgs_sent() - sent_before;
+    assert_eq!(
+        allocs, 0,
+        "a steady-state Runtime::step must not allocate: {allocs} allocs / {TWO_RANK_STEPS} steps"
+    );
+    assert_eq!(
+        sent, 0,
+        "a steady-state Runtime::step must not send: {sent} sends / {TWO_RANK_STEPS} steps"
+    );
+    println!("  fastpath/{name}: {per_step:?} per step, 0 allocations, 0 sends");
+}
+
+/// The runtime's own cost per unit: `Runtime::step` on rank 0 of two, on a
+/// unit whose handler does nothing — the lock, the sliced polling
+/// operation, `begin`, `finish` and the hand-off between them. Each sample
+/// queues [`TWO_RANK_STEPS`] 16-byte units over the 512 objects untimed,
+/// then times the steps that drain them; one timed iteration is
+/// [`TWO_RANK_STEPS`] steps.
+fn bench_step_empty_handler(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fastpath");
+    group.sample_size(10);
+    on_rank_0_of_2(|rt, ptrs| {
+        let queue = || {
+            rt.with_scheduler(|s| {
+                for i in 0..TWO_RANK_STEPS {
+                    let payload = Bytes::copy_from_slice(&[i as u8; 16]);
+                    s.node_mut()
+                        .message(ptrs[i % HOP_OBJECTS], H_EMPTY, payload);
+                }
+            })
+        };
+        let steps = || {
+            for _ in 0..TWO_RANK_STEPS {
+                assert!(rt.step(), "a unit was lost");
+            }
+        };
+        assert_quiet_steps(rt, "step_empty_handler", queue, steps);
+        group.bench_function(
+            format!("step_empty_handler_x{}k", TWO_RANK_STEPS / 1000),
+            |b| {
+                queue();
+                b.iter(steps);
+            },
+        );
+    });
+    group.finish();
+}
+
+/// [`bench_step_empty_handler`] with the handler of
+/// [`bench_runtime_step`]: 64 tokens hopping along the ring of objects,
+/// each unit one 16-byte local message — what `finish` adds for a send, and
+/// the MOL's local accept. One timed iteration is [`TWO_RANK_STEPS`] steps.
+fn bench_local_message(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fastpath");
+    group.sample_size(10);
+    on_rank_0_of_2(|rt, ptrs| {
+        for t in 0..HOP_TOKENS {
+            let payload = Bytes::copy_from_slice(&[t as u8; 16]);
+            rt.message(ptrs[t * HOP_OBJECTS / HOP_TOKENS], H_HOP, payload);
+        }
+        let steps = || {
+            for _ in 0..TWO_RANK_STEPS {
+                assert!(rt.step(), "a token was lost");
+            }
+        };
+        assert_quiet_steps(rt, "local_message", || {}, steps);
+        group.bench_function(format!("local_message_x{}k", TWO_RANK_STEPS / 1000), |b| {
+            b.iter(steps)
+        });
+    });
+    group.finish();
+}
+
 const REMOTE_HOPS: usize = 10_000;
 
 /// One remote MOL hop: on a two-rank `LocalFabric` driven from this thread,
@@ -321,6 +446,8 @@ criterion_group!(
     bench_pool_hit_rate,
     bench_migrate_cost,
     bench_runtime_step,
+    bench_step_empty_handler,
+    bench_local_message,
     bench_remote_hop,
     bench_staged_slice
 );

@@ -13,12 +13,12 @@
 //!
 //! # Locking discipline
 //!
-//! Each rank's [`Scheduler`] sits behind a mutex shared by the application
-//! thread and the polling thread. Crucially, **work-unit handlers execute
-//! with the lock released**: [`ilb::Scheduler::begin`] detaches the target
-//! object and returns an [`ilb::Execution`]; the handler then runs outside
-//! the lock; [`ilb::Scheduler::finish`] re-attaches under the lock. The
-//! polling thread can therefore process system messages — including
+//! Each rank's [`ilb::Scheduler`] sits behind a mutex shared by the
+//! application thread and the polling thread. Crucially, **work-unit handlers
+//! execute with the lock released**: [`ilb::Scheduler::begin`] detaches the
+//! target object and returns an [`ilb::Execution`]; the handler then runs
+//! outside the lock; [`ilb::Scheduler::finish`] re-attaches under the lock.
+//! The polling thread can therefore process system messages — including
 //! migrating *other* objects away — in the middle of a long work unit,
 //! exactly the preemption PREMA's implicit mode provides (§4.2). The
 //! executing object itself is never migrated, preserving the paper's
@@ -31,16 +31,20 @@
 //! polls only when [`ilb::Scheduler::poll_due`] says so: before every unit
 //! while the rank's queue is empty or its units are a
 //! [`prema_dcs::WIRE_SLICE`] long, and once per slice (on the rank's
-//! monotonic [`Clock`]) while it works through shorter ones. What arrives
-//! for the rank waits at most one slice, and so do the object messages its
-//! units send to other ranks: a unit's `finish` appends each to its peer's
-//! frame, and every frame leaves at the rank's next polling operation, one
-//! frame a peer (DESIGN.md §11). That is within one slice while the rank
-//! runs short units, at once when its queue runs dry or its units are a
-//! slice long, and at the polling thread's next pass if a long unit starts
-//! first. Every other poll — [`Runtime::poll`], the polling thread's pass —
-//! runs whenever it is called, and what is still staged when a rank's
-//! `main` returns leaves then.
+//! monotonic [`Clock`]) while it works through shorter ones. It reads that
+//! clock on every k-th unit only, k = clamp(units per slice ÷ 4, 1, 8)
+//! from the last slice that ended by the clock, so k is 1 while units are a
+//! slice long; after units suddenly lengthen, a poll comes at most k − 1
+//! units late. What arrives for the rank waits at most one slice, those
+//! k − 1 units aside, and so do the object messages its units send to
+//! other ranks: a unit's `finish` appends each to its peer's frame, and
+//! every frame leaves at the rank's next polling operation, one frame a
+//! peer (DESIGN.md §11). That is within one slice while the rank runs short
+//! units, at once when its queue runs dry or its units are a slice long,
+//! and at the polling thread's next pass if a long unit starts first. Every
+//! other poll — [`Runtime::poll`], the polling thread's pass — runs
+//! whenever it is called, and what is still staged when a rank's `main`
+//! returns leaves then.
 //!
 //! # One flush per lock hold
 //!
@@ -48,7 +52,7 @@
 //! posted through this handle, migrations, load-balancing traffic — is
 //! handed to its transport during a hold of the scheduler lock, and every
 //! hold ends with [`Transport::flush`]: the lock is only ever taken through
-//! [`Locked`], whose drop flushes before it unlocks. So what one polling
+//! `Locked`, whose drop flushes before it unlocks. So what one polling
 //! pass, unit completion, registration or migration sent leaves together,
 //! in one `sendmmsg` on the UDP wire, and a polling thread's reply does not
 //! wait for a later receive call while the application thread sits in a
@@ -209,28 +213,29 @@ impl<O: Migratable> Runtime<O> {
 
     /// One turn of PREMA's cycle: the polling operation if it is due
     /// ([`ilb::Scheduler::poll_due`]: always on an empty queue, else once
-    /// per [`prema_dcs::WIRE_SLICE`]), then one queued work unit, if any.
+    /// per [`prema_dcs::WIRE_SLICE`], the clock read every k-th unit), then
+    /// one queued work unit, if any.
     /// The handler runs **without** holding the runtime lock; what it sent
     /// is applied when it returns and leaves the rank at its next polling
     /// operation (see module docs). Returns `false` if the local queue was
     /// empty.
     pub fn step(&self) -> bool {
-        let exec = {
+        let mut exec = {
             let mut s = self.lock();
             if s.poll_due() {
                 s.poll();
             }
             s.begin()
         };
-        match exec {
-            Some(mut exec) => {
-                self.start_poller();
-                exec.run(); // lock released: polling thread is live here
-                self.lock().finish(exec);
-                true
-            }
-            None => false,
-        }
+        // The unit stays where `begin` wrote it: run and finish take it by
+        // reference.
+        let Some(exec) = &mut exec else {
+            return false;
+        };
+        self.start_poller();
+        exec.run(); // lock released: polling thread is live here
+        self.lock().finish_in_place(exec);
+        true
     }
 
     /// Poll and execute until `done` returns true. Parks briefly when idle

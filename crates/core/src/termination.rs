@@ -184,7 +184,7 @@ impl Completion {
     }
 
     /// Liveness backstop for lossy wires: call once per iteration of the
-    /// completion wait loop. Every [`REREPORT_EVERY`] calls while not yet
+    /// completion wait loop. Every `REREPORT_EVERY` calls while not yet
     /// done, a rank other than 0 re-sends its cumulative total — recovering
     /// lost reports, and prompting an already-done rank 0 to re-send the
     /// *done* broadcast if that was what got lost. A no-op once done, and on

@@ -38,7 +38,9 @@ impl Clock {
         Clock(Source::Manual(Arc::default()))
     }
 
-    /// The current reading.
+    /// The current reading. `#[inline]`: the scheduler reads it from
+    /// another crate, and the workspace builds without LTO.
+    #[inline]
     pub fn now(&self) -> Duration {
         match &self.0 {
             Source::Monotonic(origin) => origin.elapsed(),

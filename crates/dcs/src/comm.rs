@@ -37,6 +37,10 @@ pub struct CommStats {
 /// A rank's endpoint: sends, polls, counters, sideline queue.
 pub struct Communicator {
     transport: Box<dyn Transport>,
+    /// `transport.rank()` and `transport.nprocs()`, which never change:
+    /// read on every unit, so read once.
+    rank: Rank,
+    nprocs: usize,
     sidelined: RefCell<VecDeque<Envelope>>,
     stats: Cell<CommStats>,
     tracer: Tracer,
@@ -46,6 +50,8 @@ impl Communicator {
     /// Wrap a transport endpoint.
     pub fn new(transport: Box<dyn Transport>) -> Self {
         Communicator {
+            rank: transport.rank(),
+            nprocs: transport.nprocs(),
             transport,
             sidelined: RefCell::new(VecDeque::new()),
             stats: Cell::new(CommStats::default()),
@@ -58,14 +64,19 @@ impl Communicator {
         self.tracer = tracer;
     }
 
+    // `rank`, `nprocs` and `flush` are `#[inline]`: the workspace builds
+    // without LTO, and every unit reaches them from another crate.
+
     /// This rank.
+    #[inline]
     pub fn rank(&self) -> Rank {
-        self.transport.rank()
+        self.rank
     }
 
     /// Machine size.
+    #[inline]
     pub fn nprocs(&self) -> usize {
-        self.transport.nprocs()
+        self.nprocs
     }
 
     /// Send an active message: `handler` will run at `dst` with `payload`.
@@ -120,6 +131,7 @@ impl Communicator {
     }
 
     /// Put everything sent so far on the wire ([`Transport::flush`]).
+    #[inline]
     pub fn flush(&self) {
         self.transport.flush();
     }

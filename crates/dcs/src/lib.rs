@@ -1,7 +1,7 @@
 //! # prema-dcs — Data-movement and Control Substrate
 //!
 //! The communication layer beneath PREMA (Barker et al., *Concurrency P&E*
-//! 14:77–101, 2002 — reference [2] of the SC'03 paper): **single-sided,
+//! 14:77–101, 2002 — reference \[2\] of the SC'03 paper): **single-sided,
 //! Active-Messages-style communication**. A message names a handler to run at
 //! its destination; receivers learn about messages only by polling, exactly
 //! like the MPI-over-polling substrate the paper's experiments ran on.
@@ -39,7 +39,7 @@
 //!   [`Transport::flush`] or wire slice, batched `sendmmsg`/`recvmmsg` I/O,
 //!   a versioned header, and a join handshake, so ranks run as separate OS
 //!   processes (see `prema-launch`).
-//! * [`env`] — validated `PREMA_*` environment-knob parsing (warn-once on
+//! * [`env`](mod@env) — validated `PREMA_*` environment-knob parsing (warn-once on
 //!   malformed values, range-checked probabilities), shared by every layer.
 //! * [`fxmap`] — Fx-hashed map aliases for runtime-internal keys (fast,
 //!   deterministic, not DoS-resistant).

@@ -9,8 +9,8 @@
 //! # The shared-nothing ring mesh
 //!
 //! Every ordered rank pair (including self-sends) owns a private
-//! single-producer/single-consumer ring (see [`crate::ring`]): the sender
-//! holds the producer end, the receiver the consumer end, and the
+//! single-producer/single-consumer ring (the crate-private `ring` module):
+//! the sender holds the producer end, the receiver the consumer end, and the
 //! steady-state path crosses **no** lock and **no** contended RMW — a send
 //! is a slot write plus three uncontended atomics (tail publish, readiness
 //! mark, parked-waiter probe), and it allocates nothing. Two earlier
@@ -23,12 +23,12 @@
 //! - **Empty poll**: a receiver-side readiness bitmask (one bit per peer,
 //!   marked by senders after each push) lets `try_recv` answer "nothing
 //!   pending" from ⌈n/64⌉ relaxed word loads — no ring is touched.
-//! - **Blocking receive**: a per-rank [`ring::Parker`] eventcount gives
+//! - **Blocking receive**: a per-rank `ring::Parker` eventcount gives
 //!   `recv_timeout` a sleep that senders can wake for the cost of one
 //!   atomic load on the no-waiter fast path, preserving the prompt-wake
 //!   and bounded-timeout behavior the model-checked shutdown relies on.
 //! - **Backpressure**: a full ring spills to that pair's unbounded
-//!   [`ring::Overflow`] side channel, so `send` keeps the never-blocks /
+//!   `ring::Overflow` side channel, so `send` keeps the never-blocks /
 //!   never-drops contract the decorators (`ReliableTransport`,
 //!   `ChaosTransport`) assume. Spill order invariant:
 //!   from the first spill until the receiver drains the overflow empty, the

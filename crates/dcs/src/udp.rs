@@ -1125,7 +1125,7 @@ impl Transport for UdpTransport {
     }
 
     /// Closes every open datagram and pushes every closed one to the kernel
-    /// — `sendmmsg` in [`IO_BATCH`]-sized chunks; reads nothing. Each buffer
+    /// — `sendmmsg` in `IO_BATCH`-sized chunks; reads nothing. Each buffer
     /// goes back to the pool as the staged list is cleared after the
     /// syscalls.
     fn flush(&self) {

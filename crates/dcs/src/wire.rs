@@ -74,12 +74,19 @@ impl WireWriter {
 }
 
 /// Sequentially decode a payload written by [`WireWriter`].
+///
+/// The readers are `#[inline]` for the reason the writers are: each is a
+/// length test and a load, reached from another crate once per field of
+/// every record decoded. `try_bytes` and `try_usize` are always inlined,
+/// where the compiler's cost model would leave each record's read of them
+/// a call.
 pub struct WireReader {
     buf: Bytes,
 }
 
 impl WireReader {
     /// Wrap a payload for reading.
+    #[inline]
     pub fn new(buf: Bytes) -> Self {
         Self { buf }
     }
@@ -89,6 +96,7 @@ impl WireReader {
     /// Every reader is fallible: payloads arrive off the wire, and a
     /// truncated or hostile message must be droppable without aborting the
     /// rank. A failed read consumes nothing.
+    #[inline]
     pub fn try_u64(&mut self) -> Option<u64> {
         if self.buf.remaining() < 8 {
             return None;
@@ -97,6 +105,7 @@ impl WireReader {
     }
 
     /// Read a `u32`, or `None` on underflow.
+    #[inline]
     pub fn try_u32(&mut self) -> Option<u32> {
         if self.buf.remaining() < 4 {
             return None;
@@ -105,6 +114,7 @@ impl WireReader {
     }
 
     /// Read an `f64`, or `None` on underflow.
+    #[inline]
     pub fn try_f64(&mut self) -> Option<f64> {
         if self.buf.remaining() < 8 {
             return None;
@@ -120,6 +130,7 @@ impl WireReader {
     /// payload that outlives its frame — a queued work unit — never pins
     /// the ring frame, datagram or migration packet it arrived in, and that
     /// buffer can go back to the [`crate::pool`] as soon as it is decoded.
+    #[inline(always)]
     pub fn try_bytes(&mut self) -> Option<Bytes> {
         let len = self.try_u32()? as usize;
         if self.buf.remaining() < len {
@@ -136,11 +147,13 @@ impl WireReader {
     /// Read a `u64` and narrow it to `usize`, returning `None` on underflow
     /// or if the value does not fit (a corrupt count on a 32-bit target must
     /// not truncate silently).
+    #[inline(always)]
     pub fn try_usize(&mut self) -> Option<usize> {
         usize::try_from(self.try_u64()?).ok()
     }
 
     /// Bytes left unread.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.remaining()
     }

@@ -1,7 +1,7 @@
 //! # prema-ilb — the Implicit Load Balancing framework
 //!
 //! PREMA's load-balancing layer (Barker, Chernikov, Chrisochoides, Pingali —
-//! reference [1] of the SC'03 paper). It separates the dynamic load-balancing
+//! reference \[1\] of the SC'03 paper). It separates the dynamic load-balancing
 //! problem into the three steps of §2 — information dissemination, decision
 //! making, migration — and makes each pluggable:
 //!

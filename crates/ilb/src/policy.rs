@@ -3,10 +3,10 @@
 //! PREMA's framework separates *mechanism* (message routing, migration,
 //! preemptive polling — the scheduler) from *policy* (when to move work,
 //! where, how much — this module). The paper ships Work Stealing as its
-//! running example and mentions a suite including Diffusion (Cybenko [7]) and
-//! Multilist Scheduling (Wu [23]); all three are provided here, plus a
+//! running example and mentions a suite including Diffusion (Cybenko \[7\]) and
+//! Multilist Scheduling (Wu \[23\]); all three are provided here, plus a
 //! gradient-model variant, all behind one [`LbPolicy`] trait so applications
-//! can plug in their own (reference [1]).
+//! can plug in their own (reference \[1\]).
 //!
 //! Policies are **pure decision logic**: no I/O, no clocks. The same policy
 //! objects drive both the real threaded runtime and the discrete-event
@@ -202,7 +202,7 @@ impl LbPolicy for WorkStealing {
     }
 }
 
-/// **Diffusion** (Cybenko [7]): load flows along neighborhood edges
+/// **Diffusion** (Cybenko \[7\]): load flows along neighborhood edges
 /// proportionally to load differences, `flow(i→j) = (w_i − w_j)/(deg+1)`.
 /// Purely sender-initiated; converges to global balance through local action.
 pub struct Diffusion {
@@ -271,7 +271,7 @@ impl LbPolicy for Diffusion {
     }
 }
 
-/// **Multilist Scheduling** (Wu [23]): conceptually, idle processors pull
+/// **Multilist Scheduling** (Wu \[23\]): conceptually, idle processors pull
 /// from a distributed set of priority lists. Serial reconstruction:
 /// receiver-initiated with *best-of-known* victim selection — an idle
 /// processor consults every load report it has and raids the longest list.

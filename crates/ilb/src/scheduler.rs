@@ -22,6 +22,7 @@ use prema_dcs::{Clock, FxHashMap, Rank, Tag, WireReader, WireWriter, WIRE_SLICE}
 use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode, WorkItem};
 use prema_trace::{TraceEvent, Tracer};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Node-message id of a load report (top of the u32 space, above
 /// [`NODE_HANDLER_LIMIT`]; `lb_wire_layout_is_pinned` pins all three).
@@ -153,23 +154,29 @@ enum Outgoing {
     },
 }
 
+// `#[inline]`: a handler lives in the application's crate, and the
+// workspace builds without LTO; each send is a push onto the buffer.
 impl HandlerCtx {
     /// This rank.
+    #[inline]
     pub fn rank(&self) -> Rank {
         self.rank
     }
 
     /// Machine size.
+    #[inline]
     pub fn nprocs(&self) -> usize {
         self.nprocs
     }
 
     /// Send a message to a mobile object (the paper's `ilb_message`).
+    #[inline]
     pub fn message(&mut self, ptr: MobilePtr, handler: u32, payload: Bytes) {
         self.message_with_hint(ptr, handler, 1.0, payload);
     }
 
     /// [`HandlerCtx::message`] with a computational weight hint.
+    #[inline]
     pub fn message_with_hint(&mut self, ptr: MobilePtr, handler: u32, hint: f64, payload: Bytes) {
         self.outgoing.push(Outgoing::Object {
             ptr,
@@ -266,7 +273,17 @@ pub struct Scheduler<O: Migratable> {
     clock: Clock,
     /// When [`Scheduler::poll`] last ran, on `clock`; `None` before the
     /// first.
-    last_poll: Option<std::time::Duration>,
+    last_poll: Option<Duration>,
+    /// `k`: [`Scheduler::poll_due`] reads `clock` on every k-th call with
+    /// work queued ([`clock_stride`]).
+    clock_every: u32,
+    /// Calls to [`Scheduler::poll_due`] left until its next reading.
+    clock_left: u32,
+    /// The reading by which [`Scheduler::poll_due`] last found the poll
+    /// due, for the [`Scheduler::poll`] that follows it to reuse.
+    due_reading: Option<Duration>,
+    /// [`Scheduler::units_begun`] at the last poll.
+    begun_at_poll: u64,
     /// Migration stability governor (DESIGN.md §14).
     governor: Governor,
     /// `policy.neighborhood(rank, nprocs)`, fixed for the run, each rank with
@@ -277,6 +294,12 @@ pub struct Scheduler<O: Migratable> {
     /// The send buffer of the last finished unit, emptied, for the next
     /// [`Scheduler::begin`] to hand its [`HandlerCtx`].
     spare_outgoing: Vec<Outgoing>,
+    /// The last finished unit's handler, under its id: the next
+    /// [`Scheduler::begin`] for the same id hands it on as it is, so a rank
+    /// running one handler neither looks it up nor counts a reference to
+    /// it per unit. Handlers are never replaced, so it is always the one
+    /// `handlers` holds.
+    spare_handler: Option<(u32, WorkHandler<O>)>,
     tracer: Tracer,
 }
 
@@ -306,9 +329,14 @@ impl<O: Migratable> Scheduler<O> {
             polls: 0,
             clock: Clock::manual(),
             last_poll: None,
+            clock_every: 1,
+            clock_left: 1,
+            due_reading: None,
+            begun_at_poll: 0,
             governor: Governor::new(StabilityConfig::default()),
             neighborhood,
             spare_outgoing: Vec::new(),
+            spare_handler: None,
             tracer: Tracer::off(),
         }
     }
@@ -443,7 +471,7 @@ impl<O: Migratable> Scheduler<O> {
     /// of protocol events handled.
     pub fn poll(&mut self) -> usize {
         self.polls += 1;
-        self.last_poll = Some(self.clock.now());
+        self.start_slice();
         let events = self.node.pump();
         let n = events.len();
         self.tracer.emit(|| TraceEvent::Poll { events: n as u32 });
@@ -465,13 +493,55 @@ impl<O: Migratable> Scheduler<O> {
     /// scheduler's clock since the last. A rank working through
     /// sub-microsecond units thus pumps its wire and weighs its load once per
     /// slice, not once per unit, while a unit a slice long or longer polls
-    /// before every unit as before. `prema::Runtime::step` asks this; every
-    /// other caller polls unconditionally.
-    pub fn poll_due(&self) -> bool {
-        self.node.ready_len() == 0
-            || self
-                .last_poll
-                .is_none_or(|last| self.clock.now() >= last + WIRE_SLICE)
+    /// before every unit as before. `prema::Runtime::step` asks this before
+    /// every unit; every other caller polls unconditionally.
+    ///
+    /// With work queued it reads the clock on every k-th call only, k =
+    /// clamp(units per slice ÷ 4, 1, 8), the units counted over the last
+    /// slice that ended by the clock and scaled to one [`WIRE_SLICE`] of its
+    /// time. k is 1 before the first such slice, after any other poll, and
+    /// while units are a slice long, so those polls come exactly as if the
+    /// clock were read every call. The bound: after units suddenly
+    /// lengthen, a poll comes at most k − 1 units late, and the slice it
+    /// ends counts the longer units at the rate they ran, so the next k
+    /// fits them (1 once they are over an eighth of a slice). A call that
+    /// finds the poll due keeps its reading for the [`Scheduler::poll`]
+    /// that follows, which takes no reading of its own.
+    pub fn poll_due(&mut self) -> bool {
+        if self.node.ready_len() == 0 {
+            return true;
+        }
+        let Some(last) = self.last_poll else {
+            return true;
+        };
+        if self.clock_left > 1 {
+            self.clock_left -= 1;
+            return false;
+        }
+        self.clock_left = self.clock_every;
+        let now = self.clock.now();
+        let due = now >= last + WIRE_SLICE;
+        if due {
+            self.due_reading = Some(now);
+        }
+        due
+    }
+
+    /// A poll starts a slice: take the time — the reading
+    /// [`Scheduler::poll_due`] found it due by, if it did, else the clock's
+    /// — and set the next slice's k from the one that just ended, if that
+    /// one ended by the clock, else to 1.
+    fn start_slice(&mut self) {
+        let reading = self.due_reading.take();
+        let now = reading.unwrap_or_else(|| self.clock.now());
+        let begun = self.units_begun();
+        self.clock_every = match (reading, self.last_poll) {
+            (Some(_), Some(last)) => clock_stride(begun - self.begun_at_poll, now - last),
+            _ => 1,
+        };
+        self.clock_left = self.clock_every;
+        self.begun_at_poll = begun;
+        self.last_poll = Some(now);
     }
 
     /// The *preemptive* poll: processes only system-generated traffic
@@ -510,13 +580,19 @@ impl<O: Migratable> Scheduler<O> {
             self.executing.is_none(),
             "begin() while a unit is executing"
         );
+        // A reading `poll_due` kept for a poll that did not follow is stale.
+        self.due_reading = None;
         loop {
             let item = self.node.pop_work()?;
             // Resolve the handler before detaching the object: a work item
             // for an unregistered handler id (one malformed or hostile
             // remote message) must be droppable without aborting the rank —
             // and without leaving its object detached.
-            let Some(handler) = self.handlers.get(&item.handler).cloned() else {
+            let handler = match self.spare_handler.take() {
+                Some((id, h)) if id == item.handler => Some(h),
+                _ => self.handlers.get(&item.handler).cloned(),
+            };
+            let Some(handler) = handler else {
                 self.stats.dropped_work += 1;
                 let peer = item.sender;
                 let handler = item.handler;
@@ -543,7 +619,7 @@ impl<O: Migratable> Scheduler<O> {
             return Some(Execution {
                 item,
                 obj: Some(obj),
-                handler,
+                handler: Some(handler),
                 ctx: HandlerCtx {
                     rank: self.rank(),
                     nprocs: self.nprocs(),
@@ -560,26 +636,31 @@ impl<O: Migratable> Scheduler<O> {
     /// operation weighs the load and sends them, at most a [`WIRE_SLICE`]
     /// away under `prema::Runtime::step`, and at once if the queue ran dry.
     /// A [`Scheduler::poll_system`] in between sends them too.
-    pub fn finish(&mut self, exec: Execution<O>) {
-        let Execution {
-            item, obj, mut ctx, ..
-        } = exec;
-        let obj = obj.expect("execution finished twice");
-        assert_eq!(
-            self.executing,
-            Some(item.ptr),
-            "finish() does not match begin()"
-        );
-        self.node.put_object(item.ptr, obj);
+    pub fn finish(&mut self, mut exec: Execution<O>) {
+        self.finish_in_place(&mut exec);
+    }
+
+    /// [`Scheduler::finish`] on an execution the caller keeps, which is
+    /// spent afterwards: it gives back the object, its send buffer and its
+    /// handler, and what is left is the work item. The caller moves nothing
+    /// across the lock but a reference: `prema::Runtime::step` runs a unit
+    /// where [`Scheduler::begin`] wrote it.
+    pub fn finish_in_place(&mut self, exec: &mut Execution<O>) {
+        let obj = exec.obj.take().expect("execution finished twice");
+        let ptr = exec.item.ptr;
+        assert_eq!(self.executing, Some(ptr), "finish() does not match begin()");
+        self.node.put_object(ptr, obj);
         self.executing = None;
         self.executing_weight = 0.0;
         self.stats.executed += 1;
         self.tracer.emit(|| TraceEvent::ExecFinish {
-            home: item.ptr.home,
-            index: item.ptr.index,
+            home: ptr.home,
+            index: ptr.index,
         });
-        self.apply_outgoing(&mut ctx.outgoing);
-        self.spare_outgoing = ctx.outgoing;
+        let mut outgoing = std::mem::take(&mut exec.ctx.outgoing);
+        self.apply_outgoing(&mut outgoing);
+        self.spare_outgoing = outgoing;
+        self.spare_handler = exec.handler.take().map(|h| (exec.item.handler, h));
         #[cfg(feature = "check-invariants")]
         self.verify_invariants();
     }
@@ -613,14 +694,13 @@ impl<O: Migratable> Scheduler<O> {
     /// not poll, so nothing it does reaches the balancer until the caller
     /// next does.
     pub fn step(&mut self) -> bool {
-        match self.begin() {
-            Some(mut exec) => {
-                exec.run();
-                self.finish(exec);
-                true
-            }
-            None => false,
-        }
+        let mut exec = self.begin();
+        let Some(exec) = &mut exec else {
+            return false;
+        };
+        exec.run();
+        self.finish_in_place(exec);
+        true
     }
 
     /// Send what a handler buffered, leaving the buffer empty (and its
@@ -1017,17 +1097,31 @@ impl<O: Migratable> Scheduler<O> {
 pub struct Execution<O: Migratable> {
     /// The triggering message.
     pub item: WorkItem,
+    /// The object, and the handler: both `None` once finished.
     obj: Option<O>,
-    handler: WorkHandler<O>,
+    handler: Option<WorkHandler<O>>,
     ctx: HandlerCtx,
 }
 
 impl<O: Migratable> Execution<O> {
     /// Execute the handler. May be called exactly once, from any thread.
     pub fn run(&mut self) {
-        let obj = self.obj.as_mut().expect("run() after finish");
-        (self.handler)(&mut self.ctx, obj, &self.item);
+        let (Some(obj), Some(handler)) = (&mut self.obj, &self.handler) else {
+            panic!("run() after finish");
+        };
+        handler(&mut self.ctx, obj, &self.item);
     }
+}
+
+/// `k` of [`Scheduler::poll_due`]: a quarter of the units `held` over a
+/// slice that ended `elapsed` after it began, scaled to one [`WIRE_SLICE`],
+/// within 1..=8. A slice that ran late because its units lengthened
+/// (`elapsed` well past a slice) counts its units at the rate they ran.
+fn clock_stride(held: u64, elapsed: Duration) -> u32 {
+    const MAX: u64 = 8;
+    let slice = WIRE_SLICE.as_nanos() as u64;
+    let elapsed = (elapsed.as_nanos() as u64).max(slice);
+    (held.saturating_mul(slice) / elapsed / 4).clamp(1, MAX) as u32
 }
 
 #[cfg(test)]
@@ -1253,6 +1347,70 @@ mod tests {
         assert!(!s.poll_due());
         assert!(s.step());
         assert!(s.poll_due(), "the last unit emptied the queue");
+    }
+
+    /// `Runtime::step`'s turn on a lone rank: the poll if it is due, then
+    /// one unit that takes `unit` on the clock. Returns whether it polled.
+    fn paced_step(s: &mut Scheduler<Unit>, clock: &Clock, unit: Duration) -> bool {
+        let polled = s.poll_due();
+        if polled {
+            s.poll();
+        }
+        assert!(s.step(), "work queued");
+        clock.advance(unit);
+        polled
+    }
+
+    #[test]
+    fn the_clock_is_read_every_k_units_and_a_switch_to_long_units_polls_within_k_minus_one() {
+        let (mut s, clock) = lone_rank(1_000);
+        s.poll();
+        // A slice of 1 µs units: 50 to the slice, a quarter of that capped.
+        for _ in 0..60 {
+            paced_step(&mut s, &clock, Duration::from_micros(1));
+        }
+        assert_eq!(s.clock_every, 8, "k after a slice of short units");
+        // The worst case: the clock was read (or a poll taken) just now.
+        while s.clock_left != s.clock_every {
+            paced_step(&mut s, &clock, Duration::from_micros(1));
+        }
+        let k = s.clock_every as usize;
+        // Units suddenly a slice long: every unit from here on ends past
+        // the slice, and a clock read each call would poll before each.
+        let late = (0..)
+            .take_while(|_| !paced_step(&mut s, &clock, WIRE_SLICE))
+            .count();
+        assert_eq!(late, k - 1, "at most k - 1 units late, and no fewer here");
+        assert_eq!(s.clock_every, 1, "the late slice counts the long units");
+        for _ in 0..20 {
+            assert!(paced_step(&mut s, &clock, WIRE_SLICE), "k = 1 again");
+        }
+    }
+
+    #[test]
+    fn a_poll_the_clock_did_not_call_for_sets_k_to_one() {
+        let (mut s, clock) = lone_rank(1_000);
+        s.poll();
+        for _ in 0..60 {
+            paced_step(&mut s, &clock, Duration::from_micros(1));
+        }
+        assert_eq!(s.clock_every, 8);
+        for _ in 0..20 {
+            paced_step(&mut s, &clock, Duration::from_micros(1));
+        }
+        assert_eq!(s.clock_every, 8, "no slice has ended by the clock since");
+        // The application's own poll, 20-odd units into a slice.
+        s.poll();
+        assert_eq!(s.clock_every, 1);
+    }
+
+    #[test]
+    fn slice_long_units_poll_before_every_unit() {
+        let (mut s, clock) = lone_rank(100);
+        for _ in 0..99 {
+            assert!(paced_step(&mut s, &clock, WIRE_SLICE));
+            assert_eq!(s.clock_every, 1);
+        }
     }
 
     /// The peer of a draining rank must be able to read every load report on

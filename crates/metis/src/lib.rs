@@ -2,7 +2,7 @@
 //!
 //! The stop-and-repartition baseline of the SC'03 paper uses ParMETIS V3's
 //! `AdaptiveRepart()` — the Unified Repartitioning Algorithm of Schloegel,
-//! Karypis and Kumar (reference [19]). This crate reimplements that family
+//! Karypis and Kumar (reference \[19\]). This crate reimplements that family
 //! from scratch:
 //!
 //! * [`graph`] — CSR graphs with vertex weights (computation), vertex sizes

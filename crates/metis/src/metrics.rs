@@ -1,7 +1,7 @@
 //! Partition quality metrics: edge-cut, balance, and redistribution cost.
 //!
 //! These are the terms of the Unified Repartitioning Algorithm's objective
-//! `|Ecut| + α·|Vmove|` (Schloegel, Karypis, Kumar — reference [19] of the
+//! `|Ecut| + α·|Vmove|` (Schloegel, Karypis, Kumar — reference \[19\] of the
 //! paper): minimize communication during computation plus α times the data
 //! volume moved by the repartitioning itself.
 

@@ -2,7 +2,7 @@
 //!
 //! The global-namespace and migration substrate of PREMA (Chrisochoides,
 //! Barker, Nave, Hawblitzel — *Mobile object layer: a runtime substrate for
-//! parallel adaptive and irregular computations*, 2000; reference [6] of the
+//! parallel adaptive and irregular computations*, 2000; reference \[6\] of the
 //! SC'03 paper).
 //!
 //! Applications decompose their data domain into **mobile objects** (mesh

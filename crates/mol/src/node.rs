@@ -15,7 +15,7 @@
 //!
 //! Everything a rank knows about one mobile pointer — residency, the cached
 //! location, the forward pointer, the outgoing sequence counter, parked
-//! messages — lives in a single [`DirEntry`] inside one Fx-hashed directory,
+//! messages — lives in a single `DirEntry` inside one Fx-hashed directory,
 //! so the per-message fast paths (send, receive, forward) pay **one** map
 //! probe instead of one per concern. This is the MOL half of the O(1)
 //! message fast path; the transport half is `prema_dcs::transport`.

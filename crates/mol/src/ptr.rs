@@ -2,7 +2,7 @@
 //!
 //! A [`MobilePtr`] is a location-independent name for a mobile object
 //! (Chrisochoides et al., *Advances in Engineering Software* 31(8-9), 2000 —
-//! reference [6] of the SC'03 paper). It encodes the *home* rank that
+//! reference \[6\] of the SC'03 paper). It encodes the *home* rank that
 //! allocated the name plus a per-home index; the pair is unique machine-wide
 //! without any coordination. A mobile pointer stays valid as the object
 //! migrates — the Mobile Object Layer routes messages to wherever the object

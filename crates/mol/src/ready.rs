@@ -47,15 +47,32 @@ use std::collections::VecDeque;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Weight(u128);
 
+// `of` and `get` take the `f64` apart and put it together by hand, where
+// `(hint * 2⁶⁴) as u128` and `u128 as f64 / 2⁶⁴` would call the compiler's
+// `__fixunsdfti` and `__floatuntidf` once per queued unit; the results are
+// the same bit for bit (`the_weight_is_the_scaled_cast_bit_for_bit`).
 impl Weight {
-    /// 2⁶⁴, the fixed-point scale.
-    const SCALE: f64 = 18_446_744_073_709_551_616.0;
-
-    /// The weight of one hint.
+    /// The weight of one hint: `hint · 2⁶⁴`, truncated toward zero, as the
+    /// saturating cast would — NaN and negatives to 0, anything from 2⁶⁴
+    /// up to `u128::MAX`.
     pub fn of(hint: f64) -> Weight {
-        // Scaling by a power of two is exact; the cast saturates (NaN and
-        // negatives to 0, overflow to `u128::MAX`).
-        Weight((hint * Self::SCALE) as u128)
+        let bits = hint.to_bits();
+        let biased = (bits >> 52) as u32; // sign bit included
+        if hint.is_nan() || biased == 0 || biased >= 0x800 {
+            // NaN, zero or subnormal (below 2⁻¹⁰²², so under 2⁻⁶⁴ scaled),
+            // or negative.
+            return Weight(0);
+        }
+        // hint = m · 2^(biased − 1075), so hint · 2⁶⁴ = m · 2^shift.
+        let m = (bits & ((1 << 52) - 1)) | (1 << 52);
+        let shift = biased as i32 - 1011;
+        Weight(match shift {
+            ..=-53 => 0,
+            -52..=-1 => u128::from(m >> -shift),
+            // m has 53 bits: up to 2^75 it fits (infinity lands past it).
+            0..=75 => u128::from(m) << shift,
+            _ => u128::MAX,
+        })
     }
 
     pub fn add(&mut self, other: Weight) {
@@ -68,9 +85,24 @@ impl Weight {
 
     /// The accumulated weight, rounded once to the nearest `f64`.
     pub fn get(self) -> f64 {
-        self.0 as f64 / Self::SCALE
+        let hi = (self.0 >> 64) as u64;
+        if hi == 0 {
+            // Under 2⁶⁴: the u64 conversion rounds, and 2⁻⁶⁴ scales exactly.
+            return self.0 as u64 as f64 * TWO_TO_MINUS_64;
+        }
+        // Its top 64 bits, with every bit below them folded into the
+        // lowest (a sticky bit: it breaks a tie, and is itself 11 places
+        // below the last bit kept), round as the whole would; then scale
+        // by the 2^(64 − lz) the shift took off, and 2⁻⁶⁴.
+        let lz = hi.leading_zeros();
+        let top = self.0 << lz;
+        let kept = (top >> 64) as u64 | u64::from(top as u64 != 0);
+        kept as f64 * f64::from_bits(u64::from(1023 - lz) << 52)
     }
 }
+
+/// 2⁻⁶⁴, the fixed-point unit.
+const TWO_TO_MINUS_64: f64 = 1.0 / 18_446_744_073_709_551_616.0;
 
 /// [`Lane`] index meaning "none yet".
 pub(crate) const NO_LANE: u32 = u32::MAX;
@@ -394,6 +426,50 @@ impl ReadyIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, prop_assert_eq, prop_oneof, Just};
+
+    /// 2⁶⁴, the scale of the casts `Weight` replaced.
+    const SCALE: f64 = 18_446_744_073_709_551_616.0;
+
+    proptest::proptest! {
+        // A case is a few conversions; many cases reach every arm often.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// `Weight::of` and `Weight::get` agree bit for bit with the casts
+        /// they replaced, `(hint · 2⁶⁴) as u128` and `raw as f64 / 2⁶⁴`,
+        /// kept here as the oracle: on hints of every kind — finite,
+        /// subnormal, negative, NaN, infinite, from 2⁶⁴ up — and on sums of
+        /// every magnitude, rounding ties included.
+        #[test]
+        fn the_weight_is_the_scaled_cast_bit_for_bit(
+            hint in prop_oneof![
+                any::<f64>(),
+                0.0..4.0,
+                1e15..1e25,
+                (0u64..1 << 52).prop_map(f64::from_bits),
+                // Exponents from 2⁻¹²³ to 2⁷⁶, a full mantissa: scaled,
+                // under 1, a right shift, a left shift, past 2¹²⁸.
+                (900u64..1100, any::<u64>()).prop_map(|(e, m)| f64::from_bits(e << 52 | m >> 12)),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(f64::NAN),
+                Just(-f64::NAN),
+                Just(-0.0),
+                Just(SCALE),
+                Just(SCALE * SCALE),
+                Just(f64::MIN_POSITIVE),
+            ],
+            (hi, lo, cut) in (any::<u64>(), any::<u64>(), 0u32..128),
+            (m, at, sticky) in (1u64 << 52..1 << 53, 12u32..75, any::<bool>()),
+        ) {
+            prop_assert_eq!(Weight::of(hint).0, (hint * SCALE) as u128);
+            let raw = ((u128::from(hi) << 64) | u128::from(lo)) >> cut;
+            let tie = (u128::from(m) << at) | (1 << (at - 1)) | u128::from(sticky);
+            for w in [raw, tie, Weight::of(hint).0] {
+                prop_assert_eq!(Weight(w).get().to_bits(), (w as f64 / SCALE).to_bits());
+            }
+        }
+    }
 
     #[test]
     fn weight_cancels_exactly() {

@@ -1,6 +1,6 @@
 //! Plugging a custom load-balancing policy into the ILB framework.
 //!
-//! The framework/policy split (§4, reference [1]) is the point of PREMA's
+//! The framework/policy split (§4, reference \[1\]) is the point of PREMA's
 //! design: the scheduler owns mechanism (routing, migration, preemptive
 //! polling) and any [`LbPolicy`] implementation supplies the decisions. This
 //! example writes a "gradient descent" policy from scratch — beg from the
