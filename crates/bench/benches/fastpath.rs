@@ -117,9 +117,9 @@ fn bench_migrate_cost(c: &mut Criterion) {
         group.bench_function(format!("migrate_1KiB_roundtrip_ranks{n}"), |b| {
             b.iter(|| {
                 assert!(n0.migrate(ptr, 1));
-                let _ = n1.poll();
+                let _ = n1.pump();
                 assert!(n1.migrate(ptr, 0));
-                let _ = n0.poll();
+                let _ = n0.pump();
                 black_box(n0.is_local(ptr))
             })
         });

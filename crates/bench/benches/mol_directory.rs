@@ -20,7 +20,7 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use prema_dcs::{Communicator, LocalFabric};
-use prema_mol::{Migratable, MobilePtr, MolConfig, MolEvent, MolNode};
+use prema_mol::{Migratable, MobilePtr, MolConfig, MolNode};
 use std::hint::black_box;
 
 struct Blob(Vec<u8>);
@@ -40,16 +40,14 @@ fn sharded_machine(n: usize) -> Vec<MolNode<Blob>> {
         .collect()
 }
 
-/// Poll every node until `want` object messages have been delivered.
+/// Pump every node, taking its queued work, until `want` object messages
+/// have been delivered.
 fn deliver(nodes: &mut [MolNode<Blob>], want: usize) -> usize {
     let mut delivered = 0;
     while delivered < want {
         for node in nodes.iter_mut() {
-            delivered += node
-                .poll()
-                .iter()
-                .filter(|e| matches!(e, MolEvent::Object { .. }))
-                .count();
+            let _ = node.pump();
+            delivered += std::iter::from_fn(|| node.pop_work()).count();
         }
     }
     delivered
@@ -61,7 +59,7 @@ fn settle(nodes: &mut [MolNode<Blob>]) {
     loop {
         let before: u64 = nodes.iter().map(|n| n.comm().stats().msgs_recvd).sum();
         for node in nodes.iter_mut() {
-            let _ = node.poll();
+            let _ = node.pump();
         }
         let after: u64 = nodes.iter().map(|n| n.comm().stats().msgs_recvd).sum();
         if after == before {

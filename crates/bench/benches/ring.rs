@@ -1,4 +1,4 @@
-//! The SPSC ring mesh transport (`prema_dcs::RingFabric`): empty polls
+//! The SPSC ring mesh transport (`prema_dcs::LocalFabric`): empty polls
 //! across machine sizes and two-rank point-to-point throughput.
 //!
 //! This binary registers [`prema_bench::CountingAlloc`] as the global
@@ -11,7 +11,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
-use prema_dcs::{Communicator, Envelope, HandlerId, RingFabric, Tag, Transport};
+use prema_dcs::{Communicator, Envelope, HandlerId, LocalFabric, Tag, Transport};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -29,7 +29,7 @@ const STEADY_OPS: usize = 10_000;
 fn bench_empty_poll_ring(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate-ring");
     for n in [8usize, 32, 128] {
-        let eps = RingFabric::new(n);
+        let eps = LocalFabric::new(n);
         group.bench_function(format!("empty_poll_ring_ranks{n}_x10k"), |b| {
             b.iter(|| {
                 for _ in 0..EMPTY_POLLS {
@@ -48,7 +48,7 @@ fn bench_p2p_ring(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function(format!("p2p_ring_2ranks_{P2P_MSGS}msgs"), |b| {
         b.iter(|| {
-            let mut eps = RingFabric::new(2);
+            let mut eps = LocalFabric::new(2);
             let rx = eps.pop().expect("fabric returns one endpoint per rank");
             let tx = eps.pop().expect("fabric returns one endpoint per rank");
             let sender = std::thread::spawn(move || {
@@ -82,7 +82,7 @@ fn bench_p2p_ring(c: &mut Criterion) {
 /// is a fetch_or, and an empty `Bytes` is a static handle.
 fn bench_steady_state_allocs(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate-ring");
-    let mut eps = RingFabric::new(2);
+    let mut eps = LocalFabric::new(2);
     let rx = eps.pop().expect("fabric returns one endpoint per rank");
     let tx = eps.pop().expect("fabric returns one endpoint per rank");
     let steady = |n: usize| {
@@ -119,7 +119,7 @@ fn bench_steady_state_allocs(c: &mut Criterion) {
 /// heap allocations (the sideline queue stays empty and unallocated, the
 /// stats are a `Cell`, and the tracer is off).
 fn bench_comm_steady_state_allocs(_c: &mut Criterion) {
-    let mut eps = RingFabric::new(2);
+    let mut eps = LocalFabric::new(2);
     let rx = Communicator::new(Box::new(
         eps.pop().expect("fabric returns one endpoint per rank"),
     ));

@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use prema_dcs::{Communicator, LocalFabric};
 use prema_mesh::{Point3, Subdomain, Uniform};
 use prema_metis::{adaptive_repart, partition_kway, Graph, PartitionConfig};
-use prema_mol::{Migratable, MolEvent, MolNode};
+use prema_mol::{Migratable, MolNode};
 use std::hint::black_box;
 
 struct Blob(Vec<u8>);
@@ -67,9 +67,10 @@ fn bench_mol(c: &mut Criterion) {
         let ptr = node.register(Blob(vec![0; 64]));
         b.iter(|| {
             node.message(ptr, 1, Bytes::from_static(b"x"));
-            let evs = node.poll();
-            debug_assert!(matches!(evs.last(), Some(MolEvent::Object { .. })));
-            black_box(evs.len())
+            let _ = node.pump();
+            let work = node.pop_work();
+            debug_assert!(work.is_some());
+            black_box(work)
         })
     });
     // Full migration round trip between two in-process ranks.
@@ -82,9 +83,9 @@ fn bench_mol(c: &mut Criterion) {
         let ptr = n0.register(Blob(vec![7; 4096]));
         b.iter(|| {
             assert!(n0.migrate(ptr, 1));
-            let _ = n1.poll();
+            let _ = n1.pump();
             assert!(n1.migrate(ptr, 0));
-            let _ = n0.poll();
+            let _ = n0.pump();
             black_box(n0.is_local(ptr))
         })
     });

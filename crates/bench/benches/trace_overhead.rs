@@ -19,7 +19,7 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use prema_dcs::{Communicator, HandlerId, LocalFabric, Tag};
-use prema_mol::{Migratable, MolEvent, MolNode};
+use prema_mol::{Migratable, MolNode};
 use prema_trace::{TraceSink, Tracer};
 use std::hint::black_box;
 use std::time::Instant;
@@ -93,9 +93,10 @@ fn bench_mol(c: &mut Criterion) {
         let ptr = node.register(Blob(vec![0; 64]));
         bench_batched(&mut group, id, || {
             node.message(ptr, 1, Bytes::from_static(b"x"));
-            let evs = node.poll();
-            debug_assert!(matches!(evs.last(), Some(MolEvent::Object { .. })));
-            black_box(evs.len());
+            let _ = node.pump();
+            let work = node.pop_work();
+            debug_assert!(work.is_some());
+            black_box(work);
         });
     }
     group.finish();

@@ -8,7 +8,7 @@
 //!
 //! Layering (bottom-up):
 //!
-//! * [`transport`] — the wire. [`transport::RingFabric`] connects N ranks
+//! * [`transport`] — the wire. [`transport::LocalFabric`] connects N ranks
 //!   (one OS thread each) through a shared-nothing mesh of bounded SPSC
 //!   rings, one per ordered rank pair: a real concurrent message-passing
 //!   machine inside one process with a lock-free, allocation-free
@@ -65,6 +65,6 @@ pub use comm::{CommStats, Communicator};
 pub use envelope::{Envelope, HandlerId, Rank, Tag};
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use reliable::{ReliableStats, ReliableTransport, RetryConfig};
-pub use transport::{LocalEndpoint, LocalFabric, RingEndpoint, RingFabric, Transport, WIRE_SLICE};
+pub use transport::{LocalEndpoint, LocalFabric, Transport, WIRE_SLICE};
 pub use udp::{UdpBuilder, UdpError, UdpStats, UdpTransport};
 pub use wire::{WireReader, WireWriter};

@@ -1,7 +1,7 @@
 //! Wire transports.
 //!
 //! The paper's PREMA sat on LAM/MPI. Here the wire is abstracted behind
-//! [`Transport`]; the provided [`RingFabric`] connects N ranks (one OS
+//! [`Transport`]; the provided [`LocalFabric`] connects N ranks (one OS
 //! thread each) through a shared-nothing mesh of bounded lock-free SPSC
 //! rings, giving a real concurrent message-passing machine inside one
 //! process.
@@ -129,8 +129,8 @@ struct RxPair {
     overflow: Arc<Overflow>,
 }
 
-/// One endpoint of a [`RingFabric`].
-pub struct RingEndpoint {
+/// One endpoint of a [`LocalFabric`].
+pub struct LocalEndpoint {
     rank: Rank,
     /// `tx[d]` is this rank's private producer for the (rank → d) ring.
     tx: Vec<TxPair>,
@@ -144,11 +144,7 @@ pub struct RingEndpoint {
     tracer: Tracer,
 }
 
-/// Compatibility alias from the shared-inbox era; the ring mesh is the only
-/// local transport now.
-pub type LocalEndpoint = RingEndpoint;
-
-impl RingEndpoint {
+impl LocalEndpoint {
     /// Attach a tracer so undeliverable sends show up in the event stream.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
@@ -211,7 +207,7 @@ impl RingEndpoint {
     }
 }
 
-impl Transport for RingEndpoint {
+impl Transport for LocalEndpoint {
     fn rank(&self) -> Rank {
         self.rank
     }
@@ -286,7 +282,7 @@ impl Transport for RingEndpoint {
     }
 }
 
-impl Drop for RingEndpoint {
+impl Drop for LocalEndpoint {
     fn drop(&mut self) {
         // Teardown latch: peers still holding producer ends switch to the
         // undeliverable-accounting path instead of queueing into rings that
@@ -298,10 +294,7 @@ impl Drop for RingEndpoint {
 }
 
 /// Builds the ring-mesh fabric for `n` ranks.
-pub struct RingFabric;
-
-/// Compatibility alias from the shared-inbox era (see [`RingFabric`]).
-pub type LocalFabric = RingFabric;
+pub struct LocalFabric;
 
 /// `Instant::now() + timeout` without the overflow panic: a timeout too
 /// large to represent (e.g. `Duration::MAX`, the idiomatic "block forever")
@@ -321,20 +314,20 @@ fn scaled_ring_capacity(n: usize) -> usize {
     (8192 / n).clamp(32, 4096).next_power_of_two()
 }
 
-impl RingFabric {
+impl LocalFabric {
     /// Create `n` endpoints with the default per-pair ring capacity.
     /// Endpoint `i` must be moved to the thread acting as rank `i`.
     /// (Deliberately returns the endpoints rather than `Self`: the fabric
     /// has no identity beyond its endpoints.)
     #[allow(clippy::new_ret_no_self)]
-    pub fn new(n: usize) -> Vec<RingEndpoint> {
+    pub fn new(n: usize) -> Vec<LocalEndpoint> {
         Self::with_capacity(n, scaled_ring_capacity(n))
     }
 
     /// Create `n` endpoints whose per-pair rings hold `capacity` envelopes
     /// (rounded up to a power of two, min 2). Tests use tiny capacities to
     /// exercise the overflow spill path deterministically.
-    pub fn with_capacity(n: usize, capacity: usize) -> Vec<RingEndpoint> {
+    pub fn with_capacity(n: usize, capacity: usize) -> Vec<LocalEndpoint> {
         assert!(n > 0, "fabric needs at least one rank");
         let shared = Arc::new(FabricShared {
             ranks: (0..n)
@@ -369,7 +362,7 @@ impl RingFabric {
         txs.into_iter()
             .zip(rxs)
             .enumerate()
-            .map(|(rank, (tx, rx))| RingEndpoint {
+            .map(|(rank, (tx, rx))| LocalEndpoint {
                 rank,
                 tx,
                 rx,
@@ -387,7 +380,7 @@ impl RingFabric {
 // which serializes all uses — the single-producer/single-consumer contract
 // each ring end requires.
 #[allow(unused)]
-fn _assert_endpoint_send(e: RingEndpoint) -> impl Send {
+fn _assert_endpoint_send(e: LocalEndpoint) -> impl Send {
     e
 }
 
@@ -423,7 +416,7 @@ mod tests {
         // The classic foot-gun: "block forever" spelled as Duration::MAX.
         // Must compute a saturated deadline (not panic) and still wake on
         // arrival.
-        let mut eps = RingFabric::new(2);
+        let mut eps = LocalFabric::new(2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         let h = std::thread::spawn(move || {
@@ -437,7 +430,7 @@ mod tests {
 
     #[test]
     fn point_to_point_delivery() {
-        let mut eps = RingFabric::new(2);
+        let mut eps = LocalFabric::new(2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         assert_eq!(a.rank(), 0);
@@ -450,7 +443,7 @@ mod tests {
 
     #[test]
     fn per_pair_fifo_under_concurrency() {
-        let mut eps = RingFabric::new(3);
+        let mut eps = LocalFabric::new(3);
         let c = eps.pop().unwrap();
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
@@ -485,7 +478,7 @@ mod tests {
 
     #[test]
     fn recv_timeout_times_out_when_empty() {
-        let eps = RingFabric::new(1);
+        let eps = LocalFabric::new(1);
         let a = &eps[0];
         let start = std::time::Instant::now();
         assert!(a.recv_timeout(Duration::from_millis(20)).is_none());
@@ -494,14 +487,14 @@ mod tests {
 
     #[test]
     fn self_send_works() {
-        let eps = RingFabric::new(1);
+        let eps = LocalFabric::new(1);
         eps[0].send(env(0, 0, 5));
         assert_eq!(eps[0].try_recv().unwrap().handler, HandlerId(5));
     }
 
     #[test]
     fn arrival_order_preserved_across_senders() {
-        let mut eps = RingFabric::new(3);
+        let mut eps = LocalFabric::new(3);
         let c = eps.pop().unwrap();
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
@@ -526,7 +519,7 @@ mod tests {
     fn ring_full_spills_to_overflow_and_preserves_fifo() {
         // Capacity 4 and no receiver draining: sends 4.. spill. Everything
         // must still arrive, in order, with nothing counted undeliverable.
-        let mut eps = RingFabric::with_capacity(2, 4);
+        let mut eps = LocalFabric::with_capacity(2, 4);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         for i in 0..100 {
@@ -543,7 +536,7 @@ mod tests {
     fn fifo_survives_interleaved_spill_episodes() {
         // Drain partially between bursts so the pair oscillates between
         // in-ring and spilled states; order must hold across the seams.
-        let mut eps = RingFabric::with_capacity(2, 2);
+        let mut eps = LocalFabric::with_capacity(2, 2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         let mut next = 0u32;
@@ -569,7 +562,7 @@ mod tests {
 
     #[test]
     fn send_to_torn_down_rank_is_counted_not_silent() {
-        let mut eps = RingFabric::new(2);
+        let mut eps = LocalFabric::new(2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         assert_eq!(a.undeliverable_count(), 0);
@@ -590,7 +583,7 @@ mod tests {
     fn undeliverable_send_emits_dropped_event() {
         use prema_trace::TraceSink;
         let sink = std::sync::Arc::new(TraceSink::new(2));
-        let mut eps = RingFabric::new(2);
+        let mut eps = LocalFabric::new(2);
         let b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         a.set_tracer(sink.tracer(0));
@@ -603,7 +596,7 @@ mod tests {
 
     #[test]
     fn recv_timeout_wakes_on_concurrent_send() {
-        let mut eps = RingFabric::new(2);
+        let mut eps = LocalFabric::new(2);
         let b = eps.pop().unwrap();
         let a = eps.pop().unwrap();
         let h = std::thread::spawn(move || {

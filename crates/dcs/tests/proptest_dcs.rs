@@ -143,7 +143,7 @@ proptest! {
         yield_mask in any::<u64>(),
     ) {
         let senders = counts.len();
-        let mut eps = prema_dcs::RingFabric::with_capacity(senders + 1, 2);
+        let mut eps = prema_dcs::LocalFabric::with_capacity(senders + 1, 2);
         let rx = eps.pop().expect("fabric returns one endpoint per rank");
         let dst = senders; // the receiver's rank (last one built)
         let handles: Vec<_> = eps

@@ -1,24 +1,27 @@
 //! Configuration (a): no load balancing.
 //!
-//! Every processor executes exactly the units it was dealt, in order, and
-//! stops. This is the baseline every balancer is measured against; its
+//! Every processor executes exactly the units it was dealt, in order, plus
+//! whatever follow-on units their completions queue, and stops. This is the
+//! baseline every balancer is measured against; on the benchmark its
 //! makespan is the all-heavy block's compute time.
 
-use super::{callback_cpu, sched_cpu};
-use crate::spec::{BenchSpec, WorkUnit};
-use prema_sim::{Category, Ctx, Engine, Process, SimReport, TraceSink};
+use super::{callback_cpu, sched_cpu, Workload};
+use prema_sim::{Category, Ctx, Engine, Process, SimReport, SimTime, TraceSink};
 use std::collections::VecDeque;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Per-processor driver: drain the local queue.
-pub struct NoLbProc {
-    queue: VecDeque<WorkUnit>,
+pub struct NoLbProc<W: Workload> {
+    work: Rc<W>,
+    queue: VecDeque<W::Unit>,
 }
 
 const T_NEXT: u64 = 1;
 
-impl Process for NoLbProc {
+impl<W: Workload> Process for NoLbProc<W> {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.schedule(prema_sim::SimTime::ZERO, T_NEXT);
+        ctx.schedule(SimTime::ZERO, T_NEXT);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
@@ -26,26 +29,29 @@ impl Process for NoLbProc {
             Some(u) => {
                 ctx.consume(Category::Scheduling, sched_cpu());
                 ctx.consume(Category::Callback, callback_cpu());
-                let dur = ctx.work_time(u.mflop);
+                let dur = ctx.work_time(self.work.mflop(&u));
                 ctx.consume(Category::Computation, dur);
-                ctx.schedule(prema_sim::SimTime::ZERO, T_NEXT);
+                self.queue.extend(self.work.follow_on(&u));
+                ctx.schedule(SimTime::ZERO, T_NEXT);
             }
             None => ctx.finish(),
         }
     }
 }
 
-/// Run the benchmark with no load balancing.
-pub fn run(spec: &BenchSpec) -> SimReport {
-    run_traced(spec, None)
+/// Run a workload with no load balancing.
+pub fn run<W: Workload>(work: &W) -> SimReport {
+    run_traced(work, None)
 }
 
 /// [`run`] with an optional trace sink recording spans and finishes at
 /// simulated-time stamps.
-pub fn run_traced(spec: &BenchSpec, trace: Option<std::sync::Arc<TraceSink>>) -> SimReport {
-    Engine::build(spec.machine, |p| {
+pub fn run_traced<W: Workload>(work: &W, trace: Option<Arc<TraceSink>>) -> SimReport {
+    let work = Rc::new(work.clone());
+    Engine::build(work.machine(), |p| {
         Box::new(NoLbProc {
-            queue: spec.units_of_proc(p).into(),
+            queue: work.initial_queue(p).into(),
+            work: work.clone(),
         })
     })
     .with_trace(trace)
@@ -55,6 +61,7 @@ pub fn run_traced(spec: &BenchSpec, trace: Option<std::sync::Arc<TraceSink>>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::BenchSpec;
 
     #[test]
     fn makespan_matches_analytic_bound() {

@@ -14,13 +14,17 @@
 //! 5. execution resumes; further underload notifications can trigger the
 //!    whole cycle again — synchronization costs are paid each time.
 //!
-//! After the exchange, the root applies the paper's observed failure mode:
-//! if too little work remains per processor for a repartitioning to be
-//! effective, the units are "mandated to remain" — the synchronization and
-//! partitioning costs having already been paid (the Figure 4(d) situation).
+//! Before the exchange, the root applies the paper's observed failure mode:
+//! if too little work remains, or it sits on too few processors, for a
+//! repartitioning to be effective, the units are "mandated to remain" — the
+//! starved processor having already paid its wait for the verdict (the
+//! Figure 4(d) situation).
+//!
+//! The model runs any [`Workload`]: the figures' benchmark and the mesh
+//! study ([`crate::mesh_eval`]) differ only in their work and in
+//! [`ParMetisCfg`] values.
 
-use super::{callback_cpu, sched_cpu, CTRL_BYTES, UNIT_BYTES};
-use crate::spec::{BenchSpec, WorkUnit};
+use super::{callback_cpu, sched_cpu, Workload, CTRL_BYTES};
 use prema_metis::{adaptive_repart, Graph, PartitionConfig};
 use prema_sim::{Category, Ctx, Engine, Process, SimReport, SimTime, TraceSink};
 use rand::rngs::StdRng;
@@ -29,6 +33,7 @@ use rand::SeedableRng;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 const K_PROGRESS: u32 = 1; // worker → root: units completed since last report
 const K_UNDER: u32 = 2; // worker → root: below water-mark
@@ -44,7 +49,8 @@ const T_WAIT: u64 = 2;
 /// Driver tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct ParMetisCfg {
-    /// Water-mark (hint Mflop): notify root below this remaining load.
+    /// Water-mark (hint Mflop): notify root below this remaining load. At
+    /// `0.0` a processor notifies only once its queue has run dry.
     pub watermark_mflop: f64,
     /// Root triggers a sync only if this much virtual time has passed since
     /// the last one (prevents back-to-back syncs, allows repeated ones).
@@ -73,22 +79,18 @@ impl Default for ParMetisCfg {
     }
 }
 
-struct Loads {
+struct Loads<U> {
     epoch: u64,
-    units: Vec<(usize, WorkUnit)>, // (owner, unit) — owner == sender
+    units: Vec<U>,
 }
-struct Assign {
-    /// Units this worker must ship: (unit position key = global id, dest).
-    orders: Vec<(u32, usize)>,
+struct Assign<U> {
+    /// Units this worker must ship, each with its destination.
+    orders: Vec<(U, usize)>,
     /// How many units this worker will receive.
     incoming: usize,
     /// Modelled partition-computation time, charged on every processor.
     partition_cpu: SimTime,
 }
-struct Units {
-    units: Vec<WorkUnit>,
-}
-struct Empty;
 
 #[derive(PartialEq, Debug, Clone, Copy)]
 enum Phase {
@@ -104,33 +106,60 @@ enum Phase {
 }
 
 /// Root-only bookkeeping.
-struct RootState {
+struct RootState<U> {
     total_initial_mflop: f64,
     executed_mflop_reported: f64,
     /// Reported executed Mflop per processor (root "is kept aware of which
     /// work units have completed").
     executed_per_proc: Vec<f64>,
-    /// Initial assigned hint-Mflop per processor.
+    /// Hint-Mflop per processor over the whole run, were it evenly spread.
     initial_per_proc: f64,
     syncing: bool,
     /// Current synchronization round; LOADS from other rounds are stale.
     epoch: u64,
     last_sync_end: SimTime,
-    loads: Vec<Option<Vec<WorkUnit>>>,
+    loads: Vec<Option<Vec<U>>>,
+}
+
+impl<U> RootState<U> {
+    /// "The root processor is kept aware of which work units have
+    /// completed …, and is therefore able to make a determination of
+    /// whether or not there is enough outstanding work in the system to
+    /// warrant load balancing" (§5): the enough-work determination runs
+    /// *before* the machine is disturbed. Past the cooldown, two parts:
+    /// some work must be left at all, and it must not be concentrated on a
+    /// sliver of the machine (in which case the repartitioner cannot
+    /// produce an effective partitioning and units are mandated to remain).
+    fn warrants_sync(&self, now: SimTime, cfg: &ParMetisCfg) -> bool {
+        if self.syncing || now.saturating_sub(self.last_sync_end) < cfg.cooldown {
+            return false;
+        }
+        let remaining = self.total_initial_mflop - self.executed_mflop_reported;
+        if remaining <= self.total_initial_mflop * 0.01 {
+            return false;
+        }
+        let meaningful = self.initial_per_proc * 0.02 + 2.0 * 500.0;
+        let sources = self
+            .executed_per_proc
+            .iter()
+            .filter(|&&e| self.initial_per_proc - e > meaningful)
+            .count();
+        sources as f64 >= cfg.min_source_coverage * self.executed_per_proc.len() as f64
+    }
 }
 
 /// Per-processor driver.
-pub struct ParMetisProc {
+pub struct ParMetisProc<W: Workload> {
     cfg: ParMetisCfg,
-    queue: VecDeque<WorkUnit>,
+    work: Rc<W>,
+    queue: VecDeque<W::Unit>,
     phase: Phase,
     last_under: Option<SimTime>,
     unreported: u64,
     unreported_mflop: f64,
     /// Buffered early-arriving migrations (UNITS before ASSIGN).
     early_units: usize,
-    root: Option<RootState>,
-    initial_avg_mflop: f64,
+    root: Option<RootState<W::Unit>>,
     /// Machine-wide unexecuted units (application-level completion oracle).
     units_left: Rc<Cell<u64>>,
     /// A sync request arrived while migrating; honor it once settled.
@@ -140,9 +169,9 @@ pub struct ParMetisProc {
     rng: StdRng,
 }
 
-impl ParMetisProc {
+impl<W: Workload> ParMetisProc<W> {
     fn remaining_hint(&self) -> f64 {
-        self.queue.iter().map(|u| u.hint_mflop).sum()
+        self.queue.iter().map(|u| self.work.hint_mflop(u)).sum()
     }
 
     fn process_all(&mut self, ctx: &mut Ctx) {
@@ -156,11 +185,11 @@ impl ParMetisProc {
                     root.executed_per_proc[src] += mflop;
                 }
                 K_UNDER => {
-                    let _ = msg.take::<Empty>();
+                    msg.take::<()>();
                     self.root_consider_sync(ctx, src);
                 }
                 K_DENY => {
-                    let _ = msg.take::<Empty>();
+                    msg.take::<()>();
                     if self.phase == Phase::AwaitVerdict {
                         self.phase = Phase::Normal;
                     }
@@ -178,25 +207,25 @@ impl ParMetisProc {
                     }
                 }
                 K_LOADS => {
-                    let loads = msg.take::<Loads>();
+                    let loads = msg.take::<Loads<W::Unit>>();
                     let root = self.root.as_mut().expect("LOADS at non-root");
                     if loads.epoch != root.epoch || !root.syncing {
                         // Stale contribution from an earlier round.
                         continue;
                     }
-                    root.loads[src] = Some(loads.units.into_iter().map(|(_, u)| u).collect());
+                    root.loads[src] = Some(loads.units);
                     if root.loads.iter().all(|l| l.is_some()) {
                         self.root_repartition(ctx);
                     }
                 }
                 K_ASSIGN => {
-                    let assign = msg.take::<Assign>();
+                    let assign = msg.take::<Assign<W::Unit>>();
                     self.apply_assign(ctx, assign);
                 }
                 K_UNITS => {
-                    let units = msg.take::<Units>();
-                    let n = units.units.len();
-                    self.queue.extend(units.units);
+                    let units = msg.take::<Vec<W::Unit>>();
+                    let n = units.len();
+                    self.queue.extend(units);
                     match &mut self.phase {
                         Phase::Migrate { expect } => {
                             *expect = expect.saturating_sub(n);
@@ -224,65 +253,14 @@ impl ParMetisProc {
     /// determination is negative, the requester gets an explicit refusal —
     /// which, for a busy root, it has already waited a unit boundary for.
     fn root_consider_sync(&mut self, ctx: &mut Ctx, src: usize) {
-        let now = ctx.now();
         let n = ctx.num_procs();
-        let dbg = std::env::var_os("PM_DEBUG").is_some();
         let me = ctx.pid();
-        let deny = |s: &mut Self, ctx: &mut Ctx| {
-            if src != me {
-                ctx.send(src, K_DENY, CTRL_BYTES, Box::new(Empty));
-            }
-            let _ = s;
-        };
         let root = self.root.as_mut().expect("UNDER at non-root");
-        if root.syncing {
-            if dbg {
-                eprintln!("[{:.2}] skip: syncing", now.as_secs_f64());
+        if !root.warrants_sync(ctx.now(), &self.cfg) {
+            if src != me {
+                ctx.send(src, K_DENY, CTRL_BYTES, Box::new(()));
             }
-            deny(self, ctx);
             return;
-        }
-        if now.saturating_sub(root.last_sync_end) < self.cfg.cooldown {
-            if dbg {
-                eprintln!("[{:.2}] skip: cooldown", now.as_secs_f64());
-            }
-            deny(self, ctx);
-            return;
-        }
-        // "The root processor is kept aware of which work units have
-        // completed …, and is therefore able to make a determination of
-        // whether or not there is enough outstanding work in the system to
-        // warrant load balancing" (§5): the enough-work determination runs
-        // *before* the machine is disturbed. Two parts: some work must be
-        // left at all, and it must not be concentrated on a sliver of the
-        // machine (in which case the repartitioner cannot produce an
-        // effective partitioning and units are mandated to remain).
-        let remaining = root.total_initial_mflop - root.executed_mflop_reported;
-        if remaining <= root.total_initial_mflop * 0.01 {
-            if dbg {
-                eprintln!("[{:.2}] skip: done", now.as_secs_f64());
-            }
-            deny(self, ctx);
-            return;
-        }
-        let meaningful = self.initial_avg_mflop * 0.02 + 2.0 * 500.0;
-        let sources = root
-            .executed_per_proc
-            .iter()
-            .filter(|&&e| root.initial_per_proc - e > meaningful)
-            .count();
-        if (sources as f64) < self.cfg.min_source_coverage * n as f64 {
-            if dbg {
-                eprintln!(
-                    "[{:.2}] skip: too few sources ({sources})",
-                    now.as_secs_f64()
-                );
-            }
-            deny(self, ctx);
-            return;
-        }
-        if dbg {
-            eprintln!("[{:.2}] SYNC start", now.as_secs_f64());
         }
         root.syncing = true;
         root.epoch += 1;
@@ -290,7 +268,7 @@ impl ParMetisProc {
         root.loads = vec![None; n];
         self.cur_epoch = epoch;
         for dst in 0..n {
-            if dst == ctx.pid() {
+            if dst == me {
                 continue;
             }
             ctx.send(dst, K_SYNC, CTRL_BYTES, Box::new(epoch));
@@ -305,28 +283,21 @@ impl ParMetisProc {
     fn enter_barrier(&mut self, ctx: &mut Ctx) {
         // Describe the remaining units to the root; the units themselves
         // stay put until migration orders arrive.
-        let mine: Vec<(usize, WorkUnit)> = self.queue.iter().map(|u| (ctx.pid(), *u)).collect();
+        let mine: Vec<W::Unit> = self.queue.iter().copied().collect();
         let size = CTRL_BYTES + 16 * mine.len();
         ctx.consume(Category::Synchronization, SimTime::from_micros(200));
-        if ctx.pid() == 0 {
-            let root = self.root.as_mut().unwrap();
-            root.loads[0] = Some(mine.into_iter().map(|(_, u)| u).collect());
-            self.phase = Phase::Barrier;
-            let root = self.root.as_ref().unwrap();
+        self.phase = Phase::Barrier;
+        if let Some(root) = self.root.as_mut() {
+            root.loads[0] = Some(mine);
             if root.loads.iter().all(|l| l.is_some()) {
                 self.root_repartition(ctx);
             }
         } else {
-            ctx.send(
-                0,
-                K_LOADS,
-                size,
-                Box::new(Loads {
-                    epoch: self.cur_epoch,
-                    units: mine,
-                }),
-            );
-            self.phase = Phase::Barrier;
+            let loads = Loads {
+                epoch: self.cur_epoch,
+                units: mine,
+            };
+            ctx.send(0, K_LOADS, size, Box::new(loads));
         }
     }
 
@@ -335,33 +306,24 @@ impl ParMetisProc {
     fn root_repartition(&mut self, ctx: &mut Ctx) {
         let n = ctx.num_procs();
         let me = ctx.pid();
-        let (units, old_owner): (Vec<WorkUnit>, Vec<u32>) = {
-            let root = self.root.as_mut().unwrap();
-            let mut units = Vec::new();
-            let mut owner = Vec::new();
-            for (p, l) in root.loads.iter_mut().enumerate() {
-                for u in l.take().expect("missing loads") {
-                    units.push(u);
-                    owner.push(p as u32);
-                }
+        let mut units = Vec::new();
+        let mut old_owner = Vec::new();
+        let root = self.root.as_mut().expect("repartition at non-root");
+        for (p, l) in root.loads.iter_mut().enumerate() {
+            for u in l.take().expect("missing loads") {
+                units.push(u);
+                old_owner.push(p as u32);
             }
-            (units, owner)
-        };
-
-        // Build the unit graph: a chain by global index (the surrogate for
-        // mesh adjacency), weighted by the application's hints.
-        let nv = units.len();
-        let mut order: Vec<usize> = (0..nv).collect();
-        order.sort_by_key(|&i| units[i].id);
-        let mut edges = Vec::with_capacity(nv.saturating_sub(1));
-        for w in order.windows(2) {
-            edges.push((w[0], w[1], 0.01));
         }
-        let vwgt: Vec<f64> = units.iter().map(|u| u.hint_mflop).collect();
+
+        // The unit graph the workload describes, weighted by the
+        // application's hints.
+        let nv = units.len();
         let new_owner: Vec<u32> = if nv == 0 {
             old_owner.clone()
         } else {
-            let g = Graph::from_edges(nv, &edges, vwgt.clone());
+            let vwgt = units.iter().map(|u| self.work.hint_mflop(u)).collect();
+            let g = Graph::from_edges(nv, &self.work.graph_edges(&units), vwgt);
             let result = adaptive_repart(
                 &g,
                 &old_owner,
@@ -380,16 +342,15 @@ impl ParMetisProc {
 
         // Scatter per-worker migration orders; units move directly between
         // workers (the root only saw descriptions).
-        let mut per_proc_orders: Vec<Vec<(u32, usize)>> = vec![Vec::new(); n];
+        let mut per_proc_orders: Vec<Vec<(W::Unit, usize)>> = vec![Vec::new(); n];
         let mut per_proc_incoming = vec![0usize; n];
         for i in 0..nv {
             let (from, to) = (old_owner[i] as usize, new_owner[i] as usize);
             if from != to {
-                per_proc_orders[from].push((units[i].id, to));
+                per_proc_orders[from].push((units[i], to));
                 per_proc_incoming[to] += 1;
             }
         }
-        let root = self.root.as_mut().unwrap();
         root.syncing = false;
         root.last_sync_end = ctx.now();
         for dst in 0..n {
@@ -411,16 +372,16 @@ impl ParMetisProc {
         }
     }
 
-    fn apply_assign(&mut self, ctx: &mut Ctx, assign: Assign) {
+    fn apply_assign(&mut self, ctx: &mut Ctx, assign: Assign<W::Unit>) {
         // Everyone pays the (parallel) partition computation.
         ctx.consume(Category::PartitionCalc, assign.partition_cpu);
         // Ship ordered units.
-        let mut by_dest: Vec<(usize, Vec<WorkUnit>)> = Vec::new();
-        for (unit_id, dest) in assign.orders {
+        let mut by_dest: Vec<(usize, Vec<W::Unit>)> = Vec::new();
+        for (unit, dest) in assign.orders {
             let pos = self
                 .queue
                 .iter()
-                .position(|u| u.id == unit_id)
+                .position(|u| *u == unit)
                 .expect("ordered to move a unit we do not hold");
             let unit = self.queue.remove(pos).unwrap();
             match by_dest.iter_mut().find(|(d, _)| *d == dest) {
@@ -429,8 +390,8 @@ impl ParMetisProc {
             }
         }
         for (dest, units) in by_dest {
-            let size = CTRL_BYTES + UNIT_BYTES * units.len();
-            ctx.send(dest, K_UNITS, size, Box::new(Units { units }));
+            let size = CTRL_BYTES + W::UNIT_BYTES * units.len();
+            ctx.send(dest, K_UNITS, size, Box::new(units));
         }
         let expect = assign.incoming.saturating_sub(self.early_units);
         self.early_units = 0;
@@ -471,7 +432,7 @@ impl ParMetisProc {
     }
 }
 
-impl Process for ParMetisProc {
+impl<W: Workload> Process for ParMetisProc<W> {
     fn on_start(&mut self, ctx: &mut Ctx) {
         ctx.schedule(SimTime::ZERO, T_NEXT);
     }
@@ -502,7 +463,7 @@ impl Process for ParMetisProc {
                 let me = ctx.pid();
                 self.root_consider_sync(ctx, me);
             } else {
-                ctx.send(0, K_UNDER, CTRL_BYTES, Box::new(Empty));
+                ctx.send(0, K_UNDER, CTRL_BYTES, Box::new(()));
                 // The verdict wait is the synchronization price of the
                 // stop-and-repartition protocol for a starved processor.
                 if self.phase == Phase::Normal && self.queue.is_empty() {
@@ -521,10 +482,11 @@ impl Process for ParMetisProc {
             Some(unit) => {
                 ctx.consume(Category::Scheduling, sched_cpu());
                 ctx.consume(Category::Callback, callback_cpu());
-                let dur = ctx.work_time(unit.mflop);
+                let dur = ctx.work_time(self.work.mflop(&unit));
                 ctx.consume(Category::Computation, dur);
                 self.units_left.set(self.units_left.get() - 1);
-                self.report_progress(ctx, unit.hint_mflop);
+                self.queue.extend(self.work.follow_on(&unit));
+                self.report_progress(ctx, self.work.hint_mflop(&unit));
                 ctx.schedule(SimTime::ZERO, T_NEXT);
             }
             None => {
@@ -545,49 +507,47 @@ impl Process for ParMetisProc {
     }
 }
 
-/// Run the benchmark under stop-and-repartition.
-pub fn run(spec: &BenchSpec, cfg: ParMetisCfg) -> SimReport {
-    run_traced(spec, cfg, None)
+/// Run a workload under stop-and-repartition.
+pub fn run<W: Workload>(work: &W, cfg: ParMetisCfg) -> SimReport {
+    run_traced(work, cfg, None)
 }
 
 /// [`run`] with an optional trace sink recording spans, messages, and
 /// finishes at simulated-time stamps.
-pub fn run_traced(
-    spec: &BenchSpec,
+pub fn run_traced<W: Workload>(
+    work: &W,
     cfg: ParMetisCfg,
-    trace: Option<std::sync::Arc<TraceSink>>,
+    trace: Option<Arc<TraceSink>>,
 ) -> SimReport {
-    let total_mflop: f64 = spec.units().iter().map(|u| u.hint_mflop).sum();
-    let n = spec.machine.procs;
-    let units_left = Rc::new(Cell::new(spec.total_units() as u64));
-    Engine::build(spec.machine, |p| {
+    let work = Rc::new(work.clone());
+    let total_mflop = work.total_hint_mflop();
+    let machine = work.machine();
+    let n = machine.procs;
+    let units_left = Rc::new(Cell::new(work.total_units() as u64));
+    Engine::build(machine, |p| {
         Box::new(ParMetisProc {
             cfg,
-            queue: spec.units_of_proc(p).into(),
+            queue: work.initial_queue(p).into(),
+            work: work.clone(),
             phase: Phase::Normal,
             last_under: None,
             units_left: units_left.clone(),
             sync_pending: false,
             cur_epoch: 0,
-            rng: StdRng::seed_from_u64(spec.seed.wrapping_add(p as u64 * 7919)),
+            rng: StdRng::seed_from_u64(work.seed().wrapping_add(p as u64 * 7919)),
             unreported: 0,
             unreported_mflop: 0.0,
             early_units: 0,
-            root: if p == 0 {
-                Some(RootState {
-                    total_initial_mflop: total_mflop,
-                    executed_mflop_reported: 0.0,
-                    executed_per_proc: vec![0.0; n],
-                    initial_per_proc: total_mflop / n as f64,
-                    syncing: false,
-                    epoch: 0,
-                    last_sync_end: SimTime::ZERO,
-                    loads: vec![None; n],
-                })
-            } else {
-                None
-            },
-            initial_avg_mflop: total_mflop / n as f64,
+            root: (p == 0).then(|| RootState {
+                total_initial_mflop: total_mflop,
+                executed_mflop_reported: 0.0,
+                executed_per_proc: vec![0.0; n],
+                initial_per_proc: total_mflop / n as f64,
+                syncing: false,
+                epoch: 0,
+                last_sync_end: SimTime::ZERO,
+                loads: vec![None; n],
+            }),
         })
     })
     .with_trace(trace)
@@ -598,6 +558,7 @@ pub fn run_traced(
 mod tests {
     use super::*;
     use crate::drivers::nolb;
+    use crate::spec::BenchSpec;
 
     #[test]
     fn repartition_helps_at_fifty_percent_imbalance() {

@@ -8,28 +8,27 @@
 //! Reproduction: the `prema-mesh` mesher is run (for real) over a moving
 //! crack front to produce the per-(subdomain, round) tetrahedron counts —
 //! genuinely irregular, geometry-driven work. Those costs then drive three
-//! runtime models on the simulated cluster:
+//! runtimes on the simulated cluster:
 //!
-//! * **no LB** — subdomains stay where the decomposition put them;
-//! * **stop-and-repartition** — a barrier after every refinement round,
-//!   repartitioning on the *previous* round's measured costs (history-based
-//!   — precisely what a moving crack invalidates);
+//! * **no LB** — subdomains stay where the decomposition put them
+//!   ([`crate::drivers::nolb`]);
+//! * **stop-and-repartition** — the figures' ParMETIS model
+//!   ([`crate::drivers::parmetis_drv`]): a processor whose queue runs dry
+//!   notifies the root, which may stop every processor and repartition the
+//!   queued subdomain-rounds with the URA on the *previous* round's measured
+//!   costs (history-based — precisely what a moving crack invalidates);
 //! * **PREMA implicit** — asynchronous work stealing with preemptive message
 //!   processing, reacting to the real load as the round unfolds. Not a
 //!   model: the runtime stack itself, on the simulator's clock.
 
-use crate::drivers::{callback_cpu, sched_cpu, CTRL_BYTES, POLL_INTERVAL};
+use crate::drivers::parmetis_drv::{self, ParMetisCfg};
+use crate::drivers::{nolb, Workload, POLL_INTERVAL};
 use crate::simrank::{self, mflop_payload};
 use prema::{LbMode, PremaConfig};
 use prema_mesh::{decompose_unit_cube, CrackFront, Subdomain};
-use prema_metis::{adaptive_repart, Graph, PartitionConfig};
 use prema_mol::Migratable;
-use prema_sim::{Category, Ctx, Engine, MachineConfig, Process, SimReport, SimTime};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
-use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use prema_sim::{MachineConfig, SimReport, SimTime};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Parameters of the mesh study.
@@ -163,7 +162,7 @@ impl CostMatrix {
 }
 
 /// A subdomain task: which subdomain, and the next round to execute.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Task {
     sub: u32,
     round: u32,
@@ -173,60 +172,117 @@ fn block_owner(sub: usize, nsubs: usize, nprocs: usize) -> usize {
     sub * nprocs / nsubs
 }
 
-// ---------------------------------------------------------------------------
-// No load balancing
-// ---------------------------------------------------------------------------
-
-struct NoLbMesh {
+/// The mesh study as a [`Workload`] for the baseline models: subdomains
+/// dealt block-wise, each round queueing the subdomain's next, a task
+/// hinted at its subdomain's previous-round cost (the only history
+/// available), repartitioned over subdomain-grid adjacency.
+#[derive(Clone)]
+struct MeshWork {
+    machine: MachineConfig,
+    seed: u64,
     matrix: Rc<CostMatrix>,
-    queue: VecDeque<Task>,
+    /// Round 0's hint: nothing measured yet, so the mean subdomain-round.
+    uniform_mflop: f64,
 }
 
-const T_NEXT: u64 = 1;
-const T_WAIT: u64 = 2;
-
-impl Process for NoLbMesh {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.schedule(SimTime::ZERO, T_NEXT);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
-        match self.queue.pop_front() {
-            Some(t) => {
-                ctx.consume(Category::Scheduling, sched_cpu());
-                ctx.consume(Category::Callback, callback_cpu());
-                let mflop = self.matrix.costs[t.sub as usize][t.round as usize];
-                let dur = ctx.work_time(mflop);
-                ctx.consume(Category::Computation, dur);
-                if (t.round as usize) + 1 < self.matrix.rounds() {
-                    self.queue.push_back(Task {
-                        sub: t.sub,
-                        round: t.round + 1,
-                    });
-                }
-                ctx.schedule(SimTime::ZERO, T_NEXT);
-            }
-            None => ctx.finish(),
+impl MeshWork {
+    fn new(spec: &MeshEvalSpec, matrix: &Rc<CostMatrix>) -> Self {
+        MeshWork {
+            machine: spec.machine,
+            seed: spec.seed,
+            matrix: matrix.clone(),
+            uniform_mflop: matrix.total_mflop() / (matrix.subdomains() * matrix.rounds()) as f64,
         }
+    }
+}
+
+impl Workload for MeshWork {
+    type Unit = Task;
+
+    const UNIT_BYTES: usize = SUBDOMAIN_BYTES;
+
+    fn machine(&self) -> MachineConfig {
+        self.machine
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn initial_queue(&self, p: usize) -> Vec<Task> {
+        let nsubs = self.matrix.subdomains();
+        (0..nsubs)
+            .filter(|&s| block_owner(s, nsubs, self.machine.procs) == p)
+            .map(|s| Task {
+                sub: s as u32,
+                round: 0,
+            })
+            .collect()
+    }
+
+    fn mflop(&self, t: &Task) -> f64 {
+        self.matrix.costs[t.sub as usize][t.round as usize]
+    }
+
+    fn hint_mflop(&self, t: &Task) -> f64 {
+        match t.round as usize {
+            0 => self.uniform_mflop,
+            r => self.matrix.costs[t.sub as usize][r - 1],
+        }
+    }
+
+    fn follow_on(&self, t: &Task) -> Option<Task> {
+        ((t.round as usize) + 1 < self.matrix.rounds()).then_some(Task {
+            sub: t.sub,
+            round: t.round + 1,
+        })
+    }
+
+    /// Subdomain-grid adjacency between the tasks' subdomains.
+    fn graph_edges(&self, tasks: &[Task]) -> Vec<(usize, usize, f64)> {
+        let mut by_sub: HashMap<u32, Vec<usize>> = HashMap::new();
+        for (i, t) in tasks.iter().enumerate() {
+            by_sub.entry(t.sub).or_default().push(i);
+        }
+        let mut edges = Vec::new();
+        for (a, b, w) in self.matrix.adjacency() {
+            if let (Some(xs), Some(ys)) = (by_sub.get(&(a as u32)), by_sub.get(&(b as u32))) {
+                for &x in xs {
+                    for &y in ys {
+                        edges.push((x, y, w));
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    fn total_units(&self) -> usize {
+        self.matrix.subdomains() * self.matrix.rounds()
+    }
+
+    fn total_hint_mflop(&self) -> f64 {
+        (0..self.matrix.subdomains() as u32)
+            .flat_map(|sub| (0..self.matrix.rounds() as u32).map(move |round| Task { sub, round }))
+            .map(|t| self.hint_mflop(&t))
+            .sum()
     }
 }
 
 /// Run the mesh workload with no load balancing.
 pub fn run_nolb(spec: &MeshEvalSpec, matrix: &Rc<CostMatrix>) -> SimReport {
-    let nsubs = matrix.subdomains();
-    Engine::build(spec.machine, |p| {
-        let queue: VecDeque<Task> = (0..nsubs)
-            .filter(|&s| block_owner(s, nsubs, spec.machine.procs) == p)
-            .map(|s| Task {
-                sub: s as u32,
-                round: 0,
-            })
-            .collect();
-        Box::new(NoLbMesh {
-            matrix: matrix.clone(),
-            queue,
-        })
-    })
-    .run()
+    nolb::run(&MeshWork::new(spec, matrix))
+}
+
+/// Run the mesh workload under stop-and-repartition: the figures' model,
+/// with a processor notifying the root only once its queue runs dry.
+pub fn run_stop_repartition(spec: &MeshEvalSpec, matrix: &Rc<CostMatrix>) -> SimReport {
+    let cfg = ParMetisCfg {
+        watermark_mflop: 0.0,
+        cooldown: SimTime::from_millis(2500),
+        ..ParMetisCfg::default()
+    };
+    parmetis_drv::run(&MeshWork::new(spec, matrix), cfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -311,414 +367,6 @@ pub fn run_prema(spec: &MeshEvalSpec, matrix: &Rc<CostMatrix>) -> SimReport {
     .report
 }
 
-// ---------------------------------------------------------------------------
-// Stop-and-repartition
-// ---------------------------------------------------------------------------
-
-const K_UNDER: u32 = 10; // worker -> root: starved
-const K_DENY: u32 = 11; // root -> worker: keep waiting
-const K_SYNC: u32 = 12; // root -> all: stop and exchange queues
-const K_LOADS: u32 = 13; // worker -> root: queued tasks + stale hints
-const K_ASSIGN: u32 = 14; // root -> worker: migration orders
-const K_TASKS: u32 = 15; // worker -> worker: migrated tasks
-
-struct SrLoads {
-    epoch: u64,
-    tasks: Vec<Task>,
-}
-struct SrAssign {
-    orders: Vec<(Task, usize)>,
-    incoming: usize,
-    partition_cpu: SimTime,
-}
-struct SrTasks {
-    tasks: Vec<Task>,
-}
-struct SrEmpty;
-
-#[derive(PartialEq, Clone, Copy)]
-enum SrPhase {
-    Normal,
-    AwaitVerdict,
-    Barrier,
-    Migrate { expect: usize },
-}
-
-struct SrRoot {
-    syncing: bool,
-    epoch: u64,
-    last_sync_end: SimTime,
-    loads: Vec<Option<Vec<Task>>>,
-}
-
-/// Stop-and-repartition over the same asynchronous task stream the PREMA
-/// driver executes: processors run subdomain-round tasks independently;
-/// when one starves it notifies the root, which (after its own polling
-/// delay) may stop the world, gather every queue with its *stale* cost
-/// hints (each task is priced at its subdomain's previous-round cost — the
-/// only history available), repartition with the URA, and migrate tasks.
-struct StopRepartMesh {
-    matrix: Rc<CostMatrix>,
-    queue: VecDeque<Task>,
-    phase: SrPhase,
-    cur_epoch: u64,
-    sync_pending: bool,
-    last_under: Option<SimTime>,
-    cooldown: SimTime,
-    /// Migrated tasks that arrived before their ASSIGN did.
-    early_tasks: usize,
-    root: Option<SrRoot>,
-    units_left: Rc<Cell<u64>>,
-    rng: StdRng,
-}
-
-impl StopRepartMesh {
-    /// A task's (stale) cost hint: its subdomain's previous-round cost.
-    fn hint(&self, t: &Task) -> f64 {
-        let r = t.round as usize;
-        if r == 0 {
-            // Nothing measured yet: assume uniformity.
-            self.matrix.total_mflop() / (self.matrix.subdomains() * self.matrix.rounds()) as f64
-        } else {
-            self.matrix.costs[t.sub as usize][r - 1]
-        }
-    }
-
-    fn process_all(&mut self, ctx: &mut Ctx) {
-        for msg in ctx.poll() {
-            let src = msg.src;
-            match msg.kind {
-                K_UNDER => {
-                    let _ = msg.take::<SrEmpty>();
-                    self.root_consider_sync(ctx, src);
-                }
-                K_DENY => {
-                    let _ = msg.take::<SrEmpty>();
-                    if self.phase == SrPhase::AwaitVerdict {
-                        self.phase = SrPhase::Normal;
-                    }
-                }
-                K_SYNC => {
-                    let epoch = msg.take::<u64>();
-                    self.cur_epoch = epoch;
-                    if matches!(self.phase, SrPhase::Normal | SrPhase::AwaitVerdict) {
-                        self.enter_barrier(ctx);
-                    } else {
-                        self.sync_pending = true;
-                    }
-                }
-                K_LOADS => {
-                    let loads = msg.take::<SrLoads>();
-                    let root = self.root.as_mut().expect("LOADS at non-root");
-                    if loads.epoch != root.epoch || !root.syncing {
-                        continue;
-                    }
-                    root.loads[src] = Some(loads.tasks);
-                    if root.loads.iter().all(|l| l.is_some()) {
-                        self.root_repartition(ctx);
-                    }
-                }
-                K_ASSIGN => {
-                    let assign = msg.take::<SrAssign>();
-                    self.apply_assign(ctx, assign);
-                }
-                K_TASKS => {
-                    let tasks = msg.take::<SrTasks>();
-                    let n = tasks.tasks.len();
-                    self.queue.extend(tasks.tasks);
-                    if let SrPhase::Migrate { expect } = &mut self.phase {
-                        *expect = expect.saturating_sub(n);
-                        if *expect == 0 {
-                            self.phase = SrPhase::Normal;
-                            if self.sync_pending {
-                                self.sync_pending = false;
-                                self.enter_barrier(ctx);
-                            }
-                        }
-                    } else {
-                        // ASSIGN hasn't reached us yet; credit it later.
-                        self.early_tasks += n;
-                    }
-                }
-                other => panic!("stop-repartition mesh driver: unknown kind {other}"),
-            }
-        }
-    }
-
-    fn root_consider_sync(&mut self, ctx: &mut Ctx, src: usize) {
-        let now = ctx.now();
-        let n = ctx.num_procs();
-        let me = ctx.pid();
-        let root = self.root.as_mut().expect("UNDER at non-root");
-        let mut deny = false;
-        if root.syncing || now.saturating_sub(root.last_sync_end) < self.cooldown {
-            deny = true;
-        }
-        if self.units_left.get() < (n as u64) {
-            deny = true; // too little outstanding work to warrant balancing
-        }
-        if deny {
-            if src != me {
-                ctx.send(src, K_DENY, CTRL_BYTES, Box::new(SrEmpty));
-            }
-            return;
-        }
-        let root = self.root.as_mut().unwrap();
-        root.syncing = true;
-        root.epoch += 1;
-        let epoch = root.epoch;
-        root.loads = vec![None; n];
-        self.cur_epoch = epoch;
-        for dst in 0..n {
-            if dst != me {
-                ctx.send(dst, K_SYNC, CTRL_BYTES, Box::new(epoch));
-            }
-        }
-        if matches!(self.phase, SrPhase::Normal | SrPhase::AwaitVerdict) {
-            self.enter_barrier(ctx);
-        }
-    }
-
-    fn enter_barrier(&mut self, ctx: &mut Ctx) {
-        let mine: Vec<Task> = self.queue.iter().copied().collect();
-        let size = CTRL_BYTES + 8 * mine.len();
-        ctx.consume(Category::Synchronization, SimTime::from_micros(200));
-        self.phase = SrPhase::Barrier;
-        if ctx.pid() == 0 {
-            let epoch = self.cur_epoch;
-            let root = self.root.as_mut().unwrap();
-            let _ = epoch;
-            root.loads[0] = Some(mine);
-            let root = self.root.as_ref().unwrap();
-            if root.loads.iter().all(|l| l.is_some()) {
-                self.root_repartition(ctx);
-            }
-        } else {
-            ctx.send(
-                0,
-                K_LOADS,
-                size,
-                Box::new(SrLoads {
-                    epoch: self.cur_epoch,
-                    tasks: mine,
-                }),
-            );
-        }
-    }
-
-    fn root_repartition(&mut self, ctx: &mut Ctx) {
-        let n = ctx.num_procs();
-        let me = ctx.pid();
-        let (tasks, old_owner): (Vec<Task>, Vec<u32>) = {
-            let root = self.root.as_mut().unwrap();
-            let mut tasks = Vec::new();
-            let mut owner = Vec::new();
-            for (p, l) in root.loads.iter_mut().enumerate() {
-                for t in l.take().expect("missing loads") {
-                    tasks.push(t);
-                    owner.push(p as u32);
-                }
-            }
-            (tasks, owner)
-        };
-        let nv = tasks.len();
-        let new_owner: Vec<u32> = if nv == 0 {
-            Vec::new()
-        } else {
-            // Graph over queued tasks: subdomain-grid adjacency between the
-            // tasks' subdomains, weighted by the stale hints.
-            let vwgt: Vec<f64> = tasks.iter().map(|t| self.hint(t).max(1e-6)).collect();
-            let mut by_sub: HashMap<u32, Vec<usize>> = HashMap::new();
-            for (i, t) in tasks.iter().enumerate() {
-                by_sub.entry(t.sub).or_default().push(i);
-            }
-            let mut edges = Vec::new();
-            for (a, b, w) in self.matrix.adjacency() {
-                if let (Some(xs), Some(ys)) = (by_sub.get(&(a as u32)), by_sub.get(&(b as u32))) {
-                    for &x in xs {
-                        for &y in ys {
-                            edges.push((x, y, w));
-                        }
-                    }
-                }
-            }
-            let g = Graph::from_edges(nv, &edges, vwgt);
-            adaptive_repart(
-                &g,
-                &old_owner,
-                n,
-                1.0,
-                &PartitionConfig {
-                    seed: 0xBEEF,
-                    ..PartitionConfig::default()
-                },
-            )
-            .part
-        };
-        let partition_cpu = SimTime::from_micros(20 * nv as u64 + 5_000);
-        let mut orders: Vec<Vec<(Task, usize)>> = vec![Vec::new(); n];
-        let mut incoming = vec![0usize; n];
-        for i in 0..nv {
-            let (from, to) = (old_owner[i] as usize, new_owner[i] as usize);
-            if from != to {
-                orders[from].push((tasks[i], to));
-                incoming[to] += 1;
-            }
-        }
-        let root = self.root.as_mut().unwrap();
-        root.syncing = false;
-        root.last_sync_end = ctx.now();
-        for dst in 0..n {
-            let assign = SrAssign {
-                orders: std::mem::take(&mut orders[dst]),
-                incoming: incoming[dst],
-                partition_cpu,
-            };
-            if dst == me {
-                self.apply_assign(ctx, assign);
-            } else {
-                ctx.send(
-                    dst,
-                    K_ASSIGN,
-                    CTRL_BYTES + 12 * assign.orders.len(),
-                    Box::new(assign),
-                );
-            }
-        }
-    }
-
-    fn apply_assign(&mut self, ctx: &mut Ctx, assign: SrAssign) {
-        ctx.consume(Category::PartitionCalc, assign.partition_cpu);
-        let credited = std::mem::take(&mut self.early_tasks);
-        let mut by_dest: Vec<(usize, Vec<Task>)> = Vec::new();
-        for (task, dest) in assign.orders {
-            let pos = self
-                .queue
-                .iter()
-                .position(|t| t.sub == task.sub && t.round == task.round)
-                .expect("ordered to move a task we do not hold");
-            let t = self.queue.remove(pos).unwrap();
-            match by_dest.iter_mut().find(|(d, _)| *d == dest) {
-                Some((_, v)) => v.push(t),
-                None => by_dest.push((dest, vec![t])),
-            }
-        }
-        for (dest, tasks) in by_dest {
-            let size = CTRL_BYTES + 4096 * tasks.len();
-            ctx.send(dest, K_TASKS, size, Box::new(SrTasks { tasks }));
-        }
-        let expect = assign.incoming.saturating_sub(credited);
-        if expect > 0 {
-            self.phase = SrPhase::Migrate { expect };
-        } else {
-            self.phase = SrPhase::Normal;
-            if self.sync_pending {
-                self.sync_pending = false;
-                self.enter_barrier(ctx);
-            }
-        }
-    }
-}
-
-impl Process for StopRepartMesh {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.schedule(SimTime::ZERO, T_NEXT);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
-        self.process_all(ctx);
-        match self.phase {
-            SrPhase::Barrier | SrPhase::Migrate { .. } | SrPhase::AwaitVerdict => {
-                ctx.wait_msg_as(T_WAIT, Category::Synchronization);
-                return;
-            }
-            SrPhase::Normal => {}
-        }
-        // Starved? Notify the root (rate-limited).
-        if self.queue.is_empty() && self.units_left.get() > 0 {
-            let due = self
-                .last_under
-                .is_none_or(|t| ctx.now().saturating_sub(t) >= self.cooldown);
-            if due {
-                self.last_under = Some(ctx.now());
-                if self.root.is_some() {
-                    let me = ctx.pid();
-                    self.root_consider_sync(ctx, me);
-                } else {
-                    ctx.send(0, K_UNDER, CTRL_BYTES, Box::new(SrEmpty));
-                    self.phase = SrPhase::AwaitVerdict;
-                    ctx.wait_msg_as(T_WAIT, Category::Synchronization);
-                    return;
-                }
-            }
-        }
-        match self.queue.pop_front() {
-            Some(t) => {
-                ctx.consume(Category::Scheduling, sched_cpu());
-                ctx.consume(Category::Callback, callback_cpu());
-                let mflop = self.matrix.costs[t.sub as usize][t.round as usize];
-                let dur = ctx.work_time(mflop);
-                ctx.consume(Category::Computation, dur);
-                self.units_left.set(self.units_left.get() - 1);
-                if (t.round as usize) + 1 < self.matrix.rounds() {
-                    self.queue.push_back(Task {
-                        sub: t.sub,
-                        round: t.round + 1,
-                    });
-                }
-                ctx.schedule(SimTime::ZERO, T_NEXT);
-            }
-            None => {
-                if self.units_left.get() == 0 {
-                    ctx.finish();
-                } else {
-                    let step = SimTime::from_millis(self.rng.gen_range(300..700));
-                    ctx.consume(Category::Idle, step);
-                    ctx.schedule(SimTime::ZERO, T_NEXT);
-                }
-            }
-        }
-    }
-}
-
-/// Run the mesh workload under stop-and-repartition.
-pub fn run_stop_repartition(spec: &MeshEvalSpec, matrix: &Rc<CostMatrix>) -> SimReport {
-    let nsubs = matrix.subdomains();
-    let nprocs = spec.machine.procs;
-    let units_left = Rc::new(Cell::new((nsubs * matrix.rounds()) as u64));
-    let initial_owner: Vec<u32> = (0..nsubs)
-        .map(|s| block_owner(s, nsubs, nprocs) as u32)
-        .collect();
-    Engine::build(spec.machine, |p| {
-        let queue: VecDeque<Task> = (0..nsubs as u32)
-            .filter(|&s| initial_owner[s as usize] == p as u32)
-            .map(|s| Task { sub: s, round: 0 })
-            .collect();
-        Box::new(StopRepartMesh {
-            matrix: matrix.clone(),
-            queue,
-            phase: SrPhase::Normal,
-            cur_epoch: 0,
-            sync_pending: false,
-            last_under: None,
-            cooldown: SimTime::from_millis(2500),
-            early_tasks: 0,
-            root: if p == 0 {
-                Some(SrRoot {
-                    syncing: false,
-                    epoch: 0,
-                    last_sync_end: SimTime::ZERO,
-                    loads: vec![None; nprocs],
-                })
-            } else {
-                None
-            },
-            units_left: units_left.clone(),
-            rng: StdRng::seed_from_u64(spec.seed.wrapping_add(p as u64 * 104729)),
-        })
-    })
-    .run()
-}
-
 /// The three-way study result.
 pub struct MeshEvalResult {
     /// No load balancing.
@@ -778,6 +426,7 @@ pub fn run_mesh_eval(spec: &MeshEvalSpec) -> MeshEvalResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prema_sim::Category;
 
     fn matrix() -> (MeshEvalSpec, Rc<CostMatrix>) {
         let spec = MeshEvalSpec::test_scale();

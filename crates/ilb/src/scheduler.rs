@@ -823,9 +823,6 @@ impl<O: Migratable> Scheduler<O> {
                     *told = None;
                 }
             }
-            MolEvent::Object { .. } => {
-                unreachable!("pump()/poll_system() never emit Object events")
-            }
         }
     }
 

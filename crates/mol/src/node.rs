@@ -20,9 +20,11 @@
 //! probe instead of one per concern. This is the MOL half of the O(1)
 //! message fast path; the transport half is `prema_dcs::transport`.
 //!
-//! The node is deliberately *mechanism only*: [`MolNode::poll`] returns
-//! [`MolEvent`]s and the layer above (the ILB scheduler / the `prema` facade)
-//! decides when to execute them. That split is what lets PREMA process
+//! The node is deliberately *mechanism only*: [`MolNode::pump`] ingests the
+//! wire and returns [`MolEvent`]s, routed application messages wait in the
+//! ready queue, and the layer above (the ILB scheduler / the `prema`
+//! facade) decides when to take them ([`MolNode::pop_work`]) and execute
+//! them. That split is what lets PREMA process
 //! system-generated load-balancing traffic preemptively
 //! ([`MolNode::poll_system`]) without ever running application handlers
 //! behind the application's back.
@@ -163,21 +165,11 @@ impl MolStats {
     }
 }
 
-/// What [`MolNode::poll`] hands to the layer above.
+/// What [`MolNode::pump`] hands to the layer above. Messages for local
+/// objects are not events: they wait in the ready queue for
+/// [`MolNode::pop_work`].
 #[derive(Debug)]
 pub enum MolEvent {
-    /// A message for a local object, delivered in per-sender send order.
-    /// Execute it with [`MolNode::with_object`].
-    Object {
-        /// Target object.
-        ptr: MobilePtr,
-        /// Original sender.
-        sender: Rank,
-        /// Application handler id.
-        handler: u32,
-        /// Application payload.
-        payload: Bytes,
-    },
     /// A rank-targeted message (e.g. load-balancer traffic).
     Node {
         /// Sender rank.
@@ -377,7 +369,7 @@ fn note_consumed(totals: &mut [u64], expected: &FxHashMap<Rank, u64>, fold: fn(u
 ///
 /// ```
 /// use prema_dcs::{Communicator, LocalFabric};
-/// use prema_mol::{Migratable, MolEvent, MolNode};
+/// use prema_mol::{Migratable, MolNode};
 /// use bytes::Bytes;
 ///
 /// struct Counter(u64);
@@ -394,9 +386,10 @@ fn note_consumed(totals: &mut [u64], expected: &FxHashMap<Rank, u64>, fold: fn(u
 /// let ptr = a.register(Counter(0));
 /// assert!(a.migrate(ptr, 1));              // move the object to rank 1...
 /// a.message(ptr, 7, Bytes::new());          // ...and message it by name.
-/// let _ = a.poll();                         // (routes the send)
-/// let events = b.poll();                    // rank 1 installs + receives
-/// assert!(events.iter().any(|e| matches!(e, MolEvent::Object { handler: 7, .. })));
+/// let _ = a.pump();                         // (routes the send)
+/// let _ = b.pump();                         // rank 1 installs + queues...
+/// let work = b.pop_work().unwrap();          // ...and hands the work out.
+/// assert_eq!((work.ptr, work.handler), (ptr, 7));
 /// assert!(b.is_local(ptr));
 /// ```
 pub struct MolNode<O: Migratable> {
@@ -582,7 +575,7 @@ impl<O: Migratable> MolNode<O> {
 
     /// Send an application message to a mobile object, wherever it lives.
     /// `handler` is an application-level id dispatched by the caller when the
-    /// message comes back out of [`MolNode::poll`] at the destination. A
+    /// message comes back out of [`MolNode::pop_work`] at the destination. A
     /// remote target's message leaves at once, as a frame of its own.
     pub fn message(&mut self, ptr: MobilePtr, handler: u32, payload: Bytes) {
         self.message_with_hint(ptr, handler, 1.0, payload);
@@ -603,8 +596,8 @@ impl<O: Migratable> MolNode<O> {
     /// scheduler does after a handler returns (DESIGN.md §11). A local
     /// target accepts the message at once; a remote one gets it as a record
     /// appended to that peer's open `H_MOL_MSG` [`Frame`]. The frame is sent
-    /// at the end of this node's next [`MolNode::pump`], [`MolNode::poll`]
-    /// or [`MolNode::poll_system`], after the pass has drained the wire, so
+    /// at the end of this node's next [`MolNode::pump`] or
+    /// [`MolNode::poll_system`], after the pass has drained the wire, so
     /// it shares the pass's [`Communicator::flush`] with every reply the
     /// pass sends; before any other send to that peer (so the pair's FIFO
     /// order is the order of the sends); as soon as it is full; and at
@@ -1143,34 +1136,10 @@ impl<O: Migratable> MolNode<O> {
 
     // ---- polling ---------------------------------------------------------
 
-    /// Process every queued incoming message, send the open frames
-    /// ([`MolNode::flush`]), and return the resulting events: in-order
-    /// application messages for local objects, node messages, and
-    /// installation notices. This is PREMA's *application-posted* polling
-    /// operation.
-    ///
-    /// **Contract:** every [`MolEvent::Object`] in the returned batch must be
-    /// executed (or deliberately discarded) *before* its object migrates
-    /// again — the deliveries have left the runtime's custody and would not
-    /// travel with the object. The [`MolNode::pump`]/[`MolNode::pop_work`]
-    /// pair (used by the ILB scheduler) sidesteps the issue by keeping
-    /// undelivered work inside the node.
-    pub fn poll(&mut self) -> Vec<MolEvent> {
-        let mut events = Vec::new();
-        while let Some(env) = self.comm.try_recv() {
-            self.handle_wire(env, &mut events);
-        }
-        self.flush();
-        self.drain_ready(&mut events);
-        #[cfg(feature = "check-invariants")]
-        self.verify_conservation();
-        events
-    }
-
     /// Process only *system-generated* traffic — migrations, location
     /// updates, and system-tagged node messages — sidelining application
     /// messages untouched (their order is preserved for the next
-    /// [`MolNode::poll`]), then send the open frames ([`MolNode::flush`]).
+    /// [`MolNode::pump`]), then send the open frames ([`MolNode::flush`]).
     /// This is what PREMA's preemptive polling thread runs at its periodic
     /// wake-ups (§4.2): load-balancing messages are seen promptly, yet no
     /// application handler ever runs preemptively.
@@ -1385,17 +1354,6 @@ impl<O: Migratable> MolNode<O> {
         Some((ptr, q))
     }
 
-    fn drain_ready(&mut self, events: &mut Vec<MolEvent>) {
-        while let Some((ptr, q)) = self.pop_ready() {
-            events.push(MolEvent::Object {
-                ptr,
-                sender: q.sender as Rank,
-                handler: q.handler,
-                payload: q.payload,
-            });
-        }
-    }
-
     /// Number of in-order messages queued for local execution.
     pub fn ready_len(&self) -> usize {
         self.ready.len()
@@ -1438,9 +1396,11 @@ impl<O: Migratable> MolNode<O> {
 
     /// Process incoming wire traffic *without* draining the work queue,
     /// then send the open frames ([`MolNode::flush`]): routed application
-    /// messages stay queued (visible via [`MolNode::pop_work`]); only node
-    /// messages and installation notices are returned. This is the
-    /// scheduler's ingest step.
+    /// messages stay queued, in per-sender send order, until
+    /// [`MolNode::pop_work`] hands them out; only node messages and
+    /// installation notices are returned. This is PREMA's
+    /// *application-posted* polling operation and the scheduler's ingest
+    /// step. Queued work travels with its object when the object migrates.
     pub fn pump(&mut self) -> Vec<MolEvent> {
         let mut events = Vec::new();
         while let Some(env) = self.comm.try_recv() {

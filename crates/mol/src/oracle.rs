@@ -15,8 +15,8 @@
 //!    messages are delivered in exactly send order: seq 0, 1, 2, … with no
 //!    gap, duplicate, or reordering, across any number of migrations. The
 //!    oracle keeps an independent shadow cursor per pair, advanced at the
-//!    two delivery points ([`MolNode::drain_ready`]/[`MolNode::pop_work`])
-//!    and re-derived from a migration packet's ordering state on install.
+//!    delivery point ([`MolNode::pop_work`]) and re-derived from a migration
+//!    packet's ordering state on install.
 //! 2. **Forwarding-chain sanity** — a migration packet's epoch strictly
 //!    exceeds every epoch this rank has recorded for the object (forward
 //!    pointer, cached location, or stale local entry): forwarding chains
@@ -35,7 +35,6 @@
 //!    amortised O(1) per check, and on the small states of most tests every
 //!    check.
 //!
-//! [`MolNode::drain_ready`]: crate::MolNode::poll
 //! [`MolNode::pop_work`]: crate::MolNode::pop_work
 
 use crate::directory::HARD_CHAIN_LIMIT;

@@ -7,7 +7,7 @@ mod common;
 use bytes::Bytes;
 use common::{register_with_shard_not_in, Counter};
 use prema_dcs::{ChaosConfig, ChaosHandle, ChaosTransport, Communicator, LocalFabric};
-use prema_mol::{MobilePtr, MolConfig, MolEvent, MolNode, MAX_CHAIN};
+use prema_mol::{MobilePtr, MolConfig, MolNode, MAX_CHAIN};
 
 const H_ADD: u32 = 1;
 
@@ -30,24 +30,17 @@ fn chaos_machine(n: usize, cfg: ChaosConfig) -> (Vec<MolNode<Counter>>, ChaosHan
 fn pump(nodes: &mut [MolNode<Counter>]) -> Vec<(usize, MobilePtr, u32, Bytes)> {
     let mut out = Vec::new();
     loop {
-        // Quiet means *nothing moved*: no events delivered and no envelope
-        // received anywhere — a forwarding hop produces no MolEvent but must
-        // still count as progress or a chain through a lower-ranked node
-        // would strand mid-pump.
+        // Quiet means *nothing moved*: no events or work delivered and no
+        // envelope received anywhere — a forwarding hop produces no MolEvent
+        // but must still count as progress or a chain through a lower-ranked
+        // node would strand mid-pump.
         let before: u64 = nodes.iter().map(|n| n.comm().stats().msgs_recvd).sum();
         let mut quiet = true;
         for (rank, node) in nodes.iter_mut().enumerate() {
-            for ev in node.poll() {
+            quiet &= node.pump().is_empty();
+            while let Some(w) = node.pop_work() {
                 quiet = false;
-                if let MolEvent::Object {
-                    ptr,
-                    handler,
-                    payload,
-                    ..
-                } = ev
-                {
-                    out.push((rank, ptr, handler, payload));
-                }
+                out.push((rank, w.ptr, w.handler, w.payload));
             }
         }
         let after: u64 = nodes.iter().map(|n| n.comm().stats().msgs_recvd).sum();
@@ -200,11 +193,11 @@ fn lost_shard_answers_degrade_to_forwarding() {
         // owner. Both hops mail the sender a teaching DirAnswer — cut the
         // sender off from both teachers so every reply dies in flight.
         nodes[sender].message(ptr, H_ADD, Bytes::copy_from_slice(&delta.to_le_bytes()));
-        let _ = nodes[0].poll(); // home: redirect to shard + DirAnswer to sender
-        let _ = nodes[shard].poll(); // shard: anchor to owner + DirAnswer to sender
+        let _ = nodes[0].pump(); // home: redirect to shard + DirAnswer to sender
+        let _ = nodes[shard].pump(); // shard: anchor to owner + DirAnswer to sender
         handle.partition(sender, 0);
         handle.partition(sender, shard);
-        let _ = nodes[sender].poll(); // admission drops the in-flight answers
+        let _ = nodes[sender].pump(); // admission drops the in-flight answers
         handle.heal_all();
         let evs = pump(&mut nodes);
         assert_eq!(evs.len(), 1, "message lost with answers eaten");

@@ -18,7 +18,7 @@
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric};
-use prema_mol::{MobilePtr, MolConfig, MolEvent, MolNode, MAX_CHAIN};
+use prema_mol::{MobilePtr, MolConfig, MolNode, MAX_CHAIN};
 
 const NPROCS: usize = 8;
 const OBJS_PER_RANK: usize = 4;
@@ -53,14 +53,13 @@ fn machine() -> Vec<MolNode<Counter>> {
         .collect()
 }
 
-fn apply_events(node: &mut MolNode<Counter>, events: Vec<MolEvent>) -> bool {
+/// Execute every queued work item; whether there was any.
+fn apply_work(node: &mut MolNode<Counter>) -> bool {
     let mut any = false;
-    for ev in events {
-        if let MolEvent::Object { ptr, payload, .. } = ev {
-            let add = i64::from_le_bytes(payload[..8].try_into().unwrap());
-            node.with_object(ptr, |_, c| c.value += add).unwrap();
-            any = true;
-        }
+    while let Some(w) = node.pop_work() {
+        let add = i64::from_le_bytes(w.payload[..8].try_into().unwrap());
+        node.with_object(w.ptr, |_, c| c.value += add).unwrap();
+        any = true;
     }
     any
 }
@@ -74,8 +73,8 @@ fn drain(nodes: &mut [MolNode<Counter>]) {
         let before: u64 = nodes.iter().map(|n| n.comm().stats().msgs_recvd).sum();
         let mut any = false;
         for node in nodes.iter_mut() {
-            let events = node.poll();
-            any |= apply_events(node, events);
+            let _ = node.pump();
+            any |= apply_work(node);
         }
         let after: u64 = nodes.iter().map(|n| n.comm().stats().msgs_recvd).sum();
         if any || after != before {

@@ -18,24 +18,18 @@ fn machine(n: usize) -> Vec<MolNode<Counter>> {
         .collect()
 }
 
-/// Pump every node until no events flow for one full round. Returns all
-/// object-message events seen, tagged with the rank that executed them.
+/// Pump every node, taking its queued work, until nothing flows for one
+/// full round. Returns every work item taken, tagged with the rank that
+/// executed it.
 fn pump(nodes: &mut [MolNode<Counter>]) -> Vec<(usize, MobilePtr, u32, Bytes)> {
     let mut out = Vec::new();
     loop {
         let mut quiet = true;
         for (rank, node) in nodes.iter_mut().enumerate() {
-            for ev in node.poll() {
+            quiet &= node.pump().is_empty();
+            while let Some(w) = node.pop_work() {
                 quiet = false;
-                if let MolEvent::Object {
-                    ptr,
-                    handler,
-                    payload,
-                    ..
-                } = ev
-                {
-                    out.push((rank, ptr, handler, payload));
-                }
+                out.push((rank, w.ptr, w.handler, w.payload));
             }
         }
         if quiet {
@@ -255,13 +249,12 @@ fn system_poll_sees_migrations_but_not_app_messages() {
                 assert_eq!(*handler, 43);
                 saw_sys_node = true;
             }
-            MolEvent::Object { .. } => panic!("app message processed by system poll"),
         }
     }
     assert!(saw_install && saw_sys_node);
 
     // The app message is still there for the application's own poll.
-    let evs = nodes[1].poll();
+    let evs = nodes[1].pump();
     let app_node: Vec<_> = evs
         .iter()
         .filter_map(|e| match e {
@@ -347,15 +340,14 @@ fn threaded_stress_ordering() {
         node.node_message(1, 0, Tag::App, Bytes::copy_from_slice(&ptr.to_bytes()));
         let mut received = 0i64;
         while received < MSGS {
-            for ev in node.poll() {
-                if let MolEvent::Object { ptr, payload, .. } = ev {
-                    let v = i64::from_le_bytes(payload[..8].try_into().unwrap());
-                    node.with_object(ptr, |_, obj| {
-                        assert_eq!(v, obj.value + 1, "out of order delivery");
-                        obj.value = v;
-                    });
-                    received += 1;
-                }
+            let _ = node.pump();
+            while let Some(w) = node.pop_work() {
+                let v = i64::from_le_bytes(w.payload[..8].try_into().unwrap());
+                node.with_object(w.ptr, |_, obj| {
+                    assert_eq!(v, obj.value + 1, "out of order delivery");
+                    obj.value = v;
+                });
+                received += 1;
             }
             std::thread::yield_now();
         }
@@ -367,7 +359,7 @@ fn threaded_stress_ordering() {
         // Wait for the pointer.
         let ptr = loop {
             let mut got = None;
-            for ev in node.poll() {
+            for ev in node.pump() {
                 if let MolEvent::Node { payload, .. } = ev {
                     got = Some(MobilePtr::from_bytes(payload[..16].try_into().unwrap()));
                 }
@@ -380,12 +372,12 @@ fn threaded_stress_ordering() {
         for i in 0..MSGS {
             node.message(ptr, H_ADD, Bytes::copy_from_slice(&i.to_le_bytes()));
             if i % 37 == 0 {
-                let _ = node.poll();
+                let _ = node.pump();
             }
         }
         // Keep polling (to forward or answer) until rank 0 reports done.
         while done.load(Ordering::SeqCst) == 0 {
-            let _ = node.poll();
+            let _ = node.pump();
             std::thread::yield_now();
         }
     });
@@ -457,16 +449,15 @@ fn threaded_ordering_survives_injected_latency() {
         let mut local = 0i64;
         let mut hops = 0;
         while d0.load(Ordering::SeqCst) < MSGS as u64 {
-            for ev in node.poll() {
-                if let MolEvent::Object { ptr, payload, .. } = ev {
-                    let v = i64::from_le_bytes(payload[..8].try_into().unwrap());
-                    node.with_object(ptr, |_, obj| {
-                        assert_eq!(v, obj.value + 1, "out of order under latency");
-                        obj.value = v;
-                    });
-                    local += 1;
-                    d0.fetch_add(1, Ordering::SeqCst);
-                }
+            let _ = node.pump();
+            while let Some(w) = node.pop_work() {
+                let v = i64::from_le_bytes(w.payload[..8].try_into().unwrap());
+                node.with_object(w.ptr, |_, obj| {
+                    assert_eq!(v, obj.value + 1, "out of order under latency");
+                    obj.value = v;
+                });
+                local += 1;
+                d0.fetch_add(1, Ordering::SeqCst);
             }
             if node.is_local(ptr) && hops < 20 && local % 3 == 1 && node.migrate(ptr, 1) {
                 hops += 1;
@@ -481,26 +472,21 @@ fn threaded_ordering_survives_injected_latency() {
         let mut node: MolNode<Counter> = MolNode::new(Communicator::new(Box::new(ep1)));
         let mut local = 0i64;
         while d1.load(Ordering::SeqCst) < MSGS as u64 {
-            // NOTE: all delivered Object events must be executed before the
-            // object may migrate again — otherwise the already-dequeued
-            // deliveries would be lost (see MolNode::poll docs). So act on
-            // Installed only after draining the batch.
-            let mut bounce = None;
-            for ev in node.poll() {
-                match ev {
-                    MolEvent::Object { ptr, payload, .. } => {
-                        let v = i64::from_le_bytes(payload[..8].try_into().unwrap());
-                        node.with_object(ptr, |_, obj| {
-                            assert_eq!(v, obj.value + 1, "out of order under latency");
-                            obj.value = v;
-                        });
-                        local += 1;
-                        d1.fetch_add(1, Ordering::SeqCst);
-                    }
-                    MolEvent::Installed { ptr, .. } => bounce = Some(ptr),
-                    _ => {}
-                }
+            // Execute the queued work, then bounce what was installed.
+            let evs = node.pump();
+            while let Some(w) = node.pop_work() {
+                let v = i64::from_le_bytes(w.payload[..8].try_into().unwrap());
+                node.with_object(w.ptr, |_, obj| {
+                    assert_eq!(v, obj.value + 1, "out of order under latency");
+                    obj.value = v;
+                });
+                local += 1;
+                d1.fetch_add(1, Ordering::SeqCst);
             }
+            let bounce = evs.into_iter().rev().find_map(|ev| match ev {
+                MolEvent::Installed { ptr, .. } => Some(ptr),
+                _ => None,
+            });
             if let Some(ptr) = bounce {
                 let _ = node.migrate(ptr, 0);
             }
@@ -514,7 +500,7 @@ fn threaded_ordering_survives_injected_latency() {
         let mut node: MolNode<Counter> = MolNode::new(Communicator::new(Box::new(ep2)));
         let ptr = loop {
             let mut got = None;
-            for ev in node.poll() {
+            for ev in node.pump() {
                 if let MolEvent::Node { payload, .. } = ev {
                     got = Some(MobilePtr::from_bytes(payload[..16].try_into().unwrap()));
                 }
@@ -529,11 +515,11 @@ fn threaded_ordering_survives_injected_latency() {
             if i % 5 == 0 {
                 std::thread::sleep(Duration::from_micros(300));
             }
-            let _ = node.poll();
+            let _ = node.pump();
         }
         // Keep routing (forwarding duty) until everything is delivered.
         while d2.load(Ordering::SeqCst) < MSGS as u64 {
-            let _ = node.poll();
+            let _ = node.pump();
             std::thread::yield_now();
         }
     });

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use prema_dcs::{Communicator, Envelope, LocalFabric, Tag, Transport};
 use prema_mol::proto::{frame_records, Frame, MolEnvelope, H_MOL_MSG};
-use prema_mol::{Migratable, MobilePtr, MolEvent, MolNode};
+use prema_mol::{Migratable, MobilePtr, MolNode};
 use proptest::prelude::*;
 
 #[derive(Debug, PartialEq, Clone)]
@@ -266,8 +266,7 @@ fn drain(nodes: &mut [MolNode<MultiLog>]) {
         let before: u64 = nodes.iter().map(|n| n.comm().stats().msgs_recvd).sum();
         let mut any = false;
         for node in nodes.iter_mut() {
-            let events = node.poll();
-            any |= apply_events(node, events);
+            any |= pump_and_apply(node);
         }
         let after: u64 = nodes.iter().map(|n| n.comm().stats().msgs_recvd).sum();
         if any || after != before {
@@ -278,20 +277,20 @@ fn drain(nodes: &mut [MolNode<MultiLog>]) {
     }
 }
 
-/// Apply every delivered message to its log object; panics (via the MOL's
-/// contract) if a message is delivered somewhere its object is not.
-fn apply_events(node: &mut MolNode<MultiLog>, events: Vec<MolEvent>) -> bool {
+/// The application's poll: ingest the wire, then apply every queued message
+/// to its log object; panics (via the MOL's contract) if a message is
+/// delivered somewhere its object is not. Returns whether any was applied.
+fn pump_and_apply(node: &mut MolNode<MultiLog>) -> bool {
+    let _ = node.pump();
     let mut any = false;
-    for ev in events {
-        if let MolEvent::Object { ptr, payload, .. } = ev {
-            let s = u32::from_le_bytes(payload[..4].try_into().unwrap());
-            let q = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-            let applied = node
-                .with_object(ptr, |_, log| log.seen.push((s, q)))
-                .is_some();
-            assert!(applied, "delivered message for a non-local object");
-            any = true;
-        }
+    while let Some(w) = node.pop_work() {
+        let s = u32::from_le_bytes(w.payload[..4].try_into().unwrap());
+        let q = u32::from_le_bytes(w.payload[4..8].try_into().unwrap());
+        let applied = node
+            .with_object(w.ptr, |_, log| log.seen.push((s, q)))
+            .is_some();
+        assert!(applied, "delivered message for a non-local object");
+        any = true;
     }
     any
 }
@@ -352,8 +351,7 @@ proptest! {
                     }
                 }
                 3 => {
-                    let events = nodes[rank].poll();
-                    apply_events(&mut nodes[rank], events);
+                    pump_and_apply(&mut nodes[rank]);
                 }
                 _ => {
                     // System-only poll: migrations and location updates land,
@@ -372,8 +370,7 @@ proptest! {
         while quiet < 3 {
             let mut any = false;
             for node in nodes.iter_mut() {
-                let events = node.poll();
-                any |= apply_events(node, events);
+                any |= pump_and_apply(node);
             }
             if any { quiet = 0 } else { quiet += 1 }
         }
@@ -433,8 +430,7 @@ proptest! {
                     }
                 }
                 3 => {
-                    let events = nodes[rank].poll();
-                    apply_events(&mut nodes[rank], events);
+                    pump_and_apply(&mut nodes[rank]);
                 }
                 _ => {
                     nodes[rank].poll_system();
@@ -521,8 +517,7 @@ proptest! {
                     let _ = nodes[rank].resolve(ptrs[obj]);
                 }
                 4 => {
-                    let events = nodes[rank].poll();
-                    apply_events(&mut nodes[rank], events);
+                    pump_and_apply(&mut nodes[rank]);
                 }
                 _ => {
                     nodes[rank].poll_system();
@@ -565,19 +560,16 @@ proptest! {
 /// Poll one node and apply any delivered messages to the log object.
 /// Returns true if anything happened.
 fn deliver(node: &mut MolNode<Log>, _ptr: MobilePtr) -> bool {
-    let events = node.poll();
-    let mut any = !events.is_empty();
-    for ev in events {
-        if let MolEvent::Object { ptr, payload, .. } = ev {
-            let v = u32::from_le_bytes(payload[..4].try_into().unwrap());
-            let applied = node
-                .with_object(ptr, |_, log| {
-                    log.seen.push(v);
-                })
-                .is_some();
-            assert!(applied, "delivered message for a non-local object");
-            any = true;
-        }
+    let mut any = !node.pump().is_empty();
+    while let Some(w) = node.pop_work() {
+        let v = u32::from_le_bytes(w.payload[..4].try_into().unwrap());
+        let applied = node
+            .with_object(w.ptr, |_, log| {
+                log.seen.push(v);
+            })
+            .is_some();
+        assert!(applied, "delivered message for a non-local object");
+        any = true;
     }
     any
 }

@@ -293,18 +293,11 @@ impl World {
     /// The application-posted poll: everything queued comes out, in order.
     fn drain(&mut self, r: usize) {
         let r = r % RANKS;
-        let got: Vec<(MobilePtr, Rank, Vec<u8>)> = self.nodes[r]
-            .poll()
-            .into_iter()
-            .map(|ev| match ev {
-                MolEvent::Object {
-                    ptr,
-                    sender,
-                    payload,
-                    ..
-                } => (ptr, sender, payload.to_vec()),
-                other => panic!("unexpected event {other:?}"),
-            })
+        let node = &mut self.nodes[r];
+        let events = node.pump();
+        assert!(events.is_empty(), "unexpected events {events:?}");
+        let got: Vec<(MobilePtr, Rank, Vec<u8>)> = std::iter::from_fn(|| node.pop_work())
+            .map(|w| (w.ptr, w.sender, w.payload.to_vec()))
             .collect();
         let want: Vec<Msg> = self.model[r].ready.drain(..).collect();
         assert_eq!(

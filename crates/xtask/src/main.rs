@@ -282,6 +282,7 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lex::{Kind, Token};
 
     /// Every `PREMA_[A-Z0-9_]+` name inside a string literal of `text`.
     fn knob_names(text: &str) -> impl Iterator<Item = &str> {
@@ -293,13 +294,64 @@ mod tests {
         })
     }
 
+    /// The dcs::env readers: each takes its key as its first argument.
+    const DCS_ENV_READERS: [&str; 3] = ["u64_var", "usize_var", "prob_var"];
+
+    /// `(line, key)` for every environment read in `sf` whose key is a
+    /// string literal: `env::var("K")`, `env::var_os("K")`, or a `dcs::env`
+    /// reader such as `env::u64_var("K")`.
+    fn literal_env_reads(sf: &SourceFile) -> Vec<(usize, String)> {
+        let toks: Vec<&Token> = sf
+            .tokens
+            .iter()
+            .filter(|t| t.kind != Kind::Comment)
+            .collect();
+        let mut out = Vec::new();
+        for (i, w) in toks.windows(3).enumerate() {
+            let (name, open, key) = (w[0], w[1], w[2]);
+            let Some(key) = key.str_content() else {
+                continue;
+            };
+            let std_read = (name.is_ident("var") || name.is_ident("var_os"))
+                && i >= 2
+                && toks[i - 1].is_punct("::")
+                && toks[i - 2].is_ident("env");
+            let dcs_read = DCS_ENV_READERS.iter().any(|r| name.is_ident(r));
+            if (std_read || dcs_read) && open.is_punct("(") {
+                out.push((name.line, key.to_string()));
+            }
+        }
+        out
+    }
+
     /// README's environment-knob table lists exactly the `PREMA_*` names in
-    /// the string literals of non-test `crates/*/src` code: a knob cannot be
-    /// added, or left behind after its reader goes, without a visible diff.
+    /// the string literals of non-test `crates/*/src` code, and every key
+    /// that code reads from the environment by literal name, whatever its
+    /// prefix: a knob cannot be added, or left behind after its reader goes,
+    /// without a visible diff.
     #[test]
     fn readme_knob_table_matches_the_source() {
         let root = workspace_root();
+        let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+        let table = readme
+            .split("### Environment knobs")
+            .nth(1)
+            .expect("README has an `Environment knobs` section");
+        let names: Vec<&str> = table
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|row| row.split('|').nth(1))
+            .collect();
+        let rows: BTreeSet<&str> = names.iter().map(|n| n.trim().trim_matches('`')).collect();
+        let in_readme: BTreeSet<String> = names
+            .iter()
+            .flat_map(|n| knob_names(n))
+            .map(str::to_string)
+            .collect();
+
         let mut in_code = BTreeSet::new();
+        let mut unlisted = Vec::new();
         for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
             for path in rust_files(&krate.expect("readable entry").path().join("src")) {
                 let text = std::fs::read_to_string(&path).expect("readable source");
@@ -309,21 +361,18 @@ mod tests {
                         in_code.extend(knob_names(lit).map(str::to_string));
                     }
                 }
+                for (line, key) in literal_env_reads(&sf) {
+                    if !sf.line_is_test(line) && !rows.contains(key.as_str()) {
+                        let rel = path.strip_prefix(&root).unwrap_or(&path);
+                        unlisted.push(format!("{}:{line}: {key}", rel.display()));
+                    }
+                }
             }
         }
-        let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
-        let table = readme
-            .split("### Environment knobs")
-            .nth(1)
-            .expect("README has an `Environment knobs` section");
-        let in_readme: BTreeSet<String> = table
-            .lines()
-            .skip_while(|l| !l.starts_with('|'))
-            .take_while(|l| l.starts_with('|'))
-            .filter_map(|row| row.split('|').nth(1))
-            .flat_map(knob_names)
-            .map(str::to_string)
-            .collect();
+        assert!(
+            unlisted.is_empty(),
+            "environment reads with no row in README's knob table: {unlisted:?}"
+        );
         assert!(
             !in_code.is_empty(),
             "no PREMA_* literal found under crates/*/src"
