@@ -1,6 +1,6 @@
 //! PREMA runtime configuration.
 
-use prema_ilb::{Diffusion, Gradient, LbPolicy, Multilist, StabilityConfig, WorkStealing};
+use prema_ilb::{Diffusion, Gradient, LbPolicy, Multilist, WorkStealing};
 use std::time::Duration;
 
 /// When the load balancer gets control (§4.1 / §4.2 of the paper).
@@ -76,11 +76,6 @@ pub struct PremaConfig {
     pub policy: PolicyKind,
     /// RNG seed for policies.
     pub seed: u64,
-    /// Migration stability governor (DESIGN.md §14): per-object minimum
-    /// residency, per-rank migration-rate cap, and grant hysteresis. On (at
-    /// the defaults) in every preset. No environment variable overrides it:
-    /// the threaded runtime and the harness's `SimRank` run what it says.
-    pub stability: StabilityConfig,
 }
 
 impl PremaConfig {
@@ -94,15 +89,7 @@ impl PremaConfig {
             },
             policy: PolicyKind::WorkStealing { watermark: 1.0 },
             seed: 0xC0FFEE,
-            stability: StabilityConfig::default(),
         }
-    }
-
-    /// This configuration with the given migration stability governor
-    /// settings (use [`StabilityConfig::off`] to reproduce the pre-governor
-    /// behavior).
-    pub fn with_stability(self, stability: StabilityConfig) -> Self {
-        PremaConfig { stability, ..self }
     }
 
     /// "PREMA with explicit load balancing".
@@ -160,15 +147,5 @@ mod tests {
             .name(),
             "gradient"
         );
-    }
-
-    #[test]
-    fn stability_defaults_on_and_builder_overrides() {
-        assert_eq!(
-            PremaConfig::implicit(4).stability,
-            StabilityConfig::default()
-        );
-        let off = PremaConfig::implicit(4).with_stability(StabilityConfig::off());
-        assert_eq!(off.stability, StabilityConfig::off());
     }
 }

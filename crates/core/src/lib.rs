@@ -63,9 +63,7 @@ pub const CHECK_INVARIANTS: bool = cfg!(feature = "check-invariants");
 
 pub use config::{LbMode, PolicyKind, PremaConfig};
 pub use phases::PhaseBarrier;
-pub use runtime::{
-    build_scheduler, launch, launch_single_rank, launch_with_trace, launch_with_transports, Runtime,
-};
+pub use runtime::{build_scheduler, launch, launch_single_rank, launch_with_transports, Runtime};
 pub use termination::Completion;
 
 // Re-export the component layers under their paper names.
@@ -73,12 +71,12 @@ pub use prema_dcs as dcs;
 pub use prema_ilb as ilb;
 pub use prema_mol as mol;
 
-// Per-rank event tracing (`prema::trace::TraceSink` + `launch_with_trace`).
+// Per-rank event tracing (`prema::trace::TraceSink` + `launch_with_transports`).
 // Hooks record only into a sink a caller hands over.
 pub use prema_trace as trace;
 
 // The types applications touch constantly.
-pub use prema_ilb::{HandlerCtx, LoadSnapshot, StabilityConfig};
+pub use prema_ilb::{HandlerCtx, LoadSnapshot};
 pub use prema_mol::{Migratable, MobilePtr, WorkItem};
 
 // The runtime-internal map flavor, for embedders extending the runtime.

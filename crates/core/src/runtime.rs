@@ -27,24 +27,21 @@
 //!
 //! # The polling operation's slice
 //!
-//! [`Runtime::step`] runs PREMA's cycle — poll, schedule, execute — but
-//! polls only when [`ilb::Scheduler::poll_due`] says so: before every unit
-//! while the rank's queue is empty or its units are a
-//! [`prema_dcs::WIRE_SLICE`] long, and once per slice (on the rank's
-//! monotonic [`Clock`]) while it works through shorter ones. It reads that
-//! clock on every k-th unit only, k = clamp(units per slice ÷ 4, 1, 8)
-//! from the last slice that ended by the clock, so k is 1 while units are a
-//! slice long; after units suddenly lengthen, a poll comes at most k − 1
-//! units late. What arrives for the rank waits at most one slice, those
-//! k − 1 units aside, and so do the object messages its units send to
-//! other ranks: a unit's `finish` appends each to its peer's frame, and
-//! every frame leaves at the rank's next polling operation, one frame a
-//! peer (DESIGN.md §11). That is within one slice while the rank runs short
-//! units, at once when its queue runs dry or its units are a slice long,
-//! and at the polling thread's next pass if a long unit starts first. Every
-//! other poll — [`Runtime::poll`], the polling thread's pass — runs
-//! whenever it is called, and what is still staged when a rank's `main`
-//! returns leaves then.
+//! [`Runtime::step`] runs PREMA's cycle — poll, schedule, execute —
+//! through [`ilb::Scheduler::next_unit`], which owns the slice gate: it
+//! polls before every unit while the rank's queue is empty or its units are
+//! a [`prema_dcs::WIRE_SLICE`] long, and once per slice (on the rank's
+//! monotonic [`Clock`], read every k-th unit) while it works through shorter
+//! ones. What arrives for the rank waits at most one slice, k − 1 units
+//! aside, and so do the object messages its units send to other ranks: a
+//! unit's `finish` appends each to its peer's frame, and every frame leaves
+//! at the rank's next polling operation, one frame a peer (DESIGN.md §11).
+//! That is within one slice while the rank runs short units, at once when
+//! its queue runs dry or its units are a slice long, and at the polling
+//! thread's next pass if a long unit starts first. Every other poll —
+//! [`Runtime::poll`], the polling thread's pass — runs whenever it is
+//! called, and what is still staged when a rank's `main` returns leaves
+//! then.
 //!
 //! # One flush per lock hold
 //!
@@ -212,7 +209,7 @@ impl<O: Migratable> Runtime<O> {
     }
 
     /// One turn of PREMA's cycle: the polling operation if it is due
-    /// ([`ilb::Scheduler::poll_due`]: always on an empty queue, else once
+    /// ([`ilb::Scheduler::next_unit`]: always on an empty queue, else once
     /// per [`prema_dcs::WIRE_SLICE`], the clock read every k-th unit), then
     /// one queued work unit, if any.
     /// The handler runs **without** holding the runtime lock; what it sent
@@ -220,13 +217,7 @@ impl<O: Migratable> Runtime<O> {
     /// operation (see module docs). Returns `false` if the local queue was
     /// empty.
     pub fn step(&self) -> bool {
-        let mut exec = {
-            let mut s = self.lock();
-            if s.poll_due() {
-                s.poll();
-            }
-            s.begin()
-        };
+        let mut exec = self.lock().next_unit();
         // The unit stays where `begin` wrote it: run and finish take it by
         // reference.
         let Some(exec) = &mut exec else {
@@ -330,29 +321,9 @@ impl<O: Migratable> Runtime<O> {
 /// processes system messages every `poll_interval` — this is the
 /// configuration the paper's evaluation crowns (§5). It starts when its rank
 /// begins its first work unit and is stopped, woken and joined after every
-/// rank's `main` has returned.
+/// rank's `main` has returned. The wire is the in-process [`LocalFabric`],
+/// untraced; [`launch_with_transports`] takes any other wire, and a sink.
 pub fn launch<O, R, F>(cfg: PremaConfig, main: F) -> Vec<R>
-where
-    O: Migratable,
-    R: Send + 'static,
-    F: Fn(Runtime<O>) -> R + Send + Sync + 'static,
-{
-    launch_with_trace(cfg, None, main)
-}
-
-/// [`launch`], recording runtime events into `trace` (when `Some`). Each
-/// rank's scheduler, MOL node, communicator, and polling thread get a
-/// per-rank tracer stamping events with wall time since the sink's epoch.
-///
-/// With `None` every tracer stays detached, and each trace hook costs one
-/// branch. The wire is the in-process [`LocalFabric`]; a caller wanting
-/// another stack (chaos, reliable, UDP) builds it and calls
-/// [`launch_with_transports`].
-pub fn launch_with_trace<O, R, F>(
-    cfg: PremaConfig,
-    trace: Option<std::sync::Arc<prema_trace::TraceSink>>,
-    main: F,
-) -> Vec<R>
 where
     O: Migratable,
     R: Send + 'static,
@@ -360,21 +331,22 @@ where
 {
     let transports = LocalFabric::new(cfg.nprocs)
         .into_iter()
-        .enumerate()
-        .map(|(rank, mut ep)| {
-            if let Some(sink) = &trace {
-                ep.set_tracer(sink.tracer(rank));
-            }
-            Box::new(ep) as Box<dyn Transport>
-        })
+        .map(|ep| Box::new(ep) as Box<dyn Transport>)
         .collect();
-    launch_with_transports(cfg, transports, trace, main)
+    launch_with_transports(cfg, transports, None, main)
 }
 
-/// [`launch_with_trace`] over caller-provided transports — one boxed
-/// [`Transport`] per rank, in rank order. This is the entry point for wiring
-/// custom transport stacks (chaos soak tests with partition control, future
-/// real interconnects) under the full runtime.
+/// [`launch`] over caller-provided transports — one boxed [`Transport`] per
+/// rank, in rank order — recording runtime events into `trace` (when
+/// `Some`). This is the entry point for wiring custom transport stacks
+/// (chaos soak tests with partition control, UDP, future real
+/// interconnects) under the full runtime.
+///
+/// Each rank's scheduler, MOL node, communicator, and polling thread get a
+/// per-rank tracer on `trace`, stamping events with wall time since the
+/// sink's epoch; a transport records its own events once the caller has
+/// handed it a tracer on the same sink (`LocalEndpoint::set_tracer`). With
+/// `None` every tracer stays detached, and each trace hook costs one branch.
 pub fn launch_with_transports<O, R, F>(
     cfg: PremaConfig,
     transports: Vec<Box<dyn Transport>>,
@@ -483,8 +455,9 @@ fn stop_pollers(stop: &StopFlag, pollers: impl IntoIterator<Item = JoinHandle<()
 }
 
 /// Assemble one rank's scheduler stack from `cfg`: communicator → MOL node
-/// → policy (seeded `cfg.seed + rank`) → clock → stability governor →
-/// [`LbMode::Disabled`] → tracer. Applies no environment knob to
+/// → policy (seeded `cfg.seed + rank`) → clock → [`LbMode::Disabled`] →
+/// tracer. The stability governor runs its defaults
+/// ([`ilb::StabilityConfig::default`]), in every rank the runtime builds. Applies no environment knob to
 /// `cfg` — what it says is what runs — and reads no time but `clock`
 /// ([`Clock::monotonic`] under [`launch`]), so a caller with its own clock
 /// (the harness's discrete-event `SimRank`, which hands it a manual one)
@@ -502,7 +475,6 @@ pub fn build_scheduler<O: Migratable>(
     let policy = cfg.policy.build(cfg.seed.wrapping_add(rank as u64));
     let mut sched = ilb::Scheduler::new(node, policy);
     sched.set_clock(clock);
-    sched.set_stability(cfg.stability);
     if cfg.mode == LbMode::Disabled {
         sched.set_lb_enabled(false);
     }

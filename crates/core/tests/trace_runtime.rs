@@ -1,9 +1,12 @@
 //! End-to-end tracing through the live runtime (threads + polling thread):
-//! `launch_with_trace` hands every rank's components a tracer on its sink.
+//! `launch_with_transports` hands every rank's components a tracer on its
+//! sink.
 
 use bytes::Bytes;
+use prema::dcs::{LocalFabric, Transport};
 use prema::trace::{TraceEvent, TraceSink};
-use prema::{launch_with_trace, PremaConfig, Runtime};
+use prema::{launch_with_transports, PremaConfig, Runtime};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Cell(u64);
@@ -19,26 +22,46 @@ impl prema::Migratable for Cell {
 const H_BUMP: u32 = 1;
 const H_SPIN: u32 = 2;
 
+/// Launch a 2-rank implicit machine whose every component, the in-process
+/// wire included, records into `sink`.
+fn launch_traced<R: Send + 'static>(
+    sink: &Arc<TraceSink>,
+    main: impl Fn(Runtime<Cell>) -> R + Send + Sync + 'static,
+) -> Vec<R> {
+    let wire = LocalFabric::new(2)
+        .into_iter()
+        .enumerate()
+        .map(|(rank, mut ep)| {
+            ep.set_tracer(sink.tracer(rank));
+            Box::new(ep) as Box<dyn Transport>
+        });
+    launch_with_transports(
+        PremaConfig::implicit(2),
+        wire.collect(),
+        Some(sink.clone()),
+        main,
+    )
+}
+
 #[test]
 fn runtime_records_exec_migration_and_substrate_events() {
     let sink = TraceSink::new(2);
-    let results =
-        launch_with_trace::<Cell, u64, _>(PremaConfig::implicit(2), Some(sink.clone()), |rt| {
-            rt.on_message(H_BUMP, |_ctx, cell, _item| cell.0 += 1);
-            if rt.rank() == 0 {
-                let ptr = rt.register(Cell(0));
-                rt.message(ptr, H_BUMP, Bytes::new());
-                rt.run_until(|s| s.stats().executed >= 1);
-                // Ship the object to rank 1 so migrate/install appear.
-                assert!(rt.migrate(ptr, 1));
-                // Message chases the forward pointer to rank 1.
-                rt.message(ptr, H_BUMP, Bytes::new());
-                return 1;
-            }
-            // Rank 1 executes the forwarded unit on the installed object.
+    let results = launch_traced(&sink, |rt| {
+        rt.on_message(H_BUMP, |_ctx, cell, _item| cell.0 += 1);
+        if rt.rank() == 0 {
+            let ptr = rt.register(Cell(0));
+            rt.message(ptr, H_BUMP, Bytes::new());
             rt.run_until(|s| s.stats().executed >= 1);
-            1
-        });
+            // Ship the object to rank 1 so migrate/install appear.
+            assert!(rt.migrate(ptr, 1));
+            // Message chases the forward pointer to rank 1.
+            rt.message(ptr, H_BUMP, Bytes::new());
+            return 1;
+        }
+        // Rank 1 executes the forwarded unit on the installed object.
+        rt.run_until(|s| s.stats().executed >= 1);
+        1
+    });
     assert_eq!(results, vec![1, 1]);
     assert_eq!(sink.dropped(), 0);
 
@@ -100,32 +123,28 @@ enum Unit {
 /// other rank, then treat the unit as `unit` says.
 fn poll_wakes(unit: Unit) -> usize {
     let sink = TraceSink::new(2);
-    launch_with_trace::<Cell, (), _>(
-        PremaConfig::implicit(2),
-        Some(sink.clone()),
-        move |rt: Runtime<Cell>| {
-            rt.on_message(H_SPIN, |_ctx, cell, _item| {
-                let until = Instant::now() + Duration::from_millis(5);
-                while Instant::now() < until {
-                    std::hint::spin_loop();
-                }
-                cell.0 += 1;
-            });
-            rt.on_node_message(H_BUMP, |_ctx, _from, _payload| {});
-            let ptr = rt.register(Cell(0));
-            rt.message(ptr, H_SPIN, Bytes::new());
-            rt.node_message(1 - rt.rank(), H_BUMP, Bytes::new());
-            match unit {
-                Unit::Posted => {}
-                Unit::Stepped => assert!(rt.step()),
-                Unit::BegunInScheduler => {
-                    let mut exec = rt.with_scheduler(|s| s.begin()).expect("a unit");
-                    exec.run();
-                    rt.with_scheduler(|s| s.finish(exec));
-                }
+    launch_traced(&sink, move |rt: Runtime<Cell>| {
+        rt.on_message(H_SPIN, |_ctx, cell, _item| {
+            let until = Instant::now() + Duration::from_millis(5);
+            while Instant::now() < until {
+                std::hint::spin_loop();
             }
-        },
-    );
+            cell.0 += 1;
+        });
+        rt.on_node_message(H_BUMP, |_ctx, _from, _payload| {});
+        let ptr = rt.register(Cell(0));
+        rt.message(ptr, H_SPIN, Bytes::new());
+        rt.node_message(1 - rt.rank(), H_BUMP, Bytes::new());
+        match unit {
+            Unit::Posted => {}
+            Unit::Stepped => assert!(rt.step()),
+            Unit::BegunInScheduler => {
+                let mut exec = rt.with_scheduler(|s| s.begin()).expect("a unit");
+                exec.run();
+                rt.with_scheduler(|s| s.finish(exec));
+            }
+        }
+    });
     sink.drain()
         .iter()
         .filter(|r| matches!(r.ev, TraceEvent::PollWake { .. }))

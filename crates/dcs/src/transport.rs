@@ -55,12 +55,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The wire slice: how often a rank with queued work runs its polling
-/// operation (`prema::Runtime::step` through `ilb::Scheduler::poll_due`) —
-/// it pumps its wire and weighs its load once per slice, not once per unit
-/// — and how often [`crate::udp`] services its socket while a rank keeps
-/// receiving without flushing: open datagrams leave, and the socket is
-/// drained, at the first `try_recv` at least this long after the last
-/// service.
+/// operation (`ilb::Scheduler::next_unit`, under `prema::Runtime::step` and
+/// the simulator's ranks alike) — it pumps its wire and weighs its load once
+/// per slice, not once per unit — and how often [`crate::udp`] services its
+/// socket while a rank keeps receiving without flushing: open datagrams
+/// leave, and the socket is drained, at the first `try_recv` at least this
+/// long after the last service.
 ///
 /// A constant, not configuration. Swept on `chat_udp` (benchmark/README.md;
 /// 8 s runs, seed 1, two rounds, 2-vCPU Xeon VM) against servicing the

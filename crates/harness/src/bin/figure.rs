@@ -19,12 +19,9 @@
 //! `figure -- wave` (a hotspot receiving escalating arrival waves; metric:
 //! makespan).
 
-use prema::PolicyKind;
 use prema_harness::report::Config;
 use prema_harness::runner::run_figure_with_trace;
-use prema_harness::scenarios::{
-    run_interact, run_wave, shipped_policies, InteractCfg, PolicyRun, WaveCfg,
-};
+use prema_harness::scenarios::{interact_table, wave_table};
 use prema_harness::spec::BenchSpec;
 use prema_sim::TraceSink;
 
@@ -34,51 +31,17 @@ use prema_sim::TraceSink;
 /// own events; 2^18 slots leaves headroom so `dropped()` stays 0.
 const TRACE_RING_CAPACITY: usize = 1 << 18;
 
-/// One scenario's table: a row per policy.
-fn scenario(policies: [PolicyKind; 4], run: impl Fn(PolicyKind) -> PolicyRun) {
-    println!("policy         remote-notes  migrations  makespan");
-    for policy in policies {
-        let out = run(policy);
-        println!(
-            "{:<14} {:>12} {:>11} {:>9}",
-            policy.build(0).name(),
-            out.remote_notes,
-            out.migrations(),
-            out.stack.report.makespan
-        );
-    }
-}
-
-/// The `interact` scenario; the diffusive threshold is one task.
-fn scenario_interact() {
-    let cfg = InteractCfg::default();
-    println!("interact: {cfg:?}, {} notes", cfg.notes());
-    scenario(shipped_policies(cfg.task_mflop, cfg.task_mflop), |p| {
-        run_interact(&cfg, p)
-    });
-}
-
-/// The `wave` scenario; the diffusive threshold is twelve tasks.
-fn scenario_wave() {
-    let cfg = WaveCfg::default();
-    println!("wave: {cfg:?}");
-    scenario(
-        shipped_policies(cfg.task_mflop, 12.0 * cfg.task_mflop),
-        |p| run_wave(&cfg, p),
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let csv = args.iter().any(|a| a == "--csv");
     let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     match positional.first().map(|s| s.as_str()) {
         Some("interact") => {
-            scenario_interact();
+            print!("{}", interact_table());
             return;
         }
         Some("wave") => {
-            scenario_wave();
+            print!("{}", wave_table());
             return;
         }
         _ => {}

@@ -114,6 +114,33 @@ pub fn shipped_policies(task: f64, threshold: f64) -> [PolicyKind; 4] {
     ]
 }
 
+/// `figure -- interact`'s table: the configuration, then a row per shipped
+/// policy, the diffusive threshold one task.
+pub fn interact_table() -> String {
+    let cfg = InteractCfg::default();
+    let head = format!("interact: {cfg:?}, {} notes", cfg.notes());
+    let policies = shipped_policies(cfg.task_mflop, cfg.task_mflop);
+    table(head, policies, |p| run_interact(&cfg, p))
+}
+
+/// `figure -- wave`'s table, the diffusive threshold twelve tasks.
+pub fn wave_table() -> String {
+    let cfg = WaveCfg::default();
+    let policies = shipped_policies(cfg.task_mflop, 12.0 * cfg.task_mflop);
+    table(format!("wave: {cfg:?}"), policies, |p| run_wave(&cfg, p))
+}
+
+/// A scenario's table under `head`: a row per policy.
+fn table(head: String, policies: [PolicyKind; 4], run: impl Fn(PolicyKind) -> PolicyRun) -> String {
+    let rows = policies.map(|policy| {
+        let (out, name) = (run(policy), policy.build(0).name());
+        let (notes, moved) = (out.remote_notes, out.migrations());
+        let makespan = out.stack.report.makespan;
+        format!("{name:<14} {notes:>12} {moved:>11} {makespan:>9}\n")
+    });
+    head + "\npolicy         remote-notes  migrations  makespan\n" + &rows.concat()
+}
+
 /// What one scenario run leaves behind.
 pub struct PolicyRun {
     /// The engine's report and every rank's counters.

@@ -12,7 +12,8 @@
 //!   receive pops an inbox that `SimRank` fills from [`Ctx::poll`].
 //! * `SimRank` is the application thread and the polling thread of
 //!   `prema::Runtime` as one [`Process`]: at a unit boundary it does what
-//!   `Runtime::step` does (`poll`, `begin`, run the handler, and once the
+//!   `Runtime::step` does (`next_unit`, which polls once per `WIRE_SLICE`
+//!   of simulated time while work is queued, run the handler, and once the
 //!   unit's compute time has passed, `finish`); in [`LbMode::Implicit`] the
 //!   compute time passes one `poll_interval` per engine event, each followed
 //!   by the polling thread's `poll_system`. A unit is one event per segment
@@ -167,15 +168,13 @@ impl<O: Migratable> SimRank<O> {
             .extend(arrived.into_iter().map(|m| m.take::<Envelope>()));
     }
 
-    /// `Runtime::step` up to the handler's return: the polling operation,
-    /// then the next unit if there is one. An idle rank parks until a
-    /// message arrives, or stops once no unit is left anywhere. The poll
-    /// runs at every boundary, which is what `Runtime::step`'s slice gate
-    /// does for units a `WIRE_SLICE` long or longer.
+    /// `Runtime::step` up to the handler's return: `next_unit`, the polling
+    /// operation if it is due, then the next unit if there is one. An idle
+    /// rank parks until a message arrives, or stops once no unit is left
+    /// anywhere.
     fn unit_boundary(&mut self, ctx: &mut Ctx) {
         self.receive(ctx);
-        self.call(ctx, |s| s.poll());
-        match self.call(ctx, |s| s.begin()) {
+        match self.call(ctx, |s| s.next_unit()) {
             Some(mut exec) => {
                 ctx.consume(Category::Scheduling, sched_cpu());
                 ctx.consume(Category::Callback, callback_cpu());

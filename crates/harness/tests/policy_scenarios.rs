@@ -3,12 +3,15 @@
 //! of `simrank::run` they brought with them.
 
 use bytes::Bytes;
+use prema::dcs::WIRE_SLICE;
 use prema::{PolicyKind, PremaConfig};
 use prema_harness::drivers::{callback_cpu, sched_cpu};
-use prema_harness::scenarios::{run_interact, run_wave, shipped_policies, InteractCfg, WaveCfg};
+use prema_harness::scenarios::{
+    interact_table, run_interact, run_wave, shipped_policies, wave_table, InteractCfg, WaveCfg,
+};
 use prema_harness::simrank::{self, mflop_payload, Arrival, StackRun};
 use prema_mol::{Migratable, MAX_CHAIN};
-use prema_sim::{Category, MachineConfig, SimTime};
+use prema_sim::{Category, MachineConfig, SimTime, TraceEvent, TraceSink};
 use std::sync::{Arc, Mutex};
 
 fn executed(run: &StackRun) -> u64 {
@@ -94,6 +97,16 @@ fn one_rank(
     first: &[(u32, f64)],
     later: &[(SimTime, u32, f64)],
 ) -> (StackRun, Vec<u32>) {
+    one_rank_traced(cfg, first, later, None)
+}
+
+/// [`one_rank`], recording into `trace`.
+fn one_rank_traced(
+    cfg: PremaConfig,
+    first: &[(u32, f64)],
+    later: &[(SimTime, u32, f64)],
+    trace: Option<Arc<TraceSink>>,
+) -> (StackRun, Vec<u32>) {
     fn post(sched: &mut prema_ilb::Scheduler<Unit>, name: u32, mflop: f64) {
         let mut payload = mflop_payload(mflop).to_vec();
         payload.extend_from_slice(&name.to_le_bytes());
@@ -115,7 +128,7 @@ fn one_rank(
         MachineConfig::small(1),
         &cfg,
         (first.len() + later.len()) as u64,
-        None,
+        trace,
         arrivals,
         |sched| {
             let order = order.clone();
@@ -163,4 +176,64 @@ fn an_arrival_wakes_a_parked_rank_at_its_instant_and_the_run_waits_for_it() {
     assert_eq!(order, [1, 2, 3]);
     assert_eq!(run.report.finish[0], t2 + unit);
     assert_eq!(run.report.breakdowns[0][Category::Idle], t2 - unit - unit);
+}
+
+/// A rank working through units shorter than a `WIRE_SLICE` polls once a
+/// slice of simulated time, as `Runtime::step` does on a thread: a 0-Mflop
+/// unit costs only its scheduling and callback CPU, 15 µs.
+#[test]
+fn short_units_poll_at_most_once_a_slice() {
+    let first: Vec<(u32, f64)> = (0..200).map(|name| (name, 0.0)).collect();
+    let sink = TraceSink::manual(1, 1 << 12);
+    let (run, _) = one_rank_traced(PremaConfig::implicit(1), &first, &[], Some(sink.clone()));
+    assert_eq!(executed(&run), 200);
+    let records = sink.drain();
+    let stamps =
+        |ev: fn(&TraceEvent) -> bool| records.iter().filter(move |r| ev(&r.ev)).map(|r| r.t);
+    // Until the last unit begins, that unit at least is queued.
+    let last_begin = stamps(|e| matches!(e, TraceEvent::ExecBegin { .. }))
+        .max()
+        .expect("units ran");
+    let polls: Vec<u64> = stamps(|e| matches!(e, TraceEvent::Poll { .. }))
+        .take_while(|&t| t <= last_begin)
+        .collect();
+    let slice = WIRE_SLICE.as_nanos() as u64;
+    for pair in polls.windows(2) {
+        assert!(
+            pair[1] - pair[0] >= slice,
+            "polls at {pair:?} ns, with units queued"
+        );
+    }
+    // A pace, not a stop: at least one poll every other slice.
+    assert!(
+        2 * polls.len() as u64 >= last_begin / slice,
+        "{} polls",
+        polls.len()
+    );
+}
+
+/// Every shipped policy's `interact` and `wave` rows, exactly as
+/// `figure -- interact` and `figure -- wave` print them (EXPERIMENTS.md
+/// "Policy scenarios"). A change that moves a row moves a reproduced
+/// number, and must say so.
+#[test]
+fn every_policys_scenario_rows_match_their_fixtures() {
+    let tables = [
+        (
+            "interact",
+            interact_table(),
+            include_str!("fixtures/policy_scenarios/interact.txt"),
+        ),
+        (
+            "wave",
+            wave_table(),
+            include_str!("fixtures/policy_scenarios/wave.txt"),
+        ),
+    ];
+    for (name, got, fixture) in tables {
+        assert!(
+            got == fixture,
+            "`figure -- {name}` moved from its fixture; it now prints:\n{got}"
+        );
+    }
 }

@@ -10,7 +10,7 @@
 //! facade composes it with OS threads and, in implicit mode, a preemptive
 //! polling thread that calls [`Scheduler::poll_system`] concurrently. It
 //! reads no clock of its own: the one it is handed ([`Scheduler::set_clock`])
-//! paces the polling operation ([`Scheduler::poll_due`]). What a call sends
+//! paces the polling operation ([`Scheduler::next_unit`]). What a call sends
 //! is handed to the node's transport before it returns; the facade flushes
 //! that transport ([`prema_dcs::Transport::flush`]) before it releases the
 //! rank's lock, so a pass's sends leave together.
@@ -274,14 +274,11 @@ pub struct Scheduler<O: Migratable> {
     /// When [`Scheduler::poll`] last ran, on `clock`; `None` before the
     /// first.
     last_poll: Option<Duration>,
-    /// `k`: [`Scheduler::poll_due`] reads `clock` on every k-th call with
+    /// `k`: [`Scheduler::next_unit`] reads `clock` on every k-th call with
     /// work queued ([`clock_stride`]).
     clock_every: u32,
-    /// Calls to [`Scheduler::poll_due`] left until its next reading.
+    /// Calls to [`Scheduler::next_unit`] left until its next reading.
     clock_left: u32,
-    /// The reading by which [`Scheduler::poll_due`] last found the poll
-    /// due, for the [`Scheduler::poll`] that follows it to reuse.
-    due_reading: Option<Duration>,
     /// [`Scheduler::units_begun`] at the last poll.
     begun_at_poll: u64,
     /// Migration stability governor (DESIGN.md §14).
@@ -331,7 +328,6 @@ impl<O: Migratable> Scheduler<O> {
             last_poll: None,
             clock_every: 1,
             clock_left: 1,
-            due_reading: None,
             begun_at_poll: 0,
             governor: Governor::new(StabilityConfig::default()),
             neighborhood,
@@ -366,7 +362,7 @@ impl<O: Migratable> Scheduler<O> {
 
     /// Hand the scheduler its time: [`Clock::monotonic`] on a thread, a
     /// manual clock where a test or the simulator decides what time it is.
-    /// It paces [`Scheduler::poll_due`]; the governor and the request
+    /// It paces [`Scheduler::next_unit`]'s polls; the governor and the request
     /// watchdog still count polls.
     pub fn set_clock(&mut self, clock: Clock) {
         self.clock = clock;
@@ -466,35 +462,23 @@ impl<O: Migratable> Scheduler<O> {
     /// PREMA's *polling operation* (§4): receive and process messages,
     /// handle system load-balancing traffic, and evaluate the local work
     /// level — the balancer's one evaluation point besides
-    /// [`Scheduler::poll_system`]. Polls whenever called; a caller that
-    /// wants it paced asks [`Scheduler::poll_due`] first. Returns the number
-    /// of protocol events handled.
+    /// [`Scheduler::poll_system`]. Polls whenever called; the paced poll is
+    /// [`Scheduler::next_unit`]'s. Returns the number of protocol events
+    /// handled.
     pub fn poll(&mut self) -> usize {
-        self.polls += 1;
-        self.start_slice();
-        let events = self.node.pump();
-        let n = events.len();
-        self.tracer.emit(|| TraceEvent::Poll { events: n as u32 });
-        for ev in events {
-            self.handle_event(ev);
-        }
-        if self.lb_enabled {
-            self.lb_evaluate();
-        }
-        #[cfg(feature = "check-invariants")]
-        self.verify_invariants();
-        n
+        self.poll_with_reading(None)
     }
 
-    /// Whether the polling operation is due before the next unit (DESIGN.md
-    /// §8): always when nothing is queued locally — the rank has nothing
-    /// better to do, and must beg now — and before the first
-    /// [`Scheduler::poll`]; otherwise once [`WIRE_SLICE`] has passed on the
-    /// scheduler's clock since the last. A rank working through
-    /// sub-microsecond units thus pumps its wire and weighs its load once per
-    /// slice, not once per unit, while a unit a slice long or longer polls
-    /// before every unit as before. `prema::Runtime::step` asks this before
-    /// every unit; every other caller polls unconditionally.
+    /// One turn of PREMA's cycle up to the handler (DESIGN.md §8): the
+    /// polling operation if it is due, then [`Scheduler::begin`]. The poll
+    /// is due always when nothing is queued locally — the rank has nothing
+    /// better to do, and must beg now — and before the first poll; otherwise
+    /// once [`WIRE_SLICE`] has passed on the scheduler's clock since the
+    /// last. A rank working through sub-microsecond units thus pumps its
+    /// wire and weighs its load once per slice, not once per unit, while a
+    /// unit a slice long or longer polls before every unit. This is the one
+    /// paced poll: `prema::Runtime::step` and the simulator's ranks call it
+    /// at every unit boundary, every other caller polls unconditionally.
     ///
     /// With work queued it reads the clock on every k-th call only, k =
     /// clamp(units per slice ÷ 4, 1, 8), the units counted over the last
@@ -504,35 +488,50 @@ impl<O: Migratable> Scheduler<O> {
     /// clock were read every call. The bound: after units suddenly
     /// lengthen, a poll comes at most k − 1 units late, and the slice it
     /// ends counts the longer units at the rate they ran, so the next k
-    /// fits them (1 once they are over an eighth of a slice). A call that
-    /// finds the poll due keeps its reading for the [`Scheduler::poll`]
-    /// that follows, which takes no reading of its own.
-    pub fn poll_due(&mut self) -> bool {
+    /// fits them (1 once they are over an eighth of a slice).
+    pub fn next_unit(&mut self) -> Option<Execution<O>> {
+        if let Some(reading) = self.poll_due() {
+            self.poll_with_reading(reading);
+        }
+        self.begin()
+    }
+
+    /// [`Scheduler::next_unit`]'s slice gate: `None` if the poll is not due,
+    /// else `Some` of the clock reading that found it due, which the poll
+    /// then starts its slice by — `Some(None)` when the gate read no clock.
+    fn poll_due(&mut self) -> Option<Option<Duration>> {
         if self.node.ready_len() == 0 {
-            return true;
+            return Some(None);
         }
         let Some(last) = self.last_poll else {
-            return true;
+            return Some(None);
         };
         if self.clock_left > 1 {
             self.clock_left -= 1;
-            return false;
+            return None;
         }
         self.clock_left = self.clock_every;
         let now = self.clock.now();
-        let due = now >= last + WIRE_SLICE;
-        if due {
-            self.due_reading = Some(now);
-        }
-        due
+        (now >= last + WIRE_SLICE).then_some(Some(now))
     }
 
-    /// A poll starts a slice: take the time — the reading
-    /// [`Scheduler::poll_due`] found it due by, if it did, else the clock's
-    /// — and set the next slice's k from the one that just ended, if that
-    /// one ended by the clock, else to 1.
-    fn start_slice(&mut self) {
-        let reading = self.due_reading.take();
+    /// The polling operation, its slice started by `reading` if the gate
+    /// took one, else by the clock's.
+    fn poll_with_reading(&mut self, reading: Option<Duration>) -> usize {
+        self.polls += 1;
+        self.start_slice(reading);
+        let events = self.node.pump();
+        self.tracer.emit(|| TraceEvent::Poll {
+            events: events.len() as u32,
+        });
+        self.handle_polled(events)
+    }
+
+    /// A poll starts a slice: take the time — the gate's `reading`, if it
+    /// found the poll due by the clock, else the clock's — and set the next
+    /// slice's k from the one that just ended, if that one ended by the
+    /// clock, else to 1.
+    fn start_slice(&mut self, reading: Option<Duration>) {
         let now = reading.unwrap_or_else(|| self.clock.now());
         let begun = self.units_begun();
         self.clock_every = match (reading, self.last_poll) {
@@ -557,9 +556,16 @@ impl<O: Migratable> Scheduler<O> {
         // (DESIGN.md §19).
         self.governor.roll_window(self.polls);
         let events = self.node.poll_system();
+        self.tracer.emit(|| TraceEvent::PollSystem {
+            events: events.len() as u32,
+        });
+        self.handle_polled(events)
+    }
+
+    /// What both polls do with what they drained: handle each event, then
+    /// weigh the load. Returns the number of events.
+    fn handle_polled(&mut self, events: Vec<MolEvent>) -> usize {
         let n = events.len();
-        self.tracer
-            .emit(|| TraceEvent::PollSystem { events: n as u32 });
         for ev in events {
             self.handle_event(ev);
         }
@@ -580,8 +586,6 @@ impl<O: Migratable> Scheduler<O> {
             self.executing.is_none(),
             "begin() while a unit is executing"
         );
-        // A reading `poll_due` kept for a poll that did not follow is stale.
-        self.due_reading = None;
         loop {
             let item = self.node.pop_work()?;
             // Resolve the handler before detaching the object: a work item
@@ -1110,7 +1114,7 @@ impl<O: Migratable> Execution<O> {
     }
 }
 
-/// `k` of [`Scheduler::poll_due`]: a quarter of the units `held` over a
+/// `k` of [`Scheduler::next_unit`]'s gate: a quarter of the units `held` over a
 /// slice that ended `elapsed` after it began, scaled to one [`WIRE_SLICE`],
 /// within 1..=8. A slice that ran late because its units lengthened
 /// (`elapsed` well past a slice) counts its units at the rate they ran.
@@ -1317,45 +1321,42 @@ mod tests {
         (s, clock)
     }
 
+    /// `Runtime::step`'s turn on a lone rank: [`Scheduler::next_unit`],
+    /// then its unit, if any, which takes `unit` on the clock. Returns
+    /// whether the turn polled.
+    fn paced_step(s: &mut Scheduler<Unit>, clock: &Clock, unit: Duration) -> bool {
+        let polls = s.polls;
+        if let Some(mut exec) = s.next_unit() {
+            exec.run();
+            s.finish_in_place(&mut exec);
+        }
+        clock.advance(unit);
+        s.polls > polls
+    }
+
     #[test]
     fn with_work_queued_the_polling_operation_is_due_once_a_slice() {
-        let (mut s, clock) = lone_rank(3);
+        let (mut s, clock) = lone_rank(5);
+        let (zero, ns) = (Duration::ZERO, Duration::from_nanos(1));
         clock.set_now(Duration::from_millis(7));
-        assert!(s.poll_due(), "nothing polled yet");
-        s.poll();
-        assert!(!s.poll_due(), "inside the slice");
-        assert!(s.step());
-        clock.advance(WIRE_SLICE - Duration::from_nanos(1));
-        assert!(!s.poll_due(), "a nanosecond early");
-        clock.advance(Duration::from_nanos(1));
-        assert!(s.poll_due(), "a slice after the last poll");
-        s.poll();
-        assert!(!s.poll_due(), "poll() starts the next slice");
+        assert!(paced_step(&mut s, &clock, zero), "nothing polled yet");
+        assert!(!paced_step(&mut s, &clock, WIRE_SLICE - ns), "in the slice");
+        assert!(!paced_step(&mut s, &clock, ns), "a nanosecond early");
+        assert!(paced_step(&mut s, &clock, zero), "a slice after the last");
+        assert!(!paced_step(&mut s, &clock, zero), "the next slice began");
     }
 
     #[test]
     fn an_empty_queue_is_always_due() {
-        let (mut s, _clock) = lone_rank(0);
+        let zero = Duration::ZERO;
+        let (mut s, clock) = lone_rank(0);
         s.poll();
-        assert!(s.poll_due(), "the clock has not moved");
-        let (mut s, _clock) = lone_rank(2);
+        assert!(paced_step(&mut s, &clock, zero), "the clock has not moved");
+        let (mut s, clock) = lone_rank(2);
         s.poll();
-        assert!(s.step());
-        assert!(!s.poll_due());
-        assert!(s.step());
-        assert!(s.poll_due(), "the last unit emptied the queue");
-    }
-
-    /// `Runtime::step`'s turn on a lone rank: the poll if it is due, then
-    /// one unit that takes `unit` on the clock. Returns whether it polled.
-    fn paced_step(s: &mut Scheduler<Unit>, clock: &Clock, unit: Duration) -> bool {
-        let polled = s.poll_due();
-        if polled {
-            s.poll();
-        }
-        assert!(s.step(), "work queued");
-        clock.advance(unit);
-        polled
+        assert!(!paced_step(&mut s, &clock, zero));
+        assert!(!paced_step(&mut s, &clock, zero));
+        assert!(paced_step(&mut s, &clock, zero), "the last unit emptied it");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   beforehand, wakes the processor and the gap is attributed to
 //!   [`Category::Idle`].
 //!
-//! Messages are delivered **only when the process polls** ([`Ctx::poll`] /
-//! [`Ctx::poll_where`]); the engine never pushes a message into a callback.
+//! Messages are delivered **only when the process polls** ([`Ctx::poll`]);
+//! the engine never pushes a message into a callback.
 //! This mirrors the polling-based message-passing substrate of the paper
 //! (LAM/MPI) and is the property whose consequences the paper evaluates.
 //!
@@ -41,6 +41,10 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
+
+/// The runaway-simulation guard: a run that pops more events than this is
+/// taken for a driver livelock and panics.
+const MAX_EVENTS: u64 = 500_000_000;
 
 /// Index of a simulated processor.
 pub type ProcId = usize;
@@ -317,24 +321,7 @@ impl<'a> Ctx<'a> {
     /// Drain every message currently in the inbox, charging the per-message
     /// receive overhead. Returns messages in arrival order.
     pub fn poll(&mut self) -> Vec<SimMessage> {
-        self.poll_where(|_| true)
-    }
-
-    /// Drain only the inbox messages matching `pred` (e.g. only
-    /// system-generated load-balancing messages, as PREMA's preemptive polling
-    /// thread does), preserving arrival order among the rest.
-    pub fn poll_where(&mut self, mut pred: impl FnMut(&SimMessage) -> bool) -> Vec<SimMessage> {
-        let meta = &mut self.core.metas[self.pid];
-        let mut taken = Vec::new();
-        let mut rest = VecDeque::with_capacity(meta.inbox.len());
-        while let Some(m) = meta.inbox.pop_front() {
-            if pred(&m) {
-                taken.push(m);
-            } else {
-                rest.push_back(m);
-            }
-        }
-        meta.inbox = rest;
+        let taken: Vec<SimMessage> = self.core.metas[self.pid].inbox.drain(..).collect();
         let recv_cpu = self.core.cfg.recv_cpu;
         for _ in 0..taken.len() {
             self.consume(Category::Messaging, recv_cpu);
@@ -355,20 +342,6 @@ impl<'a> Ctx<'a> {
             }
         }
         taken
-    }
-
-    /// Whether any message (optionally filtered) is waiting in the inbox.
-    pub fn has_msg(&self) -> bool {
-        !self.core.metas[self.pid].inbox.is_empty()
-    }
-
-    /// Count of queued inbox messages satisfying `pred`.
-    pub fn count_msgs(&self, pred: impl Fn(&SimMessage) -> bool) -> usize {
-        self.core.metas[self.pid]
-            .inbox
-            .iter()
-            .filter(|m| pred(m))
-            .count()
     }
 
     /// Schedule `on_timer(token)` to run after `dur` of *busy* time has
@@ -438,7 +411,6 @@ impl<'a> Ctx<'a> {
 pub struct Engine {
     core: Core,
     procs: Vec<Option<Box<dyn Process>>>,
-    max_events: u64,
 }
 
 impl Engine {
@@ -463,14 +435,7 @@ impl Engine {
         Engine {
             core,
             procs: (0..n).map(|p| Some(make(p))).collect(),
-            max_events: 500_000_000,
         }
-    }
-
-    /// Override the runaway-simulation guard (default 5×10⁸ events).
-    pub fn with_max_events(mut self, max: u64) -> Self {
-        self.max_events = max;
-        self
     }
 
     /// Attach a trace sink: every consumed span, attributed wait, message
@@ -488,9 +453,8 @@ impl Engine {
         while let Some(Reverse(ev)) = self.core.heap.pop() {
             self.core.events += 1;
             assert!(
-                self.core.events <= self.max_events,
-                "simulation exceeded {} events — driver livelock?",
-                self.max_events
+                self.core.events <= MAX_EVENTS,
+                "simulation exceeded {MAX_EVENTS} events — driver livelock?"
             );
             let pid = ev.proc;
             if self.core.metas[pid].done {
