@@ -1,12 +1,13 @@
 //! Pins the baseline model drivers run for run: each processor's breakdown
 //! CSV ([`SimReport::render_csv`]) and message count, for no load balancing
 //! and stop-and-repartition on the synthetic benchmark (Figs 3–6 at test
-//! scale) and on the mesh study.
+//! scale) and on the mesh study, and for the Charm++ model with 0 and 4
+//! synchronization points on the benchmark.
 //!
 //! The fixtures are the drivers' exact output; a change that moves any of
 //! them is a change to a reproduced number, and must say so.
 
-use prema_harness::drivers::{nolb, parmetis_drv};
+use prema_harness::drivers::{charm_drv, nolb, parmetis_drv};
 use prema_harness::mesh_eval::{self, CostMatrix, MeshEvalSpec};
 use prema_harness::spec::BenchSpec;
 use prema_sim::SimReport;
@@ -60,6 +61,29 @@ fn stop_and_repartition_matches_its_fixtures() {
             parmetis_drv::ParMetisCfg::default(),
         );
         assert_pinned(&format!("parmetis fig {fig}"), &report, fixture);
+    }
+}
+
+#[test]
+fn charm_matches_its_fixtures() {
+    let fixtures = [
+        (0, include_str!("fixtures/model_drivers/charm0_fig3.csv")),
+        (0, include_str!("fixtures/model_drivers/charm0_fig4.csv")),
+        (0, include_str!("fixtures/model_drivers/charm0_fig5.csv")),
+        (0, include_str!("fixtures/model_drivers/charm0_fig6.csv")),
+        (4, include_str!("fixtures/model_drivers/charm4_fig3.csv")),
+        (4, include_str!("fixtures/model_drivers/charm4_fig4.csv")),
+        (4, include_str!("fixtures/model_drivers/charm4_fig5.csv")),
+        (4, include_str!("fixtures/model_drivers/charm4_fig6.csv")),
+    ];
+    for (i, (sync_points, fixture)) in fixtures.into_iter().enumerate() {
+        let fig = 3 + i as u32 % 4;
+        let report = charm_drv::run(&BenchSpec::test_scale(fig), sync_points);
+        assert_pinned(
+            &format!("charm {sync_points} sync points fig {fig}"),
+            &report,
+            fixture,
+        );
     }
 }
 
