@@ -229,8 +229,9 @@ impl<O: Migratable> Runtime<O> {
         true
     }
 
-    /// Poll and execute until `done` returns true. Parks briefly when idle
-    /// so other ranks' threads get CPU.
+    /// Run [`Runtime::step`] until `done` returns true. An idle turn is one
+    /// polling operation (`step` polls on an empty queue), then a yield so
+    /// other ranks' threads get CPU.
     pub fn run_until(&self, done: impl Fn(&ilb::Scheduler<O>) -> bool) {
         loop {
             {
@@ -240,7 +241,6 @@ impl<O: Migratable> Runtime<O> {
                 }
             }
             if !self.step() {
-                self.poll();
                 std::thread::yield_now();
             }
         }

@@ -165,3 +165,34 @@ fn a_unit_run_by_step_starts_the_polling_thread() {
 fn a_unit_begun_inside_with_scheduler_starts_the_polling_thread() {
     assert!(poll_wakes(Unit::BegunInScheduler) >= 1);
 }
+
+/// An idle turn of `run_until` is one polling operation: a 1-rank
+/// explicit-mode machine whose `run_until` turns `TURNS` times over an empty
+/// queue records `TURNS` `poll` events.
+#[test]
+fn run_until_polls_once_per_idle_turn() {
+    const TURNS: usize = 100;
+    let sink = TraceSink::new(1);
+    let wire = LocalFabric::new(1)
+        .into_iter()
+        .map(|ep| Box::new(ep) as Box<dyn Transport>)
+        .collect();
+    launch_with_transports(
+        PremaConfig::explicit(1),
+        wire,
+        Some(sink.clone()),
+        |rt: Runtime<Cell>| {
+            let turns = std::cell::Cell::new(0);
+            rt.run_until(|_| {
+                turns.set(turns.get() + 1);
+                turns.get() > TURNS
+            });
+        },
+    );
+    let polls = sink
+        .drain()
+        .iter()
+        .filter(|r| matches!(r.ev, TraceEvent::Poll { .. }))
+        .count();
+    assert_eq!(polls, TURNS);
+}

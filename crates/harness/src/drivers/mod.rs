@@ -5,7 +5,8 @@
 //! when messages are noticed, and how load balancing proceeds. The no-LB and
 //! stop-and-repartition models ([`nolb`], [`parmetis_drv`]) run any
 //! [`Workload`]: the §5 benchmark ([`BenchSpec`]) and the mesh study
-//! ([`crate::mesh_eval`]) execute on the same two models. The PREMA panels
+//! ([`crate::mesh_eval`]) execute on the same two models. The Charm++ model
+//! ([`charm_drv`]) runs the benchmark as a chare array. The PREMA panels
 //! are not a model: [`prema_drv`] hands the benchmark to the real runtime
 //! stack running on the simulator's clock ([`crate::simrank`]). All share
 //! the cost model below so that differences between panels come from the

@@ -6,9 +6,10 @@
 //! and the 3-D advancing-front mesh generation study.
 //!
 //! * [`spec`] — the benchmark's parameters and work-unit generation;
-//! * [`drivers`] — one per configuration: no-LB, PREMA explicit, PREMA
-//!   implicit, ParMETIS stop-and-repartition, Charm++ with 0 and 4 sync
-//!   points;
+//! * [`drivers`] — one per configuration, all on the one
+//!   [`prema_sim::Engine`], so every panel can be traced: no-LB, PREMA
+//!   explicit, PREMA implicit, ParMETIS stop-and-repartition, Charm++ with 0
+//!   and 4 sync points;
 //! * [`simrank`] — the real PREMA stack (`ilb::Scheduler` over `MolNode`)
 //!   on the simulator's clock, which the PREMA drivers hand their workload;
 //! * [`scenarios`] — the two policy scenarios (`interact`, `wave`) as PREMA

@@ -1,6 +1,5 @@
 //! Uniform reporting across the six benchmark configurations.
 
-use prema_charm::CharmReport;
 use prema_sim::{Category, Record, SimReport, SimTime};
 
 /// The six configurations of Figures 3–6, panels (a)–(f).
@@ -53,20 +52,6 @@ impl Config {
             Config::CharmNoSync => "Charm++ (no sync points)",
             Config::CharmSync4 => "Charm++ (4 sync points)",
         }
-    }
-}
-
-/// Convert a Charm virtual-runtime report into the common [`SimReport`]
-/// currency (message counters are not tracked by that runtime).
-pub fn charm_to_sim(r: CharmReport) -> SimReport {
-    let n = r.breakdowns.len();
-    SimReport {
-        breakdowns: r.breakdowns,
-        finish: r.finish,
-        makespan: r.makespan,
-        msgs_sent: vec![0; n],
-        bytes_sent: vec![0; n],
-        events: 0,
     }
 }
 
@@ -163,7 +148,6 @@ pub fn savings(a: SimTime, b: SimTime) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prema_sim::TimeBreakdown;
 
     #[test]
     fn config_metadata() {
@@ -176,19 +160,5 @@ mod tests {
     fn savings_formula() {
         assert!((savings(SimTime::from_secs(100), SimTime::from_secs(70)) - 0.30).abs() < 1e-12);
         assert_eq!(savings(SimTime::ZERO, SimTime::from_secs(1)), 0.0);
-    }
-
-    #[test]
-    fn charm_conversion_preserves_breakdowns() {
-        let r = CharmReport {
-            breakdowns: vec![TimeBreakdown::new(); 3],
-            finish: vec![SimTime::from_secs(1); 3],
-            makespan: SimTime::from_secs(1),
-            migrations: 5,
-            lb_steps: 2,
-        };
-        let s = charm_to_sim(r);
-        assert_eq!(s.breakdowns.len(), 3);
-        assert_eq!(s.makespan, SimTime::from_secs(1));
     }
 }

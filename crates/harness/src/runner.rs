@@ -11,10 +11,7 @@ pub fn run_figure(figure: u32, spec: &BenchSpec) -> FigureReport {
     run_figure_with_trace(figure, spec, None)
 }
 
-/// [`run_figure`], recording one panel's run into a trace sink. Only the
-/// engine-backed panels (a)–(d) can be traced; the Charm++ panels run on a
-/// separate virtual runtime with no trace hooks, and requesting them leaves
-/// the sink empty.
+/// [`run_figure`], recording one panel's run into a trace sink.
 pub fn run_figure_with_trace(
     figure: u32,
     spec: &BenchSpec,
@@ -46,8 +43,14 @@ pub fn run_figure_with_trace(
                 sink_for(Config::ParMetis),
             ),
         ),
-        (Config::CharmNoSync, charm_drv::run(spec, 0)),
-        (Config::CharmSync4, charm_drv::run(spec, 4)),
+        (
+            Config::CharmNoSync,
+            charm_drv::run_traced(spec, 0, sink_for(Config::CharmNoSync)),
+        ),
+        (
+            Config::CharmSync4,
+            charm_drv::run_traced(spec, 4, sink_for(Config::CharmSync4)),
+        ),
     ];
     FigureReport { figure, panels }
 }

@@ -9,9 +9,10 @@
 //! processor (in practice the match is exact).
 
 use prema_harness::drivers::prema_drv;
-use prema_harness::report::breakdown_from_trace;
+use prema_harness::report::{breakdown_from_trace, Config};
+use prema_harness::runner::run_figure_with_trace;
 use prema_harness::spec::BenchSpec;
-use prema_sim::{Category, TraceSink};
+use prema_sim::{Category, SimReport, TraceSink};
 
 #[test]
 fn trace_replay_matches_engine_breakdown_within_one_percent() {
@@ -20,8 +21,25 @@ fn trace_replay_matches_engine_breakdown_within_one_percent() {
     let sink = TraceSink::with_capacity(nprocs, 1 << 16);
     let engine_report =
         prema_drv::run_traced(&spec, prema_drv::implicit_cfg(&spec), Some(sink.clone()));
-    assert_eq!(sink.dropped(), 0, "ring overflowed; enlarge capacity");
+    assert_replays(&engine_report, &sink);
+}
 
+/// Every panel traces: a Charm++ panel recorded through
+/// [`run_figure_with_trace`] replays to the engine's own report.
+#[test]
+fn a_traced_charm_panel_replays_to_its_engine_breakdown() {
+    let spec = BenchSpec::test_scale(4);
+    let sink = TraceSink::with_capacity(spec.machine.procs, 1 << 16);
+    let report = run_figure_with_trace(4, &spec, Some((Config::CharmSync4, sink.clone())));
+    let engine_report = report.get(Config::CharmSync4);
+    assert!(engine_report.msgs_sent.iter().all(|&m| m > 0));
+    assert_replays(engine_report, &sink);
+}
+
+/// Fold `sink`'s records back into a report and hold it to `engine_report`.
+fn assert_replays(engine_report: &SimReport, sink: &TraceSink) {
+    let nprocs = engine_report.procs();
+    assert_eq!(sink.dropped(), 0, "ring overflowed; enlarge capacity");
     let records = sink.drain();
     assert!(!records.is_empty());
     let traced = breakdown_from_trace(&records, nprocs);
@@ -45,19 +63,6 @@ fn trace_replay_matches_engine_breakdown_within_one_percent() {
             );
         }
     }
-}
-
-#[test]
-fn untraced_panels_leave_the_sink_empty() {
-    use prema_harness::report::Config;
-    use prema_harness::runner::run_figure_with_trace;
-
-    let spec = BenchSpec::test_scale(3);
-    let sink = TraceSink::new(spec.machine.procs);
-    // Ask for a Charm panel, which runs on the untraceable virtual runtime.
-    let report = run_figure_with_trace(3, &spec, Some((Config::CharmNoSync, sink.clone())));
-    assert_eq!(report.panels.len(), 6);
-    assert!(sink.drain().is_empty());
 }
 
 /// A manually clocked sink also receives the scheduler's and the MOL's own
