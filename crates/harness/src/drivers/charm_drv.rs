@@ -261,7 +261,7 @@ pub fn run_traced(
     );
     let nchares = total / iterations;
     let npes = spec.machine.procs;
-    let block = |c: usize| c * npes / nchares.max(1);
+    let block = |c: usize| c * npes / nchares;
     Engine::build(spec.machine, |p| {
         Box::new(CharmProc {
             mflop: mflop.clone(),
